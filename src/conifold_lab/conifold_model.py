@@ -437,24 +437,6 @@ class RadialGeometry:
     label: str = ""
     eta: object | None = None  # glued models: the neck cutoff eta_t(x)
 
-    def constant_beta(self) -> float | None:
-        vals = np.asarray(self.beta(self.probe_points()), dtype=float)
-        return float(vals[0]) if np.all(vals == vals[0]) else None
-
-    def probe_points(self, n: int = 64) -> np.ndarray:
-        if self.circle:
-            return np.linspace(0.0, self.period, n, endpoint=False)
-
-        def edge(b: BoundaryInfo):
-            if b.kind == "cap":
-                return b.x0
-            return b.x0 + b.sign * b.chart_r
-
-        lo, hi = sorted((edge(self.left), edge(self.right)))
-        if lo == hi:
-            lo, hi = lo - 1.0, hi + 1.0
-        return np.linspace(lo, hi, n)
-
 
 def _const_like(value):
     return lambda x: np.full_like(np.asarray(x, dtype=float), value)

@@ -34,6 +34,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "ExperimentConfig",
     "SweepResult",
+    "ExperimentError",
     "run",
     "emit",
     "run_config_file",
@@ -180,7 +181,7 @@ def _base_model(cfg: ExperimentConfig):
     raise ValueError(f"unknown model {cfg.model!r}")
 
 
-def _ratio_summary(values, tol_ratio):
+def _ratio_summary(values):
     vmax, vmin = max(values), min(values)
     ratio = vmax / vmin if vmin > 0 else math.inf
     return ratio, vmax, vmin
@@ -204,7 +205,7 @@ def _run_embedding(cfg: ExperimentConfig) -> SweepResult:
 
     rows = _thread_map(one, list(cfg.t_list))
     consts = [r["constant"] for r in rows]
-    ratio, vmax, vmin = _ratio_summary(consts, tol["uniformity_ratio"])
+    ratio, vmax, vmin = _ratio_summary(consts)
     slope = _fit_slope(cfg.t_list, consts)
     passed = ratio <= tol["uniformity_ratio"] and abs(slope) <= tol["trend_slope"]
     summary = {"max": vmax, "min": vmin, "max_over_min": ratio,
@@ -230,7 +231,7 @@ def _run_invertibility(cfg: ExperimentConfig) -> SweepResult:
 
     rows = _thread_map(one, list(cfg.t_list))
     consts = [r["constant"] for r in rows]
-    ratio, vmax, vmin = _ratio_summary(consts, tol["uniformity_ratio"])
+    ratio, vmax, vmin = _ratio_summary(consts)
     passed = ratio <= tol["uniformity_ratio"]
     summary = {"max": vmax, "min": vmin, "max_over_min": ratio,
                "trend_slope": _fit_slope(cfg.t_list, consts), "pass": passed}
@@ -259,7 +260,7 @@ def _run_compact(cfg: ExperimentConfig) -> SweepResult:
 
     rows = _thread_map(one, list(cfg.t_list))
     consts = [r["constant"] for r in rows]
-    ratio, vmax, vmin = _ratio_summary(consts, tol["uniformity_ratio"])
+    ratio, vmax, vmin = _ratio_summary(consts)
     constants_detected = all(
         r["sigma_mode0_unconstrained"] < tol["constants_sigma"] * r["sigma_constrained"]
         for r in rows)
@@ -283,7 +284,7 @@ def _run_poincare(cfg: ExperimentConfig) -> SweepResult:
 
     rows = _thread_map(one, list(cfg.t_list))
     consts = [r["constant"] for r in rows]
-    ratio, vmax, vmin = _ratio_summary(consts, tol["uniformity_ratio"])
+    ratio, vmax, vmin = _ratio_summary(consts)
     passed = ratio <= tol["uniformity_ratio"]
     summary = {"max": vmax, "min": vmin, "max_over_min": ratio,
                "trend_slope": _fit_slope(cfg.t_list, consts), "pass": passed}
@@ -313,7 +314,7 @@ def _run_gns(cfg: ExperimentConfig) -> SweepResult:
 
     rows = _thread_map(one, list(cfg.t_list))
     consts = [r["constant"] for r in rows]
-    ratio, vmax, vmin = _ratio_summary(consts, tol["uniformity_ratio"])
+    ratio, vmax, vmin = _ratio_summary(consts)
     passed = ratio <= tol["uniformity_ratio"]
     summary = {"max": vmax, "min": vmin, "max_over_min": ratio,
                "trend_slope": _fit_slope(cfg.t_list, consts), "pass": passed}
@@ -506,12 +507,23 @@ _RUNNERS = {
 }
 
 
+class ExperimentError(RuntimeError):
+    """An experiment failed; the original error is the ``__cause__``."""
+
+    def __init__(self, experiment: str, cause: BaseException):
+        super().__init__(f"[{experiment}] {type(cause).__name__}: {cause}")
+        self.experiment = experiment
+
+
 def run(config: ExperimentConfig) -> SweepResult:
-    """Dispatch one experiment; deterministic given the config and seed."""
+    """Dispatch one experiment; deterministic given the config and seed.
+
+    Any error raised by the experiment is re-raised as an ExperimentError
+    naming the experiment, chained to the original."""
     try:
         return _RUNNERS[config.experiment](config)
     except Exception as exc:
-        raise type(exc)(f"[{config.experiment}] {exc}") from exc
+        raise ExperimentError(config.experiment, exc) from exc
 
 
 # --- emission ----------------------------------------------------------------

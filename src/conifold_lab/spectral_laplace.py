@@ -121,11 +121,7 @@ def _reduction_matrix(grid: RadialGrid, left: ClosureRule | None,
         return sp.identity(n, format="csr"), np.arange(n)
     interior = np.arange(1, n - 1)
     n_i = interior.size
-    rows, cols, vals = [], [], []
-    for i_local, i in enumerate(interior):
-        rows.append(i)
-        cols.append(i_local)
-        vals.append(1.0)
+    rows, cols, vals = [interior], [np.arange(n_i)], [np.ones(n_i)]
 
     def add_boundary(i_bnd, rule, b):
         if rule.kind == "zero":
@@ -135,23 +131,24 @@ def _reduction_matrix(grid: RadialGrid, left: ClosureRule | None,
             h1 = abs(grid.nodes[i1] - grid.nodes[i_bnd])
             h2 = abs(grid.nodes[i2] - grid.nodes[i_bnd])
             den = h2 * h2 - h1 * h1
-            rows.extend([i_bnd, i_bnd])
-            cols.extend([i1 - 1, i2 - 1])
-            vals.extend([h2 * h2 / den, -h1 * h1 / den])
+            rows.append([i_bnd, i_bnd])
+            cols.append([i1 - 1, i2 - 1])
+            vals.append([h2 * h2 / den, -h1 * h1 / den])
             return
         if rule.kind == "robin":
             i_adj = 1 if i_bnd == 0 else n - 2
             r_b = b.sign * (grid.nodes[i_bnd] - b.x0)
             r_a = b.sign * (grid.nodes[i_adj] - b.x0)
-            rows.append(i_bnd)
-            cols.append(i_adj - 1)
-            vals.append((r_b / r_a) ** rule.slope)
+            rows.append([i_bnd])
+            cols.append([i_adj - 1])
+            vals.append([(r_b / r_a) ** rule.slope])
             return
         raise ValueError(rule.kind)
 
     add_boundary(0, left, grid.geometry.left)
     add_boundary(n - 1, right, grid.geometry.right)
-    R = sp.csr_matrix((vals, (rows, cols)), shape=(n, n_i))
+    R = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n_i))
     return R, interior
 
 
@@ -177,9 +174,6 @@ class ModeOperator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.P_full @ np.asarray(values, dtype=float)
-
-    def interior_rows(self) -> sp.spmatrix:
-        return self.P_full[self.interior]
 
     def reduced(self) -> sp.spmatrix:
         return (self.P_full[self.interior] @ self.R).tocsc()
@@ -252,7 +246,7 @@ def weighted_form(grid: RadialGrid, k: int, beta: float | None, e: float) -> Wei
     m = g.geometry.m
     beta_vals = g.beta if beta is None else np.full(g.n, float(beta))
     w = g.wextra * g.rho ** (-beta_vals)
-    base = g.quad * g.f ** (m - 1) * g.volume_factor * g.rho ** (-float(m))
+    base = g.volume
     kappa = g.geometry.link.einstein_constant or 0.0
 
     W0 = w**2 * base

@@ -77,7 +77,9 @@ class RadialGrid:
     nodes: strictly increasing positions (a fundamental domain for
     circles); quad: weights with int F dx ~ sum quad * F(nodes).
     Geometry samples (f, f', f'', rho, beta, wextra) are cached at the
-    nodes.
+    nodes.  The derivative matrices d1, d2 and the norm volume are built
+    lazily, once per grid, from these arrays; so the arrays must not be
+    mutated after construction (build a new grid instead).
     """
 
     geometry: RadialGeometry
@@ -91,6 +93,7 @@ class RadialGrid:
     wextra: np.ndarray = field(repr=False, default=None)
     _d1: sp.spmatrix = field(repr=False, default=None)
     _d2: sp.spmatrix = field(repr=False, default=None)
+    _volume: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         g = self.geometry
@@ -133,43 +136,30 @@ class RadialGrid:
 
     def _build_derivatives(self):
         n = self.n
-        hm, hp = self.spacings()
-        rows, cols, v1, v2 = [], [], [], []
-
-        def stencil(i, im, ip, a, b):
-            # nonuniform 3-point first/second derivative coefficients
-            cm1 = -b / (a * (a + b))
-            c0 = (b - a) / (a * b)
-            cp1 = a / (b * (a + b))
-            dm1 = 2.0 / (a * (a + b))
-            d0 = -2.0 / (a * b)
-            dp1 = 2.0 / (b * (a + b))
-            rows.extend([i, i, i])
-            cols.extend([im, i, ip])
-            v1.extend([cm1, c0, cp1])
-            v2.extend([dm1, d0, dp1])
-
+        a, b = self.spacings()  # (h_minus, h_plus)
+        # nonuniform 3-point first/second derivative coefficients on the
+        # columns (i - 1, i, i + 1) of row i
+        v1 = np.stack([-b / (a * (a + b)), (b - a) / (a * b), a / (b * (a + b))], axis=1)
+        v2 = np.stack([2.0 / (a * (a + b)), -2.0 / (a * b), 2.0 / (b * (a + b))], axis=1)
+        i = np.arange(n)
+        cols = np.stack([i - 1, i, i + 1], axis=1)
         if self.geometry.circle:
-            for i in range(n):
-                stencil(i, (i - 1) % n, (i + 1) % n, hm[i], hp[i])
+            cols %= n
         else:
-            for i in range(1, n - 1):
-                stencil(i, i - 1, i + 1, hm[i], hp[i])
             # one-sided closures at the interval ends
             h1, h2 = self.nodes[1] - self.nodes[0], self.nodes[2] - self.nodes[1]
-            rows.extend([0, 0, 0])
-            cols.extend([0, 1, 2])
-            v1.extend([-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
-                       -h1 / (h2 * (h1 + h2))])
-            v2.extend([2.0 / (h1 * (h1 + h2)), -2.0 / (h1 * h2), 2.0 / (h2 * (h1 + h2))])
+            cols[0] = (0, 1, 2)
+            v1[0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
+                     -h1 / (h2 * (h1 + h2)))
+            v2[0] = (2.0 / (h1 * (h1 + h2)), -2.0 / (h1 * h2), 2.0 / (h2 * (h1 + h2)))
             g1, g2 = self.nodes[-1] - self.nodes[-2], self.nodes[-2] - self.nodes[-3]
-            rows.extend([n - 1, n - 1, n - 1])
-            cols.extend([n - 1, n - 2, n - 3])
-            v1.extend([(2 * g1 + g2) / (g1 * (g1 + g2)), -(g1 + g2) / (g1 * g2),
-                       g1 / (g2 * (g1 + g2))])
-            v2.extend([2.0 / (g1 * (g1 + g2)), -2.0 / (g1 * g2), 2.0 / (g2 * (g1 + g2))])
-        self._d1 = sp.csr_matrix((v1, (rows, cols)), shape=(n, n))
-        self._d2 = sp.csr_matrix((v2, (rows, cols)), shape=(n, n))
+            cols[-1] = (n - 1, n - 2, n - 3)
+            v1[-1] = ((2 * g1 + g2) / (g1 * (g1 + g2)), -(g1 + g2) / (g1 * g2),
+                      g1 / (g2 * (g1 + g2)))
+            v2[-1] = (2.0 / (g1 * (g1 + g2)), -2.0 / (g1 * g2), 2.0 / (g2 * (g1 + g2)))
+        rows = np.repeat(i, 3)
+        self._d1 = sp.csr_matrix((v1.ravel(), (rows, cols.ravel())), shape=(n, n))
+        self._d2 = sp.csr_matrix((v2.ravel(), (rows, cols.ravel())), shape=(n, n))
 
     @property
     def d1(self) -> sp.spmatrix:
@@ -182,6 +172,15 @@ class RadialGrid:
         if self._d2 is None:
             self._build_derivatives()
         return self._d2
+
+    @property
+    def volume(self) -> np.ndarray:
+        """Norm volume per node, quad * f^(m-1) * vol(Sigma) * rho^(-m)."""
+        if self._volume is None:
+            m = self.geometry.m
+            self._volume = (self.quad * self.f ** (m - 1) * self.volume_factor
+                            * self.rho ** (-float(m)))
+        return self._volume
 
     def mapped(self, t: float) -> "RadialGrid":
         """The grid of the rescaled geometry, nodes mapped by x -> t x."""
@@ -487,14 +486,12 @@ def weighted_sobolev_norm(
     weight_fn overrides the default w = wextra * rho^(-beta) (used by the
     rescaling bookkeeping)."""
     g = u.grid
-    m = g.geometry.m
     beta = _beta_values(g, spec)
     w = _weight_values(g, beta, weight_fn)
     dens = densities(u, spec.k)
-    vol = g.quad * g.f ** (m - 1) * g.volume_factor * g.rho ** (-float(m))
     total = 0.0
     for j, dj in enumerate(dens):
-        total += float(np.sum((w * g.rho**j * dj) ** spec.p * vol))
+        total += float(np.sum((w * g.rho**j * dj) ** spec.p * g.volume))
     return total ** (1.0 / spec.p)
 
 
@@ -502,12 +499,10 @@ def gradient_norm(u: ModeFunction, p: float, beta: float | None = None) -> float
     """||du||_{L^p_{beta-1}}: the L^p norm of the differential as a 1-form
     carrying the weight beta - 1 (so w rho^0 |du| = wextra rho^{1-beta} |du|)."""
     g = u.grid
-    m = g.geometry.m
     bvals = _beta_values(g, WeightSpec(p=p, k=0, beta=beta))
     d1 = densities(u, 1)[1]
     w = g.wextra * g.rho ** (1.0 - bvals)
-    vol = g.quad * g.f ** (m - 1) * g.volume_factor * g.rho ** (-float(m))
-    return float(np.sum((w * d1) ** p * vol)) ** (1.0 / p)
+    return float(np.sum((w * d1) ** p * g.volume)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -740,11 +735,14 @@ def embedding_constant_estimate(
 
 def bump_profile(grid: RadialGrid, center: float, halfwidth: float) -> np.ndarray:
     """C^2 compactly supported bump (1-s^2)^3 around `center` in x."""
-    s = (grid.nodes - center) / halfwidth
     if grid.geometry.circle:
         per = grid.geometry.period
         s = (np.mod(grid.nodes - center + per / 2, per) - per / 2) / halfwidth
-    v = np.where(np.abs(s) < 1.0, (1.0 - s**2) ** 3, 0.0)
+    else:
+        s = (grid.nodes - center) / halfwidth
+    inside = np.abs(s) < 1.0
+    v = np.zeros_like(s)
+    v[inside] = (1.0 - s[inside] ** 2) ** 3
     return v
 
 
@@ -789,13 +787,14 @@ def bump_family(
     centers = _candidate_centers(grid)
     if not centers:
         raise ValueError("geometry plan yields no bump centers")
+    rho_c = np.asarray(g.rho(np.array(centers)), dtype=float)
     out = []
     i = 0
     while len(out) < n_members:
-        c = centers[i % len(centers)]
+        c = i % len(centers)
         wiggle = 1.0 + jitter * (rng.random() - 0.5)
-        hw = width_factor * float(grid.geometry.rho(c)) * wiggle
-        prof = bump_profile(grid, c, hw)
+        hw = width_factor * float(rho_c[c]) * wiggle
+        prof = bump_profile(grid, centers[c], hw)
         if np.count_nonzero(prof) < 5:
             i += 1
             continue
@@ -816,12 +815,13 @@ def random_bump_pairs(
     e1 = g.link.eigenvalues_below(4.0 * g.m)[1][0]
     rng = np.random.default_rng(seed)
     centers = _candidate_centers(grid, per_region=6)
+    rho_c = np.asarray(g.rho(np.array(centers)), dtype=float)
     pairs = []
     for _ in range(n_pairs):
         cu, cv = rng.choice(len(centers), size=2)
         amp_u, amp_v = rng.uniform(0.2, 5.0, size=2)
-        wu = 0.6 * float(g.rho(centers[cu])) * rng.uniform(0.5, 1.2)
-        wv = 0.6 * float(g.rho(centers[cv])) * rng.uniform(0.5, 1.2)
+        wu = 0.6 * float(rho_c[cu]) * rng.uniform(0.5, 1.2)
+        wv = 0.6 * float(rho_c[cv]) * rng.uniform(0.5, 1.2)
         u = ModeFunction.single(grid, 0.0, amp_u * bump_profile(grid, centers[cu], wu))
         ev = 0.0 if rng.random() < 0.5 else e1
         v = ModeFunction.single(grid, ev, amp_v * bump_profile(grid, centers[cv], wv))

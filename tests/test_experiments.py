@@ -3,9 +3,12 @@
 import json
 
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from conifold_lab import experiments
 from conifold_lab.experiments import (
     ExperimentConfig,
+    ExperimentError,
     emit,
     region_atlas_rows,
     run,
@@ -35,6 +38,22 @@ def test_t_list_must_decrease():
 def test_tolerances_must_be_positive():
     with pytest.raises(ValueError, match="positive"):
         ExperimentConfig(experiment="eta_bounds", tolerances={"trend_slope": -1.0})
+
+
+def test_run_tags_errors_and_keeps_the_original(monkeypatch):
+    # ArpackNoConvergence takes three constructor arguments, so it cannot
+    # be rebuilt from a message alone
+    original = ArpackNoConvergence("x", [], [])
+
+    def failing(cfg):
+        raise original
+
+    monkeypatch.setitem(experiments._RUNNERS, "eta_bounds", failing)
+    message = r"^\[eta_bounds\] ArpackNoConvergence: ARPACK error -1: x$"
+    with pytest.raises(ExperimentError, match=message) as info:
+        run(ExperimentConfig(experiment="eta_bounds"))
+    assert info.value.experiment == "eta_bounds"
+    assert info.value.__cause__ is original
 
 
 @pytest.mark.parametrize("experiment", [

@@ -1,0 +1,242 @@
+"""Exactness oracles for the vectorised grid kernels.
+
+The per-node loop versions of the derivative stencils, the closure
+reduction matrix and the bump profiles are kept here as reference
+implementations; the package versions must reproduce them bit for bit
+(same CSR data, indices and index pointers; same profile arrays)."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from conifold_lab.conifold_model import dumbbell_family, preset_model, spindle_family
+from conifold_lab.spectral_laplace import _default_closures, _reduction_matrix
+from conifold_lab.weighted_calc import (
+    ModeFunction,
+    _candidate_centers,
+    build_grid,
+    bump_family,
+    bump_profile,
+    random_bump_pairs,
+)
+
+# ---------------------------------------------------------------------------
+# reference implementations (per-node loops)
+
+
+def ref_derivatives(grid):
+    n = grid.n
+    hm, hp = grid.spacings()
+    rows, cols, v1, v2 = [], [], [], []
+
+    def stencil(i, im, ip, a, b):
+        rows.extend([i, i, i])
+        cols.extend([im, i, ip])
+        v1.extend([-b / (a * (a + b)), (b - a) / (a * b), a / (b * (a + b))])
+        v2.extend([2.0 / (a * (a + b)), -2.0 / (a * b), 2.0 / (b * (a + b))])
+
+    if grid.geometry.circle:
+        for i in range(n):
+            stencil(i, (i - 1) % n, (i + 1) % n, hm[i], hp[i])
+    else:
+        for i in range(1, n - 1):
+            stencil(i, i - 1, i + 1, hm[i], hp[i])
+        h1, h2 = grid.nodes[1] - grid.nodes[0], grid.nodes[2] - grid.nodes[1]
+        rows.extend([0, 0, 0])
+        cols.extend([0, 1, 2])
+        v1.extend([-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
+                   -h1 / (h2 * (h1 + h2))])
+        v2.extend([2.0 / (h1 * (h1 + h2)), -2.0 / (h1 * h2), 2.0 / (h2 * (h1 + h2))])
+        g1, g2 = grid.nodes[-1] - grid.nodes[-2], grid.nodes[-2] - grid.nodes[-3]
+        rows.extend([n - 1, n - 1, n - 1])
+        cols.extend([n - 1, n - 2, n - 3])
+        v1.extend([(2 * g1 + g2) / (g1 * (g1 + g2)), -(g1 + g2) / (g1 * g2),
+                   g1 / (g2 * (g1 + g2))])
+        v2.extend([2.0 / (g1 * (g1 + g2)), -2.0 / (g1 * g2), 2.0 / (g2 * (g1 + g2))])
+    return (sp.csr_matrix((v1, (rows, cols)), shape=(n, n)),
+            sp.csr_matrix((v2, (rows, cols)), shape=(n, n)))
+
+
+def ref_reduction_matrix(grid, left, right):
+    n = grid.n
+    if grid.geometry.circle:
+        return sp.identity(n, format="csr"), np.arange(n)
+    interior = np.arange(1, n - 1)
+    rows, cols, vals = [], [], []
+    for i_local, i in enumerate(interior):
+        rows.append(i)
+        cols.append(i_local)
+        vals.append(1.0)
+
+    def add_boundary(i_bnd, rule, b):
+        if rule.kind == "zero":
+            return
+        if rule.kind == "cap_even":
+            i1, i2 = (1, 2) if i_bnd == 0 else (n - 2, n - 3)
+            h1 = abs(grid.nodes[i1] - grid.nodes[i_bnd])
+            h2 = abs(grid.nodes[i2] - grid.nodes[i_bnd])
+            den = h2 * h2 - h1 * h1
+            rows.extend([i_bnd, i_bnd])
+            cols.extend([i1 - 1, i2 - 1])
+            vals.extend([h2 * h2 / den, -h1 * h1 / den])
+            return
+        i_adj = 1 if i_bnd == 0 else n - 2
+        r_b = b.sign * (grid.nodes[i_bnd] - b.x0)
+        r_a = b.sign * (grid.nodes[i_adj] - b.x0)
+        rows.append(i_bnd)
+        cols.append(i_adj - 1)
+        vals.append((r_b / r_a) ** rule.slope)
+
+    add_boundary(0, left, grid.geometry.left)
+    add_boundary(n - 1, right, grid.geometry.right)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, interior.size)), interior
+
+
+def ref_bump_profile(grid, center, halfwidth):
+    s = (grid.nodes - center) / halfwidth
+    if grid.geometry.circle:
+        per = grid.geometry.period
+        s = (np.mod(grid.nodes - center + per / 2, per) - per / 2) / halfwidth
+    return np.where(np.abs(s) < 1.0, (1.0 - s**2) ** 3, 0.0)
+
+
+def ref_bump_family(grid, n_members=32, modes=None, seed=0, width_factor=0.6, jitter=0.1):
+    g = grid.geometry
+    if modes is None:
+        modes = (0.0, g.link.eigenvalues_below(4.0 * g.m)[1][0])
+    rng = np.random.default_rng(seed)
+    centers = _candidate_centers(grid)
+    out = []
+    i = 0
+    while len(out) < n_members:
+        c = centers[i % len(centers)]
+        wiggle = 1.0 + jitter * (rng.random() - 0.5)
+        hw = width_factor * float(g.rho(c)) * wiggle
+        prof = ref_bump_profile(grid, c, hw)
+        if np.count_nonzero(prof) < 5:
+            i += 1
+            continue
+        out.append(ModeFunction.single(grid, modes[len(out) % len(modes)], prof))
+        i += 1
+        if i > 20 * n_members:
+            raise ValueError("could not place the requested number of bumps")
+    return out
+
+
+def ref_random_bump_pairs(grid, n_pairs, seed=0):
+    g = grid.geometry
+    e1 = g.link.eigenvalues_below(4.0 * g.m)[1][0]
+    rng = np.random.default_rng(seed)
+    centers = _candidate_centers(grid, per_region=6)
+    pairs = []
+    for _ in range(n_pairs):
+        cu, cv = rng.choice(len(centers), size=2)
+        amp_u, amp_v = rng.uniform(0.2, 5.0, size=2)
+        wu = 0.6 * float(g.rho(centers[cu])) * rng.uniform(0.5, 1.2)
+        wv = 0.6 * float(g.rho(centers[cv])) * rng.uniform(0.5, 1.2)
+        u = ModeFunction.single(grid, 0.0, amp_u * ref_bump_profile(grid, centers[cu], wu))
+        ev = 0.0 if rng.random() < 0.5 else e1
+        v = ModeFunction.single(grid, ev, amp_v * ref_bump_profile(grid, centers[cv], wv))
+        pairs.append((u, v))
+    return pairs
+
+
+# ---------------------------------------------------------------------------
+# grids: interval with AC ends, circle, interval with a cap and an AC end
+
+
+GEOMETRIES = {
+    "dumbbell_t1e-3": lambda: dumbbell_family().at(1e-3).geometry,
+    "spindle_t1e-2": lambda: spindle_family().at(1e-2).geometry,
+    "hyperboloid_capped": lambda: preset_model("hyperboloid_capped").geometry(0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GEOMETRIES))
+def grid(request):
+    return build_grid(GEOMETRIES[request.param](), n_per_region=400)
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype, attr
+        assert np.array_equal(a, b), attr
+
+
+def assert_same_members(got, want):
+    assert len(got) == len(want)
+    for u, v in zip(got, want):
+        assert [m.e for m in u.modes] == [m.e for m in v.modes]
+        for mu, mv in zip(u.modes, v.modes):
+            assert np.array_equal(mu.values, mv.values)
+
+
+def test_derivative_stencils_match_loop(grid):
+    d1, d2 = ref_derivatives(grid)
+    assert_same_csr(grid.d1, d1)
+    assert_same_csr(grid.d2, d2)
+
+
+@pytest.mark.parametrize("kernel_scan", [False, True])
+def test_reduction_matrix_matches_loop(grid, kernel_scan):
+    e1 = grid.geometry.link.eigenvalues_below(4.0 * grid.geometry.m)[1][0]
+    for e in (0.0, e1):
+        closures = _default_closures(grid, e, 2.5, kernel_scan)
+        R, interior = _reduction_matrix(grid, *closures)
+        R_ref, interior_ref = ref_reduction_matrix(grid, *closures)
+        assert_same_csr(R, R_ref)
+        assert np.array_equal(interior, interior_ref)
+
+
+def test_norm_volume_keeps_association_order(grid):
+    m = grid.geometry.m
+    want = grid.quad * grid.f ** (m - 1) * grid.volume_factor * grid.rho ** (-float(m))
+    assert np.array_equal(grid.volume, want)
+    assert grid.volume is grid.volume
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_bump_family_matches_loop(grid, seed):
+    assert_same_members(bump_family(grid, n_members=32, seed=seed),
+                        ref_bump_family(grid, n_members=32, seed=seed))
+
+
+def test_random_bump_pairs_match_loop(grid):
+    got = random_bump_pairs(grid, 12, seed=3)
+    want = ref_random_bump_pairs(grid, 12, seed=3)
+    assert_same_members([u for u, _ in got], [u for u, _ in want])
+    assert_same_members([v for _, v in got], [v for _, v in want])
+
+
+def test_bump_vanishes_at_unit_distance(grid):
+    x = grid.nodes
+    k = grid.n // 2
+    hw = x[k + 1] - x[k]
+    if grid.geometry.circle:
+        per = grid.geometry.period
+        hw = np.mod(hw + per / 2, per) - per / 2  # the profile's own distance
+    prof = bump_profile(grid, x[k], hw)
+    assert prof[k + 1] == 0.0 and prof[k] == 1.0
+    assert np.array_equal(prof, ref_bump_profile(grid, x[k], hw))
+
+
+def test_circle_bump_wraps_across_the_period():
+    grid = build_grid(GEOMETRIES["spindle_t1e-2"](), n_per_region=400)
+    x = grid.nodes
+    center, hw = x[1], 4.0 * (x[1] - x[0])
+    prof = bump_profile(grid, center, hw)
+    assert prof[-1] > 0.0 and prof[0] > 0.0
+    assert np.array_equal(prof, ref_bump_profile(grid, center, hw))
+
+
+def test_narrow_members_are_skipped_at_the_same_rng_step():
+    grid = build_grid(GEOMETRIES["spindle_t1e-2"](), n_per_region=400)
+    width_factor = 0.02
+    support = [np.count_nonzero(bump_profile(grid, c, width_factor * float(grid.geometry.rho(c))))
+               for c in _candidate_centers(grid)]
+    assert min(support) < 5 <= max(support)  # some members are skipped, not all
+    got = bump_family(grid, n_members=6, seed=5, width_factor=width_factor)
+    assert_same_members(got, ref_bump_family(grid, n_members=6, seed=5,
+                                             width_factor=width_factor))
