@@ -8,13 +8,10 @@ Usage: python scripts/make_region_atlas.py [outdir] [step]
 import sys
 from pathlib import Path
 
-from conifold_lab.experiments import region_atlas_rows
+from conifold_lab.experiments import REGION_ATLAS_COLUMNS, csv_text, region_atlas_rows
 
 OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results")
 STEP = float(sys.argv[2]) if len(sys.argv) > 2 else 0.1
-
-COLS = ("beta1", "beta2", "exceptional", "injective", "surjective",
-        "index", "kernel_dim")
 
 
 def main():
@@ -22,9 +19,7 @@ def main():
     for kind in ("AC", "CS", "CSAC"):
         rows = region_atlas_rows(kind, 3, "sphere:2", STEP)
         path = OUT / f"region_atlas_{kind.lower()}.csv"
-        lines = [",".join(COLS)]
-        lines += [",".join(str(r[c]) for c in COLS) for r in rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(csv_text(REGION_ATLAS_COLUMNS, rows), encoding="utf-8")
         known = sum(1 for r in rows if not r["exceptional"] and r["kernel_dim"] != "")
         print(f"{kind}: {len(rows)} cells -> {path} ({known} with known kernel)")
 

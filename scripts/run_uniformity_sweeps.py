@@ -1,35 +1,27 @@
 #!/usr/bin/env python3
-"""Run the four uniform-estimate proxies at production resolution and
-print the per-t tables plus summaries.
+"""Run the five uniform-estimate t-sweeps of the acceptance suite
+(configs/acceptance_suite.json) and print the per-t tables plus summaries.
 
 Usage: python scripts/run_uniformity_sweeps.py [outdir]
 """
 
+import json
 import sys
 from pathlib import Path
 
-from conifold_lab.experiments import ExperimentConfig, emit, run
+from conifold_lab.experiments import SWEEPS, ExperimentConfig, emit, run
 
 OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results")
-
-SWEEPS = [
-    ExperimentConfig(experiment="embedding_uniformity", n_per_region=2000,
-                     family_size=32),
-    ExperimentConfig(experiment="invertibility_uniformity", n_per_region=2000,
-                     e_max=12.0),
-    ExperimentConfig(experiment="compact_invertibility", model="spindle",
-                     n_per_region=800, e_max=12.0),
-    ExperimentConfig(experiment="poincare_uniformity", n_per_region=800,
-                     e_max=12.0),
-    ExperimentConfig(experiment="gns_uniformity", n_per_region=800,
-                     family_size=32),
-]
+SUITE = Path(__file__).resolve().parent.parent / "configs" / "acceptance_suite.json"
 
 
 def main():
+    entries = json.loads(SUITE.read_text(encoding="utf-8"))["experiments"]
     failures = []
-    for cfg in SWEEPS:
-        res = run(cfg)
+    for entry in entries:
+        if entry["experiment"] not in SWEEPS:
+            continue
+        res = run(ExperimentConfig.from_dict(entry))
         emit(res, formats=("csv", "json", "plotdata"), out_dir=OUT)
         print(f"== {res.experiment} ==")
         for row in res.rows:

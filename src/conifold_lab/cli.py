@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from .experiments import ExperimentConfig, emit, region_atlas_rows, run, run_config_file
+from .experiments import REGION_ATLAS_COLUMNS, csv_text, region_atlas_rows, run_config_file
 from .link_spectra import link_from_string
 from .weight_calculus import exceptional_weights
 
@@ -33,22 +33,7 @@ def main():
 def run_cmd(config, formats, out_dir, seed):
     """Run the experiments in CONFIG and write result tables."""
     fmts = tuple(f.strip() for f in formats.split(",") if f.strip())
-    if seed is None:
-        code, results = run_config_file(config, formats=fmts, out_dir=out_dir)
-    else:
-        with open(config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        entries = raw["experiments"] if isinstance(raw, dict) and "experiments" in raw else [raw]
-        code, results = 0, []
-        for entry in entries:
-            entry = dict(entry)
-            entry["seed"] = seed
-            cfg = ExperimentConfig.from_dict(entry)
-            res = run(cfg)
-            emit(res, formats=fmts, out_dir=out_dir)
-            results.append(res)
-            if not res.passed:
-                code = 1
+    code, results = run_config_file(config, formats=fmts, out_dir=out_dir, seed=seed)
     for res in results:
         status = "pass" if res.passed else "FAIL"
         click.echo(f"[{status}] {res.experiment}: {res.summary}")
@@ -93,13 +78,7 @@ def regions_cmd(kind, m, link_spec, step, weight_range, out_path):
     lo = hi = None
     if weight_range:
         lo, hi = (float(x) for x in weight_range.split(":"))
-    rows = region_atlas_rows(kind, m, link_spec, step, lo, hi)
-    cols = ("beta1", "beta2", "exceptional", "injective", "surjective",
-            "index", "kernel_dim")
-    lines = [",".join(cols)]
-    for r in rows:
-        lines.append(",".join(str(r[c]) for c in cols))
-    text = "\n".join(lines) + "\n"
+    text = csv_text(REGION_ATLAS_COLUMNS, region_atlas_rows(kind, m, link_spec, step, lo, hi))
     if out_path == "-":
         click.echo(text, nl=False)
     else:

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +37,9 @@ __all__ = [
     "emit",
     "run_config_file",
     "region_atlas_rows",
+    "REGION_ATLAS_COLUMNS",
+    "SWEEPS",
+    "csv_text",
 ]
 
 EXPERIMENTS = (
@@ -113,25 +114,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        for key in ("t_list", "gamma_cases"):
-            if key in d and isinstance(d[key], list):
-                d[key] = tuple(tuple(x) if isinstance(x, list) else x for x in d[key]) \
-                    if key == "gamma_cases" else tuple(d[key])
+        # __post_init__ turns JSON lists into the tuple fields
         return ExperimentConfig(**d)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment, "model": self.model,
-            "t_list": list(self.t_list), "p": self.p, "k": self.k,
-            "beta": self.beta, "e_max": self.e_max,
-            "n_per_region": self.n_per_region, "r_max": self.r_max,
-            "seed": self.seed, "family_size": self.family_size,
-            "tau": self.tau, "a": self.a, "b": self.b,
-            "grid_step": self.grid_step, "kind": self.kind, "m": self.m,
-            "link": self.link, "gamma_cases": [list(c) for c in self.gamma_cases],
-            "tolerances": dict(self.tolerances),
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**d, "t_list": list(self.t_list), "tolerances": dict(self.tolerances),
+                "gamma_cases": [list(c) for c in self.gamma_cases]}
 
 
 @dataclass(frozen=True)
@@ -143,14 +132,6 @@ class SweepResult:
     passed: bool
     seed: int
     config: dict
-
-
-def _thread_map(fn, items):
-    n_threads = int(os.environ.get("CONIFOLD_LAB_THREADS", "1"))
-    if n_threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n_threads) as ex:
-        return list(ex.map(fn, items))
 
 
 def _fit_slope(xs, ys):
@@ -181,145 +162,110 @@ def _base_model(cfg: ExperimentConfig):
     raise ValueError(f"unknown model {cfg.model!r}")
 
 
-def _ratio_summary(values):
-    vmax, vmin = max(values), min(values)
-    ratio = vmax / vmin if vmin > 0 else math.inf
-    return ratio, vmax, vmin
+# --- t-sweeps ----------------------------------------------------------------
+# One constant per t of the glued family; a sweep passes when max/min is
+# within the uniformity ratio and its own gate (if any) holds.
 
 
-# --- runners ----------------------------------------------------------------
+def _grid_and_bumps(cfg: ExperimentConfig, fam, t):
+    grid = wc.build_grid(fam.at(t).geometry, n_per_region=cfg.n_per_region,
+                         r_max=cfg.r_max)
+    return grid, wc.bump_family(grid, n_members=cfg.family_size, seed=cfg.seed)
 
 
-def _run_embedding(cfg: ExperimentConfig) -> SweepResult:
-    fam = _family(cfg)
-    tol = cfg.tolerances
-
-    def one(t):
-        glued = fam.at(t)
-        grid = wc.build_grid(glued.geometry, n_per_region=cfg.n_per_region,
-                             r_max=cfg.r_max)
-        bumps = wc.bump_family(grid, n_members=cfg.family_size, seed=cfg.seed)
-        rep = wc.embedding_constant_estimate(bumps, p=cfg.p, beta=cfg.beta)
-        return {"t": t, "constant": rep.constant, "p_star": rep.p_star,
-                "family_size": len(bumps), "grid_size": grid.n}
-
-    rows = _thread_map(one, list(cfg.t_list))
-    consts = [r["constant"] for r in rows]
-    ratio, vmax, vmin = _ratio_summary(consts)
-    slope = _fit_slope(cfg.t_list, consts)
-    passed = ratio <= tol["uniformity_ratio"] and abs(slope) <= tol["trend_slope"]
-    summary = {"max": vmax, "min": vmin, "max_over_min": ratio,
-               "trend_slope": slope, "pass": passed}
-    return SweepResult("embedding_uniformity",
-                       ("t", "constant", "p_star", "family_size", "grid_size"),
-                       tuple(rows), summary, passed, cfg.seed, cfg.to_dict())
+def _embedding_row(cfg, fam, t):
+    grid, bumps = _grid_and_bumps(cfg, fam, t)
+    rep = wc.embedding_constant_estimate(bumps, p=cfg.p, beta=cfg.beta)
+    return {"t": t, "constant": rep.constant, "p_star": rep.p_star,
+            "family_size": len(bumps), "grid_size": grid.n}
 
 
-def _run_invertibility(cfg: ExperimentConfig) -> SweepResult:
-    fam = _family(cfg)
-    tol = cfg.tolerances
-
-    def one(t):
-        rep = sl.invertibility_constant(fam.at(t), beta=cfg.beta, e_max=cfg.e_max,
-                                        n_per_region=cfg.n_per_region, r_max=cfg.r_max)
-        row = {"model": cfg.model, "t": t, "beta": cfg.beta,
-               "constant": rep.constant, "sigma_min": rep.sigma_min,
-               "grid_size": rep.grid_size}
-        for e, s in rep.per_mode:
-            row[f"sigma_e{e:g}"] = s
-        return row
-
-    rows = _thread_map(one, list(cfg.t_list))
-    consts = [r["constant"] for r in rows]
-    ratio, vmax, vmin = _ratio_summary(consts)
-    passed = ratio <= tol["uniformity_ratio"]
-    summary = {"max": vmax, "min": vmin, "max_over_min": ratio,
-               "trend_slope": _fit_slope(cfg.t_list, consts), "pass": passed}
-    return SweepResult("invertibility_uniformity", tuple(rows[0].keys()),
-                       tuple(rows), summary, passed, cfg.seed, cfg.to_dict())
+def _invertibility_row(cfg, fam, t):
+    rep = sl.invertibility_constant(fam.at(t), beta=cfg.beta, e_max=cfg.e_max,
+                                    n_per_region=cfg.n_per_region, r_max=cfg.r_max)
+    row = {"model": cfg.model, "t": t, "beta": cfg.beta,
+           "constant": rep.constant, "sigma_min": rep.sigma_min,
+           "grid_size": rep.grid_size}
+    for e, s in rep.per_mode:
+        row[f"sigma_e{e:g}"] = s
+    return row
 
 
-def _run_compact(cfg: ExperimentConfig) -> SweepResult:
-    # the generic default benchmark is non-compact; this experiment's
-    # default is the compact spindle
-    name = "spindle" if cfg.model == "dumbbell" else cfg.model
-    if name == "spindle":
-        fam = cm.spindle_family(beta=cfg.beta, tau=cfg.tau, a=cfg.a, b=cfg.b)
-    else:
-        fam = _family(ExperimentConfig(**{**cfg.to_dict(), "model": name}))
-    tol = cfg.tolerances
-
-    def one(t):
-        rep = sl.restricted_invertibility_compact(
-            fam, beta=cfg.beta, t=t, e_max=cfg.e_max, n_per_region=cfg.n_per_region)
-        return {"model": "spindle", "t": t, "beta": cfg.beta,
-                "constant": rep.constant,
-                "sigma_constrained": rep.sigma_constrained,
-                "sigma_mode0_unconstrained": rep.sigma_mode0_unconstrained,
-                "grid_size": rep.grid_size}
-
-    rows = _thread_map(one, list(cfg.t_list))
-    consts = [r["constant"] for r in rows]
-    ratio, vmax, vmin = _ratio_summary(consts)
-    constants_detected = all(
-        r["sigma_mode0_unconstrained"] < tol["constants_sigma"] * r["sigma_constrained"]
-        for r in rows)
-    passed = ratio <= tol["uniformity_ratio"] and constants_detected
-    summary = {"max": vmax, "min": vmin, "max_over_min": ratio,
-               "trend_slope": _fit_slope(cfg.t_list, consts),
-               "constants_detected": constants_detected, "pass": passed}
-    return SweepResult("compact_invertibility", tuple(rows[0].keys()),
-                       tuple(rows), summary, passed, cfg.seed, cfg.to_dict())
+def _compact_row(cfg, fam, t):
+    rep = sl.restricted_invertibility_compact(
+        fam, beta=cfg.beta, t=t, e_max=cfg.e_max, n_per_region=cfg.n_per_region)
+    return {"model": cfg.model, "t": t, "beta": cfg.beta, "constant": rep.constant,
+            "sigma_constrained": rep.sigma_constrained,
+            "sigma_mode0_unconstrained": rep.sigma_mode0_unconstrained,
+            "grid_size": rep.grid_size}
 
 
-def _run_poincare(cfg: ExperimentConfig) -> SweepResult:
-    fam = _family(cfg)
-    tol = cfg.tolerances
-
-    def one(t):
-        rep = sl.poincare_constant(fam.at(t), beta=cfg.beta, e_max=cfg.e_max,
-                                   n_per_region=cfg.n_per_region, r_max=cfg.r_max)
-        return {"model": cfg.model, "t": t, "beta": cfg.beta,
-                "constant": rep.constant, "grid_size": rep.grid_size}
-
-    rows = _thread_map(one, list(cfg.t_list))
-    consts = [r["constant"] for r in rows]
-    ratio, vmax, vmin = _ratio_summary(consts)
-    passed = ratio <= tol["uniformity_ratio"]
-    summary = {"max": vmax, "min": vmin, "max_over_min": ratio,
-               "trend_slope": _fit_slope(cfg.t_list, consts), "pass": passed}
-    return SweepResult("poincare_uniformity", tuple(rows[0].keys()),
-                       tuple(rows), summary, passed, cfg.seed, cfg.to_dict())
+def _poincare_row(cfg, fam, t):
+    rep = sl.poincare_constant(fam.at(t), beta=cfg.beta, e_max=cfg.e_max,
+                               n_per_region=cfg.n_per_region, r_max=cfg.r_max)
+    return {"model": cfg.model, "t": t, "beta": cfg.beta,
+            "constant": rep.constant, "grid_size": rep.grid_size}
 
 
-def _run_gns(cfg: ExperimentConfig) -> SweepResult:
-    fam = _family(cfg)
-    tol = cfg.tolerances
+def _gns_row(cfg, fam, t):
     ce = wcalc.conjugate_exponents(cfg.p, fam.L.m)
     if ce.p_star is None:
         raise ValueError(f"p = {cfg.p} >= m: no L^p* target")
+    grid, bumps = _grid_and_bumps(cfg, fam, t)
+    best = 0.0
+    for u in bumps:
+        num = wc.weighted_sobolev_norm(u, wc.WeightSpec(p=ce.p_star, k=0, beta=cfg.beta))
+        den = wc.gradient_norm(u, p=cfg.p, beta=cfg.beta)
+        if den > 0:
+            best = max(best, num / den)
+    return {"t": t, "constant": best, "p_star": ce.p_star, "grid_size": grid.n}
 
-    def one(t):
-        glued = fam.at(t)
-        grid = wc.build_grid(glued.geometry, n_per_region=cfg.n_per_region,
-                             r_max=cfg.r_max)
-        bumps = wc.bump_family(grid, n_members=cfg.family_size, seed=cfg.seed)
-        best = 0.0
-        for u in bumps:
-            num = wc.weighted_sobolev_norm(u, wc.WeightSpec(p=ce.p_star, k=0, beta=cfg.beta))
-            den = wc.gradient_norm(u, p=cfg.p, beta=cfg.beta)
-            if den > 0:
-                best = max(best, num / den)
-        return {"t": t, "constant": best, "p_star": ce.p_star, "grid_size": grid.n}
 
-    rows = _thread_map(one, list(cfg.t_list))
+def _slope_gate(cfg, rows, slope):
+    return {}, abs(slope) <= cfg.tolerances["trend_slope"]
+
+
+def _constants_gate(cfg, rows, slope):
+    # the unconstrained mode-0 pencil must see the constants as a near-kernel
+    detected = all(
+        r["sigma_mode0_unconstrained"]
+        < cfg.tolerances["constants_sigma"] * r["sigma_constrained"] for r in rows)
+    return {"constants_detected": detected}, detected
+
+
+# experiment -> (model that replaces the generic "dumbbell" default,
+#   row(cfg, fam, t) -> dict with a "constant",
+#   gate(cfg, rows, slope) -> (extra summary keys, ok), or None)
+SWEEPS = {
+    "embedding_uniformity": ("dumbbell", _embedding_row, _slope_gate),
+    "invertibility_uniformity": ("dumbbell", _invertibility_row, None),
+    # the generic default benchmark is non-compact
+    "compact_invertibility": ("spindle", _compact_row, _constants_gate),
+    "poincare_uniformity": ("dumbbell", _poincare_row, None),
+    "gns_uniformity": ("dumbbell", _gns_row, None),
+}
+
+
+def _run_sweep(config: ExperimentConfig) -> SweepResult:
+    if len(config.t_list) < 2:
+        raise ValueError(f"a t-sweep needs at least two t values, got {config.t_list}")
+    default_model, row, gate = SWEEPS[config.experiment]
+    cfg = replace(config, model=default_model) if config.model == "dumbbell" else config
+    fam = _family(cfg)
+    rows = [row(cfg, fam, t) for t in cfg.t_list]
     consts = [r["constant"] for r in rows]
-    ratio, vmax, vmin = _ratio_summary(consts)
-    passed = ratio <= tol["uniformity_ratio"]
+    vmax, vmin = max(consts), min(consts)
+    ratio = vmax / vmin if vmin > 0 else math.inf
+    slope = _fit_slope(cfg.t_list, consts)
+    extra, ok = gate(cfg, rows, slope) if gate else ({}, True)
+    passed = ratio <= cfg.tolerances["uniformity_ratio"] and ok
     summary = {"max": vmax, "min": vmin, "max_over_min": ratio,
-               "trend_slope": _fit_slope(cfg.t_list, consts), "pass": passed}
-    return SweepResult("gns_uniformity", tuple(rows[0].keys()),
-                       tuple(rows), summary, passed, cfg.seed, cfg.to_dict())
+               "trend_slope": slope, **extra, "pass": passed}
+    return SweepResult(config.experiment, tuple(rows[0].keys()), tuple(rows),
+                       summary, passed, config.seed, config.to_dict())
+
+
+# --- other experiments -------------------------------------------------------
 
 
 def _run_neck(cfg: ExperimentConfig) -> SweepResult:
@@ -363,7 +309,7 @@ def _run_eta(cfg: ExperimentConfig) -> SweepResult:
 
 def _run_crossing(cfg: ExperimentConfig) -> SweepResult:
     model = _base_model(cfg if cfg.model != "dumbbell"
-                        else ExperimentConfig(**{**cfg.to_dict(), "model": "hyperboloid_capped"}))
+                        else replace(cfg, model="hyperboloid_capped"))
     tol = cfg.tolerances
     rows = []
     ok = True
@@ -385,6 +331,10 @@ def _run_crossing(cfg: ExperimentConfig) -> SweepResult:
                        ("gamma", "e", "tail_slope", "slope_bound",
                         "residual_sigma", "threshold", "pass"),
                        tuple(rows), summary, ok, cfg.seed, cfg.to_dict())
+
+
+REGION_ATLAS_COLUMNS = ("beta1", "beta2", "exceptional", "injective",
+                        "surjective", "index", "kernel_dim")
 
 
 def region_atlas_rows(kind: str, m: int, link_spec: str, step: float,
@@ -436,9 +386,7 @@ def _run_region_atlas(cfg: ExperimentConfig) -> SweepResult:
         if r["surjective"] == 1 and r["index"] != "" and r["kernel_dim"] != "":
             ok = ok and (r["kernel_dim"] == r["index"] or r["injective"] == 1)
     summary = {"cells": len(rows), "consistent": ok, "pass": ok}
-    return SweepResult("region_atlas",
-                       ("beta1", "beta2", "exceptional", "injective",
-                        "surjective", "index", "kernel_dim"),
+    return SweepResult("region_atlas", REGION_ATLAS_COLUMNS,
                        tuple(rows), summary, ok, cfg.seed, cfg.to_dict())
 
 
@@ -494,11 +442,7 @@ def _run_norm_identities(cfg: ExperimentConfig) -> SweepResult:
 
 
 _RUNNERS = {
-    "embedding_uniformity": _run_embedding,
-    "invertibility_uniformity": _run_invertibility,
-    "compact_invertibility": _run_compact,
-    "poincare_uniformity": _run_poincare,
-    "gns_uniformity": _run_gns,
+    **dict.fromkeys(SWEEPS, _run_sweep),
     "neck_convergence": _run_neck,
     "eta_bounds": _run_eta,
     "weight_crossing": _run_crossing,
@@ -535,6 +479,14 @@ def _fmt(v):
     return str(v)
 
 
+def csv_text(columns, rows) -> str:
+    """A header line, then one line per row in column order (missing cells
+    empty)."""
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(row.get(c, "")) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def emit(result: SweepResult, formats=("csv", "json"), out_dir=".") -> list[Path]:
     """Write the result in the requested formats.
 
@@ -549,10 +501,7 @@ def emit(result: SweepResult, formats=("csv", "json"), out_dir=".") -> list[Path
     base = result.experiment
     if "csv" in formats:
         path = out / f"{base}.csv"
-        lines = [",".join(result.columns)]
-        for row in result.rows:
-            lines.append(",".join(_fmt(row.get(c, "")) for c in result.columns))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(csv_text(result.columns, result.rows), encoding="utf-8")
         written.append(path)
     if "json" in formats:
         path = out / f"{base}.json"
@@ -583,20 +532,20 @@ def emit(result: SweepResult, formats=("csv", "json"), out_dir=".") -> list[Path
     return written
 
 
-def run_config_file(path, formats=("csv", "json"), out_dir=".") -> tuple[int, list[SweepResult]]:
+def run_config_file(path, formats=("csv", "json"), out_dir=".",
+                    seed=None) -> tuple[int, list[SweepResult]]:
     """Run every experiment in a JSON config file (a single config object
-    or a list under 'experiments').  Returns (exit_code, results); the
-    exit code is 0 iff every configured tolerance passes."""
+    or a list under 'experiments'), with every seed replaced by ``seed``
+    when it is given.  Returns (exit_code, results); the exit code is 0
+    iff every configured tolerance passes."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     entries = raw["experiments"] if isinstance(raw, dict) and "experiments" in raw else [raw]
     results = []
-    failures = []
     for entry in entries:
-        cfg = ExperimentConfig.from_dict(entry)
-        res = run(cfg)
+        if seed is not None:
+            entry = {**entry, "seed": seed}
+        res = run(ExperimentConfig.from_dict(entry))
         emit(res, formats=formats, out_dir=out_dir)
         results.append(res)
-        if not res.passed:
-            failures.append(cfg.experiment)
-    return (0 if not failures else 1), results
+    return (0 if all(r.passed for r in results) else 1), results

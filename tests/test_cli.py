@@ -1,14 +1,11 @@
-"""CLI surface: subcommands, exit codes, parallel sweep env)."""
+"""CLI surface: subcommands, exit codes, seed override."""
 
 import json
-import os
 
-import numpy as np
-import pytest
 from click.testing import CliRunner
 
 from conifold_lab.cli import main
-from conifold_lab.experiments import ExperimentConfig, run
+from conifold_lab.experiments import ExperimentConfig, emit, run
 
 
 def test_weights_subcommand():
@@ -49,11 +46,28 @@ def test_run_subcommand_exit_codes(tmp_path):
     assert "failing experiments: eta_bounds" in result.output
 
 
-def test_thread_env_preserves_results(monkeypatch):
-    cfg = ExperimentConfig(experiment="neck_convergence", t_list=(1e-1, 1e-2, 1e-3),
-                           n_per_region=100)
-    serial = run(cfg)
-    monkeypatch.setenv("CONIFOLD_LAB_THREADS", "3")
-    parallel = run(cfg)
-    assert serial.rows == parallel.rows
-    assert serial.summary == parallel.summary
+def test_run_seed_override(tmp_path):
+    runner = CliRunner()
+    path = tmp_path / "cfg.json"
+    for tolerances, code in (({}, 0), ({"trend_slope": 1e-9}, 1)):
+        path.write_text(json.dumps({
+            "experiment": "embedding_uniformity", "t_list": [0.1, 0.01],
+            "n_per_region": 120, "family_size": 8, "r_max": 100.0,
+            "tolerances": tolerances}))
+        plain = runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "plain")])
+        seeded = runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "seeded"),
+                                      "--seed", "7"])
+        assert plain.exit_code == seeded.exit_code == code
+        payload = json.loads((tmp_path / "seeded" / "embedding_uniformity.json").read_text())
+        assert payload["seed"] == 7
+        assert payload["config"]["seed"] == 7
+        payload = json.loads((tmp_path / "plain" / "embedding_uniformity.json").read_text())
+        assert payload["seed"] == 0
+
+
+def test_regions_subcommand_matches_emitted_atlas(tmp_path):
+    result = CliRunner().invoke(main, ["regions", "--kind", "CSAC", "--grid", "0.5"])
+    assert result.exit_code == 0
+    res = run(ExperimentConfig(experiment="region_atlas", kind="CSAC", grid_step=0.5))
+    (path,) = emit(res, formats=("csv",), out_dir=tmp_path)
+    assert result.output == path.read_text(encoding="utf-8")

@@ -68,6 +68,44 @@ def test_dumbbell_experiments_run_and_pass(experiment):
     assert ts == sorted(ts, reverse=True)  # rows ordered by t descending
 
 
+SUMMARY_KEYS = ["max", "min", "max_over_min", "trend_slope", "pass"]
+
+
+@pytest.mark.parametrize("experiment,columns,summary_keys", [
+    ("embedding_uniformity",
+     ("t", "constant", "p_star", "family_size", "grid_size"), SUMMARY_KEYS),
+    ("invertibility_uniformity",
+     ("model", "t", "beta", "constant", "sigma_min", "grid_size",
+      "sigma_e0", "sigma_e2", "sigma_e6"), SUMMARY_KEYS),
+    ("compact_invertibility",
+     ("model", "t", "beta", "constant", "sigma_constrained",
+      "sigma_mode0_unconstrained", "grid_size"),
+     ["max", "min", "max_over_min", "trend_slope", "constants_detected", "pass"]),
+    ("poincare_uniformity",
+     ("model", "t", "beta", "constant", "grid_size"), SUMMARY_KEYS),
+    ("gns_uniformity", ("t", "constant", "p_star", "grid_size"), SUMMARY_KEYS),
+])
+def test_sweep_columns_and_summary_keys_are_pinned(experiment, columns, summary_keys):
+    # emitted tables and the printed summaries are read by downstream tools
+    res = run(small(experiment))
+    assert res.columns == columns
+    assert list(res.summary) == summary_keys
+    assert res.config == small(experiment).to_dict()
+
+
+def test_compact_default_model_is_the_spindle():
+    res = run(small("compact_invertibility"))
+    assert res.config["model"] == "dumbbell"  # the config is echoed as given
+    assert {r["model"] for r in res.rows} == {"spindle"}
+
+
+@pytest.mark.parametrize("experiment", sorted(experiments.SWEEPS))
+def test_sweeps_need_two_t_values(experiment):
+    with pytest.raises(ExperimentError, match="at least two t values") as info:
+        run(small(experiment, t_list=(1e-1,)))
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 def test_compact_experiment_runs():
     res = run(small("compact_invertibility", model="spindle"))
     assert res.passed, res.summary
