@@ -200,13 +200,8 @@ def assemble_mode_operator(
     described in the module docstring."""
     if closures is None:
         closures = _default_closures(grid, e, beta, kernel_scan)
-    f, fp, rho = grid.f, grid.fp, grid.rho
-    n = grid.n
-    m = grid.geometry.m
-    coeff2 = sp.diags(-(rho**2))
-    coeff1 = sp.diags(-(m - 1.0) * rho**2 * fp / f)
-    coeff0 = sp.diags(e * rho**2 / f**2)
-    P = (coeff2 @ grid.d2 + coeff1 @ grid.d1 + coeff0).tocsr()
+    coeff0 = sp.diags(e * grid.rho**2 / grid.f**2)
+    P = (grid.radial_operator + coeff0).tocsr()
     R, interior = _reduction_matrix(grid, closures[0], closures[1])
     return ModeOperator(e=float(e), grid=grid, P_full=P, R=R,
                         interior=interior, closures=closures)
@@ -240,36 +235,82 @@ class WeightedQuadraticForm:
         return float(np.sqrt(max(v @ (self.matrix @ v), 0.0)))
 
 
-def weighted_form(grid: RadialGrid, k: int, beta: float | None, e: float) -> WeightedQuadraticForm:
-    """Quadratic form of ||.||^2_{W^2_{k,beta}} for a single mode e."""
+@dataclass(frozen=True)
+class _FormParts:
+    """The e-independent pieces of the weighted forms and of the pencil's
+    image weight on one grid at one weight, built once before a loop over
+    modes.  Holds arrays and matrices only, never the grid."""
+
+    beta: float | None
+    W0: np.ndarray
+    W1: np.ndarray
+    W2: np.ndarray
+    w_img: np.ndarray  # image weight of the pencil at every node
+    M01: sp.spmatrix  # diag(W0) + D1^T diag(W1) D1
+    M2: sp.spmatrix  # D2^T diag(W2) D2
+    M3: sp.spmatrix  # D1^T diag(c3) D1 of the angular block
+    Bop: sp.spmatrix  # D1 - diag(f'/f) of the mixed block
+
+
+def _beta_key(beta) -> float | None:
+    return None if beta is None else float(beta)
+
+
+def _parts_at(grid: RadialGrid, beta: float | None, parts: _FormParts | None) -> _FormParts:
+    """parts, or the grid's form parts at beta when None; parts built at
+    another weight are refused."""
+    if parts is None:
+        return _form_parts(grid, beta)
+    if parts.beta != _beta_key(beta):
+        raise ValueError(f"form parts of weight {parts.beta} used at weight {beta}")
+    return parts
+
+
+def _form_parts(grid: RadialGrid, beta: float | None) -> _FormParts:
     g = grid
     m = g.geometry.m
     beta_vals = g.beta if beta is None else np.full(g.n, float(beta))
     w = g.wextra * g.rho ** (-beta_vals)
     base = g.volume
+    D1, D2 = g.d1, g.d2
+    W0 = w**2 * base
+    W1 = (w * g.rho) ** 2 * base
+    W2 = (w * g.rho**2) ** 2 * base
+    c3 = (m - 1.0) * g.fp**2 * W2 / g.f**2
+    w_img = w**2 * g.quad * g.f ** (m - 1) * g.volume_factor * g.rho ** (-float(m))
+    return _FormParts(
+        beta=_beta_key(beta), W0=W0, W1=W1, W2=W2, w_img=w_img,
+        M01=sp.diags(W0).tocsr() + D1.T @ sp.diags(W1) @ D1,
+        M2=D2.T @ sp.diags(W2) @ D2,
+        M3=D1.T @ sp.diags(c3) @ D1,
+        Bop=D1 - sp.diags(g.fp / g.f),
+    )
+
+
+def weighted_form(grid: RadialGrid, k: int, beta: float | None, e: float,
+                  parts: _FormParts | None = None) -> WeightedQuadraticForm:
+    """Quadratic form of ||.||^2_{W^2_{k,beta}} for a single mode e;
+    parts, when given, are the grid's _form_parts at this beta."""
+    parts = _parts_at(grid, beta, parts)
+    g = grid
     kappa = g.geometry.link.einstein_constant or 0.0
 
-    W0 = w**2 * base
-    M = sp.diags(W0).tocsr()
-    if k >= 1:
-        W1 = (w * g.rho) ** 2 * base
-        D1 = g.d1
-        M = M + D1.T @ sp.diags(W1) @ D1 + sp.diags(W1 * e / g.f**2)
+    if k == 0:
+        M = sp.diags(parts.W0).tocsr()
+    else:
+        M = parts.M01 + sp.diags(parts.W1 * e / g.f**2)
     if k >= 2:
-        W2 = (w * g.rho**2) ** 2 * base
-        D1, D2 = g.d1, g.d2
-        M = M + D2.T @ sp.diags(W2) @ D2
+        W2, D1 = parts.W2, g.d1
+        M = M + parts.M2
         # mixed radial-angular block: 2 e f^-2 (u' - (f'/f) u)^2
         mix = sp.diags(2.0 * e * W2 / g.f**2)
-        B = D1 - sp.diags(g.fp / g.f)
-        M = M + B.T @ mix @ B
+        M = M + parts.Bop.T @ mix @ parts.Bop
         # pure angular block: f^-4 ((e^2 - kappa e) u^2
         #                     - 2 e f f' u u' + (m-1) f^2 f'^2 u'^2)
         hess_c = max(e * e - kappa * e, 0.0)
         c1 = hess_c * W2 / g.f**4
         c2 = -e * g.fp * W2 / g.f**3
-        c3 = (m - 1.0) * g.fp**2 * W2 / g.f**2
-        M = M + sp.diags(c1) + D1.T @ sp.diags(c3) @ D1
+        M = M + sp.diags(c1) + parts.M3
         M = M + sp.diags(c2) @ D1 + D1.T @ sp.diags(c2)
     return WeightedQuadraticForm(grid=grid, k=k, beta=beta, e=e, matrix=M.tocsr())
 
@@ -296,22 +337,20 @@ class LaplacePencil:
 
 
 def laplacian_pencil(grid: RadialGrid, e: float, beta: float | None,
-                     kernel_scan: bool = False) -> LaplacePencil:
+                     kernel_scan: bool = False,
+                     parts: _FormParts | None = None) -> LaplacePencil:
     """Factored realization of Delta between the k=2 and k=0 weighted
     spaces: Pi applies rho^2 Delta at interior nodes on the reduced
     space, w_img carries the weight-(beta-2) mass of Delta u =
     rho^{-2} P u (the rho^2 factors cancel into plain rho^{-2 beta}
-    weights), and B is the reduced k=2 form."""
+    weights), and B is the reduced k=2 form.  parts, when given, are the
+    grid's _form_parts at this beta."""
+    parts = _parts_at(grid, beta, parts)
     op = assemble_mode_operator(grid, e, beta=beta, kernel_scan=kernel_scan)
-    g = grid
-    m = g.geometry.m
-    beta_vals = g.beta if beta is None else np.full(g.n, float(beta))
-    w_img_full = (g.wextra * g.rho ** (-beta_vals)) ** 2 * g.quad * g.f ** (m - 1) \
-        * g.volume_factor * g.rho ** (-float(m))
     Pi = (op.P_full[op.interior] @ op.R).tocsr()
-    w_img = w_img_full[op.interior]
+    w_img = parts.w_img[op.interior]
     A = (Pi.T @ sp.diags(w_img) @ Pi).tocsc()
-    B = weighted_form(grid, 2, beta, e).reduced(op.R)
+    B = weighted_form(grid, 2, beta, e, parts=parts).reduced(op.R)
     return LaplacePencil(A=A, B=B, op=op, Pi=Pi, w_img=w_img)
 
 
@@ -367,7 +406,7 @@ def smallest_pencil_eigs(
             vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM",
                                     v0=_deterministic_v0(n))
             return polish(vals, vecs)
-        except Exception:
+        except RuntimeError:
             if n <= 4000:
                 from scipy.linalg import eigh
                 vals, vecs = eigh(A.toarray(), B.toarray(),
@@ -391,7 +430,7 @@ def smallest_pencil_eigs(
         vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM", OPinv=OPinv,
                                 v0=v0)
         return polish(vals, vecs)
-    except Exception:
+    except RuntimeError:
         if n > 4000:
             raise
         from scipy.linalg import eigh, null_space
@@ -440,18 +479,19 @@ def near_null_threshold(
     n = max(64, int(nodes_per_decade * decades / 2))
     grid = build_grid(model.geometry(0), n_per_region=n,
                       r_max=r_hi, r_min_factor=r_lo / math.sqrt(r_lo * r_hi))
+    parts = _form_parts(grid, beta)
     worst = 0.0
     for e, _ in link.eigenvalues_below(e_max):
-        gp, gm = gamma_roots(e, m)
-        for gamma in (gp, gm):
-            closures = (ClosureRule("robin", gamma), ClosureRule("robin", gamma))
-            op = assemble_mode_operator(grid, e, closures=closures)
+        # P_full, the k=0 diagonal W0 and the k=2 form do not depend on
+        # the closures, so both harmonics share them
+        op = assemble_mode_operator(grid, e)
+        w_img = parts.W0[op.interior]
+        form2 = weighted_form(grid, 2, beta, e, parts=parts)
+        for gamma in gamma_roots(e, m):
             u = grid.rho**gamma
-            num_form = weighted_form(grid, 0, beta, e)
-            w_img = num_form.matrix.diagonal()[op.interior]
             resid = (op.P_full @ u)[op.interior]
             num = math.sqrt(float(np.sum(w_img * resid**2)))
-            den = weighted_form(grid, 2, beta, e).norm(u)
+            den = form2.norm(u)
             if den > 0:
                 worst = max(worst, num / den)
     return 10.0 * worst
@@ -592,9 +632,10 @@ def invertibility_constant(
     _check_nonexceptional(geo, beta)
     if grid is None:
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
+    parts = _form_parts(grid, beta)
     per_mode = []
     for e, _mult in _modes(geo.link, e_max):
-        pen = laplacian_pencil(grid, e, beta)
+        pen = laplacian_pencil(grid, e, beta, parts=parts)
         lam = smallest_pencil_eigs(pen.A, pen.B, k=1, num_form=_pencil_num(pen))
         per_mode.append((float(e), float(_sigma_from(lam)[0])))
     sigma_min = min(s for _, s in per_mode)
@@ -656,11 +697,12 @@ def restricted_invertibility_compact(
     vol = grid.quad * grid.f ** (m_geo.m - 1) * grid.volume_factor
     q = eta_vals * vol * in_core
 
+    parts = _form_parts(grid, beta)
     per_mode = []
     sigma0_unc = None
     sigma0_con = None
     for e, _mult in _modes(m_geo.link, e_max):
-        pen = laplacian_pencil(grid, e, beta)
+        pen = laplacian_pencil(grid, e, beta, parts=parts)
         nf = _pencil_num(pen)
         if e == 0.0:
             q_red = pen.op.R.T @ q
@@ -726,13 +768,15 @@ def poincare_constant(
     if grid is None:
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
     m = geo.m
+    parts = _form_parts(grid, beta)
+    wg = (grid.wextra * grid.rho ** (1 - beta)) ** 2 * grid.quad \
+        * grid.f ** (m - 1) * grid.volume_factor * grid.rho ** (-float(m))
+    G0 = grid.d1.T @ sp.diags(wg) @ grid.d1
     per_mode = []
     for e, _mult in _modes(geo.link, e_max):
         op = assemble_mode_operator(grid, e, beta=beta)
-        M1 = weighted_form(grid, 1, beta, e).reduced(op.R)
-        wg = (grid.wextra * grid.rho ** (1 - beta)) ** 2 * grid.quad \
-            * grid.f ** (m - 1) * grid.volume_factor * grid.rho ** (-float(m))
-        G = (grid.d1.T @ sp.diags(wg) @ grid.d1 + sp.diags(wg * e / grid.f**2))
+        M1 = weighted_form(grid, 1, beta, e, parts=parts).reduced(op.R)
+        G = G0 + sp.diags(wg * e / grid.f**2)
         G_red = (op.R.T @ G @ op.R).tocsc()
         lam = smallest_pencil_eigs(G_red, M1, k=1)
         lam0 = max(float(lam[0]), 1e-300)
@@ -891,11 +935,12 @@ def kernel_dimension_scan(
     for beta in beta_list:
         _check_nonexceptional(geo, float(beta))
         thr = near_null_threshold(geo.link, geo.m, e_max, float(beta), npd)
+        parts = _form_parts(grid, float(beta))
         total = 0
         per_mode = []
         ambiguous = False
         for e, mult in _modes(geo.link, e_max):
-            pen = laplacian_pencil(grid, e, float(beta), kernel_scan=True)
+            pen = laplacian_pencil(grid, e, float(beta), kernel_scan=True, parts=parts)
             k = min(4, pen.A.shape[0] - 2)
             sig = _sigma_from(smallest_pencil_eigs(pen.A, pen.B, k=k,
                                                    num_form=_pencil_num(pen)))

@@ -77,9 +77,10 @@ class RadialGrid:
     nodes: strictly increasing positions (a fundamental domain for
     circles); quad: weights with int F dx ~ sum quad * F(nodes).
     Geometry samples (f, f', f'', rho, beta, wextra) are cached at the
-    nodes.  The derivative matrices d1, d2 and the norm volume are built
-    lazily, once per grid, from these arrays; so the arrays must not be
-    mutated after construction (build a new grid instead).
+    nodes.  The derivative matrices d1, d2, the norm volume and the
+    e-free part of the mode operator are built lazily, once per grid,
+    from these arrays; so the arrays must not be mutated after
+    construction (build a new grid instead).
     """
 
     geometry: RadialGeometry
@@ -94,6 +95,7 @@ class RadialGrid:
     _d1: sp.spmatrix = field(repr=False, default=None)
     _d2: sp.spmatrix = field(repr=False, default=None)
     _volume: np.ndarray = field(repr=False, default=None)
+    _radial_operator: sp.spmatrix = field(repr=False, default=None)
 
     def __post_init__(self):
         g = self.geometry
@@ -181,6 +183,18 @@ class RadialGrid:
             self._volume = (self.quad * self.f ** (m - 1) * self.volume_factor
                             * self.rho ** (-float(m)))
         return self._volume
+
+    @property
+    def radial_operator(self) -> sp.spmatrix:
+        """The e-free part of the mode operator rho^2 A_e,
+        -(rho^2) d2 - (m-1) rho^2 (f'/f) d1; the mode operator adds
+        diag(e rho^2 / f^2) to it."""
+        if self._radial_operator is None:
+            m = self.geometry.m
+            rho2 = self.rho**2
+            self._radial_operator = (sp.diags(-rho2) @ self.d2
+                                     + sp.diags(-(m - 1.0) * rho2 * self.fp / self.f) @ self.d1)
+        return self._radial_operator
 
     def mapped(self, t: float) -> "RadialGrid":
         """The grid of the rescaled geometry, nodes mapped by x -> t x."""

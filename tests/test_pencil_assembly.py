@@ -1,0 +1,278 @@
+"""Exactness oracles for the pencil assembly.
+
+The mode operator, the weighted forms, the pencil and the near-null
+threshold build their e-independent parts once per grid (or once per
+grid and weight) and add only the e-dependent terms per mode.  The
+per-mode versions that rebuild everything are kept here as reference
+implementations; the package versions must reproduce them bit for bit
+(same CSR data, indices and index pointers; same weights and threshold).
+Weights are visited in the order b1, b2, b1, so parts kept from another
+weight would show."""
+
+import gc
+import math
+import weakref
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from conifold_lab.conifold_model import (
+    Component,
+    ConifoldModel,
+    EndSpec,
+    dumbbell_family,
+    preset_model,
+    spindle_family,
+    warp_preset,
+)
+from conifold_lab.spectral_laplace import (
+    ClosureRule,
+    KernelScanRow,
+    _default_closures,
+    _form_parts,
+    _grid_nodes_per_decade,
+    _reduction_matrix,
+    _sigma_from,
+    assemble_mode_operator,
+    kernel_dimension_scan,
+    laplacian_pencil,
+    near_null_threshold,
+    smallest_pencil_eigs,
+    weighted_form,
+)
+from conifold_lab.weight_calculus import gamma_roots
+from conifold_lab.weighted_calc import build_grid
+
+# ---------------------------------------------------------------------------
+# reference implementations (everything rebuilt per mode)
+
+
+def ref_mode_operator(grid, e, beta=None, kernel_scan=False, closures=None):
+    """(P_full, R, interior)."""
+    if closures is None:
+        closures = _default_closures(grid, e, beta, kernel_scan)
+    f, fp, rho = grid.f, grid.fp, grid.rho
+    m = grid.geometry.m
+    coeff2 = sp.diags(-(rho**2))
+    coeff1 = sp.diags(-(m - 1.0) * rho**2 * fp / f)
+    coeff0 = sp.diags(e * rho**2 / f**2)
+    P = (coeff2 @ grid.d2 + coeff1 @ grid.d1 + coeff0).tocsr()
+    R, interior = _reduction_matrix(grid, closures[0], closures[1])
+    return P, R, interior
+
+
+def ref_weighted_form(grid, k, beta, e):
+    g = grid
+    m = g.geometry.m
+    beta_vals = g.beta if beta is None else np.full(g.n, float(beta))
+    w = g.wextra * g.rho ** (-beta_vals)
+    base = g.volume
+    kappa = g.geometry.link.einstein_constant or 0.0
+
+    W0 = w**2 * base
+    M = sp.diags(W0).tocsr()
+    if k >= 1:
+        W1 = (w * g.rho) ** 2 * base
+        D1 = g.d1
+        M = M + D1.T @ sp.diags(W1) @ D1 + sp.diags(W1 * e / g.f**2)
+    if k >= 2:
+        W2 = (w * g.rho**2) ** 2 * base
+        D1, D2 = g.d1, g.d2
+        M = M + D2.T @ sp.diags(W2) @ D2
+        mix = sp.diags(2.0 * e * W2 / g.f**2)
+        B = D1 - sp.diags(g.fp / g.f)
+        M = M + B.T @ mix @ B
+        hess_c = max(e * e - kappa * e, 0.0)
+        c1 = hess_c * W2 / g.f**4
+        c2 = -e * g.fp * W2 / g.f**3
+        c3 = (m - 1.0) * g.fp**2 * W2 / g.f**2
+        M = M + sp.diags(c1) + D1.T @ sp.diags(c3) @ D1
+        M = M + sp.diags(c2) @ D1 + D1.T @ sp.diags(c2)
+    return M.tocsr()
+
+
+def ref_laplacian_pencil(grid, e, beta, kernel_scan=False):
+    """(P_full, A, B, Pi, w_img)."""
+    P, R, interior = ref_mode_operator(grid, e, beta=beta, kernel_scan=kernel_scan)
+    g = grid
+    m = g.geometry.m
+    beta_vals = g.beta if beta is None else np.full(g.n, float(beta))
+    w_img_full = (g.wextra * g.rho ** (-beta_vals)) ** 2 * g.quad * g.f ** (m - 1) \
+        * g.volume_factor * g.rho ** (-float(m))
+    Pi = (P[interior] @ R).tocsr()
+    w_img = w_img_full[interior]
+    A = (Pi.T @ sp.diags(w_img) @ Pi).tocsc()
+    B = (R.T @ ref_weighted_form(grid, 2, beta, e) @ R).tocsc()
+    return P, A, B, Pi, w_img
+
+
+def ref_near_null_threshold(link, m, e_max, beta, nodes_per_decade,
+                            r_span=(1e-3, 1e3)):
+    r_lo, r_hi = r_span
+    comp = Component(
+        link=link, warp=warp_preset("exact_cone"),
+        left=EndSpec("CS", link, nu=1.0, beta=beta, boundary=math.sqrt(r_lo * r_hi)),
+        right=EndSpec("AC", link, nu=-1.0, beta=beta, boundary=math.sqrt(r_lo * r_hi)),
+    )
+    model = ConifoldModel(m, (comp,))
+    decades = math.log10(r_hi / r_lo)
+    n = max(64, int(nodes_per_decade * decades / 2))
+    grid = build_grid(model.geometry(0), n_per_region=n,
+                      r_max=r_hi, r_min_factor=r_lo / math.sqrt(r_lo * r_hi))
+    worst = 0.0
+    for e, _ in link.eigenvalues_below(e_max):
+        gp, gm = gamma_roots(e, m)
+        for gamma in (gp, gm):
+            closures = (ClosureRule("robin", gamma), ClosureRule("robin", gamma))
+            P, _R, interior = ref_mode_operator(grid, e, closures=closures)
+            u = grid.rho**gamma
+            w_img = ref_weighted_form(grid, 0, beta, e).diagonal()[interior]
+            resid = (P @ u)[interior]
+            num = math.sqrt(float(np.sum(w_img * resid**2)))
+            M2 = ref_weighted_form(grid, 2, beta, e)
+            den = float(np.sqrt(max(u @ (M2 @ u), 0.0)))
+            if den > 0:
+                worst = max(worst, num / den)
+    return 10.0 * worst
+
+
+def ref_kernel_dimension_scan(geo, grid, beta_list, e_max):
+    npd = _grid_nodes_per_decade(grid)
+    rows = []
+    for beta in beta_list:
+        thr = ref_near_null_threshold(geo.link, geo.m, e_max, float(beta), npd)
+        total, per_mode, ambiguous = 0, [], False
+        for e, mult in geo.link.eigenvalues_below(e_max):
+            P, A, B, Pi, w_img = ref_laplacian_pencil(grid, e, float(beta), kernel_scan=True)
+
+            def num_form(v, Pi=Pi, w_img=w_img):
+                r = Pi @ v
+                return float(np.sum(w_img * r * r))
+
+            k = min(4, A.shape[0] - 2)
+            sig = _sigma_from(smallest_pencil_eigs(A, B, k=k, num_form=num_form))
+            hits = int(np.count_nonzero(sig < thr))
+            if np.any((sig >= thr / 3.0) & (sig <= 3.0 * thr)):
+                ambiguous = True
+            total += hits * mult
+            per_mode.append((float(e), int(mult), float(sig[0])))
+        rows.append(KernelScanRow(beta=float(beta), dimension=total,
+                                  per_mode=tuple(per_mode), threshold=thr,
+                                  ambiguous=ambiguous))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# grids: interval with AC ends, circle, interval with a cap and an AC end
+
+
+GEOMETRIES = {
+    "dumbbell_t1e-3": lambda: dumbbell_family().at(1e-3).geometry,
+    "spindle_t1e-2": lambda: spindle_family().at(1e-2).geometry,
+    "hyperboloid_capped": lambda: preset_model("hyperboloid_capped").geometry(0),
+}
+E_MAX = 12.0
+BETAS = (None, 0.5, None)  # b1, b2, b1
+
+
+@pytest.fixture(scope="module", params=sorted(GEOMETRIES))
+def grid(request):
+    return build_grid(GEOMETRIES[request.param](), n_per_region=200)
+
+
+def assert_same_csr(got, want):
+    assert type(got) is type(want)
+    assert got.shape == want.shape
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype, attr
+        assert np.array_equal(a, b), attr
+
+
+def modes(grid):
+    return [e for e, _ in grid.geometry.link.eigenvalues_below(E_MAX)]
+
+
+def test_mode_operator_matches_reference(grid):
+    assert modes(grid)[0] == 0.0
+    for beta in BETAS:
+        for kernel_scan in (False, True):
+            for e in modes(grid):
+                op = assemble_mode_operator(grid, e, beta=beta, kernel_scan=kernel_scan)
+                P, R, interior = ref_mode_operator(grid, e, beta, kernel_scan)
+                assert_same_csr(op.P_full, P)
+                assert_same_csr(op.R, R)
+                assert np.array_equal(op.interior, interior)
+
+
+def test_weighted_forms_match_reference(grid):
+    for beta in BETAS:
+        parts = _form_parts(grid, beta)
+        for e in modes(grid):
+            for k in (0, 1, 2):
+                want = ref_weighted_form(grid, k, beta, e)
+                assert_same_csr(weighted_form(grid, k, beta, e, parts=parts).matrix, want)
+                assert_same_csr(weighted_form(grid, k, beta, e).matrix, want)
+
+
+@pytest.mark.parametrize("kernel_scan", [False, True])
+def test_pencils_match_reference(grid, kernel_scan):
+    for beta in BETAS:
+        parts = _form_parts(grid, beta)
+        for e in modes(grid):
+            P, A, B, Pi, w_img = ref_laplacian_pencil(grid, e, beta, kernel_scan)
+            for pen in (laplacian_pencil(grid, e, beta, kernel_scan, parts=parts),
+                        laplacian_pencil(grid, e, beta, kernel_scan)):
+                assert_same_csr(pen.op.P_full, P)
+                assert_same_csr(pen.A, A)
+                assert_same_csr(pen.B, B)
+                assert_same_csr(pen.Pi, Pi)
+                assert pen.w_img.dtype == w_img.dtype
+                assert np.array_equal(pen.w_img, w_img)
+
+
+def test_parts_of_another_weight_are_refused(grid):
+    parts = _form_parts(grid, 0.5)
+    with pytest.raises(ValueError, match="weight"):
+        weighted_form(grid, 2, None, 2.0, parts=parts)
+    with pytest.raises(ValueError, match="weight"):
+        laplacian_pencil(grid, 2.0, 1.5, parts=parts)
+
+
+@pytest.mark.parametrize("beta_list", [(0.5, 1.5, 0.5), (2.5, -0.5, 2.5)])
+def test_threshold_matches_reference(beta_list):
+    link = preset_model("hyperboloid_capped").geometry(0).link
+    for beta in beta_list:
+        for npd in (90.0, 150.0):
+            assert near_null_threshold(link, 3, E_MAX, beta, npd) \
+                == ref_near_null_threshold(link, 3, E_MAX, beta, npd)
+
+
+def test_kernel_scan_matches_reference():
+    geo = preset_model("hyperboloid_capped").geometry(0)
+    grid = build_grid(geo, n_per_region=200)
+    betas = [0.5, 1.5, 0.5]
+    assert kernel_dimension_scan(geo, betas, e_max=E_MAX, grid=grid) \
+        == ref_kernel_dimension_scan(geo, grid, betas, E_MAX)
+
+
+# ---------------------------------------------------------------------------
+# lifetime: nothing built per grid may keep its grid alive
+
+
+def test_grid_is_freed_without_the_cycle_collector():
+    geo = preset_model("hyperboloid_capped").geometry(0)
+    grid = build_grid(geo, n_per_region=200)
+    ref = weakref.ref(grid)
+    gc.disable()
+    try:
+        pen = laplacian_pencil(grid, 2.0, 0.5)
+        form = weighted_form(grid, 2, 0.5, 2.0)
+        rows = kernel_dimension_scan(geo, [0.5], e_max=E_MAX, grid=grid)
+        assert rows[0].dimension >= 0 and pen.A.nnz and form.matrix.nnz
+        assert grid.radial_operator is not None
+        del pen, form, rows, grid
+        assert ref() is None
+    finally:
+        gc.enable()

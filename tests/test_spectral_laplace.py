@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import conifold_lab.spectral_laplace as sl
 from conifold_lab.conifold_model import (
     dumbbell_family,
     preset_model,
@@ -234,6 +237,52 @@ def test_pencil_solver_constraint_interlaces():
     lam_c = smallest_pencil_eigs(pen.A, pen.B, k=1, constraint=q_red)[0]
     assert lam_c >= lam_u - 1e-14
     assert lam_c > 100.0 * max(lam_u, 1e-18)
+
+
+def _raising(exc):
+    def eigsh(*args, **kwargs):
+        raise exc
+    return eigsh
+
+
+def _solver_cases():
+    """(A, B, constraint, num_form): an unconstrained and a bordered solve."""
+    grid = build_grid(preset_model("hyperboloid_capped").geometry(0), n_per_region=200)
+    pen = laplacian_pencil(grid, 2.0, -0.5)
+    yield pen.A, pen.B, None, sl._pencil_num(pen)
+    grid = build_grid(spindle_family().at(1e-2).geometry, n_per_region=200)
+    pen = laplacian_pencil(grid, 0.0, -0.5)
+    q = pen.op.R.T @ np.asarray(grid.quad * grid.f**2)
+    yield pen.A, pen.B, q, sl._pencil_num(pen)
+
+
+def test_pencil_solver_lets_programming_errors_through(monkeypatch):
+    monkeypatch.setattr(sl.spla, "eigsh", _raising(ValueError("bad argument")))
+    for A, B, q, nf in _solver_cases():
+        with pytest.raises(ValueError, match="bad argument"):
+            smallest_pencil_eigs(A, B, k=1, constraint=q, num_form=nf)
+
+
+def test_pencil_solver_falls_back_to_dense_when_arpack_fails(monkeypatch):
+    for A, B, q, nf in _solver_cases():
+        want = smallest_pencil_eigs(A, B, k=1, constraint=q, num_form=nf)[0]
+        with monkeypatch.context() as mp:
+            mp.setattr(sl.spla, "eigsh", _raising(
+                ArpackNoConvergence("no convergence", np.empty(0), np.empty((A.shape[0], 0)))))
+            got = smallest_pencil_eigs(A, B, k=1, constraint=q, num_form=nf)[0]
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_pencil_solver_reraises_arpack_failure_on_large_pencils(monkeypatch):
+    n = 4001
+    A = sp.diags(np.arange(1.0, n + 1)).tocsc()
+    B = sp.identity(n, format="csc")
+    err = ArpackNoConvergence("no convergence", np.empty(0), np.empty((n, 0)))
+    monkeypatch.setattr(sl.spla, "eigsh", _raising(err))
+    for q in (None, np.ones(n)):
+        with pytest.raises(ArpackNoConvergence) as info:
+            smallest_pencil_eigs(A, B, k=1, constraint=q)
+        assert info.value is err
 
 
 def test_torus_link_irrational_rates_annihilated():
