@@ -38,6 +38,7 @@ __all__ = [
     "JunctionInfo",
     "PlanSegment",
     "RadialGeometry",
+    "FIELDS",
     "CompatCheck",
     "CompatibilityReport",
     "GluingError",
@@ -436,6 +437,13 @@ class RadialGeometry:
     junctions: tuple[JunctionInfo, ...] = ()
     label: str = ""
     eta: object | None = None  # glued models: the neck cutoff eta_t(x)
+    # optional x -> (f, fp, fpp, rho, beta, wextra) in one pass, equal to
+    # the six callables; grids use it when present
+    fields: object | None = None
+
+
+# the names of the node fields of a RadialGeometry, in `fields` order
+FIELDS = ("f", "fp", "fpp", "rho", "beta", "wextra")
 
 
 def _const_like(value):
@@ -998,12 +1006,15 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
             raise ValueError("point outside the glued domain")
         return res
 
-    def classify(xw, inner, outer_fn):
-        """(category, index) per point: 0 = transition band of junction idx,
-        1 = partner piece idx, 2 = host piece idx.  inner/outer give the
-        per-junction radii separating partner / transition / host inside
-        neck zones."""
-        z = zone_membership(xw)
+    # category per zone for radius/weight data: neck zones keep their
+    # junction chart on all of [t Rhat, eps]
+    zone_cat = np.array([{"neck": 0, "partner": 1, "host": 2}[tag] for _, _, tag, _ in zones])
+    zone_ref = np.array([ref for _, _, _, ref in zones])
+
+    def warp_classify(xw, z):
+        """(category, index) per point for the warp: 0 = transition band
+        t^tau <= r <= 2 t^tau of junction idx, 1 = partner piece idx,
+        2 = host piece idx."""
         n = xw.shape[0]
         cat = np.empty(n, dtype=int)
         idx = np.empty(n, dtype=int)
@@ -1020,48 +1031,28 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
             else:
                 J = junctions[ref]
                 r = rdist(J, xw[sel])
-                sub_cat = np.where(r < inner(J), 1, np.where(r <= outer_fn(J), 0, 2))
+                sub_cat = np.where(r < J.t**tau, 1, np.where(r <= 2.0 * J.t**tau, 0, 2))
                 sub_idx = np.where(sub_cat == 1, partner_of[ref],
                                    np.where(sub_cat == 0, ref, host_of[ref]))
                 cat[sel] = sub_cat
                 idx[sel] = sub_idx
         return cat, idx
 
-    warp_inner = lambda J: J.t**tau
-    warp_outer = lambda J: 2.0 * J.t**tau
-
-    def weight_classify(xw):
-        """Connect-sum region split for radius/weight data: neck zones
-        keep their junction chart on all of [t Rhat, eps]."""
-        z = zone_membership(xw)
-        n = xw.shape[0]
-        cat = np.empty(n, dtype=int)
-        idx = np.empty(n, dtype=int)
-        for z_i, (lo, hi, tag, ref) in enumerate(zones):
-            sel = z == z_i
-            if not np.any(sel):
-                continue
-            cat[sel] = {"neck": 0, "partner": 1, "host": 2}[tag]
-            idx[sel] = ref
-        return cat, idx
-
-    def piece_warp(piece: _Piece, xw, attr: str):
+    def piece_warp(piece: _Piece, xs, attr: str):
+        """One warp field of a placed piece at source coordinates xs."""
         comp = comp_of(piece)
-        xs = piece.to_src(xw, period)
         scale = abs(piece.direction)
         d = piece.direction
         if attr == "f":
             return scale * np.asarray(comp.warp.f(xs), dtype=float)
         if attr == "fp":
             return scale * np.asarray(comp.warp.fp(xs), dtype=float) / d
-        if attr == "fpp":
-            return scale * np.asarray(comp.warp.fpp(xs), dtype=float) / d**2
-        raise ValueError(attr)
+        return scale * np.asarray(comp.warp.fpp(xs), dtype=float) / d**2
 
-    def blend(J: JunctionInfo, xw, attr: str):
-        """f_t on the interpolation band: f_t^2 is the chi-blend of the
-        squared rescaled-partner and host warps, chi a fixed C^2 bump in
-        log r (1 at t^tau, 0 at 2 t^tau)."""
+    def blend(J: JunctionInfo, xw):
+        """(f_t, f_t', f_t'') on the interpolation band: f_t^2 is the
+        chi-blend of the squared rescaled-partner and host warps, chi a
+        fixed C^2 bump in log r (1 at t^tau, 0 at 2 t^tau)."""
         ci, wi, cj, wj = family.pairs[J.pair]
         host = L.components[ci]
         part = L_hat.components[cj]
@@ -1099,86 +1090,77 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
                 + chi * Qp_pp + (1 - chi) * Qh_pp)
 
         F = np.sqrt(Q)
-        if attr == "f":
-            return F
-        if attr == "fp":
-            return Q_p / (2 * F) * J.direction
-        if attr == "fpp":
-            return (Q_pp / (2 * F) - Q_p**2 / (4 * F**3)) * J.direction**2
-        raise ValueError(attr)
+        return {"f": F,
+                "fp": Q_p / (2 * F) * J.direction,
+                "fpp": (Q_pp / (2 * F) - Q_p**2 / (4 * F**3)) * J.direction**2}
 
-    def make_warp(attr):
-        def ev(x):
-            x = np.asarray(x, dtype=float)
-            scalar = x.ndim == 0
-            xw = wrap(np.atleast_1d(x))
-            cat, idx = classify(xw, warp_inner, warp_outer)
-            out = np.empty_like(xw)
-            for j in range(len(junctions)):
-                sel = (cat == 0) & (idx == j)
-                if np.any(sel):
-                    out[sel] = blend(junctions[j], xw[sel], attr)
-            for p_i in set(idx[cat == 1]):
-                sel = (cat == 1) & (idx == p_i)
-                out[sel] = piece_warp(pieces[p_i], xw[sel], attr)
-            for p_i in set(idx[cat == 2]):
-                sel = (cat == 2) & (idx == p_i)
-                out[sel] = piece_warp(pieces[p_i], xw[sel], attr)
-            return out[0] if scalar else out
-        return ev
+    # each piece's source geometry (radius and weight functions) and, for
+    # partners, the reference weight of its marked end
+    bases = [_base_geometry(src_model(p), p.comp_index) for p in pieces]
+    ref_beta = [next(s.beta for _, s in comp_of(p).ends() if s.marked) if p.source == "H"
+                else None for p in pieces]
 
-    def make_field(neck_val, partner_val, host_val):
-        def ev(x):
-            x = np.asarray(x, dtype=float)
-            scalar = x.ndim == 0
-            xw = wrap(np.atleast_1d(x))
-            cat, idx = weight_classify(xw)
-            out = np.empty_like(xw)
-            for j in range(len(junctions)):
-                sel = (cat == 0) & (idx == j)
-                if np.any(sel):
-                    out[sel] = neck_val(junctions[j], xw[sel])
-            for p_i in set(idx[cat == 1]):
-                sel = (cat == 1) & (idx == p_i)
-                out[sel] = partner_val(pieces[p_i], xw[sel])
-            for p_i in set(idx[cat == 2]):
-                sel = (cat == 2) & (idx == p_i)
-                out[sel] = host_val(pieces[p_i], xw[sel])
-            return out[0] if scalar else out
-        return ev
-
-    def src_rho(piece: _Piece, xw):
-        comp = comp_of(piece)
+    def piece_weights(p_i, xs, names):
+        """rho, beta and wextra of a placed piece at source coordinates xs
+        (the subset `names` needs): shrunk partners carry the
+        reference-weight correction t^(beta_hat - beta_ref)."""
+        piece, base = pieces[p_i], bases[p_i]
         scale = abs(piece.direction)
-        return scale * np.asarray(comp.default_rho()(piece.to_src(xw, period)), dtype=float)
+        vals = {}
+        if "rho" in names:
+            vals["rho"] = scale * np.asarray(base.rho(xs), dtype=float)
+        if "beta" in names or "wextra" in names:
+            bhat = np.asarray(base.beta(xs), dtype=float)
+            vals["beta"] = bhat
+            vals["wextra"] = scale ** (bhat - ref_beta[p_i]) if piece.source == "H" else 1.0
+        return vals
 
-    def src_beta(piece: _Piece, xw):
-        geo = _base_geometry(src_model(piece), piece.comp_index)
-        return np.asarray(geo.beta(piece.to_src(xw, period)), dtype=float)
+    def groups(cat, idx):
+        """(category, index, mask) of each junction band (0) and each
+        partner (1) or host (2) piece present in a classification."""
+        for j in range(len(junctions)):
+            sel = (cat == 0) & (idx == j)
+            if np.any(sel):
+                yield 0, j, sel
+        for c in (1, 2):
+            for p_i in set(idx[cat == c]):
+                yield c, p_i, (cat == c) & (idx == p_i)
 
-    rho_fn = make_field(
-        neck_val=lambda J, xs: rdist(J, xs),
-        partner_val=src_rho,
-        host_val=src_rho,
-    )
-    beta_fn = make_field(
-        neck_val=lambda J, xs: np.full_like(xs, J.beta),
-        partner_val=src_beta,
-        host_val=src_beta,
-    )
+    def evaluate(xw, names):
+        """The named fields (a subset of FIELDS) at the wrapped points xw,
+        from one zone lookup: {name: array}."""
+        z = zone_membership(xw)
+        out = {a: np.empty_like(xw) for a in names}
+        warp = [a for a in ("f", "fp", "fpp") if a in names]
+        weight = [a for a in ("rho", "beta", "wextra") if a in names]
+        if warp:
+            for c, i, sel in groups(*warp_classify(xw, z)):
+                if c == 0:
+                    vals = blend(junctions[i], xw[sel])
+                else:
+                    xs = pieces[i].to_src(xw[sel], period)
+                    vals = {a: piece_warp(pieces[i], xs, a) for a in warp}
+                for a in warp:
+                    out[a][sel] = vals[a]
+        if weight:
+            for c, i, sel in groups(zone_cat[z], zone_ref[z]):
+                if c == 0:
+                    vals = {"rho": rdist(junctions[i], xw[sel]), "beta": junctions[i].beta,
+                            "wextra": 1.0}
+                else:
+                    vals = piece_weights(i, pieces[i].to_src(xw[sel], period), weight)
+                for a in weight:
+                    out[a][sel] = vals[a]
+        return out
 
-    def partner_wextra(piece: _Piece, xs):
-        comp = comp_of(piece)
-        ref = next(s.beta for _, s in comp.ends() if s.marked)
-        bhat = src_beta(piece, xs)
-        ti = abs(piece.direction)
-        return ti ** (bhat - ref)
-
-    wextra_fn = make_field(
-        neck_val=lambda J, xs: np.ones_like(xs),
-        partner_val=partner_wextra,
-        host_val=lambda p, xs: np.ones_like(xs),
-    )
+    def evaluator(names):
+        def ev(x):
+            x = np.asarray(x, dtype=float)
+            scalar = x.ndim == 0
+            vals = evaluate(wrap(np.atleast_1d(x)), names)
+            vals = tuple(v[0] if scalar else v for v in (vals[a] for a in names))
+            return vals if len(names) > 1 else vals[0]
+        return ev
 
     def eta_fn(x):
         x = np.asarray(x, dtype=float)
@@ -1200,8 +1182,7 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
             contrib[~pos] = 1.0
             vals = np.minimum(vals, contrib)
         # partner bodies are cut off entirely
-        cat, _ = weight_classify(xw)
-        vals[cat == 1] = 0.0
+        vals[zone_cat[zone_membership(xw)] == 1] = 0.0
         return vals[0] if scalar else vals
 
     # --- boundaries and gridding plan ---------------------------------------
@@ -1251,10 +1232,10 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
     return RadialGeometry(
         m=m,
         link=link,
-        f=make_warp("f"), fp=make_warp("fp"), fpp=make_warp("fpp"),
-        rho=rho_fn,
-        beta=beta_fn,
-        wextra=wextra_fn,
+        f=evaluator(("f",)), fp=evaluator(("fp",)), fpp=evaluator(("fpp",)),
+        rho=evaluator(("rho",)),
+        beta=evaluator(("beta",)),
+        wextra=evaluator(("wextra",)),
         circle=circle,
         period=period,
         left=left,
@@ -1263,6 +1244,7 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
         junctions=tuple(junctions),
         label=family.label or "glued",
         eta=eta_fn,
+        fields=evaluator(FIELDS),
     )
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .conifold_model import PlanSegment, RadialGeometry
+from .conifold_model import FIELDS, PlanSegment, RadialGeometry
 from .weight_calculus import conjugate_exponents
 
 __all__ = [
@@ -77,9 +77,11 @@ class RadialGrid:
     nodes: strictly increasing positions (a fundamental domain for
     circles); quad: weights with int F dx ~ sum quad * F(nodes).
     Geometry samples (f, f', f'', rho, beta, wextra) are cached at the
-    nodes.  The derivative matrices d1, d2, the norm volume and the
-    e-free part of the mode operator are built lazily, once per grid,
-    from these arrays; so the arrays must not be mutated after
+    nodes, taken in one pass from the geometry's `fields` evaluator when
+    it has one (glued geometries classify each node once), else from its
+    six callables.  The derivative matrices d1, d2, the norm volume and
+    the e-free part of the mode operator are built lazily, once per
+    grid, from these arrays; so the arrays must not be mutated after
     construction (build a new grid instead).
     """
 
@@ -100,12 +102,9 @@ class RadialGrid:
     def __post_init__(self):
         g = self.geometry
         x = self.nodes
-        self.f = np.asarray(g.f(x), dtype=float)
-        self.fp = np.asarray(g.fp(x), dtype=float)
-        self.fpp = np.asarray(g.fpp(x), dtype=float)
-        self.rho = np.asarray(g.rho(x), dtype=float)
-        self.beta = np.asarray(g.beta(x), dtype=float)
-        self.wextra = np.asarray(g.wextra(x), dtype=float)
+        vals = g.fields(x) if g.fields is not None else [getattr(g, a)(x) for a in FIELDS]
+        for a, v in zip(FIELDS, vals):
+            setattr(self, a, np.asarray(v, dtype=float))
         if np.any(self.f <= 0):
             raise ValueError("warp must be positive on the grid")
         if np.any(self.rho <= 0):
@@ -365,15 +364,23 @@ def rescaled_geometry(geo: RadialGeometry, t: float) -> RadialGeometry:
 
 @dataclass(frozen=True)
 class ModeProfile:
-    """One angular mode: eigenvalue and nodal radial profile."""
+    """One angular mode: eigenvalue and nodal radial profile.
+
+    support is the half-open node range [lo, hi) holding every nonzero
+    value, (0, 0) for a zero profile; it is recorded once, when the
+    profile is built, so norms can work on the nodes where u lives."""
 
     e: float
     values: np.ndarray
+    support: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if not np.all(np.isfinite(self.values)):
             raise ValueError("mode profiles must be finite-valued")
+        nz = self.values.ravel() != 0
+        support = (int(nz.argmax()), nz.size - int(nz[::-1].argmax())) if nz.any() else (0, 0)
+        object.__setattr__(self, "support", support)
 
 
 @dataclass(frozen=True)
@@ -446,30 +453,53 @@ class WeightSpec:
             raise ValueError("derivative depth is implemented for k <= 2")
 
 
-def _beta_values(grid: RadialGrid, spec: WeightSpec) -> np.ndarray:
+def _beta_values(grid: RadialGrid, spec: WeightSpec, window: slice = slice(None)) -> np.ndarray:
+    bvals = grid.beta[window]
     if spec.beta is None:
-        return grid.beta
-    return np.full(grid.n, float(spec.beta))
+        return bvals
+    return np.full(bvals.size, float(spec.beta))
 
 
-def densities(u: ModeFunction, k: int) -> list[np.ndarray]:
-    """Angular L^2 densities D_0..D_k of u and its covariant derivatives."""
+# Columns a row of d1 or d2 reaches beyond its own node: 1 for the
+# 3-point interior rows, 2 for the one-sided end rows of interval grids
+# (columns 0..2 and n-3..n-1).
+_STENCIL_REACH = 2
+
+
+def _support_window(u: ModeFunction) -> slice:
+    """Nodes outside which u and its derivative densities vanish: the
+    union of the mode supports widened by the stencil reach; on a circle
+    the whole grid once the window reaches the seam."""
+    spans = [mp.support for mp in u.modes if mp.support[1] > mp.support[0]]
+    if not spans:
+        return slice(0, 0)
+    n = u.grid.n
+    lo = max(min(a for a, _ in spans) - _STENCIL_REACH, 0)
+    hi = min(max(b for _, b in spans) + _STENCIL_REACH, n)
+    if u.grid.geometry.circle and (lo == 0 or hi == n):
+        return slice(0, n)
+    return slice(lo, hi)
+
+
+def densities(u: ModeFunction, k: int, window: slice = slice(None)) -> list[np.ndarray]:
+    """Angular L^2 densities D_0..D_k of u and its covariant derivatives,
+    at the nodes of `window` (default all)."""
     g = u.grid
-    f, fp = g.f, g.fp
+    f, fp = g.f[window], g.fp[window]
     m = g.geometry.m
     kappa = g.geometry.link.einstein_constant or 0.0
-    d0 = np.zeros(g.n)
-    d1 = np.zeros(g.n) if k >= 1 else None
-    d2 = np.zeros(g.n) if k >= 2 else None
+    d0 = np.zeros(f.size)
+    d1 = np.zeros(f.size) if k >= 1 else None
+    d2 = np.zeros(f.size) if k >= 2 else None
     for mp in u.modes:
-        un = mp.values
+        un = mp.values[window]
         e = mp.e
         d0 += un**2
         if k >= 1:
-            dun = g.d1 @ un
+            dun = (g.d1 @ mp.values)[window]
             d1 += dun**2 + (e / f**2) * un**2
         if k >= 2:
-            ddun = g.d2 @ un
+            ddun = (g.d2 @ mp.values)[window]
             mixed = dun - (fp / f) * un
             hess_c = e * e - kappa * e  # int |Hess s_n|^2 over the link
             if hess_c < 0:
@@ -486,10 +516,11 @@ def densities(u: ModeFunction, k: int) -> list[np.ndarray]:
     return out
 
 
-def _weight_values(grid: RadialGrid, beta: np.ndarray, weight_fn=None) -> np.ndarray:
+def _weight_values(grid: RadialGrid, beta: np.ndarray, weight_fn=None,
+                   window: slice = slice(None)) -> np.ndarray:
     if weight_fn is not None:
-        return np.asarray(weight_fn(grid.nodes), dtype=float)
-    return grid.wextra * grid.rho ** (-beta)
+        return np.asarray(weight_fn(grid.nodes), dtype=float)[window]
+    return grid.wextra[window] * grid.rho[window] ** (-beta)
 
 
 def weighted_sobolev_norm(
@@ -497,26 +528,32 @@ def weighted_sobolev_norm(
 ) -> float:
     """Quadrature value of the weighted Sobolev norm (see module docstring).
 
-    weight_fn overrides the default w = wextra * rho^(-beta) (used by the
-    rescaling bookkeeping)."""
+    The sum runs over the support window of u; the nodes outside it
+    contribute exact zeros, so it equals the full-grid sum up to the
+    order of summation.  weight_fn overrides the default
+    w = wextra * rho^(-beta) (used by the rescaling bookkeeping)."""
     g = u.grid
-    beta = _beta_values(g, spec)
-    w = _weight_values(g, beta, weight_fn)
-    dens = densities(u, spec.k)
+    win = _support_window(u)
+    beta = _beta_values(g, spec, win)
+    w = _weight_values(g, beta, weight_fn, win)
+    rho, volume = g.rho[win], g.volume[win]
+    dens = densities(u, spec.k, win)
     total = 0.0
     for j, dj in enumerate(dens):
-        total += float(np.sum((w * g.rho**j * dj) ** spec.p * g.volume))
+        total += float(np.sum((w * rho**j * dj) ** spec.p * volume))
     return total ** (1.0 / spec.p)
 
 
 def gradient_norm(u: ModeFunction, p: float, beta: float | None = None) -> float:
     """||du||_{L^p_{beta-1}}: the L^p norm of the differential as a 1-form
-    carrying the weight beta - 1 (so w rho^0 |du| = wextra rho^{1-beta} |du|)."""
+    carrying the weight beta - 1 (so w rho^0 |du| = wextra rho^{1-beta} |du|),
+    summed over the support window of u like weighted_sobolev_norm."""
     g = u.grid
-    bvals = _beta_values(g, WeightSpec(p=p, k=0, beta=beta))
-    d1 = densities(u, 1)[1]
-    w = g.wextra * g.rho ** (1.0 - bvals)
-    return float(np.sum((w * d1) ** p * g.volume)) ** (1.0 / p)
+    win = _support_window(u)
+    bvals = _beta_values(g, WeightSpec(p=p, k=0, beta=beta), win)
+    d1 = densities(u, 1, win)[1]
+    w = g.wextra[win] * g.rho[win] ** (1.0 - bvals)
+    return float(np.sum((w * d1) ** p * g.volume[win])) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -747,16 +784,44 @@ def embedding_constant_estimate(
 # test families
 
 
+def _bump_windows(grid: RadialGrid, center: float, halfwidth: float) -> list[slice]:
+    """Node windows holding every node within `halfwidth` of `center`
+    (padded far beyond the rounding of the profile's own distance); two
+    when a circle bump wraps the seam, all nodes when it covers half the
+    circle."""
+    x = grid.nodes
+    reach = abs(halfwidth)
+    if not grid.geometry.circle:
+        pad = 1e-12 * (abs(center) + reach)
+        return [slice(int(x.searchsorted(center - reach - pad, "left")),
+                      int(x.searchsorted(center + reach + pad, "right")))]
+    per = grid.geometry.period
+    if 2.0 * reach >= per / 2:
+        return [slice(None)]
+    pad = 1e-12 * (abs(center) + abs(x[0]) + reach + per)
+    c = x[0] + np.mod(center - x[0], per)  # the centre's image in the node range
+    windows = []
+    for shift in (-per, 0.0, per):
+        lo = int(x.searchsorted(c + shift - reach - pad, "left"))
+        hi = int(x.searchsorted(c + shift + reach + pad, "right"))
+        if hi > lo:
+            windows.append(slice(lo, hi))
+    return windows
+
+
 def bump_profile(grid: RadialGrid, center: float, halfwidth: float) -> np.ndarray:
-    """C^2 compactly supported bump (1-s^2)^3 around `center` in x."""
-    if grid.geometry.circle:
-        per = grid.geometry.period
-        s = (np.mod(grid.nodes - center + per / 2, per) - per / 2) / halfwidth
-    else:
-        s = (grid.nodes - center) / halfwidth
-    inside = np.abs(s) < 1.0
-    v = np.zeros_like(s)
-    v[inside] = (1.0 - s[inside] ** 2) ** 3
+    """C^2 compactly supported bump (1-s^2)^3 around `center` in x,
+    evaluated only on the node windows around its support."""
+    v = np.zeros(grid.n)
+    for win in _bump_windows(grid, center, halfwidth):
+        x = grid.nodes[win]
+        if grid.geometry.circle:
+            per = grid.geometry.period
+            s = (np.mod(x - center + per / 2, per) - per / 2) / halfwidth
+        else:
+            s = (x - center) / halfwidth
+        inside = np.abs(s) < 1.0
+        v[win][inside] = (1.0 - s[inside] ** 2) ** 3  # v[win] is a view
     return v
 
 

@@ -1,0 +1,301 @@
+"""Exactness oracle for the one-pass glued-geometry field evaluator.
+
+The per-field glued evaluation (each of f, f', f'', rho, beta and wextra
+classifying the points on its own, the f^2-blend recomputed per field,
+base geometries rebuilt per call) is kept here as the reference; the
+grid arrays taken from the one-pass `fields` evaluator, and the public
+per-field callables, must reproduce it bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+
+from conifold_lab import conifold_model as cm
+from conifold_lab.conifold_model import (
+    FIELDS,
+    EndSpec,
+    _base_geometry,
+    _smoothstep_c2,
+    _smoothstep_c2_d1,
+    _smoothstep_c2_d2,
+    dumbbell_family,
+    spindle_family,
+)
+from conifold_lab.weighted_calc import build_grid
+
+# ---------------------------------------------------------------------------
+# reference: the per-field glued evaluation
+
+
+def ref_glued_fields(L, L_hat, family, pieces, junctions, jct_pieces,
+                     circle, period, x_origin):
+    """{name: callable} for the six fields, one classification per call."""
+    tau = family.tau
+
+    def comp_of(piece):
+        return (L if piece.source == "L" else L_hat).components[piece.comp_index]
+
+    def src_model(piece):
+        return L if piece.source == "L" else L_hat
+
+    def wrap(x):
+        x = np.asarray(x, dtype=float)
+        if not circle:
+            return x
+        return x_origin + np.mod(x - x_origin, period)
+
+    def rdist(J, xw):
+        d = xw - J.center
+        if circle:
+            d = np.mod(d + 0.5 * period, period) - 0.5 * period
+        return J.direction * d
+
+    host_of = {j: hp for j, (hp, pp) in enumerate(jct_pieces)}
+    partner_of = {j: pp for j, (hp, pp) in enumerate(jct_pieces)}
+
+    zones = []
+    for j, J in enumerate(junctions):
+        e1 = J.center + J.direction * (J.t * J.Rhat)
+        e2 = J.center + J.direction * J.eps
+        zones.append((min(e1, e2), max(e1, e2), "neck", j))
+    for p_i, p in enumerate(pieces):
+        comp = comp_of(p)
+        edges = []
+        for which in ("left", "right"):
+            s = comp.side(which)
+            if isinstance(s, EndSpec) and s.marked:
+                edges.append(float(p.from_src(comp.tip(which) + comp.r_sign(which) * s.boundary)))
+            elif isinstance(s, EndSpec):
+                edges.append(math.copysign(math.inf, p.direction) if which == "right"
+                             else math.copysign(math.inf, -p.direction))
+            else:
+                edges.append(float(p.from_src(comp.tip(which))))
+        zones.append((min(edges), max(edges), "host" if p.source == "L" else "partner", p_i))
+
+    def zone_membership(xw):
+        n = xw.shape[0]
+        res = np.full(n, -1, dtype=int)
+        for z_i, (lo, hi, _, _) in enumerate(zones):
+            if circle and math.isfinite(lo) and math.isfinite(hi):
+                d = np.mod(xw - lo, period)
+                sel = d <= (hi - lo) + 1e-12 * max(1.0, abs(hi), abs(lo))
+            else:
+                sel = (xw >= lo - 1e-12 * max(1.0, abs(lo)) if math.isfinite(lo) else np.ones(n, bool))
+                if math.isfinite(hi):
+                    sel = sel & (xw <= hi + 1e-12 * max(1.0, abs(hi)))
+            res = np.where((res < 0) & sel, z_i, res)
+        assert np.all(res >= 0)
+        return res
+
+    def classify(xw, inner, outer_fn):
+        z = zone_membership(xw)
+        cat = np.empty(xw.shape[0], dtype=int)
+        idx = np.empty(xw.shape[0], dtype=int)
+        for z_i, (lo, hi, tag, ref) in enumerate(zones):
+            sel = z == z_i
+            if not np.any(sel):
+                continue
+            if tag in ("partner", "host"):
+                cat[sel] = 1 if tag == "partner" else 2
+                idx[sel] = ref
+            else:
+                J = junctions[ref]
+                r = rdist(J, xw[sel])
+                sub_cat = np.where(r < inner(J), 1, np.where(r <= outer_fn(J), 0, 2))
+                cat[sel] = sub_cat
+                idx[sel] = np.where(sub_cat == 1, partner_of[ref],
+                                    np.where(sub_cat == 0, ref, host_of[ref]))
+        return cat, idx
+
+    def weight_classify(xw):
+        z = zone_membership(xw)
+        cat = np.empty(xw.shape[0], dtype=int)
+        idx = np.empty(xw.shape[0], dtype=int)
+        for z_i, (lo, hi, tag, ref) in enumerate(zones):
+            sel = z == z_i
+            if np.any(sel):
+                cat[sel] = {"neck": 0, "partner": 1, "host": 2}[tag]
+                idx[sel] = ref
+        return cat, idx
+
+    def piece_warp(piece, xw, attr):
+        comp = comp_of(piece)
+        xs = piece.to_src(xw, period)
+        scale = abs(piece.direction)
+        d = piece.direction
+        if attr == "f":
+            return scale * np.asarray(comp.warp.f(xs), dtype=float)
+        if attr == "fp":
+            return scale * np.asarray(comp.warp.fp(xs), dtype=float) / d
+        return scale * np.asarray(comp.warp.fpp(xs), dtype=float) / d**2
+
+    def blend(J, xw, attr):
+        ci, wi, cj, wj = family.pairs[J.pair]
+        host = L.components[ci]
+        part = L_hat.components[cj]
+        t = J.t
+        r = rdist(J, xw)
+        r1 = t**tau
+        sgn_h = host.r_sign(wi)
+        xh = host.tip(wi) + sgn_h * r
+        Fh = np.asarray(host.warp.f(xh), dtype=float)
+        Fh_p = sgn_h * np.asarray(host.warp.fp(xh), dtype=float)
+        Fh_pp = np.asarray(host.warp.fpp(xh), dtype=float)
+        sgn_p = part.r_sign(wj)
+        xp = sgn_p * (r / t)
+        Fp = t * np.asarray(part.warp.f(xp), dtype=float)
+        Fp_p = sgn_p * np.asarray(part.warp.fp(xp), dtype=float)
+        Fp_pp = np.asarray(part.warp.fpp(xp), dtype=float) / t
+        Qh, Qh_p, Qh_pp = Fh**2, 2 * Fh * Fh_p, 2 * (Fh_p**2 + Fh * Fh_pp)
+        Qp, Qp_p, Qp_pp = Fp**2, 2 * Fp * Fp_p, 2 * (Fp_p**2 + Fp * Fp_pp)
+        ln2 = math.log(2.0)
+        s = np.log(r / r1) / ln2
+        ds = 1.0 / (r * ln2)
+        d2s = -1.0 / (r * r * ln2)
+        chi = 1.0 - _smoothstep_c2(s)
+        chi_p = -_smoothstep_c2_d1(s) * ds
+        chi_pp = -(_smoothstep_c2_d2(s) * ds * ds + _smoothstep_c2_d1(s) * d2s)
+        Q = chi * Qp + (1 - chi) * Qh
+        Q_p = chi_p * (Qp - Qh) + chi * Qp_p + (1 - chi) * Qh_p
+        Q_pp = (chi_pp * (Qp - Qh) + 2 * chi_p * (Qp_p - Qh_p)
+                + chi * Qp_pp + (1 - chi) * Qh_pp)
+        F = np.sqrt(Q)
+        if attr == "f":
+            return F
+        if attr == "fp":
+            return Q_p / (2 * F) * J.direction
+        return (Q_pp / (2 * F) - Q_p**2 / (4 * F**3)) * J.direction**2
+
+    def make_warp(attr):
+        def ev(x):
+            x = np.asarray(x, dtype=float)
+            scalar = x.ndim == 0
+            xw = wrap(np.atleast_1d(x))
+            cat, idx = classify(xw, lambda J: J.t**tau, lambda J: 2.0 * J.t**tau)
+            out = np.empty_like(xw)
+            for j in range(len(junctions)):
+                sel = (cat == 0) & (idx == j)
+                if np.any(sel):
+                    out[sel] = blend(junctions[j], xw[sel], attr)
+            for c in (1, 2):
+                for p_i in set(idx[cat == c]):
+                    sel = (cat == c) & (idx == p_i)
+                    out[sel] = piece_warp(pieces[p_i], xw[sel], attr)
+            return out[0] if scalar else out
+        return ev
+
+    def make_field(neck_val, partner_val, host_val):
+        def ev(x):
+            x = np.asarray(x, dtype=float)
+            scalar = x.ndim == 0
+            xw = wrap(np.atleast_1d(x))
+            cat, idx = weight_classify(xw)
+            out = np.empty_like(xw)
+            for j in range(len(junctions)):
+                sel = (cat == 0) & (idx == j)
+                if np.any(sel):
+                    out[sel] = neck_val(junctions[j], xw[sel])
+            for c, val in ((1, partner_val), (2, host_val)):
+                for p_i in set(idx[cat == c]):
+                    sel = (cat == c) & (idx == p_i)
+                    out[sel] = val(pieces[p_i], xw[sel])
+            return out[0] if scalar else out
+        return ev
+
+    def src_rho(piece, xw):
+        rho = comp_of(piece).default_rho()
+        return abs(piece.direction) * np.asarray(rho(piece.to_src(xw, period)), dtype=float)
+
+    def src_beta(piece, xw):
+        geo = _base_geometry(src_model(piece), piece.comp_index)
+        return np.asarray(geo.beta(piece.to_src(xw, period)), dtype=float)
+
+    def partner_wextra(piece, xs):
+        ref = next(s.beta for _, s in comp_of(piece).ends() if s.marked)
+        return abs(piece.direction) ** (src_beta(piece, xs) - ref)
+
+    return {
+        "f": make_warp("f"), "fp": make_warp("fp"), "fpp": make_warp("fpp"),
+        "rho": make_field(lambda J, xs: rdist(J, xs), src_rho, src_rho),
+        "beta": make_field(lambda J, xs: np.full_like(xs, J.beta), src_beta, src_beta),
+        "wextra": make_field(lambda J, xs: np.ones_like(xs), partner_wextra,
+                             lambda p, xs: np.ones_like(xs)),
+    }
+
+
+def glued_with_reference(monkeypatch, family, t):
+    """The glued model at t and the reference fields built from the same
+    pieces and junctions."""
+    captured = []
+    build = cm._glued_geometry
+
+    def spy(*args):
+        captured.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cm, "_glued_geometry", spy)
+    glued = family.at(t)
+    return glued.geometry, ref_glued_fields(*captured[-1])
+
+
+CASES = {
+    "dumbbell_t1e-1": (dumbbell_family, 1e-1),
+    "dumbbell_t1e-4": (dumbbell_family, 1e-4),
+    "dumbbell_t1e-8": (dumbbell_family, 1e-8),
+    "spindle_t1e-2": (spindle_family, 1e-2),
+    "spindle_t1e-6": (spindle_family, 1e-6),
+}
+
+
+def assert_bitwise(got, want, name):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype, name
+    assert got.shape == want.shape, name
+    assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_grid_fields_match_per_field_evaluation(monkeypatch, case):
+    make_family, t = CASES[case]
+    geo, ref = glued_with_reference(monkeypatch, make_family(), t)
+    assert geo.fields is not None
+    grid = build_grid(geo, n_per_region=400)
+    for name in FIELDS:
+        assert_bitwise(getattr(grid, name), ref[name](grid.nodes), name)
+
+
+@pytest.mark.parametrize("case", ["dumbbell_t1e-4", "spindle_t1e-2"])
+def test_mapped_grid_fields_match_per_field_evaluation(monkeypatch, case):
+    make_family, t = CASES[case]
+    geo, ref = glued_with_reference(monkeypatch, make_family(), t)
+    grid = build_grid(geo, n_per_region=400)
+    s = 0.37
+    mapped = grid.mapped(s)
+    assert mapped.geometry.fields is None  # the six rescaled callables
+    x = np.asarray(mapped.nodes) / s
+    want = {"f": s * ref["f"](x), "fp": ref["fp"](x), "fpp": ref["fpp"](x) / s,
+            "rho": s * ref["rho"](x), "beta": ref["beta"](x), "wextra": ref["wextra"](x)}
+    for name in FIELDS:
+        assert_bitwise(getattr(mapped, name), want[name], name)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_per_field_callables_match_reference(monkeypatch, case):
+    make_family, t = CASES[case]
+    geo, ref = glued_with_reference(monkeypatch, make_family(), t)
+    grid = build_grid(geo, n_per_region=200)
+    # off-node points: every zone, the blend bands and (circles) a wrap
+    x = np.concatenate([grid.nodes[::7], 0.5 * (grid.nodes[1:] + grid.nodes[:-1])[::11]])
+    if geo.circle:
+        x = np.concatenate([x, x[:20] + geo.period, x[:20] - geo.period])
+    for name in FIELDS:
+        assert_bitwise(getattr(geo, name)(x), ref[name](x), name)
+        for x0 in (float(x[0]), float(x[len(x) // 2]), float(x[-1])):
+            got, want = getattr(geo, name)(x0), ref[name](x0)
+            assert np.shape(got) == () and type(got) is type(want), name
+            assert np.array_equal(got, want), name
+    fields = geo.fields(float(x[3]))
+    assert len(fields) == len(FIELDS)
+    for name, v in zip(FIELDS, fields):
+        assert np.shape(v) == () and np.array_equal(v, ref[name](float(x[3]))), name

@@ -240,3 +240,59 @@ def test_narrow_members_are_skipped_at_the_same_rng_step():
     got = bump_family(grid, n_members=6, seed=5, width_factor=width_factor)
     assert_same_members(got, ref_bump_family(grid, n_members=6, seed=5,
                                              width_factor=width_factor))
+
+
+# ---------------------------------------------------------------------------
+# bump windows: the profile is evaluated on node windows around its support
+
+
+def spindle_grid():
+    return build_grid(GEOMETRIES["spindle_t1e-2"](), n_per_region=400)
+
+
+@pytest.mark.parametrize("side", ["first", "last", "below", "above"])
+def test_circle_bump_straddling_the_seam_matches_loop(side):
+    grid = spindle_grid()
+    x, per = grid.nodes, grid.geometry.period
+    h = x[1] - x[0]
+    center = {"first": x[1], "last": x[-2], "below": x[0] - 0.5 * h,
+              "above": x[-1] + 0.5 * (x[0] + per - x[-1])}[side]
+    hw = 7.0 * h
+    prof = bump_profile(grid, center, hw)
+    assert prof[0] > 0.0 and prof[-1] > 0.0
+    assert np.array_equal(prof, ref_bump_profile(grid, center, hw))
+
+
+@pytest.mark.parametrize("frac", [0.2499, 0.25, 0.3, 0.49, 0.5, 0.75])
+def test_wide_circle_bump_matches_loop(frac):
+    grid = spindle_grid()
+    per = grid.geometry.period
+    for center in (grid.nodes[3], grid.nodes[grid.n // 2], grid.nodes[-4]):
+        prof = bump_profile(grid, center, frac * per)
+        assert np.count_nonzero(prof) > grid.n // 4
+        assert np.array_equal(prof, ref_bump_profile(grid, center, frac * per))
+
+
+def test_bump_centre_outside_the_node_range_matches_loop(grid):
+    x = grid.nodes
+    if grid.geometry.circle:
+        per = grid.geometry.period
+        cases = [(x[5] + 3.0 * per, 4.0 * (x[6] - x[5])), (x[-6] - 2.0 * per, 4.0 * (x[-5] - x[-6]))]
+    else:
+        span = x[-1] - x[0]
+        cases = [(x[-1] + 0.1 * span, 0.2 * span), (x[0] - 0.1 * span, 0.2 * span),
+                 (x[-1] + span, 0.1 * span)]
+    for center, hw in cases:
+        prof = bump_profile(grid, center, hw)
+        assert np.array_equal(prof, ref_bump_profile(grid, center, hw))
+    assert np.any(bump_profile(grid, *cases[0]))
+
+
+def test_bump_narrower_than_the_spacing_is_empty(grid):
+    x = grid.nodes
+    for k in (0, grid.n // 3, grid.n - 2):
+        center = 0.5 * (x[k] + x[k + 1])
+        hw = 0.1 * (x[k + 1] - x[k])
+        prof = bump_profile(grid, center, hw)
+        assert not np.any(prof)
+        assert np.array_equal(prof, ref_bump_profile(grid, center, hw))

@@ -1,0 +1,206 @@
+"""Oracles for the support-local norm quadrature.
+
+The full-grid densities, weighted_sobolev_norm and gradient_norm are
+kept here as reference implementations.  The package versions sum over
+the support window of u only; the nodes outside it contribute exact
+zeros, so the two may differ only by the order of summation."""
+
+import numpy as np
+import pytest
+
+from conifold_lab.conifold_model import dumbbell_family, preset_model, spindle_family
+from conifold_lab.weighted_calc import (
+    ModeFunction,
+    ModeProfile,
+    WeightSpec,
+    _support_window,
+    build_grid,
+    bump_family,
+    bump_profile,
+    densities,
+    gradient_norm,
+    mode_product,
+    weighted_sobolev_norm,
+)
+
+RTOL = 1e-13
+
+# ---------------------------------------------------------------------------
+# reference implementations (all nodes)
+
+
+def ref_densities(u, k):
+    g = u.grid
+    f, fp = g.f, g.fp
+    m = g.geometry.m
+    kappa = g.geometry.link.einstein_constant or 0.0
+    d0 = np.zeros(g.n)
+    d1 = np.zeros(g.n)
+    d2 = np.zeros(g.n)
+    for mp in u.modes:
+        un, e = mp.values, mp.e
+        d0 += un**2
+        if k >= 1:
+            dun = g.d1 @ un
+            d1 += dun**2 + (e / f**2) * un**2
+        if k >= 2:
+            ddun = g.d2 @ un
+            mixed = dun - (fp / f) * un
+            hess_c = max(e * e - kappa * e, 0.0)
+            angular = (hess_c * un**2
+                       - 2.0 * e * f * fp * un * dun
+                       + (m - 1.0) * (f * fp) ** 2 * dun**2) / f**4
+            d2 += ddun**2 + 2.0 * (e / f**2) * mixed**2 + np.maximum(angular, 0.0)
+    return [np.sqrt(d) for d in (d0, d1, d2)[:k + 1]]
+
+
+def ref_beta(grid, beta):
+    return grid.beta if beta is None else np.full(grid.n, float(beta))
+
+
+def ref_weighted_sobolev_norm(u, spec, weight_fn=None):
+    g = u.grid
+    if weight_fn is not None:
+        w = np.asarray(weight_fn(g.nodes), dtype=float)
+    else:
+        w = g.wextra * g.rho ** (-ref_beta(g, spec.beta))
+    total = 0.0
+    for j, dj in enumerate(ref_densities(u, spec.k)):
+        total += float(np.sum((w * g.rho**j * dj) ** spec.p * g.volume))
+    return total ** (1.0 / spec.p)
+
+
+def ref_gradient_norm(u, p, beta=None):
+    g = u.grid
+    w = g.wextra * g.rho ** (1.0 - ref_beta(g, beta))
+    return float(np.sum((w * ref_densities(u, 1)[1]) ** p * g.volume)) ** (1.0 / p)
+
+
+# ---------------------------------------------------------------------------
+# grids and test functions
+
+GEOMETRIES = {
+    "dumbbell_t1e-3": lambda: dumbbell_family().at(1e-3).geometry,
+    "spindle_t1e-2": lambda: spindle_family().at(1e-2).geometry,
+    "hyperboloid_capped": lambda: preset_model("hyperboloid_capped").geometry(0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GEOMETRIES))
+def grid(request):
+    return build_grid(GEOMETRIES[request.param](), n_per_region=300)
+
+
+def end_profiles(grid):
+    """Profiles whose support starts at node 0, 1, 2 or ends at node
+    n-1, n-2, n-3: the one-sided end rows of d1/d2 reach two nodes in."""
+    n = grid.n
+    out = []
+    for lo in (0, 1, 2):
+        v = np.zeros(n)
+        v[lo:lo + 30] = np.linspace(1.0, 2.0, 30)
+        out.append(v)
+    for hi in (n, n - 1, n - 2):
+        v = np.zeros(n)
+        v[hi - 30:hi] = np.linspace(2.0, 1.0, 30)
+        out.append(v)
+    return out
+
+
+def functions_on(grid):
+    e1 = grid.geometry.link.eigenvalues_below(4.0 * grid.geometry.m)[1][0]
+    fam = bump_family(grid, n_members=12, seed=4)
+    funcs = list(fam)
+    funcs += [ModeFunction.single(grid, e, v)
+              for v, e in zip(end_profiles(grid), (0.0, e1) * 3)]
+    # two modes with disjoint supports, and a rotation-invariant product
+    funcs.append(ModeFunction(grid, (ModeProfile(0.0, fam[0].modes[0].values),
+                                     ModeProfile(e1, fam[5].modes[0].values))))
+    lo, hi = fam[2].modes[0].support
+    x = grid.nodes
+    c, hw = x[(lo + hi) // 2], 0.5 * (x[hi - 1] - x[lo])
+    u0 = ModeFunction.single(grid, 0.0, bump_profile(grid, c, hw))
+    v1 = ModeFunction.single(grid, e1, bump_profile(grid, x[(lo + hi) // 2 + 3], 1.5 * hw))
+    funcs.append(mode_product(u0, v1))
+    # full support and the zero function
+    funcs.append(ModeFunction.single(grid, e1, grid.rho ** 0.7))
+    funcs.append(ModeFunction.single(grid, 0.0, np.zeros(grid.n)))
+    if grid.geometry.circle:
+        x = grid.nodes
+        funcs.append(ModeFunction.single(grid, 0.0, bump_profile(grid, x[1], 6 * (x[2] - x[0]))))
+        funcs.append(ModeFunction.single(grid, e1, bump_profile(grid, x[-2], 6 * (x[-1] - x[-3]))))
+    return funcs
+
+
+def assert_close(got, want):
+    assert got == pytest.approx(want, rel=RTOL, abs=0.0) or got == want == 0.0, (got, want)
+
+
+# ---------------------------------------------------------------------------
+
+
+def test_support_is_the_nonzero_node_range(grid):
+    v = np.zeros(grid.n)
+    v[5:9] = 1.0
+    assert ModeProfile(0.0, v).support == (5, 9)
+    assert ModeProfile(0.0, np.zeros(grid.n)).support == (0, 0)
+    assert ModeProfile(0.0, np.ones(grid.n)).support == (0, grid.n)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_windowed_densities_equal_full_densities(grid, k):
+    for u in functions_on(grid):
+        win = _support_window(u)
+        full = ref_densities(u, k)
+        for got, want in zip(densities(u, k, win), full):
+            assert np.array_equal(got, want[win])
+            outside = np.ones(grid.n, bool)
+            outside[win] = False
+            assert not np.any(want[outside])
+
+
+@pytest.mark.parametrize("beta", [None, 0.3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 6.0])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_sobolev_norm_matches_full_grid(grid, k, p, beta):
+    for u in functions_on(grid):
+        spec = WeightSpec(p=p, k=k, beta=beta)
+        assert_close(weighted_sobolev_norm(u, spec), ref_weighted_sobolev_norm(u, spec))
+
+
+@pytest.mark.parametrize("beta", [None, -0.2])
+@pytest.mark.parametrize("p", [1.0, 2.0, 6.0])
+def test_gradient_norm_matches_full_grid(grid, p, beta):
+    for u in functions_on(grid):
+        assert_close(gradient_norm(u, p, beta), ref_gradient_norm(u, p, beta))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_weight_fn_path_matches_full_grid(grid, k):
+    """The override rescaling_invariance_check passes: a weight computed
+    from the mapped grid's own arrays."""
+    t = 1e-3
+    grid_t = grid.mapped(t)
+    spec = WeightSpec(p=2.0, k=k, beta=None)
+
+    def weight_fn(x, _bp=-0.5):
+        return t ** (grid_t.beta - _bp) * grid_t.rho ** (-grid_t.beta) * grid_t.wextra
+
+    for u in functions_on(grid):
+        u_t = u.push_to(grid_t)
+        assert_close(weighted_sobolev_norm(u_t, spec, weight_fn=weight_fn),
+                     ref_weighted_sobolev_norm(u_t, spec, weight_fn=weight_fn))
+
+
+def test_circle_window_falls_back_to_the_whole_grid_at_the_seam():
+    grid = build_grid(GEOMETRIES["spindle_t1e-2"](), n_per_region=300)
+    x = grid.nodes
+    across = ModeFunction.single(grid, 0.0, bump_profile(grid, x[0], 5 * (x[1] - x[0])))
+    assert across.modes[0].support == (0, grid.n)
+    assert _support_window(across) == slice(0, grid.n)
+    v = np.zeros(grid.n)
+    v[1:20] = 1.0  # the window would reach node 0
+    assert _support_window(ModeFunction.single(grid, 0.0, v)) == slice(0, grid.n)
+    v = np.zeros(grid.n)
+    v[10:20] = 1.0
+    assert _support_window(ModeFunction.single(grid, 0.0, v)) == slice(8, 22)
