@@ -15,7 +15,6 @@ from .weight_calculus import (
     conjugate_exponents,
     exceptional_weights,
     index_change,
-    is_fredholm,
 )
 from .conifold_model import (
     Cap,
@@ -33,7 +32,6 @@ from .conifold_model import (
     neck_convergence_check,
     parametric_connect_sum,
     preset_model,
-    rescale,
     spindle_family,
     warp_preset,
 )
@@ -53,7 +51,6 @@ from .weighted_calc import (
 )
 from .spectral_laplace import (
     assemble_mode_operator,
-    harmonic_basis_cone,
     invertibility_constant,
     kernel_dimension_scan,
     poincare_constant,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,7 @@ __all__ = [
     "cutoff_eta",
     "EtaCutoff",
     "neck_convergence_check",
-    "rescale",
     "model_from_config",
-    "model_to_config",
     "load_model",
     "family_from_config",
     "load_family",
@@ -78,16 +76,6 @@ class WarpProfile:
     fp: object
     fpp: object
     params: tuple = ()
-
-    def rescaled(self, t: float) -> "WarpProfile":
-        f, fp, fpp = self.f, self.fp, self.fpp
-        return WarpProfile(
-            name=f"rescale({self.name},{t!r})",
-            f=lambda x: t * np.asarray(f(np.asarray(x) / t)),
-            fp=lambda x: np.asarray(fp(np.asarray(x) / t)),
-            fpp=lambda x: np.asarray(fpp(np.asarray(x) / t)) / t,
-            params=self.params + (t,),
-        )
 
 
 def warp_preset(name: str, *params) -> WarpProfile:
@@ -284,24 +272,6 @@ class Component:
             return lambda x: np.minimum(sgn[w_cs] * (np.asarray(x, dtype=float) - tipof[w_cs]), cap_scale)
         return lambda x: np.ones_like(np.asarray(x, dtype=float))
 
-    def rescaled(self, t: float) -> "Component":
-        def scale_side(s):
-            if isinstance(s, Cap):
-                return s
-            return replace(s, boundary=t * s.boundary)
-
-        rho = self.rho
-        new_rho = None if rho is None else (lambda x, _r=rho, _t=t: _t * np.asarray(_r(np.asarray(x) / _t)))
-        return Component(
-            link=self.link,
-            warp=self.warp.rescaled(t),
-            left=scale_side(self.left),
-            right=scale_side(self.right),
-            length=None if self.length is None else t * self.length,
-            rho=new_rho,
-            label=self.label,
-        )
-
 
 @dataclass(frozen=True)
 class ConifoldModel:
@@ -342,18 +312,6 @@ class ConifoldModel:
 
     def geometry(self, component: int = 0) -> "RadialGeometry":
         return _base_geometry(self, component)
-
-    def rescaled(self, t: float) -> "ConifoldModel":
-        return ConifoldModel(self.m, tuple(c.rescaled(t) for c in self.components),
-                             label=f"rescale({self.label},{t!r})")
-
-
-def rescale(model: ConifoldModel, t: float) -> ConifoldModel:
-    """The model of (L, t^2 g): warp x -> t f(x/t), radius t rho, chart
-    boundaries scaled (R -> tR, eps -> t eps), rates unchanged."""
-    if not t > 0:
-        raise ValueError("rescaling parameter must be positive")
-    return model.rescaled(t)
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +698,6 @@ class GluedFamily:
     tau: float
     a: float
     b: float
-    interp: str = "quintic_blend"
     label: str = ""
 
     def __post_init__(self):
@@ -748,8 +705,6 @@ class GluedFamily:
             raise GluingError("tau must lie in (0, 1)")
         if not 0.0 < self.b < self.a < self.tau:
             raise GluingError("need 0 < b < a < tau")
-        if self.interp != "quintic_blend":
-            raise GluingError(f"unknown interpolation rule {self.interp!r}")
         report = check_compatible(self.L, self.L_hat)
         if not report.passed:
             fails = "; ".join(f"{c.code}: {c.detail}" for c in report.failures())
@@ -762,7 +717,7 @@ class GluedFamily:
 
     def at(self, t) -> GluedModel:
         return parametric_connect_sum(self.L, self.L_hat, t, self.tau,
-                                      interp=self.interp, a=self.a, b=self.b, family=self)
+                                      a=self.a, b=self.b, family=self)
 
 
 def _as_t_vector(t, n_pairs: int) -> tuple[float, ...]:
@@ -779,7 +734,6 @@ def parametric_connect_sum(
     L_hat: ConifoldModel,
     t,
     tau: float,
-    interp: str = "quintic_blend",
     a: float | None = None,
     b: float | None = None,
     family: GluedFamily | None = None,
@@ -793,7 +747,7 @@ def parametric_connect_sum(
     if family is None:
         a = a if a is not None else 0.75 * tau
         b = b if b is not None else 0.25 * tau
-        family = GluedFamily(L, L_hat, tau, a, b, interp)
+        family = GluedFamily(L, L_hat, tau, a, b)
     pairs = family.pairs
     tv = _as_t_vector(t, len(pairs))
 
@@ -1361,36 +1315,15 @@ def model_from_config(cfg: dict) -> ConifoldModel:
     return ConifoldModel(m=m, components=tuple(comps), label=cfg.get("label", ""))
 
 
-def model_to_config(model: ConifoldModel) -> dict:
-    comps = []
-    for comp in model.components:
-        ends = []
-        for _, s in comp.ends():
-            ends.append({"kind": s.kind, "nu": s.nu, "beta": s.beta,
-                         "boundary": s.boundary, "marked": s.marked})
-        profile = comp.warp.name
-        if comp.warp.params:
-            profile += ":" + ",".join(repr(p) for p in comp.warp.params)
-        comps.append({
-            "link": comp.link.spec_string(),
-            "profile": profile,
-            "ends": ends,
-            "core_boundary": "cap" if isinstance(comp.left, Cap) or isinstance(comp.right, Cap) else "none",
-            "length": comp.length,
-            "label": comp.label,
-        })
-    return {"m": model.m, "components": comps, "label": model.label}
-
-
 def load_model(path) -> ConifoldModel:
     with open(path, "r", encoding="utf-8") as fh:
         return model_from_config(json.load(fh))
 
 
-def family_from_config(cfg: dict) -> tuple["GluedFamily", tuple[float, ...]]:
+def family_from_config(cfg: dict) -> "GluedFamily":
     """Build a glued family from one combined config: components carrying
     marked CS ends form the host, components carrying marked AC ends form
-    the partner; tau, a, b and t_list complete the family data."""
+    the partner; tau, a and b complete the family data."""
     m = int(cfg["m"])
     host_comps, partner_comps = [], []
     for c in cfg["components"]:
@@ -1411,13 +1344,11 @@ def family_from_config(cfg: dict) -> tuple["GluedFamily", tuple[float, ...]]:
                            "label": cfg.get("label", "") + ":host"})
     L_hat = model_from_config({"m": m, "components": partner_comps,
                                "label": cfg.get("label", "") + ":partner"})
-    family = GluedFamily(L, L_hat, tau=float(cfg["tau"]), a=float(cfg["a"]),
-                         b=float(cfg["b"]), label=cfg.get("label", ""))
-    t_list = tuple(float(t) for t in cfg.get("t_list", ()))
-    return family, t_list
+    return GluedFamily(L, L_hat, tau=float(cfg["tau"]), a=float(cfg["a"]),
+                       b=float(cfg["b"]), label=cfg.get("label", ""))
 
 
-def load_family(path) -> tuple["GluedFamily", tuple[float, ...]]:
+def load_family(path) -> "GluedFamily":
     with open(path, "r", encoding="utf-8") as fh:
         return family_from_config(json.load(fh))
 

@@ -148,8 +148,7 @@ def _family(cfg: ExperimentConfig):
         return cm.spindle_family(beta=cfg.beta, tau=cfg.tau, a=cfg.a, b=cfg.b)
     path = Path(cfg.model)
     if path.suffix == ".json" and path.exists():
-        family, _ = cm.load_family(path)
-        return family
+        return cm.load_family(path)
     raise ValueError(f"unknown glued benchmark {cfg.model!r}")
 
 

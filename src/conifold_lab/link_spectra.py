@@ -143,14 +143,6 @@ class Link:
     def eigenvalues_below(self, lam: float) -> list[tuple[float, int]]:
         return eigenvalues_below(self, lam)
 
-    def multiplicity_of(self, e: float, tol: float = 1e-9) -> int:
-        """Multiplicity of the eigenvalue nearest e within tol."""
-        lam = max(e * (1 + 10 * tol), e + 10 * tol)
-        for ev, mult in self.eigenvalues_below(lam):
-            if abs(ev - e) <= tol * max(1.0, abs(e)):
-                return mult
-        raise SpectrumError(f"{e} is not an eigenvalue of this link (tol={tol})")
-
     def spec_string(self) -> str:
         if self.kind == "sphere":
             return f"sphere:{self.dim}:{self.params[0]!r}"

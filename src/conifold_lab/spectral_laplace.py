@@ -50,7 +50,6 @@ __all__ = [
     "ModeOperator",
     "assemble_mode_operator",
     "WeightedQuadraticForm",
-    "harmonic_basis_cone",
     "smallest_pencil_eigs",
     "near_null_threshold",
     "InvertibilityReport",
@@ -64,7 +63,6 @@ __all__ = [
     "KernelScanRow",
     "kernel_dimension_scan",
     "WeightConditionError",
-    "duality_defect",
 ]
 
 
@@ -166,7 +164,6 @@ class ModeOperator:
     P_full: sp.spmatrix
     R: sp.spmatrix
     interior: np.ndarray
-    closures: tuple
 
     @property
     def n_interior(self) -> int:
@@ -190,21 +187,18 @@ def assemble_mode_operator(
     e: float,
     beta: float | None = None,
     kernel_scan: bool = False,
-    closures: tuple[ClosureRule | None, ClosureRule | None] | None = None,
 ) -> ModeOperator:
     """Second-order discretization of rho^2 A_e on the grid.
 
     On log-graded end regions the three-point stencils are the uniform
     central differences of the log-coordinate operator (second-order
-    consistent on cone harmonics r^gamma); closures default to the rules
-    described in the module docstring."""
-    if closures is None:
-        closures = _default_closures(grid, e, beta, kernel_scan)
+    consistent on cone harmonics r^gamma); the boundaries close by the
+    rules described in the module docstring."""
+    left, right = _default_closures(grid, e, beta, kernel_scan)
     coeff0 = sp.diags(e * grid.rho**2 / grid.f**2)
     P = (grid.radial_operator + coeff0).tocsr()
-    R, interior = _reduction_matrix(grid, closures[0], closures[1])
-    return ModeOperator(e=float(e), grid=grid, P_full=P, R=R,
-                        interior=interior, closures=closures)
+    R, interior = _reduction_matrix(grid, left, right)
+    return ModeOperator(e=float(e), grid=grid, P_full=P, R=R, interior=interior)
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +443,15 @@ def _sigma_from(vals: np.ndarray) -> np.ndarray:
 # cone harmonics and calibration
 
 
-def harmonic_basis_cone(link: Link, m: int, e: float) -> tuple[float, float, int]:
-    """Homogeneity degrees (gamma_plus, gamma_minus) and multiplicity of
-    the harmonics r^gamma s(theta) on the exact cone for link eigenvalue
-    e; e must belong to the spectrum."""
-    mult = link.multiplicity_of(e)  # raises if absent
-    gp, gm = gamma_roots(e, m)
-    return gp, gm, mult
-
-
 def near_null_threshold(
     link: Link, m: int, e_max: float, beta: float,
     nodes_per_decade: float, r_span: tuple[float, float] = (1e-3, 1e3),
 ) -> float:
     """Grid-calibrated kernel-detection threshold: 10 times the largest
     pencil value of sampled exact-cone harmonics on an exact cone meshed
-    at the same log density, using the matching Robin closures (exact for
-    the samples, so the value isolates interior discretization error)."""
+    at the same log density.  Residuals are taken on the interior rows
+    only, so no closure enters and the value isolates interior
+    discretization error."""
     from .conifold_model import Component, EndSpec, warp_preset
 
     r_lo, r_hi = r_span
@@ -831,6 +817,7 @@ def weight_crossing_kernel(
         raise ValueError("weight-crossing construction expects exactly one AC end "
                          "(plus a cap or a CS end)")
 
+    # call-time import: picks up perfbench's tracing patches, a top-level one would not
     from .weight_calculus import (EndDescriptor, WeightVector,
                                   classify_weight_region, exceptional_weights)
     below = [w.gamma for w in exceptional_weights(geo.link, m, (gamma - 10.0, gamma))
@@ -953,23 +940,3 @@ def kernel_dimension_scan(
                                   per_mode=tuple(per_mode), threshold=thr,
                                   ambiguous=ambiguous))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# discrete integration-by-parts diagnostic
-
-
-def duality_defect(grid: RadialGrid, e: float, u: np.ndarray, v: np.ndarray) -> float:
-    """Relative defect of <v, Delta u> = <du, dv> for compactly supported
-    nodal vectors (quadrature + stencil accuracy)."""
-    geo = grid.geometry
-    m = geo.m
-    vol = grid.quad * grid.f ** (m - 1) * grid.volume_factor
-    op = assemble_mode_operator(grid, e)
-    lap_u = (op.P_full @ u) / grid.rho**2
-    left_ = float(np.sum(vol * v * lap_u))
-    du = grid.d1 @ u
-    dv = grid.d1 @ v
-    right_ = float(np.sum(vol * (du * dv + (e / grid.f**2) * u * v)))
-    denom = max(abs(left_), abs(right_), 1e-300)
-    return abs(left_ - right_) / denom

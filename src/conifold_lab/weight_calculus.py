@@ -7,8 +7,8 @@ homogeneous harmonics r^gamma sigma(theta) exist exactly at the rates
 
 and these rates are precisely the weights at which the Laplacian fails
 to be Fredholm between weighted Sobolev spaces.  This module computes
-those weights with their multiplicities, decides Fredholmness of a
-weight vector, evaluates index changes between ordered weight vectors,
+those weights with their multiplicities, the distance of a weight to the
+nearest one and index changes between ordered weight vectors; it
 classifies (injective / surjective / index / kernel) facts per weight
 region for compact, AC, CS and CS/AC geometries, and provides the
 Sobolev conjugate-exponent bookkeeping p', p*, p*_l.
@@ -27,18 +27,14 @@ from .link_spectra import Link
 
 __all__ = [
     "ExceptionalWeight",
-    "ExceptionalSet",
     "WeightVector",
     "EndDescriptor",
     "RegionFacts",
     "ConjugateExponents",
-    "WeightRangeError",
     "WeightOrderingError",
     "ExceptionalWeightError",
     "gamma_roots",
     "exceptional_weights",
-    "exceptional_set",
-    "is_fredholm",
     "distance_to_exceptional",
     "index_change",
     "classify_weight_region",
@@ -46,10 +42,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-
-
-class WeightRangeError(ValueError):
-    """An exceptional set does not cover the weights being tested."""
 
 
 class WeightOrderingError(ValueError):
@@ -73,7 +65,6 @@ class ExceptionalWeight:
     gamma: float
     mult: int
     source_eigenvalue: float
-    end_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -99,29 +90,6 @@ class EndDescriptor:
 
     kind: str  # 'CS' | 'AC'
     link: Link
-
-
-@dataclass(frozen=True)
-class ExceptionalSet:
-    """Exceptional weights of one end over a stated gamma range.
-
-    The range is open: roots landing exactly on an endpoint are not
-    emitted.  Consumers must check coverage before trusting absence.
-    """
-
-    end_index: int
-    m: int
-    gamma_lo: float
-    gamma_hi: float
-    weights: tuple[ExceptionalWeight, ...]
-
-    def covers(self, beta: float, margin: float) -> bool:
-        return self.gamma_lo + margin < beta < self.gamma_hi - margin
-
-    def distance(self, beta: float) -> float:
-        if not self.weights:
-            return math.inf
-        return min(abs(beta - w.gamma) for w in self.weights)
 
 
 def gamma_roots(e: float, m: int) -> tuple[float, float]:
@@ -158,35 +126,6 @@ def exceptional_weights(
                 out.append(ExceptionalWeight(gamma=gamma, mult=mult, source_eigenvalue=e))
     out.sort(key=lambda w: w.gamma)
     return out
-
-
-def exceptional_set(
-    end_index: int, link: Link, m: int, gamma_range: tuple[float, float]
-) -> ExceptionalSet:
-    ws = [
-        ExceptionalWeight(w.gamma, w.mult, w.source_eigenvalue, end_index)
-        for w in exceptional_weights(link, m, gamma_range)
-    ]
-    return ExceptionalSet(end_index, m, float(gamma_range[0]), float(gamma_range[1]), tuple(ws))
-
-
-def is_fredholm(
-    weights: WeightVector, exceptional_sets: list[ExceptionalSet], tol: float = DEFAULT_TOL
-) -> bool:
-    """True iff no weight entry is within tol of an exceptional weight of
-    its end.  Raises WeightRangeError if a set's range does not safely
-    contain the entry being tested (absence would then be meaningless)."""
-    if len(weights) != len(exceptional_sets):
-        raise ValueError("need one exceptional set per end")
-    for beta, exc in zip(weights, exceptional_sets):
-        if not exc.covers(beta, margin=10 * tol):
-            raise WeightRangeError(
-                f"exceptional set on end {exc.end_index} covers ({exc.gamma_lo}, {exc.gamma_hi}) "
-                f"which does not safely contain beta={beta}; recompute over a larger range"
-            )
-        if exc.distance(beta) <= tol:
-            return False
-    return True
 
 
 def distance_to_exceptional(beta: float, link: Link, m: int, span: float = 1.0) -> float:

@@ -51,7 +51,6 @@ __all__ = [
     "weighted_sobolev_norm_report",
     "weighted_ck_norm",
     "gradient_norm",
-    "norm_report_row",
     "rescaling_invariance_check",
     "HolderReport",
     "holder_check",
@@ -353,7 +352,7 @@ def rescaled_geometry(geo: RadialGeometry, t: float) -> RadialGeometry:
         right=scale_boundary(geo.right),
         plan=tuple(scale_seg(s) for s in geo.plan),
         junctions=geo.junctions,
-        label=f"rescale({geo.label},{t!r})",
+        label=f"{geo.label} scaled by {t!r}",
         eta=None if geo.eta is None else (lambda x: np.asarray(geo.eta(np.asarray(x) / t))),
     )
 
@@ -402,9 +401,6 @@ class ModeFunction:
 
     def is_pure_mode0(self) -> bool:
         return len(self.modes) == 1 and self.modes[0].e == 0.0
-
-    def scaled(self, c: float) -> "ModeFunction":
-        return ModeFunction(self.grid, tuple(ModeProfile(m.e, c * m.values) for m in self.modes))
 
     def push_to(self, grid: RadialGrid) -> "ModeFunction":
         """Reinterpret the nodal values on a structurally identical grid
@@ -612,21 +608,6 @@ def weighted_sobolev_norm_report(
                       tail_slopes=tuple(slopes))
 
 
-def norm_report_row(model: str, t: float | None, spec: WeightSpec,
-                    report: NormReport) -> dict:
-    """The documented JSON row for norm reports:
-    {model, t, p, k, beta, value, tail_flag}."""
-    return {
-        "model": model,
-        "t": t,
-        "p": spec.p,
-        "k": spec.k,
-        "beta": spec.beta,
-        "value": report.value,
-        "tail_flag": bool(report.tail_divergent),
-    }
-
-
 @dataclass(frozen=True)
 class CkNormReport:
     value: float
@@ -754,30 +735,26 @@ def embedding_constant_estimate(
     family: list[ModeFunction],
     p: float,
     beta: float | None,
-    l: int = 1,
-    k: int = 0,
 ) -> EmbeddingReport:
     """Empirical lower bound for the Sobolev constant of
-    W^p_{k+l,beta} -> L^{p*_l}_beta: the max over the test family of
-    ||u||_{L^{p*_l}_beta} / ||u||_{W^p_{l,beta}}.  A finite family only
+    W^p_{1,beta} -> L^{p*}_beta: the max over the test family of
+    ||u||_{L^{p*}_beta} / ||u||_{W^p_{1,beta}}.  A finite family only
     bounds the constant from below; sweeps assert boundedness of this
     proxy, not the extremal value."""
     if not family:
         raise ValueError("empty test family")
-    if k != 0 or l != 1:
-        raise ValueError("implemented for the k=0, l=1 embedding")
     m = family[0].grid.geometry.m
-    ce = conjugate_exponents(p, m, l)
-    if ce.p_star_l is None:
-        raise ValueError(f"l*p = {l * p} >= m = {m}: no L^{{p*}} embedding")
+    ce = conjugate_exponents(p, m)
+    if ce.p_star is None:
+        raise ValueError(f"p = {p} >= m = {m}: no L^{{p*}} embedding")
     ratios = []
     for u in family:
         denom = weighted_sobolev_norm(u, WeightSpec(p=p, k=1, beta=beta))
         if denom == 0.0:
             raise ValueError("test family member is identically zero")
-        num = weighted_sobolev_norm(u, WeightSpec(p=ce.p_star_l, k=0, beta=beta))
+        num = weighted_sobolev_norm(u, WeightSpec(p=ce.p_star, k=0, beta=beta))
         ratios.append(num / denom)
-    return EmbeddingReport(constant=max(ratios), p_star=ce.p_star_l, ratios=tuple(ratios))
+    return EmbeddingReport(constant=max(ratios), p_star=ce.p_star, ratios=tuple(ratios))
 
 
 # ---------------------------------------------------------------------------

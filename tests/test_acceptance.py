@@ -28,7 +28,6 @@ from conifold_lab.experiments import ExperimentConfig, run
 from conifold_lab.link_spectra import make_link
 from conifold_lab.spectral_laplace import (
     assemble_mode_operator,
-    harmonic_basis_cone,
     kernel_dimension_scan,
     weight_crossing_kernel,
 )
@@ -36,6 +35,7 @@ from conifold_lab.weight_calculus import (
     EndDescriptor,
     WeightVector,
     exceptional_weights,
+    gamma_roots,
     index_change,
 )
 from conifold_lab.weighted_calc import build_grid
@@ -62,12 +62,11 @@ def test_criterion_1_exceptional_weight_oracle():
     checked = 0
     for link, m in ((make_link("sphere", dim=2), 3), (make_link("sphere", dim=3), 4)):
         listed = exceptional_weights(link, m, (-6.0, 5.0))
-        # exact (gamma, mult) agreement with the harmonic-basis roots
+        # exact (gamma, mult) agreement with the cone-harmonic roots, one
+        # harmonic per link eigenfunction
         expected = []
-        e_probe = 0.0
         for e, mult in link.eigenvalues_below(40.0):
-            gp, gm, mult_h = harmonic_basis_cone(link, m, e)
-            assert mult_h == mult
+            gp, gm = gamma_roots(e, m)
             for gamma in (gm, gp):
                 if -6.0 < gamma < 5.0:
                     expected.append((gamma, mult))

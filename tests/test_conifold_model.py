@@ -16,15 +16,14 @@ from conifold_lab.conifold_model import (
     cutoff_eta,
     dumbbell_family,
     model_from_config,
-    model_to_config,
     neck_convergence_check,
     parametric_connect_sum,
     preset_model,
-    rescale,
     spindle_family,
     warp_preset,
 )
 from conifold_lab.link_spectra import make_link
+from conifold_lab.weighted_calc import rescaled_geometry
 
 S2 = make_link("sphere", dim=2)
 
@@ -176,31 +175,33 @@ def test_spindle_t_vector_must_match_within_component():
 
 
 def test_rescale_examples():
-    hyp = preset_model("hyperboloid_capped")
-    scaled = rescale(hyp, 2.0)
+    hyp = preset_model("hyperboloid_capped").geometry(0)
+    scaled = rescaled_geometry(hyp, 2.0)
     xs = np.linspace(0.1, 10.0, 50)
-    got = scaled.components[0].warp.f(xs)
-    assert np.allclose(got, np.sqrt(xs**2 + 4.0), rtol=1e-14)
-    # chart boundaries scale, rates do not
-    assert scaled.components[0].right.boundary == 2.0
-    assert scaled.components[0].right.nu == -2.0
+    assert np.allclose(scaled.f(xs), np.sqrt(xs**2 + 4.0), rtol=1e-14)
+    # chart radii scale, rates do not
+    assert hyp.right.chart_r == 1.0
+    assert scaled.right.chart_r == 2.0
+    assert scaled.right.nu == hyp.right.nu == -2.0
 
 
 def test_rescale_group_action():
-    hyp = preset_model("hyperboloid_capped")
-    double = rescale(rescale(hyp, 0.5), 3.0)
-    direct = rescale(hyp, 1.5)
+    hyp = preset_model("hyperboloid_capped").geometry(0)
+    double = rescaled_geometry(rescaled_geometry(hyp, 0.5), 3.0)
+    direct = rescaled_geometry(hyp, 1.5)
     xs = np.linspace(0.05, 20.0, 101)
-    a = double.components[0].warp.f(xs)
-    b = direct.components[0].warp.f(xs)
-    assert np.max(np.abs(a - b) / np.abs(b)) < 1e-14
+    for field in ("f", "rho"):
+        a = getattr(double, field)(xs)
+        b = getattr(direct, field)(xs)
+        assert np.max(np.abs(a - b) / np.abs(b)) < 1e-14
+    assert double.right.chart_r == direct.right.chart_r
 
 
 def test_rescale_exact_cone_invariant():
-    cone = preset_model("exact_cone_cs_ac")
-    scaled = rescale(cone, 0.3)
+    cone = preset_model("exact_cone_cs_ac").geometry(0)
+    scaled = rescaled_geometry(cone, 0.3)
     xs = np.geomspace(1e-3, 100, 64)
-    assert np.allclose(scaled.components[0].warp.f(xs), xs, rtol=1e-14)
+    assert np.allclose(scaled.f(xs), xs, rtol=1e-14)
 
 
 def test_cutoff_eta_support_and_values():
@@ -246,16 +247,30 @@ def test_neck_convergence_decreasing_on_dumbbell():
         assert all(b < a for a, b in zip(seq, seq[1:]))
 
 
-def test_config_roundtrip():
+def test_model_from_config_matches_preset():
+    # the documented model schema (README), written out by hand
+    cfg = {
+        "m": 3,
+        "label": "exact_cone_cs_ac",
+        "components": [{
+            "link": "sphere:2",
+            "profile": "exact_cone",
+            "ends": [
+                {"kind": "CS", "nu": 1.0, "beta": -0.5, "boundary": 2.0, "marked": True},
+                {"kind": "AC", "nu": -1.0, "beta": -0.5, "boundary": 2.0},
+            ],
+        }],
+    }
     model = preset_model("exact_cone_cs_ac", beta=-0.5)
-    cfg = model_to_config(model)
     back = model_from_config(cfg)
     assert back.m == model.m
+    assert back.label == model.label
     (c0,), (c1,) = model.components, back.components
     assert c0.link == c1.link
-    assert [s.beta for _, s in c0.ends()] == [s.beta for _, s in c1.ends()]
+    assert (c1.left, c1.right) == (c0.left, c0.right)
+    assert c1.length is None and c1.rho is None
     xs = np.geomspace(0.01, 50, 20)
-    assert np.allclose(c0.warp.f(xs), c1.warp.f(xs), rtol=1e-14)
+    assert np.array_equal(c0.warp.f(xs), c1.warp.f(xs))
 
 
 def test_marked_weights_must_agree_within_component():

@@ -1,6 +1,7 @@
 """Harness behavior: dispatch, emission, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -16,6 +17,8 @@ from conifold_lab.experiments import (
 )
 from conifold_lab.link_spectra import make_link
 from conifold_lab.weight_calculus import EndDescriptor, WeightVector, classify_weight_region
+
+FAMILY_JSON = Path(__file__).resolve().parents[1] / "configs" / "dumbbell_family.json"
 
 
 def small(experiment, **kw):
@@ -104,6 +107,22 @@ def test_sweeps_need_two_t_values(experiment):
     with pytest.raises(ExperimentError, match="at least two t values") as info:
         run(small(experiment, t_list=(1e-1,)))
     assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("experiment", ["embedding_uniformity", "invertibility_uniformity"])
+def test_family_json_matches_dumbbell_preset(experiment):
+    # configs/dumbbell_family.json writes out the dumbbell preset, so the
+    # sweep must give the same rows and summary; only the model text differs
+    preset = run(small(experiment, model="dumbbell"))
+    from_json = run(small(experiment, model=str(FAMILY_JSON)))
+
+    def without_model(rows):
+        return [{k: v for k, v in row.items() if k != "model"} for row in rows]
+
+    assert from_json.columns == preset.columns
+    assert without_model(from_json.rows) == without_model(preset.rows)
+    assert from_json.summary == preset.summary
+    assert from_json.passed == preset.passed
 
 
 def test_compact_experiment_runs():

@@ -27,7 +27,6 @@ from conifold_lab.conifold_model import (
     warp_preset,
 )
 from conifold_lab.spectral_laplace import (
-    ClosureRule,
     KernelScanRow,
     _default_closures,
     _form_parts,
@@ -48,10 +47,9 @@ from conifold_lab.weighted_calc import build_grid
 # reference implementations (everything rebuilt per mode)
 
 
-def ref_mode_operator(grid, e, beta=None, kernel_scan=False, closures=None):
+def ref_mode_operator(grid, e, beta=None, kernel_scan=False):
     """(P_full, R, interior)."""
-    if closures is None:
-        closures = _default_closures(grid, e, beta, kernel_scan)
+    closures = _default_closures(grid, e, beta, kernel_scan)
     f, fp, rho = grid.f, grid.fp, grid.rho
     m = grid.geometry.m
     coeff2 = sp.diags(-(rho**2))
@@ -124,8 +122,8 @@ def ref_near_null_threshold(link, m, e_max, beta, nodes_per_decade,
     for e, _ in link.eigenvalues_below(e_max):
         gp, gm = gamma_roots(e, m)
         for gamma in (gp, gm):
-            closures = (ClosureRule("robin", gamma), ClosureRule("robin", gamma))
-            P, _R, interior = ref_mode_operator(grid, e, closures=closures)
+            # P_full and the interior nodes do not depend on the closures
+            P, _R, interior = ref_mode_operator(grid, e)
             u = grid.rho**gamma
             w_img = ref_weighted_form(grid, 0, beta, e).diagonal()[interior]
             resid = (P @ u)[interior]

@@ -18,8 +18,6 @@ from conifold_lab.link_spectra import make_link
 from conifold_lab.spectral_laplace import (
     WeightConditionError,
     assemble_mode_operator,
-    duality_defect,
-    harmonic_basis_cone,
     invertibility_constant,
     kernel_dimension_scan,
     laplacian_pencil,
@@ -28,10 +26,16 @@ from conifold_lab.spectral_laplace import (
     smallest_pencil_eigs,
     weight_crossing_kernel,
 )
-from conifold_lab.weight_calculus import exceptional_weights
+from conifold_lab.weight_calculus import exceptional_weights, gamma_roots
 from conifold_lab.weighted_calc import build_grid, bump_profile, rescaled_geometry
 
 S2 = make_link("sphere", dim=2)
+
+
+def multiplicity(link, e):
+    """Link multiplicity of eigenvalue e (0 when e is not in the spectrum)."""
+    return sum(mult for ev, mult in link.eigenvalues_below(e + 1.0)
+               if abs(ev - e) <= 1e-9 * max(1.0, e))
 
 
 def cone_residual(grid, e, gamma):
@@ -65,12 +69,13 @@ def test_constants_harmonic_on_any_model():
 
 
 def test_harmonic_basis_examples():
-    assert harmonic_basis_cone(S2, 3, 2.0) == (1.0, -2.0, 3)
-    assert harmonic_basis_cone(S2, 3, 0.0) == (0.0, -1.0, 1)
+    # cone harmonics r^gamma s(theta): rates from gamma_roots, one harmonic
+    # per link eigenfunction
+    assert gamma_roots(2.0, 3) == (1.0, -2.0) and multiplicity(S2, 2.0) == 3
+    assert gamma_roots(0.0, 3) == (0.0, -1.0) and multiplicity(S2, 0.0) == 1
     s3 = make_link("sphere", dim=3)
-    assert harmonic_basis_cone(s3, 4, 3.0) == (1.0, -3.0, 4)
-    with pytest.raises(Exception, match="not an eigenvalue"):
-        harmonic_basis_cone(S2, 3, 3.0)
+    assert gamma_roots(3.0, 4) == (1.0, -3.0) and multiplicity(s3, 3.0) == 4
+    assert multiplicity(S2, 3.0) == 0
 
 
 def test_harmonic_basis_agrees_with_exceptional_weights():
@@ -79,10 +84,24 @@ def test_harmonic_basis_agrees_with_exceptional_weights():
         for w in exceptional_weights(link, m, (-6.0, 5.0)):
             table.setdefault(w.source_eigenvalue, set()).add((w.gamma, w.mult))
         for e, pairs in table.items():
-            gp, gm, mult = harmonic_basis_cone(link, m, e)
+            gp, gm = gamma_roots(e, m)
             for gamma, wm in pairs:
-                assert wm == mult
+                assert wm == multiplicity(link, e)
                 assert min(abs(gamma - gp), abs(gamma - gm)) < 1e-12
+
+
+def ibp_defect(grid, e, u, v):
+    """Relative defect of <v, Delta u> = <du, dv> for compactly supported
+    nodal vectors (quadrature + stencil accuracy)."""
+    m = grid.geometry.m
+    vol = grid.quad * grid.f ** (m - 1) * grid.volume_factor
+    op = assemble_mode_operator(grid, e)
+    lap_u = (op.P_full @ u) / grid.rho**2
+    lhs = float(np.sum(vol * v * lap_u))
+    du = grid.d1 @ u
+    dv = grid.d1 @ v
+    rhs = float(np.sum(vol * (du * dv + (e / grid.f**2) * u * v)))
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
 def test_duality_spot_check():
@@ -94,9 +113,23 @@ def test_duality_spot_check():
         grid = build_grid(fam.at(1e-2).geometry, n_per_region=n)
         u = bump_profile(grid, 0.7, 0.3)
         v = bump_profile(grid, 0.9, 0.4)
-        defects[n] = max(duality_defect(grid, e, u, v) for e in (0.0, 2.0))
+        defects[n] = max(ibp_defect(grid, e, u, v) for e in (0.0, 2.0))
     assert defects[2400] < 1e-3
     assert 10.0 < defects[600] / defects[2400] < 24.0  # ~ (h ratio)^2 = 16
+
+
+def test_nonexceptional_check_examples():
+    # the solvers' Fredholm test: refuse weights within 1e-9 of an
+    # exceptional rate (S2, m = 3: ..., -1, 0, 1, 2, ...), warn within 1e-3
+    geo = preset_model("hyperboloid_capped").geometry(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sl._check_nonexceptional(geo, -0.5)
+    for beta in (0.0, 1.0 - 1e-12, 2.0):
+        with pytest.raises(WeightConditionError, match="exceptional"):
+            sl._check_nonexceptional(geo, beta)
+    with pytest.warns(UserWarning, match="within"):
+        sl._check_nonexceptional(geo, 1.0 - 1e-4)
 
 
 def test_invertibility_refuses_exceptional_weight():
@@ -299,8 +332,8 @@ def test_torus_link_irrational_rates_annihilated():
     res = {}
     for n in (400, 800):
         grid = build_grid(model.geometry(0), n_per_region=n)
-        gp, gm, mult = harmonic_basis_cone(tor, 3, 1.0)
-        assert mult == 4
+        gp, gm = gamma_roots(1.0, 3)
+        assert multiplicity(tor, 1.0) == 4
         assert gp == pytest.approx((-1 + math.sqrt(5)) / 2, rel=1e-14)
         op = assemble_mode_operator(grid, 1.0)
         u = grid.rho**gp

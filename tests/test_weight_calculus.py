@@ -11,16 +11,13 @@ from conifold_lab.weight_calculus import (
     EndDescriptor,
     ExceptionalWeightError,
     WeightOrderingError,
-    WeightRangeError,
     WeightVector,
     classify_weight_region,
     conjugate_exponents,
     distance_to_exceptional,
-    exceptional_set,
     exceptional_weights,
     gamma_roots,
     index_change,
-    is_fredholm,
 )
 
 S2 = make_link("sphere", dim=2)
@@ -62,19 +59,6 @@ def test_root_pair_vieta(m, n):
     assert abs((gp + gm) - (2.0 - m)) < 1e-12
     assert abs(gp * gm + e) < 1e-12
     assert gp >= 0.0  # nonneg eigenvalues give a nonnegative growing rate
-
-
-def test_is_fredholm_examples():
-    exc = [exceptional_set(0, S2, 3, (-6.0, 5.0))]
-    assert is_fredholm(WeightVector((-0.5,)), exc, tol=1e-9) is True
-    assert is_fredholm(WeightVector((0.0,)), exc, tol=1e-9) is False
-    assert is_fredholm(WeightVector((1.0 - 1e-12,)), exc, tol=1e-9) is False
-
-
-def test_is_fredholm_range_too_small():
-    exc = [exceptional_set(0, S2, 3, (-1.5, 0.5))]
-    with pytest.raises(WeightRangeError, match="larger range"):
-        is_fredholm(WeightVector((2.0,)), exc)
 
 
 def test_index_change_examples():

@@ -125,7 +125,8 @@ def test_norm_homogeneity(c):
     grid = build_grid(cone.geometry(0), n_per_region=150)
     u = ModeFunction.single(grid, 2.0, window(grid.rho))
     base = weighted_sobolev_norm(u, WeightSpec(p=2.0, k=2, beta=-0.5))
-    scaled = weighted_sobolev_norm(u.scaled(c), WeightSpec(p=2.0, k=2, beta=-0.5))
+    scaled = weighted_sobolev_norm(ModeFunction.single(grid, 2.0, c * window(grid.rho)),
+                                   WeightSpec(p=2.0, k=2, beta=-0.5))
     assert scaled == pytest.approx(abs(c) * base, rel=1e-12, abs=1e-12)
 
 
@@ -282,7 +283,7 @@ def test_embedding_rejects_zero_member(cone_grid):
 def test_embedding_rejects_supercritical_p(cone_grid):
     u = ModeFunction.single(cone_grid, 0.0, window(cone_grid.rho))
     with pytest.raises(ValueError, match="no L"):
-        embedding_constant_estimate([u], p=3.0, beta=-0.5)  # lp = 3 = m
+        embedding_constant_estimate([u], p=3.0, beta=-0.5)  # p = 3 = m
 
 
 def test_norm_report_tail_extrapolation(cone_grid):
@@ -330,17 +331,6 @@ def test_embedding_ratio_invariant_under_rescaling():
     # p* = p = 2 would be trivial; use the L^2 / W^1 quotient, which obeys
     # the same t^(-beta) cancellation on matched grids
     assert abs(ratio(u) - ratio(u_t)) / ratio(u) <= 1e-10
-
-
-def test_norm_report_row_schema(cone_grid):
-    from conifold_lab.weighted_calc import norm_report_row
-    u = ModeFunction.single(cone_grid, 0.0, window(cone_grid.rho))
-    spec = WeightSpec(p=2.0, k=1, beta=-0.5)
-    rep = weighted_sobolev_norm_report(u, spec)
-    row = norm_report_row("exact_cone_cs_ac", None, spec, rep)
-    assert set(row) == {"model", "t", "p", "k", "beta", "value", "tail_flag"}
-    assert row["value"] == rep.value
-    assert row["tail_flag"] is False
 
 
 def test_hessian_density_matches_closed_form_on_cone():
