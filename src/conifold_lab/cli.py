@@ -50,14 +50,12 @@ def run_cmd(config, formats, out_dir, seed):
               help="cone dimension (link dimension + 1)")
 @click.option("--range", "gamma_range", default="-4:3", show_default=True,
               help="open gamma interval lo:hi")
-@click.option("--end", type=int, default=0, help="end index attached to the rows")
-def weights_cmd(link_spec, m, gamma_range, end):
+def weights_cmd(link_spec, m, gamma_range):
     """Exceptional weights of the Laplacian on the cone over LINK."""
     lo, hi = (float(x) for x in gamma_range.split(":"))
     link = link_from_string(link_spec)
     rows = [
-        {"gamma": w.gamma, "mult": w.mult, "eigenvalue": w.source_eigenvalue,
-         "end": end}
+        {"gamma": w.gamma, "mult": w.mult, "eigenvalue": w.source_eigenvalue}
         for w in exceptional_weights(link, m, (lo, hi))
     ]
     click.echo(json.dumps(rows, indent=1))

@@ -75,7 +75,6 @@ class WarpProfile:
     f: object
     fp: object
     fpp: object
-    params: tuple = ()
 
 
 def warp_preset(name: str, *params) -> WarpProfile:
@@ -100,7 +99,6 @@ def warp_preset(name: str, *params) -> WarpProfile:
             f=lambda x: np.sqrt(np.asarray(x, dtype=float) ** 2 + c * c),
             fp=lambda x: np.asarray(x, dtype=float) / np.sqrt(np.asarray(x, dtype=float) ** 2 + c * c),
             fpp=lambda x: c * c / np.sqrt(np.asarray(x, dtype=float) ** 2 + c * c) ** 3,
-            params=(c,),
         )
     if name == "sine_spindle":
         return WarpProfile(
@@ -116,15 +114,13 @@ def warp_preset(name: str, *params) -> WarpProfile:
             f=lambda x: np.asarray(x, dtype=float) * (1.0 + c * np.asarray(x, dtype=float) ** nu),
             fp=lambda x: 1.0 + c * (1.0 + nu) * np.asarray(x, dtype=float) ** nu,
             fpp=lambda x: c * nu * (1.0 + nu) * np.asarray(x, dtype=float) ** (nu - 1.0),
-            params=(c, nu),
         )
     if name == "spline":
         from scipy.interpolate import CubicSpline
 
         knots_r, knots_f = params
         cs = CubicSpline(np.asarray(knots_r, dtype=float), np.asarray(knots_f, dtype=float))
-        return WarpProfile("spline", f=cs, fp=cs.derivative(1), fpp=cs.derivative(2),
-                           params=(tuple(knots_r), tuple(knots_f)))
+        return WarpProfile("spline", f=cs, fp=cs.derivative(1), fpp=cs.derivative(2))
     raise ValueError(f"unknown warp preset {name!r}")
 
 
@@ -494,14 +490,19 @@ class CompatibilityReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _warp_deviation(comp: Component, which: str, spec: EndSpec, samples: int) -> float:
+# chart radii sampled per marked end, and the bound on sup |f/r - 1| there
+_COMPAT_SAMPLES = 64
+_CONE_DEVIATION_BOUND = 0.5
+
+
+def _warp_deviation(comp: Component, which: str, spec: EndSpec) -> float:
     """sup |f(r)/r - 1| over sampled chart radii of the end."""
     tip = comp.tip(which)
     sgn = comp.r_sign(which)
     if spec.kind == "CS":
-        rs = np.geomspace(spec.boundary * 1e-3, spec.boundary, samples)
+        rs = np.geomspace(spec.boundary * 1e-3, spec.boundary, _COMPAT_SAMPLES)
     else:
-        rs = np.geomspace(spec.boundary, spec.boundary * 1e3, samples)
+        rs = np.geomspace(spec.boundary, spec.boundary * 1e3, _COMPAT_SAMPLES)
     xs = tip + sgn * rs
     fv = np.asarray(comp.warp.f(xs), dtype=float)
     if np.any(fv <= 0):
@@ -509,12 +510,7 @@ def _warp_deviation(comp: Component, which: str, spec: EndSpec, samples: int) ->
     return float(np.max(np.abs(fv / rs - 1.0)))
 
 
-def check_compatible(
-    L: ConifoldModel,
-    L_hat: ConifoldModel,
-    samples: int = 64,
-    deviation_bound: float = 0.5,
-) -> CompatibilityReport:
+def check_compatible(L: ConifoldModel, L_hat: ConifoldModel) -> CompatibilityReport:
     """Verify that a CS-marked host L and an AC-marked partner L_hat can
     be glued: paired marked cones agree (same link, same m), the
     partner's chart radius Rhat sits inside the host's eps, both metrics
@@ -546,13 +542,13 @@ def check_compatible(
                 f"pair{k}:radii", s_ac.boundary < s_cs.boundary,
                 f"Rhat = {s_ac.boundary} must be < eps = {s_cs.boundary}",
             ))
-            dev_cs = _warp_deviation(L.components[ci], wi, s_cs, samples)
-            dev_ac = _warp_deviation(L_hat.components[cj], wj, s_ac, samples)
+            dev_cs = _warp_deviation(L.components[ci], wi, s_cs)
+            dev_ac = _warp_deviation(L_hat.components[cj], wj, s_ac)
             checks.append(CompatCheck(
                 f"pair{k}:cone_closeness",
-                dev_cs <= deviation_bound and dev_ac <= deviation_bound,
+                dev_cs <= _CONE_DEVIATION_BOUND and dev_ac <= _CONE_DEVIATION_BOUND,
                 f"sup|f/r-1| = {dev_cs:.3g} (host), {dev_ac:.3g} (partner), "
-                f"bound {deviation_bound}",
+                f"bound {_CONE_DEVIATION_BOUND}",
             ))
             checks.append(CompatCheck(
                 f"pair{k}:weights", s_cs.beta == s_ac.beta,
@@ -581,6 +577,21 @@ def _smoothstep_c2_d1(s):
 def _smoothstep_c2_d2(s):
     s = np.clip(s, 0.0, 1.0)
     return 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
+
+
+def _squared_warp(F, Fp, Fpp):
+    """(Q, Q', Q'') of Q = F^2, from F and its first two derivatives."""
+    return F**2, 2 * F * Fp, 2 * (Fp**2 + F * Fpp)
+
+
+def _rescaled_partner_warp(part: Component, which: str, r, t):
+    """(F, F', F'') in the neck radius r of the partner warp shrunk by t,
+    F(r) = t fhat(r/t), on the partner's marked AC end `which`."""
+    sgn = part.r_sign(which)
+    xp = sgn * (r / t)
+    return (t * np.asarray(part.warp.f(xp), dtype=float),
+            sgn * np.asarray(part.warp.fp(xp), dtype=float),
+            np.asarray(part.warp.fpp(xp), dtype=float) / t)
 
 
 # ---------------------------------------------------------------------------
@@ -798,10 +809,10 @@ def parametric_connect_sum(
     if circle:
         start = (sorted(involved)[0], "left")
 
+    # piece k and junction k are appended in the same step, so junction k
+    # joins pieces k and k + 1 (piece 0 again when the walk closes a circle)
     pieces: list[_Piece] = []
     junctions: list[JunctionInfo] = []
-    jct_pieces: list[tuple[int, int]] = []  # (host piece idx, partner piece idx)
-    pending = None  # junction waiting for its second piece
     visited = set()
     node, entry = start
     offset = 0.0
@@ -811,16 +822,8 @@ def parametric_connect_sum(
         scale = 1.0 if node[0] == "L" else by_comp[node[1]]
         direction = scale * (1.0 if entry == "left" else -1.0)
         piece = _Piece(node[0], node[1], offset, direction, comp.x_lo(), comp.x_hi())
-        p_idx = len(pieces)
         pieces.append(piece)
         visited.add(node)
-        if pending is not None:
-            j_idx, prev_idx, prev_src = pending
-            if prev_src == "L":
-                jct_pieces[j_idx] = (prev_idx, p_idx)
-            else:
-                jct_pieces[j_idx] = (p_idx, prev_idx)
-            pending = None
         exit_side = other(entry)
         key = (node[0], node[1], exit_side)
         if key not in edges:
@@ -839,8 +842,6 @@ def parametric_connect_sum(
             pair=k, center=tip_here, direction=jdir,
             t=ti, tau=tau, eps=eps, Rhat=Rhat, beta=beta_pair,
         ))
-        jct_pieces.append((-1, -1))
-        pending = (len(junctions) - 1, p_idx, node[0])
 
         nxt_node = (nxt_src, nxt_ci)
         nxt_comp = comp_of_node(nxt_node)
@@ -849,12 +850,6 @@ def parametric_connect_sum(
         nxt_off = tip_here - nxt_dir * nxt_comp.tip(nxt_w)
         if circle and nxt_node == start[0] and len(visited) == len(involved):
             closing = (nxt_off, nxt_dir, nxt_w)
-            j_idx = len(junctions) - 1
-            if node[0] == "L":
-                jct_pieces[j_idx] = (p_idx, 0)
-            else:
-                jct_pieces[j_idx] = (0, p_idx)
-            pending = None
             break
         if nxt_node in visited:
             raise GluingError("gluing graph is not a disjoint union of chains and cycles")
@@ -876,9 +871,7 @@ def parametric_connect_sum(
         period = None
         x_origin = 0.0
 
-    geometry = _glued_geometry(
-        L, L_hat, family, pieces, junctions, jct_pieces, circle, period, x_origin,
-    )
+    geometry = _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origin)
     return GluedModel(family=family, t=tv, geometry=geometry)
 
 
@@ -886,18 +879,26 @@ def parametric_connect_sum(
 # glued geometry assembly
 
 
-def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
-                    circle, period, x_origin):
+def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origin):
+    """The radial geometry of the glued strip.
+
+    Along the glued axis the walk's pieces and necks alternate as one
+    ordered strip: piece 0, neck 0, piece 1, neck 1, ...  Neck j is the
+    chart r in [t Rhat, eps] of junction j and joins pieces j and j + 1
+    (piece 0 again when the strip closes into a circle); each piece owns
+    its body between its neck edges, out to +-inf on a free end.  Every
+    point is looked up once in this tiling.
+    """
     m = L.m
     tau = family.tau
-    first = pieces[0]
-    link = (L if first.source == "L" else L_hat).components[first.comp_index].link
 
     def comp_of(piece: _Piece) -> Component:
         return (L if piece.source == "L" else L_hat).components[piece.comp_index]
 
     def src_model(piece: _Piece) -> ConifoldModel:
         return L if piece.source == "L" else L_hat
+
+    link = comp_of(pieces[0]).link
 
     def wrap(x):
         x = np.asarray(x, dtype=float)
@@ -912,34 +913,37 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
             d = np.mod(d + 0.5 * period, period) - 0.5 * period
         return J.direction * d
 
-    host_of = {j: hp for j, (hp, pp) in enumerate(jct_pieces)}
-    partner_of = {j: pp for j, (hp, pp) in enumerate(jct_pieces)}
+    # ---- each piece's body edges, left then right source side -------------
+    # r = boundary on every end (on marked ends the edge of the neck zone:
+    # r = Rhat for partners, r = eps for hosts), the center on caps; the
+    # flag marks a free (unmarked) end, where the piece formula applies out
+    # to infinity
+    body_edges = []
+    for p in pieces:
+        comp = comp_of(p)
+        edges = []
+        for which in ("left", "right"):
+            s = comp.side(which)
+            if isinstance(s, EndSpec):
+                src_edge = comp.tip(which) + comp.r_sign(which) * s.boundary
+            else:
+                src_edge = comp.tip(which)
+            edges.append((float(p.from_src(src_edge)), isinstance(s, EndSpec) and not s.marked))
+        body_edges.append(edges)
 
-    # ---- exact zone tiling: necks, partner bodies, host bodies ------------
-    # (lo, hi) in unwrapped walk coordinates; membership is wrap-aware.
+    # ---- exact zone tiling: necks first, then piece bodies ----------------
+    # (lo, hi, tag, index) in unwrapped walk coordinates; membership is
+    # wrap-aware.
     zones: list[tuple[float, float, str, int]] = []
     for j, J in enumerate(junctions):
         e1 = J.center + J.direction * (J.t * J.Rhat)
         e2 = J.center + J.direction * J.eps
         zones.append((min(e1, e2), max(e1, e2), "neck", j))
     for p_i, p in enumerate(pieces):
-        comp = comp_of(p)
-        edges = []
-        for which in ("left", "right"):
-            s = comp.side(which)
-            if isinstance(s, EndSpec) and s.marked:
-                # the body ends where its neck zone begins (r = Rhat for
-                # partners, r = eps for hosts, both equal s.boundary here)
-                src_edge = comp.tip(which) + comp.r_sign(which) * s.boundary
-                edges.append(float(p.from_src(src_edge)))
-            elif isinstance(s, EndSpec):
-                # free chart: the piece formula applies out to infinity
-                edges.append(math.copysign(math.inf, p.direction) if which == "right"
-                             else math.copysign(math.inf, -p.direction))
-            else:  # cap
-                edges.append(float(p.from_src(comp.tip(which))))
-        lo, hi = min(edges), max(edges)
-        zones.append((lo, hi, "host" if p.source == "L" else "partner", p_i))
+        ends = [math.copysign(math.inf, side * p.direction) if free else x
+                for (x, free), side in zip(body_edges[p_i], (-1.0, 1.0))]
+        zones.append((min(ends), max(ends), "host" if p.source == "L" else "partner", p_i))
+    is_partner = np.array([tag == "partner" for _, _, tag, _ in zones])
 
     def zone_membership(xw):
         """Index into `zones` per point (first matching zone wins; the
@@ -960,38 +964,6 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
             raise ValueError("point outside the glued domain")
         return res
 
-    # category per zone for radius/weight data: neck zones keep their
-    # junction chart on all of [t Rhat, eps]
-    zone_cat = np.array([{"neck": 0, "partner": 1, "host": 2}[tag] for _, _, tag, _ in zones])
-    zone_ref = np.array([ref for _, _, _, ref in zones])
-
-    def warp_classify(xw, z):
-        """(category, index) per point for the warp: 0 = transition band
-        t^tau <= r <= 2 t^tau of junction idx, 1 = partner piece idx,
-        2 = host piece idx."""
-        n = xw.shape[0]
-        cat = np.empty(n, dtype=int)
-        idx = np.empty(n, dtype=int)
-        for z_i, (lo, hi, tag, ref) in enumerate(zones):
-            sel = z == z_i
-            if not np.any(sel):
-                continue
-            if tag == "partner":
-                cat[sel] = 1
-                idx[sel] = ref
-            elif tag == "host":
-                cat[sel] = 2
-                idx[sel] = ref
-            else:
-                J = junctions[ref]
-                r = rdist(J, xw[sel])
-                sub_cat = np.where(r < J.t**tau, 1, np.where(r <= 2.0 * J.t**tau, 0, 2))
-                sub_idx = np.where(sub_cat == 1, partner_of[ref],
-                                   np.where(sub_cat == 0, ref, host_of[ref]))
-                cat[sel] = sub_cat
-                idx[sel] = sub_idx
-        return cat, idx
-
     def piece_warp(piece: _Piece, xs, attr: str):
         """One warp field of a placed piece at source coordinates xs."""
         comp = comp_of(piece)
@@ -1009,7 +981,6 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
         fixed C^2 bump in log r (1 at t^tau, 0 at 2 t^tau)."""
         ci, wi, cj, wj = family.pairs[J.pair]
         host = L.components[ci]
-        part = L_hat.components[cj]
         t = J.t
         r = rdist(J, xw)
         r1 = t**tau
@@ -1017,18 +988,11 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
         tip_h = host.tip(wi)
         sgn_h = host.r_sign(wi)
         xh = tip_h + sgn_h * r
-        Fh = np.asarray(host.warp.f(xh), dtype=float)
-        Fh_p = sgn_h * np.asarray(host.warp.fp(xh), dtype=float)
-        Fh_pp = np.asarray(host.warp.fpp(xh), dtype=float)
-
-        sgn_p = part.r_sign(wj)
-        xp = sgn_p * (r / t)
-        Fp = t * np.asarray(part.warp.f(xp), dtype=float)
-        Fp_p = sgn_p * np.asarray(part.warp.fp(xp), dtype=float)
-        Fp_pp = np.asarray(part.warp.fpp(xp), dtype=float) / t
-
-        Qh, Qh_p, Qh_pp = Fh**2, 2 * Fh * Fh_p, 2 * (Fh_p**2 + Fh * Fh_pp)
-        Qp, Qp_p, Qp_pp = Fp**2, 2 * Fp * Fp_p, 2 * (Fp_p**2 + Fp * Fp_pp)
+        Qh, Qh_p, Qh_pp = _squared_warp(
+            np.asarray(host.warp.f(xh), dtype=float),
+            sgn_h * np.asarray(host.warp.fp(xh), dtype=float),
+            np.asarray(host.warp.fpp(xh), dtype=float))
+        Qp, Qp_p, Qp_pp = _squared_warp(*_rescaled_partner_warp(L_hat.components[cj], wj, r, t))
 
         ln2 = math.log(2.0)
         s = np.log(r / r1) / ln2
@@ -1054,13 +1018,14 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
     ref_beta = [next(s.beta for _, s in comp_of(p).ends() if s.marked) if p.source == "H"
                 else None for p in pieces]
 
-    def piece_weights(p_i, xs, names):
-        """rho, beta and wextra of a placed piece at source coordinates xs
-        (the subset `names` needs): shrunk partners carry the
+    def piece_fields(p_i, xw, names):
+        """The named fields of piece p_i at the wrapped points xw: its warp,
+        and its rho, beta and wextra, where shrunk partners carry the
         reference-weight correction t^(beta_hat - beta_ref)."""
         piece, base = pieces[p_i], bases[p_i]
+        xs = piece.to_src(xw, period)
         scale = abs(piece.direction)
-        vals = {}
+        vals = {a: piece_warp(piece, xs, a) for a in ("f", "fp", "fpp") if a in names}
         if "rho" in names:
             vals["rho"] = scale * np.asarray(base.rho(xs), dtype=float)
         if "beta" in names or "wextra" in names:
@@ -1069,42 +1034,43 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
             vals["wextra"] = scale ** (bhat - ref_beta[p_i]) if piece.source == "H" else 1.0
         return vals
 
-    def groups(cat, idx):
-        """(category, index, mask) of each junction band (0) and each
-        partner (1) or host (2) piece present in a classification."""
-        for j in range(len(junctions)):
-            sel = (cat == 0) & (idx == j)
-            if np.any(sel):
-                yield 0, j, sel
-        for c in (1, 2):
-            for p_i in set(idx[cat == c]):
-                yield c, p_i, (cat == c) & (idx == p_i)
+    def neck_fields(j, xw, names):
+        """The named fields on neck j at the wrapped points xw: the junction
+        chart gives rho, beta and wextra on all of [t Rhat, eps]; the warp
+        is the partner's for r < t^tau, the blend up to 2 t^tau and the
+        host's beyond."""
+        J = junctions[j]
+        r = rdist(J, xw)
+        vals = {"rho": r, "beta": J.beta, "wextra": 1.0}
+        warp = [a for a in ("f", "fp", "fpp") if a in names]
+        if warp:
+            # the strip's pieces j and j + 1, the partner being the one from L_hat
+            ahead = (j + 1) % len(pieces)
+            partner, host = (j, ahead) if pieces[j].source == "H" else (ahead, j)
+            r1 = J.t**tau
+            for a in warp:
+                vals[a] = np.empty_like(xw)
+            for sel, p_i in ((r < r1, partner), ((r >= r1) & (r <= 2.0 * r1), None),
+                             (r > 2.0 * r1, host)):
+                if not np.any(sel):
+                    continue
+                part = blend(J, xw[sel]) if p_i is None else piece_fields(p_i, xw[sel], warp)
+                for a in warp:
+                    vals[a][sel] = part[a]
+        return vals
 
     def evaluate(xw, names):
-        """The named fields (a subset of FIELDS) at the wrapped points xw,
-        from one zone lookup: {name: array}."""
+        """The named fields (a subset of FIELDS) at the wrapped points xw:
+        {name: array}.  One zone lookup per point; each zone present is
+        evaluated on its points at once."""
         z = zone_membership(xw)
         out = {a: np.empty_like(xw) for a in names}
-        warp = [a for a in ("f", "fp", "fpp") if a in names]
-        weight = [a for a in ("rho", "beta", "wextra") if a in names]
-        if warp:
-            for c, i, sel in groups(*warp_classify(xw, z)):
-                if c == 0:
-                    vals = blend(junctions[i], xw[sel])
-                else:
-                    xs = pieces[i].to_src(xw[sel], period)
-                    vals = {a: piece_warp(pieces[i], xs, a) for a in warp}
-                for a in warp:
-                    out[a][sel] = vals[a]
-        if weight:
-            for c, i, sel in groups(zone_cat[z], zone_ref[z]):
-                if c == 0:
-                    vals = {"rho": rdist(junctions[i], xw[sel]), "beta": junctions[i].beta,
-                            "wextra": 1.0}
-                else:
-                    vals = piece_weights(i, pieces[i].to_src(xw[sel], period), weight)
-                for a in weight:
-                    out[a][sel] = vals[a]
+        for z_i in np.unique(z):
+            _, _, tag, ref = zones[z_i]
+            sel = z == z_i
+            vals = (neck_fields if tag == "neck" else piece_fields)(ref, xw[sel], names)
+            for a in names:
+                out[a][sel] = vals[a]
         return out
 
     def evaluator(names):
@@ -1136,7 +1102,7 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
             contrib[~pos] = 1.0
             vals = np.minimum(vals, contrib)
         # partner bodies are cut off entirely
-        vals[zone_cat[zone_membership(xw)] == 1] = 0.0
+        vals[is_partner[zone_membership(xw)]] = 0.0
         return vals[0] if scalar else vals
 
     # --- boundaries and gridding plan ---------------------------------------
@@ -1168,17 +1134,8 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
     for J in junctions:
         plan.append(PlanSegment("log", x0=J.center, sign=J.direction,
                                 r_lo=J.t * J.Rhat, r_hi=J.eps))
-    for p_i, p in enumerate(pieces):
-        comp = comp_of(p)
-        scale = abs(p.direction)
-        cuts = []
-        for which in ("left", "right"):
-            s = comp.side(which)
-            if isinstance(s, EndSpec):
-                cuts.append(float(p.from_src(comp.tip(which) + comp.r_sign(which) * s.boundary)))
-            else:
-                cuts.append(float(p.from_src(comp.tip(which))))
-        g1, g2 = min(cuts), max(cuts)
+    for p, edges in zip(pieces, body_edges):
+        g1, g2 = sorted(x for x, _ in edges)
         if g2 > g1:
             plan.append(PlanSegment("lin", x_a=g1, x_b=g2,
                                     weight=0.25 if p.source == "H" else 0.5))
@@ -1206,10 +1163,10 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, jct_pieces,
 # neck convergence diagnostics
 
 
-def neck_convergence_check(family: GluedFamily, t, j_max: int = 1) -> list[dict]:
+def neck_convergence_check(family: GluedFamily, t) -> list[dict]:
     """Sup-norm decay of the glued warp toward the rescaled partner warp.
 
-    For each marked pair reports, for j <= j_max,
+    For each marked pair reports, for j = 0 and 1,
 
         sup_{r in [t Rhat, t^b]} |r^j d^j(f_t^2 - t^2 fhat(r/t)^2)| / (t^2 fhat(r/t)^2),
 
@@ -1217,40 +1174,20 @@ def neck_convergence_check(family: GluedFamily, t, j_max: int = 1) -> list[dict]
     estimate.  Exact-cone gluings give exactly 0; otherwise callers
     assert decay along a t-sweep.
     """
-    if j_max > 2:
-        raise ValueError("only j <= 2 derivatives are tracked")
-    glued = family.at(t)
-    geo = glued.geometry
+    geo = family.at(t).geometry
     rows = []
     for k, J in enumerate(geo.junctions):
-        (ci, wi, cj, wj) = family.pairs[J.pair]
-        part = family.L_hat.components[cj]
-        sgn_p = part.r_sign(wj)
+        _, _, cj, wj = family.pairs[J.pair]
         r = np.geomspace(J.t * J.Rhat, J.t**family.b, 4001)
         x = J.center + J.direction * r
-
-        F = np.asarray(geo.f(x), dtype=float)
-        Fp = J.direction * np.asarray(geo.fp(x), dtype=float)
-        Fpp = np.asarray(geo.fpp(x), dtype=float)
-        Q = F**2
-        Qp = 2 * F * Fp
-        Qpp = 2 * (Fp**2 + F * Fpp)
-
-        xp = sgn_p * (r / J.t)
-        G = J.t * np.asarray(part.warp.f(xp), dtype=float)
-        Gp = sgn_p * np.asarray(part.warp.fp(xp), dtype=float)
-        Gpp = np.asarray(part.warp.fpp(xp), dtype=float) / J.t
-        P = G**2
-        Pp = 2 * G * Gp
-        Ppp = 2 * (Gp**2 + G * Gpp)
-
-        sups = {
-            0: float(np.max(np.abs(Q - P) / P)),
-            1: float(np.max(np.abs(r * (Qp - Pp)) / P)),
-            2: float(np.max(np.abs(r * r * (Qpp - Ppp)) / P)),
-        }
-        for j in range(j_max + 1):
-            rows.append({"pair": k, "t": float(J.t), "j": j, "sup": sups[j]})
+        Q, Qp, _ = _squared_warp(
+            np.asarray(geo.f(x), dtype=float),
+            J.direction * np.asarray(geo.fp(x), dtype=float),
+            np.asarray(geo.fpp(x), dtype=float))
+        P, Pp, _ = _squared_warp(*_rescaled_partner_warp(family.L_hat.components[cj], wj, r, J.t))
+        rows.append({"pair": k, "t": float(J.t), "j": 0, "sup": float(np.max(np.abs(Q - P) / P))})
+        rows.append({"pair": k, "t": float(J.t), "j": 1,
+                     "sup": float(np.max(np.abs(r * (Qp - Pp)) / P))})
     return rows
 
 

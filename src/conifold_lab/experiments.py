@@ -271,7 +271,7 @@ def _run_neck(cfg: ExperimentConfig) -> SweepResult:
     fam = _family(cfg)
     rows = []
     for t in cfg.t_list:
-        for entry in cm.neck_convergence_check(fam, t, j_max=1):
+        for entry in cm.neck_convergence_check(fam, t):
             rows.append({"t": t, "pair": entry["pair"], "j": entry["j"],
                          "sup": entry["sup"]})
     decreasing = True

@@ -189,7 +189,7 @@ def test_criterion_9_neck_convergence():
     fam = dumbbell_family()
     sups = {0: [], 1: []}
     for t in (1e-1, 1e-2, 1e-3, 1e-4):
-        for row in neck_convergence_check(fam, t, j_max=1):
+        for row in neck_convergence_check(fam, t):
             sups[row["j"]].append(row["sup"])
     decreasing = all(all(b < a for a, b in zip(seq, seq[1:])) for seq in sups.values())
 
@@ -201,7 +201,7 @@ def test_criterion_9_neck_convergence():
         right=EndSpec("AC", link, nu=-1.0, beta=-0.5, boundary=1.0, marked=True),
     ),))
     glued = parametric_connect_sum(cone, hat, 0.01, tau=0.5, a=0.4, b=0.2)
-    zero_rows = neck_convergence_check(glued.family, 0.01, j_max=1)
+    zero_rows = neck_convergence_check(glued.family, 0.01)
     exact_zero = all(r["sup"] < 1e-12 for r in zero_rows)
     ok = decreasing and exact_zero
     report(9, ok, f"j=0 sweep {['%.1e' % v for v in sups[0]]} strictly decreasing; "

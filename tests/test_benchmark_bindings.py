@@ -4,12 +4,15 @@
 with timing wrappers and binds the arguments of ``build_grid`` and
 ``near_null_threshold`` by parameter name.  Instrumenting, tracing one
 call of each and restoring must work, so that renaming or deleting a name
-the tracer uses fails here and not only in ``run.py --trace 1``.
+the tracer uses fails here and not only in ``run.py --trace 1``.  The
+same holds for the glued geometry: the tracer wraps ``parametric_connect_sum``
+and then each per-field callable of the glued geometry it returns.
 """
 
 import importlib.util
 from pathlib import Path
 
+from conifold_lab import conifold_model as cm
 from conifold_lab import spectral_laplace as sl
 from conifold_lab import weighted_calc as wc
 from conifold_lab.conifold_model import preset_model
@@ -33,11 +36,19 @@ def test_tracer_instruments_and_restores():
         model = preset_model("hyperboloid_capped")
         sl.build_grid(model.geometry(0), n_per_region=60)
         sl.near_null_threshold(model.components[0].link, 3, 2.0, -0.5, 20.0)
+        geo = cm.dumbbell_family().at(1e-2).geometry
+        grid = wc.build_grid(geo, n_per_region=60)
+        for attr in tracing._GEOMETRY_FIELDS:
+            getattr(geo, attr)(grid.nodes)
         tracer.enabled = False
     finally:
         tracing.restore(patches)
-    assert tracer.calls["weighted_calc.grid"] >= 2
+    assert tracer.calls["weighted_calc.grid"] >= 3
     assert tracer.calls["spectral_laplace.threshold"] == 1
+    assert tracer.calls["conifold_model.glue"] == 1
+    # one traced call per wrapped glued field: none of the seven is missing
+    assert tracer.calls["conifold_model.fields"] == len(tracing._GEOMETRY_FIELDS) == 7
+    assert tracer.counts["conifold_model.fields.points"] == 7 * grid.n
     assert set(tracer.metrics()) == {name for name, _unit in tracing.LAYER_METRICS
                                      if name not in tracing.RUN_LEVEL}
     for obj, attr, orig in patches:

@@ -16,7 +16,7 @@ def test_weights_subcommand():
     rows = json.loads(result.output)
     assert [(r["gamma"], r["mult"]) for r in rows] == [
         (-3.0, 5), (-2.0, 3), (-1.0, 1), (0.0, 1), (1.0, 3), (2.0, 5)]
-    assert all(r["end"] == 0 for r in rows)
+    assert all(set(r) == {"gamma", "mult", "eigenvalue"} for r in rows)
 
 
 def test_regions_subcommand(tmp_path):

@@ -90,7 +90,7 @@ def test_exact_cone_gluing_is_identity_profile():
     glued = parametric_connect_sum(cone, hat, 0.01, tau=0.5, a=0.4, b=0.2)
     xs = np.geomspace(1e-4, 500.0, 200)
     assert np.max(np.abs(glued.geometry.f(xs) - xs)) < 1e-14
-    rows = neck_convergence_check(glued.family, 0.01, j_max=1)
+    rows = neck_convergence_check(glued.family, 0.01)
     assert all(row["sup"] < 1e-12 for row in rows)
 
 
@@ -239,7 +239,7 @@ def test_neck_convergence_decreasing_on_dumbbell():
     fam = dumbbell_family()
     sups = {0: [], 1: []}
     for t in (1e-1, 1e-2, 1e-3):
-        rows = neck_convergence_check(fam, t, j_max=1)
+        rows = neck_convergence_check(fam, t)
         for row in rows:
             sups[row["j"]].append(row["sup"])
     for j in (0, 1):

@@ -28,9 +28,10 @@ from conifold_lab.weighted_calc import build_grid
 # reference: the per-field glued evaluation
 
 
-def ref_glued_fields(L, L_hat, family, pieces, junctions, jct_pieces,
+def ref_glued_fields(L, L_hat, family, pieces, junctions, junction_sides,
                      circle, period, x_origin):
-    """{name: callable} for the six fields, one classification per call."""
+    """{name: callable} for the six fields, one classification per call;
+    junction_sides[j] is the (host piece, partner piece) of junction j."""
     tau = family.tau
 
     def comp_of(piece):
@@ -51,8 +52,8 @@ def ref_glued_fields(L, L_hat, family, pieces, junctions, jct_pieces,
             d = np.mod(d + 0.5 * period, period) - 0.5 * period
         return J.direction * d
 
-    host_of = {j: hp for j, (hp, pp) in enumerate(jct_pieces)}
-    partner_of = {j: pp for j, (hp, pp) in enumerate(jct_pieces)}
+    host_of = {j: hp for j, (hp, pp) in enumerate(junction_sides)}
+    partner_of = {j: pp for j, (hp, pp) in enumerate(junction_sides)}
 
     zones = []
     for j, J in enumerate(junctions):
@@ -226,7 +227,9 @@ def ref_glued_fields(L, L_hat, family, pieces, junctions, jct_pieces,
 
 def glued_with_reference(monkeypatch, family, t):
     """The glued model at t and the reference fields built from the same
-    pieces and junctions."""
+    pieces and junctions.  Each junction's (host piece, partner piece)
+    comes from its marked pair: the host piece is the host component
+    ("L", ci) and the partner piece the partner component ("H", cj)."""
     captured = []
     build = cm._glued_geometry
 
@@ -236,7 +239,24 @@ def glued_with_reference(monkeypatch, family, t):
 
     monkeypatch.setattr(cm, "_glued_geometry", spy)
     glued = family.at(t)
-    return glued.geometry, ref_glued_fields(*captured[-1])
+    L, L_hat, fam, pieces, junctions, circle, period, x_origin = captured[-1]
+    piece_of = {(p.source, p.comp_index): i for i, p in enumerate(pieces)}
+    junction_sides = []
+    for J in junctions:
+        ci, _, cj, _ = family.pairs[J.pair]
+        junction_sides.append((piece_of[("L", ci)], piece_of[("H", cj)]))
+    return glued.geometry, ref_glued_fields(L, L_hat, fam, pieces, junctions,
+                                            junction_sides, circle, period, x_origin)
+
+
+def chain_family():
+    """partner - host - partner: the sine spindle glued on both ends to
+    two copies of the hyperboloid line, each with its right AC end marked,
+    so each neck can carry its own t."""
+    L = cm.preset_model("sine_spindle")
+    rxs2 = cm.preset_model("rxs2").components[0]
+    L_hat = cm.ConifoldModel(3, (rxs2, rxs2), label="rxs2_twice")
+    return cm.GluedFamily(L, L_hat, tau=0.5, a=0.4, b=0.2, label="chain")
 
 
 CASES = {
@@ -245,6 +265,7 @@ CASES = {
     "dumbbell_t1e-8": (dumbbell_family, 1e-8),
     "spindle_t1e-2": (spindle_family, 1e-2),
     "spindle_t1e-6": (spindle_family, 1e-6),
+    "chain_t1e-2_1e-3": (chain_family, (1e-2, 1e-3)),
 }
 
 
@@ -299,3 +320,11 @@ def test_per_field_callables_match_reference(monkeypatch, case):
     assert len(fields) == len(FIELDS)
     for name, v in zip(FIELDS, fields):
         assert np.shape(v) == () and np.array_equal(v, ref[name](float(x[3]))), name
+
+
+def test_chain_glues_two_partners_at_their_own_t(monkeypatch):
+    geo, _ = glued_with_reference(monkeypatch, chain_family(), (1e-2, 1e-3))
+    assert [J.t for J in geo.junctions] == [1e-2, 1e-3]
+    assert [J.direction for J in geo.junctions] == [1.0, -1.0]  # host in the middle
+    assert not geo.circle and geo.left.kind == geo.right.kind == "ac"
+    assert (geo.left.chart_r, geo.right.chart_r) == (1e-2, 1e-3)
