@@ -233,17 +233,21 @@ class WeightedQuadraticForm:
 class _FormParts:
     """The e-independent pieces of the weighted forms and of the pencil's
     image weight on one grid at one weight, built once before a loop over
-    modes.  Holds arrays and matrices only, never the grid."""
+    modes.  The matrix pieces are value arrays aligned with the grid's
+    form_pattern (Bop with d1's stored entries); weighted_form adds the
+    e-dependent terms to them in the order of the scipy expressions they
+    replace, so every form is bitwise what those expressions give.
+    Holds arrays only, never the grid."""
 
     beta: float | None
     W0: np.ndarray
     W1: np.ndarray
     W2: np.ndarray
     w_img: np.ndarray  # image weight of the pencil at every node
-    M01: sp.spmatrix  # diag(W0) + D1^T diag(W1) D1
-    M2: sp.spmatrix  # D2^T diag(W2) D2
-    M3: sp.spmatrix  # D1^T diag(c3) D1 of the angular block
-    Bop: sp.spmatrix  # D1 - diag(f'/f) of the mixed block
+    M01: np.ndarray  # diag(W0) + D1^T diag(W1) D1
+    M2: np.ndarray  # D2^T diag(W2) D2
+    M3: np.ndarray  # D1^T diag(c3) D1 of the angular block
+    Bop: np.ndarray  # D1 - diag(f'/f) of the mixed block, as d1 data
 
 
 def _beta_key(beta) -> float | None:
@@ -272,12 +276,14 @@ def _form_parts(grid: RadialGrid, beta: float | None) -> _FormParts:
     W2 = (w * g.rho**2) ** 2 * base
     c3 = (m - 1.0) * g.fp**2 * W2 / g.f**2
     w_img = w**2 * g.quad * g.f ** (m - 1) * g.volume_factor * g.rho ** (-float(m))
+    pat = g.form_pattern
+    M01 = pat.sandwich(D1.data, W1)
+    M01[pat.diag] += W0
+    Bop = D1.data.copy()
+    Bop[pat.stencil_diag] -= g.fp / g.f
     return _FormParts(
-        beta=_beta_key(beta), W0=W0, W1=W1, W2=W2, w_img=w_img,
-        M01=sp.diags(W0).tocsr() + D1.T @ sp.diags(W1) @ D1,
-        M2=D2.T @ sp.diags(W2) @ D2,
-        M3=D1.T @ sp.diags(c3) @ D1,
-        Bop=D1 - sp.diags(g.fp / g.f),
+        beta=_beta_key(beta), W0=W0, W1=W1, W2=W2, w_img=w_img, M01=M01,
+        M2=pat.sandwich(D2.data, W2), M3=pat.sandwich(D1.data, c3), Bop=Bop,
     )
 
 
@@ -287,26 +293,36 @@ def weighted_form(grid: RadialGrid, k: int, beta: float | None, e: float,
     parts, when given, are the grid's _form_parts at this beta."""
     parts = _parts_at(grid, beta, parts)
     g = grid
+    pat = g.form_pattern
     kappa = g.geometry.link.einstein_constant or 0.0
 
+    # values on the grid's form pattern, summed in the order of
+    # M01 + diag(W1 e / f^2) + M2 + Bop^T diag(mix) Bop + diag(c1) + M3
+    #     + diag(c2) D1 + D1^T diag(c2); exact zeros drop at the end
     if k == 0:
-        M = sp.diags(parts.W0).tocsr()
+        M = np.zeros(pat.nnz)
+        M[pat.diag] = parts.W0
     else:
-        M = parts.M01 + sp.diags(parts.W1 * e / g.f**2)
+        M = parts.M01.copy()
+        M[pat.diag] += parts.W1 * e / g.f**2
     if k >= 2:
         W2, D1 = parts.W2, g.d1
-        M = M + parts.M2
+        M += parts.M2
         # mixed radial-angular block: 2 e f^-2 (u' - (f'/f) u)^2
-        mix = sp.diags(2.0 * e * W2 / g.f**2)
-        M = M + parts.Bop.T @ mix @ parts.Bop
+        mix = 2.0 * e * W2 / g.f**2
+        M += pat.sandwich(parts.Bop, mix)
         # pure angular block: f^-4 ((e^2 - kappa e) u^2
         #                     - 2 e f f' u u' + (m-1) f^2 f'^2 u'^2)
         hess_c = max(e * e - kappa * e, 0.0)
         c1 = hess_c * W2 / g.f**4
         c2 = -e * g.fp * W2 / g.f**3
-        M = M + sp.diags(c1) + parts.M3
-        M = M + sp.diags(c2) @ D1 + D1.T @ sp.diags(c2)
-    return WeightedQuadraticForm(grid=grid, k=k, beta=beta, e=e, matrix=M.tocsr())
+        M[pat.diag] += c1
+        M += parts.M3
+        # diag(c2) D1 puts c2[r] D1[r, c] at (r, c), D1^T diag(c2) at (c, r)
+        c2_d1 = np.repeat(c2, 3) * D1.data
+        M[pat.stencil] += c2_d1
+        M[pat.stencil_t] += c2_d1
+    return WeightedQuadraticForm(grid=grid, k=k, beta=beta, e=e, matrix=pat.matrix(M))
 
 
 @dataclass
@@ -443,39 +459,81 @@ def _sigma_from(vals: np.ndarray) -> np.ndarray:
 # cone harmonics and calibration
 
 
-def near_null_threshold(
-    link: Link, m: int, e_max: float, beta: float,
-    nodes_per_decade: float, r_span: tuple[float, float] = (1e-3, 1e3),
-) -> float:
-    """Grid-calibrated kernel-detection threshold: 10 times the largest
-    pencil value of sampled exact-cone harmonics on an exact cone meshed
-    at the same log density.  Residuals are taken on the interior rows
-    only, so no closure enters and the value isolates interior
-    discretization error."""
+_THRESHOLD_SPAN = (1e-3, 1e3)  # radii of the exact-cone calibration mesh
+
+
+@dataclass(frozen=True)
+class _ThresholdMesh:
+    """The weight-free half of near_null_threshold: the exact-cone grid
+    and, per mode e, its interior nodes and, per root gamma, the harmonic
+    rho**gamma with its interior residual (P_full @ rho**gamma)[interior].
+    key is the (link, m, e_max, nodes_per_decade, r_span) it was built
+    for.  The mode operators are not kept."""
+
+    key: tuple
+    grid: RadialGrid
+    modes: tuple  # ((e, interior, ((u, resid), ...)), ...)
+
+
+def _threshold_mesh(link: Link, m: int, e_max: float, nodes_per_decade: float,
+                    r_span: tuple[float, float]) -> _ThresholdMesh:
     from .conifold_model import Component, EndSpec, warp_preset
 
     r_lo, r_hi = r_span
+    # the end weights only label the geometry: the forms take the weight
+    # as a constant, and the nodes and the operator do not depend on it
     comp = Component(
         link=link, warp=warp_preset("exact_cone"),
-        left=EndSpec("CS", link, nu=1.0, beta=beta, boundary=math.sqrt(r_lo * r_hi)),
-        right=EndSpec("AC", link, nu=-1.0, beta=beta, boundary=math.sqrt(r_lo * r_hi)),
+        left=EndSpec("CS", link, nu=1.0, beta=0.0, boundary=math.sqrt(r_lo * r_hi)),
+        right=EndSpec("AC", link, nu=-1.0, beta=0.0, boundary=math.sqrt(r_lo * r_hi)),
     )
     model = ConifoldModel(m, (comp,))
     decades = math.log10(r_hi / r_lo)
     n = max(64, int(nodes_per_decade * decades / 2))
     grid = build_grid(model.geometry(0), n_per_region=n,
                       r_max=r_hi, r_min_factor=r_lo / math.sqrt(r_lo * r_hi))
-    parts = _form_parts(grid, beta)
-    worst = 0.0
+    modes = []
     for e, _ in link.eigenvalues_below(e_max):
-        # P_full, the k=0 diagonal W0 and the k=2 form do not depend on
-        # the closures, so both harmonics share them
+        # P_full does not depend on the closures, so both harmonics share it
         op = assemble_mode_operator(grid, e)
-        w_img = parts.W0[op.interior]
-        form2 = weighted_form(grid, 2, beta, e, parts=parts)
+        harmonics = []
         for gamma in gamma_roots(e, m):
             u = grid.rho**gamma
-            resid = (op.P_full @ u)[op.interior]
+            harmonics.append((u, (op.P_full @ u)[op.interior]))
+        modes.append((e, op.interior, tuple(harmonics)))
+    return _ThresholdMesh(key=(link, m, e_max, nodes_per_decade, tuple(r_span)),
+                          grid=grid, modes=tuple(modes))
+
+
+def near_null_threshold(
+    link: Link, m: int, e_max: float, beta: float,
+    nodes_per_decade: float, r_span: tuple[float, float] = _THRESHOLD_SPAN,
+    mesh: _ThresholdMesh | None = None,
+) -> float:
+    """Grid-calibrated kernel-detection threshold: 10 times the largest
+    pencil value of sampled exact-cone harmonics on an exact cone meshed
+    at the same log density.  Residuals are taken on the interior rows
+    only, so no closure enters and the value isolates interior
+    discretization error.
+
+    mesh, when given, is the exact-cone mesh with its harmonics and
+    residuals, built once for several weights (it does not depend on
+    beta); it is built here when None, and one built for another (link,
+    m, e_max, nodes_per_decade, r_span) is refused."""
+    key = (link, m, e_max, nodes_per_decade, tuple(r_span))
+    if mesh is None:
+        mesh = _threshold_mesh(link, m, e_max, nodes_per_decade, r_span)
+    elif mesh.key != key:
+        raise ValueError(f"threshold mesh built for {mesh.key} used for {key}")
+    grid = mesh.grid
+    parts = _form_parts(grid, beta)
+    worst = 0.0
+    for e, interior, harmonics in mesh.modes:
+        # the k=0 diagonal W0 and the k=2 form do not depend on the
+        # closures, so both harmonics share them
+        w_img = parts.W0[interior]
+        form2 = weighted_form(grid, 2, beta, e, parts=parts)
+        for u, resid in harmonics:
             num = math.sqrt(float(np.sum(w_img * resid**2)))
             den = form2.norm(u)
             if den > 0:
@@ -713,6 +771,25 @@ def restricted_invertibility_compact(
     )
 
 
+def _gradient_forms(grid: RadialGrid, beta: float):
+    """e -> the weighted gradient form D1^T diag(wg) D1 + diag(wg e / f^2)
+    of poincare_constant as a CSR matrix, wg = (wextra rho^{1-beta})^2
+    rho^{-m} times the volume element; the e-free product is built once,
+    on the grid's form pattern."""
+    m = grid.geometry.m
+    pat = grid.form_pattern
+    wg = (grid.wextra * grid.rho ** (1 - beta)) ** 2 * grid.quad \
+        * grid.f ** (m - 1) * grid.volume_factor * grid.rho ** (-float(m))
+    G0 = pat.sandwich(grid.d1.data, wg)
+
+    def gradient_form(e: float) -> sp.csr_matrix:
+        G = G0.copy()
+        G[pat.diag] += wg * e / grid.f**2
+        return pat.matrix(G)
+
+    return gradient_form
+
+
 @dataclass(frozen=True)
 class PoincareReport:
     constant: float
@@ -753,17 +830,13 @@ def poincare_constant(
     _check_matches_marked(geo, float(beta))
     if grid is None:
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
-    m = geo.m
     parts = _form_parts(grid, beta)
-    wg = (grid.wextra * grid.rho ** (1 - beta)) ** 2 * grid.quad \
-        * grid.f ** (m - 1) * grid.volume_factor * grid.rho ** (-float(m))
-    G0 = grid.d1.T @ sp.diags(wg) @ grid.d1
+    gradient_form = _gradient_forms(grid, beta)
     per_mode = []
     for e, _mult in _modes(geo.link, e_max):
         op = assemble_mode_operator(grid, e, beta=beta)
         M1 = weighted_form(grid, 1, beta, e, parts=parts).reduced(op.R)
-        G = G0 + sp.diags(wg * e / grid.f**2)
-        G_red = (op.R.T @ G @ op.R).tocsc()
+        G_red = (op.R.T @ gradient_form(e) @ op.R).tocsc()
         lam = smallest_pencil_eigs(G_red, M1, k=1)
         lam0 = max(float(lam[0]), 1e-300)
         per_mode.append((float(e), 1.0 / math.sqrt(lam0)))
@@ -918,16 +991,21 @@ def kernel_dimension_scan(
     if grid is None:
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
     npd = _grid_nodes_per_decade(grid)
+    betas = [float(beta) for beta in beta_list]
+    for beta in betas:
+        _check_nonexceptional(geo, beta)
+    mesh = _threshold_mesh(geo.link, geo.m, e_max, npd, _THRESHOLD_SPAN)
+    thresholds = [near_null_threshold(geo.link, geo.m, e_max, beta, npd, mesh=mesh)
+                  for beta in betas]
+    del mesh  # freed before the pencils are built
     rows = []
-    for beta in beta_list:
-        _check_nonexceptional(geo, float(beta))
-        thr = near_null_threshold(geo.link, geo.m, e_max, float(beta), npd)
-        parts = _form_parts(grid, float(beta))
+    for beta, thr in zip(betas, thresholds):
+        parts = _form_parts(grid, beta)
         total = 0
         per_mode = []
         ambiguous = False
         for e, mult in _modes(geo.link, e_max):
-            pen = laplacian_pencil(grid, e, float(beta), kernel_scan=True, parts=parts)
+            pen = laplacian_pencil(grid, e, beta, kernel_scan=True, parts=parts)
             k = min(4, pen.A.shape[0] - 2)
             sig = _sigma_from(smallest_pencil_eigs(pen.A, pen.B, k=k,
                                                    num_form=_pencil_num(pen)))
@@ -936,7 +1014,7 @@ def kernel_dimension_scan(
                 ambiguous = True
             total += hits * mult
             per_mode.append((float(e), int(mult), float(sig[0])))
-        rows.append(KernelScanRow(beta=float(beta), dimension=total,
+        rows.append(KernelScanRow(beta=beta, dimension=total,
                                   per_mode=tuple(per_mode), threshold=thr,
                                   ambiguous=ambiguous))
     return rows

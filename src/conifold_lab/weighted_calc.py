@@ -69,6 +69,106 @@ __all__ = [
 # grids
 
 
+@dataclass(frozen=True)
+class FormPattern:
+    """The sparsity pattern of L^T diag(w) L for the grid's three-point
+    stencils L (d1, d2, or any matrix stored like them), and the maps that
+    fill it: the symbolic half of the weighted-form assembly, built once
+    per grid.
+
+    Row k of L stores its three columns c_0 < c_1 < c_2 (the diagonal among
+    them), so its products fill a (3, 3, n) array
+    prod[i, j, k] = L[k, c_j] * (w[k] * L[k, c_i]), a term of entry
+    (c_i, c_j).  scipy's L.T @ diag(w) @ L sums the terms of each entry
+    over k ascending, starting from 0, and `sandwich` sums them in the same
+    order, so the values are bit for bit scipy's.
+
+    indptr, indices: the sorted CSR pattern (a band of half-width 2, plus
+    the circle wrap and the rows the one-sided end stencils couple).
+    slots[s, q]: the flat prod index of the s-th term of entry q, padded
+    with 9 n, a zero (interior entries have up to three terms, entries
+    near a one-sided end up to four).
+    diag: pattern position of (r, r); stencil_diag: position of L[r, r]
+    in L.data; stencil, stencil_t: pattern positions of each stored
+    stencil entry (r, c) and of its transpose (c, r).
+    """
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+    diag: np.ndarray
+    stencil_diag: np.ndarray
+    stencil: np.ndarray
+    stencil_t: np.ndarray
+
+    @classmethod
+    def build(cls, d1: sp.csr_matrix, d2: sp.csr_matrix) -> "FormPattern":
+        n = d1.shape[0]
+        three = 3 * np.arange(n + 1)
+        if not (np.array_equal(d1.indptr, three) and np.array_equal(d2.indptr, three)
+                and np.array_equal(d1.indices, d2.indices)):
+            raise ValueError("the form pattern needs d1 and d2 to store three "
+                             "entries per row, in the same columns")
+        cols = d1.indices.reshape(n, 3).astype(np.int64)
+        rows = np.arange(n)
+        if (np.any(np.diff(cols, axis=1) <= 0)
+                or not np.all(np.any(cols == rows[:, None], axis=1))):
+            raise ValueError("the form pattern needs sorted, distinct stencil "
+                             "columns with the diagonal in every row")
+        # term (k, i, j), numbered 9 k + 3 i + j here, lands on (cols[k, i],
+        # cols[k, j]); a stable sort by position keeps the rows k of one
+        # entry ascending
+        key = (np.repeat(cols, 3, axis=1) * n + np.tile(cols, 3)).ravel()
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.r_[True, key[1:] != key[:-1]]
+        entry = np.cumsum(new) - 1
+        first = np.flatnonzero(new)
+        pos = key[first]
+        rank = np.arange(key.size) - first[entry]
+        slots = np.full((rank.max() + 1, pos.size), 9 * n, dtype=np.int32)
+        slots[rank, entry] = order % 9 * n + order // 9
+        stencil_rows = np.repeat(rows, 3)
+        flat_cols = cols.ravel()
+        return cls(
+            n=n,
+            indptr=np.searchsorted(pos, np.arange(n + 1) * n).astype(np.int32),
+            indices=(pos % n).astype(np.int32),
+            slots=slots,
+            diag=np.searchsorted(pos, rows * (n + 1)).astype(np.int32),
+            stencil_diag=np.flatnonzero(flat_cols == stencil_rows).astype(np.int32),
+            stencil=np.searchsorted(pos, stencil_rows * n + flat_cols).astype(np.int32),
+            stencil_t=np.searchsorted(pos, flat_cols * n + stencil_rows).astype(np.int32),
+        )
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def sandwich(self, stencil_data: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Pattern-aligned values of L^T diag(w) L, L the stencil matrix
+        with data stencil_data."""
+        n = self.n
+        L = stencil_data.reshape(n, 3).T
+        prod = np.empty(9 * n + 1)
+        prod[-1] = 0.0
+        np.multiply(L[None, :, :], (w * L)[:, None, :], out=prod[:-1].reshape(3, 3, n))
+        vals = prod[self.slots[0]]
+        for s in self.slots[1:]:
+            vals += prod[s]
+        return vals
+
+    def matrix(self, vals: np.ndarray) -> sp.csr_matrix:
+        """The CSR matrix of pattern-aligned values, exact zeros dropped
+        (as scipy drops them); the arrays are copies, never vals itself."""
+        keep = vals != 0
+        kept = np.zeros(keep.size + 1, dtype=np.int32)
+        np.cumsum(keep, dtype=np.int32, out=kept[1:])
+        return sp.csr_matrix((vals[keep], self.indices[keep], kept[self.indptr]),
+                             shape=(self.n, self.n))
+
+
 @dataclass
 class RadialGrid:
     """Graded radial mesh with trapezoid quadrature weights.
@@ -78,9 +178,11 @@ class RadialGrid:
     Geometry samples (f, f', f'', rho, beta, wextra) are cached at the
     nodes, taken in one pass from the geometry's `fields` evaluator when
     it has one (glued geometries classify each node once), else from its
-    six callables.  The derivative matrices d1, d2, the norm volume and
-    the e-free part of the mode operator are built lazily, once per
-    grid, from these arrays; so the arrays must not be mutated after
+    six callables.  The derivative matrices d1, d2, the norm volume, the
+    e-free part of the mode operator and the stencil-product pattern of
+    the weighted forms (`form_pattern`, with which every form on the grid
+    is filled by plain array arithmetic) are built lazily, once per grid,
+    from these arrays; so the arrays must not be mutated after
     construction (build a new grid instead).
     """
 
@@ -97,6 +199,7 @@ class RadialGrid:
     _d2: sp.spmatrix = field(repr=False, default=None)
     _volume: np.ndarray = field(repr=False, default=None)
     _radial_operator: sp.spmatrix = field(repr=False, default=None)
+    _form_pattern: FormPattern = field(repr=False, default=None, init=False)
 
     def __post_init__(self):
         g = self.geometry
@@ -193,6 +296,14 @@ class RadialGrid:
             self._radial_operator = (sp.diags(-rho2) @ self.d2
                                      + sp.diags(-(m - 1.0) * rho2 * self.fp / self.f) @ self.d1)
         return self._radial_operator
+
+    @property
+    def form_pattern(self) -> FormPattern:
+        """The pattern of the stencil products L^T diag(w) L (L = d1, d2)
+        with its fill maps; see FormPattern."""
+        if self._form_pattern is None:
+            self._form_pattern = FormPattern.build(self.d1, self.d2)
+        return self._form_pattern
 
     def mapped(self, t: float) -> "RadialGrid":
         """The grid of the rescaled geometry, nodes mapped by x -> t x."""

@@ -6,7 +6,9 @@ with timing wrappers and binds the arguments of ``build_grid`` and
 call of each and restoring must work, so that renaming or deleting a name
 the tracer uses fails here and not only in ``run.py --trace 1``.  The
 same holds for the glued geometry: the tracer wraps ``parametric_connect_sum``
-and then each per-field callable of the glued geometry it returns.
+and then each per-field callable of the glued geometry it returns.  A
+kernel scan calls the wrapped ``near_null_threshold`` once per weight, all
+on one exact-cone mesh built through the wrapped ``build_grid``.
 """
 
 import importlib.util
@@ -54,3 +56,27 @@ def test_tracer_instruments_and_restores():
     for obj, attr, orig in patches:
         assert getattr(obj, attr) is orig
     assert sl.build_grid is wc.build_grid
+
+
+def test_kernel_scan_builds_one_threshold_mesh():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    model = preset_model("hyperboloid_capped")
+    geo = model.geometry(0)
+    grid = wc.build_grid(geo, n_per_region=60)
+    modes = len(geo.link.eigenvalues_below(2.0))
+    patches = tracing.instrument(tracer)
+    try:
+        tracer.enabled = True
+        rows = sl.kernel_dimension_scan(model, [0.5, 1.5], e_max=2.0, grid=grid)
+        tracer.enabled = False
+    finally:
+        tracing.restore(patches)
+    assert [row.beta for row in rows] == [0.5, 1.5]
+    assert tracer.calls["spectral_laplace.threshold"] == 2
+    # the scan grid was passed in: the one traced grid is the threshold mesh
+    assert tracer.calls["weighted_calc.grid"] == 1
+    # one operator per mode for the mesh, one per mode and weight for the pencils
+    assert tracer.calls["spectral_laplace.mode_operator"] == 3 * modes
+    assert tracer.calls["spectral_laplace.pencil"] == 2 * modes
+    assert tracer.calls["spectral_laplace.form"] == 4 * modes

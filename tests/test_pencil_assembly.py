@@ -2,12 +2,14 @@
 
 The mode operator, the weighted forms, the pencil and the near-null
 threshold build their e-independent parts once per grid (or once per
-grid and weight) and add only the e-dependent terms per mode.  The
-per-mode versions that rebuild everything are kept here as reference
-implementations; the package versions must reproduce them bit for bit
-(same CSR data, indices and index pointers; same weights and threshold).
-Weights are visited in the order b1, b2, b1, so parts kept from another
-weight would show."""
+grid and weight) and add only the e-dependent terms per mode.  The forms
+and Poincare's gradient form are filled by array arithmetic on the
+grid's stencil-product pattern instead of scipy products and sums.  The
+per-mode scipy versions that rebuild everything are kept here as
+reference implementations; the package versions must reproduce them bit
+for bit (same CSR data, indices and index pointers; same weights and
+threshold).  Weights are visited in the order b1, b2, b1, so parts kept
+from another weight would show."""
 
 import gc
 import math
@@ -26,10 +28,13 @@ from conifold_lab.conifold_model import (
     spindle_family,
     warp_preset,
 )
+from conifold_lab import spectral_laplace as sl
 from conifold_lab.spectral_laplace import (
     KernelScanRow,
+    WeightConditionError,
     _default_closures,
     _form_parts,
+    _gradient_forms,
     _grid_nodes_per_decade,
     _reduction_matrix,
     _sigma_from,
@@ -41,7 +46,7 @@ from conifold_lab.spectral_laplace import (
     weighted_form,
 )
 from conifold_lab.weight_calculus import gamma_roots
-from conifold_lab.weighted_calc import build_grid
+from conifold_lab.weighted_calc import FormPattern, build_grid
 
 # ---------------------------------------------------------------------------
 # reference implementations (everything rebuilt per mode)
@@ -88,6 +93,16 @@ def ref_weighted_form(grid, k, beta, e):
         M = M + sp.diags(c1) + D1.T @ sp.diags(c3) @ D1
         M = M + sp.diags(c2) @ D1 + D1.T @ sp.diags(c2)
     return M.tocsr()
+
+
+def ref_gradient_form(grid, beta, e):
+    """The weighted gradient form of poincare_constant."""
+    g = grid
+    m = g.geometry.m
+    wg = (g.wextra * g.rho ** (1 - beta)) ** 2 * g.quad \
+        * g.f ** (m - 1) * g.volume_factor * g.rho ** (-float(m))
+    G0 = g.d1.T @ sp.diags(wg) @ g.d1
+    return G0 + sp.diags(wg * e / g.f**2)
 
 
 def ref_laplacian_pencil(grid, e, beta, kernel_scan=False):
@@ -212,6 +227,58 @@ def test_weighted_forms_match_reference(grid):
                 want = ref_weighted_form(grid, k, beta, e)
                 assert_same_csr(weighted_form(grid, k, beta, e, parts=parts).matrix, want)
                 assert_same_csr(weighted_form(grid, k, beta, e).matrix, want)
+    # e = 0.5 lies strictly between 0 and the Einstein constant 1, so the
+    # Hessian coefficient c1 clips to 0 while mix and c2 do not; e = 30 is
+    # beyond every scanned mode
+    assert grid.geometry.link.einstein_constant == 1.0
+    for e in (0.5, 30.0):
+        for k in (0, 1, 2):
+            assert_same_csr(weighted_form(grid, k, 0.5, e).matrix,
+                            ref_weighted_form(grid, k, 0.5, e))
+
+
+def test_gradient_form_matches_reference(grid):
+    for beta in (-0.5, 0.5):
+        gradient_form = _gradient_forms(grid, beta)
+        for e in modes(grid) + [0.5, 30.0]:
+            want = ref_gradient_form(grid, beta, e)
+            got = gradient_form(e)
+            assert_same_csr(got, want.tocsr())
+            op = assemble_mode_operator(grid, e, beta=beta)
+            # poincare_constant's reduced form: the same entries (scipy's
+            # unsorted CSC order aside)
+            assert_same_csr((op.R.T @ got @ op.R).tocsc().sorted_indices(),
+                            (op.R.T @ want @ op.R).tocsc().sorted_indices())
+
+
+def test_stencils_store_three_sorted_entries_per_row(grid):
+    n = grid.n
+    rows = np.arange(n)
+    for D in (grid.d1, grid.d2):
+        assert np.array_equal(D.indptr, 3 * np.arange(n + 1))
+        cols = D.indices.reshape(n, 3)
+        assert np.all(np.diff(cols, axis=1) > 0)
+        assert np.all(np.any(cols == rows[:, None], axis=1))
+    assert np.array_equal(grid.d1.indices, grid.d2.indices)
+    pat = grid.form_pattern
+    assert pat.indices.dtype == pat.slots.dtype == np.int32
+    assert np.array_equal(pat.indices[pat.diag], rows)
+
+
+def test_form_pattern_refuses_other_stencil_storage():
+    grid = build_grid(GEOMETRIES["hyperboloid_capped"](), n_per_region=60)
+    d1, d2 = grid.d1, grid.d2
+    with pytest.raises(ValueError, match="three entries per row"):
+        FormPattern.build(d1[:, 1:], d2[:, 1:])  # row 0 loses a column
+    with pytest.raises(ValueError, match="same columns"):
+        FormPattern.build(d1, sp.identity(grid.n, format="csr"))
+    shifted = sp.csr_matrix((d1.data, (d1.indices + 3) % grid.n, d1.indptr), shape=d1.shape)
+    with pytest.raises(ValueError, match="diagonal"):
+        FormPattern.build(shifted, shifted)
+    unsorted = d1.copy()
+    unsorted.indices = unsorted.indices.reshape(-1, 3)[:, ::-1].ravel().copy()
+    with pytest.raises(ValueError, match="sorted"):
+        FormPattern.build(unsorted, unsorted)
 
 
 @pytest.mark.parametrize("kernel_scan", [False, True])
@@ -245,6 +312,30 @@ def test_threshold_matches_reference(beta_list):
         for npd in (90.0, 150.0):
             assert near_null_threshold(link, 3, E_MAX, beta, npd) \
                 == ref_near_null_threshold(link, 3, E_MAX, beta, npd)
+
+
+def test_threshold_mesh_is_shared_across_weights():
+    link = preset_model("hyperboloid_capped").geometry(0).link
+    mesh = sl._threshold_mesh(link, 3, E_MAX, 90.0, (1e-3, 1e3))
+    for beta in (0.5, 2.5, -0.5, 0.5):
+        assert near_null_threshold(link, 3, E_MAX, beta, 90.0, mesh=mesh) \
+            == ref_near_null_threshold(link, 3, E_MAX, beta, 90.0)
+    for args in ((link, 3, 6.0, 0.5, 90.0), (link, 3, E_MAX, 0.5, 150.0),
+                 (link, 3, E_MAX, 0.5, 90.0, (1e-2, 1e2))):
+        with pytest.raises(ValueError, match="threshold mesh"):
+            near_null_threshold(*args, mesh=mesh)
+
+
+def test_kernel_scan_checks_every_weight_before_any_threshold(monkeypatch):
+    def no_threshold(*args, **kwargs):
+        raise AssertionError("threshold computed before the weights were checked")
+
+    monkeypatch.setattr(sl, "near_null_threshold", no_threshold)
+    monkeypatch.setattr(sl, "_threshold_mesh", no_threshold)
+    geo = preset_model("hyperboloid_capped").geometry(0)
+    grid = build_grid(geo, n_per_region=60)
+    with pytest.raises(WeightConditionError, match="exceptional"):
+        kernel_dimension_scan(geo, [0.5, 1.0], e_max=E_MAX, grid=grid)
 
 
 def test_kernel_scan_matches_reference():
