@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,42 +113,333 @@ def _default_closures(grid: RadialGrid, e: float, beta: float | None,
 
 
 def _reduction_matrix(grid: RadialGrid, left: ClosureRule | None,
-                      right: ClosureRule | None) -> tuple[sp.spmatrix, np.ndarray]:
-    """R with u_full = R u_interior, plus the interior node indices."""
+                      right: ClosureRule | None) -> tuple[sp.csr_matrix, np.ndarray]:
+    """R with u_full = R u_interior, plus the interior node indices.  R is
+    the identity on interior nodes; each closed end adds a row of zero
+    (zero), one (robin) or two (cap_even) entries."""
     n = grid.n
     if grid.geometry.circle:
         return sp.identity(n, format="csr"), np.arange(n)
     interior = np.arange(1, n - 1)
     n_i = interior.size
-    rows, cols, vals = [interior], [np.arange(n_i)], [np.ones(n_i)]
 
-    def add_boundary(i_bnd, rule, b):
+    def boundary(i_bnd, rule, b):
+        """(columns, values) of boundary row i_bnd, columns ascending."""
         if rule.kind == "zero":
-            return
+            return [], []
         if rule.kind == "cap_even":
             i1, i2 = (1, 2) if i_bnd == 0 else (n - 2, n - 3)
             h1 = abs(grid.nodes[i1] - grid.nodes[i_bnd])
             h2 = abs(grid.nodes[i2] - grid.nodes[i_bnd])
             den = h2 * h2 - h1 * h1
-            rows.append([i_bnd, i_bnd])
-            cols.append([i1 - 1, i2 - 1])
-            vals.append([h2 * h2 / den, -h1 * h1 / den])
-            return
+            cols, vals = [i1 - 1, i2 - 1], [h2 * h2 / den, -h1 * h1 / den]
+            return (cols, vals) if i_bnd == 0 else (cols[::-1], vals[::-1])
         if rule.kind == "robin":
             i_adj = 1 if i_bnd == 0 else n - 2
             r_b = b.sign * (grid.nodes[i_bnd] - b.x0)
             r_a = b.sign * (grid.nodes[i_adj] - b.x0)
-            rows.append([i_bnd])
-            cols.append([i_adj - 1])
-            vals.append([(r_b / r_a) ** rule.slope])
-            return
+            return [i_adj - 1], [(r_b / r_a) ** rule.slope]
         raise ValueError(rule.kind)
 
-    add_boundary(0, left, grid.geometry.left)
-    add_boundary(n - 1, right, grid.geometry.right)
-    R = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    lc, lv = boundary(0, left, grid.geometry.left)
+    rc, rv = boundary(n - 1, right, grid.geometry.right)
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indptr[0] = 0
+    indptr[1:] = len(lc) + np.arange(n, dtype=np.int32)
+    indptr[-1] = indptr[-2] + len(rc)
+    R = sp.csr_matrix((np.concatenate([lv, np.ones(n_i), rv]),
+                       np.concatenate([lc, np.arange(n_i), rc]).astype(np.int32), indptr),
                       shape=(n, n_i))
     return R, interior
+
+
+# ---------------------------------------------------------------------------
+# sparse products on fixed patterns
+
+
+def _regular_rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[int, int, tuple]:
+    """(lo, hi, offsets): the run of rows around the middle row that store
+    the columns row + offsets, in the middle row's storage order."""
+    n = indptr.size - 1
+    mid = n // 2
+    offsets = indices[indptr[mid]:indptr[mid + 1]].astype(np.int64) - mid
+
+    def run(bad):
+        """the rows between the bad rows nearest to mid"""
+        below, above = bad[bad < mid], bad[bad > mid]
+        return (int(below[-1]) + 1 if below.size else 0,
+                int(above[0]) if above.size else n)
+
+    lo, hi = run(np.flatnonzero(np.diff(indptr) != offsets.size))
+    block = indices[indptr[lo]:indptr[hi]].reshape(hi - lo, offsets.size)
+    rows = np.arange(lo, hi)
+    bad = np.zeros(hi - lo, dtype=bool)
+    for j, o in enumerate(offsets):
+        bad |= block[:, j] != rows + o
+    lo2, hi2 = run(np.flatnonzero(bad) + lo)
+    return max(lo, lo2), min(hi, hi2), tuple(int(o) for o in offsets)
+
+
+def _transposed(indptr: np.ndarray, indices: np.ndarray, n_col: int):
+    """The CSR pattern of the transpose, rows ascending within each of its
+    rows (scipy's tocsc order), and the permutation taking data to it."""
+    perm = np.argsort(indices, kind="stable").astype(np.int32)
+    t_indptr = np.zeros(n_col + 1, dtype=np.int32)
+    np.cumsum(np.bincount(indices, minlength=n_col), out=t_indptr[1:])
+    rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int32), np.diff(indptr))
+    return t_indptr, rows[perm], perm
+
+
+def _gathered_terms(xp, xi, yp, yi, n_col: int, rows: np.ndarray):
+    """csr_matmat(X, Y) symbolically, for the X rows `rows`: the output
+    entries of each row in scipy's storage order (the reverse of the order
+    of first touch), and per entry the positions in X.data and Y.data of
+    its products, in the order scipy adds them (X's storage order, then
+    Y's).  Returns (counts per row, indices, x, y, slots); slots[s, q] is
+    the s-th product of entry q, padded with len(x)."""
+    xcnt = (xp[rows + 1] - xp[rows]).astype(np.int64)
+    xpos = np.repeat(xp[rows] - (np.cumsum(xcnt) - xcnt), xcnt) + np.arange(xcnt.sum())
+    cols = xi[xpos]
+    ycnt = (yp[cols + 1] - yp[cols]).astype(np.int64)
+    n_terms = int(ycnt.sum())
+    x = np.repeat(xpos, ycnt)
+    y = np.repeat(yp[cols] - (np.cumsum(ycnt) - ycnt), ycnt) + np.arange(n_terms)
+    row = np.repeat(np.repeat(np.arange(rows.size), xcnt), ycnt)
+    key = row * n_col + yi[y]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.r_[True, key[1:] != key[:-1]] if n_terms else np.zeros(0, bool)
+    head = np.flatnonzero(new)
+    entry = np.cumsum(new) - 1
+    # entries by first touch, then reversed within their row
+    by_touch = np.full(n_terms, -1)
+    by_touch[order[head]] = np.arange(head.size)
+    by_touch = by_touch[by_touch >= 0]
+    e_row = key[head] // n_col
+    counts = np.bincount(e_row, minlength=rows.size)
+    start = np.r_[0, np.cumsum(counts)]
+    r = e_row[by_touch]
+    stored = by_touch[start[r] + start[r + 1] - 1 - np.arange(head.size)]
+    where = np.empty(head.size, dtype=np.int64)
+    where[stored] = np.arange(head.size)
+    rank = np.arange(n_terms) - head[entry]
+    slots = np.full((int(rank.max()) + 1 if n_terms else 1, head.size), n_terms,
+                    dtype=np.int32)
+    slots[rank, where[entry]] = order
+    return (counts, (key[head] % n_col)[stored].astype(np.int32),
+            x.astype(np.int32), y.astype(np.int32), slots)
+
+
+@dataclass(frozen=True)
+class _Product:
+    """scipy's csr_matmat(X, Y) on fixed patterns of X and Y: the pattern
+    of the product in scipy's storage order, and a recipe that fills its
+    values from X.data and Y.data, adding each entry's products in the
+    order csr_matmat adds them, so the values are bit for bit scipy's.
+    Exact zeros are kept (scipy drops them; callers drop them once, at
+    the end, which leaves the other values unchanged).
+
+    The rows [lo, hi) repeat one stencil, so they run as column slices of
+    the regular blocks of X and Y: steps (p, q, s, first) multiply the
+    p-th stored entry of X's row by the q-th of Y's row it points to and
+    add the product to the s-th entry of the output row, whose column is
+    the row plus keys[s].  The other rows (the truncated ends, a circle's
+    seam) gather their products (x, y, slots as in _gathered_terms); they
+    hold the output entries before head and from tail on.  Only these
+    few end entries are stored: `pattern` rebuilds the whole one."""
+
+    n_row: int
+    nnz: int
+    head: int
+    tail: int
+    lo: int
+    hi: int
+    keys: tuple  # column - row of each stored entry of the rows [lo, hi)
+    end_counts: np.ndarray  # entries of each row outside [lo, hi)
+    end_indices: np.ndarray  # their columns
+    x_block: tuple  # (start, stop, width) of X's rows [lo, hi) in X.data
+    y_blocks: tuple  # per p: (start, stop, width) of the Y rows it points to
+    steps: tuple
+    x: np.ndarray
+    y: np.ndarray
+    slots: np.ndarray
+
+    @classmethod
+    def build(cls, xp, xi, yp, yi, n_col: int) -> "_Product":
+        n_row = xp.size - 1
+        xa, xb, xo = _regular_rows(xp, xi)
+        ya, yb, yo = _regular_rows(yp, yi)
+        lo = max([xa] + [ya - d for d in xo])
+        hi = min([xb] + [yb - d for d in xo])
+        steps, keys = [], []
+        for p, dx in enumerate(xo):
+            for q, dy in enumerate(yo):
+                first = dx + dy not in keys
+                if first:
+                    keys.append(dx + dy)
+                steps.append((p, q, dx + dy, first))
+        keys = keys[::-1]  # storage order: the reverse of the order of first touch
+        steps = tuple((p, q, keys.index(k), first) for p, q, k, first in steps)
+        if hi <= lo:
+            lo = hi = 0
+        counts, indices, x, y, slots = _gathered_terms(xp, xi, yp, yi, n_col,
+                                                       _end_rows(lo, hi, n_row))
+        head = int(counts[:lo].sum())
+        return cls(
+            n_row=n_row, nnz=int(counts.sum()) + (hi - lo) * len(keys), head=head,
+            tail=head + (hi - lo) * len(keys), lo=lo, hi=hi, keys=tuple(keys),
+            end_counts=counts.astype(np.int32), end_indices=indices,
+            x_block=(int(xp[lo]), int(xp[hi]), len(xo)),
+            y_blocks=tuple((int(yp[lo + d]), int(yp[hi + d]), len(yo)) for d in xo),
+            steps=steps, x=x, y=y, slots=slots,
+        )
+
+    def pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the product, in scipy's storage order."""
+        lo, hi, head, tail = self.lo, self.hi, self.head, self.tail
+        row_nnz = np.full(self.n_row, len(self.keys), dtype=np.int32)
+        row_nnz[_end_rows(lo, hi, self.n_row)] = self.end_counts
+        indptr = np.zeros(self.n_row + 1, dtype=np.int32)
+        np.cumsum(row_nnz, out=indptr[1:])
+        indices = np.empty(self.nnz, dtype=np.int32)
+        indices[:head] = self.end_indices[:head]
+        indices[tail:] = self.end_indices[head:]
+        if hi > lo:
+            block = indices[head:tail].reshape(hi - lo, -1)
+            for s, k in enumerate(self.keys):
+                block[:, s] = np.arange(lo + k, hi + k)
+        return indptr, indices
+
+    def end_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) of the stored entries outside the rows [lo, hi)."""
+        return (np.repeat(_end_rows(self.lo, self.hi, self.n_row), self.end_counts),
+                self.end_indices)
+
+    def values(self, xdata: np.ndarray, ydata: np.ndarray) -> np.ndarray:
+        out = np.empty(self.nnz)
+        head, tail = self.head, self.tail
+        if self.hi > self.lo:
+            block = out[head:tail].reshape(self.hi - self.lo, -1)
+            start, stop, width = self.x_block
+            X = xdata[start:stop].reshape(-1, width)
+            Y = [ydata[start:stop].reshape(-1, width) for start, stop, width in self.y_blocks]
+            for p, q, s, first in self.steps:
+                if first:
+                    np.multiply(X[:, p], Y[p][:, q], out=block[:, s])
+                else:
+                    block[:, s] += X[:, p] * Y[p][:, q]
+        if self.x.size:
+            prod = np.empty(self.x.size + 1)
+            np.multiply(xdata[self.x], ydata[self.y], out=prod[:-1])
+            prod[-1] = 0.0
+            ends = prod[self.slots[0]]
+            for s in self.slots[1:]:
+                ends += prod[s]
+            out[:head] = ends[:head]
+            out[tail:] = ends[head:]
+        return out
+
+    def matrix(self, cls, vals: np.ndarray) -> sp.spmatrix:
+        """The product as a CSR (or, for a product holding a transpose,
+        CSC) matrix of fresh values, exact zeros dropped."""
+        return _compressed(cls, vals, *self.pattern(), (self.n_row, self.n_row))
+
+    def dia_layout(self, offsets: np.ndarray) -> tuple:
+        """Where the values of a product holding the transpose M^T of a
+        square matrix M go in M's DIA layout on `offsets` (ascending): the
+        row of each block slot, and the flat positions of the end entries."""
+        rows, cols = self.end_entries()
+        return (tuple(int(r) for r in np.searchsorted(offsets, [-k for k in self.keys])),
+                np.searchsorted(offsets, rows - cols) * self.n_row + rows)
+
+    def dia(self, layout: tuple, vals: np.ndarray, offsets: np.ndarray) -> sp.dia_matrix:
+        """M as a DIA matrix on offsets from the values of this product of
+        M^T (see dia_layout): the block slots are row slices of the
+        diagonals."""
+        n, lo, hi, head, tail = self.n_row, self.lo, self.hi, self.head, self.tail
+        rows, ends = layout
+        band = np.zeros((offsets.size, n))
+        if hi > lo:
+            block = vals[head:tail].reshape(hi - lo, -1)
+            for s, r in enumerate(rows):
+                band[r, lo:hi] = block[:, s]
+        band.reshape(-1)[ends] = np.r_[vals[:head], vals[tail:]]
+        return sp.dia_matrix((band, offsets), shape=(n, n))
+
+
+def _end_rows(lo: int, hi: int, n: int) -> np.ndarray:
+    return np.r_[np.arange(lo), np.arange(hi, n)]
+
+
+def _compressed(cls, vals: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+                shape: tuple) -> sp.spmatrix:
+    """The CSR or CSC matrix of values on a pattern, exact zeros dropped
+    (as scipy drops them); it may keep the arrays it is given."""
+    keep = vals != 0
+    if keep.all():
+        return cls((vals, indices, indptr), shape=shape)
+    kept = np.zeros(keep.size + 1, dtype=np.int32)
+    np.cumsum(keep, dtype=np.int32, out=kept[1:])
+    return cls((vals[keep], indices[keep], kept[indptr]), shape=shape)
+
+
+@dataclass(frozen=True)
+class _PencilPattern:
+    """The sparse patterns of the pencil on one grid for one shape of the
+    reduction R (the closure kinds at its two ends), with the products
+    that fill them exactly as the scipy expressions
+
+        Pi = (P_full[interior] @ R).tocsr()
+        A  = (Pi.T @ diags(w) @ Pi).tocsc()
+        M_red = (R.T @ M @ R).tocsc()      (M a form on the grid's form pattern)
+
+    do: pi = P[interior] R; t = (Pi^T W)^T = W Pi and a = (Pi^T W Pi)^T
+    row by row; u = (R^T M)^T and red = (R^T M R)^T; pi_t, m_t and r_t are
+    the permutations scipy's tocsc applies to Pi, M and R before a
+    product (m_t is the grid's FormPattern.transposed).  R is the
+    identity on interior nodes, so most entries are single products and
+    only the rows next to a closed end are sums.  offsets are the
+    diagonals of A and M_red together, so the two DIA matrices of a
+    pencil share them; a_dia and red_dia place the values of a and red
+    on them.  Built once per grid and closure kinds
+    (RadialGrid.pencil_patterns), from patterns only: R's values change
+    per mode."""
+
+    p_start: int  # first stored P_full entry of the interior rows
+    pi: _Product
+    pi_t: np.ndarray
+    t: _Product
+    a: _Product
+    m_t: np.ndarray
+    u: _Product
+    r_t: np.ndarray
+    red: _Product
+    offsets: np.ndarray
+    a_dia: tuple
+    red_dia: tuple
+
+    @classmethod
+    def build(cls, grid: RadialGrid, R: sp.csr_matrix, interior: np.ndarray) -> "_PencilPattern":
+        n, n_i = grid.n, R.shape[1]
+        d1, pat = grid.d1, grid.form_pattern
+        p_start, p_stop = d1.indptr[interior[0]], d1.indptr[interior[-1] + 1]
+        pi = _Product.build(d1.indptr[interior[0]:interior[-1] + 2] - p_start,
+                            d1.indices[p_start:p_stop], R.indptr, R.indices, n_i)
+        pi_p = pi.pattern()
+        pi_tp, pi_ti, pi_t = _transposed(*pi_p, n_i)
+        diag = np.arange(n_i + 1, dtype=np.int32)
+        t = _Product.build(diag, diag[:-1], *pi_p, n_i)
+        a = _Product.build(pi_tp, pi_ti, *t.pattern(), n_i)
+        # the form pattern is symmetric: its transpose has its arrays
+        u = _Product.build(pat.indptr, pat.indices, R.indptr, R.indices, n_i)
+        r_tp, r_ti, r_t = _transposed(R.indptr, R.indices, n_i)
+        red = _Product.build(r_tp, r_ti, *u.pattern(), n_i)
+        # a and red hold A^T and M_red^T: an entry (r, c) sits on diagonal r - c
+        offsets = np.unique(np.concatenate([np.subtract(*q.end_entries()) for q in (a, red)]
+                                           + [[-k for k in q.keys] for q in (a, red)]))
+        return cls(p_start=int(p_start), pi=pi, pi_t=pi_t, t=t, a=a, m_t=pat.transposed,
+                   u=u, r_t=r_t, red=red, offsets=offsets, a_dia=a.dia_layout(offsets),
+                   red_dia=red.dia_layout(offsets))
 
 
 @dataclass
@@ -156,24 +448,59 @@ class ModeOperator:
 
     P_full has consistent rows at every node (boundary rows one-sided);
     residuals and solves use the interior rows composed with the
-    reduction R.
-    """
+    reduction R.  P_full is the grid's radial_operator plus
+    diags(e rho^2 / f^2), summed as scipy sums them; values holds its
+    entries on the grid's stencil pattern (d1's storage, exact zeros
+    kept), from which Pi and the reduced forms are filled on the grid's
+    pencil pattern for R's shape."""
 
     e: float
     grid: RadialGrid
-    P_full: sp.spmatrix
     R: sp.spmatrix
     interior: np.ndarray
+    P_full: sp.csr_matrix = field(init=False)
+    values: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        g = self.grid
+        self.values = g.radial_operator.data.copy()
+        self.values[g.form_pattern.stencil_diag] += self.e * g.rho**2 / g.f**2
+        self.P_full = _compressed(sp.csr_matrix, self.values.copy(), g.d1.indptr.copy(),
+                                  g.d1.indices.copy(), (g.n, g.n))
 
     @property
     def n_interior(self) -> int:
         return self.R.shape[1]
 
+    @property
+    def pattern(self) -> _PencilPattern:
+        """The grid's pencil pattern for R's shape (entries in its two
+        boundary rows), built on first use."""
+        key = (int(self.R.indptr[1]), int(self.R.indptr[-1] - self.R.indptr[-2]))
+        patterns = self.grid.pencil_patterns
+        if key not in patterns:
+            patterns[key] = _PencilPattern.build(self.grid, self.R, self.interior)
+        return patterns[key]
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.P_full @ np.asarray(values, dtype=float)
 
-    def reduced(self) -> sp.spmatrix:
-        return (self.P_full[self.interior] @ self.R).tocsc()
+    def pi_values(self) -> np.ndarray:
+        """Pi = P_full[interior] @ R on pattern.pi, exact zeros kept."""
+        pat = self.pattern
+        return pat.pi.values(self.values[pat.p_start:], self.R.data)
+
+    def reduced(self) -> sp.csc_matrix:
+        """(P_full[interior] @ R).tocsc()."""
+        return self.pattern.pi.matrix(sp.csr_matrix, self.pi_values()).tocsc()
+
+    def reduce(self, form_values: np.ndarray) -> np.ndarray:
+        """(R.T @ M @ R).tocsc() for the form M with values form_values on
+        the grid's form pattern: its values on pattern.red, exact zeros
+        kept (pattern.red.matrix and .dia make the matrices)."""
+        pat = self.pattern
+        u = pat.u.values(form_values[pat.m_t], self.R.data)
+        return pat.red.values(self.R.data[pat.r_t], u)
 
     def solve(self, rhs_full_rows: np.ndarray) -> np.ndarray:
         """Solve P u = rhs on the reduced space; returns full nodal values."""
@@ -195,10 +522,8 @@ def assemble_mode_operator(
     consistent on cone harmonics r^gamma); the boundaries close by the
     rules described in the module docstring."""
     left, right = _default_closures(grid, e, beta, kernel_scan)
-    coeff0 = sp.diags(e * grid.rho**2 / grid.f**2)
-    P = (grid.radial_operator + coeff0).tocsr()
     R, interior = _reduction_matrix(grid, left, right)
-    return ModeOperator(e=float(e), grid=grid, P_full=P, R=R, interior=interior)
+    return ModeOperator(e=float(e), grid=grid, R=R, interior=interior)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +537,20 @@ class WeightedQuadraticForm:
     For k = 0 the matrix is diagonal (quadrature weights); the k = 1, 2
     derivative blocks sandwich the same diagonal weights between the
     difference operators, so the assembled matrix is banded SPD on the
-    reduced space.
+    reduced space.  values are its entries on the grid's form pattern
+    (exact zeros kept; ModeOperator.reduce takes them); matrix drops the
+    zeros, as scipy does.
     """
 
     grid: RadialGrid
     k: int
     beta: float | None
     e: float
-    matrix: sp.spmatrix
+    values: np.ndarray = field(repr=False)
 
-    def reduced(self, R: sp.spmatrix) -> sp.spmatrix:
-        return (R.T @ self.matrix @ R).tocsc()
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return self.grid.form_pattern.matrix(self.values)
 
     def norm(self, values: np.ndarray) -> float:
         v = np.asarray(values, dtype=float)
@@ -322,7 +650,7 @@ def weighted_form(grid: RadialGrid, k: int, beta: float | None, e: float,
         c2_d1 = np.repeat(c2, 3) * D1.data
         M[pat.stencil] += c2_d1
         M[pat.stencil_t] += c2_d1
-    return WeightedQuadraticForm(grid=grid, k=k, beta=beta, e=e, matrix=pat.matrix(M))
+    return WeightedQuadraticForm(grid=grid, k=k, beta=beta, e=e, values=M)
 
 
 @dataclass
@@ -331,18 +659,33 @@ class LaplacePencil:
 
     A = Pi^T diag(w_img) Pi is the assembled normal form; sigma
     evaluations should use the factored residual ||w_img^(1/2) Pi v||
-    (the assembled A loses near-null information to cancellation)."""
+    (the assembled A loses near-null information to cancellation).
+    A_dia and B_dia are A and B as DIA matrices on common offsets, the
+    form smallest_pencil_eigs solves cheapest; A and B, built on first
+    use, are the CSC matrices, and Pi the CSR matrix, that the scipy
+    expressions in laplacian_pencil's docstring leave, storage order
+    included."""
 
-    A: sp.spmatrix
-    B: sp.spmatrix
     op: ModeOperator
-    Pi: sp.spmatrix
+    Pi: sp.csr_matrix
     w_img: np.ndarray
+    A_dia: sp.dia_matrix = field(repr=False)
+    B_dia: sp.dia_matrix = field(repr=False)
+    a: np.ndarray = field(repr=False)  # A's values on op.pattern.a
+    b: np.ndarray = field(repr=False)  # B's values on op.pattern.red
+
+    @cached_property
+    def A(self) -> sp.csc_matrix:
+        return self.op.pattern.a.matrix(sp.csc_matrix, self.a)
+
+    @cached_property
+    def B(self) -> sp.csc_matrix:
+        return self.op.pattern.red.matrix(sp.csc_matrix, self.b)
 
     def residual_sigma(self, v_interior: np.ndarray) -> float:
         r = self.Pi @ v_interior
         num = float(np.sum(self.w_img * r * r))
-        den = float(v_interior @ (self.B @ v_interior))
+        den = float(v_interior @ (self.B_dia @ v_interior))
         return math.sqrt(max(num, 0.0) / max(den, 1e-300))
 
 
@@ -354,14 +697,21 @@ def laplacian_pencil(grid: RadialGrid, e: float, beta: float | None,
     space, w_img carries the weight-(beta-2) mass of Delta u =
     rho^{-2} P u (the rho^2 factors cancel into plain rho^{-2 beta}
     weights), and B is the reduced k=2 form.  parts, when given, are the
-    grid's _form_parts at this beta."""
+    grid's _form_parts at this beta.
+
+    The matrices are filled on the grid's pencil pattern, bit for bit
+    Pi = (P_full[interior] @ R).tocsr(), A = (Pi.T @ diags(w_img) @
+    Pi).tocsc() and B = (R.T @ M2 @ R).tocsc()."""
     parts = _parts_at(grid, beta, parts)
     op = assemble_mode_operator(grid, e, beta=beta, kernel_scan=kernel_scan)
-    Pi = (op.P_full[op.interior] @ op.R).tocsr()
+    pat = op.pattern
     w_img = parts.w_img[op.interior]
-    A = (Pi.T @ sp.diags(w_img) @ Pi).tocsc()
-    B = weighted_form(grid, 2, beta, e, parts=parts).reduced(op.R)
-    return LaplacePencil(A=A, B=B, op=op, Pi=Pi, w_img=w_img)
+    pi = op.pi_values()
+    a = pat.a.values(pi[pat.pi_t], pat.t.values(w_img, pi))
+    b = op.reduce(weighted_form(grid, 2, beta, e, parts=parts).values)
+    return LaplacePencil(op=op, Pi=pat.pi.matrix(sp.csr_matrix, pi), w_img=w_img,
+                         A_dia=pat.a.dia(pat.a_dia, a, pat.offsets),
+                         B_dia=pat.red.dia(pat.red_dia, b, pat.offsets), a=a, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +730,56 @@ def _pencil_num(pen: "LaplacePencil"):
     return num_form
 
 
+def _diagonals(A: sp.spmatrix, B: sp.spmatrix):
+    """A and B on their common diagonals, in scipy's DIA layout: offsets
+    ascending, and row i of each array holds M[j - offsets[i], j] at
+    column j (zero where M stores nothing).  DIA matrices on the same
+    ascending offsets are taken as they are."""
+    if (A.format == B.format == "dia" and np.array_equal(A.offsets, B.offsets)
+            and np.all(np.diff(A.offsets) > 0)):
+        return A.offsets, A.data, B.data
+    n = A.shape[0]
+    mats = (A.tocsc(), B.tocsc())
+    cols = [np.repeat(np.arange(n), np.diff(M.indptr)) for M in mats]
+    offs = [c - M.indices for c, M in zip(cols, mats)]
+    present = np.zeros(2 * n - 1, dtype=bool)
+    for o in offs:
+        present[o + (n - 1)] = True
+    offsets = np.flatnonzero(present) - (n - 1)
+    row_of = np.empty(2 * n - 1, dtype=np.intp)
+    row_of[offsets + (n - 1)] = np.arange(offsets.size)
+    bands = []
+    for M, c, o in zip(mats, cols, offs):
+        band = np.zeros((offsets.size, n))
+        band[row_of[o + (n - 1)], c] = M.data
+        bands.append(band)
+    return offsets, bands[0], bands[1]
+
+
+def _shift_invert_parts(A: sp.spmatrix, B: sp.spmatrix,
+                        sigma: float) -> tuple[sp.csc_matrix, sp.dia_matrix]:
+    """A - sigma B as the sorted CSC matrix without stored zeros that
+    splu factors in eigsh's mode 3, and B as a DIA matrix with ascending
+    offsets."""
+    n = A.shape[0]
+    offsets, a, b = _diagonals(A, B)
+    # row j of s holds column j of A - sigma B with the offsets descending,
+    # so its rows ascending; filled diagonal by diagonal (short rows
+    # broadcast slowly)
+    s = np.empty((n, offsets.size))
+    rows = np.empty(s.shape, dtype=np.int32)
+    counts = np.zeros(n, dtype=np.int32)
+    for i, k in enumerate(range(offsets.size - 1, -1, -1)):
+        np.subtract(a[k], sigma * b[k], out=s[:, i])
+        np.subtract(np.arange(n, dtype=np.int32), offsets[k], out=rows[:, i])
+        counts += s[:, i] != 0
+    stored = s != 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return (sp.csc_matrix((s[stored], rows[stored], indptr), shape=(n, n)),
+            sp.dia_matrix((b, offsets), shape=(n, n)))
+
+
 def smallest_pencil_eigs(
     A: sp.spmatrix,
     B: sp.spmatrix,
@@ -395,11 +795,27 @@ def smallest_pencil_eigs(
     quotients of the converged vectors in a cancellation-free factored
     form; the assembled normal matrix A floors tiny eigenvalues at
     roundoff times its entry magnitudes, so near-null detection needs
-    this polish."""
+    this polish.
+
+    The shift-invert operator is built here as eigsh's mode 3 builds it:
+    splu of the sorted CSC matrix A - sigma B, inside the same try as
+    ARPACK, so a singular factor reaches the dense fallback as before.
+    A and B are taken on their common diagonals, so A - sigma B is one
+    elementwise difference; DIA matrices on the same ascending offsets
+    (a LaplacePencil's A_dia and B_dia, ModeOperator.reduce's forms) are
+    used as they are, any other sparse A and B are scattered onto them.
+    ARPACK asks for about three B products per solve (ARPACK Users'
+    Guide, mode 3); it gets B as a DIA matrix, whose product streams the
+    diagonals where the CSC product scatters.  With ascending offsets the
+    DIA product adds each row's terms in ascending column order, starting
+    from 0, as the CSC product does, so every product and every
+    eigenvalue is bit for bit what eigsh(A, k, M=B, sigma=sigma) and its
+    polish give for the CSC matrices."""
     n = A.shape[0]
     k = min(k, n - 2)
     scale = max((A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)), 1e-300)
     sigma = -1e-8 * scale
+    shifted, B_dia = _shift_invert_parts(A, B, sigma)
 
     def polish(vals, vecs):
         if num_form is None:
@@ -407,13 +823,16 @@ def smallest_pencil_eigs(
         out = []
         for i in range(vecs.shape[1]):
             v = vecs[:, i]
-            den = float(v @ (B @ v))
+            den = float(v @ (B_dia @ v))
             out.append(num_form(v) / max(den, 1e-300))
         return np.sort(out)
 
     if constraint is None:
         try:
-            vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM",
+            lu = spla.splu(shifted)
+            del shifted  # ARPACK needs only the factor
+            OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+            vals, vecs = spla.eigsh(A, k=k, M=B_dia, sigma=sigma, which="LM", OPinv=OPinv,
                                     v0=_deterministic_v0(n))
             return polish(vals, vecs)
         except RuntimeError:
@@ -425,19 +844,18 @@ def smallest_pencil_eigs(
             raise
 
     q = np.asarray(constraint, dtype=float)
-    K = sp.bmat([[(A - sigma * B).tocsc(), q[:, None]],
-                 [q[None, :], None]], format="csc")
+    K = sp.bmat([[shifted, q[:, None]], [q[None, :], None]], format="csc")
     lu = spla.splu(K)
 
     def op_inv(b):
         rhs = np.concatenate([b, [0.0]])
         return lu.solve(rhs)[:-1]
 
-    OPinv = spla.LinearOperator((n, n), matvec=op_inv)
+    OPinv = spla.LinearOperator((n, n), matvec=op_inv, dtype=float)
     v0 = _deterministic_v0(n)
     v0 = v0 - q * (q @ v0) / (q @ q)
     try:
-        vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM", OPinv=OPinv,
+        vals, vecs = spla.eigsh(A, k=k, M=B_dia, sigma=sigma, which="LM", OPinv=OPinv,
                                 v0=v0)
         return polish(vals, vecs)
     except RuntimeError:
@@ -680,7 +1098,7 @@ def invertibility_constant(
     per_mode = []
     for e, _mult in _modes(geo.link, e_max):
         pen = laplacian_pencil(grid, e, beta, parts=parts)
-        lam = smallest_pencil_eigs(pen.A, pen.B, k=1, num_form=_pencil_num(pen))
+        lam = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=_pencil_num(pen))
         per_mode.append((float(e), float(_sigma_from(lam)[0])))
     sigma_min = min(s for _, s in per_mode)
     return InvertibilityReport(constant=1.0 / sigma_min, sigma_min=sigma_min,
@@ -750,14 +1168,14 @@ def restricted_invertibility_compact(
         nf = _pencil_num(pen)
         if e == 0.0:
             q_red = pen.op.R.T @ q
-            lam_u = smallest_pencil_eigs(pen.A, pen.B, k=1, num_form=nf)
+            lam_u = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=nf)
             sigma0_unc = float(_sigma_from(lam_u)[0])
-            lam_c = smallest_pencil_eigs(pen.A, pen.B, k=1, constraint=q_red,
+            lam_c = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, constraint=q_red,
                                          num_form=nf)
             sigma0_con = float(_sigma_from(lam_c)[0])
             per_mode.append((0.0, sigma0_con))
         else:
-            lam = smallest_pencil_eigs(pen.A, pen.B, k=1, num_form=nf)
+            lam = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=nf)
             per_mode.append((float(e), float(_sigma_from(lam)[0])))
     sigma_min = min(s for _, s in per_mode)
     return CompactInvertibilityReport(
@@ -775,18 +1193,23 @@ def _gradient_forms(grid: RadialGrid, beta: float):
     """e -> the weighted gradient form D1^T diag(wg) D1 + diag(wg e / f^2)
     of poincare_constant as a CSR matrix, wg = (wextra rho^{1-beta})^2
     rho^{-m} times the volume element; the e-free product is built once,
-    on the grid's form pattern."""
+    on the grid's form pattern, and gradient_form.values(e) are the
+    form's values on it."""
     m = grid.geometry.m
     pat = grid.form_pattern
     wg = (grid.wextra * grid.rho ** (1 - beta)) ** 2 * grid.quad \
         * grid.f ** (m - 1) * grid.volume_factor * grid.rho ** (-float(m))
     G0 = pat.sandwich(grid.d1.data, wg)
 
-    def gradient_form(e: float) -> sp.csr_matrix:
+    def values(e: float) -> np.ndarray:
         G = G0.copy()
         G[pat.diag] += wg * e / grid.f**2
-        return pat.matrix(G)
+        return G
 
+    def gradient_form(e: float) -> sp.csr_matrix:
+        return pat.matrix(values(e))
+
+    gradient_form.values = values
     return gradient_form
 
 
@@ -835,8 +1258,10 @@ def poincare_constant(
     per_mode = []
     for e, _mult in _modes(geo.link, e_max):
         op = assemble_mode_operator(grid, e, beta=beta)
-        M1 = weighted_form(grid, 1, beta, e, parts=parts).reduced(op.R)
-        G_red = (op.R.T @ gradient_form(e) @ op.R).tocsc()
+        red, layout, offsets = op.pattern.red, op.pattern.red_dia, op.pattern.offsets
+        M1 = red.dia(layout, op.reduce(weighted_form(grid, 1, beta, e, parts=parts).values),
+                     offsets)
+        G_red = red.dia(layout, op.reduce(gradient_form.values(e)), offsets)
         lam = smallest_pencil_eigs(G_red, M1, k=1)
         lam0 = max(float(lam[0]), 1e-300)
         per_mode.append((float(e), 1.0 / math.sqrt(lam0)))
@@ -1006,8 +1431,8 @@ def kernel_dimension_scan(
         ambiguous = False
         for e, mult in _modes(geo.link, e_max):
             pen = laplacian_pencil(grid, e, beta, kernel_scan=True, parts=parts)
-            k = min(4, pen.A.shape[0] - 2)
-            sig = _sigma_from(smallest_pencil_eigs(pen.A, pen.B, k=k,
+            k = min(4, pen.op.n_interior - 2)
+            sig = _sigma_from(smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=k,
                                                    num_form=_pencil_num(pen)))
             hits = int(np.count_nonzero(sig < thr))
             if np.any((sig >= thr / 3.0) & (sig <= 3.0 * thr)):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,7 +91,13 @@ class FormPattern:
     near a one-sided end up to four).
     diag: pattern position of (r, r); stencil_diag: position of L[r, r]
     in L.data; stencil, stencil_t: pattern positions of each stored
-    stencil entry (r, c) and of its transpose (c, r).
+    stencil entry (r, c) and of its transpose (c, r); transposed (built
+    on first use): the position of the transpose of every entry.
+
+    `build` works out term by term only the rows near the one-sided end
+    stencils and the circle's seam; every other row is the middle row
+    shifted, its terms included, so a grid's pattern costs a few
+    vector operations per array.
     """
 
     n: int
@@ -110,41 +117,125 @@ class FormPattern:
                 and np.array_equal(d1.indices, d2.indices)):
             raise ValueError("the form pattern needs d1 and d2 to store three "
                              "entries per row, in the same columns")
-        cols = d1.indices.reshape(n, 3).astype(np.int64)
-        rows = np.arange(n)
-        if (np.any(np.diff(cols, axis=1) <= 0)
-                or not np.all(np.any(cols == rows[:, None], axis=1))):
+        cols = d1.indices.reshape(n, 3)
+        c0, c1, c2 = cols.T
+        rows = np.arange(n, dtype=cols.dtype)
+        if (np.any((c1 <= c0) | (c2 <= c1))
+                or not np.all((c0 == rows) | (c1 == rows) | (c2 == rows))):
             raise ValueError("the form pattern needs sorted, distinct stencil "
                              "columns with the diagonal in every row")
         # term (k, i, j), numbered 9 k + 3 i + j here, lands on (cols[k, i],
-        # cols[k, j]); a stable sort by position keeps the rows k of one
-        # entry ascending
-        key = (np.repeat(cols, 3, axis=1) * n + np.tile(cols, 3)).ravel()
+        # cols[k, j]).  Pattern rows away from the one-sided end stencils
+        # and the circle's seam repeat the middle row, shifted, terms
+        # included; the other (zone) rows are worked out term by term, a
+        # stable sort by position keeping the rows k of one entry ascending
+        irregular = np.flatnonzero((c0 != rows - 1) | (c1 != rows) | (c2 != rows + 1))
+        zone = np.zeros(n, dtype=bool)
+        zone[cols[irregular]] = True
+        zone[np.clip(irregular[:, None] + np.arange(-1, 2), 0, n - 1)] = True
+        shifted = np.flatnonzero(~zone)
+        mid = shifted[np.abs(shifted - n // 2).argmin()] if shifted.size else 0
+        worked = zone.copy()
+        worked[mid] = True  # a shifted row near the middle gives the template
+        touching = np.flatnonzero(worked[c0] | worked[c1] | worked[c2])
+        ct = cols[touching].astype(np.int64)
+        term = (9 * touching[:, None] + np.arange(9)).ravel()
+        t_row = np.repeat(ct, 3, axis=1).ravel()
+        mine = worked[t_row]
+        term = term[mine]
+        key = t_row[mine] * n + np.tile(ct, 3).ravel()[mine]
         order = np.argsort(key, kind="stable")
-        key = key[order]
+        key, term = key[order], term[order]
         new = np.r_[True, key[1:] != key[:-1]]
         entry = np.cumsum(new) - 1
         first = np.flatnonzero(new)
-        pos = key[first]
+        pos = key[first]  # the worked rows' entries, as row * n + column
         rank = np.arange(key.size) - first[entry]
-        slots = np.full((rank.max() + 1, pos.size), 9 * n, dtype=np.int32)
-        slots[rank, entry] = order % 9 * n + order // 9
+        z_slots = np.full((rank.max() + 1, pos.size), 9 * n, dtype=np.int32)
+        z_slots[rank, entry] = term % 9 * n + term // 9
+        z_row = pos // n
+        in_mid = slice(*np.searchsorted(z_row, [mid, mid + 1]))
+        offsets = (pos[in_mid] - mid * (n + 1)).astype(np.int32)  # its columns - mid
+        template = z_slots[:, in_mid]
+        counts = np.full(n, offsets.size)
+        counts[zone] = np.bincount(z_row, minlength=n)[zone]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        slots = np.empty((template.shape[0], indices.size), dtype=np.int32)
+        # the rows as runs of zone rows and of shifted rows
+        bounds = np.r_[0, np.flatnonzero(np.diff(zone)) + 1, n]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            dest = slice(indptr[lo], indptr[hi])
+            if zone[lo]:
+                z = slice(*np.searchsorted(z_row, [lo, hi]))
+                indices[dest] = pos[z] % n
+                slots[:, dest] = z_slots[:, z]
+            else:
+                # column by column: short rows broadcast slowly
+                shift = np.arange(lo, hi, dtype=np.int32)
+                block = indices[dest].reshape(hi - lo, -1)
+                for e, o in enumerate(offsets):
+                    np.add(shift, o, out=block[:, e])
+                block = slots[:, dest].reshape(slots.shape[0], hi - lo, -1)
+                for (s, e), t in np.ndenumerate(template):
+                    if t == 9 * n:
+                        block[s, :, e] = t
+                    else:
+                        np.add(shift, t - mid, out=block[s, :, e])
+        span = np.zeros(offsets[-1] - offsets[0] + 1, dtype=np.int32)
+        span[offsets - offsets[0]] = np.arange(offsets.size)
+
+        def at(r, c):
+            """pattern positions of the entries (r, c), r a zone row"""
+            r = r.astype(np.int64)
+            return indptr[r] + np.searchsorted(pos, r * n + c) - np.searchsorted(pos, r * n)
+
+        # a regular stencil row k stores columns k - 1, k, k + 1: in a
+        # shifted row k its entries sit at the offsets -1, 0, 1, and their
+        # transposes in the rows k - 1, k, k + 1 at 1, 0, -1; the stencil
+        # rows that are not regular touch only zone rows
+        local = span[np.clip(np.arange(-1, 2) - offsets[0], 0, span.size - 1)]
+        stencil = np.empty((n, 3), dtype=np.int32)
+        stencil_t = np.zeros((n, 3), dtype=np.int32)
+        for j in range(3):
+            np.add(indptr[:-1], local[j], out=stencil[:, j])
+        np.add(indptr[:-2], local[2], out=stencil_t[1:, 0])
+        np.add(indptr[:-1], local[1], out=stencil_t[:, 1])
+        np.add(indptr[1:-1], local[0], out=stencil_t[:-1, 2])
+        stencil, stencil_t = stencil.ravel(), stencil_t.ravel()
         stencil_rows = np.repeat(rows, 3)
         flat_cols = cols.ravel()
+        in_zone = np.flatnonzero(zone)
+        fix = (3 * in_zone[:, None] + np.arange(3)).ravel()
+        stencil[fix] = at(stencil_rows[fix], flat_cols[fix])
+        near = 3 * np.flatnonzero(zone[c0] | zone[c1] | zone[c2])
+        fix = np.r_[near, near + 1, near + 2]
+        fix = fix[zone[flat_cols[fix]]]
+        stencil_t[fix] = at(flat_cols[fix], stencil_rows[fix])
+        diag = indptr[:-1] + local[1]
+        diag[zone] = at(rows[zone], rows[zone])
         return cls(
             n=n,
-            indptr=np.searchsorted(pos, np.arange(n + 1) * n).astype(np.int32),
-            indices=(pos % n).astype(np.int32),
+            indptr=indptr,
+            indices=indices,
             slots=slots,
-            diag=np.searchsorted(pos, rows * (n + 1)).astype(np.int32),
+            diag=diag,
             stencil_diag=np.flatnonzero(flat_cols == stencil_rows).astype(np.int32),
-            stencil=np.searchsorted(pos, stencil_rows * n + flat_cols).astype(np.int32),
-            stencil_t=np.searchsorted(pos, flat_cols * n + stencil_rows).astype(np.int32),
+            stencil=stencil,
+            stencil_t=stencil_t,
         )
 
     @property
     def nnz(self) -> int:
         return self.indices.size
+
+    @cached_property
+    def transposed(self) -> np.ndarray:
+        """The pattern position of the transpose of each entry: the
+        pattern is symmetric, and values[transposed] are the values of the
+        transpose on it (scipy's tocsc order)."""
+        return np.argsort(self.indices, kind="stable").astype(np.int32)
 
     def sandwich(self, stencil_data: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Pattern-aligned values of L^T diag(w) L, L the stencil matrix
@@ -182,7 +273,8 @@ class RadialGrid:
     e-free part of the mode operator and the stencil-product pattern of
     the weighted forms (`form_pattern`, with which every form on the grid
     is filled by plain array arithmetic) are built lazily, once per grid,
-    from these arrays; so the arrays must not be mutated after
+    from these arrays, and so are the pencil patterns spectral_laplace
+    keeps in `pencil_patterns`; so the arrays must not be mutated after
     construction (build a new grid instead).
     """
 
@@ -200,6 +292,9 @@ class RadialGrid:
     _volume: np.ndarray = field(repr=False, default=None)
     _radial_operator: sp.spmatrix = field(repr=False, default=None)
     _form_pattern: FormPattern = field(repr=False, default=None, init=False)
+    # the pencil patterns, per shape of the closure reduction R (arrays
+    # only, never the grid)
+    pencil_patterns: dict = field(repr=False, default_factory=dict, init=False)
 
     def __post_init__(self):
         g = self.geometry
@@ -286,15 +381,21 @@ class RadialGrid:
         return self._volume
 
     @property
-    def radial_operator(self) -> sp.spmatrix:
+    def radial_operator(self) -> sp.csr_matrix:
         """The e-free part of the mode operator rho^2 A_e,
         -(rho^2) d2 - (m-1) rho^2 (f'/f) d1; the mode operator adds
-        diag(e rho^2 / f^2) to it."""
+        diag(e rho^2 / f^2) to it.  Stored on d1's pattern, so its data
+        align with d1.data; each entry is scipy's
+        diags(-rho^2) @ d2 + diags(-(m-1) rho^2 f'/f) @ d1, bit for bit (an
+        entry that sums to an exact zero is kept, where scipy drops it)."""
         if self._radial_operator is None:
             m = self.geometry.m
             rho2 = self.rho**2
-            self._radial_operator = (sp.diags(-rho2) @ self.d2
-                                     + sp.diags(-(m - 1.0) * rho2 * self.fp / self.f) @ self.d1)
+            d1, d2 = self.d1, self.d2
+            vals = (np.repeat(-rho2, 3) * d2.data
+                    + np.repeat(-(m - 1.0) * rho2 * self.fp / self.f, 3) * d1.data)
+            self._radial_operator = sp.csr_matrix((vals, d1.indices.copy(), d1.indptr.copy()),
+                                                  shape=d1.shape)
         return self._radial_operator
 
     @property
@@ -588,9 +689,23 @@ def _support_window(u: ModeFunction) -> slice:
     return slice(lo, hi)
 
 
+def _window_rows(D: sp.csr_matrix, values: np.ndarray, window: slice) -> np.ndarray:
+    """(D @ values)[window] from the window's rows of the three-entry
+    stencil D alone, summed as csr_matvec sums a row: from 0, over the
+    stored entries in storage order."""
+    n = D.shape[0]
+    data = D.data.reshape(n, 3)[window]
+    cols = D.indices.reshape(n, 3)[window]
+    out = np.zeros(data.shape[0])
+    for j in range(3):
+        out += data[:, j] * values[cols[:, j]]
+    return out
+
+
 def densities(u: ModeFunction, k: int, window: slice = slice(None)) -> list[np.ndarray]:
     """Angular L^2 densities D_0..D_k of u and its covariant derivatives,
-    at the nodes of `window` (default all)."""
+    at the nodes of `window` (default all); the derivatives are taken on
+    the window's stencil rows only, bit for bit the full-grid products."""
     g = u.grid
     f, fp = g.f[window], g.fp[window]
     m = g.geometry.m
@@ -603,10 +718,10 @@ def densities(u: ModeFunction, k: int, window: slice = slice(None)) -> list[np.n
         e = mp.e
         d0 += un**2
         if k >= 1:
-            dun = (g.d1 @ mp.values)[window]
+            dun = _window_rows(g.d1, mp.values, window)
             d1 += dun**2 + (e / f**2) * un**2
         if k >= 2:
-            ddun = (g.d2 @ mp.values)[window]
+            ddun = _window_rows(g.d2, mp.values, window)
             mixed = dun - (fp / f) * un
             hess_c = e * e - kappa * e  # int |Hess s_n|^2 over the link
             if hess_c < 0:

@@ -8,7 +8,9 @@ the tracer uses fails here and not only in ``run.py --trace 1``.  The
 same holds for the glued geometry: the tracer wraps ``parametric_connect_sum``
 and then each per-field callable of the glued geometry it returns.  A
 kernel scan calls the wrapped ``near_null_threshold`` once per weight, all
-on one exact-cone mesh built through the wrapped ``build_grid``.
+on one exact-cone mesh built through the wrapped ``build_grid``, and per
+pencil factors A - sigma B through the wrapped ``spla.splu`` once before
+the wrapped ``spla.eigsh``.
 """
 
 import importlib.util
@@ -80,3 +82,30 @@ def test_kernel_scan_builds_one_threshold_mesh():
     assert tracer.calls["spectral_laplace.mode_operator"] == 3 * modes
     assert tracer.calls["spectral_laplace.pencil"] == 2 * modes
     assert tracer.calls["spectral_laplace.form"] == 4 * modes
+
+
+def test_kernel_scan_factors_each_pencil_once_outside_arpack():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    model = preset_model("hyperboloid_capped")
+    geo = model.geometry(0)
+    grid = wc.build_grid(geo, n_per_region=60)
+    betas = [0.5, 1.5]
+    modes = [e for e, _ in geo.link.eigenvalues_below(2.0)]
+    nnz = 0
+    for beta in betas:
+        for e in modes:
+            pen = sl.laplacian_pencil(grid, e, beta, kernel_scan=True)
+            nnz += pen.A.nnz + pen.B.nnz
+    patches = tracing.instrument(tracer)
+    try:
+        tracer.enabled = True
+        sl.kernel_dimension_scan(model, betas, e_max=2.0, grid=grid)
+        tracer.enabled = False
+    finally:
+        tracing.restore(patches)
+    pencils = len(betas) * len(modes)
+    assert tracer.calls["spectral_laplace.pencil"] == pencils
+    assert tracer.calls["spectral_laplace.splu"] == tracer.calls["spectral_laplace.arpack"] \
+        == pencils
+    assert tracer.counts["spectral_laplace.pencil.nnz"] == nnz

@@ -1,0 +1,398 @@
+"""Exactness oracles for the pencil solves and the per-grid patterns.
+
+smallest_pencil_eigs builds the shift-invert operator A - sigma B itself
+and gives ARPACK B as a DIA matrix; the pencils, the reduced forms, the
+radial operator, the reduction R and the form pattern are filled with
+numpy on per-grid patterns; densities take derivatives on the window's
+stencil rows only.  The scipy versions they replace are kept here as
+reference implementations, and the package versions must reproduce them
+bit for bit: the same arrays, the same bytes of every product, the same
+eigenvalues.  Grids: an interval with two AC ends (dumbbell), a circle
+(spindle: its stencils wrap) and an interval with a cap (hyperboloid)."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from conifold_lab import spectral_laplace as sl
+from conifold_lab.conifold_model import dumbbell_family, preset_model, spindle_family
+from conifold_lab.spectral_laplace import (
+    ClosureRule,
+    _default_closures,
+    _deterministic_v0,
+    _diagonals,
+    _gradient_forms,
+    _pencil_num,
+    _reduction_matrix,
+    _shift_invert_parts,
+    assemble_mode_operator,
+    laplacian_pencil,
+    smallest_pencil_eigs,
+    weighted_form,
+)
+from conifold_lab.weighted_calc import (
+    FormPattern,
+    ModeFunction,
+    ModeProfile,
+    _support_window,
+    _window_rows,
+    build_grid,
+    densities,
+)
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def ref_form_pattern(d1, d2):
+    """FormPattern.build by one stable sort of every stencil product."""
+    n = d1.shape[0]
+    cols = d1.indices.reshape(n, 3).astype(np.int64)
+    rows = np.arange(n)
+    key = (np.repeat(cols, 3, axis=1) * n + np.tile(cols, 3)).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.r_[True, key[1:] != key[:-1]]
+    entry = np.cumsum(new) - 1
+    first = np.flatnonzero(new)
+    pos = key[first]
+    rank = np.arange(key.size) - first[entry]
+    slots = np.full((rank.max() + 1, pos.size), 9 * n, dtype=np.int32)
+    slots[rank, entry] = order % 9 * n + order // 9
+    stencil_rows = np.repeat(rows, 3)
+    flat_cols = cols.ravel()
+    return dict(
+        n=n,
+        indptr=np.searchsorted(pos, np.arange(n + 1) * n).astype(np.int32),
+        indices=(pos % n).astype(np.int32),
+        slots=slots,
+        diag=np.searchsorted(pos, rows * (n + 1)).astype(np.int32),
+        stencil_diag=np.flatnonzero(flat_cols == stencil_rows).astype(np.int32),
+        stencil=np.searchsorted(pos, stencil_rows * n + flat_cols).astype(np.int32),
+        stencil_t=np.searchsorted(pos, flat_cols * n + stencil_rows).astype(np.int32),
+    )
+
+
+def ref_radial_operator(grid):
+    m = grid.geometry.m
+    rho2 = grid.rho**2
+    return (sp.diags(-rho2) @ grid.d2
+            + sp.diags(-(m - 1.0) * rho2 * grid.fp / grid.f) @ grid.d1)
+
+
+def ref_reduction_matrix(grid, left, right):
+    """R from coordinate lists."""
+    n = grid.n
+    if grid.geometry.circle:
+        return sp.identity(n, format="csr"), np.arange(n)
+    interior = np.arange(1, n - 1)
+    n_i = interior.size
+    rows, cols, vals = [interior], [np.arange(n_i)], [np.ones(n_i)]
+
+    def add_boundary(i_bnd, rule, b):
+        if rule.kind == "zero":
+            return
+        if rule.kind == "cap_even":
+            i1, i2 = (1, 2) if i_bnd == 0 else (n - 2, n - 3)
+            h1 = abs(grid.nodes[i1] - grid.nodes[i_bnd])
+            h2 = abs(grid.nodes[i2] - grid.nodes[i_bnd])
+            den = h2 * h2 - h1 * h1
+            rows.append([i_bnd, i_bnd])
+            cols.append([i1 - 1, i2 - 1])
+            vals.append([h2 * h2 / den, -h1 * h1 / den])
+            return
+        i_adj = 1 if i_bnd == 0 else n - 2
+        r_b = b.sign * (grid.nodes[i_bnd] - b.x0)
+        r_a = b.sign * (grid.nodes[i_adj] - b.x0)
+        rows.append([i_bnd])
+        cols.append([i_adj - 1])
+        vals.append([(r_b / r_a) ** rule.slope])
+
+    add_boundary(0, left, grid.geometry.left)
+    add_boundary(n - 1, right, grid.geometry.right)
+    R = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n_i))
+    return R, interior
+
+
+def ref_smallest_pencil_eigs(A, B, k=1, constraint=None, num_form=None):
+    """eigsh's own mode 3 (it factors A - sigma B itself), or the
+    bordered solve on (A - sigma B).tocsc(), plus the polish."""
+    n = A.shape[0]
+    k = min(k, n - 2)
+    scale = max((A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)), 1e-300)
+    sigma = -1e-8 * scale
+
+    def polish(vals, vecs):
+        if num_form is None:
+            return np.sort(vals)
+        return np.sort([num_form(v) / max(float(v @ (B @ v)), 1e-300) for v in vecs.T])
+
+    if constraint is None:
+        vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM",
+                                v0=_deterministic_v0(n))
+        return polish(vals, vecs)
+    q = np.asarray(constraint, dtype=float)
+    K = sp.bmat([[(A - sigma * B).tocsc(), q[:, None]], [q[None, :], None]], format="csc")
+    lu = spla.splu(K)
+    OPinv = spla.LinearOperator((n, n), matvec=lambda b: lu.solve(np.r_[b, 0.0])[:-1])
+    v0 = _deterministic_v0(n)
+    v0 = v0 - q * (q @ v0) / (q @ q)
+    vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
+    return polish(vals, vecs)
+
+
+# ---------------------------------------------------------------------------
+# grids and the solves on them
+
+
+GEOMETRIES = {
+    "dumbbell_t1e-3": lambda: dumbbell_family().at(1e-3).geometry,
+    "spindle_t1e-2": lambda: spindle_family().at(1e-2).geometry,
+    "hyperboloid_capped": lambda: preset_model("hyperboloid_capped").geometry(0),
+}
+E_MAX = 12.0
+
+
+@pytest.fixture(scope="module", params=sorted(GEOMETRIES))
+def grid(request):
+    return build_grid(GEOMETRIES[request.param](), n_per_region=200)
+
+
+def modes(grid):
+    return [e for e, _ in grid.geometry.link.eigenvalues_below(E_MAX)]
+
+
+def core_functional(grid):
+    """The transversality functional of the compact solve, on the nodes."""
+    return np.asarray(grid.quad * grid.f**2)
+
+
+def solves(grid):
+    """(label, A, B, constraint, num_form, pencil-side A and B): the
+    pencils unconstrained (k = 1 and the kernel scan's k = 4) and, at
+    e = 0, bordered; and Poincare's pencil, whose forms come as DIA
+    matrices from ModeOperator.reduce."""
+    out = []
+    for e in modes(grid)[:3]:
+        for kernel_scan in (False, True):
+            pen = laplacian_pencil(grid, e, -0.5, kernel_scan=kernel_scan)
+            out.append((f"pencil e={e}", pen.A, pen.B, None, _pencil_num(pen),
+                        pen.A_dia, pen.B_dia))
+        if e == 0.0:
+            q = pen.op.R.T @ core_functional(grid)
+            out.append(("bordered", pen.A, pen.B, q, _pencil_num(pen), pen.A_dia, pen.B_dia))
+    op = assemble_mode_operator(grid, 2.0, beta=-0.5)
+    red = op.pattern.red
+    G, M1 = (op.reduce(_gradient_forms(grid, -0.5).values(2.0)),
+             op.reduce(weighted_form(grid, 1, -0.5, 2.0).values))
+    out.append(("poincare", red.matrix(sp.csc_matrix, G), red.matrix(sp.csc_matrix, M1), None,
+                None, red.dia(op.pattern.red_dia, G, op.pattern.offsets),
+                red.dia(op.pattern.red_dia, M1, op.pattern.offsets)))
+    return out
+
+
+def vectors(n):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(n)
+    sparse = np.zeros(n)
+    sparse[[0, 1, n // 2, n - 1]] = (1.0, -3.0, 0.5, 2.0)
+    return [x, sparse, _deterministic_v0(n), np.abs(x) * 1e-200]
+
+
+# ---------------------------------------------------------------------------
+# patterns
+
+
+def test_form_pattern_matches_reference_builder(grid):
+    for g in (grid, build_grid(grid.geometry, n_per_region=20)):
+        got, want = FormPattern.build(g.d1, g.d2), ref_form_pattern(g.d1, g.d2)
+        assert got.n == want["n"]
+        for name in ("indptr", "indices", "slots", "diag", "stencil_diag", "stencil",
+                     "stencil_t"):
+            a, b = getattr(got, name), want[name]
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+
+def test_radial_operator_matches_reference(grid):
+    got, want = grid.radial_operator, ref_radial_operator(grid).tocsr()
+    assert got.format == "csr"
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(got, attr).dtype == getattr(want, attr).dtype
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
+def test_reduction_matrix_matches_reference(grid):
+    cases = {_default_closures(grid, e, b, ks) for e in modes(grid)
+             for b in (None, 0.5) for ks in (False, True)}
+    if not grid.geometry.circle:
+        def rules(end):
+            robin = [ClosureRule("robin", -1.5)] if end.kind in ("ac", "cs") else []
+            return [ClosureRule("zero"), ClosureRule("cap_even")] + robin
+
+        cases |= {(left, right) for left in rules(grid.geometry.left)
+                  for right in rules(grid.geometry.right)}
+    for left, right in cases:
+        R, interior = _reduction_matrix(grid, left, right)
+        R_ref, interior_ref = ref_reduction_matrix(grid, left, right)
+        assert np.array_equal(interior, interior_ref)
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(R, attr).dtype == getattr(R_ref, attr).dtype
+            assert np.array_equal(getattr(R, attr), getattr(R_ref, attr))
+
+
+def test_reduced_forms_and_operator_match_scipy(grid):
+    """Poincare's reduced forms and the operator solve's reduced matrix:
+    the values of the scipy products, entry for entry."""
+    for e in modes(grid)[:3]:
+        op = assemble_mode_operator(grid, e, beta=-0.5)
+        for form in (weighted_form(grid, 1, -0.5, e).matrix, _gradient_forms(grid, -0.5)(e),
+                     weighted_form(grid, 2, -0.5, e).matrix):
+            got = op.pattern.red.matrix(sp.csc_matrix, op.reduce(_values_on_pattern(grid, form)))
+            _assert_same_entries(got, (op.R.T @ form @ op.R).tocsc())
+        want = (op.P_full[op.interior] @ op.R).tocsc()
+        got = op.reduced()
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
+def _values_on_pattern(grid, M):
+    """The entries of the CSR matrix M on the grid's form pattern."""
+    pat = grid.form_pattern
+    vals = np.zeros(pat.nnz)
+    rows = np.repeat(np.arange(grid.n), np.diff(M.indptr))
+    pattern_rows = np.repeat(np.arange(grid.n), np.diff(pat.indptr))
+    vals[np.searchsorted(pattern_rows * grid.n + pat.indices, rows * grid.n + M.indices)] = M.data
+    return vals
+
+
+def _assert_same_entries(got, want):
+    got, want = got.sorted_indices(), want.sorted_indices()
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+# ---------------------------------------------------------------------------
+# solves
+
+
+def test_dia_products_are_the_csc_products_byte_for_byte(grid):
+    for label, A, B, _q, _nf, A_dia, B_dia in solves(grid):
+        assert np.all(np.diff(B_dia.offsets) > 0), label
+        assert np.array_equal(A_dia.offsets, B_dia.offsets), label
+        for X, X_dia in ((A, A_dia), (B, B_dia)):
+            assert np.array_equal(X_dia.toarray(), X.toarray()), label
+            for x in vectors(X.shape[0]):
+                assert (X_dia @ x).tobytes() == (X @ x).tobytes(), label
+        # the diagonals of CSC input are the pencil's own
+        offsets, a, b = _diagonals(A, B)
+        assert np.array_equal(offsets, B_dia.offsets), label
+        assert np.array_equal(a, A_dia.data) and np.array_equal(b, B_dia.data), label
+
+
+def test_shifted_operator_is_what_splu_gets_from_eigsh(grid):
+    for label, A, B, _q, _nf, A_dia, B_dia in solves(grid):
+        sigma = -1e-8 * A.diagonal().sum() / B.diagonal().sum()
+        want = (A - sigma * B).tocsc()
+        want.sum_duplicates()  # splu's first step: sorted, canonical
+        for pair in ((A, B), (A_dia, B_dia)):
+            shifted, _ = _shift_invert_parts(*pair, sigma)
+            assert shifted.format == "csc"
+            for attr in ("data", "indices", "indptr"):
+                got, ref = getattr(shifted, attr), getattr(want, attr)
+                assert got.dtype == ref.dtype, (label, attr)
+                assert np.array_equal(got, ref), (label, attr)
+
+
+def test_eigenvalues_equal_eigsh_with_its_own_operator(grid):
+    for label, A, B, q, nf, A_dia, B_dia in solves(grid):
+        for k in ((1, 4) if q is None else (1,)):
+            want = ref_smallest_pencil_eigs(A, B, k=k, constraint=q, num_form=nf)
+            for pair in ((A, B), (A_dia, B_dia)):
+                got = smallest_pencil_eigs(*pair, k=k, constraint=q, num_form=nf)
+                assert got.tobytes() == np.asarray(want).tobytes(), (label, k)
+
+
+def test_every_solve_factors_once_before_arpack(grid, monkeypatch):
+    calls = []
+
+    def splu(M, *args, **kwargs):
+        calls.append(("splu", M.format, M.has_sorted_indices))
+        return spla.splu(M, *args, **kwargs)
+
+    def eigsh(A, *args, M=None, OPinv=None, **kwargs):
+        calls.append(("eigsh", M.format, OPinv is not None))
+        return spla.eigsh(A, *args, M=M, OPinv=OPinv, **kwargs)
+
+    monkeypatch.setattr(sl, "spla", type("spla", (), {
+        "splu": staticmethod(splu), "eigsh": staticmethod(eigsh),
+        "LinearOperator": spla.LinearOperator}))
+    for _label, _A, _B, q, nf, A_dia, B_dia in solves(grid):
+        calls.clear()
+        smallest_pencil_eigs(A_dia, B_dia, k=1, constraint=q, num_form=nf)
+        assert calls == [("splu", "csc", True), ("eigsh", "dia", True)]
+
+
+def test_singular_factor_reaches_the_dense_fallback(monkeypatch):
+    grid = build_grid(GEOMETRIES["hyperboloid_capped"](), n_per_region=60)
+    pen = laplacian_pencil(grid, 2.0, -0.5)
+    want = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1)
+
+    def singular(_M):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(sl.spla, "splu", singular)
+    assert smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1) == pytest.approx(want, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# window rows of the derivatives
+
+
+def window_cases(grid):
+    n = grid.n
+    yield from (slice(0, 3), slice(0, 6), slice(1, 4), slice(n - 3, n), slice(n - 6, n),
+                slice(n - 4, n - 1), slice(n // 2 - 3, n // 2 + 3), slice(0, n))
+
+
+def functions(grid):
+    rng = np.random.default_rng(3)
+    e1 = modes(grid)[1]
+    dense = ModeFunction(grid, (ModeProfile(0.0, rng.standard_normal(grid.n)),
+                                ModeProfile(e1, rng.standard_normal(grid.n))))
+    v = np.zeros(grid.n)
+    v[[2, grid.n - 3]] = 1.0  # reached by the one-sided rows 0 and n - 1
+    return [dense, ModeFunction.single(grid, e1, v)]
+
+
+def test_window_rows_are_the_full_products_byte_for_byte(grid):
+    for u in functions(grid):
+        for mp in u.modes:
+            for D in (grid.d1, grid.d2):
+                full = D @ mp.values
+                for win in window_cases(grid):
+                    assert _window_rows(D, mp.values, win).tobytes() == full[win].tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_windowed_densities_are_slices_of_the_full_ones(grid, k):
+    for u in functions(grid):
+        full = densities(u, k)
+        for win in window_cases(grid):
+            for got, want in zip(densities(u, k, win), full):
+                assert np.array_equal(got, want[win])
+
+
+def test_support_window_reaches_the_one_sided_rows():
+    """A function living on node 2 (or n - 3) has derivatives at node 0
+    (or n - 1), where the one-sided stencils reach two columns."""
+    grid = build_grid(GEOMETRIES["hyperboloid_capped"](), n_per_region=60)
+    n = grid.n
+    for node, end in ((2, 0), (n - 3, n - 1)):
+        v = np.zeros(n)
+        v[node] = 1.0
+        win = _support_window(ModeFunction.single(grid, 0.0, v))
+        assert win.start <= end < win.stop
+        assert (grid.d1 @ v)[end] != 0.0
