@@ -384,6 +384,84 @@ def _compressed(cls, vals: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
 
 
 @dataclass(frozen=True)
+class _FormPattern:
+    """The sorted CSR pattern of the weighted forms L^T diag(w) L on one
+    grid (L = d1, d2, or any matrix on d1's pattern), and the product that
+    fills it.  scipy evaluates L.T @ diags(w) @ L as csr_matmat(X, L),
+    X = L^T diag(w); `sandwich` fills that product with `product`, a
+    _Product on the patterns of L^T and L, and permutes it to sorted CSR
+    by `order`, so each entry's terms add over the rows k of L ascending,
+    starting from 0, bit for bit as scipy adds them.
+
+    diag: pattern position of (r, r); stencil_diag: position of d1[r, r]
+    in d1.data; stencil, stencil_t: pattern positions of each stored d1
+    entry (r, c) and of its transpose (c, r); transposed: the position of
+    the transpose of every entry (the pattern is symmetric, so
+    values[transposed] are the values of the transpose on it, in scipy's
+    tocsc order).  Built once per grid (see _form_pattern), from d1's
+    pattern only."""
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    product: _Product
+    l_t: np.ndarray  # L.data[l_t] is L^T's data
+    l_t_rows: np.ndarray  # the row of L each entry of L^T comes from
+    order: np.ndarray  # product values[order] are the sorted CSR values
+    diag: np.ndarray
+    stencil_diag: np.ndarray
+    stencil: np.ndarray
+    stencil_t: np.ndarray
+    transposed: np.ndarray
+
+    @classmethod
+    def build(cls, d1: sp.csr_matrix) -> "_FormPattern":
+        n = d1.shape[0]
+        t_indptr, l_t_rows, l_t = _transposed(d1.indptr, d1.indices, n)
+        product = _Product.build(t_indptr, l_t_rows, d1.indptr, d1.indices, n)
+        indptr, indices = product.pattern()
+        keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+        order = np.argsort(keys, kind="stable")  # a merge sort: rows are runs
+        keys = keys[order]
+        rows, cols = np.repeat(np.arange(n), np.diff(d1.indptr)), d1.indices
+        at = np.searchsorted(keys, np.concatenate([np.arange(n) * (n + 1), rows * n + cols,
+                                                   cols * n + rows])).astype(np.int32)
+        indices = (keys % n).astype(np.int32)
+        return cls(
+            n=n, indptr=indptr, indices=indices, product=product, l_t=l_t,
+            l_t_rows=l_t_rows, order=order.astype(np.int32), diag=at[:n],
+            stencil_diag=np.flatnonzero(cols == rows).astype(np.int32),
+            stencil=at[n:n + cols.size], stencil_t=at[n + cols.size:],
+            transposed=np.argsort(indices, kind="stable").astype(np.int32),
+        )
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def sandwich(self, stencil_data: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Pattern-aligned values of L^T diag(w) L, L the matrix with
+        data stencil_data on d1's pattern."""
+        x = w[self.l_t_rows] * stencil_data[self.l_t]
+        return self.product.values(x, stencil_data)[self.order]
+
+    def matrix(self, vals: np.ndarray) -> sp.csr_matrix:
+        """The CSR matrix of pattern-aligned values, exact zeros dropped
+        (as scipy drops them); its arrays are copies, never vals or the
+        pattern's."""
+        return _compressed(sp.csr_matrix, vals.copy(), self.indptr.copy(),
+                           self.indices.copy(), (self.n, self.n))
+
+
+def _form_pattern(grid: RadialGrid) -> _FormPattern:
+    """The grid's form pattern, built on first use."""
+    patterns = grid.pencil_patterns
+    if "form" not in patterns:
+        patterns["form"] = _FormPattern.build(grid.d1)
+    return patterns["form"]
+
+
+@dataclass(frozen=True)
 class _PencilPattern:
     """The sparse patterns of the pencil on one grid for one shape of the
     reduction R (the closure kinds at its two ends), with the products
@@ -396,7 +474,7 @@ class _PencilPattern:
     do: pi = P[interior] R; t = (Pi^T W)^T = W Pi and a = (Pi^T W Pi)^T
     row by row; u = (R^T M)^T and red = (R^T M R)^T; pi_t, m_t and r_t are
     the permutations scipy's tocsc applies to Pi, M and R before a
-    product (m_t is the grid's FormPattern.transposed).  R is the
+    product (m_t is the grid's _FormPattern.transposed).  R is the
     identity on interior nodes, so most entries are single products and
     only the rows next to a closed end are sums.  offsets are the
     diagonals of A and M_red together, so the two DIA matrices of a
@@ -421,7 +499,7 @@ class _PencilPattern:
     @classmethod
     def build(cls, grid: RadialGrid, R: sp.csr_matrix, interior: np.ndarray) -> "_PencilPattern":
         n, n_i = grid.n, R.shape[1]
-        d1, pat = grid.d1, grid.form_pattern
+        d1, pat = grid.d1, _form_pattern(grid)
         p_start, p_stop = d1.indptr[interior[0]], d1.indptr[interior[-1] + 1]
         pi = _Product.build(d1.indptr[interior[0]:interior[-1] + 2] - p_start,
                             d1.indices[p_start:p_stop], R.indptr, R.indices, n_i)
@@ -458,15 +536,19 @@ class ModeOperator:
     grid: RadialGrid
     R: sp.spmatrix
     interior: np.ndarray
-    P_full: sp.csr_matrix = field(init=False)
     values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.grid
         self.values = g.radial_operator.data.copy()
-        self.values[g.form_pattern.stencil_diag] += self.e * g.rho**2 / g.f**2
-        self.P_full = _compressed(sp.csr_matrix, self.values.copy(), g.d1.indptr.copy(),
-                                  g.d1.indices.copy(), (g.n, g.n))
+        self.values[_form_pattern(g).stencil_diag] += self.e * g.rho**2 / g.f**2
+
+    @cached_property
+    def P_full(self) -> sp.csr_matrix:
+        """P_full as a CSR matrix, built on first use."""
+        g = self.grid
+        return _compressed(sp.csr_matrix, self.values.copy(), g.d1.indptr.copy(),
+                           g.d1.indices.copy(), (g.n, g.n))
 
     @property
     def n_interior(self) -> int:
@@ -538,8 +620,9 @@ class WeightedQuadraticForm:
     derivative blocks sandwich the same diagonal weights between the
     difference operators, so the assembled matrix is banded SPD on the
     reduced space.  values are its entries on the grid's form pattern
-    (exact zeros kept; ModeOperator.reduce takes them); matrix drops the
-    zeros, as scipy does.
+    (_form_pattern: sorted CSR, exact zeros kept; ModeOperator.reduce
+    takes them); matrix, built on first use, drops the zeros, as scipy
+    does, and shares no array with values or the pattern.
     """
 
     grid: RadialGrid
@@ -550,7 +633,7 @@ class WeightedQuadraticForm:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        return self.grid.form_pattern.matrix(self.values)
+        return _form_pattern(self.grid).matrix(self.values)
 
     def norm(self, values: np.ndarray) -> float:
         v = np.asarray(values, dtype=float)
@@ -562,10 +645,11 @@ class _FormParts:
     """The e-independent pieces of the weighted forms and of the pencil's
     image weight on one grid at one weight, built once before a loop over
     modes.  The matrix pieces are value arrays aligned with the grid's
-    form_pattern (Bop with d1's stored entries); weighted_form adds the
-    e-dependent terms to them in the order of the scipy expressions they
-    replace, so every form is bitwise what those expressions give.
-    Holds arrays only, never the grid."""
+    form pattern (_form_pattern; Bop with d1's stored entries), the
+    sandwiches filled by its product; weighted_form adds the e-dependent
+    terms to them in the order of the scipy expressions they replace, so
+    every form is bitwise what those expressions give.  Holds arrays
+    only, never the grid."""
 
     beta: float | None
     W0: np.ndarray
@@ -604,7 +688,7 @@ def _form_parts(grid: RadialGrid, beta: float | None) -> _FormParts:
     W2 = (w * g.rho**2) ** 2 * base
     c3 = (m - 1.0) * g.fp**2 * W2 / g.f**2
     w_img = w**2 * g.quad * g.f ** (m - 1) * g.volume_factor * g.rho ** (-float(m))
-    pat = g.form_pattern
+    pat = _form_pattern(g)
     M01 = pat.sandwich(D1.data, W1)
     M01[pat.diag] += W0
     Bop = D1.data.copy()
@@ -621,7 +705,7 @@ def weighted_form(grid: RadialGrid, k: int, beta: float | None, e: float,
     parts, when given, are the grid's _form_parts at this beta."""
     parts = _parts_at(grid, beta, parts)
     g = grid
-    pat = g.form_pattern
+    pat = _form_pattern(g)
     kappa = g.geometry.link.einstein_constant or 0.0
 
     # values on the grid's form pattern, summed in the order of
@@ -1060,10 +1144,6 @@ def _check_nonexceptional(geo: RadialGeometry, beta: float, tol: float = 1e-9,
             "the pencil will be badly conditioned", stacklevel=3)
 
 
-def _modes(link: Link, e_max: float):
-    return link.eigenvalues_below(e_max)
-
-
 # ---------------------------------------------------------------------------
 # invertibility / Poincare constants
 
@@ -1096,7 +1176,7 @@ def invertibility_constant(
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
     parts = _form_parts(grid, beta)
     per_mode = []
-    for e, _mult in _modes(geo.link, e_max):
+    for e, _mult in geo.link.eigenvalues_below(e_max):
         pen = laplacian_pencil(grid, e, beta, parts=parts)
         lam = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=_pencil_num(pen))
         per_mode.append((float(e), float(_sigma_from(lam)[0])))
@@ -1163,7 +1243,7 @@ def restricted_invertibility_compact(
     per_mode = []
     sigma0_unc = None
     sigma0_con = None
-    for e, _mult in _modes(m_geo.link, e_max):
+    for e, _mult in m_geo.link.eigenvalues_below(e_max):
         pen = laplacian_pencil(grid, e, beta, parts=parts)
         nf = _pencil_num(pen)
         if e == 0.0:
@@ -1190,13 +1270,12 @@ def restricted_invertibility_compact(
 
 
 def _gradient_forms(grid: RadialGrid, beta: float):
-    """e -> the weighted gradient form D1^T diag(wg) D1 + diag(wg e / f^2)
-    of poincare_constant as a CSR matrix, wg = (wextra rho^{1-beta})^2
-    rho^{-m} times the volume element; the e-free product is built once,
-    on the grid's form pattern, and gradient_form.values(e) are the
-    form's values on it."""
+    """e -> the values, on the grid's form pattern, of the weighted
+    gradient form D1^T diag(wg) D1 + diag(wg e / f^2) of
+    poincare_constant, wg = (wextra rho^{1-beta})^2 rho^{-m} times the
+    volume element; the e-free product is built once."""
     m = grid.geometry.m
-    pat = grid.form_pattern
+    pat = _form_pattern(grid)
     wg = (grid.wextra * grid.rho ** (1 - beta)) ** 2 * grid.quad \
         * grid.f ** (m - 1) * grid.volume_factor * grid.rho ** (-float(m))
     G0 = pat.sandwich(grid.d1.data, wg)
@@ -1206,11 +1285,7 @@ def _gradient_forms(grid: RadialGrid, beta: float):
         G[pat.diag] += wg * e / grid.f**2
         return G
 
-    def gradient_form(e: float) -> sp.csr_matrix:
-        return pat.matrix(values(e))
-
-    gradient_form.values = values
-    return gradient_form
+    return values
 
 
 @dataclass(frozen=True)
@@ -1254,14 +1329,14 @@ def poincare_constant(
     if grid is None:
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
     parts = _form_parts(grid, beta)
-    gradient_form = _gradient_forms(grid, beta)
+    gradient_values = _gradient_forms(grid, beta)
     per_mode = []
-    for e, _mult in _modes(geo.link, e_max):
+    for e, _mult in geo.link.eigenvalues_below(e_max):
         op = assemble_mode_operator(grid, e, beta=beta)
         red, layout, offsets = op.pattern.red, op.pattern.red_dia, op.pattern.offsets
         M1 = red.dia(layout, op.reduce(weighted_form(grid, 1, beta, e, parts=parts).values),
                      offsets)
-        G_red = red.dia(layout, op.reduce(gradient_form.values(e)), offsets)
+        G_red = red.dia(layout, op.reduce(gradient_values(e)), offsets)
         lam = smallest_pencil_eigs(G_red, M1, k=1)
         lam0 = max(float(lam[0]), 1e-300)
         per_mode.append((float(e), 1.0 / math.sqrt(lam0)))
@@ -1429,7 +1504,7 @@ def kernel_dimension_scan(
         total = 0
         per_mode = []
         ambiguous = False
-        for e, mult in _modes(geo.link, e_max):
+        for e, mult in geo.link.eigenvalues_below(e_max):
             pen = laplacian_pencil(grid, e, beta, kernel_scan=True, parts=parts)
             k = min(4, pen.op.n_interior - 2)
             sig = _sigma_from(smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=k,

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,196 +69,6 @@ __all__ = [
 # grids
 
 
-@dataclass(frozen=True)
-class FormPattern:
-    """The sparsity pattern of L^T diag(w) L for the grid's three-point
-    stencils L (d1, d2, or any matrix stored like them), and the maps that
-    fill it: the symbolic half of the weighted-form assembly, built once
-    per grid.
-
-    Row k of L stores its three columns c_0 < c_1 < c_2 (the diagonal among
-    them), so its products fill a (3, 3, n) array
-    prod[i, j, k] = L[k, c_j] * (w[k] * L[k, c_i]), a term of entry
-    (c_i, c_j).  scipy's L.T @ diag(w) @ L sums the terms of each entry
-    over k ascending, starting from 0, and `sandwich` sums them in the same
-    order, so the values are bit for bit scipy's.
-
-    indptr, indices: the sorted CSR pattern (a band of half-width 2, plus
-    the circle wrap and the rows the one-sided end stencils couple).
-    slots[s, q]: the flat prod index of the s-th term of entry q, padded
-    with 9 n, a zero (interior entries have up to three terms, entries
-    near a one-sided end up to four).
-    diag: pattern position of (r, r); stencil_diag: position of L[r, r]
-    in L.data; stencil, stencil_t: pattern positions of each stored
-    stencil entry (r, c) and of its transpose (c, r); transposed (built
-    on first use): the position of the transpose of every entry.
-
-    `build` works out term by term only the rows near the one-sided end
-    stencils and the circle's seam; every other row is the middle row
-    shifted, its terms included, so a grid's pattern costs a few
-    vector operations per array.
-    """
-
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    slots: np.ndarray
-    diag: np.ndarray
-    stencil_diag: np.ndarray
-    stencil: np.ndarray
-    stencil_t: np.ndarray
-
-    @classmethod
-    def build(cls, d1: sp.csr_matrix, d2: sp.csr_matrix) -> "FormPattern":
-        n = d1.shape[0]
-        three = 3 * np.arange(n + 1)
-        if not (np.array_equal(d1.indptr, three) and np.array_equal(d2.indptr, three)
-                and np.array_equal(d1.indices, d2.indices)):
-            raise ValueError("the form pattern needs d1 and d2 to store three "
-                             "entries per row, in the same columns")
-        cols = d1.indices.reshape(n, 3)
-        c0, c1, c2 = cols.T
-        rows = np.arange(n, dtype=cols.dtype)
-        if (np.any((c1 <= c0) | (c2 <= c1))
-                or not np.all((c0 == rows) | (c1 == rows) | (c2 == rows))):
-            raise ValueError("the form pattern needs sorted, distinct stencil "
-                             "columns with the diagonal in every row")
-        # term (k, i, j), numbered 9 k + 3 i + j here, lands on (cols[k, i],
-        # cols[k, j]).  Pattern rows away from the one-sided end stencils
-        # and the circle's seam repeat the middle row, shifted, terms
-        # included; the other (zone) rows are worked out term by term, a
-        # stable sort by position keeping the rows k of one entry ascending
-        irregular = np.flatnonzero((c0 != rows - 1) | (c1 != rows) | (c2 != rows + 1))
-        zone = np.zeros(n, dtype=bool)
-        zone[cols[irregular]] = True
-        zone[np.clip(irregular[:, None] + np.arange(-1, 2), 0, n - 1)] = True
-        shifted = np.flatnonzero(~zone)
-        mid = shifted[np.abs(shifted - n // 2).argmin()] if shifted.size else 0
-        worked = zone.copy()
-        worked[mid] = True  # a shifted row near the middle gives the template
-        touching = np.flatnonzero(worked[c0] | worked[c1] | worked[c2])
-        ct = cols[touching].astype(np.int64)
-        term = (9 * touching[:, None] + np.arange(9)).ravel()
-        t_row = np.repeat(ct, 3, axis=1).ravel()
-        mine = worked[t_row]
-        term = term[mine]
-        key = t_row[mine] * n + np.tile(ct, 3).ravel()[mine]
-        order = np.argsort(key, kind="stable")
-        key, term = key[order], term[order]
-        new = np.r_[True, key[1:] != key[:-1]]
-        entry = np.cumsum(new) - 1
-        first = np.flatnonzero(new)
-        pos = key[first]  # the worked rows' entries, as row * n + column
-        rank = np.arange(key.size) - first[entry]
-        z_slots = np.full((rank.max() + 1, pos.size), 9 * n, dtype=np.int32)
-        z_slots[rank, entry] = term % 9 * n + term // 9
-        z_row = pos // n
-        in_mid = slice(*np.searchsorted(z_row, [mid, mid + 1]))
-        offsets = (pos[in_mid] - mid * (n + 1)).astype(np.int32)  # its columns - mid
-        template = z_slots[:, in_mid]
-        counts = np.full(n, offsets.size)
-        counts[zone] = np.bincount(z_row, minlength=n)[zone]
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        slots = np.empty((template.shape[0], indices.size), dtype=np.int32)
-        # the rows as runs of zone rows and of shifted rows
-        bounds = np.r_[0, np.flatnonzero(np.diff(zone)) + 1, n]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            dest = slice(indptr[lo], indptr[hi])
-            if zone[lo]:
-                z = slice(*np.searchsorted(z_row, [lo, hi]))
-                indices[dest] = pos[z] % n
-                slots[:, dest] = z_slots[:, z]
-            else:
-                # column by column: short rows broadcast slowly
-                shift = np.arange(lo, hi, dtype=np.int32)
-                block = indices[dest].reshape(hi - lo, -1)
-                for e, o in enumerate(offsets):
-                    np.add(shift, o, out=block[:, e])
-                block = slots[:, dest].reshape(slots.shape[0], hi - lo, -1)
-                for (s, e), t in np.ndenumerate(template):
-                    if t == 9 * n:
-                        block[s, :, e] = t
-                    else:
-                        np.add(shift, t - mid, out=block[s, :, e])
-        span = np.zeros(offsets[-1] - offsets[0] + 1, dtype=np.int32)
-        span[offsets - offsets[0]] = np.arange(offsets.size)
-
-        def at(r, c):
-            """pattern positions of the entries (r, c), r a zone row"""
-            r = r.astype(np.int64)
-            return indptr[r] + np.searchsorted(pos, r * n + c) - np.searchsorted(pos, r * n)
-
-        # a regular stencil row k stores columns k - 1, k, k + 1: in a
-        # shifted row k its entries sit at the offsets -1, 0, 1, and their
-        # transposes in the rows k - 1, k, k + 1 at 1, 0, -1; the stencil
-        # rows that are not regular touch only zone rows
-        local = span[np.clip(np.arange(-1, 2) - offsets[0], 0, span.size - 1)]
-        stencil = np.empty((n, 3), dtype=np.int32)
-        stencil_t = np.zeros((n, 3), dtype=np.int32)
-        for j in range(3):
-            np.add(indptr[:-1], local[j], out=stencil[:, j])
-        np.add(indptr[:-2], local[2], out=stencil_t[1:, 0])
-        np.add(indptr[:-1], local[1], out=stencil_t[:, 1])
-        np.add(indptr[1:-1], local[0], out=stencil_t[:-1, 2])
-        stencil, stencil_t = stencil.ravel(), stencil_t.ravel()
-        stencil_rows = np.repeat(rows, 3)
-        flat_cols = cols.ravel()
-        in_zone = np.flatnonzero(zone)
-        fix = (3 * in_zone[:, None] + np.arange(3)).ravel()
-        stencil[fix] = at(stencil_rows[fix], flat_cols[fix])
-        near = 3 * np.flatnonzero(zone[c0] | zone[c1] | zone[c2])
-        fix = np.r_[near, near + 1, near + 2]
-        fix = fix[zone[flat_cols[fix]]]
-        stencil_t[fix] = at(flat_cols[fix], stencil_rows[fix])
-        diag = indptr[:-1] + local[1]
-        diag[zone] = at(rows[zone], rows[zone])
-        return cls(
-            n=n,
-            indptr=indptr,
-            indices=indices,
-            slots=slots,
-            diag=diag,
-            stencil_diag=np.flatnonzero(flat_cols == stencil_rows).astype(np.int32),
-            stencil=stencil,
-            stencil_t=stencil_t,
-        )
-
-    @property
-    def nnz(self) -> int:
-        return self.indices.size
-
-    @cached_property
-    def transposed(self) -> np.ndarray:
-        """The pattern position of the transpose of each entry: the
-        pattern is symmetric, and values[transposed] are the values of the
-        transpose on it (scipy's tocsc order)."""
-        return np.argsort(self.indices, kind="stable").astype(np.int32)
-
-    def sandwich(self, stencil_data: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Pattern-aligned values of L^T diag(w) L, L the stencil matrix
-        with data stencil_data."""
-        n = self.n
-        L = stencil_data.reshape(n, 3).T
-        prod = np.empty(9 * n + 1)
-        prod[-1] = 0.0
-        np.multiply(L[None, :, :], (w * L)[:, None, :], out=prod[:-1].reshape(3, 3, n))
-        vals = prod[self.slots[0]]
-        for s in self.slots[1:]:
-            vals += prod[s]
-        return vals
-
-    def matrix(self, vals: np.ndarray) -> sp.csr_matrix:
-        """The CSR matrix of pattern-aligned values, exact zeros dropped
-        (as scipy drops them); the arrays are copies, never vals itself."""
-        keep = vals != 0
-        kept = np.zeros(keep.size + 1, dtype=np.int32)
-        np.cumsum(keep, dtype=np.int32, out=kept[1:])
-        return sp.csr_matrix((vals[keep], self.indices[keep], kept[self.indptr]),
-                             shape=(self.n, self.n))
-
-
 @dataclass
 class RadialGrid:
     """Graded radial mesh with trapezoid quadrature weights.
@@ -269,13 +78,12 @@ class RadialGrid:
     Geometry samples (f, f', f'', rho, beta, wextra) are cached at the
     nodes, taken in one pass from the geometry's `fields` evaluator when
     it has one (glued geometries classify each node once), else from its
-    six callables.  The derivative matrices d1, d2, the norm volume, the
-    e-free part of the mode operator and the stencil-product pattern of
-    the weighted forms (`form_pattern`, with which every form on the grid
-    is filled by plain array arithmetic) are built lazily, once per grid,
-    from these arrays, and so are the pencil patterns spectral_laplace
-    keeps in `pencil_patterns`; so the arrays must not be mutated after
-    construction (build a new grid instead).
+    six callables.  The derivative matrices d1, d2, the norm volume and
+    the e-free part of the mode operator are built lazily, once per grid,
+    from these arrays, and so are the patterns of the weighted forms and
+    of the pencils that spectral_laplace keeps in `pencil_patterns`; so
+    the arrays must not be mutated after construction (build a new grid
+    instead).
     """
 
     geometry: RadialGeometry
@@ -291,9 +99,9 @@ class RadialGrid:
     _d2: sp.spmatrix = field(repr=False, default=None)
     _volume: np.ndarray = field(repr=False, default=None)
     _radial_operator: sp.spmatrix = field(repr=False, default=None)
-    _form_pattern: FormPattern = field(repr=False, default=None, init=False)
-    # the pencil patterns, per shape of the closure reduction R (arrays
-    # only, never the grid)
+    # spectral_laplace's patterns: the form pattern and the pencil
+    # patterns, one per shape of the closure reduction R (arrays only,
+    # never the grid)
     pencil_patterns: dict = field(repr=False, default_factory=dict, init=False)
 
     def __post_init__(self):
@@ -397,14 +205,6 @@ class RadialGrid:
             self._radial_operator = sp.csr_matrix((vals, d1.indices.copy(), d1.indptr.copy()),
                                                   shape=d1.shape)
         return self._radial_operator
-
-    @property
-    def form_pattern(self) -> FormPattern:
-        """The pattern of the stencil products L^T diag(w) L (L = d1, d2)
-        with its fill maps; see FormPattern."""
-        if self._form_pattern is None:
-            self._form_pattern = FormPattern.build(self.d1, self.d2)
-        return self._form_pattern
 
     def mapped(self, t: float) -> "RadialGrid":
         """The grid of the rescaled geometry, nodes mapped by x -> t x."""

@@ -3,13 +3,15 @@
 The mode operator, the weighted forms, the pencil and the near-null
 threshold build their e-independent parts once per grid (or once per
 grid and weight) and add only the e-dependent terms per mode.  The forms
-and Poincare's gradient form are filled by array arithmetic on the
-grid's stencil-product pattern instead of scipy products and sums.  The
+and Poincare's gradient form are filled on the grid's form pattern, the
+sorted pattern of L^T diag(w) L, by the fixed-pattern product engine
+(_Product) and array arithmetic instead of scipy products and sums.  The
 per-mode scipy versions that rebuild everything are kept here as
 reference implementations; the package versions must reproduce them bit
 for bit (same CSR data, indices and index pointers; same weights and
 threshold).  Weights are visited in the order b1, b2, b1, so parts kept
-from another weight would show."""
+from another weight would show; the forms are also checked on a coarse
+grid (n_per_region=20), where few rows are regular."""
 
 import gc
 import math
@@ -34,6 +36,7 @@ from conifold_lab.spectral_laplace import (
     WeightConditionError,
     _default_closures,
     _form_parts,
+    _form_pattern,
     _gradient_forms,
     _grid_nodes_per_decade,
     _reduction_matrix,
@@ -46,7 +49,7 @@ from conifold_lab.spectral_laplace import (
     weighted_form,
 )
 from conifold_lab.weight_calculus import gamma_roots
-from conifold_lab.weighted_calc import FormPattern, build_grid
+from conifold_lab.weighted_calc import build_grid
 
 # ---------------------------------------------------------------------------
 # reference implementations (everything rebuilt per mode)
@@ -207,6 +210,11 @@ def modes(grid):
     return [e for e, _ in grid.geometry.link.eigenvalues_below(E_MAX)]
 
 
+def with_coarse(grid):
+    """grid and the same geometry at n_per_region=20."""
+    return grid, build_grid(grid.geometry, n_per_region=20)
+
+
 def test_mode_operator_matches_reference(grid):
     assert modes(grid)[0] == 0.0
     for beta in BETAS:
@@ -220,35 +228,37 @@ def test_mode_operator_matches_reference(grid):
 
 
 def test_weighted_forms_match_reference(grid):
-    for beta in BETAS:
-        parts = _form_parts(grid, beta)
-        for e in modes(grid):
+    for g in with_coarse(grid):
+        for beta in BETAS:
+            parts = _form_parts(g, beta)
+            for e in modes(g):
+                for k in (0, 1, 2):
+                    want = ref_weighted_form(g, k, beta, e)
+                    assert_same_csr(weighted_form(g, k, beta, e, parts=parts).matrix, want)
+                    assert_same_csr(weighted_form(g, k, beta, e).matrix, want)
+        # e = 0.5 lies strictly between 0 and the Einstein constant 1, so
+        # the Hessian coefficient c1 clips to 0 while mix and c2 do not;
+        # e = 30 is beyond every scanned mode
+        assert g.geometry.link.einstein_constant == 1.0
+        for e in (0.5, 30.0):
             for k in (0, 1, 2):
-                want = ref_weighted_form(grid, k, beta, e)
-                assert_same_csr(weighted_form(grid, k, beta, e, parts=parts).matrix, want)
-                assert_same_csr(weighted_form(grid, k, beta, e).matrix, want)
-    # e = 0.5 lies strictly between 0 and the Einstein constant 1, so the
-    # Hessian coefficient c1 clips to 0 while mix and c2 do not; e = 30 is
-    # beyond every scanned mode
-    assert grid.geometry.link.einstein_constant == 1.0
-    for e in (0.5, 30.0):
-        for k in (0, 1, 2):
-            assert_same_csr(weighted_form(grid, k, 0.5, e).matrix,
-                            ref_weighted_form(grid, k, 0.5, e))
+                assert_same_csr(weighted_form(g, k, 0.5, e).matrix,
+                                ref_weighted_form(g, k, 0.5, e))
 
 
 def test_gradient_form_matches_reference(grid):
-    for beta in (-0.5, 0.5):
-        gradient_form = _gradient_forms(grid, beta)
-        for e in modes(grid) + [0.5, 30.0]:
-            want = ref_gradient_form(grid, beta, e)
-            got = gradient_form(e)
-            assert_same_csr(got, want.tocsr())
-            op = assemble_mode_operator(grid, e, beta=beta)
-            # poincare_constant's reduced form: the same entries (scipy's
-            # unsorted CSC order aside)
-            assert_same_csr((op.R.T @ got @ op.R).tocsc().sorted_indices(),
-                            (op.R.T @ want @ op.R).tocsc().sorted_indices())
+    for g in with_coarse(grid):
+        for beta in (-0.5, 0.5):
+            gradient_values = _gradient_forms(g, beta)
+            for e in modes(g) + [0.5, 30.0]:
+                want = ref_gradient_form(g, beta, e)
+                got = _form_pattern(g).matrix(gradient_values(e))
+                assert_same_csr(got, want.tocsr())
+                op = assemble_mode_operator(g, e, beta=beta)
+                # poincare_constant's reduced form: the same entries
+                # (scipy's unsorted CSC order aside)
+                assert_same_csr((op.R.T @ got @ op.R).tocsc().sorted_indices(),
+                                (op.R.T @ want @ op.R).tocsc().sorted_indices())
 
 
 def test_stencils_store_three_sorted_entries_per_row(grid):
@@ -260,25 +270,18 @@ def test_stencils_store_three_sorted_entries_per_row(grid):
         assert np.all(np.diff(cols, axis=1) > 0)
         assert np.all(np.any(cols == rows[:, None], axis=1))
     assert np.array_equal(grid.d1.indices, grid.d2.indices)
-    pat = grid.form_pattern
-    assert pat.indices.dtype == pat.slots.dtype == np.int32
+    pat = _form_pattern(grid)
+    assert pat.indices.dtype == np.int32
+    pattern_rows = np.repeat(rows, np.diff(pat.indptr))
+    assert np.array_equal(pattern_rows[pat.diag], rows)
     assert np.array_equal(pat.indices[pat.diag], rows)
-
-
-def test_form_pattern_refuses_other_stencil_storage():
-    grid = build_grid(GEOMETRIES["hyperboloid_capped"](), n_per_region=60)
-    d1, d2 = grid.d1, grid.d2
-    with pytest.raises(ValueError, match="three entries per row"):
-        FormPattern.build(d1[:, 1:], d2[:, 1:])  # row 0 loses a column
-    with pytest.raises(ValueError, match="same columns"):
-        FormPattern.build(d1, sp.identity(grid.n, format="csr"))
-    shifted = sp.csr_matrix((d1.data, (d1.indices + 3) % grid.n, d1.indptr), shape=d1.shape)
-    with pytest.raises(ValueError, match="diagonal"):
-        FormPattern.build(shifted, shifted)
-    unsorted = d1.copy()
-    unsorted.indices = unsorted.indices.reshape(-1, 3)[:, ::-1].ravel().copy()
-    with pytest.raises(ValueError, match="sorted"):
-        FormPattern.build(unsorted, unsorted)
+    # each d1 entry (r, c) sits at stencil, its transpose (c, r) at stencil_t
+    r, c = np.repeat(rows, 3), grid.d1.indices
+    assert np.array_equal(c[pat.stencil_diag], rows)
+    assert np.array_equal(pattern_rows[pat.stencil], r)
+    assert np.array_equal(pat.indices[pat.stencil], c)
+    assert np.array_equal(pattern_rows[pat.stencil_t], c)
+    assert np.array_equal(pat.indices[pat.stencil_t], r)
 
 
 @pytest.mark.parametrize("kernel_scan", [False, True])

@@ -2,8 +2,8 @@
 
 smallest_pencil_eigs builds the shift-invert operator A - sigma B itself
 and gives ARPACK B as a DIA matrix; the pencils, the reduced forms, the
-radial operator, the reduction R and the form pattern are filled with
-numpy on per-grid patterns; densities take derivatives on the window's
+radial operator and the reduction R are filled with numpy on per-grid
+patterns; densities take derivatives on the window's
 stencil rows only.  The scipy versions they replace are kept here as
 reference implementations, and the package versions must reproduce them
 bit for bit: the same arrays, the same bytes of every product, the same
@@ -32,7 +32,6 @@ from conifold_lab.spectral_laplace import (
     weighted_form,
 )
 from conifold_lab.weighted_calc import (
-    FormPattern,
     ModeFunction,
     ModeProfile,
     _support_window,
@@ -43,35 +42,6 @@ from conifold_lab.weighted_calc import (
 
 # ---------------------------------------------------------------------------
 # reference implementations
-
-
-def ref_form_pattern(d1, d2):
-    """FormPattern.build by one stable sort of every stencil product."""
-    n = d1.shape[0]
-    cols = d1.indices.reshape(n, 3).astype(np.int64)
-    rows = np.arange(n)
-    key = (np.repeat(cols, 3, axis=1) * n + np.tile(cols, 3)).ravel()
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = np.r_[True, key[1:] != key[:-1]]
-    entry = np.cumsum(new) - 1
-    first = np.flatnonzero(new)
-    pos = key[first]
-    rank = np.arange(key.size) - first[entry]
-    slots = np.full((rank.max() + 1, pos.size), 9 * n, dtype=np.int32)
-    slots[rank, entry] = order % 9 * n + order // 9
-    stencil_rows = np.repeat(rows, 3)
-    flat_cols = cols.ravel()
-    return dict(
-        n=n,
-        indptr=np.searchsorted(pos, np.arange(n + 1) * n).astype(np.int32),
-        indices=(pos % n).astype(np.int32),
-        slots=slots,
-        diag=np.searchsorted(pos, rows * (n + 1)).astype(np.int32),
-        stencil_diag=np.flatnonzero(flat_cols == stencil_rows).astype(np.int32),
-        stencil=np.searchsorted(pos, stencil_rows * n + flat_cols).astype(np.int32),
-        stencil_t=np.searchsorted(pos, flat_cols * n + stencil_rows).astype(np.int32),
-    )
 
 
 def ref_radial_operator(grid):
@@ -185,7 +155,7 @@ def solves(grid):
             out.append(("bordered", pen.A, pen.B, q, _pencil_num(pen), pen.A_dia, pen.B_dia))
     op = assemble_mode_operator(grid, 2.0, beta=-0.5)
     red = op.pattern.red
-    G, M1 = (op.reduce(_gradient_forms(grid, -0.5).values(2.0)),
+    G, M1 = (op.reduce(_gradient_forms(grid, -0.5)(2.0)),
              op.reduce(weighted_form(grid, 1, -0.5, 2.0).values))
     out.append(("poincare", red.matrix(sp.csc_matrix, G), red.matrix(sp.csc_matrix, M1), None,
                 None, red.dia(op.pattern.red_dia, G, op.pattern.offsets),
@@ -203,17 +173,6 @@ def vectors(n):
 
 # ---------------------------------------------------------------------------
 # patterns
-
-
-def test_form_pattern_matches_reference_builder(grid):
-    for g in (grid, build_grid(grid.geometry, n_per_region=20)):
-        got, want = FormPattern.build(g.d1, g.d2), ref_form_pattern(g.d1, g.d2)
-        assert got.n == want["n"]
-        for name in ("indptr", "indices", "slots", "diag", "stencil_diag", "stencil",
-                     "stencil_t"):
-            a, b = getattr(got, name), want[name]
-            assert a.dtype == b.dtype, name
-            assert np.array_equal(a, b), name
 
 
 def test_radial_operator_matches_reference(grid):
@@ -248,7 +207,8 @@ def test_reduced_forms_and_operator_match_scipy(grid):
     the values of the scipy products, entry for entry."""
     for e in modes(grid)[:3]:
         op = assemble_mode_operator(grid, e, beta=-0.5)
-        for form in (weighted_form(grid, 1, -0.5, e).matrix, _gradient_forms(grid, -0.5)(e),
+        gradient_form = sl._form_pattern(grid).matrix(_gradient_forms(grid, -0.5)(e))
+        for form in (weighted_form(grid, 1, -0.5, e).matrix, gradient_form,
                      weighted_form(grid, 2, -0.5, e).matrix):
             got = op.pattern.red.matrix(sp.csc_matrix, op.reduce(_values_on_pattern(grid, form)))
             _assert_same_entries(got, (op.R.T @ form @ op.R).tocsc())
@@ -260,7 +220,7 @@ def test_reduced_forms_and_operator_match_scipy(grid):
 
 def _values_on_pattern(grid, M):
     """The entries of the CSR matrix M on the grid's form pattern."""
-    pat = grid.form_pattern
+    pat = sl._form_pattern(grid)
     vals = np.zeros(pat.nnz)
     rows = np.repeat(np.arange(grid.n), np.diff(M.indptr))
     pattern_rows = np.repeat(np.arange(grid.n), np.diff(pat.indptr))
