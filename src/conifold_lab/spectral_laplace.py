@@ -23,6 +23,18 @@ k = 0, 1, 2 weighted Sobolev norms.  Invertibility and Poincare
 constants are smallest/largest generalized singular values of the
 resulting banded pencils; kernel dimensions are counts of near-null
 singular values against a grid-calibrated threshold.
+
+The forms, the reduction R, Pi = P[interior] R, the pencil's A and B and
+Poincare's reduced forms are bands, one array per diagonal, all-zero
+diagonals dropped, filled by one band product that adds each entry's
+terms over the inner index ascending, starting from 0.  That is the
+order of scipy's csr_matmat on the expressions the bands replace, so
+every matrix is bit for bit what those expressions give.  Two matvec
+orders keep the emitted numbers bitwise too: Pi's CSR matrix stores each
+row's entries in descending column order, as scipy leaves them, so Pi v
+adds them in that order; and a DIA product of a form or pencil on
+ascending offsets adds each row's terms in ascending column order, as
+the product of its sorted CSR or CSC matrix does.
 """
 
 from __future__ import annotations
@@ -154,370 +166,119 @@ def _reduction_matrix(grid: RadialGrid, left: ClosureRule | None,
 
 
 # ---------------------------------------------------------------------------
-# sparse products on fixed patterns
+# bands
+#
+# A band is a square n x n matrix stored by diagonals, {d: a} with
+# a[i] = M[i, i + d]; where i + d falls outside [0, n) the array holds 0.
+# The forms, Pi, the pencils and the reduction R are bands.
 
 
-def _regular_rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[int, int, tuple]:
-    """(lo, hi, offsets): the run of rows around the middle row that store
-    the columns row + offsets, in the middle row's storage order."""
-    n = indptr.size - 1
-    mid = n // 2
-    offsets = indices[indptr[mid]:indptr[mid + 1]].astype(np.int64) - mid
-
-    def run(bad):
-        """the rows between the bad rows nearest to mid"""
-        below, above = bad[bad < mid], bad[bad > mid]
-        return (int(below[-1]) + 1 if below.size else 0,
-                int(above[0]) if above.size else n)
-
-    lo, hi = run(np.flatnonzero(np.diff(indptr) != offsets.size))
-    block = indices[indptr[lo]:indptr[hi]].reshape(hi - lo, offsets.size)
-    rows = np.arange(lo, hi)
-    bad = np.zeros(hi - lo, dtype=bool)
-    for j, o in enumerate(offsets):
-        bad |= block[:, j] != rows + o
-    lo2, hi2 = run(np.flatnonzero(bad) + lo)
-    return max(lo, lo2), min(hi, hi2), tuple(int(o) for o in offsets)
+def _bands(M: sp.csr_matrix, shift: int = 0) -> dict:
+    """The bands of the n x n matrix whose column c + shift is column c
+    of M (shift 1 embeds the reduction R of an interval, whose columns
+    are the interior nodes 1 .. n - 2); zero where M stores nothing."""
+    n = M.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(M.indptr))
+    d = M.indices + shift - rows
+    offsets = np.flatnonzero(np.bincount(d + n)) - n
+    data = np.zeros((offsets.size, n))
+    data[np.searchsorted(offsets, d), rows] = M.data
+    return dict(zip(offsets.tolist(), data))
 
 
-def _transposed(indptr: np.ndarray, indices: np.ndarray, n_col: int):
-    """The CSR pattern of the transpose, rows ascending within each of its
-    rows (scipy's tocsc order), and the permutation taking data to it."""
-    perm = np.argsort(indices, kind="stable").astype(np.int32)
-    t_indptr = np.zeros(n_col + 1, dtype=np.int32)
-    np.cumsum(np.bincount(indices, minlength=n_col), out=t_indptr[1:])
-    rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int32), np.diff(indptr))
-    return t_indptr, rows[perm], perm
+def _nonzero(X: dict) -> dict:
+    """X without its all-zero diagonals, offsets ascending."""
+    return {d: X[d] for d in sorted(X) if X[d].any()}
 
 
-def _gathered_terms(xp, xi, yp, yi, n_col: int, rows: np.ndarray):
-    """csr_matmat(X, Y) symbolically, for the X rows `rows`: the output
-    entries of each row in scipy's storage order (the reverse of the order
-    of first touch), and per entry the positions in X.data and Y.data of
-    its products, in the order scipy adds them (X's storage order, then
-    Y's).  Returns (counts per row, indices, x, y, slots); slots[s, q] is
-    the s-th product of entry q, padded with len(x)."""
-    xcnt = (xp[rows + 1] - xp[rows]).astype(np.int64)
-    xpos = np.repeat(xp[rows] - (np.cumsum(xcnt) - xcnt), xcnt) + np.arange(xcnt.sum())
-    cols = xi[xpos]
-    ycnt = (yp[cols + 1] - yp[cols]).astype(np.int64)
-    n_terms = int(ycnt.sum())
-    x = np.repeat(xpos, ycnt)
-    y = np.repeat(yp[cols] - (np.cumsum(ycnt) - ycnt), ycnt) + np.arange(n_terms)
-    row = np.repeat(np.repeat(np.arange(rows.size), xcnt), ycnt)
-    key = row * n_col + yi[y]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = np.r_[True, key[1:] != key[:-1]] if n_terms else np.zeros(0, bool)
-    head = np.flatnonzero(new)
-    entry = np.cumsum(new) - 1
-    # entries by first touch, then reversed within their row
-    by_touch = np.full(n_terms, -1)
-    by_touch[order[head]] = np.arange(head.size)
-    by_touch = by_touch[by_touch >= 0]
-    e_row = key[head] // n_col
-    counts = np.bincount(e_row, minlength=rows.size)
-    start = np.r_[0, np.cumsum(counts)]
-    r = e_row[by_touch]
-    stored = by_touch[start[r] + start[r + 1] - 1 - np.arange(head.size)]
-    where = np.empty(head.size, dtype=np.int64)
-    where[stored] = np.arange(head.size)
-    rank = np.arange(n_terms) - head[entry]
-    slots = np.full((int(rank.max()) + 1 if n_terms else 1, head.size), n_terms,
-                    dtype=np.int32)
-    slots[rank, where[entry]] = order
-    return (counts, (key[head] % n_col)[stored].astype(np.int32),
-            x.astype(np.int32), y.astype(np.int32), slots)
+def _product(X: dict, Y: dict) -> dict:
+    """X @ Y, each entry's terms X[i, k] Y[k, j] added over k ascending,
+    starting from 0: the order of scipy's csr_matmat when X's rows are
+    stored in ascending column order."""
+    n = len(next(iter(X.values())))
+    out = {}
+    for p in sorted(X):  # k = i + p
+        for q, y in Y.items():
+            d = p + q
+            lo, hi = max(0, -p, -d), min(n, n - p, n - d)
+            if lo < hi:
+                if d not in out:
+                    out[d] = np.zeros(n)
+                out[d][lo:hi] += X[p][lo:hi] * y[lo + p:hi + p]
+    return _nonzero(out)
 
 
-@dataclass(frozen=True)
-class _Product:
-    """scipy's csr_matmat(X, Y) on fixed patterns of X and Y: the pattern
-    of the product in scipy's storage order, and a recipe that fills its
-    values from X.data and Y.data, adding each entry's products in the
-    order csr_matmat adds them, so the values are bit for bit scipy's.
-    Exact zeros are kept (scipy drops them; callers drop them once, at
-    the end, which leaves the other values unchanged).
-
-    The rows [lo, hi) repeat one stencil, so they run as column slices of
-    the regular blocks of X and Y: steps (p, q, s, first) multiply the
-    p-th stored entry of X's row by the q-th of Y's row it points to and
-    add the product to the s-th entry of the output row, whose column is
-    the row plus keys[s].  The other rows (the truncated ends, a circle's
-    seam) gather their products (x, y, slots as in _gathered_terms); they
-    hold the output entries before head and from tail on.  Only these
-    few end entries are stored: `pattern` rebuilds the whole one."""
-
-    n_row: int
-    nnz: int
-    head: int
-    tail: int
-    lo: int
-    hi: int
-    keys: tuple  # column - row of each stored entry of the rows [lo, hi)
-    end_counts: np.ndarray  # entries of each row outside [lo, hi)
-    end_indices: np.ndarray  # their columns
-    x_block: tuple  # (start, stop, width) of X's rows [lo, hi) in X.data
-    y_blocks: tuple  # per p: (start, stop, width) of the Y rows it points to
-    steps: tuple
-    x: np.ndarray
-    y: np.ndarray
-    slots: np.ndarray
-
-    @classmethod
-    def build(cls, xp, xi, yp, yi, n_col: int) -> "_Product":
-        n_row = xp.size - 1
-        xa, xb, xo = _regular_rows(xp, xi)
-        ya, yb, yo = _regular_rows(yp, yi)
-        lo = max([xa] + [ya - d for d in xo])
-        hi = min([xb] + [yb - d for d in xo])
-        steps, keys = [], []
-        for p, dx in enumerate(xo):
-            for q, dy in enumerate(yo):
-                first = dx + dy not in keys
-                if first:
-                    keys.append(dx + dy)
-                steps.append((p, q, dx + dy, first))
-        keys = keys[::-1]  # storage order: the reverse of the order of first touch
-        steps = tuple((p, q, keys.index(k), first) for p, q, k, first in steps)
-        if hi <= lo:
-            lo = hi = 0
-        counts, indices, x, y, slots = _gathered_terms(xp, xi, yp, yi, n_col,
-                                                       _end_rows(lo, hi, n_row))
-        head = int(counts[:lo].sum())
-        return cls(
-            n_row=n_row, nnz=int(counts.sum()) + (hi - lo) * len(keys), head=head,
-            tail=head + (hi - lo) * len(keys), lo=lo, hi=hi, keys=tuple(keys),
-            end_counts=counts.astype(np.int32), end_indices=indices,
-            x_block=(int(xp[lo]), int(xp[hi]), len(xo)),
-            y_blocks=tuple((int(yp[lo + d]), int(yp[hi + d]), len(yo)) for d in xo),
-            steps=steps, x=x, y=y, slots=slots,
-        )
-
-    def pattern(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the product, in scipy's storage order."""
-        lo, hi, head, tail = self.lo, self.hi, self.head, self.tail
-        row_nnz = np.full(self.n_row, len(self.keys), dtype=np.int32)
-        row_nnz[_end_rows(lo, hi, self.n_row)] = self.end_counts
-        indptr = np.zeros(self.n_row + 1, dtype=np.int32)
-        np.cumsum(row_nnz, out=indptr[1:])
-        indices = np.empty(self.nnz, dtype=np.int32)
-        indices[:head] = self.end_indices[:head]
-        indices[tail:] = self.end_indices[head:]
-        if hi > lo:
-            block = indices[head:tail].reshape(hi - lo, -1)
-            for s, k in enumerate(self.keys):
-                block[:, s] = np.arange(lo + k, hi + k)
-        return indptr, indices
-
-    def end_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row, column) of the stored entries outside the rows [lo, hi)."""
-        return (np.repeat(_end_rows(self.lo, self.hi, self.n_row), self.end_counts),
-                self.end_indices)
-
-    def values(self, xdata: np.ndarray, ydata: np.ndarray) -> np.ndarray:
-        out = np.empty(self.nnz)
-        head, tail = self.head, self.tail
-        if self.hi > self.lo:
-            block = out[head:tail].reshape(self.hi - self.lo, -1)
-            start, stop, width = self.x_block
-            X = xdata[start:stop].reshape(-1, width)
-            Y = [ydata[start:stop].reshape(-1, width) for start, stop, width in self.y_blocks]
-            for p, q, s, first in self.steps:
-                if first:
-                    np.multiply(X[:, p], Y[p][:, q], out=block[:, s])
-                else:
-                    block[:, s] += X[:, p] * Y[p][:, q]
-        if self.x.size:
-            prod = np.empty(self.x.size + 1)
-            np.multiply(xdata[self.x], ydata[self.y], out=prod[:-1])
-            prod[-1] = 0.0
-            ends = prod[self.slots[0]]
-            for s in self.slots[1:]:
-                ends += prod[s]
-            out[:head] = ends[:head]
-            out[tail:] = ends[head:]
-        return out
-
-    def matrix(self, cls, vals: np.ndarray) -> sp.spmatrix:
-        """The product as a CSR (or, for a product holding a transpose,
-        CSC) matrix of fresh values, exact zeros dropped."""
-        return _compressed(cls, vals, *self.pattern(), (self.n_row, self.n_row))
-
-    def dia_layout(self, offsets: np.ndarray) -> tuple:
-        """Where the values of a product holding the transpose M^T of a
-        square matrix M go in M's DIA layout on `offsets` (ascending): the
-        row of each block slot, and the flat positions of the end entries."""
-        rows, cols = self.end_entries()
-        return (tuple(int(r) for r in np.searchsorted(offsets, [-k for k in self.keys])),
-                np.searchsorted(offsets, rows - cols) * self.n_row + rows)
-
-    def dia(self, layout: tuple, vals: np.ndarray, offsets: np.ndarray) -> sp.dia_matrix:
-        """M as a DIA matrix on offsets from the values of this product of
-        M^T (see dia_layout): the block slots are row slices of the
-        diagonals."""
-        n, lo, hi, head, tail = self.n_row, self.lo, self.hi, self.head, self.tail
-        rows, ends = layout
-        band = np.zeros((offsets.size, n))
-        if hi > lo:
-            block = vals[head:tail].reshape(hi - lo, -1)
-            for s, r in enumerate(rows):
-                band[r, lo:hi] = block[:, s]
-        band.reshape(-1)[ends] = np.r_[vals[:head], vals[tail:]]
-        return sp.dia_matrix((band, offsets), shape=(n, n))
+def _shifted(x: np.ndarray, d: int) -> np.ndarray:
+    """x moved d places toward its end, zeros filling in: diagonal d
+    from row to column indexing (scipy's DIA layout), or the diagonal of
+    the transpose."""
+    out = np.zeros_like(x)
+    if d >= 0:
+        out[d:] = x[:x.size - d]
+    else:
+        out[:d] = x[-d:]
+    return out
 
 
-def _end_rows(lo: int, hi: int, n: int) -> np.ndarray:
-    return np.r_[np.arange(lo), np.arange(hi, n)]
+def _transpose(X: dict) -> dict:
+    return {-d: _shifted(x, d) for d, x in X.items()}
 
 
-def _compressed(cls, vals: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
-                shape: tuple) -> sp.spmatrix:
-    """The CSR or CSC matrix of values on a pattern, exact zeros dropped
-    (as scipy drops them); it may keep the arrays it is given."""
-    keep = vals != 0
-    if keep.all():
-        return cls((vals, indices, indptr), shape=shape)
-    kept = np.zeros(keep.size + 1, dtype=np.int32)
-    np.cumsum(keep, dtype=np.int32, out=kept[1:])
-    return cls((vals[keep], indices[keep], kept[indptr]), shape=shape)
+def _scaled(w: np.ndarray, X: dict) -> dict:
+    """diag(w) X."""
+    return {d: w * x for d, x in X.items()}
 
 
-@dataclass(frozen=True)
-class _FormPattern:
-    """The sorted CSR pattern of the weighted forms L^T diag(w) L on one
-    grid (L = d1, d2, or any matrix on d1's pattern), and the product that
-    fills it.  scipy evaluates L.T @ diags(w) @ L as csr_matmat(X, L),
-    X = L^T diag(w); `sandwich` fills that product with `product`, a
-    _Product on the patterns of L^T and L, and permutes it to sorted CSR
-    by `order`, so each entry's terms add over the rows k of L ascending,
-    starting from 0, bit for bit as scipy adds them.
-
-    diag: pattern position of (r, r); stencil_diag: position of d1[r, r]
-    in d1.data; stencil, stencil_t: pattern positions of each stored d1
-    entry (r, c) and of its transpose (c, r); transposed: the position of
-    the transpose of every entry (the pattern is symmetric, so
-    values[transposed] are the values of the transpose on it, in scipy's
-    tocsc order).  Built once per grid (see _form_pattern), from d1's
-    pattern only."""
-
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    product: _Product
-    l_t: np.ndarray  # L.data[l_t] is L^T's data
-    l_t_rows: np.ndarray  # the row of L each entry of L^T comes from
-    order: np.ndarray  # product values[order] are the sorted CSR values
-    diag: np.ndarray
-    stencil_diag: np.ndarray
-    stencil: np.ndarray
-    stencil_t: np.ndarray
-    transposed: np.ndarray
-
-    @classmethod
-    def build(cls, d1: sp.csr_matrix) -> "_FormPattern":
-        n = d1.shape[0]
-        t_indptr, l_t_rows, l_t = _transposed(d1.indptr, d1.indices, n)
-        product = _Product.build(t_indptr, l_t_rows, d1.indptr, d1.indices, n)
-        indptr, indices = product.pattern()
-        keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
-        order = np.argsort(keys, kind="stable")  # a merge sort: rows are runs
-        keys = keys[order]
-        rows, cols = np.repeat(np.arange(n), np.diff(d1.indptr)), d1.indices
-        at = np.searchsorted(keys, np.concatenate([np.arange(n) * (n + 1), rows * n + cols,
-                                                   cols * n + rows])).astype(np.int32)
-        indices = (keys % n).astype(np.int32)
-        return cls(
-            n=n, indptr=indptr, indices=indices, product=product, l_t=l_t,
-            l_t_rows=l_t_rows, order=order.astype(np.int32), diag=at[:n],
-            stencil_diag=np.flatnonzero(cols == rows).astype(np.int32),
-            stencil=at[n:n + cols.size], stencil_t=at[n + cols.size:],
-            transposed=np.argsort(indices, kind="stable").astype(np.int32),
-        )
-
-    @property
-    def nnz(self) -> int:
-        return self.indices.size
-
-    def sandwich(self, stencil_data: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Pattern-aligned values of L^T diag(w) L, L the matrix with
-        data stencil_data on d1's pattern."""
-        x = w[self.l_t_rows] * stencil_data[self.l_t]
-        return self.product.values(x, stencil_data)[self.order]
-
-    def matrix(self, vals: np.ndarray) -> sp.csr_matrix:
-        """The CSR matrix of pattern-aligned values, exact zeros dropped
-        (as scipy drops them); its arrays are copies, never vals or the
-        pattern's."""
-        return _compressed(sp.csr_matrix, vals.copy(), self.indptr.copy(),
-                           self.indices.copy(), (self.n, self.n))
+def _sandwich(L: dict, w: np.ndarray) -> dict:
+    """L^T diag(w) L, entry (i, j) the sum over k ascending of
+    (w[k] L[k, i]) L[k, j], as scipy adds L.T @ diags(w) @ L."""
+    return _product(_transpose(_scaled(w, L)), L)
 
 
-def _form_pattern(grid: RadialGrid) -> _FormPattern:
-    """The grid's form pattern, built on first use."""
-    patterns = grid.pencil_patterns
-    if "form" not in patterns:
-        patterns["form"] = _FormPattern.build(grid.d1)
-    return patterns["form"]
+def _sum(*terms: dict) -> dict:
+    """The bands added entry by entry in the order given; the result may
+    share the arrays of its terms, and no band here is written to after
+    it is built."""
+    out = {}
+    for X in terms:
+        for d, x in X.items():
+            out[d] = out[d] + x if d in out else x
+    return out
 
 
-@dataclass(frozen=True)
-class _PencilPattern:
-    """The sparse patterns of the pencil on one grid for one shape of the
-    reduction R (the closure kinds at its two ends), with the products
-    that fill them exactly as the scipy expressions
+def _csr(X: dict, descending: bool = False) -> sp.csr_matrix:
+    """The CSR matrix of a band without its zeros, each row's entries in
+    ascending column order, or descending (the order scipy's csr_matmat
+    leaves Pi's rows in, which Pi's matvec adds them in)."""
+    offsets = sorted(X, reverse=descending)
+    data = np.stack([X[d] for d in offsets], axis=1)
+    n = data.shape[0]
+    keep = data != 0
+    cols = np.arange(n, dtype=np.int32)[:, None] + np.array(offsets, dtype=np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), dtype=np.int32, out=indptr[1:])
+    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(n, n))
 
-        Pi = (P_full[interior] @ R).tocsr()
-        A  = (Pi.T @ diags(w) @ Pi).tocsc()
-        M_red = (R.T @ M @ R).tocsc()      (M a form on the grid's form pattern)
 
-    do: pi = P[interior] R; t = (Pi^T W)^T = W Pi and a = (Pi^T W Pi)^T
-    row by row; u = (R^T M)^T and red = (R^T M R)^T; pi_t, m_t and r_t are
-    the permutations scipy's tocsc applies to Pi, M and R before a
-    product (m_t is the grid's _FormPattern.transposed).  R is the
-    identity on interior nodes, so most entries are single products and
-    only the rows next to a closed end are sums.  offsets are the
-    diagonals of A and M_red together, so the two DIA matrices of a
-    pencil share them; a_dia and red_dia place the values of a and red
-    on them.  Built once per grid and closure kinds
-    (RadialGrid.pencil_patterns), from patterns only: R's values change
-    per mode."""
+def _dia(*bands: dict) -> list[sp.dia_matrix]:
+    """The bands as DIA matrices on their common offsets, ascending
+    (data[k, j] = M[j - offsets[k], j], scipy's layout)."""
+    offsets = sorted(set().union(*bands))
+    n = len(next(iter(bands[0].values())))
+    out = []
+    for X in bands:
+        data = np.zeros((len(offsets), n))
+        for row, d in zip(data, offsets):
+            if d in X:
+                row[:] = _shifted(X[d], d)
+        out.append(sp.dia_matrix((data, offsets), shape=(n, n)))
+    return out
 
-    p_start: int  # first stored P_full entry of the interior rows
-    pi: _Product
-    pi_t: np.ndarray
-    t: _Product
-    a: _Product
-    m_t: np.ndarray
-    u: _Product
-    r_t: np.ndarray
-    red: _Product
-    offsets: np.ndarray
-    a_dia: tuple
-    red_dia: tuple
 
-    @classmethod
-    def build(cls, grid: RadialGrid, R: sp.csr_matrix, interior: np.ndarray) -> "_PencilPattern":
-        n, n_i = grid.n, R.shape[1]
-        d1, pat = grid.d1, _form_pattern(grid)
-        p_start, p_stop = d1.indptr[interior[0]], d1.indptr[interior[-1] + 1]
-        pi = _Product.build(d1.indptr[interior[0]:interior[-1] + 2] - p_start,
-                            d1.indices[p_start:p_stop], R.indptr, R.indices, n_i)
-        pi_p = pi.pattern()
-        pi_tp, pi_ti, pi_t = _transposed(*pi_p, n_i)
-        diag = np.arange(n_i + 1, dtype=np.int32)
-        t = _Product.build(diag, diag[:-1], *pi_p, n_i)
-        a = _Product.build(pi_tp, pi_ti, *t.pattern(), n_i)
-        # the form pattern is symmetric: its transpose has its arrays
-        u = _Product.build(pat.indptr, pat.indices, R.indptr, R.indices, n_i)
-        r_tp, r_ti, r_t = _transposed(R.indptr, R.indices, n_i)
-        red = _Product.build(r_tp, r_ti, *u.pattern(), n_i)
-        # a and red hold A^T and M_red^T: an entry (r, c) sits on diagonal r - c
-        offsets = np.unique(np.concatenate([np.subtract(*q.end_entries()) for q in (a, red)]
-                                           + [[-k for k in q.keys] for q in (a, red)]))
-        return cls(p_start=int(p_start), pi=pi, pi_t=pi_t, t=t, a=a, m_t=pat.transposed,
-                   u=u, r_t=r_t, red=red, offsets=offsets, a_dia=a.dia_layout(offsets),
-                   red_dia=red.dia_layout(offsets))
+def _restricted(X: dict, interior: np.ndarray) -> dict:
+    """The band of the interior rows and columns of X (a run of nodes)."""
+    lo, hi = int(interior[0]), int(interior[-1]) + 1
+    return _nonzero({d: x[lo:hi] for d, x in X.items()})
 
 
 @dataclass
@@ -526,63 +287,52 @@ class ModeOperator:
 
     P_full has consistent rows at every node (boundary rows one-sided);
     residuals and solves use the interior rows composed with the
-    reduction R.  P_full is the grid's radial_operator plus
-    diags(e rho^2 / f^2), summed as scipy sums them; values holds its
-    entries on the grid's stencil pattern (d1's storage, exact zeros
-    kept), from which Pi and the reduced forms are filled on the grid's
-    pencil pattern for R's shape."""
+    reduction R.  P holds P_full's bands: the grid's radial_operator plus
+    e rho^2 / f^2 on the diagonal, summed as scipy sums them.  reduction
+    is R as an n x n band (R's column c is its column c + interior[0]):
+    the identity on interior nodes, the closure entries at offsets +-1
+    and +-2 of the two boundary rows.  Pi = P_full[interior] @ R and the
+    reduced forms are band products restricted to the interior."""
 
     e: float
     grid: RadialGrid
-    R: sp.spmatrix
+    R: sp.csr_matrix
     interior: np.ndarray
-    values: np.ndarray = field(init=False, repr=False)
+    P: dict = field(init=False, repr=False)
+    reduction: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.grid
-        self.values = g.radial_operator.data.copy()
-        self.values[_form_pattern(g).stencil_diag] += self.e * g.rho**2 / g.f**2
+        self.P = _bands(g.radial_operator)
+        self.P[0] = self.P[0] + self.e * g.rho**2 / g.f**2
+        self.reduction = _bands(self.R, shift=int(self.interior[0]))
 
     @cached_property
     def P_full(self) -> sp.csr_matrix:
         """P_full as a CSR matrix, built on first use."""
-        g = self.grid
-        return _compressed(sp.csr_matrix, self.values.copy(), g.d1.indptr.copy(),
-                           g.d1.indices.copy(), (g.n, g.n))
+        return _csr(self.P)
 
     @property
     def n_interior(self) -> int:
-        return self.R.shape[1]
-
-    @property
-    def pattern(self) -> _PencilPattern:
-        """The grid's pencil pattern for R's shape (entries in its two
-        boundary rows), built on first use."""
-        key = (int(self.R.indptr[1]), int(self.R.indptr[-1] - self.R.indptr[-2]))
-        patterns = self.grid.pencil_patterns
-        if key not in patterns:
-            patterns[key] = _PencilPattern.build(self.grid, self.R, self.interior)
-        return patterns[key]
+        return self.interior.size
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.P_full @ np.asarray(values, dtype=float)
 
-    def pi_values(self) -> np.ndarray:
-        """Pi = P_full[interior] @ R on pattern.pi, exact zeros kept."""
-        pat = self.pattern
-        return pat.pi.values(self.values[pat.p_start:], self.R.data)
+    def pi(self) -> dict:
+        """Pi = P_full[interior] @ R."""
+        return _restricted(_product(self.P, self.reduction), self.interior)
 
     def reduced(self) -> sp.csc_matrix:
         """(P_full[interior] @ R).tocsc()."""
-        return self.pattern.pi.matrix(sp.csr_matrix, self.pi_values()).tocsc()
+        return _csr(self.pi()).tocsc()
 
-    def reduce(self, form_values: np.ndarray) -> np.ndarray:
-        """(R.T @ M @ R).tocsc() for the form M with values form_values on
-        the grid's form pattern: its values on pattern.red, exact zeros
-        kept (pattern.red.matrix and .dia make the matrices)."""
-        pat = self.pattern
-        u = pat.u.values(form_values[pat.m_t], self.R.data)
-        return pat.red.values(self.R.data[pat.r_t], u)
+    def reduce(self, M: dict) -> dict:
+        """R^T M R for the form M as (M^T R)^T R: entry (i, j) adds
+        (M^T R)[k, i] R[k, j] over k ascending, the terms and order in
+        which scipy's R.T @ M @ R adds it."""
+        R = self.reduction
+        return _restricted(_product(_transpose(_product(_transpose(M), R)), R), self.interior)
 
     def solve(self, rhs_full_rows: np.ndarray) -> np.ndarray:
         """Solve P u = rhs on the reduced space; returns full nodal values."""
@@ -619,47 +369,48 @@ class WeightedQuadraticForm:
     For k = 0 the matrix is diagonal (quadrature weights); the k = 1, 2
     derivative blocks sandwich the same diagonal weights between the
     difference operators, so the assembled matrix is banded SPD on the
-    reduced space.  values are its entries on the grid's form pattern
-    (_form_pattern: sorted CSR, exact zeros kept; ModeOperator.reduce
-    takes them); matrix, built on first use, drops the zeros, as scipy
-    does, and shares no array with values or the pattern.
+    reduced space.  bands are its diagonals (ModeOperator.reduce takes
+    them); matrix, built on first use, is its sorted CSR matrix without
+    exact zeros, as scipy leaves it.  norm multiplies by the bands as a
+    DIA matrix on ascending offsets, which adds each row's terms in
+    ascending column order, starting from 0, as matrix's product does,
+    so the two agree bit for bit.
     """
 
     grid: RadialGrid
     k: int
     beta: float | None
     e: float
-    values: np.ndarray = field(repr=False)
+    bands: dict = field(repr=False)
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        return _form_pattern(self.grid).matrix(self.values)
+        return _csr(self.bands)
 
     def norm(self, values: np.ndarray) -> float:
         v = np.asarray(values, dtype=float)
-        return float(np.sqrt(max(v @ (self.matrix @ v), 0.0)))
+        return float(np.sqrt(max(v @ (_dia(self.bands)[0] @ v), 0.0)))
 
 
 @dataclass(frozen=True)
 class _FormParts:
     """The e-independent pieces of the weighted forms and of the pencil's
     image weight on one grid at one weight, built once before a loop over
-    modes.  The matrix pieces are value arrays aligned with the grid's
-    form pattern (_form_pattern; Bop with d1's stored entries), the
-    sandwiches filled by its product; weighted_form adds the e-dependent
-    terms to them in the order of the scipy expressions they replace, so
-    every form is bitwise what those expressions give.  Holds arrays
-    only, never the grid."""
+    modes.  The matrix pieces are bands; weighted_form adds the
+    e-dependent terms to them in the order of the scipy expressions they
+    replace, so every form is bitwise what those expressions give.
+    Holds arrays only, never the grid."""
 
     beta: float | None
     W0: np.ndarray
     W1: np.ndarray
     W2: np.ndarray
     w_img: np.ndarray  # image weight of the pencil at every node
-    M01: np.ndarray  # diag(W0) + D1^T diag(W1) D1
-    M2: np.ndarray  # D2^T diag(W2) D2
-    M3: np.ndarray  # D1^T diag(c3) D1 of the angular block
-    Bop: np.ndarray  # D1 - diag(f'/f) of the mixed block, as d1 data
+    D1: dict  # the grid's d1
+    M01: dict  # diag(W0) + D1^T diag(W1) D1
+    M2: dict  # D2^T diag(W2) D2
+    M3: dict  # D1^T diag(c3) D1 of the angular block
+    Bop: dict  # D1 - diag(f'/f) of the mixed block
 
 
 def _beta_key(beta) -> float | None:
@@ -682,20 +433,16 @@ def _form_parts(grid: RadialGrid, beta: float | None) -> _FormParts:
     beta_vals = g.beta if beta is None else np.full(g.n, float(beta))
     w = g.wextra * g.rho ** (-beta_vals)
     base = g.volume
-    D1, D2 = g.d1, g.d2
+    D1, D2 = _bands(g.d1), _bands(g.d2)
     W0 = w**2 * base
     W1 = (w * g.rho) ** 2 * base
     W2 = (w * g.rho**2) ** 2 * base
     c3 = (m - 1.0) * g.fp**2 * W2 / g.f**2
     w_img = w**2 * g.quad * g.f ** (m - 1) * g.volume_factor * g.rho ** (-float(m))
-    pat = _form_pattern(g)
-    M01 = pat.sandwich(D1.data, W1)
-    M01[pat.diag] += W0
-    Bop = D1.data.copy()
-    Bop[pat.stencil_diag] -= g.fp / g.f
     return _FormParts(
-        beta=_beta_key(beta), W0=W0, W1=W1, W2=W2, w_img=w_img, M01=M01,
-        M2=pat.sandwich(D2.data, W2), M3=pat.sandwich(D1.data, c3), Bop=Bop,
+        beta=_beta_key(beta), W0=W0, W1=W1, W2=W2, w_img=w_img, D1=D1,
+        M01=_sum(_sandwich(D1, W1), {0: W0}), M2=_sandwich(D2, W2), M3=_sandwich(D1, c3),
+        Bop={**D1, 0: D1[0] - g.fp / g.f},
     )
 
 
@@ -705,36 +452,24 @@ def weighted_form(grid: RadialGrid, k: int, beta: float | None, e: float,
     parts, when given, are the grid's _form_parts at this beta."""
     parts = _parts_at(grid, beta, parts)
     g = grid
-    pat = _form_pattern(g)
     kappa = g.geometry.link.einstein_constant or 0.0
 
-    # values on the grid's form pattern, summed in the order of
-    # M01 + diag(W1 e / f^2) + M2 + Bop^T diag(mix) Bop + diag(c1) + M3
-    #     + diag(c2) D1 + D1^T diag(c2); exact zeros drop at the end
-    if k == 0:
-        M = np.zeros(pat.nnz)
-        M[pat.diag] = parts.W0
-    else:
-        M = parts.M01.copy()
-        M[pat.diag] += parts.W1 * e / g.f**2
+    # summed in the order of M01 + diag(W1 e / f^2) + M2 + Bop^T diag(mix) Bop
+    #     + diag(c1) + M3 + diag(c2) D1 + D1^T diag(c2)
+    terms = [{0: parts.W0}] if k == 0 else [parts.M01, {0: parts.W1 * e / g.f**2}]
     if k >= 2:
-        W2, D1 = parts.W2, g.d1
-        M += parts.M2
+        W2 = parts.W2
         # mixed radial-angular block: 2 e f^-2 (u' - (f'/f) u)^2
         mix = 2.0 * e * W2 / g.f**2
-        M += pat.sandwich(parts.Bop, mix)
         # pure angular block: f^-4 ((e^2 - kappa e) u^2
         #                     - 2 e f f' u u' + (m-1) f^2 f'^2 u'^2)
         hess_c = max(e * e - kappa * e, 0.0)
         c1 = hess_c * W2 / g.f**4
         c2 = -e * g.fp * W2 / g.f**3
-        M[pat.diag] += c1
-        M += parts.M3
-        # diag(c2) D1 puts c2[r] D1[r, c] at (r, c), D1^T diag(c2) at (c, r)
-        c2_d1 = np.repeat(c2, 3) * D1.data
-        M[pat.stencil] += c2_d1
-        M[pat.stencil_t] += c2_d1
-    return WeightedQuadraticForm(grid=grid, k=k, beta=beta, e=e, values=M)
+        c2_d1 = _scaled(c2, parts.D1)
+        terms += [parts.M2, _sandwich(parts.Bop, mix), {0: c1}, parts.M3,
+                  c2_d1, _transpose(c2_d1)]
+    return WeightedQuadraticForm(grid=grid, k=k, beta=beta, e=e, bands=_sum(*terms))
 
 
 @dataclass
@@ -742,33 +477,36 @@ class LaplacePencil:
     """Factored pencil of Delta: W_{2,beta} -> W_{0,beta-2} for one mode.
 
     A = Pi^T diag(w_img) Pi is the assembled normal form; sigma
-    evaluations should use the factored residual ||w_img^(1/2) Pi v||
+    evaluations should use the factored numerator sum w_img (Pi v)^2
     (the assembled A loses near-null information to cancellation).
     A_dia and B_dia are A and B as DIA matrices on common offsets, the
-    form smallest_pencil_eigs solves cheapest; A and B, built on first
-    use, are the CSC matrices, and Pi the CSR matrix, that the scipy
-    expressions in laplacian_pencil's docstring leave, storage order
-    included."""
+    form smallest_pencil_eigs takes; A and B, built on first use, are
+    their sorted CSC matrices without exact zeros.  Pi is the CSR matrix
+    the scipy expression in laplacian_pencil's docstring leaves, each
+    row's entries in descending column order, so Pi v, and with it the
+    numerator, adds them in scipy's order."""
 
     op: ModeOperator
     Pi: sp.csr_matrix
     w_img: np.ndarray
     A_dia: sp.dia_matrix = field(repr=False)
     B_dia: sp.dia_matrix = field(repr=False)
-    a: np.ndarray = field(repr=False)  # A's values on op.pattern.a
-    b: np.ndarray = field(repr=False)  # B's values on op.pattern.red
 
     @cached_property
     def A(self) -> sp.csc_matrix:
-        return self.op.pattern.a.matrix(sp.csc_matrix, self.a)
+        return self.A_dia.tocsc()
 
     @cached_property
     def B(self) -> sp.csc_matrix:
-        return self.op.pattern.red.matrix(sp.csc_matrix, self.b)
+        return self.B_dia.tocsc()
+
+    def numerator(self, v_interior: np.ndarray) -> float:
+        """v^T A v in the factored form sum w_img (Pi v)^2."""
+        r = self.Pi @ v_interior
+        return float(np.sum(self.w_img * r * r))
 
     def residual_sigma(self, v_interior: np.ndarray) -> float:
-        r = self.Pi @ v_interior
-        num = float(np.sum(self.w_img * r * r))
+        num = self.numerator(v_interior)
         den = float(v_interior @ (self.B_dia @ v_interior))
         return math.sqrt(max(num, 0.0) / max(den, 1e-300))
 
@@ -783,19 +521,20 @@ def laplacian_pencil(grid: RadialGrid, e: float, beta: float | None,
     weights), and B is the reduced k=2 form.  parts, when given, are the
     grid's _form_parts at this beta.
 
-    The matrices are filled on the grid's pencil pattern, bit for bit
+    The matrices are band products with the values, bit for bit, of
     Pi = (P_full[interior] @ R).tocsr(), A = (Pi.T @ diags(w_img) @
-    Pi).tocsc() and B = (R.T @ M2 @ R).tocsc()."""
+    Pi).tocsc() and B = (R.T @ M2 @ R).tocsc(); A is the sandwich of Pi,
+    each entry's terms (w_img[k] Pi[k, i]) Pi[k, j] added over k
+    ascending, as scipy adds them."""
     parts = _parts_at(grid, beta, parts)
     op = assemble_mode_operator(grid, e, beta=beta, kernel_scan=kernel_scan)
-    pat = op.pattern
     w_img = parts.w_img[op.interior]
-    pi = op.pi_values()
-    a = pat.a.values(pi[pat.pi_t], pat.t.values(w_img, pi))
-    b = op.reduce(weighted_form(grid, 2, beta, e, parts=parts).values)
-    return LaplacePencil(op=op, Pi=pat.pi.matrix(sp.csr_matrix, pi), w_img=w_img,
-                         A_dia=pat.a.dia(pat.a_dia, a, pat.offsets),
-                         B_dia=pat.red.dia(pat.red_dia, b, pat.offsets), a=a, b=b)
+    pi = op.pi()
+    A = _sandwich(pi, w_img)
+    B = op.reduce(weighted_form(grid, 2, beta, e, parts=parts).bands)
+    A_dia, B_dia = _dia(A, B)
+    return LaplacePencil(op=op, Pi=_csr(pi, descending=True), w_img=w_img,
+                         A_dia=A_dia, B_dia=B_dia)
 
 
 # ---------------------------------------------------------------------------
@@ -807,46 +546,11 @@ def _deterministic_v0(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _pencil_num(pen: "LaplacePencil"):
-    def num_form(v):
-        r = pen.Pi @ v
-        return float(np.sum(pen.w_img * r * r))
-    return num_form
-
-
-def _diagonals(A: sp.spmatrix, B: sp.spmatrix):
-    """A and B on their common diagonals, in scipy's DIA layout: offsets
-    ascending, and row i of each array holds M[j - offsets[i], j] at
-    column j (zero where M stores nothing).  DIA matrices on the same
-    ascending offsets are taken as they are."""
-    if (A.format == B.format == "dia" and np.array_equal(A.offsets, B.offsets)
-            and np.all(np.diff(A.offsets) > 0)):
-        return A.offsets, A.data, B.data
-    n = A.shape[0]
-    mats = (A.tocsc(), B.tocsc())
-    cols = [np.repeat(np.arange(n), np.diff(M.indptr)) for M in mats]
-    offs = [c - M.indices for c, M in zip(cols, mats)]
-    present = np.zeros(2 * n - 1, dtype=bool)
-    for o in offs:
-        present[o + (n - 1)] = True
-    offsets = np.flatnonzero(present) - (n - 1)
-    row_of = np.empty(2 * n - 1, dtype=np.intp)
-    row_of[offsets + (n - 1)] = np.arange(offsets.size)
-    bands = []
-    for M, c, o in zip(mats, cols, offs):
-        band = np.zeros((offsets.size, n))
-        band[row_of[o + (n - 1)], c] = M.data
-        bands.append(band)
-    return offsets, bands[0], bands[1]
-
-
-def _shift_invert_parts(A: sp.spmatrix, B: sp.spmatrix,
-                        sigma: float) -> tuple[sp.csc_matrix, sp.dia_matrix]:
+def _shift_invert_parts(A: sp.dia_matrix, B: sp.dia_matrix, sigma: float) -> sp.csc_matrix:
     """A - sigma B as the sorted CSC matrix without stored zeros that
-    splu factors in eigsh's mode 3, and B as a DIA matrix with ascending
-    offsets."""
+    splu factors in eigsh's mode 3."""
     n = A.shape[0]
-    offsets, a, b = _diagonals(A, B)
+    offsets, a, b = A.offsets, A.data, B.data
     # row j of s holds column j of A - sigma B with the offsets descending,
     # so its rows ascending; filled diagonal by diagonal (short rows
     # broadcast slowly)
@@ -860,13 +564,12 @@ def _shift_invert_parts(A: sp.spmatrix, B: sp.spmatrix,
     stored = s != 0
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
-    return (sp.csc_matrix((s[stored], rows[stored], indptr), shape=(n, n)),
-            sp.dia_matrix((b, offsets), shape=(n, n)))
+    return sp.csc_matrix((s[stored], rows[stored], indptr), shape=(n, n))
 
 
 def smallest_pencil_eigs(
-    A: sp.spmatrix,
-    B: sp.spmatrix,
+    A: sp.dia_matrix,
+    B: sp.dia_matrix,
     k: int = 1,
     constraint: np.ndarray | None = None,
     num_form=None,
@@ -881,25 +584,26 @@ def smallest_pencil_eigs(
     roundoff times its entry magnitudes, so near-null detection needs
     this polish.
 
-    The shift-invert operator is built here as eigsh's mode 3 builds it:
-    splu of the sorted CSC matrix A - sigma B, inside the same try as
+    A and B are DIA matrices on common offsets, ascending (a
+    LaplacePencil's A_dia and B_dia, or _dia of reduced forms); any other
+    input is refused.  The shift-invert operator is built here as eigsh's
+    mode 3 builds it: splu of the sorted CSC matrix A - sigma B, one
+    elementwise difference of the diagonals, inside the same try as
     ARPACK, so a singular factor reaches the dense fallback as before.
-    A and B are taken on their common diagonals, so A - sigma B is one
-    elementwise difference; DIA matrices on the same ascending offsets
-    (a LaplacePencil's A_dia and B_dia, ModeOperator.reduce's forms) are
-    used as they are, any other sparse A and B are scattered onto them.
     ARPACK asks for about three B products per solve (ARPACK Users'
-    Guide, mode 3); it gets B as a DIA matrix, whose product streams the
-    diagonals where the CSC product scatters.  With ascending offsets the
-    DIA product adds each row's terms in ascending column order, starting
-    from 0, as the CSC product does, so every product and every
-    eigenvalue is bit for bit what eigsh(A, k, M=B, sigma=sigma) and its
-    polish give for the CSC matrices."""
+    Guide, mode 3); the DIA product streams the diagonals where the CSC
+    product scatters.  With ascending offsets it adds each row's terms in
+    ascending column order, starting from 0, as the CSC product does, so
+    every product and every eigenvalue is bit for bit what eigsh(A, k,
+    M=B, sigma=sigma) and its polish give for the CSC matrices."""
+    if not (all(sp.issparse(X) and X.format == "dia" for X in (A, B))
+            and np.array_equal(A.offsets, B.offsets) and np.all(np.diff(A.offsets) > 0)):
+        raise ValueError("A and B must be DIA matrices on common ascending offsets")
     n = A.shape[0]
     k = min(k, n - 2)
     scale = max((A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)), 1e-300)
     sigma = -1e-8 * scale
-    shifted, B_dia = _shift_invert_parts(A, B, sigma)
+    shifted = _shift_invert_parts(A, B, sigma)
 
     def polish(vals, vecs):
         if num_form is None:
@@ -907,7 +611,7 @@ def smallest_pencil_eigs(
         out = []
         for i in range(vecs.shape[1]):
             v = vecs[:, i]
-            den = float(v @ (B_dia @ v))
+            den = float(v @ (B @ v))
             out.append(num_form(v) / max(den, 1e-300))
         return np.sort(out)
 
@@ -916,7 +620,7 @@ def smallest_pencil_eigs(
             lu = spla.splu(shifted)
             del shifted  # ARPACK needs only the factor
             OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-            vals, vecs = spla.eigsh(A, k=k, M=B_dia, sigma=sigma, which="LM", OPinv=OPinv,
+            vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM", OPinv=OPinv,
                                     v0=_deterministic_v0(n))
             return polish(vals, vecs)
         except RuntimeError:
@@ -939,7 +643,7 @@ def smallest_pencil_eigs(
     v0 = _deterministic_v0(n)
     v0 = v0 - q * (q @ v0) / (q @ q)
     try:
-        vals, vecs = spla.eigsh(A, k=k, M=B_dia, sigma=sigma, which="LM", OPinv=OPinv,
+        vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM", OPinv=OPinv,
                                 v0=v0)
         return polish(vals, vecs)
     except RuntimeError:
@@ -1178,7 +882,7 @@ def invertibility_constant(
     per_mode = []
     for e, _mult in geo.link.eigenvalues_below(e_max):
         pen = laplacian_pencil(grid, e, beta, parts=parts)
-        lam = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=_pencil_num(pen))
+        lam = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=pen.numerator)
         per_mode.append((float(e), float(_sigma_from(lam)[0])))
     sigma_min = min(s for _, s in per_mode)
     return InvertibilityReport(constant=1.0 / sigma_min, sigma_min=sigma_min,
@@ -1245,7 +949,7 @@ def restricted_invertibility_compact(
     sigma0_con = None
     for e, _mult in m_geo.link.eigenvalues_below(e_max):
         pen = laplacian_pencil(grid, e, beta, parts=parts)
-        nf = _pencil_num(pen)
+        nf = pen.numerator
         if e == 0.0:
             q_red = pen.op.R.T @ q
             lam_u = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=nf)
@@ -1270,22 +974,18 @@ def restricted_invertibility_compact(
 
 
 def _gradient_forms(grid: RadialGrid, beta: float):
-    """e -> the values, on the grid's form pattern, of the weighted
-    gradient form D1^T diag(wg) D1 + diag(wg e / f^2) of
-    poincare_constant, wg = (wextra rho^{1-beta})^2 rho^{-m} times the
-    volume element; the e-free product is built once."""
+    """e -> the bands of the weighted gradient form D1^T diag(wg) D1 +
+    diag(wg e / f^2) of poincare_constant, wg = (wextra rho^{1-beta})^2
+    rho^{-m} times the volume element; the e-free product is built once."""
     m = grid.geometry.m
-    pat = _form_pattern(grid)
     wg = (grid.wextra * grid.rho ** (1 - beta)) ** 2 * grid.quad \
         * grid.f ** (m - 1) * grid.volume_factor * grid.rho ** (-float(m))
-    G0 = pat.sandwich(grid.d1.data, wg)
+    G0 = _sandwich(_bands(grid.d1), wg)
 
-    def values(e: float) -> np.ndarray:
-        G = G0.copy()
-        G[pat.diag] += wg * e / grid.f**2
-        return G
+    def bands(e: float) -> dict:
+        return _sum(G0, {0: wg * e / grid.f**2})
 
-    return values
+    return bands
 
 
 @dataclass(frozen=True)
@@ -1329,14 +1029,12 @@ def poincare_constant(
     if grid is None:
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
     parts = _form_parts(grid, beta)
-    gradient_values = _gradient_forms(grid, beta)
+    gradient_bands = _gradient_forms(grid, beta)
     per_mode = []
     for e, _mult in geo.link.eigenvalues_below(e_max):
         op = assemble_mode_operator(grid, e, beta=beta)
-        red, layout, offsets = op.pattern.red, op.pattern.red_dia, op.pattern.offsets
-        M1 = red.dia(layout, op.reduce(weighted_form(grid, 1, beta, e, parts=parts).values),
-                     offsets)
-        G_red = red.dia(layout, op.reduce(gradient_values(e)), offsets)
+        M1 = op.reduce(weighted_form(grid, 1, beta, e, parts=parts).bands)
+        G_red, M1 = _dia(op.reduce(gradient_bands(e)), M1)
         lam = smallest_pencil_eigs(G_red, M1, k=1)
         lam0 = max(float(lam[0]), 1e-300)
         per_mode.append((float(e), 1.0 / math.sqrt(lam0)))
@@ -1508,7 +1206,7 @@ def kernel_dimension_scan(
             pen = laplacian_pencil(grid, e, beta, kernel_scan=True, parts=parts)
             k = min(4, pen.op.n_interior - 2)
             sig = _sigma_from(smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=k,
-                                                   num_form=_pencil_num(pen)))
+                                                   num_form=pen.numerator))
             hits = int(np.count_nonzero(sig < thr))
             if np.any((sig >= thr / 3.0) & (sig <= 3.0 * thr)):
                 ambiguous = True

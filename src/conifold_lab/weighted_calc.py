@@ -80,10 +80,8 @@ class RadialGrid:
     it has one (glued geometries classify each node once), else from its
     six callables.  The derivative matrices d1, d2, the norm volume and
     the e-free part of the mode operator are built lazily, once per grid,
-    from these arrays, and so are the patterns of the weighted forms and
-    of the pencils that spectral_laplace keeps in `pencil_patterns`; so
-    the arrays must not be mutated after construction (build a new grid
-    instead).
+    from these arrays, so the arrays must not be mutated after
+    construction (build a new grid instead).
     """
 
     geometry: RadialGeometry
@@ -99,10 +97,6 @@ class RadialGrid:
     _d2: sp.spmatrix = field(repr=False, default=None)
     _volume: np.ndarray = field(repr=False, default=None)
     _radial_operator: sp.spmatrix = field(repr=False, default=None)
-    # spectral_laplace's patterns: the form pattern and the pencil
-    # patterns, one per shape of the closure reduction R (arrays only,
-    # never the grid)
-    pencil_patterns: dict = field(repr=False, default_factory=dict, init=False)
 
     def __post_init__(self):
         g = self.geometry

@@ -2,16 +2,18 @@
 
 The mode operator, the weighted forms, the pencil and the near-null
 threshold build their e-independent parts once per grid (or once per
-grid and weight) and add only the e-dependent terms per mode.  The forms
-and Poincare's gradient form are filled on the grid's form pattern, the
-sorted pattern of L^T diag(w) L, by the fixed-pattern product engine
-(_Product) and array arithmetic instead of scipy products and sums.  The
+grid and weight) and add only the e-dependent terms per mode.  The forms,
+Poincare's gradient form, Pi, A and B are bands (one array per diagonal)
+filled by one band product that adds each entry's terms over the inner
+index ascending, starting from 0, as scipy's csr_matmat does.  The
 per-mode scipy versions that rebuild everything are kept here as
 reference implementations; the package versions must reproduce them bit
-for bit (same CSR data, indices and index pointers; same weights and
-threshold).  Weights are visited in the order b1, b2, b1, so parts kept
-from another weight would show; the forms are also checked on a coarse
-grid (n_per_region=20), where few rows are regular."""
+for bit (same CSR data, indices and index pointers; A and B, whose
+unsorted CSC order only scipy's product leaves, entry for entry; same
+weights, threshold and factored numerator).  Weights are visited in the
+order b1, b2, b1, so parts kept from another weight would show; the
+forms are also checked on a coarse grid (n_per_region=20), where few
+rows are regular."""
 
 import gc
 import math
@@ -35,8 +37,8 @@ from conifold_lab.spectral_laplace import (
     KernelScanRow,
     WeightConditionError,
     _default_closures,
+    _csr,
     _form_parts,
-    _form_pattern,
     _gradient_forms,
     _grid_nodes_per_decade,
     _reduction_matrix,
@@ -167,7 +169,7 @@ def ref_kernel_dimension_scan(geo, grid, beta_list, e_max):
                 return float(np.sum(w_img * r * r))
 
             k = min(4, A.shape[0] - 2)
-            sig = _sigma_from(smallest_pencil_eigs(A, B, k=k, num_form=num_form))
+            sig = _sigma_from(smallest_pencil_eigs(*dia_pair(A, B), k=k, num_form=num_form))
             hits = int(np.count_nonzero(sig < thr))
             if np.any((sig >= thr / 3.0) & (sig <= 3.0 * thr)):
                 ambiguous = True
@@ -195,6 +197,20 @@ BETAS = (None, 0.5, None)  # b1, b2, b1
 @pytest.fixture(scope="module", params=sorted(GEOMETRIES))
 def grid(request):
     return build_grid(GEOMETRIES[request.param](), n_per_region=200)
+
+
+def dia_pair(A, B):
+    """Sparse A and B as DIA matrices on their common diagonals, offsets
+    ascending: the input smallest_pencil_eigs takes."""
+    n = A.shape[0]
+    offsets = np.union1d(A.todia().offsets, B.todia().offsets)
+    pair = []
+    for X in (A, B):
+        data = np.zeros((offsets.size, n))
+        for row, k in zip(data, offsets):
+            row[max(k, 0):n + min(k, 0)] = X.diagonal(k)
+        pair.append(sp.dia_matrix((data, offsets), shape=(n, n)))
+    return pair
 
 
 def assert_same_csr(got, want):
@@ -249,10 +265,10 @@ def test_weighted_forms_match_reference(grid):
 def test_gradient_form_matches_reference(grid):
     for g in with_coarse(grid):
         for beta in (-0.5, 0.5):
-            gradient_values = _gradient_forms(g, beta)
+            gradient_bands = _gradient_forms(g, beta)
             for e in modes(g) + [0.5, 30.0]:
                 want = ref_gradient_form(g, beta, e)
-                got = _form_pattern(g).matrix(gradient_values(e))
+                got = _csr(gradient_bands(e))
                 assert_same_csr(got, want.tocsr())
                 op = assemble_mode_operator(g, e, beta=beta)
                 # poincare_constant's reduced form: the same entries
@@ -270,18 +286,6 @@ def test_stencils_store_three_sorted_entries_per_row(grid):
         assert np.all(np.diff(cols, axis=1) > 0)
         assert np.all(np.any(cols == rows[:, None], axis=1))
     assert np.array_equal(grid.d1.indices, grid.d2.indices)
-    pat = _form_pattern(grid)
-    assert pat.indices.dtype == np.int32
-    pattern_rows = np.repeat(rows, np.diff(pat.indptr))
-    assert np.array_equal(pattern_rows[pat.diag], rows)
-    assert np.array_equal(pat.indices[pat.diag], rows)
-    # each d1 entry (r, c) sits at stencil, its transpose (c, r) at stencil_t
-    r, c = np.repeat(rows, 3), grid.d1.indices
-    assert np.array_equal(c[pat.stencil_diag], rows)
-    assert np.array_equal(pattern_rows[pat.stencil], r)
-    assert np.array_equal(pat.indices[pat.stencil], c)
-    assert np.array_equal(pattern_rows[pat.stencil_t], c)
-    assert np.array_equal(pat.indices[pat.stencil_t], r)
 
 
 @pytest.mark.parametrize("kernel_scan", [False, True])
@@ -293,11 +297,32 @@ def test_pencils_match_reference(grid, kernel_scan):
             for pen in (laplacian_pencil(grid, e, beta, kernel_scan, parts=parts),
                         laplacian_pencil(grid, e, beta, kernel_scan)):
                 assert_same_csr(pen.op.P_full, P)
-                assert_same_csr(pen.A, A)
-                assert_same_csr(pen.B, B)
+                # A and B entry for entry: scipy's product leaves their
+                # CSC columns unsorted, in an order no code reads
+                assert_same_csr(pen.A.sorted_indices(), A.sorted_indices())
+                assert_same_csr(pen.B.sorted_indices(), B.sorted_indices())
+                assert pen.A.nnz + pen.B.nnz == A.nnz + B.nnz
                 assert_same_csr(pen.Pi, Pi)
                 assert pen.w_img.dtype == w_img.dtype
                 assert np.array_equal(pen.w_img, w_img)
+
+
+@pytest.mark.parametrize("kernel_scan", [False, True])
+def test_factored_numerator_matches_reference(grid, kernel_scan):
+    """The polish numerator and residual_sigma add each row of Pi v in
+    Pi's storage order (columns descending), as the scipy expressions do."""
+    rng = np.random.default_rng(11)
+    for beta in BETAS:
+        parts = _form_parts(grid, beta)
+        for e in modes(grid):
+            _P, _A, B, Pi, w_img = ref_laplacian_pencil(grid, e, beta, kernel_scan)
+            pen = laplacian_pencil(grid, e, beta, kernel_scan, parts=parts)
+            for v in (rng.standard_normal(Pi.shape[1]), np.linspace(-1.0, 2.0, Pi.shape[1])):
+                r = Pi @ v
+                num = float(np.sum(w_img * r * r))
+                assert pen.numerator(v) == num
+                den = float(v @ (B @ v))
+                assert pen.residual_sigma(v) == math.sqrt(max(num, 0.0) / max(den, 1e-300))
 
 
 def test_parts_of_another_weight_are_refused(grid):

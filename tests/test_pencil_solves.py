@@ -1,9 +1,10 @@
-"""Exactness oracles for the pencil solves and the per-grid patterns.
+"""Exactness oracles for the pencil solves and the band fills.
 
-smallest_pencil_eigs builds the shift-invert operator A - sigma B itself
-and gives ARPACK B as a DIA matrix; the pencils, the reduced forms, the
-radial operator and the reduction R are filled with numpy on per-grid
-patterns; densities take derivatives on the window's
+smallest_pencil_eigs takes A and B as DIA matrices on common offsets,
+builds the shift-invert operator A - sigma B itself and gives ARPACK B
+as a DIA matrix; the pencils, the reduced forms, the radial operator and
+the reduction R are filled with numpy, the pencils and reduced forms
+diagonal by diagonal; densities take derivatives on the window's
 stencil rows only.  The scipy versions they replace are kept here as
 reference implementations, and the package versions must reproduce them
 bit for bit: the same arrays, the same bytes of every product, the same
@@ -20,10 +21,10 @@ from conifold_lab.conifold_model import dumbbell_family, preset_model, spindle_f
 from conifold_lab.spectral_laplace import (
     ClosureRule,
     _default_closures,
+    _csr,
     _deterministic_v0,
-    _diagonals,
+    _dia,
     _gradient_forms,
-    _pencil_num,
     _reduction_matrix,
     _shift_invert_parts,
     assemble_mode_operator,
@@ -142,24 +143,21 @@ def core_functional(grid):
 def solves(grid):
     """(label, A, B, constraint, num_form, pencil-side A and B): the
     pencils unconstrained (k = 1 and the kernel scan's k = 4) and, at
-    e = 0, bordered; and Poincare's pencil, whose forms come as DIA
-    matrices from ModeOperator.reduce."""
+    e = 0, bordered; and Poincare's pencil, whose forms come as bands
+    from ModeOperator.reduce."""
     out = []
     for e in modes(grid)[:3]:
         for kernel_scan in (False, True):
             pen = laplacian_pencil(grid, e, -0.5, kernel_scan=kernel_scan)
-            out.append((f"pencil e={e}", pen.A, pen.B, None, _pencil_num(pen),
+            out.append((f"pencil e={e}", pen.A, pen.B, None, pen.numerator,
                         pen.A_dia, pen.B_dia))
         if e == 0.0:
             q = pen.op.R.T @ core_functional(grid)
-            out.append(("bordered", pen.A, pen.B, q, _pencil_num(pen), pen.A_dia, pen.B_dia))
+            out.append(("bordered", pen.A, pen.B, q, pen.numerator, pen.A_dia, pen.B_dia))
     op = assemble_mode_operator(grid, 2.0, beta=-0.5)
-    red = op.pattern.red
-    G, M1 = (op.reduce(_gradient_forms(grid, -0.5)(2.0)),
-             op.reduce(weighted_form(grid, 1, -0.5, 2.0).values))
-    out.append(("poincare", red.matrix(sp.csc_matrix, G), red.matrix(sp.csc_matrix, M1), None,
-                None, red.dia(op.pattern.red_dia, G, op.pattern.offsets),
-                red.dia(op.pattern.red_dia, M1, op.pattern.offsets)))
+    G, M1 = _dia(op.reduce(_gradient_forms(grid, -0.5)(2.0)),
+                 op.reduce(weighted_form(grid, 1, -0.5, 2.0).bands))
+    out.append(("poincare", G.tocsc(), M1.tocsc(), None, None, G, M1))
     return out
 
 
@@ -172,7 +170,7 @@ def vectors(n):
 
 
 # ---------------------------------------------------------------------------
-# patterns
+# the radial operator and the reduction
 
 
 def test_radial_operator_matches_reference(grid):
@@ -207,25 +205,14 @@ def test_reduced_forms_and_operator_match_scipy(grid):
     the values of the scipy products, entry for entry."""
     for e in modes(grid)[:3]:
         op = assemble_mode_operator(grid, e, beta=-0.5)
-        gradient_form = sl._form_pattern(grid).matrix(_gradient_forms(grid, -0.5)(e))
-        for form in (weighted_form(grid, 1, -0.5, e).matrix, gradient_form,
-                     weighted_form(grid, 2, -0.5, e).matrix):
-            got = op.pattern.red.matrix(sp.csc_matrix, op.reduce(_values_on_pattern(grid, form)))
-            _assert_same_entries(got, (op.R.T @ form @ op.R).tocsc())
+        for bands in (weighted_form(grid, 1, -0.5, e).bands, _gradient_forms(grid, -0.5)(e),
+                      weighted_form(grid, 2, -0.5, e).bands):
+            form = _csr(bands)
+            _assert_same_entries(_csr(op.reduce(bands)).tocsc(), (op.R.T @ form @ op.R).tocsc())
         want = (op.P_full[op.interior] @ op.R).tocsc()
         got = op.reduced()
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
-
-
-def _values_on_pattern(grid, M):
-    """The entries of the CSR matrix M on the grid's form pattern."""
-    pat = sl._form_pattern(grid)
-    vals = np.zeros(pat.nnz)
-    rows = np.repeat(np.arange(grid.n), np.diff(M.indptr))
-    pattern_rows = np.repeat(np.arange(grid.n), np.diff(pat.indptr))
-    vals[np.searchsorted(pattern_rows * grid.n + pat.indices, rows * grid.n + M.indices)] = M.data
-    return vals
 
 
 def _assert_same_entries(got, want):
@@ -246,10 +233,16 @@ def test_dia_products_are_the_csc_products_byte_for_byte(grid):
             assert np.array_equal(X_dia.toarray(), X.toarray()), label
             for x in vectors(X.shape[0]):
                 assert (X_dia @ x).tobytes() == (X @ x).tobytes(), label
-        # the diagonals of CSC input are the pencil's own
-        offsets, a, b = _diagonals(A, B)
-        assert np.array_equal(offsets, B_dia.offsets), label
-        assert np.array_equal(a, A_dia.data) and np.array_equal(b, B_dia.data), label
+
+
+def test_solve_refuses_all_but_dia_on_common_ascending_offsets(grid):
+    pen = laplacian_pencil(grid, 2.0, -0.5)
+    A, B = pen.A_dia, pen.B_dia
+    reversed_ = [sp.dia_matrix((X.data[::-1], X.offsets[::-1]), shape=X.shape) for X in (A, B)]
+    fewer = sp.dia_matrix((A.data[1:], A.offsets[1:]), shape=A.shape)
+    for pair in ((pen.A, pen.B), (A, pen.B), (A.toarray(), B), reversed_, (fewer, B)):
+        with pytest.raises(ValueError, match="DIA"):
+            smallest_pencil_eigs(*pair, k=1)
 
 
 def test_shifted_operator_is_what_splu_gets_from_eigsh(grid):
@@ -257,22 +250,20 @@ def test_shifted_operator_is_what_splu_gets_from_eigsh(grid):
         sigma = -1e-8 * A.diagonal().sum() / B.diagonal().sum()
         want = (A - sigma * B).tocsc()
         want.sum_duplicates()  # splu's first step: sorted, canonical
-        for pair in ((A, B), (A_dia, B_dia)):
-            shifted, _ = _shift_invert_parts(*pair, sigma)
-            assert shifted.format == "csc"
-            for attr in ("data", "indices", "indptr"):
-                got, ref = getattr(shifted, attr), getattr(want, attr)
-                assert got.dtype == ref.dtype, (label, attr)
-                assert np.array_equal(got, ref), (label, attr)
+        shifted = _shift_invert_parts(A_dia, B_dia, sigma)
+        assert shifted.format == "csc"
+        for attr in ("data", "indices", "indptr"):
+            got, ref = getattr(shifted, attr), getattr(want, attr)
+            assert got.dtype == ref.dtype, (label, attr)
+            assert np.array_equal(got, ref), (label, attr)
 
 
 def test_eigenvalues_equal_eigsh_with_its_own_operator(grid):
     for label, A, B, q, nf, A_dia, B_dia in solves(grid):
         for k in ((1, 4) if q is None else (1,)):
             want = ref_smallest_pencil_eigs(A, B, k=k, constraint=q, num_form=nf)
-            for pair in ((A, B), (A_dia, B_dia)):
-                got = smallest_pencil_eigs(*pair, k=k, constraint=q, num_form=nf)
-                assert got.tobytes() == np.asarray(want).tobytes(), (label, k)
+            got = smallest_pencil_eigs(A_dia, B_dia, k=k, constraint=q, num_form=nf)
+            assert got.tobytes() == np.asarray(want).tobytes(), (label, k)
 
 
 def test_every_solve_factors_once_before_arpack(grid, monkeypatch):
