@@ -106,6 +106,10 @@ class ExperimentConfig:
         object.__setattr__(self, "t_list", ts)
         object.__setattr__(self, "gamma_cases",
                            tuple((float(g), float(e)) for g, e in self.gamma_cases))
+        unknown = sorted(set(self.tolerances or {}) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ValueError(f"unknown tolerances {unknown}; "
+                             f"expected names from {sorted(DEFAULT_TOLERANCES)}")
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(self.tolerances or {})
         if any(v <= 0 for v in tol.values()):
@@ -135,10 +139,8 @@ class SweepResult:
 
 
 def _fit_slope(xs, ys):
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
-    xs = xs - xs.mean()
-    return float(np.sum(xs * (ys - ys.mean())) / np.sum(xs * xs))
+    return wc._loglog_slope(np.asarray(xs, dtype=float),
+                            np.maximum(np.asarray(ys, dtype=float), 1e-300))
 
 
 def _family(cfg: ExperimentConfig):

@@ -24,17 +24,20 @@ constants are smallest/largest generalized singular values of the
 resulting banded pencils; kernel dimensions are counts of near-null
 singular values against a grid-calibrated threshold.
 
-The forms, the reduction R, Pi = P[interior] R, the pencil's A and B and
-Poincare's reduced forms are bands, one array per diagonal, all-zero
-diagonals dropped, filled by one band product that adds each entry's
-terms over the inner index ascending, starting from 0.  That is the
-order of scipy's csr_matmat on the expressions the bands replace, so
-every matrix is bit for bit what those expressions give.  Two matvec
-orders keep the emitted numbers bitwise too: Pi's CSR matrix stores each
-row's entries in descending column order, as scipy leaves them, so Pi v
-adds them in that order; and a DIA product of a form or pencil on
-ascending offsets adds each row's terms in ascending column order, as
-the product of its sorted CSR or CSC matrix does.
+Matrices are bands, one array per diagonal (weighted_calc defines the
+format), from the grid's stencils d1, d2 and radial operator up: the
+reduction R, the forms, Pi = P[interior] R, the pencil's A and B and
+Poincare's reduced forms.  Products are filled by one band product that
+adds each entry's terms over the inner index ascending, starting from 0,
+and drops all-zero diagonals.  That is the order of scipy's csr_matmat
+on the expressions the bands replace, so every matrix is bit for bit
+what those expressions give.  Two matvec orders keep the emitted numbers
+bitwise too: Pi's CSR matrix stores each row's entries in descending
+column order, as scipy leaves them, so Pi v adds them in that order; and
+every other band (a stencil in the densities, a form's norm, a pencil's
+B in the solves) multiplies a vector row by row over its offsets
+ascending, starting from 0, as its DIA product and the product of its
+sorted CSR or CSC matrix do.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ from .conifold_model import (
     RadialGeometry,
 )
 from .link_spectra import Link
-from .weighted_calc import ModeFunction, RadialGrid, build_grid
+from .weighted_calc import (ModeFunction, RadialGrid, _band_rows, _csr, _dia, _loglog_slope,
+                            _product, _restricted, _sandwich, _scaled, _sum, _transpose,
+                            build_grid)
 from .weight_calculus import distance_to_exceptional, gamma_roots
 
 __all__ = [
@@ -125,160 +130,40 @@ def _default_closures(grid: RadialGrid, e: float, beta: float | None,
 
 
 def _reduction_matrix(grid: RadialGrid, left: ClosureRule | None,
-                      right: ClosureRule | None) -> tuple[sp.csr_matrix, np.ndarray]:
-    """R with u_full = R u_interior, plus the interior node indices.  R is
-    the identity on interior nodes; each closed end adds a row of zero
-    (zero), one (robin) or two (cap_even) entries."""
+                      right: ClosureRule | None) -> tuple[dict, np.ndarray]:
+    """R with u_full = R u_interior as an n x n band (R's column c is its
+    column c + interior[0]), plus the interior node indices.  R is the
+    identity on interior nodes; each closed end adds to its boundary row
+    zero (zero), one (robin) or two (cap_even) entries, at offsets +-1
+    and +-2."""
     n = grid.n
+    R = {0: np.ones(n)}
     if grid.geometry.circle:
-        return sp.identity(n, format="csr"), np.arange(n)
-    interior = np.arange(1, n - 1)
-    n_i = interior.size
-
-    def boundary(i_bnd, rule, b):
-        """(columns, values) of boundary row i_bnd, columns ascending."""
-        if rule.kind == "zero":
-            return [], []
+        return R, np.arange(n)
+    R[0][[0, -1]] = 0.0
+    for i, rule, b, inward in ((0, left, grid.geometry.left, 1),
+                               (n - 1, right, grid.geometry.right, -1)):
+        i1, i2 = i + inward, i + 2 * inward  # the next two nodes inward
         if rule.kind == "cap_even":
-            i1, i2 = (1, 2) if i_bnd == 0 else (n - 2, n - 3)
-            h1 = abs(grid.nodes[i1] - grid.nodes[i_bnd])
-            h2 = abs(grid.nodes[i2] - grid.nodes[i_bnd])
+            h1 = abs(grid.nodes[i1] - grid.nodes[i])
+            h2 = abs(grid.nodes[i2] - grid.nodes[i])
             den = h2 * h2 - h1 * h1
-            cols, vals = [i1 - 1, i2 - 1], [h2 * h2 / den, -h1 * h1 / den]
-            return (cols, vals) if i_bnd == 0 else (cols[::-1], vals[::-1])
-        if rule.kind == "robin":
-            i_adj = 1 if i_bnd == 0 else n - 2
-            r_b = b.sign * (grid.nodes[i_bnd] - b.x0)
-            r_a = b.sign * (grid.nodes[i_adj] - b.x0)
-            return [i_adj - 1], [(r_b / r_a) ** rule.slope]
-        raise ValueError(rule.kind)
-
-    lc, lv = boundary(0, left, grid.geometry.left)
-    rc, rv = boundary(n - 1, right, grid.geometry.right)
-    indptr = np.empty(n + 1, dtype=np.int32)
-    indptr[0] = 0
-    indptr[1:] = len(lc) + np.arange(n, dtype=np.int32)
-    indptr[-1] = indptr[-2] + len(rc)
-    R = sp.csr_matrix((np.concatenate([lv, np.ones(n_i), rv]),
-                       np.concatenate([lc, np.arange(n_i), rc]).astype(np.int32), indptr),
-                      shape=(n, n_i))
-    return R, interior
+            entries = {inward: h2 * h2 / den, 2 * inward: -h1 * h1 / den}
+        elif rule.kind == "robin":
+            r_b = b.sign * (grid.nodes[i] - b.x0)
+            r_a = b.sign * (grid.nodes[i1] - b.x0)
+            entries = {inward: (r_b / r_a) ** rule.slope}
+        elif rule.kind == "zero":
+            entries = {}
+        else:
+            raise ValueError(rule.kind)
+        for d, v in entries.items():
+            R.setdefault(d, np.zeros(n))[i] = v
+    return dict(sorted(R.items())), np.arange(1, n - 1)
 
 
 # ---------------------------------------------------------------------------
-# bands
-#
-# A band is a square n x n matrix stored by diagonals, {d: a} with
-# a[i] = M[i, i + d]; where i + d falls outside [0, n) the array holds 0.
-# The forms, Pi, the pencils and the reduction R are bands.
-
-
-def _bands(M: sp.csr_matrix, shift: int = 0) -> dict:
-    """The bands of the n x n matrix whose column c + shift is column c
-    of M (shift 1 embeds the reduction R of an interval, whose columns
-    are the interior nodes 1 .. n - 2); zero where M stores nothing."""
-    n = M.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(M.indptr))
-    d = M.indices + shift - rows
-    offsets = np.flatnonzero(np.bincount(d + n)) - n
-    data = np.zeros((offsets.size, n))
-    data[np.searchsorted(offsets, d), rows] = M.data
-    return dict(zip(offsets.tolist(), data))
-
-
-def _nonzero(X: dict) -> dict:
-    """X without its all-zero diagonals, offsets ascending."""
-    return {d: X[d] for d in sorted(X) if X[d].any()}
-
-
-def _product(X: dict, Y: dict) -> dict:
-    """X @ Y, each entry's terms X[i, k] Y[k, j] added over k ascending,
-    starting from 0: the order of scipy's csr_matmat when X's rows are
-    stored in ascending column order."""
-    n = len(next(iter(X.values())))
-    out = {}
-    for p in sorted(X):  # k = i + p
-        for q, y in Y.items():
-            d = p + q
-            lo, hi = max(0, -p, -d), min(n, n - p, n - d)
-            if lo < hi:
-                if d not in out:
-                    out[d] = np.zeros(n)
-                out[d][lo:hi] += X[p][lo:hi] * y[lo + p:hi + p]
-    return _nonzero(out)
-
-
-def _shifted(x: np.ndarray, d: int) -> np.ndarray:
-    """x moved d places toward its end, zeros filling in: diagonal d
-    from row to column indexing (scipy's DIA layout), or the diagonal of
-    the transpose."""
-    out = np.zeros_like(x)
-    if d >= 0:
-        out[d:] = x[:x.size - d]
-    else:
-        out[:d] = x[-d:]
-    return out
-
-
-def _transpose(X: dict) -> dict:
-    return {-d: _shifted(x, d) for d, x in X.items()}
-
-
-def _scaled(w: np.ndarray, X: dict) -> dict:
-    """diag(w) X."""
-    return {d: w * x for d, x in X.items()}
-
-
-def _sandwich(L: dict, w: np.ndarray) -> dict:
-    """L^T diag(w) L, entry (i, j) the sum over k ascending of
-    (w[k] L[k, i]) L[k, j], as scipy adds L.T @ diags(w) @ L."""
-    return _product(_transpose(_scaled(w, L)), L)
-
-
-def _sum(*terms: dict) -> dict:
-    """The bands added entry by entry in the order given; the result may
-    share the arrays of its terms, and no band here is written to after
-    it is built."""
-    out = {}
-    for X in terms:
-        for d, x in X.items():
-            out[d] = out[d] + x if d in out else x
-    return out
-
-
-def _csr(X: dict, descending: bool = False) -> sp.csr_matrix:
-    """The CSR matrix of a band without its zeros, each row's entries in
-    ascending column order, or descending (the order scipy's csr_matmat
-    leaves Pi's rows in, which Pi's matvec adds them in)."""
-    offsets = sorted(X, reverse=descending)
-    data = np.stack([X[d] for d in offsets], axis=1)
-    n = data.shape[0]
-    keep = data != 0
-    cols = np.arange(n, dtype=np.int32)[:, None] + np.array(offsets, dtype=np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(keep, axis=1), dtype=np.int32, out=indptr[1:])
-    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(n, n))
-
-
-def _dia(*bands: dict) -> list[sp.dia_matrix]:
-    """The bands as DIA matrices on their common offsets, ascending
-    (data[k, j] = M[j - offsets[k], j], scipy's layout)."""
-    offsets = sorted(set().union(*bands))
-    n = len(next(iter(bands[0].values())))
-    out = []
-    for X in bands:
-        data = np.zeros((len(offsets), n))
-        for row, d in zip(data, offsets):
-            if d in X:
-                row[:] = _shifted(X[d], d)
-        out.append(sp.dia_matrix((data, offsets), shape=(n, n)))
-    return out
-
-
-def _restricted(X: dict, interior: np.ndarray) -> dict:
-    """The band of the interior rows and columns of X (a run of nodes)."""
-    lo, hi = int(interior[0]), int(interior[-1]) + 1
-    return _nonzero({d: x[lo:hi] for d, x in X.items()})
+# mode operators
 
 
 @dataclass
@@ -289,28 +174,29 @@ class ModeOperator:
     residuals and solves use the interior rows composed with the
     reduction R.  P holds P_full's bands: the grid's radial_operator plus
     e rho^2 / f^2 on the diagonal, summed as scipy sums them.  reduction
-    is R as an n x n band (R's column c is its column c + interior[0]):
-    the identity on interior nodes, the closure entries at offsets +-1
-    and +-2 of the two boundary rows.  Pi = P_full[interior] @ R and the
-    reduced forms are band products restricted to the interior."""
+    is R as the n x n band _reduction_matrix builds (R's column c is its
+    column c + interior[0]).  Pi = P_full[interior] @ R and the reduced
+    forms are band products restricted to the interior.  P_full and R are
+    CSR views of the bands, built on first use."""
 
     e: float
     grid: RadialGrid
-    R: sp.csr_matrix
+    reduction: dict = field(repr=False)
     interior: np.ndarray
     P: dict = field(init=False, repr=False)
-    reduction: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        g = self.grid
-        self.P = _bands(g.radial_operator)
-        self.P[0] = self.P[0] + self.e * g.rho**2 / g.f**2
-        self.reduction = _bands(self.R, shift=int(self.interior[0]))
+        P = self.grid.radial_operator
+        self.P = {**P, 0: P[0] + self.e * self.grid.rho**2 / self.grid.f**2}
 
     @cached_property
     def P_full(self) -> sp.csr_matrix:
-        """P_full as a CSR matrix, built on first use."""
         return _csr(self.P)
+
+    @cached_property
+    def R(self) -> sp.csr_matrix:
+        """R as the n x n_interior CSR matrix."""
+        return _csr(self.reduction)[:, int(self.interior[0]):int(self.interior[-1]) + 1]
 
     @property
     def n_interior(self) -> int:
@@ -354,8 +240,8 @@ def assemble_mode_operator(
     consistent on cone harmonics r^gamma); the boundaries close by the
     rules described in the module docstring."""
     left, right = _default_closures(grid, e, beta, kernel_scan)
-    R, interior = _reduction_matrix(grid, left, right)
-    return ModeOperator(e=float(e), grid=grid, R=R, interior=interior)
+    reduction, interior = _reduction_matrix(grid, left, right)
+    return ModeOperator(e=float(e), grid=grid, reduction=reduction, interior=interior)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +256,10 @@ class WeightedQuadraticForm:
     derivative blocks sandwich the same diagonal weights between the
     difference operators, so the assembled matrix is banded SPD on the
     reduced space.  bands are its diagonals (ModeOperator.reduce takes
-    them); matrix, built on first use, is its sorted CSR matrix without
-    exact zeros, as scipy leaves it.  norm multiplies by the bands as a
-    DIA matrix on ascending offsets, which adds each row's terms in
-    ascending column order, starting from 0, as matrix's product does,
-    so the two agree bit for bit.
+    them).  norm multiplies by the bands row by row, adding each row's
+    terms over the offsets ascending, starting from 0, as the DIA product
+    on ascending offsets and the sorted CSR product do, so the three
+    agree bit for bit.
     """
 
     grid: RadialGrid
@@ -383,13 +268,9 @@ class WeightedQuadraticForm:
     e: float
     bands: dict = field(repr=False)
 
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        return _csr(self.bands)
-
     def norm(self, values: np.ndarray) -> float:
         v = np.asarray(values, dtype=float)
-        return float(np.sqrt(max(v @ (_dia(self.bands)[0] @ v), 0.0)))
+        return float(np.sqrt(max(v @ _band_rows(self.bands, v), 0.0)))
 
 
 @dataclass(frozen=True)
@@ -433,7 +314,7 @@ def _form_parts(grid: RadialGrid, beta: float | None) -> _FormParts:
     beta_vals = g.beta if beta is None else np.full(g.n, float(beta))
     w = g.wextra * g.rho ** (-beta_vals)
     base = g.volume
-    D1, D2 = _bands(g.d1), _bands(g.d2)
+    D1, D2 = g.d1, g.d2
     W0 = w**2 * base
     W1 = (w * g.rho) ** 2 * base
     W2 = (w * g.rho**2) ** 2 * base
@@ -980,7 +861,7 @@ def _gradient_forms(grid: RadialGrid, beta: float):
     m = grid.geometry.m
     wg = (grid.wextra * grid.rho ** (1 - beta)) ** 2 * grid.quad \
         * grid.f ** (m - 1) * grid.volume_factor * grid.rho ** (-float(m))
-    G0 = _sandwich(_bands(grid.d1), wg)
+    G0 = _sandwich(grid.d1, wg)
 
     def bands(e: float) -> dict:
         return _sum(G0, {0: wg * e / grid.f**2})
@@ -1135,10 +1016,7 @@ def weight_crossing_kernel(
     floor = max(1e-12, 10.0 * hz * hz) * float(np.max(np.abs(u_corr)))
     slope = None
     if float(np.max(np.abs(u_corr[tail]))) > floor:
-        lr = np.log(r[tail])
-        ly = np.log(np.maximum(np.abs(u_corr[tail]), 1e-300))
-        lr = lr - lr.mean()
-        slope = float(np.sum(lr * (ly - ly.mean())) / np.sum(lr * lr))
+        slope = _loglog_slope(r[tail], np.maximum(np.abs(u_corr[tail]), 1e-300))
 
     # pencil residual of the candidate at a weight that admits it
     above = [w.gamma for w in exceptional_weights(geo.link, m, (gamma, gamma + 10.0))

@@ -66,6 +66,125 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# bands
+#
+# A band is a square n x n matrix stored by diagonals, {d: a} with
+# a[i] = M[i, i + d]; where i + d falls outside [0, n) the array holds 0.
+# The grid's stencils d1, d2 and radial operator, the reduction R, the
+# forms, Pi and the pencils are bands.
+
+
+def _nonzero(X: dict) -> dict:
+    """X without its all-zero diagonals, offsets ascending."""
+    return {d: X[d] for d in sorted(X) if X[d].any()}
+
+
+def _product(X: dict, Y: dict) -> dict:
+    """X @ Y, each entry's terms X[i, k] Y[k, j] added over k ascending,
+    starting from 0: the order of scipy's csr_matmat when X's rows are
+    stored in ascending column order."""
+    n = len(next(iter(X.values())))
+    out = {}
+    for p in sorted(X):  # k = i + p
+        for q, y in Y.items():
+            d = p + q
+            lo, hi = max(0, -p, -d), min(n, n - p, n - d)
+            if lo < hi:
+                if d not in out:
+                    out[d] = np.zeros(n)
+                out[d][lo:hi] += X[p][lo:hi] * y[lo + p:hi + p]
+    return _nonzero(out)
+
+
+def _shifted(x: np.ndarray, d: int) -> np.ndarray:
+    """x moved d places toward its end, zeros filling in: diagonal d
+    from row to column indexing (scipy's DIA layout), or the diagonal of
+    the transpose."""
+    out = np.zeros_like(x)
+    if d >= 0:
+        out[d:] = x[:x.size - d]
+    else:
+        out[:d] = x[-d:]
+    return out
+
+
+def _transpose(X: dict) -> dict:
+    return {-d: _shifted(x, d) for d, x in X.items()}
+
+
+def _scaled(w: np.ndarray, X: dict) -> dict:
+    """diag(w) X."""
+    return {d: w * x for d, x in X.items()}
+
+
+def _sandwich(L: dict, w: np.ndarray) -> dict:
+    """L^T diag(w) L, entry (i, j) the sum over k ascending of
+    (w[k] L[k, i]) L[k, j], as scipy adds L.T @ diags(w) @ L."""
+    return _product(_transpose(_scaled(w, L)), L)
+
+
+def _sum(*terms: dict) -> dict:
+    """The bands added entry by entry in the order given; the result may
+    share the arrays of its terms, and no band here is written to after
+    it is built."""
+    out = {}
+    for X in terms:
+        for d, x in X.items():
+            out[d] = out[d] + x if d in out else x
+    return out
+
+
+def _csr(X: dict, descending: bool = False) -> sp.csr_matrix:
+    """The CSR matrix of a band without its zeros, each row's entries in
+    ascending column order, or descending (the order scipy's csr_matmat
+    leaves Pi's rows in, which Pi's matvec adds them in)."""
+    offsets = sorted(X, reverse=descending)
+    data = np.stack([X[d] for d in offsets], axis=1)
+    n = data.shape[0]
+    keep = data != 0
+    cols = np.arange(n, dtype=np.int32)[:, None] + np.array(offsets, dtype=np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), dtype=np.int32, out=indptr[1:])
+    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(n, n))
+
+
+def _dia(*bands: dict) -> list[sp.dia_matrix]:
+    """The bands as DIA matrices on their common offsets, ascending
+    (data[k, j] = M[j - offsets[k], j], scipy's layout)."""
+    offsets = sorted(set().union(*bands))
+    n = len(next(iter(bands[0].values())))
+    out = []
+    for X in bands:
+        data = np.zeros((len(offsets), n))
+        for row, d in zip(data, offsets):
+            if d in X:
+                row[:] = _shifted(X[d], d)
+        out.append(sp.dia_matrix((data, offsets), shape=(n, n)))
+    return out
+
+
+def _band_rows(X: dict, v: np.ndarray, window: slice = slice(None)) -> np.ndarray:
+    """(X @ v)[window] from the window's rows of the band X alone, each
+    row's terms added over the offsets ascending, starting from 0: the
+    order of X's DIA product on ascending offsets, so bit for bit its
+    rows."""
+    n = v.size
+    lo, hi, _ = window.indices(n)
+    out = np.zeros(hi - lo)
+    for d in sorted(X):
+        a, b = max(lo, -d), min(hi, n - d)
+        if a < b:
+            out[a - lo:b - lo] += X[d][a:b] * v[a + d:b + d]
+    return out
+
+
+def _restricted(X: dict, interior: np.ndarray) -> dict:
+    """The band of the interior rows and columns of X (a run of nodes)."""
+    lo, hi = int(interior[0]), int(interior[-1]) + 1
+    return _nonzero({d: x[lo:hi] for d, x in X.items()})
+
+
+# ---------------------------------------------------------------------------
 # grids
 
 
@@ -78,10 +197,13 @@ class RadialGrid:
     Geometry samples (f, f', f'', rho, beta, wextra) are cached at the
     nodes, taken in one pass from the geometry's `fields` evaluator when
     it has one (glued geometries classify each node once), else from its
-    six callables.  The derivative matrices d1, d2, the norm volume and
+    six callables.  The derivative stencils d1, d2, the norm volume and
     the e-free part of the mode operator are built lazily, once per grid,
     from these arrays, so the arrays must not be mutated after
-    construction (build a new grid instead).
+    construction (build a new grid instead).  The stencils are bands:
+    three-point rows on the diagonals -1, 0, 1, plus +-2 for the
+    one-sided end rows of an interval or +-(n - 1) for the wrap entries
+    of a circle.
     """
 
     geometry: RadialGeometry
@@ -93,10 +215,10 @@ class RadialGrid:
     rho: np.ndarray = field(repr=False, default=None)
     beta: np.ndarray = field(repr=False, default=None)
     wextra: np.ndarray = field(repr=False, default=None)
-    _d1: sp.spmatrix = field(repr=False, default=None)
-    _d2: sp.spmatrix = field(repr=False, default=None)
+    _d1: dict = field(repr=False, default=None)
+    _d2: dict = field(repr=False, default=None)
     _volume: np.ndarray = field(repr=False, default=None)
-    _radial_operator: sp.spmatrix = field(repr=False, default=None)
+    _radial_operator: dict = field(repr=False, default=None)
 
     def __post_init__(self):
         g = self.geometry
@@ -137,38 +259,42 @@ class RadialGrid:
     def _build_derivatives(self):
         n = self.n
         a, b = self.spacings()  # (h_minus, h_plus)
-        # nonuniform 3-point first/second derivative coefficients on the
-        # columns (i - 1, i, i + 1) of row i
-        v1 = np.stack([-b / (a * (a + b)), (b - a) / (a * b), a / (b * (a + b))], axis=1)
-        v2 = np.stack([2.0 / (a * (a + b)), -2.0 / (a * b), 2.0 / (b * (a + b))], axis=1)
-        i = np.arange(n)
-        cols = np.stack([i - 1, i, i + 1], axis=1)
+        # nonuniform 3-point first/second derivative coefficients of row i
+        # on the diagonals -1, 0, 1 (columns i - 1, i, i + 1)
+        d1 = {-1: -b / (a * (a + b)), 0: (b - a) / (a * b), 1: a / (b * (a + b))}
+        d2 = {-1: 2.0 / (a * (a + b)), 0: -2.0 / (a * b), 1: 2.0 / (b * (a + b))}
         if self.geometry.circle:
-            cols %= n
+            # across the seam row 0 reaches column n - 1, row n - 1 column 0
+            for D in (d1, d2):
+                D[n - 1], D[1 - n] = np.zeros(n), np.zeros(n)
+                D[n - 1][0], D[-1][0] = D[-1][0], 0.0
+                D[1 - n][-1], D[1][-1] = D[1][-1], 0.0
         else:
-            # one-sided closures at the interval ends
+            # one-sided closures at the interval ends: row 0 on the
+            # diagonals 0, 1, 2, row n - 1 on the diagonals 0, -1, -2
             h1, h2 = self.nodes[1] - self.nodes[0], self.nodes[2] - self.nodes[1]
-            cols[0] = (0, 1, 2)
-            v1[0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
-                     -h1 / (h2 * (h1 + h2)))
-            v2[0] = (2.0 / (h1 * (h1 + h2)), -2.0 / (h1 * h2), 2.0 / (h2 * (h1 + h2)))
             g1, g2 = self.nodes[-1] - self.nodes[-2], self.nodes[-2] - self.nodes[-3]
-            cols[-1] = (n - 1, n - 2, n - 3)
-            v1[-1] = ((2 * g1 + g2) / (g1 * (g1 + g2)), -(g1 + g2) / (g1 * g2),
-                      g1 / (g2 * (g1 + g2)))
-            v2[-1] = (2.0 / (g1 * (g1 + g2)), -2.0 / (g1 * g2), 2.0 / (g2 * (g1 + g2)))
-        rows = np.repeat(i, 3)
-        self._d1 = sp.csr_matrix((v1.ravel(), (rows, cols.ravel())), shape=(n, n))
-        self._d2 = sp.csr_matrix((v2.ravel(), (rows, cols.ravel())), shape=(n, n))
+            for D in (d1, d2):
+                D[-2], D[2] = np.zeros(n), np.zeros(n)
+                D[-1][0] = D[1][-1] = 0.0
+            d1[0][0], d1[1][0], d1[2][0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)),
+                                            (h1 + h2) / (h1 * h2), -h1 / (h2 * (h1 + h2)))
+            d2[0][0], d2[1][0], d2[2][0] = (2.0 / (h1 * (h1 + h2)), -2.0 / (h1 * h2),
+                                            2.0 / (h2 * (h1 + h2)))
+            d1[0][-1], d1[-1][-1], d1[-2][-1] = ((2 * g1 + g2) / (g1 * (g1 + g2)),
+                                                 -(g1 + g2) / (g1 * g2), g1 / (g2 * (g1 + g2)))
+            d2[0][-1], d2[-1][-1], d2[-2][-1] = (2.0 / (g1 * (g1 + g2)), -2.0 / (g1 * g2),
+                                                 2.0 / (g2 * (g1 + g2)))
+        self._d1, self._d2 = (dict(sorted(D.items())) for D in (d1, d2))
 
     @property
-    def d1(self) -> sp.spmatrix:
+    def d1(self) -> dict:
         if self._d1 is None:
             self._build_derivatives()
         return self._d1
 
     @property
-    def d2(self) -> sp.spmatrix:
+    def d2(self) -> dict:
         if self._d2 is None:
             self._build_derivatives()
         return self._d2
@@ -183,21 +309,17 @@ class RadialGrid:
         return self._volume
 
     @property
-    def radial_operator(self) -> sp.csr_matrix:
-        """The e-free part of the mode operator rho^2 A_e,
-        -(rho^2) d2 - (m-1) rho^2 (f'/f) d1; the mode operator adds
-        diag(e rho^2 / f^2) to it.  Stored on d1's pattern, so its data
-        align with d1.data; each entry is scipy's
+    def radial_operator(self) -> dict:
+        """The e-free part of the mode operator rho^2 A_e as a band on the
+        stencils' diagonals, -(rho^2) d2 - (m-1) rho^2 (f'/f) d1; the mode
+        operator adds e rho^2 / f^2 to its diagonal.  Each entry is scipy's
         diags(-rho^2) @ d2 + diags(-(m-1) rho^2 f'/f) @ d1, bit for bit (an
         entry that sums to an exact zero is kept, where scipy drops it)."""
         if self._radial_operator is None:
             m = self.geometry.m
             rho2 = self.rho**2
-            d1, d2 = self.d1, self.d2
-            vals = (np.repeat(-rho2, 3) * d2.data
-                    + np.repeat(-(m - 1.0) * rho2 * self.fp / self.f, 3) * d1.data)
-            self._radial_operator = sp.csr_matrix((vals, d1.indices.copy(), d1.indptr.copy()),
-                                                  shape=d1.shape)
+            c1 = -(m - 1.0) * rho2 * self.fp / self.f
+            self._radial_operator = {d: -rho2 * self.d2[d] + c1 * x for d, x in self.d1.items()}
         return self._radial_operator
 
     def mapped(self, t: float) -> "RadialGrid":
@@ -483,19 +605,6 @@ def _support_window(u: ModeFunction) -> slice:
     return slice(lo, hi)
 
 
-def _window_rows(D: sp.csr_matrix, values: np.ndarray, window: slice) -> np.ndarray:
-    """(D @ values)[window] from the window's rows of the three-entry
-    stencil D alone, summed as csr_matvec sums a row: from 0, over the
-    stored entries in storage order."""
-    n = D.shape[0]
-    data = D.data.reshape(n, 3)[window]
-    cols = D.indices.reshape(n, 3)[window]
-    out = np.zeros(data.shape[0])
-    for j in range(3):
-        out += data[:, j] * values[cols[:, j]]
-    return out
-
-
 def densities(u: ModeFunction, k: int, window: slice = slice(None)) -> list[np.ndarray]:
     """Angular L^2 densities D_0..D_k of u and its covariant derivatives,
     at the nodes of `window` (default all); the derivatives are taken on
@@ -512,10 +621,10 @@ def densities(u: ModeFunction, k: int, window: slice = slice(None)) -> list[np.n
         e = mp.e
         d0 += un**2
         if k >= 1:
-            dun = _window_rows(g.d1, mp.values, window)
+            dun = _band_rows(g.d1, mp.values, window)
             d1 += dun**2 + (e / f**2) * un**2
         if k >= 2:
-            ddun = _window_rows(g.d2, mp.values, window)
+            ddun = _band_rows(g.d2, mp.values, window)
             mixed = dun - (fp / f) * un
             hess_c = e * e - kappa * e  # int |Hess s_n|^2 over the link
             if hess_c < 0:
@@ -580,15 +689,20 @@ class NormReport:
     tail_slopes: tuple[float, ...]
 
 
+def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Centred least-squares slope of log y against log x (x, y > 0)."""
+    lx, ly = np.log(x), np.log(y)
+    lx = lx - lx.mean()
+    return float(np.sum(lx * (ly - ly.mean())) / np.sum(lx * lx))
+
+
 def _tail_slope(r: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of log y against log r (y floored at tiny)."""
+    """Log-log slope of y against r over the nodes where y > 0; -inf
+    below four such nodes."""
     good = y > 0
     if np.count_nonzero(good) < 4:
         return -math.inf
-    lr = np.log(r[good])
-    ly = np.log(y[good])
-    lr = lr - lr.mean()
-    return float(np.sum(lr * (ly - ly.mean())) / np.sum(lr * lr))
+    return _loglog_slope(r[good], y[good])
 
 
 def weighted_sobolev_norm_report(

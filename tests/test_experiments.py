@@ -43,6 +43,11 @@ def test_tolerances_must_be_positive():
         ExperimentConfig(experiment="eta_bounds", tolerances={"trend_slope": -1.0})
 
 
+def test_unknown_tolerance_names_are_refused():
+    with pytest.raises(ValueError, match="eta_exponent_frist.*eta_exponent_first"):
+        ExperimentConfig(experiment="eta_bounds", tolerances={"eta_exponent_frist": 1e-9})
+
+
 def test_run_tags_errors_and_keeps_the_original(monkeypatch):
     # ArpackNoConvergence takes three constructor arguments, so it cannot
     # be rebuilt from a message alone

@@ -1,16 +1,16 @@
 """Exactness oracles for the vectorised grid kernels.
 
 The per-node loop versions of the derivative stencils, the closure
-reduction matrix and the bump profiles are kept here as reference
-implementations; the package versions must reproduce them bit for bit
-(same CSR data, indices and index pointers; same profile arrays)."""
+reduction matrix (in stencil_refs) and the bump profiles are kept as
+reference implementations; the package versions must reproduce them bit
+for bit (every entry of the band stencils; the same CSR data, indices
+and index pointers for R's CSR view; the same profile arrays)."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conifold_lab.conifold_model import dumbbell_family, preset_model, spindle_family
-from conifold_lab.spectral_laplace import _default_closures, _reduction_matrix
+from conifold_lab.spectral_laplace import _default_closures, assemble_mode_operator
 from conifold_lab.weighted_calc import (
     ModeFunction,
     _candidate_centers,
@@ -19,77 +19,10 @@ from conifold_lab.weighted_calc import (
     bump_profile,
     random_bump_pairs,
 )
+from stencil_refs import assert_same_csr, ref_derivatives, ref_reduction_matrix
 
 # ---------------------------------------------------------------------------
 # reference implementations (per-node loops)
-
-
-def ref_derivatives(grid):
-    n = grid.n
-    hm, hp = grid.spacings()
-    rows, cols, v1, v2 = [], [], [], []
-
-    def stencil(i, im, ip, a, b):
-        rows.extend([i, i, i])
-        cols.extend([im, i, ip])
-        v1.extend([-b / (a * (a + b)), (b - a) / (a * b), a / (b * (a + b))])
-        v2.extend([2.0 / (a * (a + b)), -2.0 / (a * b), 2.0 / (b * (a + b))])
-
-    if grid.geometry.circle:
-        for i in range(n):
-            stencil(i, (i - 1) % n, (i + 1) % n, hm[i], hp[i])
-    else:
-        for i in range(1, n - 1):
-            stencil(i, i - 1, i + 1, hm[i], hp[i])
-        h1, h2 = grid.nodes[1] - grid.nodes[0], grid.nodes[2] - grid.nodes[1]
-        rows.extend([0, 0, 0])
-        cols.extend([0, 1, 2])
-        v1.extend([-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
-                   -h1 / (h2 * (h1 + h2))])
-        v2.extend([2.0 / (h1 * (h1 + h2)), -2.0 / (h1 * h2), 2.0 / (h2 * (h1 + h2))])
-        g1, g2 = grid.nodes[-1] - grid.nodes[-2], grid.nodes[-2] - grid.nodes[-3]
-        rows.extend([n - 1, n - 1, n - 1])
-        cols.extend([n - 1, n - 2, n - 3])
-        v1.extend([(2 * g1 + g2) / (g1 * (g1 + g2)), -(g1 + g2) / (g1 * g2),
-                   g1 / (g2 * (g1 + g2))])
-        v2.extend([2.0 / (g1 * (g1 + g2)), -2.0 / (g1 * g2), 2.0 / (g2 * (g1 + g2))])
-    return (sp.csr_matrix((v1, (rows, cols)), shape=(n, n)),
-            sp.csr_matrix((v2, (rows, cols)), shape=(n, n)))
-
-
-def ref_reduction_matrix(grid, left, right):
-    n = grid.n
-    if grid.geometry.circle:
-        return sp.identity(n, format="csr"), np.arange(n)
-    interior = np.arange(1, n - 1)
-    rows, cols, vals = [], [], []
-    for i_local, i in enumerate(interior):
-        rows.append(i)
-        cols.append(i_local)
-        vals.append(1.0)
-
-    def add_boundary(i_bnd, rule, b):
-        if rule.kind == "zero":
-            return
-        if rule.kind == "cap_even":
-            i1, i2 = (1, 2) if i_bnd == 0 else (n - 2, n - 3)
-            h1 = abs(grid.nodes[i1] - grid.nodes[i_bnd])
-            h2 = abs(grid.nodes[i2] - grid.nodes[i_bnd])
-            den = h2 * h2 - h1 * h1
-            rows.extend([i_bnd, i_bnd])
-            cols.extend([i1 - 1, i2 - 1])
-            vals.extend([h2 * h2 / den, -h1 * h1 / den])
-            return
-        i_adj = 1 if i_bnd == 0 else n - 2
-        r_b = b.sign * (grid.nodes[i_bnd] - b.x0)
-        r_a = b.sign * (grid.nodes[i_adj] - b.x0)
-        rows.append(i_bnd)
-        cols.append(i_adj - 1)
-        vals.append((r_b / r_a) ** rule.slope)
-
-    add_boundary(0, left, grid.geometry.left)
-    add_boundary(n - 1, right, grid.geometry.right)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, interior.size)), interior
 
 
 def ref_bump_profile(grid, center, halfwidth):
@@ -157,14 +90,6 @@ def grid(request):
     return build_grid(GEOMETRIES[request.param](), n_per_region=400)
 
 
-def assert_same_csr(got, want):
-    assert got.shape == want.shape
-    for attr in ("data", "indices", "indptr"):
-        a, b = getattr(got, attr), getattr(want, attr)
-        assert a.dtype == b.dtype, attr
-        assert np.array_equal(a, b), attr
-
-
 def assert_same_members(got, want):
     assert len(got) == len(want)
     for u, v in zip(got, want):
@@ -174,20 +99,25 @@ def assert_same_members(got, want):
 
 
 def test_derivative_stencils_match_loop(grid):
-    d1, d2 = ref_derivatives(grid)
-    assert_same_csr(grid.d1, d1)
-    assert_same_csr(grid.d2, d2)
+    """Every entry of the band stencils is the loop reference's entry,
+    and the reference has no entry on a diagonal the band lacks."""
+    n = grid.n
+    for D, ref in zip((grid.d1, grid.d2), ref_derivatives(grid)):
+        assert set(ref.todia().offsets) <= set(D)
+        for d, x in D.items():
+            assert x.shape == (n,)
+            assert np.array_equal(x[:n - d] if d >= 0 else x[-d:], ref.diagonal(d)), d
 
 
 @pytest.mark.parametrize("kernel_scan", [False, True])
 def test_reduction_matrix_matches_loop(grid, kernel_scan):
     e1 = grid.geometry.link.eigenvalues_below(4.0 * grid.geometry.m)[1][0]
     for e in (0.0, e1):
-        closures = _default_closures(grid, e, 2.5, kernel_scan)
-        R, interior = _reduction_matrix(grid, *closures)
-        R_ref, interior_ref = ref_reduction_matrix(grid, *closures)
-        assert_same_csr(R, R_ref)
-        assert np.array_equal(interior, interior_ref)
+        op = assemble_mode_operator(grid, e, beta=2.5, kernel_scan=kernel_scan)
+        R_ref, interior_ref = ref_reduction_matrix(grid, *_default_closures(
+            grid, e, 2.5, kernel_scan))
+        assert_same_csr(op.R, R_ref)
+        assert np.array_equal(op.interior, interior_ref)
 
 
 def test_norm_volume_keeps_association_order(grid):

@@ -7,7 +7,8 @@ Poincare's gradient form, Pi, A and B are bands (one array per diagonal)
 filled by one band product that adds each entry's terms over the inner
 index ascending, starting from 0, as scipy's csr_matmat does.  The
 per-mode scipy versions that rebuild everything are kept here as
-reference implementations; the package versions must reproduce them bit
+reference implementations, taking the stencils and R from the loop
+references in stencil_refs; the package versions must reproduce them bit
 for bit (same CSR data, indices and index pointers; A and B, whose
 unsorted CSC order only scipy's product leaves, entry for entry; same
 weights, threshold and factored numerator).  Weights are visited in the
@@ -41,7 +42,6 @@ from conifold_lab.spectral_laplace import (
     _form_parts,
     _gradient_forms,
     _grid_nodes_per_decade,
-    _reduction_matrix,
     _sigma_from,
     assemble_mode_operator,
     kernel_dimension_scan,
@@ -52,6 +52,7 @@ from conifold_lab.spectral_laplace import (
 )
 from conifold_lab.weight_calculus import gamma_roots
 from conifold_lab.weighted_calc import build_grid
+from stencil_refs import assert_same_csr, ref_derivatives, ref_reduction_matrix
 
 # ---------------------------------------------------------------------------
 # reference implementations (everything rebuilt per mode)
@@ -65,8 +66,9 @@ def ref_mode_operator(grid, e, beta=None, kernel_scan=False):
     coeff2 = sp.diags(-(rho**2))
     coeff1 = sp.diags(-(m - 1.0) * rho**2 * fp / f)
     coeff0 = sp.diags(e * rho**2 / f**2)
-    P = (coeff2 @ grid.d2 + coeff1 @ grid.d1 + coeff0).tocsr()
-    R, interior = _reduction_matrix(grid, closures[0], closures[1])
+    d1, d2 = ref_derivatives(grid)
+    P = (coeff2 @ d2 + coeff1 @ d1 + coeff0).tocsr()
+    R, interior = ref_reduction_matrix(grid, closures[0], closures[1])
     return P, R, interior
 
 
@@ -77,16 +79,15 @@ def ref_weighted_form(grid, k, beta, e):
     w = g.wextra * g.rho ** (-beta_vals)
     base = g.volume
     kappa = g.geometry.link.einstein_constant or 0.0
+    D1, D2 = ref_derivatives(g)
 
     W0 = w**2 * base
     M = sp.diags(W0).tocsr()
     if k >= 1:
         W1 = (w * g.rho) ** 2 * base
-        D1 = g.d1
         M = M + D1.T @ sp.diags(W1) @ D1 + sp.diags(W1 * e / g.f**2)
     if k >= 2:
         W2 = (w * g.rho**2) ** 2 * base
-        D1, D2 = g.d1, g.d2
         M = M + D2.T @ sp.diags(W2) @ D2
         mix = sp.diags(2.0 * e * W2 / g.f**2)
         B = D1 - sp.diags(g.fp / g.f)
@@ -106,7 +107,8 @@ def ref_gradient_form(grid, beta, e):
     m = g.geometry.m
     wg = (g.wextra * g.rho ** (1 - beta)) ** 2 * g.quad \
         * g.f ** (m - 1) * g.volume_factor * g.rho ** (-float(m))
-    G0 = g.d1.T @ sp.diags(wg) @ g.d1
+    d1, _ = ref_derivatives(g)
+    G0 = d1.T @ sp.diags(wg) @ d1
     return G0 + sp.diags(wg * e / g.f**2)
 
 
@@ -213,15 +215,6 @@ def dia_pair(A, B):
     return pair
 
 
-def assert_same_csr(got, want):
-    assert type(got) is type(want)
-    assert got.shape == want.shape
-    for attr in ("data", "indices", "indptr"):
-        a, b = getattr(got, attr), getattr(want, attr)
-        assert a.dtype == b.dtype, attr
-        assert np.array_equal(a, b), attr
-
-
 def modes(grid):
     return [e for e, _ in grid.geometry.link.eigenvalues_below(E_MAX)]
 
@@ -250,15 +243,15 @@ def test_weighted_forms_match_reference(grid):
             for e in modes(g):
                 for k in (0, 1, 2):
                     want = ref_weighted_form(g, k, beta, e)
-                    assert_same_csr(weighted_form(g, k, beta, e, parts=parts).matrix, want)
-                    assert_same_csr(weighted_form(g, k, beta, e).matrix, want)
+                    assert_same_csr(_csr(weighted_form(g, k, beta, e, parts=parts).bands), want)
+                    assert_same_csr(_csr(weighted_form(g, k, beta, e).bands), want)
         # e = 0.5 lies strictly between 0 and the Einstein constant 1, so
         # the Hessian coefficient c1 clips to 0 while mix and c2 do not;
         # e = 30 is beyond every scanned mode
         assert g.geometry.link.einstein_constant == 1.0
         for e in (0.5, 30.0):
             for k in (0, 1, 2):
-                assert_same_csr(weighted_form(g, k, 0.5, e).matrix,
+                assert_same_csr(_csr(weighted_form(g, k, 0.5, e).bands),
                                 ref_weighted_form(g, k, 0.5, e))
 
 
@@ -270,22 +263,24 @@ def test_gradient_form_matches_reference(grid):
                 want = ref_gradient_form(g, beta, e)
                 got = _csr(gradient_bands(e))
                 assert_same_csr(got, want.tocsr())
-                op = assemble_mode_operator(g, e, beta=beta)
+                R, _ = ref_reduction_matrix(g, *_default_closures(g, e, beta, False))
                 # poincare_constant's reduced form: the same entries
                 # (scipy's unsorted CSC order aside)
-                assert_same_csr((op.R.T @ got @ op.R).tocsc().sorted_indices(),
-                                (op.R.T @ want @ op.R).tocsc().sorted_indices())
+                assert_same_csr((R.T @ got @ R).tocsc().sorted_indices(),
+                                (R.T @ want @ R).tocsc().sorted_indices())
 
 
-def test_stencils_store_three_sorted_entries_per_row(grid):
+def test_stencils_are_bands_on_five_offsets(grid):
+    """d1, d2 and the radial operator share their offsets, ascending:
+    -2 .. 2 on an interval (the one-sided end rows reach +-2), and
+    -1, 0, 1 plus the wrap entries at +-(n - 1) on a circle; every slot
+    outside the matrix holds 0."""
     n = grid.n
-    rows = np.arange(n)
-    for D in (grid.d1, grid.d2):
-        assert np.array_equal(D.indptr, 3 * np.arange(n + 1))
-        cols = D.indices.reshape(n, 3)
-        assert np.all(np.diff(cols, axis=1) > 0)
-        assert np.all(np.any(cols == rows[:, None], axis=1))
-    assert np.array_equal(grid.d1.indices, grid.d2.indices)
+    want = [1 - n, -1, 0, 1, n - 1] if grid.geometry.circle else [-2, -1, 0, 1, 2]
+    for D in (grid.d1, grid.d2, grid.radial_operator):
+        assert list(D) == want
+        for d, x in D.items():
+            assert np.all((x[n - d:] if d >= 0 else x[:-d]) == 0), d
 
 
 @pytest.mark.parametrize("kernel_scan", [False, True])
@@ -387,7 +382,7 @@ def test_grid_is_freed_without_the_cycle_collector():
         pen = laplacian_pencil(grid, 2.0, 0.5)
         form = weighted_form(grid, 2, 0.5, 2.0)
         rows = kernel_dimension_scan(geo, [0.5], e_max=E_MAX, grid=grid)
-        assert rows[0].dimension >= 0 and pen.A.nnz and form.matrix.nnz
+        assert rows[0].dimension >= 0 and pen.A.nnz and form.bands
         assert grid.radial_operator is not None
         del pen, form, rows, grid
         assert ref() is None

@@ -2,11 +2,12 @@
 
 smallest_pencil_eigs takes A and B as DIA matrices on common offsets,
 builds the shift-invert operator A - sigma B itself and gives ARPACK B
-as a DIA matrix; the pencils, the reduced forms, the radial operator and
-the reduction R are filled with numpy, the pencils and reduced forms
-diagonal by diagonal; densities take derivatives on the window's
+as a DIA matrix; the radial operator, the reduction R, the pencils and
+the reduced forms are bands, filled diagonal by diagonal; densities and
+form norms multiply by bands row by row, densities on the window's
 stencil rows only.  The scipy versions they replace are kept here as
-reference implementations, and the package versions must reproduce them
+reference implementations, taking the stencils and R from the loop
+references in stencil_refs, and the package versions must reproduce them
 bit for bit: the same arrays, the same bytes of every product, the same
 eigenvalues.  Grids: an interval with two AC ends (dumbbell), a circle
 (spindle: its stencils wrap) and an interval with a cap (hyperboloid)."""
@@ -20,6 +21,7 @@ from conifold_lab import spectral_laplace as sl
 from conifold_lab.conifold_model import dumbbell_family, preset_model, spindle_family
 from conifold_lab.spectral_laplace import (
     ClosureRule,
+    ModeOperator,
     _default_closures,
     _csr,
     _deterministic_v0,
@@ -35,11 +37,12 @@ from conifold_lab.spectral_laplace import (
 from conifold_lab.weighted_calc import (
     ModeFunction,
     ModeProfile,
+    _band_rows,
     _support_window,
-    _window_rows,
     build_grid,
     densities,
 )
+from stencil_refs import assert_same_csr, ref_derivatives, ref_reduction_matrix
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -48,43 +51,9 @@ from conifold_lab.weighted_calc import (
 def ref_radial_operator(grid):
     m = grid.geometry.m
     rho2 = grid.rho**2
-    return (sp.diags(-rho2) @ grid.d2
-            + sp.diags(-(m - 1.0) * rho2 * grid.fp / grid.f) @ grid.d1)
-
-
-def ref_reduction_matrix(grid, left, right):
-    """R from coordinate lists."""
-    n = grid.n
-    if grid.geometry.circle:
-        return sp.identity(n, format="csr"), np.arange(n)
-    interior = np.arange(1, n - 1)
-    n_i = interior.size
-    rows, cols, vals = [interior], [np.arange(n_i)], [np.ones(n_i)]
-
-    def add_boundary(i_bnd, rule, b):
-        if rule.kind == "zero":
-            return
-        if rule.kind == "cap_even":
-            i1, i2 = (1, 2) if i_bnd == 0 else (n - 2, n - 3)
-            h1 = abs(grid.nodes[i1] - grid.nodes[i_bnd])
-            h2 = abs(grid.nodes[i2] - grid.nodes[i_bnd])
-            den = h2 * h2 - h1 * h1
-            rows.append([i_bnd, i_bnd])
-            cols.append([i1 - 1, i2 - 1])
-            vals.append([h2 * h2 / den, -h1 * h1 / den])
-            return
-        i_adj = 1 if i_bnd == 0 else n - 2
-        r_b = b.sign * (grid.nodes[i_bnd] - b.x0)
-        r_a = b.sign * (grid.nodes[i_adj] - b.x0)
-        rows.append([i_bnd])
-        cols.append([i_adj - 1])
-        vals.append([(r_b / r_a) ** rule.slope])
-
-    add_boundary(0, left, grid.geometry.left)
-    add_boundary(n - 1, right, grid.geometry.right)
-    R = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n_i))
-    return R, interior
+    d1, d2 = ref_derivatives(grid)
+    return (sp.diags(-rho2) @ d2
+            + sp.diags(-(m - 1.0) * rho2 * grid.fp / grid.f) @ d1)
 
 
 def ref_smallest_pencil_eigs(A, B, k=1, constraint=None, num_form=None):
@@ -174,11 +143,8 @@ def vectors(n):
 
 
 def test_radial_operator_matches_reference(grid):
-    got, want = grid.radial_operator, ref_radial_operator(grid).tocsr()
-    assert got.format == "csr"
-    for attr in ("data", "indices", "indptr"):
-        assert getattr(got, attr).dtype == getattr(want, attr).dtype
-        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    assert list(grid.radial_operator) == list(grid.d1)
+    assert_same_csr(_csr(grid.radial_operator), ref_radial_operator(grid).tocsr())
 
 
 def test_reduction_matrix_matches_reference(grid):
@@ -192,12 +158,11 @@ def test_reduction_matrix_matches_reference(grid):
         cases |= {(left, right) for left in rules(grid.geometry.left)
                   for right in rules(grid.geometry.right)}
     for left, right in cases:
-        R, interior = _reduction_matrix(grid, left, right)
+        reduction, interior = _reduction_matrix(grid, left, right)
+        assert set(reduction) <= {-2, -1, 0, 1, 2}
         R_ref, interior_ref = ref_reduction_matrix(grid, left, right)
         assert np.array_equal(interior, interior_ref)
-        for attr in ("data", "indices", "indptr"):
-            assert getattr(R, attr).dtype == getattr(R_ref, attr).dtype
-            assert np.array_equal(getattr(R, attr), getattr(R_ref, attr))
+        assert_same_csr(ModeOperator(0.0, grid, reduction, interior).R, R_ref)
 
 
 def test_reduced_forms_and_operator_match_scipy(grid):
@@ -205,11 +170,12 @@ def test_reduced_forms_and_operator_match_scipy(grid):
     the values of the scipy products, entry for entry."""
     for e in modes(grid)[:3]:
         op = assemble_mode_operator(grid, e, beta=-0.5)
+        R, _ = ref_reduction_matrix(grid, *_default_closures(grid, e, -0.5, False))
         for bands in (weighted_form(grid, 1, -0.5, e).bands, _gradient_forms(grid, -0.5)(e),
                       weighted_form(grid, 2, -0.5, e).bands):
             form = _csr(bands)
-            _assert_same_entries(_csr(op.reduce(bands)).tocsc(), (op.R.T @ form @ op.R).tocsc())
-        want = (op.P_full[op.interior] @ op.R).tocsc()
+            _assert_same_entries(_csr(op.reduce(bands)).tocsc(), (R.T @ form @ R).tocsc())
+        want = (op.P_full[op.interior] @ R).tocsc()
         got = op.reduced()
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
@@ -319,12 +285,27 @@ def functions(grid):
 
 
 def test_window_rows_are_the_full_products_byte_for_byte(grid):
+    """The band product on windows that touch row 0, row n - 1 and (on
+    the circle) the seam: the rows of the DIA product and of the loop
+    reference's CSR product, byte for byte."""
+    stencils = list(zip((grid.d1, grid.d2), ref_derivatives(grid)))
     for u in functions(grid):
         for mp in u.modes:
-            for D in (grid.d1, grid.d2):
-                full = D @ mp.values
+            for D, ref in stencils:
+                full = _dia(D)[0] @ mp.values
+                assert full.tobytes() == (ref @ mp.values).tobytes()
                 for win in window_cases(grid):
-                    assert _window_rows(D, mp.values, win).tobytes() == full[win].tobytes()
+                    assert _band_rows(D, mp.values, win).tobytes() == full[win].tobytes()
+
+
+def test_form_norms_are_the_dia_products_byte_for_byte(grid):
+    for e in modes(grid)[:3]:
+        for k in (0, 1, 2):
+            form = weighted_form(grid, k, -0.5, e)
+            M = _dia(form.bands)[0]
+            for v in vectors(grid.n):
+                assert _band_rows(form.bands, v).tobytes() == (M @ v).tobytes()
+                assert form.norm(v) == float(np.sqrt(max(v @ (M @ v), 0.0)))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -346,4 +327,4 @@ def test_support_window_reaches_the_one_sided_rows():
         v[node] = 1.0
         win = _support_window(ModeFunction.single(grid, 0.0, v))
         assert win.start <= end < win.stop
-        assert (grid.d1 @ v)[end] != 0.0
+        assert _band_rows(grid.d1, v)[end] != 0.0

@@ -27,7 +27,7 @@ from conifold_lab.spectral_laplace import (
     weight_crossing_kernel,
 )
 from conifold_lab.weight_calculus import exceptional_weights, gamma_roots
-from conifold_lab.weighted_calc import build_grid, bump_profile, rescaled_geometry
+from conifold_lab.weighted_calc import _band_rows, build_grid, bump_profile, rescaled_geometry
 
 S2 = make_link("sphere", dim=2)
 
@@ -98,8 +98,8 @@ def ibp_defect(grid, e, u, v):
     op = assemble_mode_operator(grid, e)
     lap_u = (op.P_full @ u) / grid.rho**2
     lhs = float(np.sum(vol * v * lap_u))
-    du = grid.d1 @ u
-    dv = grid.d1 @ v
+    du = _band_rows(grid.d1, u)
+    dv = _band_rows(grid.d1, v)
     rhs = float(np.sum(vol * (du * dv + (e / grid.f**2) * u * v)))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 

@@ -1,7 +1,8 @@
 """Oracles for the support-local norm quadrature.
 
 The full-grid densities, weighted_sobolev_norm and gradient_norm are
-kept here as reference implementations.  The package versions sum over
+kept here as reference implementations, taking the stencils from the
+loop references in stencil_refs.  The package versions sum over
 the support window of u only; the nodes outside it contribute exact
 zeros, so the two may differ only by the order of summation."""
 
@@ -22,6 +23,7 @@ from conifold_lab.weighted_calc import (
     mode_product,
     weighted_sobolev_norm,
 )
+from stencil_refs import ref_derivatives
 
 RTOL = 1e-13
 
@@ -34,6 +36,7 @@ def ref_densities(u, k):
     f, fp = g.f, g.fp
     m = g.geometry.m
     kappa = g.geometry.link.einstein_constant or 0.0
+    D1, D2 = ref_derivatives(g)
     d0 = np.zeros(g.n)
     d1 = np.zeros(g.n)
     d2 = np.zeros(g.n)
@@ -41,10 +44,10 @@ def ref_densities(u, k):
         un, e = mp.values, mp.e
         d0 += un**2
         if k >= 1:
-            dun = g.d1 @ un
+            dun = D1 @ un
             d1 += dun**2 + (e / f**2) * un**2
         if k >= 2:
-            ddun = g.d2 @ un
+            ddun = D2 @ un
             mixed = dun - (fp / f) * un
             hess_c = max(e * e - kappa * e, 0.0)
             angular = (hess_c * un**2
