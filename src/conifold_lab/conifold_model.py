@@ -879,6 +879,59 @@ def parametric_connect_sum(
 # glued geometry assembly
 
 
+def _zone_lookup(zones, circle, period):
+    """Zone index per point of the glued strip: the first zone of `zones`
+    (lo, hi, tag, index), necks listed first, whose test holds.  The test
+    is lo - fuzz <= x <= hi + fuzz, fuzz 1e-12 max(1, |edge|), and on a
+    circle (every zone finite) mod(x - lo, period) <= (hi - lo) + 1e-12
+    max(1, |hi|, |lo|).
+
+    The zones tile the strip in order, so the tests change only at the
+    zones' edges, up to the fuzz (and on a circle the rounding of the
+    wrapped distance): one searchsorted over the edges finds a point's
+    piece, whose first zone is taken once, at the piece's midpoint (on a
+    circle, edges and points are taken modulo the period).  The points
+    within 1e-9 of an edge (relative to the strip's size), where the
+    fuzz and rounding decide, take every zone's test instead."""
+
+    def holds(z, x):
+        lo, hi = zones[z][:2]
+        if circle and math.isfinite(lo) and math.isfinite(hi):
+            return np.mod(x - lo, period) <= (hi - lo) + 1e-12 * max(1.0, abs(hi), abs(lo))
+        sel = (x >= lo - 1e-12 * max(1.0, abs(lo))) if math.isfinite(lo) else np.ones(x.size, bool)
+        if math.isfinite(hi):
+            sel = sel & (x <= hi + 1e-12 * max(1.0, abs(hi)))
+        return sel
+
+    def first_zone(x):
+        res = np.full(x.size, -1)
+        for z in range(len(zones)):
+            res = np.where((res < 0) & holds(z, x), z, res)
+        return res
+
+    ends = [e for lo, hi, _, _ in zones for e in (lo, hi) if math.isfinite(e)]
+    # far wider than the fuzz and the rounding of the wrapped distance
+    tol = 1e-9 * max([1.0, period or 0.0] + [abs(e) for e in ends])
+    edges = np.unique(np.mod(ends, period) if circle else ends)
+    # on a circle the pieces before the first edge and after the last are
+    # one, across the period's seam
+    outer = ([0.5 * (edges[0] + period + edges[-1])] * 2 if circle
+             else [edges[0] - 1.0, edges[-1] + 1.0])
+    first = first_zone(np.concatenate([outer[:1], 0.5 * (edges[1:] + edges[:-1]), outer[1:]]))
+
+    def lookup(xw):
+        key = np.mod(xw, period) if circle else xw
+        res = first[np.searchsorted(edges, key)]
+        near = np.searchsorted(edges, key - tol) != np.searchsorted(edges, key + tol, "right")
+        if near.any():
+            res[near] = first_zone(xw[near])
+        if np.any(res < 0):
+            raise ValueError("point outside the glued domain")
+        return res
+
+    return lookup
+
+
 def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origin):
     """The radial geometry of the glued strip.
 
@@ -945,24 +998,7 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
         zones.append((min(ends), max(ends), "host" if p.source == "L" else "partner", p_i))
     is_partner = np.array([tag == "partner" for _, _, tag, _ in zones])
 
-    def zone_membership(xw):
-        """Index into `zones` per point (first matching zone wins; the
-        tiling overlaps only at shared endpoints)."""
-        n = xw.shape[0]
-        res = np.full(n, -1, dtype=int)
-        for z_i, (lo, hi, _, _) in enumerate(zones):
-            if circle and math.isfinite(lo) and math.isfinite(hi):
-                width = hi - lo
-                d = np.mod(xw - lo, period)
-                sel = d <= width + 1e-12 * max(1.0, abs(hi), abs(lo))
-            else:
-                sel = (xw >= lo - 1e-12 * max(1.0, abs(lo)) if math.isfinite(lo) else np.ones(n, bool))
-                if math.isfinite(hi):
-                    sel = sel & (xw <= hi + 1e-12 * max(1.0, abs(hi)))
-            res = np.where((res < 0) & sel, z_i, res)
-        if np.any(res < 0):
-            raise ValueError("point outside the glued domain")
-        return res
+    zone_membership = _zone_lookup(zones, circle, period)
 
     def piece_warp(piece: _Piece, xs, attr: str):
         """One warp field of a placed piece at source coordinates xs."""

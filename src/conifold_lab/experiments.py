@@ -213,13 +213,9 @@ def _gns_row(cfg, fam, t):
     if ce.p_star is None:
         raise ValueError(f"p = {cfg.p} >= m: no L^p* target")
     grid, bumps = _grid_and_bumps(cfg, fam, t)
-    best = 0.0
-    for u in bumps:
-        num = wc.weighted_sobolev_norm(u, wc.WeightSpec(p=ce.p_star, k=0, beta=cfg.beta))
-        den = wc.gradient_norm(u, p=cfg.p, beta=cfg.beta)
-        if den > 0:
-            best = max(best, num / den)
-    return {"t": t, "constant": best, "p_star": ce.p_star, "grid_size": grid.n}
+    # ||u||_{L^p*_beta} / ||du||_{L^p_{beta-1}} over the family, in one pass
+    ratios = wc.norm_ratios(bumps, cfg.beta, (ce.p_star, (0,)), (cfg.p, (1,)))
+    return {"t": t, "constant": float(ratios.max()), "p_star": ce.p_star, "grid_size": grid.n}
 
 
 def _slope_gate(cfg, rows, slope):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,6 +59,7 @@ __all__ = [
     "banach_algebra_check",
     "EmbeddingReport",
     "embedding_constant_estimate",
+    "norm_ratios",
     "mode_product",
     "bump_profile",
     "bump_family",
@@ -493,20 +495,33 @@ def rescaled_geometry(geo: RadialGeometry, t: float) -> RadialGeometry:
 class ModeProfile:
     """One angular mode: eigenvalue and nodal radial profile.
 
-    support is the half-open node range [lo, hi) holding every nonzero
-    value, (0, 0) for a zero profile; it is recorded once, when the
+    support holds every nonzero value in half-open node ranges (lo, hi),
+    ascending: the nodes from the first to the last nonzero value, split
+    in two around the longest run of zeros between them when there is
+    one; () for a zero profile.  A bump across a circle's seam is nonzero
+    near both ends of the node range, so its support is its two arcs
+    ((0, b), (c, n)), not the whole grid.  It is recorded once, when the
     profile is built, so norms can work on the nodes where u lives."""
 
     e: float
     values: np.ndarray
-    support: tuple[int, int] = field(init=False, repr=False, compare=False)
+    support: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if not np.all(np.isfinite(self.values)):
             raise ValueError("mode profiles must be finite-valued")
         nz = self.values.ravel() != 0
-        support = (int(nz.argmax()), nz.size - int(nz[::-1].argmax())) if nz.any() else (0, 0)
+        support = ()
+        if nz.any():
+            lo, hi = int(nz.argmax()), nz.size - int(nz[::-1].argmax())
+            # the runs of zeros between lo and hi: [flips[0], flips[1]), ...
+            flips = lo + 1 + np.flatnonzero(nz[lo + 1:hi] != nz[lo:hi - 1])
+            if flips.size:
+                k = 2 * int(np.argmax(flips[1::2] - flips[::2]))
+                support = ((lo, int(flips[k])), (int(flips[k + 1]), hi))
+            else:
+                support = ((lo, hi),)
         object.__setattr__(self, "support", support)
 
 
@@ -577,11 +592,11 @@ class WeightSpec:
             raise ValueError("derivative depth is implemented for k <= 2")
 
 
-def _beta_values(grid: RadialGrid, spec: WeightSpec, window: slice = slice(None)) -> np.ndarray:
-    bvals = grid.beta[window]
-    if spec.beta is None:
+def _beta_values(grid: RadialGrid, beta: float | None, rows=slice(None)) -> np.ndarray:
+    bvals = grid.beta[rows]
+    if beta is None:
         return bvals
-    return np.full(bvals.size, float(spec.beta))
+    return np.full(bvals.size, float(beta))
 
 
 # Columns a row of d1 or d2 reaches beyond its own node: 1 for the
@@ -590,95 +605,209 @@ def _beta_values(grid: RadialGrid, spec: WeightSpec, window: slice = slice(None)
 _STENCIL_REACH = 2
 
 
-def _support_window(u: ModeFunction) -> slice:
-    """Nodes outside which u and its derivative densities vanish: the
-    union of the mode supports widened by the stencil reach; on a circle
-    the whole grid once the window reaches the seam."""
-    spans = [mp.support for mp in u.modes if mp.support[1] > mp.support[0]]
-    if not spans:
-        return slice(0, 0)
-    n = u.grid.n
-    lo = max(min(a for a, _ in spans) - _STENCIL_REACH, 0)
-    hi = min(max(b for _, b in spans) + _STENCIL_REACH, n)
-    if u.grid.geometry.circle and (lo == 0 or hi == n):
-        return slice(0, n)
-    return slice(lo, hi)
-
-
-def densities(u: ModeFunction, k: int, window: slice = slice(None)) -> list[np.ndarray]:
-    """Angular L^2 densities D_0..D_k of u and its covariant derivatives,
-    at the nodes of `window` (default all); the derivatives are taken on
-    the window's stencil rows only, bit for bit the full-grid products."""
-    g = u.grid
-    f, fp = g.f[window], g.fp[window]
-    m = g.geometry.m
-    kappa = g.geometry.link.einstein_constant or 0.0
-    d0 = np.zeros(f.size)
-    d1 = np.zeros(f.size) if k >= 1 else None
-    d2 = np.zeros(f.size) if k >= 2 else None
-    for mp in u.modes:
-        un = mp.values[window]
-        e = mp.e
-        d0 += un**2
-        if k >= 1:
-            dun = _band_rows(g.d1, mp.values, window)
-            d1 += dun**2 + (e / f**2) * un**2
-        if k >= 2:
-            ddun = _band_rows(g.d2, mp.values, window)
-            mixed = dun - (fp / f) * un
-            hess_c = e * e - kappa * e  # int |Hess s_n|^2 over the link
-            if hess_c < 0:
-                hess_c = 0.0
-            angular = (hess_c * un**2
-                       - 2.0 * e * f * fp * un * dun
-                       + (m - 1.0) * (f * fp) ** 2 * dun**2) / f**4
-            d2 += ddun**2 + 2.0 * (e / f**2) * mixed**2 + np.maximum(angular, 0.0)
-    out = [np.sqrt(d0)]
-    if k >= 1:
-        out.append(np.sqrt(d1))
-    if k >= 2:
-        out.append(np.sqrt(d2))
+def _support_window(u: ModeFunction) -> list[tuple[int, int]]:
+    """Disjoint node ranges (lo, hi), ascending, outside which u and its
+    derivative densities vanish: the mode supports widened by the stencil
+    reach.  On a circle the reach wraps across the seam, so a support at
+    either end of the node range gives two arcs, (0, b) and (c, n)."""
+    n, reach = u.grid.n, _STENCIL_REACH
+    shifts = (-n, 0, n) if u.grid.geometry.circle else (0,)
+    spans = sorted((max(lo - reach + s, 0), min(hi + reach + s, n))
+                   for mp in u.modes for lo, hi in mp.support for s in shifts)
+    out = []
+    for lo, hi in spans:
+        if lo >= hi:
+            continue
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
     return out
 
 
+# Rows (or window nodes) per vectorised pass.  Larger passes are slower,
+# not faster: the allocator hands their temporaries (from about 50 kB
+# each) back to the system between numpy operations, and every page is
+# faulted in again on the next one.
+_BLOCK_ROWS = 4096
+
+
+def _blocks(rows) -> list[tuple[int, int]]:
+    """Consecutive runs [a, b) of items whose rows add up to at most
+    _BLOCK_ROWS (an item alone when it has more)."""
+    out = []
+    for i, r in enumerate(rows):
+        if out and total + r <= _BLOCK_ROWS:
+            out[-1] = (out[-1][0], i + 1)
+            total += r
+        else:
+            out.append((i, i + 1))
+            total = r
+    return out
+
+
+def _aranges(spans: list) -> np.ndarray:
+    """The integers of the half-open spans (a, b), concatenated."""
+    if len(spans) == 1:
+        return np.arange(*spans[0])
+    return np.concatenate([np.arange(0)] + [np.arange(a, b) for a, b in spans])
+
+
+def _densities_on(grid: RadialGrid, modes: list, windows: list, k: int):
+    """D_0..D_k of several functions at the nodes of their windows, in one
+    pass: (densities, node, member) per row, node the rows' grid nodes
+    (a slice when they are one range).
+
+    modes[i] is the mode tuple of function i and windows[i] its node
+    ranges (lo, hi); the rows are the ranges' nodes, function by function.
+    The values sit in one table, each range with its _STENCIL_REACH true
+    neighbours on either side (across the seam on a circle; clamped on an
+    interval, where the end rows' stencils hold 0 for them; none for
+    k = 0), and the band products run over the whole table by slices,
+    after one gather of coefficients per band offset.  A circle's wrap
+    offsets +-(n - 1) read the neighbour across the seam, one slot away.
+    Each row's terms are added over the offsets ascending, from 0, so
+    every density is bit for bit the one of the full-grid band product;
+    the values the halo slots get are discarded."""
+    n = grid.n
+    reach = _STENCIL_REACH if k else 0  # D_0 needs no neighbours
+    ranges = [r for win in windows for r in win]
+    starts = list(accumulate([b - a + 2 * reach for a, b in ranges], initial=0))
+    tnode = _aranges([(a - reach, b + reach) for a, b in ranges])
+    pos = slice(None)
+    if reach:
+        tnode = np.mod(tnode, n) if grid.geometry.circle else np.minimum(np.maximum(tnode, 0), n - 1)
+        pos = _aranges([(s + reach, s + reach + b - a) for s, (a, b) in zip(starts, ranges)])
+    slots = tnode.size
+    bounds = [starts[i] for i in accumulate([len(win) for win in windows], initial=0)]
+    body = slice(reach, slots - reach)
+
+    def shift(d):
+        return d - n if d > reach else d + n if d < -reach else d
+
+    stencils = [[(shift(d), X[d][tnode][body]) for d in sorted(X)]
+                for X in (grid.d1, grid.d2)[:k]]
+
+    def band_rows(coeffs, v):
+        out = np.zeros(slots)
+        for s, c in coeffs:
+            out[body] += c * v[reach + s:slots - reach + s]
+        return out
+
+    if k >= 1:
+        f = grid.f[tnode]
+    if k >= 2:
+        fp = grid.fp[tnode]
+    m = grid.geometry.m
+    kappa = grid.geometry.link.einstein_constant or 0.0
+    d0, d1, d2 = (np.zeros(slots) for _ in range(3))
+    # mode slot q holds the q-th mode of every function; a function with
+    # fewer modes contributes zeros there, which leave every sum unchanged
+    counts = [b - a for a, b in zip(bounds, bounds[1:])]
+    for q in range(max((len(ms) for ms in modes), default=0)):
+        v = np.zeros(slots)
+        e, hess = [0.0] * len(modes), [0.0] * len(modes)
+        for i, ms in enumerate(modes):
+            if q < len(ms):
+                a, b = bounds[i], bounds[i + 1]
+                v[a:b] = ms[q].values[tnode[a:b]]
+                e[i] = ms[q].e
+                hess_c = e[i] * e[i] - kappa * e[i]  # int |Hess s_n|^2 over the link
+                hess[i] = 0.0 if hess_c < 0 else hess_c
+        d0 += v**2
+        if k >= 1:
+            e = np.repeat(e, counts)
+            dv = band_rows(stencils[0], v)
+            d1 += dv**2 + (e / f**2) * v**2
+        if k >= 2:
+            ddv = band_rows(stencils[1], v)
+            mixed = dv - (fp / f) * v
+            angular = (np.repeat(hess, counts) * v**2
+                       - 2.0 * e * f * fp * v * dv
+                       + (m - 1.0) * (f * fp) ** 2 * dv**2) / f**4
+            d2 += ddv**2 + 2.0 * (e / f**2) * mixed**2 + np.maximum(angular, 0.0)
+    member = np.repeat(np.arange(len(windows)), [sum(b - a for a, b in win) for win in windows])
+    # one range: its nodes as a slice, so that callers read views, not copies
+    node = slice(*ranges[0]) if len(ranges) == 1 else tnode[pos]
+    return [np.sqrt(d[pos]) for d in (d0, d1, d2)[:k + 1]], node, member
+
+
+def densities(u: ModeFunction, k: int, window=slice(None)) -> list[np.ndarray]:
+    """Angular L^2 densities D_0..D_k of u and its covariant derivatives,
+    at the nodes of `window` (a slice or a list of node ranges (lo, hi);
+    default all), bit for bit the full-grid values there."""
+    ranges = [window.indices(u.grid.n)[:2]] if isinstance(window, slice) else window
+    return _densities_on(u.grid, [u.modes], [ranges], k)[0]
+
+
 def _weight_values(grid: RadialGrid, beta: np.ndarray, weight_fn=None,
-                   window: slice = slice(None)) -> np.ndarray:
+                   rows=slice(None)) -> np.ndarray:
     if weight_fn is not None:
-        return np.asarray(weight_fn(grid.nodes), dtype=float)[window]
-    return grid.wextra[window] * grid.rho[window] ** (-beta)
+        return np.asarray(weight_fn(grid.nodes), dtype=float)[rows]
+    return grid.wextra[rows] * grid.rho[rows] ** (-beta)
+
+
+def _family_norms(family: list[ModeFunction], norms, beta: float | None = None,
+                  weight_fn=None) -> np.ndarray:
+    """The norm engine: for each (p, js) of `norms` and each member u of
+    `family` (all on one grid), (sum over j in js of the quadrature sum of
+    (w rho^j D_j)^p vol)^(1/p), as an array (len(norms), len(family)).
+
+    (p, range(k + 1)) is the W^p_{k,beta} norm, (p, (1,)) the gradient
+    norm.  The densities of all members come from passes over their
+    support windows (_densities_on), one per block of consecutive members
+    (_blocks); each member's sum of one (j, p) is one np.bincount over
+    the rows, which adds them in node order, so it does not depend on the
+    rest of the family.  The nodes outside a window contribute exact
+    zeros, so each value equals the full-grid sum up to the order of
+    summation.  weight_fn overrides w = wextra * rho^(-beta)."""
+    grid = family[0].grid
+    if any(u.grid is not grid for u in family):
+        raise ValueError("family members must share one grid")
+    k = max(j for _, js in norms for j in js)
+    windows = [_support_window(u) for u in family]
+    sums = np.zeros((len(norms), len(family)))
+    for a, b in _blocks([sum(hi - lo for lo, hi in win) for win in windows]):
+        dens, node, member = _densities_on(grid, [u.modes for u in family[a:b]], windows[a:b], k)
+        w = _weight_values(grid, _beta_values(grid, beta, node), weight_fn, node)
+        rho, volume = grid.rho[node], grid.volume[node]
+        for i, (p, js) in enumerate(norms):
+            for j in js:
+                wj = w * rho**j if j else w  # rho**0 is 1.0, so the same bits
+                sums[i, a:b] += np.bincount(member, (wj * dens[j]) ** p * volume, b - a)
+    # the roots one value at a time: numpy's power picks its kernel by the
+    # array's shape, so a member's norm would depend on its family's size
+    return np.array([[s ** (1.0 / p) for s in row] for row, (p, _) in zip(sums.tolist(), norms)])
+
+
+def norm_ratios(family: list[ModeFunction], beta: float | None, num, den) -> np.ndarray:
+    """||u||_num / ||u||_den for every member u of a test family, from one
+    engine call (num and den are (p, js) as in _family_norms).  Raises
+    ValueError naming the first member whose den norm is zero."""
+    top, bottom = _family_norms(family, [num, den], beta)
+    zero = np.flatnonzero(bottom == 0.0)
+    if zero.size:
+        p, js = den
+        raise ValueError(f"test family member {zero[0]} has a zero denominator norm "
+                         f"(p = {p}, derivative orders {tuple(js)})")
+    return top / bottom
 
 
 def weighted_sobolev_norm(
     u: ModeFunction, spec: WeightSpec, weight_fn=None
 ) -> float:
-    """Quadrature value of the weighted Sobolev norm (see module docstring).
-
-    The sum runs over the support window of u; the nodes outside it
-    contribute exact zeros, so it equals the full-grid sum up to the
-    order of summation.  weight_fn overrides the default
+    """Quadrature value of the weighted Sobolev norm (see module docstring),
+    the one-member case of _family_norms.  weight_fn overrides the default
     w = wextra * rho^(-beta) (used by the rescaling bookkeeping)."""
-    g = u.grid
-    win = _support_window(u)
-    beta = _beta_values(g, spec, win)
-    w = _weight_values(g, beta, weight_fn, win)
-    rho, volume = g.rho[win], g.volume[win]
-    dens = densities(u, spec.k, win)
-    total = 0.0
-    for j, dj in enumerate(dens):
-        total += float(np.sum((w * rho**j * dj) ** spec.p * volume))
-    return total ** (1.0 / spec.p)
+    norm = (spec.p, range(spec.k + 1))
+    return float(_family_norms([u], [norm], spec.beta, weight_fn)[0, 0])
 
 
 def gradient_norm(u: ModeFunction, p: float, beta: float | None = None) -> float:
     """||du||_{L^p_{beta-1}}: the L^p norm of the differential as a 1-form
-    carrying the weight beta - 1 (so w rho^0 |du| = wextra rho^{1-beta} |du|),
-    summed over the support window of u like weighted_sobolev_norm."""
-    g = u.grid
-    win = _support_window(u)
-    bvals = _beta_values(g, WeightSpec(p=p, k=0, beta=beta), win)
-    d1 = densities(u, 1, win)[1]
-    w = g.wextra[win] * g.rho[win] ** (1.0 - bvals)
-    return float(np.sum((w * d1) ** p * g.volume[win])) ** (1.0 / p)
+    carrying the weight beta - 1 (so w rho |du|, w = wextra rho^(-beta)),
+    which is the j = 1 term of the W^p_{1,beta} norm."""
+    return float(_family_norms([u], [(p, (1,))], beta)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -713,7 +842,7 @@ def weighted_sobolev_norm_report(
     the log-integrand extrapolates the tail exactly."""
     g = u.grid
     m = g.geometry.m
-    beta = _beta_values(g, spec)
+    beta = _beta_values(g, spec.beta)
     w = _weight_values(g, beta, weight_fn)
     dens = densities(u, spec.k)
     dens_sum_p = np.zeros(g.n)
@@ -754,7 +883,7 @@ def weighted_ck_norm(u: ModeFunction, k: int, beta: float | None = None) -> CkNo
     from the asymptotic slope of the summand on truncated AC tails."""
     g = u.grid
     spec = WeightSpec(p=2.0, k=k, beta=beta)
-    bvals = _beta_values(g, spec)
+    bvals = _beta_values(g, spec.beta)
     w = _weight_values(g, bvals)
     dens = densities(u, k)
     s_node = np.zeros(g.n)
@@ -791,11 +920,11 @@ def rescaling_invariance_check(
         if spec.beta is not None:
             beta_prime = float(spec.beta)
         else:
-            bvals = _beta_values(g, spec)
+            bvals = _beta_values(g, spec.beta)
             beta_prime = float(bvals[0])
     grid_t = g.mapped(t)
     u_t = u.push_to(grid_t)
-    beta_t = _beta_values(grid_t, spec)
+    beta_t = _beta_values(grid_t, spec.beta)
 
     def weight_fn(x, _bp=beta_prime):
         rho_t = grid_t.rho
@@ -872,22 +1001,17 @@ def embedding_constant_estimate(
 ) -> EmbeddingReport:
     """Empirical lower bound for the Sobolev constant of
     W^p_{1,beta} -> L^{p*}_beta: the max over the test family of
-    ||u||_{L^{p*}_beta} / ||u||_{W^p_{1,beta}}.  A finite family only
-    bounds the constant from below; sweeps assert boundedness of this
-    proxy, not the extremal value."""
+    ||u||_{L^{p*}_beta} / ||u||_{W^p_{1,beta}}, the whole family in one
+    norm-engine pass (a zero member raises ValueError naming it).  A
+    finite family only bounds the constant from below; sweeps assert
+    boundedness of this proxy, not the extremal value."""
     if not family:
         raise ValueError("empty test family")
     m = family[0].grid.geometry.m
     ce = conjugate_exponents(p, m)
     if ce.p_star is None:
         raise ValueError(f"p = {p} >= m = {m}: no L^{{p*}} embedding")
-    ratios = []
-    for u in family:
-        denom = weighted_sobolev_norm(u, WeightSpec(p=p, k=1, beta=beta))
-        if denom == 0.0:
-            raise ValueError("test family member is identically zero")
-        num = weighted_sobolev_norm(u, WeightSpec(p=ce.p_star, k=0, beta=beta))
-        ratios.append(num / denom)
+    ratios = norm_ratios(family, beta, (ce.p_star, (0,)), (p, (0, 1))).tolist()
     return EmbeddingReport(constant=max(ratios), p_star=ce.p_star, ratios=tuple(ratios))
 
 
@@ -895,44 +1019,55 @@ def embedding_constant_estimate(
 # test families
 
 
-def _bump_windows(grid: RadialGrid, center: float, halfwidth: float) -> list[slice]:
-    """Node windows holding every node within `halfwidth` of `center`
-    (padded far beyond the rounding of the profile's own distance); two
-    when a circle bump wraps the seam, all nodes when it covers half the
-    circle."""
+def _bump_windows(grid: RadialGrid, centers: np.ndarray, halfwidths: np.ndarray):
+    """Node windows holding every node within each bump's halfwidth of its
+    centre (padded far beyond the rounding of the profile's own distance):
+    (bump, lo, hi) arrays, one window per bump, two when a circle bump
+    wraps the seam, all nodes when it covers half the circle."""
     x = grid.nodes
-    reach = abs(halfwidth)
+    reach = np.abs(halfwidths)
     if not grid.geometry.circle:
-        pad = 1e-12 * (abs(center) + reach)
-        return [slice(int(x.searchsorted(center - reach - pad, "left")),
-                      int(x.searchsorted(center + reach + pad, "right")))]
+        pad = 1e-12 * (np.abs(centers) + reach)
+        return (np.arange(centers.size), x.searchsorted(centers - reach - pad, "left"),
+                x.searchsorted(centers + reach + pad, "right"))
     per = grid.geometry.period
-    if 2.0 * reach >= per / 2:
-        return [slice(None)]
-    pad = 1e-12 * (abs(center) + abs(x[0]) + reach + per)
-    c = x[0] + np.mod(center - x[0], per)  # the centre's image in the node range
-    windows = []
-    for shift in (-per, 0.0, per):
-        lo = int(x.searchsorted(c + shift - reach - pad, "left"))
-        hi = int(x.searchsorted(c + shift + reach + pad, "right"))
-        if hi > lo:
-            windows.append(slice(lo, hi))
-    return windows
+    pad = 1e-12 * (np.abs(centers) + abs(x[0]) + reach + per)
+    c = x[0] + np.mod(centers - x[0], per)  # the centres' images in the node range
+    shifted = c[:, None] + np.array([-per, 0.0, per])
+    lo = x.searchsorted(shifted - reach[:, None] - pad[:, None], "left")
+    hi = x.searchsorted(shifted + reach[:, None] + pad[:, None], "right")
+    wide = 2.0 * reach >= per / 2
+    lo[wide], hi[wide] = (0, 0, 0), (grid.n, 0, 0)
+    keep = hi > lo
+    return np.nonzero(keep)[0], lo[keep], hi[keep]
+
+
+def _bump_values(grid: RadialGrid, centers: np.ndarray, halfwidths: np.ndarray,
+                 bump: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The C^2 bumps (1-s^2)^3 of the given centres and halfwidths in x on
+    their node windows (bump, lo, hi) from _bump_windows, in one pass:
+    (bump, node, value) per window node, bump by bump."""
+    node = _aranges(list(zip(lo.tolist(), hi.tolist())))
+    bump = np.repeat(bump, hi - lo)
+    x, center, hw = grid.nodes[node], centers[bump], halfwidths[bump]
+    if grid.geometry.circle:
+        per = grid.geometry.period
+        s = (np.mod(x - center + per / 2, per) - per / 2) / hw
+    else:
+        s = (x - center) / hw
+    inside = np.abs(s) < 1.0
+    vals = np.zeros(s.size)
+    vals[inside] = (1.0 - s[inside] ** 2) ** 3
+    return bump, node, vals
 
 
 def bump_profile(grid: RadialGrid, center: float, halfwidth: float) -> np.ndarray:
     """C^2 compactly supported bump (1-s^2)^3 around `center` in x,
     evaluated only on the node windows around its support."""
+    c, h = np.array([center], dtype=float), np.array([halfwidth], dtype=float)
+    _, node, vals = _bump_values(grid, c, h, *_bump_windows(grid, c, h))
     v = np.zeros(grid.n)
-    for win in _bump_windows(grid, center, halfwidth):
-        x = grid.nodes[win]
-        if grid.geometry.circle:
-            per = grid.geometry.period
-            s = (np.mod(x - center + per / 2, per) - per / 2) / halfwidth
-        else:
-            s = (x - center) / halfwidth
-        inside = np.abs(s) < 1.0
-        v[win][inside] = (1.0 - s[inside] ** 2) ** 3  # v[win] is a view
+    v[node] = vals
     return v
 
 
@@ -968,31 +1103,50 @@ def bump_family(
     widths proportional to the local radius function, alternating over
     the requested angular modes (default: modes 0 and the first nonzero
     link eigenvalue).  jitter = 0 makes members at radii r and tr exact
-    rescalings of each other."""
+    rescalings of each other.
+
+    Attempt i takes centre i mod (number of centres) and the i-th of the
+    jitter draws, made at once; an attempt whose bump has fewer than 5
+    nonzero nodes is skipped, and at most 20 n_members attempts are
+    made.  The attempts still needed are evaluated together on their
+    windows (in blocks, _blocks), so one round when none is skipped."""
     g = grid.geometry
     if modes is None:
         e1 = g.link.eigenvalues_below(4.0 * g.m)[1][0]
         modes = (0.0, e1)
     rng = np.random.default_rng(seed)
-    centers = _candidate_centers(grid)
-    if not centers:
+    centers = np.array(_candidate_centers(grid))
+    if not centers.size:
         raise ValueError("geometry plan yields no bump centers")
-    rho_c = np.asarray(g.rho(np.array(centers)), dtype=float)
+    rho_c = np.asarray(g.rho(centers), dtype=float)
+    attempts = 20 * n_members
+    # one draw per attempt, skipped ones included
+    wiggle = 1.0 + jitter * (rng.random(attempts) - 0.5)
+    which = np.arange(attempts) % centers.size
+    halfwidths = width_factor * rho_c[which] * wiggle
     out = []
-    i = 0
-    while len(out) < n_members:
-        c = i % len(centers)
-        wiggle = 1.0 + jitter * (rng.random() - 0.5)
-        hw = width_factor * float(rho_c[c]) * wiggle
-        prof = bump_profile(grid, centers[c], hw)
-        if np.count_nonzero(prof) < 5:
-            i += 1
-            continue
-        e = modes[len(out) % len(modes)]
-        out.append(ModeFunction.single(grid, e, prof))
-        i += 1
-        if i > 20 * n_members:
-            raise ValueError("could not place the requested number of bumps")
+    # the members' profiles are the rows of one zero block: the memory of
+    # an array per member, allocated (and page-faulted) once
+    profiles = np.zeros((n_members, grid.n))
+    start = 0
+    while len(out) < n_members and start < attempts:
+        stop = min(start + n_members - len(out), attempts)
+        c, h = centers[which[start:stop]], halfwidths[start:stop]
+        bump, lo, hi = _bump_windows(grid, c, h)
+        first = np.searchsorted(bump, np.arange(stop - start + 1))  # each attempt's windows
+        for a, b in _blocks(np.bincount(bump, hi - lo, stop - start).astype(int)):
+            w = slice(first[a], first[b])
+            bump_w, node, vals = _bump_values(grid, c, h, bump[w], lo[w], hi[w])
+            rows = np.searchsorted(bump_w, np.arange(a, b + 1))
+            for i, j in zip(rows[:-1], rows[1:]):
+                if np.count_nonzero(vals[i:j]) < 5:
+                    continue
+                prof = profiles[len(out)]
+                prof[node[i:j]] = vals[i:j]
+                out.append(ModeFunction.single(grid, modes[len(out) % len(modes)], prof))
+        start = stop
+    if len(out) < n_members:
+        raise ValueError("could not place the requested number of bumps")
     return out
 
 

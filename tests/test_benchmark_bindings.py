@@ -10,13 +10,17 @@ and then each per-field callable of the glued geometry it returns.  A
 kernel scan calls the wrapped ``near_null_threshold`` once per weight, all
 on one exact-cone mesh built through the wrapped ``build_grid``, and per
 pencil factors A - sigma B through the wrapped ``spla.splu`` once before
-the wrapped ``spla.eigsh``.
+the wrapped ``spla.eigsh``.  A glued embedding or GNS sweep builds one
+bump family per t through the wrapped ``bump_family`` and takes its norms
+from the family norm engine, which the tracer does not wrap: its norm
+spans count only single-function norms.
 """
 
 import importlib.util
 from pathlib import Path
 
 from conifold_lab import conifold_model as cm
+from conifold_lab import experiments as ex
 from conifold_lab import spectral_laplace as sl
 from conifold_lab import weighted_calc as wc
 from conifold_lab.conifold_model import preset_model
@@ -109,3 +113,30 @@ def test_kernel_scan_factors_each_pencil_once_outside_arpack():
     assert tracer.calls["spectral_laplace.splu"] == tracer.calls["spectral_laplace.arpack"] \
         == pencils
     assert tracer.counts["spectral_laplace.pencil.nnz"] == nnz
+
+
+def test_glued_norm_sweeps_trace_their_bump_families():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    patches = tracing.instrument(tracer)
+    try:
+        tracer.enabled = True
+        for name in ("embedding_uniformity", "gns_uniformity"):
+            res = ex.run(ex.ExperimentConfig.from_dict(
+                {"experiment": name, "t_list": [0.1, 0.01], "n_per_region": 60,
+                 "family_size": 4}))
+            assert len(res.rows) == 2
+        tracer.enabled = False
+    finally:
+        tracing.restore(patches)
+    assert tracer.calls["experiments.run.embedding_uniformity"] == 1
+    assert tracer.calls["experiments.run.gns_uniformity"] == 1
+    assert tracer.calls["weighted_calc.bumps"] == 4  # one family per sweep row
+    assert tracer.calls["weighted_calc.grid"] == 4
+    assert tracer.calls["weighted_calc.norm"] == 0  # families go through the engine
+    # every norm (and bump) name the tracer wraps is still a public function
+    wrapped = {attr for obj, attr, _ in patches if obj is wc}
+    assert {"weighted_sobolev_norm", "gradient_norm", "weighted_ck_norm",
+            "weighted_sobolev_norm_report", "bump_family"} <= wrapped
+    for attr in wrapped:
+        assert attr in wc.__all__ and callable(getattr(wc, attr))

@@ -4,7 +4,10 @@ The per-field glued evaluation (each of f, f', f'', rho, beta and wextra
 classifying the points on its own, the f^2-blend recomputed per field,
 base geometries rebuilt per call) is kept here as the reference; the
 grid arrays taken from the one-pass `fields` evaluator, and the public
-per-field callables, must reproduce it bit for bit."""
+per-field callables, must reproduce it bit for bit.  The zone lookup
+(one searchsorted over the strip's edges) must give the zone indices of
+the reference's loop over every zone, at grid nodes, between them and
+at and around every zone edge."""
 
 import math
 
@@ -26,6 +29,23 @@ from conifold_lab.weighted_calc import build_grid
 
 # ---------------------------------------------------------------------------
 # reference: the per-field glued evaluation
+
+
+def ref_zone_membership(zones, circle, period, xw):
+    """Index into `zones` per point, every zone tested in turn (the first
+    matching zone wins); -1 outside all of them."""
+    n = xw.shape[0]
+    res = np.full(n, -1, dtype=int)
+    for z_i, (lo, hi, _, _) in enumerate(zones):
+        if circle and math.isfinite(lo) and math.isfinite(hi):
+            d = np.mod(xw - lo, period)
+            sel = d <= (hi - lo) + 1e-12 * max(1.0, abs(hi), abs(lo))
+        else:
+            sel = (xw >= lo - 1e-12 * max(1.0, abs(lo)) if math.isfinite(lo) else np.ones(n, bool))
+            if math.isfinite(hi):
+                sel = sel & (xw <= hi + 1e-12 * max(1.0, abs(hi)))
+        res = np.where((res < 0) & sel, z_i, res)
+    return res
 
 
 def ref_glued_fields(L, L_hat, family, pieces, junctions, junction_sides,
@@ -75,17 +95,7 @@ def ref_glued_fields(L, L_hat, family, pieces, junctions, junction_sides,
         zones.append((min(edges), max(edges), "host" if p.source == "L" else "partner", p_i))
 
     def zone_membership(xw):
-        n = xw.shape[0]
-        res = np.full(n, -1, dtype=int)
-        for z_i, (lo, hi, _, _) in enumerate(zones):
-            if circle and math.isfinite(lo) and math.isfinite(hi):
-                d = np.mod(xw - lo, period)
-                sel = d <= (hi - lo) + 1e-12 * max(1.0, abs(hi), abs(lo))
-            else:
-                sel = (xw >= lo - 1e-12 * max(1.0, abs(lo)) if math.isfinite(lo) else np.ones(n, bool))
-                if math.isfinite(hi):
-                    sel = sel & (xw <= hi + 1e-12 * max(1.0, abs(hi)))
-            res = np.where((res < 0) & sel, z_i, res)
+        res = ref_zone_membership(zones, circle, period, xw)
         assert np.all(res >= 0)
         return res
 
@@ -328,3 +338,37 @@ def test_chain_glues_two_partners_at_their_own_t(monkeypatch):
     assert [J.direction for J in geo.junctions] == [1.0, -1.0]  # host in the middle
     assert not geo.circle and geo.left.kind == geo.right.kind == "ac"
     assert (geo.left.chart_r, geo.right.chart_r) == (1e-2, 1e-3)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_zone_lookup_matches_the_loop_over_zones(monkeypatch, case):
+    make_family, t = CASES[case]
+    args, lookups = [], []
+    build, lookup_of = cm._glued_geometry, cm._zone_lookup
+    monkeypatch.setattr(cm, "_glued_geometry", lambda *a: args.append(a) or build(*a))
+    monkeypatch.setattr(cm, "_zone_lookup", lambda *a: lookups.append((a, lookup_of(*a)))
+                        or lookups[-1][1])
+    geo = make_family().at(t).geometry
+    *_, circle, period, x_origin = args[-1]
+    (zones, _, _), lookup = lookups[-1]
+    assert [tag for *_, tag, _ in zones[:len(geo.junctions)]] == ["neck"] * len(geo.junctions)
+    grid = build_grid(geo, n_per_region=400)
+    edges = np.array([e for lo, hi, _, _ in zones for e in (lo, hi) if math.isfinite(e)])
+    points = [grid.nodes, 0.5 * (grid.nodes[1:] + grid.nodes[:-1]), edges]
+    for toward in (np.inf, -np.inf):  # the floats next to each edge
+        e = edges
+        for _ in range(4):
+            e = np.nextafter(e, toward)
+            points.append(e)
+    for rel in (3e-13, 1e-12, 3e-12, 1e-11):  # around the 1e-12 fuzz
+        points += [edges * (1 + rel), edges * (1 - rel), edges + rel, edges - rel]
+    x = np.concatenate(points)
+    if circle:
+        x = np.concatenate([x, [x_origin, x_origin + period, np.nextafter(x_origin + period, 0)]])
+        x = x_origin + np.mod(x - x_origin, period)
+    want = ref_zone_membership(zones, circle, period, x)
+    inside = want >= 0
+    assert np.array_equal(lookup(x[inside]), want[inside])
+    if not inside.all():
+        with pytest.raises(ValueError, match="outside the glued domain"):
+            lookup(x[~inside])

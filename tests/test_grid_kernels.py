@@ -2,9 +2,11 @@
 
 The per-node loop versions of the derivative stencils, the closure
 reduction matrix (in stencil_refs) and the bump profiles are kept as
-reference implementations; the package versions must reproduce them bit
-for bit (every entry of the band stencils; the same CSR data, indices
-and index pointers for R's CSR view; the same profile arrays)."""
+reference implementations, and so is bump_family's loop over attempts
+(one jitter draw and one bump at a time); the package versions must
+reproduce them bit for bit (every entry of the band stencils; the same
+CSR data, indices and index pointers for R's CSR view; the same profile
+arrays, modes and member order)."""
 
 import numpy as np
 import pytest
@@ -56,6 +58,32 @@ def ref_bump_family(grid, n_members=32, modes=None, seed=0, width_factor=0.6, ji
     return out
 
 
+def loop_bump_family(grid, n_members=32, modes=None, seed=0, width_factor=0.6, jitter=0.1):
+    """bump_family as a loop over attempts: one scalar jitter draw and one
+    windowed bump_profile per attempt."""
+    g = grid.geometry
+    if modes is None:
+        modes = (0.0, g.link.eigenvalues_below(4.0 * g.m)[1][0])
+    rng = np.random.default_rng(seed)
+    centers = _candidate_centers(grid)
+    rho_c = np.asarray(g.rho(np.array(centers)), dtype=float)
+    out = []
+    i = 0
+    while len(out) < n_members:
+        c = i % len(centers)
+        wiggle = 1.0 + jitter * (rng.random() - 0.5)
+        hw = width_factor * float(rho_c[c]) * wiggle
+        prof = bump_profile(grid, centers[c], hw)
+        if np.count_nonzero(prof) < 5:
+            i += 1
+            continue
+        out.append(ModeFunction.single(grid, modes[len(out) % len(modes)], prof))
+        i += 1
+        if i > 20 * n_members:
+            raise ValueError("could not place the requested number of bumps")
+    return out
+
+
 def ref_random_bump_pairs(grid, n_pairs, seed=0):
     g = grid.geometry
     e1 = g.link.eigenvalues_below(4.0 * g.m)[1][0]
@@ -96,6 +124,7 @@ def assert_same_members(got, want):
         assert [m.e for m in u.modes] == [m.e for m in v.modes]
         for mu, mv in zip(u.modes, v.modes):
             assert np.array_equal(mu.values, mv.values)
+            assert mu.support == mv.support
 
 
 def test_derivative_stencils_match_loop(grid):
@@ -131,6 +160,15 @@ def test_norm_volume_keeps_association_order(grid):
 def test_bump_family_matches_loop(grid, seed):
     assert_same_members(bump_family(grid, n_members=32, seed=seed),
                         ref_bump_family(grid, n_members=32, seed=seed))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+def test_batched_bump_family_matches_the_attempt_loop(grid, seed):
+    """All attempts' jitter drawn at once and their bumps evaluated
+    together: the same members (values, modes, order) as one draw and
+    one profile per attempt."""
+    assert_same_members(bump_family(grid, n_members=32, seed=seed),
+                        loop_bump_family(grid, n_members=32, seed=seed))
 
 
 def test_random_bump_pairs_match_loop(grid):
@@ -170,6 +208,8 @@ def test_narrow_members_are_skipped_at_the_same_rng_step():
     got = bump_family(grid, n_members=6, seed=5, width_factor=width_factor)
     assert_same_members(got, ref_bump_family(grid, n_members=6, seed=5,
                                              width_factor=width_factor))
+    assert_same_members(got, loop_bump_family(grid, n_members=6, seed=5,
+                                              width_factor=width_factor))
 
 
 # ---------------------------------------------------------------------------

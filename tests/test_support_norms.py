@@ -2,24 +2,30 @@
 
 The full-grid densities, weighted_sobolev_norm and gradient_norm are
 kept here as reference implementations, taking the stencils from the
-loop references in stencil_refs.  The package versions sum over
-the support window of u only; the nodes outside it contribute exact
-zeros, so the two may differ only by the order of summation."""
+loop references in stencil_refs.  The package's norm engine sums each
+member of a family over its support window only (two arcs for a support
+across a circle's seam), all members in one pass; the nodes outside a
+window contribute exact zeros, so engine and reference may differ only
+by the order of summation."""
 
 import numpy as np
 import pytest
 
+from conifold_lab import experiments as ex
+from conifold_lab import weighted_calc as wc
 from conifold_lab.conifold_model import dumbbell_family, preset_model, spindle_family
 from conifold_lab.weighted_calc import (
     ModeFunction,
     ModeProfile,
     WeightSpec,
+    _family_norms,
     _support_window,
     build_grid,
     bump_family,
     bump_profile,
     densities,
     gradient_norm,
+    embedding_constant_estimate,
     mode_product,
     weighted_sobolev_norm,
 )
@@ -119,7 +125,7 @@ def functions_on(grid):
     # two modes with disjoint supports, and a rotation-invariant product
     funcs.append(ModeFunction(grid, (ModeProfile(0.0, fam[0].modes[0].values),
                                      ModeProfile(e1, fam[5].modes[0].values))))
-    lo, hi = fam[2].modes[0].support
+    (lo, hi), = fam[2].modes[0].support
     x = grid.nodes
     c, hw = x[(lo + hi) // 2], 0.5 * (x[hi - 1] - x[lo])
     u0 = ModeFunction.single(grid, 0.0, bump_profile(grid, c, hw))
@@ -145,21 +151,27 @@ def assert_close(got, want):
 def test_support_is_the_nonzero_node_range(grid):
     v = np.zeros(grid.n)
     v[5:9] = 1.0
-    assert ModeProfile(0.0, v).support == (5, 9)
-    assert ModeProfile(0.0, np.zeros(grid.n)).support == (0, 0)
-    assert ModeProfile(0.0, np.ones(grid.n)).support == (0, grid.n)
+    assert ModeProfile(0.0, v).support == ((5, 9),)
+    v[20:30] = 2.0  # split around the longest run of zeros
+    v[10] = 3.0
+    assert ModeProfile(0.0, v).support == ((5, 11), (20, 30))
+    assert ModeProfile(0.0, np.zeros(grid.n)).support == ()
+    assert ModeProfile(0.0, np.ones(grid.n)).support == ((0, grid.n),)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_windowed_densities_equal_full_densities(grid, k):
     for u in functions_on(grid):
         win = _support_window(u)
+        inside = np.zeros(grid.n, bool)
+        for lo, hi in win:
+            assert not inside[lo:hi].any()  # disjoint
+            inside[lo:hi] = True
+        assert win == sorted(win)
         full = ref_densities(u, k)
         for got, want in zip(densities(u, k, win), full):
-            assert np.array_equal(got, want[win])
-            outside = np.ones(grid.n, bool)
-            outside[win] = False
-            assert not np.any(want[outside])
+            assert np.array_equal(got, np.concatenate([want[lo:hi] for lo, hi in win] + [[]]))
+            assert not np.any(want[~inside])
 
 
 @pytest.mark.parametrize("beta", [None, 0.3])
@@ -195,15 +207,93 @@ def test_weight_fn_path_matches_full_grid(grid, k):
                      ref_weighted_sobolev_norm(u_t, spec, weight_fn=weight_fn))
 
 
-def test_circle_window_falls_back_to_the_whole_grid_at_the_seam():
+@pytest.mark.parametrize("beta", [None, 0.3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 6.0])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_family_engine_matches_full_grid_per_member(grid, k, p, beta):
+    """One engine pass over a whole family: bumps, members touching the
+    first and last three nodes, two modes, a product, full support, zero
+    and (spindle) bumps across the seam; each member's W^p_k and gradient
+    norm is the full-grid reference's."""
+    funcs = functions_on(grid)
+    if grid.geometry.circle:
+        assert sum(len(_support_window(u)) == 2 for u in funcs) >= 2
+    sob, grad = _family_norms(funcs, [(p, range(k + 1)), (p, (1,))], beta)
+    for u, got_sob, got_grad in zip(funcs, sob, grad):
+        assert_close(float(got_sob), ref_weighted_sobolev_norm(u, WeightSpec(p=p, k=k, beta=beta)))
+        assert_close(float(got_grad), ref_gradient_norm(u, p, beta))
+
+
+def test_family_engine_weight_fn_path(grid):
+    t = 1e-3
+    grid_t = grid.mapped(t)
+
+    def weight_fn(x, _bp=-0.5):
+        return t ** (grid_t.beta - _bp) * grid_t.rho ** (-grid_t.beta) * grid_t.wextra
+
+    funcs = [u.push_to(grid_t) for u in functions_on(grid)]
+    got = _family_norms(funcs, [(2.0, range(k + 1)) for k in (0, 1, 2)], None, weight_fn)
+    for k, row in enumerate(got):
+        for u, value in zip(funcs, row):
+            assert_close(float(value), ref_weighted_sobolev_norm(
+                u, WeightSpec(p=2.0, k=k, beta=None), weight_fn=weight_fn))
+
+
+@pytest.mark.parametrize("p", [2.0, 6.0])
+def test_family_members_are_their_one_member_norms(grid, p):
+    """A member's norms do not depend on the rest of the family."""
+    funcs = functions_on(grid)
+    spec = WeightSpec(p=p, k=2, beta=None)
+    sob, grad = _family_norms(funcs, [(p, range(3)), (p, (1,))], None)
+    assert [float(v) for v in sob] == [weighted_sobolev_norm(u, spec) for u in funcs]
+    assert [float(v) for v in grad] == [gradient_norm(u, p) for u in funcs]
+
+
+def test_seam_straddling_bump_gets_two_arcs():
     grid = build_grid(GEOMETRIES["spindle_t1e-2"](), n_per_region=300)
-    x = grid.nodes
+    x, n = grid.nodes, grid.n
     across = ModeFunction.single(grid, 0.0, bump_profile(grid, x[0], 5 * (x[1] - x[0])))
-    assert across.modes[0].support == (0, grid.n)
-    assert _support_window(across) == slice(0, grid.n)
-    v = np.zeros(grid.n)
-    v[1:20] = 1.0  # the window would reach node 0
-    assert _support_window(ModeFunction.single(grid, 0.0, v)) == slice(0, grid.n)
-    v = np.zeros(grid.n)
+    (lo0, hi0), (lo1, hi1) = across.modes[0].support
+    assert lo0 == 0 and hi1 == n and hi0 < lo1
+    assert _support_window(across) == [(0, hi0 + 2), (lo1 - 2, n)]
+    for k in (0, 1, 2):
+        for beta in (None, 0.3):
+            spec = WeightSpec(p=2.0, k=k, beta=beta)
+            assert_close(weighted_sobolev_norm(across, spec),
+                         ref_weighted_sobolev_norm(across, spec))
+    v = np.zeros(n)
+    v[1:20] = 1.0  # the reach wraps from node 1 to node n - 1
+    assert _support_window(ModeFunction.single(grid, 0.0, v)) == [(0, 22), (n - 1, n)]
+    v = np.zeros(n)
     v[10:20] = 1.0
-    assert _support_window(ModeFunction.single(grid, 0.0, v)) == slice(8, 22)
+    assert _support_window(ModeFunction.single(grid, 0.0, v)) == [(8, 22)]
+    v[n - 3:] = 1.0  # a second range, whose reach wraps to nodes 0 and 1
+    assert _support_window(ModeFunction.single(grid, 0.0, v)) == [(0, 2), (8, 22), (n - 5, n)]
+    v[1] = 1.0  # the widened ranges meet across the seam
+    assert _support_window(ModeFunction.single(grid, 0.0, v)) == [(0, 22), (n - 5, n)]
+
+
+# ---------------------------------------------------------------------------
+# zero members: one rule on both ratio paths
+
+
+def test_embedding_names_the_zero_member(grid):
+    fam = bump_family(grid, n_members=3, seed=1)
+    zero = ModeFunction.single(grid, 0.0, np.zeros(grid.n))
+    with pytest.raises(ValueError, match="member 2 has a zero"):
+        embedding_constant_estimate(fam[:2] + [zero, fam[2]], p=2.0, beta=-0.5)
+
+
+def test_gns_row_names_the_zero_member(monkeypatch):
+    fam = dumbbell_family()
+    cfg = ex.ExperimentConfig.from_dict({"experiment": "gns_uniformity", "t_list": [0.1, 0.01],
+                                         "n_per_region": 100, "family_size": 4})
+    build = wc.bump_family
+
+    def with_zero(grid, **kwargs):
+        members = build(grid, **kwargs)
+        return members[:1] + [ModeFunction.single(grid, 0.0, np.zeros(grid.n))] + members[1:]
+
+    monkeypatch.setattr(wc, "bump_family", with_zero)
+    with pytest.raises(ValueError, match="member 1 has a zero"):
+        ex._gns_row(cfg, fam, 0.1)
