@@ -512,14 +512,17 @@ class ModeProfile:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("mode profiles must be finite-valued")
         nz = self.values.ravel() != 0
+        flips = (np.flatnonzero(nz[1:] != nz[:-1]) + 1).tolist()  # where runs start
         support = ()
-        if nz.any():
-            lo, hi = int(nz.argmax()), nz.size - int(nz[::-1].argmax())
-            # the runs of zeros between lo and hi: [flips[0], flips[1]), ...
-            flips = lo + 1 + np.flatnonzero(nz[lo + 1:hi] != nz[lo:hi - 1])
-            if flips.size:
-                k = 2 * int(np.argmax(flips[1::2] - flips[::2]))
-                support = ((lo, int(flips[k])), (int(flips[k + 1]), hi))
+        if nz.size and (nz[0] or flips):
+            lo = 0 if nz[0] else flips.pop(0)
+            hi = nz.size if nz[-1] else flips.pop()
+            # what is left alternates: a run of zeros [flips[i], flips[i + 1])
+            # for every even i
+            if flips:
+                gaps = [b - a for a, b in zip(flips[::2], flips[1::2])]
+                k = 2 * gaps.index(max(gaps))
+                support = ((lo, flips[k]), (flips[k + 1], hi))
             else:
                 support = ((lo, hi),)
         object.__setattr__(self, "support", support)
@@ -1023,7 +1026,7 @@ def _bump_windows(grid: RadialGrid, centers: np.ndarray, halfwidths: np.ndarray)
     """Node windows holding every node within each bump's halfwidth of its
     centre (padded far beyond the rounding of the profile's own distance):
     (bump, lo, hi) arrays, one window per bump, two when a circle bump
-    wraps the seam, all nodes when it covers half the circle."""
+    wraps the seam, all nodes when it reaches around the circle."""
     x = grid.nodes
     reach = np.abs(halfwidths)
     if not grid.geometry.circle:
@@ -1036,7 +1039,7 @@ def _bump_windows(grid: RadialGrid, centers: np.ndarray, halfwidths: np.ndarray)
     shifted = c[:, None] + np.array([-per, 0.0, per])
     lo = x.searchsorted(shifted - reach[:, None] - pad[:, None], "left")
     hi = x.searchsorted(shifted + reach[:, None] + pad[:, None], "right")
-    wide = 2.0 * reach >= per / 2
+    wide = 2.0 * (reach + pad) >= per  # the three windows would overlap
     lo[wide], hi[wide] = (0, 0, 0), (grid.n, 0, 0)
     keep = hi > lo
     return np.nonzero(keep)[0], lo[keep], hi[keep]
