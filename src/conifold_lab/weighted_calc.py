@@ -679,7 +679,8 @@ def _densities_on(grid: RadialGrid, modes: list, windows: list, k: int):
     tnode = _aranges([(a - reach, b + reach) for a, b in ranges])
     pos = slice(None)
     if reach:
-        tnode = np.mod(tnode, n) if grid.geometry.circle else np.minimum(np.maximum(tnode, 0), n - 1)
+        circle = grid.geometry.circle
+        tnode = np.mod(tnode, n) if circle else np.minimum(np.maximum(tnode, 0), n - 1)
         pos = _aranges([(s + reach, s + reach + b - a) for s, (a, b) in zip(starts, ranges)])
     slots = tnode.size
     bounds = [starts[i] for i in accumulate([len(win) for win in windows], initial=0)]
