@@ -11,7 +11,7 @@ from conifold_lab.conifold_model import preset_model
 from conifold_lab.link_spectra import make_link
 from conifold_lab.spectral_laplace import assemble_mode_operator
 from conifold_lab.weight_calculus import exceptional_weights
-from conifold_lab.weighted_calc import build_grid
+from conifold_lab.weighted_calc import _band_rows, build_grid
 
 
 def main():
@@ -27,7 +27,7 @@ def main():
             grid = grids[n]
             op = assemble_mode_operator(grid, w.source_eigenvalue)
             u = grid.rho**w.gamma
-            r = (op.P_full @ u)[op.interior]
+            r = _band_rows(op.P, u)[op.interior]
             res.append(float(np.max(np.abs(r) / np.abs(u[op.interior]))))
         print(f"{w.source_eigenvalue:>6.1f} {w.gamma:>7.2f}"
               + "".join(f"{v:>12.3e}" for v in res))

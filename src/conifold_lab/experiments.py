@@ -25,7 +25,7 @@ from . import conifold_model as cm
 from . import spectral_laplace as sl
 from . import weight_calculus as wcalc
 from . import weighted_calc as wc
-from .link_spectra import link_from_string
+from .link_spectra import link_from_string, make_link
 
 __all__ = [
     "EXPERIMENTS",
@@ -76,7 +76,6 @@ class ExperimentConfig:
     model: str = "dumbbell"
     t_list: tuple[float, ...] = _DEFAULT_T
     p: float = 2.0
-    k: int = 0
     beta: float = -0.5
     e_max: float = 12.0
     n_per_region: int = 400
@@ -106,6 +105,13 @@ class ExperimentConfig:
         object.__setattr__(self, "t_list", ts)
         object.__setattr__(self, "gamma_cases",
                            tuple((float(g), float(e)) for g, e in self.gamma_cases))
+        for name, bad, want in (("n_per_region", self.n_per_region < 1, ">= 1"),
+                                ("family_size", self.family_size < 1, ">= 1"),
+                                ("e_max", self.e_max < 0, ">= 0"),
+                                ("grid_step", self.grid_step <= 0, "> 0"),
+                                ("gamma_cases", not self.gamma_cases, "non-empty")):
+            if bad:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
         unknown = sorted(set(self.tolerances or {}) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"unknown tolerances {unknown}; "
@@ -402,7 +408,6 @@ def _run_norm_identities(cfg: ExperimentConfig) -> SweepResult:
         cases.append((f"weighted_{i}", u,
                       wc.WeightSpec(p=2.0, k=(i + 1) % 3, beta=cfg.beta), t))
     # variable per-end weights need the constant reference-weight correction
-    from .link_spectra import make_link
     link = make_link("sphere", dim=2)
     var = cm.ConifoldModel(3, (cm.Component(
         link=link, warp=cm.warp_preset("exact_cone"),
@@ -417,7 +422,7 @@ def _run_norm_identities(cfg: ExperimentConfig) -> SweepResult:
         cases.append((f"variable_{i}", u,
                       wc.WeightSpec(p=2.0, k=1, beta=None, beta_prime=cfg.beta), t))
     ok = True
-    for name, u, spec, t in cases[:10]:
+    for name, u, spec, t in cases:
         defect = wc.rescaling_invariance_check(u, spec, t)
         good = defect <= tol["identity_defect"]
         ok = ok and good

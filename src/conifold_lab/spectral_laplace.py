@@ -25,19 +25,28 @@ resulting banded pencils; kernel dimensions are counts of near-null
 singular values against a grid-calibrated threshold.
 
 Matrices are bands, one array per diagonal (weighted_calc defines the
-format), from the grid's stencils d1, d2 and radial operator up: the
+format), from the grid's stencils d1, d2 and radial operator up: P, the
 reduction R, the forms, Pi = P[interior] R, the pencil's A and B and
 Poincare's reduced forms.  Products are filled by one band product that
 adds each entry's terms over the inner index ascending, starting from 0,
 and drops all-zero diagonals.  That is the order of scipy's csr_matmat
 on the expressions the bands replace, so every matrix is bit for bit
-what those expressions give.  Two matvec orders keep the emitted numbers
-bitwise too: Pi's CSR matrix stores each row's entries in descending
-column order, as scipy leaves them, so Pi v adds them in that order; and
-every other band (a stencil in the densities, a form's norm, a pencil's
-B in the solves) multiplies a vector row by row over its offsets
-ascending, starting from 0, as its DIA product and the product of its
+what those expressions give.  A band times a vector (P u, R u, R^T q, a
+form's norm) is _band_rows, which adds each row's terms over the offsets
+ascending, starting from 0, as the DIA product and the product of the
 sorted CSR or CSC matrix do.
+
+A band becomes a scipy matrix only at the call that needs one, and only
+these remain.  LaplacePencil.Pi is CSR with each row's entries in
+descending column order, as scipy's csr_matmat leaves them, so the
+polish numerator and residual_sigma add Pi v in that order and near-null
+values stay bitwise.  A_dia and B_dia (and Poincare's reduced forms) are
+DIA on common ascending offsets, for ARPACK's products and the polish.
+LaplacePencil.A and B are their CSC matrices, built on first use for
+code that counts stored entries (perfbench sums their nnz).  splu
+factors the CSC matrix scipy converts A - sigma B to from DIA, the
+bordered sp.bmat matrix of a constrained solve and, in
+ModeOperator.solve, Pi as CSC.
 """
 
 from __future__ import annotations
@@ -67,7 +76,6 @@ __all__ = [
     "ClosureRule",
     "ModeOperator",
     "assemble_mode_operator",
-    "WeightedQuadraticForm",
     "smallest_pencil_eigs",
     "near_null_threshold",
     "InvertibilityReport",
@@ -170,14 +178,13 @@ def _reduction_matrix(grid: RadialGrid, left: ClosureRule | None,
 class ModeOperator:
     """Banded realization of P = rho^2 A_e with boundary closures.
 
-    P_full has consistent rows at every node (boundary rows one-sided);
-    residuals and solves use the interior rows composed with the
-    reduction R.  P holds P_full's bands: the grid's radial_operator plus
-    e rho^2 / f^2 on the diagonal, summed as scipy sums them.  reduction
-    is R as the n x n band _reduction_matrix builds (R's column c is its
-    column c + interior[0]).  Pi = P_full[interior] @ R and the reduced
-    forms are band products restricted to the interior.  P_full and R are
-    CSR views of the bands, built on first use."""
+    P has consistent rows at every node (boundary rows one-sided):
+    the grid's radial_operator plus e rho^2 / f^2 on the diagonal, summed
+    as scipy sums them.  Residuals and solves use its interior rows
+    composed with the reduction R, the n x n band reduction that
+    _reduction_matrix builds (R's column c is its column c + interior[0]).
+    Pi = P[interior] R and the reduced forms are band products restricted
+    to the interior."""
 
     e: float
     grid: RadialGrid
@@ -189,29 +196,13 @@ class ModeOperator:
         P = self.grid.radial_operator
         self.P = {**P, 0: P[0] + self.e * self.grid.rho**2 / self.grid.f**2}
 
-    @cached_property
-    def P_full(self) -> sp.csr_matrix:
-        return _csr(self.P)
-
-    @cached_property
-    def R(self) -> sp.csr_matrix:
-        """R as the n x n_interior CSR matrix."""
-        return _csr(self.reduction)[:, int(self.interior[0]):int(self.interior[-1]) + 1]
-
     @property
     def n_interior(self) -> int:
         return self.interior.size
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.P_full @ np.asarray(values, dtype=float)
-
     def pi(self) -> dict:
-        """Pi = P_full[interior] @ R."""
+        """Pi = P[interior] @ R."""
         return _restricted(_product(self.P, self.reduction), self.interior)
-
-    def reduced(self) -> sp.csc_matrix:
-        """(P_full[interior] @ R).tocsc()."""
-        return _csr(self.pi()).tocsc()
 
     def reduce(self, M: dict) -> dict:
         """R^T M R for the form M as (M^T R)^T R: entry (i, j) adds
@@ -222,9 +213,10 @@ class ModeOperator:
 
     def solve(self, rhs_full_rows: np.ndarray) -> np.ndarray:
         """Solve P u = rhs on the reduced space; returns full nodal values."""
-        lu = spla.splu(self.reduced())
-        u_int = lu.solve(np.asarray(rhs_full_rows, dtype=float)[self.interior])
-        return self.R @ u_int
+        lu = spla.splu(_csr(self.pi()).tocsc())
+        u_full = np.zeros(self.grid.n)
+        u_full[self.interior] = lu.solve(np.asarray(rhs_full_rows, dtype=float)[self.interior])
+        return _band_rows(self.reduction, u_full)
 
 
 def assemble_mode_operator(
@@ -248,31 +240,6 @@ def assemble_mode_operator(
 # weighted quadratic forms
 
 
-@dataclass
-class WeightedQuadraticForm:
-    """SPD realization of the squared weighted Sobolev norm of one mode.
-
-    For k = 0 the matrix is diagonal (quadrature weights); the k = 1, 2
-    derivative blocks sandwich the same diagonal weights between the
-    difference operators, so the assembled matrix is banded SPD on the
-    reduced space.  bands are its diagonals (ModeOperator.reduce takes
-    them).  norm multiplies by the bands row by row, adding each row's
-    terms over the offsets ascending, starting from 0, as the DIA product
-    on ascending offsets and the sorted CSR product do, so the three
-    agree bit for bit.
-    """
-
-    grid: RadialGrid
-    k: int
-    beta: float | None
-    e: float
-    bands: dict = field(repr=False)
-
-    def norm(self, values: np.ndarray) -> float:
-        v = np.asarray(values, dtype=float)
-        return float(np.sqrt(max(v @ _band_rows(self.bands, v), 0.0)))
-
-
 @dataclass(frozen=True)
 class _FormParts:
     """The e-independent pieces of the weighted forms and of the pencil's
@@ -294,20 +261,6 @@ class _FormParts:
     Bop: dict  # D1 - diag(f'/f) of the mixed block
 
 
-def _beta_key(beta) -> float | None:
-    return None if beta is None else float(beta)
-
-
-def _parts_at(grid: RadialGrid, beta: float | None, parts: _FormParts | None) -> _FormParts:
-    """parts, or the grid's form parts at beta when None; parts built at
-    another weight are refused."""
-    if parts is None:
-        return _form_parts(grid, beta)
-    if parts.beta != _beta_key(beta):
-        raise ValueError(f"form parts of weight {parts.beta} used at weight {beta}")
-    return parts
-
-
 def _form_parts(grid: RadialGrid, beta: float | None) -> _FormParts:
     g = grid
     m = g.geometry.m
@@ -321,17 +274,20 @@ def _form_parts(grid: RadialGrid, beta: float | None) -> _FormParts:
     c3 = (m - 1.0) * g.fp**2 * W2 / g.f**2
     w_img = w**2 * g.quad * g.f ** (m - 1) * g.volume_factor * g.rho ** (-float(m))
     return _FormParts(
-        beta=_beta_key(beta), W0=W0, W1=W1, W2=W2, w_img=w_img, D1=D1,
+        beta=beta, W0=W0, W1=W1, W2=W2, w_img=w_img, D1=D1,
         M01=_sum(_sandwich(D1, W1), {0: W0}), M2=_sandwich(D2, W2), M3=_sandwich(D1, c3),
         Bop={**D1, 0: D1[0] - g.fp / g.f},
     )
 
 
-def weighted_form(grid: RadialGrid, k: int, beta: float | None, e: float,
-                  parts: _FormParts | None = None) -> WeightedQuadraticForm:
-    """Quadratic form of ||.||^2_{W^2_{k,beta}} for a single mode e;
-    parts, when given, are the grid's _form_parts at this beta."""
-    parts = _parts_at(grid, beta, parts)
+def weighted_form(grid: RadialGrid, k: int, e: float, parts: _FormParts) -> dict:
+    """The bands of the quadratic form ||.||^2_{W^2_{k,beta}} of a single
+    mode e, beta being the weight of parts, the grid's _form_parts.
+
+    For k = 0 the form is diagonal (quadrature weights); the k = 1, 2
+    derivative blocks sandwich the same diagonal weights between the
+    difference operators, so the form is banded SPD on the reduced
+    space."""
     g = grid
     kappa = g.geometry.link.einstein_constant or 0.0
 
@@ -350,7 +306,7 @@ def weighted_form(grid: RadialGrid, k: int, beta: float | None, e: float,
         c2_d1 = _scaled(c2, parts.D1)
         terms += [parts.M2, _sandwich(parts.Bop, mix), {0: c1}, parts.M3,
                   c2_d1, _transpose(c2_d1)]
-    return WeightedQuadraticForm(grid=grid, k=k, beta=beta, e=e, bands=_sum(*terms))
+    return _sum(*terms)
 
 
 @dataclass
@@ -392,27 +348,25 @@ class LaplacePencil:
         return math.sqrt(max(num, 0.0) / max(den, 1e-300))
 
 
-def laplacian_pencil(grid: RadialGrid, e: float, beta: float | None,
-                     kernel_scan: bool = False,
-                     parts: _FormParts | None = None) -> LaplacePencil:
+def laplacian_pencil(grid: RadialGrid, e: float, parts: _FormParts,
+                     kernel_scan: bool = False) -> LaplacePencil:
     """Factored realization of Delta between the k=2 and k=0 weighted
-    spaces: Pi applies rho^2 Delta at interior nodes on the reduced
-    space, w_img carries the weight-(beta-2) mass of Delta u =
-    rho^{-2} P u (the rho^2 factors cancel into plain rho^{-2 beta}
-    weights), and B is the reduced k=2 form.  parts, when given, are the
-    grid's _form_parts at this beta.
+    spaces at the weight beta of parts, the grid's _form_parts: Pi
+    applies rho^2 Delta at interior nodes on the reduced space, w_img
+    carries the weight-(beta-2) mass of Delta u = rho^{-2} P u (the
+    rho^2 factors cancel into plain rho^{-2 beta} weights), and B is the
+    reduced k=2 form.
 
     The matrices are band products with the values, bit for bit, of
-    Pi = (P_full[interior] @ R).tocsr(), A = (Pi.T @ diags(w_img) @
+    Pi = (P[interior] @ R).tocsr(), A = (Pi.T @ diags(w_img) @
     Pi).tocsc() and B = (R.T @ M2 @ R).tocsc(); A is the sandwich of Pi,
     each entry's terms (w_img[k] Pi[k, i]) Pi[k, j] added over k
     ascending, as scipy adds them."""
-    parts = _parts_at(grid, beta, parts)
-    op = assemble_mode_operator(grid, e, beta=beta, kernel_scan=kernel_scan)
+    op = assemble_mode_operator(grid, e, beta=parts.beta, kernel_scan=kernel_scan)
     w_img = parts.w_img[op.interior]
     pi = op.pi()
     A = _sandwich(pi, w_img)
-    B = op.reduce(weighted_form(grid, 2, beta, e, parts=parts).bands)
+    B = op.reduce(weighted_form(grid, 2, e, parts))
     A_dia, B_dia = _dia(A, B)
     return LaplacePencil(op=op, Pi=_csr(pi, descending=True), w_img=w_img,
                          A_dia=A_dia, B_dia=B_dia)
@@ -425,27 +379,6 @@ def laplacian_pencil(grid: RadialGrid, e: float, beta: float | None,
 def _deterministic_v0(n: int) -> np.ndarray:
     v = np.sin(0.7 + 1.3 * np.arange(n))
     return v / np.linalg.norm(v)
-
-
-def _shift_invert_parts(A: sp.dia_matrix, B: sp.dia_matrix, sigma: float) -> sp.csc_matrix:
-    """A - sigma B as the sorted CSC matrix without stored zeros that
-    splu factors in eigsh's mode 3."""
-    n = A.shape[0]
-    offsets, a, b = A.offsets, A.data, B.data
-    # row j of s holds column j of A - sigma B with the offsets descending,
-    # so its rows ascending; filled diagonal by diagonal (short rows
-    # broadcast slowly)
-    s = np.empty((n, offsets.size))
-    rows = np.empty(s.shape, dtype=np.int32)
-    counts = np.zeros(n, dtype=np.int32)
-    for i, k in enumerate(range(offsets.size - 1, -1, -1)):
-        np.subtract(a[k], sigma * b[k], out=s[:, i])
-        np.subtract(np.arange(n, dtype=np.int32), offsets[k], out=rows[:, i])
-        counts += s[:, i] != 0
-    stored = s != 0
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    return sp.csc_matrix((s[stored], rows[stored], indptr), shape=(n, n))
 
 
 def smallest_pencil_eigs(
@@ -484,7 +417,11 @@ def smallest_pencil_eigs(
     k = min(k, n - 2)
     scale = max((A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)), 1e-300)
     sigma = -1e-8 * scale
-    shifted = _shift_invert_parts(A, B, sigma)
+    # eigsh's mode 3 operator: the sorted CSC matrix of A - sigma B without
+    # stored zeros (DIA's tocsc walks each column's rows ascending when the
+    # offsets descend)
+    shifted = sp.dia_matrix(((A.data - sigma * B.data)[::-1], A.offsets[::-1]),
+                            shape=A.shape).tocsc()
 
     def polish(vals, vecs):
         if num_form is None:
@@ -553,7 +490,7 @@ _THRESHOLD_SPAN = (1e-3, 1e3)  # radii of the exact-cone calibration mesh
 class _ThresholdMesh:
     """The weight-free half of near_null_threshold: the exact-cone grid
     and, per mode e, its interior nodes and, per root gamma, the harmonic
-    rho**gamma with its interior residual (P_full @ rho**gamma)[interior].
+    rho**gamma with its interior residual (P @ rho**gamma)[interior].
     key is the (link, m, e_max, nodes_per_decade, r_span) it was built
     for.  The mode operators are not kept."""
 
@@ -581,12 +518,12 @@ def _threshold_mesh(link: Link, m: int, e_max: float, nodes_per_decade: float,
                       r_max=r_hi, r_min_factor=r_lo / math.sqrt(r_lo * r_hi))
     modes = []
     for e, _ in link.eigenvalues_below(e_max):
-        # P_full does not depend on the closures, so both harmonics share it
+        # P does not depend on the closures, so both harmonics share it
         op = assemble_mode_operator(grid, e)
         harmonics = []
         for gamma in gamma_roots(e, m):
             u = grid.rho**gamma
-            harmonics.append((u, (op.P_full @ u)[op.interior]))
+            harmonics.append((u, _band_rows(op.P, u)[op.interior]))
         modes.append((e, op.interior, tuple(harmonics)))
     return _ThresholdMesh(key=(link, m, e_max, nodes_per_decade, tuple(r_span)),
                           grid=grid, modes=tuple(modes))
@@ -619,10 +556,10 @@ def near_null_threshold(
         # the k=0 diagonal W0 and the k=2 form do not depend on the
         # closures, so both harmonics share them
         w_img = parts.W0[interior]
-        form2 = weighted_form(grid, 2, beta, e, parts=parts)
+        form2 = weighted_form(grid, 2, e, parts)
         for u, resid in harmonics:
             num = math.sqrt(float(np.sum(w_img * resid**2)))
-            den = form2.norm(u)
+            den = math.sqrt(max(u @ _band_rows(form2, u), 0.0))
             if den > 0:
                 worst = max(worst, num / den)
     return 10.0 * worst
@@ -762,7 +699,7 @@ def invertibility_constant(
     parts = _form_parts(grid, beta)
     per_mode = []
     for e, _mult in geo.link.eigenvalues_below(e_max):
-        pen = laplacian_pencil(grid, e, beta, parts=parts)
+        pen = laplacian_pencil(grid, e, parts)
         lam = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=pen.numerator)
         per_mode.append((float(e), float(_sigma_from(lam)[0])))
     sigma_min = min(s for _, s in per_mode)
@@ -829,10 +766,10 @@ def restricted_invertibility_compact(
     sigma0_unc = None
     sigma0_con = None
     for e, _mult in m_geo.link.eigenvalues_below(e_max):
-        pen = laplacian_pencil(grid, e, beta, parts=parts)
+        pen = laplacian_pencil(grid, e, parts)
         nf = pen.numerator
         if e == 0.0:
-            q_red = pen.op.R.T @ q
+            q_red = _band_rows(_transpose(pen.op.reduction), q)[pen.op.interior]
             lam_u = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=nf)
             sigma0_unc = float(_sigma_from(lam_u)[0])
             lam_c = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, constraint=q_red,
@@ -914,7 +851,7 @@ def poincare_constant(
     per_mode = []
     for e, _mult in geo.link.eigenvalues_below(e_max):
         op = assemble_mode_operator(grid, e, beta=beta)
-        M1 = op.reduce(weighted_form(grid, 1, beta, e, parts=parts).bands)
+        M1 = op.reduce(weighted_form(grid, 1, e, parts))
         G_red, M1 = _dia(op.reduce(gradient_bands(e)), M1)
         lam = smallest_pencil_eigs(G_red, M1, k=1)
         lam0 = max(float(lam[0]), 1e-300)
@@ -1003,7 +940,7 @@ def weight_crossing_kernel(
         sigma_ext = grid.rho**gamma
 
     op = assemble_mode_operator(grid, e)  # decaying closure gamma_minus
-    rhs = op.apply(sigma_ext)
+    rhs = _band_rows(op.P, sigma_ext)
     u_corr = op.solve(rhs)
     candidate_vals = sigma_ext - u_corr
     candidate = ModeFunction.single(grid, e, candidate_vals)
@@ -1023,7 +960,7 @@ def weight_crossing_kernel(
              if w.gamma > gamma + 1e-9]
     gap_up = (min(above) - gamma) if above else 1.0
     beta_res = gamma + min(0.5 * gap_up, 0.25)
-    pen = laplacian_pencil(grid, e, beta_res, kernel_scan=True)
+    pen = laplacian_pencil(grid, e, _form_parts(grid, beta_res), kernel_scan=True)
     residual_sigma = pen.residual_sigma(candidate_vals[pen.op.interior])
     thr = near_null_threshold(geo.link, m, e + 1.0, beta_res,
                               _grid_nodes_per_decade(grid))
@@ -1081,7 +1018,7 @@ def kernel_dimension_scan(
         per_mode = []
         ambiguous = False
         for e, mult in geo.link.eigenvalues_below(e_max):
-            pen = laplacian_pencil(grid, e, beta, kernel_scan=True, parts=parts)
+            pen = laplacian_pencil(grid, e, parts, kernel_scan=True)
             k = min(4, pen.op.n_interior - 2)
             sig = _sigma_from(smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=k,
                                                    num_form=pen.numerator))

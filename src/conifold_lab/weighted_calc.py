@@ -165,18 +165,16 @@ def _dia(*bands: dict) -> list[sp.dia_matrix]:
     return out
 
 
-def _band_rows(X: dict, v: np.ndarray, window: slice = slice(None)) -> np.ndarray:
-    """(X @ v)[window] from the window's rows of the band X alone, each
-    row's terms added over the offsets ascending, starting from 0: the
-    order of X's DIA product on ascending offsets, so bit for bit its
-    rows."""
+def _band_rows(X: dict, v: np.ndarray) -> np.ndarray:
+    """X @ v, each row's terms added over the offsets ascending, starting
+    from 0: the order of X's DIA product on ascending offsets, so bit for
+    bit its rows."""
     n = v.size
-    lo, hi, _ = window.indices(n)
-    out = np.zeros(hi - lo)
+    out = np.zeros(n)
     for d in sorted(X):
-        a, b = max(lo, -d), min(hi, n - d)
+        a, b = max(0, -d), min(n, n - d)
         if a < b:
-            out[a - lo:b - lo] += X[d][a:b] * v[a + d:b + d]
+            out[a:b] += X[d][a:b] * v[a + d:b + d]
     return out
 
 
@@ -202,7 +200,8 @@ class RadialGrid:
     six callables.  The derivative stencils d1, d2, the norm volume and
     the e-free part of the mode operator are built lazily, once per grid,
     from these arrays, so the arrays must not be mutated after
-    construction (build a new grid instead).  The stencils are bands:
+    construction (build a new grid instead); only the geometry, nodes and
+    quad are constructor arguments.  The stencils are bands:
     three-point rows on the diagonals -1, 0, 1, plus +-2 for the
     one-sided end rows of an interval or +-(n - 1) for the wrap entries
     of a circle.
@@ -211,16 +210,16 @@ class RadialGrid:
     geometry: RadialGeometry
     nodes: np.ndarray
     quad: np.ndarray
-    f: np.ndarray = field(repr=False, default=None)
-    fp: np.ndarray = field(repr=False, default=None)
-    fpp: np.ndarray = field(repr=False, default=None)
-    rho: np.ndarray = field(repr=False, default=None)
-    beta: np.ndarray = field(repr=False, default=None)
-    wextra: np.ndarray = field(repr=False, default=None)
-    _d1: dict = field(repr=False, default=None)
-    _d2: dict = field(repr=False, default=None)
-    _volume: np.ndarray = field(repr=False, default=None)
-    _radial_operator: dict = field(repr=False, default=None)
+    f: np.ndarray = field(init=False, repr=False)
+    fp: np.ndarray = field(init=False, repr=False)
+    fpp: np.ndarray = field(init=False, repr=False)
+    rho: np.ndarray = field(init=False, repr=False)
+    beta: np.ndarray = field(init=False, repr=False)
+    wextra: np.ndarray = field(init=False, repr=False)
+    _d1: dict = field(init=False, repr=False, default=None)
+    _d2: dict = field(init=False, repr=False, default=None)
+    _volume: np.ndarray = field(init=False, repr=False, default=None)
+    _radial_operator: dict = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         g = self.geometry
@@ -765,6 +764,8 @@ def _family_norms(family: list[ModeFunction], norms, beta: float | None = None,
     rest of the family.  The nodes outside a window contribute exact
     zeros, so each value equals the full-grid sum up to the order of
     summation.  weight_fn overrides w = wextra * rho^(-beta)."""
+    if not family:
+        raise ValueError("empty test family")
     grid = family[0].grid
     if any(u.grid is not grid for u in family):
         raise ValueError("family members must share one grid")

@@ -99,7 +99,7 @@ def test_kernel_scan_factors_each_pencil_once_outside_arpack():
     nnz = 0
     for beta in betas:
         for e in modes:
-            pen = sl.laplacian_pencil(grid, e, beta, kernel_scan=True)
+            pen = sl.laplacian_pencil(grid, e, sl._form_parts(grid, beta), kernel_scan=True)
             nnz += pen.A.nnz + pen.B.nnz
     patches = tracing.instrument(tracer)
     try:

@@ -48,6 +48,22 @@ def test_unknown_tolerance_names_are_refused():
         ExperimentConfig(experiment="eta_bounds", tolerances={"eta_exponent_frist": 1e-9})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_per_region", 0), ("family_size", 0), ("e_max", -1.0), ("grid_step", 0.0),
+    ("grid_step", -0.25), ("gamma_cases", []),
+])
+def test_out_of_range_fields_are_refused(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        ExperimentConfig.from_dict({"experiment": "eta_bounds", name: value})
+
+
+def test_unknown_config_keys_are_refused():
+    # "k" was a field once; no experiment read it
+    with pytest.raises(TypeError, match="'k'"):
+        ExperimentConfig.from_dict({"experiment": "eta_bounds", "k": 7})
+    assert "k" not in ExperimentConfig(experiment="eta_bounds").to_dict()
+
+
 def test_run_tags_errors_and_keeps_the_original(monkeypatch):
     # ArpackNoConvergence takes three constructor arguments, so it cannot
     # be rebuilt from a message alone

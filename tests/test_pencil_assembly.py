@@ -59,7 +59,7 @@ from stencil_refs import assert_same_csr, ref_derivatives, ref_reduction_matrix
 
 
 def ref_mode_operator(grid, e, beta=None, kernel_scan=False):
-    """(P_full, R, interior)."""
+    """(P, R, interior)."""
     closures = _default_closures(grid, e, beta, kernel_scan)
     f, fp, rho = grid.f, grid.fp, grid.rho
     m = grid.geometry.m
@@ -113,7 +113,7 @@ def ref_gradient_form(grid, beta, e):
 
 
 def ref_laplacian_pencil(grid, e, beta, kernel_scan=False):
-    """(P_full, A, B, Pi, w_img)."""
+    """(P, A, B, Pi, w_img)."""
     P, R, interior = ref_mode_operator(grid, e, beta=beta, kernel_scan=kernel_scan)
     g = grid
     m = g.geometry.m
@@ -144,7 +144,7 @@ def ref_near_null_threshold(link, m, e_max, beta, nodes_per_decade,
     for e, _ in link.eigenvalues_below(e_max):
         gp, gm = gamma_roots(e, m)
         for gamma in (gp, gm):
-            # P_full and the interior nodes do not depend on the closures
+            # P and the interior nodes do not depend on the closures
             P, _R, interior = ref_mode_operator(grid, e)
             u = grid.rho**gamma
             w_img = ref_weighted_form(grid, 0, beta, e).diagonal()[interior]
@@ -231,8 +231,8 @@ def test_mode_operator_matches_reference(grid):
             for e in modes(grid):
                 op = assemble_mode_operator(grid, e, beta=beta, kernel_scan=kernel_scan)
                 P, R, interior = ref_mode_operator(grid, e, beta, kernel_scan)
-                assert_same_csr(op.P_full, P)
-                assert_same_csr(op.R, R)
+                assert_same_csr(_csr(op.P), P)
+                assert_same_csr(_csr(op.reduction)[:, op.interior], R)
                 assert np.array_equal(op.interior, interior)
 
 
@@ -243,15 +243,15 @@ def test_weighted_forms_match_reference(grid):
             for e in modes(g):
                 for k in (0, 1, 2):
                     want = ref_weighted_form(g, k, beta, e)
-                    assert_same_csr(_csr(weighted_form(g, k, beta, e, parts=parts).bands), want)
-                    assert_same_csr(_csr(weighted_form(g, k, beta, e).bands), want)
+                    assert_same_csr(_csr(weighted_form(g, k, e, parts)), want)
         # e = 0.5 lies strictly between 0 and the Einstein constant 1, so
         # the Hessian coefficient c1 clips to 0 while mix and c2 do not;
         # e = 30 is beyond every scanned mode
         assert g.geometry.link.einstein_constant == 1.0
+        parts = _form_parts(g, 0.5)
         for e in (0.5, 30.0):
             for k in (0, 1, 2):
-                assert_same_csr(_csr(weighted_form(g, k, 0.5, e).bands),
+                assert_same_csr(_csr(weighted_form(g, k, e, parts)),
                                 ref_weighted_form(g, k, 0.5, e))
 
 
@@ -289,17 +289,16 @@ def test_pencils_match_reference(grid, kernel_scan):
         parts = _form_parts(grid, beta)
         for e in modes(grid):
             P, A, B, Pi, w_img = ref_laplacian_pencil(grid, e, beta, kernel_scan)
-            for pen in (laplacian_pencil(grid, e, beta, kernel_scan, parts=parts),
-                        laplacian_pencil(grid, e, beta, kernel_scan)):
-                assert_same_csr(pen.op.P_full, P)
-                # A and B entry for entry: scipy's product leaves their
-                # CSC columns unsorted, in an order no code reads
-                assert_same_csr(pen.A.sorted_indices(), A.sorted_indices())
-                assert_same_csr(pen.B.sorted_indices(), B.sorted_indices())
-                assert pen.A.nnz + pen.B.nnz == A.nnz + B.nnz
-                assert_same_csr(pen.Pi, Pi)
-                assert pen.w_img.dtype == w_img.dtype
-                assert np.array_equal(pen.w_img, w_img)
+            pen = laplacian_pencil(grid, e, parts, kernel_scan)
+            assert_same_csr(_csr(pen.op.P), P)
+            # A and B entry for entry: scipy's product leaves their
+            # CSC columns unsorted, in an order no code reads
+            assert_same_csr(pen.A.sorted_indices(), A.sorted_indices())
+            assert_same_csr(pen.B.sorted_indices(), B.sorted_indices())
+            assert pen.A.nnz + pen.B.nnz == A.nnz + B.nnz
+            assert_same_csr(pen.Pi, Pi)
+            assert pen.w_img.dtype == w_img.dtype
+            assert np.array_equal(pen.w_img, w_img)
 
 
 @pytest.mark.parametrize("kernel_scan", [False, True])
@@ -311,21 +310,13 @@ def test_factored_numerator_matches_reference(grid, kernel_scan):
         parts = _form_parts(grid, beta)
         for e in modes(grid):
             _P, _A, B, Pi, w_img = ref_laplacian_pencil(grid, e, beta, kernel_scan)
-            pen = laplacian_pencil(grid, e, beta, kernel_scan, parts=parts)
+            pen = laplacian_pencil(grid, e, parts, kernel_scan)
             for v in (rng.standard_normal(Pi.shape[1]), np.linspace(-1.0, 2.0, Pi.shape[1])):
                 r = Pi @ v
                 num = float(np.sum(w_img * r * r))
                 assert pen.numerator(v) == num
                 den = float(v @ (B @ v))
                 assert pen.residual_sigma(v) == math.sqrt(max(num, 0.0) / max(den, 1e-300))
-
-
-def test_parts_of_another_weight_are_refused(grid):
-    parts = _form_parts(grid, 0.5)
-    with pytest.raises(ValueError, match="weight"):
-        weighted_form(grid, 2, None, 2.0, parts=parts)
-    with pytest.raises(ValueError, match="weight"):
-        laplacian_pencil(grid, 2.0, 1.5, parts=parts)
 
 
 @pytest.mark.parametrize("beta_list", [(0.5, 1.5, 0.5), (2.5, -0.5, 2.5)])
@@ -379,10 +370,10 @@ def test_grid_is_freed_without_the_cycle_collector():
     ref = weakref.ref(grid)
     gc.disable()
     try:
-        pen = laplacian_pencil(grid, 2.0, 0.5)
-        form = weighted_form(grid, 2, 0.5, 2.0)
+        pen = laplacian_pencil(grid, 2.0, _form_parts(grid, 0.5))
+        form = weighted_form(grid, 2, 2.0, _form_parts(grid, 0.5))
         rows = kernel_dimension_scan(geo, [0.5], e_max=E_MAX, grid=grid)
-        assert rows[0].dimension >= 0 and pen.A.nnz and form.bands
+        assert rows[0].dimension >= 0 and pen.A.nnz and form
         assert grid.radial_operator is not None
         del pen, form, rows, grid
         assert ref() is None

@@ -1,16 +1,16 @@
 """Exactness oracles for the pencil solves and the band fills.
 
 smallest_pencil_eigs takes A and B as DIA matrices on common offsets,
-builds the shift-invert operator A - sigma B itself and gives ARPACK B
-as a DIA matrix; the radial operator, the reduction R, the pencils and
-the reduced forms are bands, filled diagonal by diagonal; densities and
-form norms multiply by bands row by row, densities on the window's
-stencil rows only.  The scipy versions they replace are kept here as
-reference implementations, taking the stencils and R from the loop
-references in stencil_refs, and the package versions must reproduce them
-bit for bit: the same arrays, the same bytes of every product, the same
-eigenvalues.  Grids: an interval with two AC ends (dumbbell), a circle
-(spindle: its stencils wrap) and an interval with a cap (hyperboloid)."""
+gives splu the CSC matrix of A - sigma B and gives ARPACK B as a DIA
+matrix; the radial operator, the reduction R, the pencils and the
+reduced forms are bands, filled diagonal by diagonal; densities and form
+products multiply by bands row by row, densities on the window's stencil
+rows only.  The scipy versions they replace are kept here as reference
+implementations, taking the stencils and R from the loop references in
+stencil_refs, and the package versions must reproduce them bit for bit:
+the same arrays, the same bytes of every product, the same eigenvalues.
+Grids: an interval with two AC ends (dumbbell), a circle (spindle: its
+stencils wrap) and an interval with a cap (hyperboloid)."""
 
 import numpy as np
 import pytest
@@ -21,14 +21,13 @@ from conifold_lab import spectral_laplace as sl
 from conifold_lab.conifold_model import dumbbell_family, preset_model, spindle_family
 from conifold_lab.spectral_laplace import (
     ClosureRule,
-    ModeOperator,
     _default_closures,
     _csr,
     _deterministic_v0,
     _dia,
+    _form_parts,
     _gradient_forms,
     _reduction_matrix,
-    _shift_invert_parts,
     assemble_mode_operator,
     laplacian_pencil,
     smallest_pencil_eigs,
@@ -117,15 +116,15 @@ def solves(grid):
     out = []
     for e in modes(grid)[:3]:
         for kernel_scan in (False, True):
-            pen = laplacian_pencil(grid, e, -0.5, kernel_scan=kernel_scan)
+            pen = laplacian_pencil(grid, e, _form_parts(grid, -0.5), kernel_scan=kernel_scan)
             out.append((f"pencil e={e}", pen.A, pen.B, None, pen.numerator,
                         pen.A_dia, pen.B_dia))
         if e == 0.0:
-            q = pen.op.R.T @ core_functional(grid)
+            q = _csr(pen.op.reduction)[:, pen.op.interior].T @ core_functional(grid)
             out.append(("bordered", pen.A, pen.B, q, pen.numerator, pen.A_dia, pen.B_dia))
     op = assemble_mode_operator(grid, 2.0, beta=-0.5)
     G, M1 = _dia(op.reduce(_gradient_forms(grid, -0.5)(2.0)),
-                 op.reduce(weighted_form(grid, 1, -0.5, 2.0).bands))
+                 op.reduce(weighted_form(grid, 1, 2.0, _form_parts(grid, -0.5))))
     out.append(("poincare", G.tocsc(), M1.tocsc(), None, None, G, M1))
     return out
 
@@ -162,23 +161,34 @@ def test_reduction_matrix_matches_reference(grid):
         assert set(reduction) <= {-2, -1, 0, 1, 2}
         R_ref, interior_ref = ref_reduction_matrix(grid, left, right)
         assert np.array_equal(interior, interior_ref)
-        assert_same_csr(ModeOperator(0.0, grid, reduction, interior).R, R_ref)
+        assert_same_csr(_csr(reduction)[:, interior], R_ref)
 
 
-def test_reduced_forms_and_operator_match_scipy(grid):
-    """Poincare's reduced forms and the operator solve's reduced matrix:
-    the values of the scipy products, entry for entry."""
+def test_reduced_forms_and_operator_match_scipy(grid, monkeypatch):
+    """Poincare's reduced forms and the matrix the operator solve
+    factors: the values of the scipy products, entry for entry; the
+    solve's nodal values are R applied to the interior solution."""
+    factored = []
+    splu = spla.splu
+    monkeypatch.setattr(sl.spla, "splu", lambda M: factored.append(M) or splu(M))
+    parts = _form_parts(grid, -0.5)
+    rhs = np.linspace(-1.0, 2.0, grid.n)
     for e in modes(grid)[:3]:
         op = assemble_mode_operator(grid, e, beta=-0.5)
         R, _ = ref_reduction_matrix(grid, *_default_closures(grid, e, -0.5, False))
-        for bands in (weighted_form(grid, 1, -0.5, e).bands, _gradient_forms(grid, -0.5)(e),
-                      weighted_form(grid, 2, -0.5, e).bands):
+        for bands in (weighted_form(grid, 1, e, parts), _gradient_forms(grid, -0.5)(e),
+                      weighted_form(grid, 2, e, parts)):
             form = _csr(bands)
             _assert_same_entries(_csr(op.reduce(bands)).tocsc(), (R.T @ form @ R).tocsc())
-        want = (op.P_full[op.interior] @ R).tocsc()
-        got = op.reduced()
+        want = (_csr(op.P)[op.interior] @ R).tocsc()
+        factored.clear()
+        got_u = op.solve(rhs)
+        got, = factored
+        assert got.format == "csc"
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        u_int = splu(want).solve(rhs[op.interior])
+        assert got_u.tobytes() == (R @ u_int).tobytes()
 
 
 def _assert_same_entries(got, want):
@@ -202,7 +212,7 @@ def test_dia_products_are_the_csc_products_byte_for_byte(grid):
 
 
 def test_solve_refuses_all_but_dia_on_common_ascending_offsets(grid):
-    pen = laplacian_pencil(grid, 2.0, -0.5)
+    pen = laplacian_pencil(grid, 2.0, _form_parts(grid, -0.5))
     A, B = pen.A_dia, pen.B_dia
     reversed_ = [sp.dia_matrix((X.data[::-1], X.offsets[::-1]), shape=X.shape) for X in (A, B)]
     fewer = sp.dia_matrix((A.data[1:], A.offsets[1:]), shape=A.shape)
@@ -211,13 +221,18 @@ def test_solve_refuses_all_but_dia_on_common_ascending_offsets(grid):
             smallest_pencil_eigs(*pair, k=1)
 
 
-def test_shifted_operator_is_what_splu_gets_from_eigsh(grid):
+def test_shifted_operator_is_what_splu_gets_from_eigsh(grid, monkeypatch):
+    factored = []
+    splu = spla.splu
+    monkeypatch.setattr(sl.spla, "splu", lambda M: factored.append(M) or splu(M))
     for label, A, B, _q, _nf, A_dia, B_dia in solves(grid):
         sigma = -1e-8 * A.diagonal().sum() / B.diagonal().sum()
         want = (A - sigma * B).tocsc()
         want.sum_duplicates()  # splu's first step: sorted, canonical
-        shifted = _shift_invert_parts(A_dia, B_dia, sigma)
-        assert shifted.format == "csc"
+        factored.clear()
+        smallest_pencil_eigs(A_dia, B_dia, k=1)
+        shifted, = factored
+        assert shifted.format == "csc" and shifted.has_sorted_indices, label
         for attr in ("data", "indices", "indptr"):
             got, ref = getattr(shifted, attr), getattr(want, attr)
             assert got.dtype == ref.dtype, (label, attr)
@@ -254,7 +269,7 @@ def test_every_solve_factors_once_before_arpack(grid, monkeypatch):
 
 def test_singular_factor_reaches_the_dense_fallback(monkeypatch):
     grid = build_grid(GEOMETRIES["hyperboloid_capped"](), n_per_region=60)
-    pen = laplacian_pencil(grid, 2.0, -0.5)
+    pen = laplacian_pencil(grid, 2.0, _form_parts(grid, -0.5))
     want = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1)
 
     def singular(_M):
@@ -285,27 +300,26 @@ def functions(grid):
 
 
 def test_window_rows_are_the_full_products_byte_for_byte(grid):
-    """The band product on windows that touch row 0, row n - 1 and (on
-    the circle) the seam: the rows of the DIA product and of the loop
-    reference's CSR product, byte for byte."""
+    """The band product of the stencils d1 and d2, whose rows the
+    windowed densities use: the DIA product and the loop reference's CSR
+    product, byte for byte, including row 0, row n - 1 and (on the
+    circle) the seam."""
     stencils = list(zip((grid.d1, grid.d2), ref_derivatives(grid)))
     for u in functions(grid):
         for mp in u.modes:
             for D, ref in stencils:
                 full = _dia(D)[0] @ mp.values
                 assert full.tobytes() == (ref @ mp.values).tobytes()
-                for win in window_cases(grid):
-                    assert _band_rows(D, mp.values, win).tobytes() == full[win].tobytes()
+                assert _band_rows(D, mp.values).tobytes() == full.tobytes()
 
 
 def test_form_norms_are_the_dia_products_byte_for_byte(grid):
     for e in modes(grid)[:3]:
         for k in (0, 1, 2):
-            form = weighted_form(grid, k, -0.5, e)
-            M = _dia(form.bands)[0]
+            form = weighted_form(grid, k, e, _form_parts(grid, -0.5))
+            M = _dia(form)[0]
             for v in vectors(grid.n):
-                assert _band_rows(form.bands, v).tobytes() == (M @ v).tobytes()
-                assert form.norm(v) == float(np.sqrt(max(v @ (M @ v), 0.0)))
+                assert _band_rows(form, v).tobytes() == (M @ v).tobytes()
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

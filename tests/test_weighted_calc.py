@@ -21,6 +21,7 @@ from conifold_lab.conifold_model import (
 from conifold_lab.link_spectra import make_link
 from conifold_lab.weighted_calc import (
     ModeFunction,
+    RadialGrid,
     WeightSpec,
     banach_algebra_check,
     build_grid,
@@ -30,6 +31,7 @@ from conifold_lab.weighted_calc import (
     gradient_norm,
     holder_check,
     mode_product,
+    norm_ratios,
     random_bump_pairs,
     rescaling_invariance_check,
     weighted_ck_norm,
@@ -278,6 +280,20 @@ def test_embedding_rejects_zero_member(cone_grid):
     z = ModeFunction.single(cone_grid, 0.0, np.zeros(cone_grid.n))
     with pytest.raises(ValueError, match="zero"):
         embedding_constant_estimate([z], p=2.0, beta=-0.5)
+
+
+def test_empty_families_are_refused():
+    with pytest.raises(ValueError, match="empty test family"):
+        norm_ratios([], -0.5, (2.0, (0,)), (2.0, (1,)))
+
+
+@pytest.mark.parametrize("name", ["f", "rho", "wextra", "_d1", "_volume", "_radial_operator"])
+def test_grid_fields_are_not_constructor_arguments(cone_grid, name):
+    with pytest.raises(TypeError, match=name):
+        RadialGrid(cone_grid.geometry, cone_grid.nodes, cone_grid.quad,
+                   **{name: getattr(cone_grid, name)})
+    rebuilt = RadialGrid(cone_grid.geometry, cone_grid.nodes, cone_grid.quad)
+    assert np.array_equal(rebuilt.f, cone_grid.f)
 
 
 def test_embedding_rejects_supercritical_p(cone_grid):
