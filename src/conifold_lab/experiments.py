@@ -105,7 +105,8 @@ class ExperimentConfig:
         object.__setattr__(self, "t_list", ts)
         object.__setattr__(self, "gamma_cases",
                            tuple((float(g), float(e)) for g, e in self.gamma_cases))
-        for name, bad, want in (("n_per_region", self.n_per_region < 1, ">= 1"),
+        for name, bad, want in (("t_list", not ts, "non-empty"),
+                                ("n_per_region", self.n_per_region < 1, ">= 1"),
                                 ("family_size", self.family_size < 1, ">= 1"),
                                 ("e_max", self.e_max < 0, ">= 0"),
                                 ("grid_step", self.grid_step <= 0, "> 0"),

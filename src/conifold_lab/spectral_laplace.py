@@ -47,6 +47,20 @@ code that counts stored entries (perfbench sums their nnz).  splu
 factors the CSC matrix scipy converts A - sigma B to from DIA, the
 bordered sp.bmat matrix of a constrained solve and, in
 ModeOperator.solve, Pi as CSC.
+
+Two eigen engines share those bands.  _certified_smallest (banded
+Cholesky in LAPACK's upper-band storage, a shift certified by Sylvester
+inertia, then shift-invert ARPACK at that shift) takes Poincare's modes
+and the modes e > 0 of invertibility_constant and of
+restricted_invertibility_compact: their smallest values are isolated or
+clustered above the continuum's edge, and it moves them by rounding of
+the assembled pencil only (about 2e-9 relative).  smallest_pencil_eigs
+(ARPACK from the base shift, splu) keeps, bit for bit, the kernel scan
+(k = 4 near-null values), compact's mode 0 (the near-null unconstrained
+value and the bordered constrained solve) and invertibility's mode 0,
+whose polished value sits at the bottom of the truncated continuum: its
+eighth digit depends on the start vector (ARPACK spreads up to 5.5e-8
+over random ones), and moving it moves the sweep's trend_slope.
 """
 
 from __future__ import annotations
@@ -381,6 +395,31 @@ def _deterministic_v0(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _check_dia_pair(A, B):
+    if not (all(sp.issparse(X) and X.format == "dia" for X in (A, B))
+            and np.array_equal(A.offsets, B.offsets) and np.all(np.diff(A.offsets) > 0)):
+        raise ValueError("A and B must be DIA matrices on common ascending offsets")
+
+
+def _base_shift(A: sp.dia_matrix, B: sp.dia_matrix) -> float:
+    """-1e-8 tr A / tr B: a shift just below the spectrum of the SPD pencil."""
+    scale = max((A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)), 1e-300)
+    return -1e-8 * scale
+
+
+def _polished(vals, vecs, B, num_form) -> np.ndarray:
+    """The eigenvalues sorted, or, with num_form, the Rayleigh quotients
+    num_form(v) / v^T B v of the vectors sorted."""
+    if num_form is None:
+        return np.sort(vals)
+    out = []
+    for i in range(vecs.shape[1]):
+        v = vecs[:, i]
+        den = float(v @ (B @ v))
+        out.append(num_form(v) / max(den, 1e-300))
+    return np.sort(out)
+
+
 def smallest_pencil_eigs(
     A: sp.dia_matrix,
     B: sp.dia_matrix,
@@ -410,28 +449,15 @@ def smallest_pencil_eigs(
     ascending column order, starting from 0, as the CSC product does, so
     every product and every eigenvalue is bit for bit what eigsh(A, k,
     M=B, sigma=sigma) and its polish give for the CSC matrices."""
-    if not (all(sp.issparse(X) and X.format == "dia" for X in (A, B))
-            and np.array_equal(A.offsets, B.offsets) and np.all(np.diff(A.offsets) > 0)):
-        raise ValueError("A and B must be DIA matrices on common ascending offsets")
+    _check_dia_pair(A, B)
     n = A.shape[0]
     k = min(k, n - 2)
-    scale = max((A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)), 1e-300)
-    sigma = -1e-8 * scale
+    sigma = _base_shift(A, B)
     # eigsh's mode 3 operator: the sorted CSC matrix of A - sigma B without
     # stored zeros (DIA's tocsc walks each column's rows ascending when the
     # offsets descend)
     shifted = sp.dia_matrix(((A.data - sigma * B.data)[::-1], A.offsets[::-1]),
                             shape=A.shape).tocsc()
-
-    def polish(vals, vecs):
-        if num_form is None:
-            return np.sort(vals)
-        out = []
-        for i in range(vecs.shape[1]):
-            v = vecs[:, i]
-            den = float(v @ (B @ v))
-            out.append(num_form(v) / max(den, 1e-300))
-        return np.sort(out)
 
     if constraint is None:
         try:
@@ -440,13 +466,13 @@ def smallest_pencil_eigs(
             OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
             vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM", OPinv=OPinv,
                                     v0=_deterministic_v0(n))
-            return polish(vals, vecs)
+            return _polished(vals, vecs, B, num_form)
         except RuntimeError:
             if n <= 4000:
                 from scipy.linalg import eigh
                 vals, vecs = eigh(A.toarray(), B.toarray(),
                                   subset_by_index=[0, k - 1])
-                return polish(vals, vecs)
+                return _polished(vals, vecs, B, num_form)
             raise
 
     q = np.asarray(constraint, dtype=float)
@@ -463,7 +489,7 @@ def smallest_pencil_eigs(
     try:
         vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM", OPinv=OPinv,
                                 v0=v0)
-        return polish(vals, vecs)
+        return _polished(vals, vecs, B, num_form)
     except RuntimeError:
         if n > 4000:
             raise
@@ -472,7 +498,110 @@ def smallest_pencil_eigs(
         Ad = Z.T @ (A @ Z)
         Bd = Z.T @ (B @ Z)
         vals, vecs = eigh(Ad, Bd, subset_by_index=[0, k - 1])
-        return polish(vals, Z @ vecs)
+        return _polished(vals, Z @ vecs, B, num_form)
+
+
+def _upper_bands(A: sp.dia_matrix, B: sp.dia_matrix):
+    """(order, ab_A, ab_B): A and B on common offsets in LAPACK's upper-band
+    storage, rows and columns taken in the node order `order` (position a
+    holds node order[a]).  The order is the natural one, or on a circle,
+    whose wrap-around diagonals sit at offsets near +-n, the interleaved
+    0, n-1, 1, n-2, ..., which turns offsets +-2 and the wraps into a band
+    of half-bandwidth 4.  Entry (a, b), b >= a, of the reordered matrix is
+    row kd + a - b of column b."""
+    n = A.shape[0]
+    order = np.arange(n)
+    if A.offsets[-1] > n // 2:
+        order[0::2] = np.arange((n + 1) // 2)
+        order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    pos = np.empty(n, dtype=int)
+    pos[order] = np.arange(n)
+    # DIA row k holds entry (j - d, j) of offset d = offsets[k] in column j
+    d, cols = A.offsets[:, None], np.arange(n)
+    k, j = np.nonzero((cols >= d) & (cols < n + d))
+    a, b = pos[j - A.offsets[k]], pos[j]
+    upper = b >= a
+    k, j, a, b = k[upper], j[upper], a[upper], b[upper]
+    kd = int(np.max(b - a))
+    bands = []
+    for X in (A, B):
+        ab = np.zeros((kd + 1, n))
+        ab[kd + a - b, b] = X.data[k, j]
+        bands.append(ab)
+    return order, *bands
+
+
+def _spectrum_slice(A: sp.dia_matrix, B: sp.dia_matrix):
+    """(lo, hi, solve) with lo < lam_1 <= hi for the SPD pencil A v =
+    lam B v (DIA on common ascending offsets) and hi - lo <= 0.02 hi;
+    solve(b) is (A - lo B)^-1 b.
+
+    Spectrum slicing by Sylvester inertia (Parlett, The Symmetric
+    Eigenvalue Problem): the banded Cholesky factorization (LAPACK
+    dpbtrf) of A - sigma B on the bands of _upper_bands succeeds iff
+    sigma lies below the spectrum.  At the base shift of
+    smallest_pencil_eigs it must succeed, or the pencil is refused with
+    LAPACK's info.  The Rayleigh quotient of three inverse iterations
+    with that factor is the first hi; bisection on Cholesky success then
+    moves lo up and hi down."""
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+    _check_dia_pair(A, B)
+    n = A.shape[0]
+    order, ab_A, ab_B = _upper_bands(A, B)
+    lo = _base_shift(A, B)
+    c, info = dpbtrf(ab_A - lo * ab_B)
+    if info != 0:
+        raise RuntimeError(f"A - sigma B is not positive definite at sigma = {lo:.3e} "
+                           f"(LAPACK dpbtrf info = {info})")
+
+    def solver(c):
+        def solve(b):
+            x = np.empty(n)
+            x[order] = dpbtrs(c, np.ravel(b)[order])[0]
+            return x
+        return solve
+
+    solve, x = solver(c), _deterministic_v0(n)
+    for _ in range(3):
+        x = solve(B @ x)
+        x /= np.linalg.norm(x)
+    hi = float(x @ (A @ x)) / float(x @ (B @ x))
+    for _ in range(64):  # each step halves [lo, hi]; bounded for a singular pencil
+        if hi - lo <= 0.02 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        c_mid, info = dpbtrf(ab_A - mid * ab_B)
+        if info == 0:
+            lo, c = mid, c_mid
+        else:
+            hi = mid
+    return lo, hi, solver(c)
+
+
+def _certified_smallest(A: sp.dia_matrix, B: sp.dia_matrix, num_form=None) -> float:
+    """The smallest eigenvalue of the SPD pencil A v = lam B v (DIA on
+    common ascending offsets), polished by num_form as in
+    smallest_pencil_eigs.
+
+    Shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980) at the
+    certified shift lo of _spectrum_slice, with lo's banded factor as the
+    operator and smallest_pencil_eigs' start vector: ARPACK's convergence
+    test settles clustered values, which plain inverse iteration does
+    not.  The eigenvalue must lie in [lo, hi] up to 1e-6 relative, the
+    backward error of Cholesky on the assembled form, or the solve
+    raises."""
+    lo, hi, solve = _spectrum_slice(A, B)
+    n = A.shape[0]
+    OPinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    vals, vecs = spla.eigsh(A, k=1, M=B, sigma=lo, which="LM", OPinv=OPinv,
+                            v0=_deterministic_v0(n))
+    lam = float(vals[0])
+    fuzz = 1e-6 * abs(hi)
+    if not lo - fuzz <= lam <= hi + fuzz:
+        raise RuntimeError(f"eigenvalue {lam:.17g} outside its certified bracket "
+                           f"[{lo:.17g}, {hi:.17g}]")
+    return float(_polished(vals, vecs, B, num_form)[0])
 
 
 def _sigma_from(vals: np.ndarray) -> np.ndarray:
@@ -700,8 +829,11 @@ def invertibility_constant(
     per_mode = []
     for e, _mult in geo.link.eigenvalues_below(e_max):
         pen = laplacian_pencil(grid, e, parts)
-        lam = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=pen.numerator)
-        per_mode.append((float(e), float(_sigma_from(lam)[0])))
+        if e == 0.0:  # at the continuum's edge: see the module docstring
+            lam = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=pen.numerator)[0]
+        else:
+            lam = _certified_smallest(pen.A_dia, pen.B_dia, num_form=pen.numerator)
+        per_mode.append((float(e), float(_sigma_from(lam))))
     sigma_min = min(s for _, s in per_mode)
     return InvertibilityReport(constant=1.0 / sigma_min, sigma_min=sigma_min,
                                per_mode=tuple(per_mode), beta=float(beta),
@@ -777,8 +909,8 @@ def restricted_invertibility_compact(
             sigma0_con = float(_sigma_from(lam_c)[0])
             per_mode.append((0.0, sigma0_con))
         else:
-            lam = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=nf)
-            per_mode.append((float(e), float(_sigma_from(lam)[0])))
+            lam = _certified_smallest(pen.A_dia, pen.B_dia, num_form=nf)
+            per_mode.append((float(e), float(_sigma_from(lam))))
     sigma_min = min(s for _, s in per_mode)
     return CompactInvertibilityReport(
         constant=1.0 / sigma_min,
@@ -853,8 +985,7 @@ def poincare_constant(
         op = assemble_mode_operator(grid, e, beta=beta)
         M1 = op.reduce(weighted_form(grid, 1, e, parts))
         G_red, M1 = _dia(op.reduce(gradient_bands(e)), M1)
-        lam = smallest_pencil_eigs(G_red, M1, k=1)
-        lam0 = max(float(lam[0]), 1e-300)
+        lam0 = max(_certified_smallest(G_red, M1), 1e-300)
         per_mode.append((float(e), 1.0 / math.sqrt(lam0)))
     constant = max(c for _, c in per_mode)
     return PoincareReport(constant=constant, per_mode=tuple(per_mode),

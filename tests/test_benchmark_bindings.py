@@ -14,9 +14,16 @@ the wrapped ``spla.eigsh``.  A glued embedding or GNS sweep builds one
 bump family per t through the wrapped ``bump_family`` and takes its norms
 from the family norm engine, which the tracer does not wrap: its norm
 spans count only single-function norms.
+
+The acceptance workload compares every emitted cell with the reference
+recorded in ``perfbench/reference.json``.  Invertibility, compact
+invertibility and Poincare (labels 02.-04.) emit only cells that do not
+depend on the input seed, so one run at the workload's settings checks
+them for every seed, here, at the reference's own tolerance.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from conifold_lab import conifold_model as cm
@@ -25,18 +32,18 @@ from conifold_lab import spectral_laplace as sl
 from conifold_lab import weighted_calc as wc
 from conifold_lab.conifold_model import preset_model
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_instruments_and_restores():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     patches = tracing.instrument(tracer)
     try:
@@ -65,7 +72,7 @@ def test_tracer_instruments_and_restores():
 
 
 def test_kernel_scan_builds_one_threshold_mesh():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     model = preset_model("hyperboloid_capped")
     geo = model.geometry(0)
@@ -89,7 +96,7 @@ def test_kernel_scan_builds_one_threshold_mesh():
 
 
 def test_kernel_scan_factors_each_pencil_once_outside_arpack():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     model = preset_model("hyperboloid_capped")
     geo = model.geometry(0)
@@ -116,7 +123,7 @@ def test_kernel_scan_factors_each_pencil_once_outside_arpack():
 
 
 def test_glued_norm_sweeps_trace_their_bump_families():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     patches = tracing.instrument(tracer)
     try:
@@ -140,3 +147,22 @@ def test_glued_norm_sweeps_trace_their_bump_families():
             "weighted_sobolev_norm_report", "bump_family"} <= wrapped
     for attr in wrapped:
         assert attr in wc.__all__ and callable(getattr(wc, attr))
+
+
+def test_eigensolve_experiments_keep_the_acceptance_reference(tmp_path):
+    inputs, workloads = load_perfbench("inputs"), load_perfbench("workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    entry = reference["values"]["full"]["acceptance"]
+    labels = ("02.", "03.", "04.")
+    assert not [k for cells in entry["by_seed"].values() for k in cells if k.startswith(labels)]
+    values = {}
+    for i in (2, 3, 4):
+        cfg = ex.ExperimentConfig.from_dict(dict(inputs.ACCEPTANCE_SUITE[i], seed=0))
+        label = f"{i:02d}.{cfg.experiment}.{cfg.model}"
+        ex.emit(ex.run(cfg), formats=inputs.EMIT_FORMATS, out_dir=tmp_path / label)
+        workloads._read_emitted(label, tmp_path, values)
+    want = {k: v for k, v in entry["common"].items() if k.startswith(labels)}
+    assert sorted(values) == sorted(want)
+    drifted = [k for k in want if not workloads.same(values[k], want[k], reference["rtol"],
+                                                    reference["atol"])]
+    assert drifted == []

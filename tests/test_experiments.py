@@ -50,7 +50,7 @@ def test_unknown_tolerance_names_are_refused():
 
 @pytest.mark.parametrize("name, value", [
     ("n_per_region", 0), ("family_size", 0), ("e_max", -1.0), ("grid_step", 0.0),
-    ("grid_step", -0.25), ("gamma_cases", []),
+    ("grid_step", -0.25), ("gamma_cases", []), ("t_list", []),
 ])
 def test_out_of_range_fields_are_refused(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be"):

@@ -10,24 +10,37 @@ implementations, taking the stencils and R from the loop references in
 stencil_refs, and the package versions must reproduce them bit for bit:
 the same arrays, the same bytes of every product, the same eigenvalues.
 Grids: an interval with two AC ends (dumbbell), a circle (spindle: its
-stencils wrap) and an interval with a cap (hyperboloid)."""
+stencils wrap) and an interval with a cap (hyperboloid).
+
+The certified-shift engine (_upper_bands, _spectrum_slice,
+_certified_smallest) changes the arithmetic, so it is held to dense
+scipy.linalg.eigh on these grids at a stated relative tolerance, to its
+own bracket, and to the ARPACK solve from the base shift on a clustered
+mode."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh
+from scipy.linalg.lapack import dpbtrf
 
 from conifold_lab import spectral_laplace as sl
 from conifold_lab.conifold_model import dumbbell_family, preset_model, spindle_family
 from conifold_lab.spectral_laplace import (
     ClosureRule,
+    _base_shift,
+    _certified_smallest,
     _default_closures,
     _csr,
     _deterministic_v0,
     _dia,
     _form_parts,
     _gradient_forms,
+    _polished,
     _reduction_matrix,
+    _spectrum_slice,
+    _upper_bands,
     assemble_mode_operator,
     laplacian_pencil,
     smallest_pencil_eigs,
@@ -277,6 +290,114 @@ def test_singular_factor_reaches_the_dense_fallback(monkeypatch):
 
     monkeypatch.setattr(sl.spla, "splu", singular)
     assert smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1) == pytest.approx(want, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the certified-shift engine
+
+# in lambda: the engine's ARPACK solve against LAPACK's dense solver on the
+# same assembled pencil; both converge to rounding of the assembled entries
+# (measured: at most 2e-12 on these grids)
+DENSE_RTOL = 1e-9
+
+
+def engine_solves(grid):
+    """(label, A, B, num_form) as the engine's callers hand them over: the
+    pencils of the modes e > 0 with their polish and, where constants are
+    excluded (not on the circle), Poincare's forms at every mode."""
+    parts = _form_parts(grid, -0.5)
+    gradient = _gradient_forms(grid, -0.5)
+    out = []
+    for e in modes(grid):
+        if e > 0:
+            pen = laplacian_pencil(grid, e, parts)
+            out.append((f"pencil e={e}", pen.A_dia, pen.B_dia, pen.numerator))
+        if not grid.geometry.circle:
+            op = assemble_mode_operator(grid, e, beta=-0.5)
+            G, M1 = _dia(op.reduce(gradient(e)), op.reduce(weighted_form(grid, 1, e, parts)))
+            out.append((f"poincare e={e}", G, M1, None))
+    return out
+
+
+def test_engine_matches_dense_eigh(grid):
+    assert grid.n <= 1500
+    for label, A, B, nf in engine_solves(grid):
+        vals, vecs = eigh(A.toarray(), B.toarray(), subset_by_index=[0, 0])
+        want = _polished(vals, vecs, B, nf)[0]
+        assert _certified_smallest(A, B, num_form=nf) == pytest.approx(want, rel=DENSE_RTOL), \
+            label
+
+
+def test_band_storage_round_trips(grid):
+    """The bands of A and B in LAPACK's upper storage, on the node order
+    that _upper_bands picks, hold the upper triangle of the reordered
+    matrices exactly, and the inverse order gives back A and B (to the
+    rounding by which the assembled products are not symmetric); a
+    circle's order is the interleaved 0, n-1, 1, n-2, ... with
+    half-bandwidth 4."""
+    pen = laplacian_pencil(grid, 2.0, _form_parts(grid, -0.5))
+    n = pen.A_dia.shape[0]
+    order, *bands = _upper_bands(pen.A_dia, pen.B_dia)
+    kd = bands[0].shape[0] - 1
+    if grid.geometry.circle:
+        assert kd == 4
+        assert list(order[:4]) == [0, n - 1, 1, n - 2]
+        assert np.array_equal(np.sort(order), np.arange(n))
+    else:
+        assert kd == 2
+        assert np.array_equal(order, np.arange(n))
+    for X, ab in zip((pen.A_dia, pen.B_dia), bands):
+        upper = np.zeros((n, n))
+        for d in range(kd + 1):  # row kd - d holds offset d
+            upper[np.arange(n - d), np.arange(d, n)] = ab[kd - d, d:]
+        dense = X.toarray()
+        assert np.array_equal(upper, np.triu(dense[np.ix_(order, order)]))
+        back = np.argsort(order)
+        symmetric = (upper + np.triu(upper, 1).T)[np.ix_(back, back)]
+        assert np.abs(symmetric - dense).max() <= 1e-15 * np.abs(dense).max()
+
+
+def test_spectrum_slice_brackets_the_smallest_eigenvalue(grid):
+    """lo < lam_1 <= hi within 2 % of hi, and the solve at lo is the
+    backward-stable solve of (A - lo B) x = b in the caller's node order."""
+    for label, A, B, _nf in engine_solves(grid):
+        lam = eigh(A.toarray(), B.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
+        lo, hi, solve = _spectrum_slice(A, B)
+        assert lo < lam <= hi, label
+        assert hi - lo <= 0.02 * hi, label
+        M = (A - lo * B).tocsr()
+        for b in vectors(A.shape[0])[:3]:
+            x = solve(b)
+            scale = abs(M).sum(axis=1).max() * np.abs(x).max()
+            assert np.abs(M @ x - b).max() <= 1e-12 * scale, label
+
+
+def test_engine_refuses_a_pencil_indefinite_at_the_base_shift():
+    grid = build_grid(GEOMETRIES["hyperboloid_capped"](), n_per_region=60)
+    pen = laplacian_pencil(grid, 2.0, _form_parts(grid, -0.5))
+    B = pen.B_dia
+    lam = smallest_pencil_eigs(pen.A_dia, B)[0]
+    A = sp.dia_matrix((pen.A_dia.data - 2.0 * lam * B.data, pen.A_dia.offsets), shape=B.shape)
+    _order, ab_A, ab_B = _upper_bands(A, B)
+    info = dpbtrf(ab_A - _base_shift(A, B) * ab_B)[1]
+    assert info > 0
+    with pytest.raises(RuntimeError, match=rf"not positive definite .*dpbtrf info = {info}\)"):
+        _certified_smallest(A, B)
+
+
+def test_clustered_mode_matches_arpack():
+    """The dumbbell at t = 0.1 and n_per_region 2000, mode e = 12: its
+    smallest values crowd the bottom of the truncated continuum, so a
+    plain inverse iteration from a shift 1 % under the Rayleigh quotient
+    stops on a mixture (sigma 0.81548 for 0.81516).  The engine's sigma
+    matches the ARPACK solve from the base shift to 1e-9."""
+    grid = build_grid(dumbbell_family().at(1e-1).geometry, n_per_region=2000)
+    pen = laplacian_pencil(grid, 12.0, _form_parts(grid, -0.5))
+    A, B, nf = pen.A_dia, pen.B_dia, pen.numerator
+    lams = smallest_pencil_eigs(A, B, k=2, num_form=nf)
+    assert lams[1] < 1.02 * lams[0]  # a cluster: the next value within 2 %
+    want = np.sqrt(smallest_pencil_eigs(A, B, num_form=nf)[0])
+    assert np.sqrt(_certified_smallest(A, B, num_form=nf)) == pytest.approx(want, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
