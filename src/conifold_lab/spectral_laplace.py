@@ -50,17 +50,19 @@ ModeOperator.solve, Pi as CSC.
 
 Two eigen engines share those bands.  _certified_smallest (banded
 Cholesky in LAPACK's upper-band storage, a shift certified by Sylvester
-inertia, then shift-invert ARPACK at that shift) takes Poincare's modes
-and the modes e > 0 of invertibility_constant and of
-restricted_invertibility_compact: their smallest values are isolated or
-clustered above the continuum's edge, and it moves them by rounding of
-the assembled pencil only (about 2e-9 relative).  smallest_pencil_eigs
-(ARPACK from the base shift, splu) keeps, bit for bit, the kernel scan
-(k = 4 near-null values), compact's mode 0 (the near-null unconstrained
-value and the bordered constrained solve) and invertibility's mode 0,
-whose polished value sits at the bottom of the truncated continuum: its
-eighth digit depends on the start vector (ARPACK spreads up to 5.5e-8
-over random ones), and moving it moves the sweep's trend_slope.
+inertia, then shift-invert Lanczos on that shift's factor, with full
+reorthogonalization twice per step, stopped by ARPACK's test beta_j |s_j|
+<= eps theta) takes Poincare's modes and the modes e > 0 of
+invertibility_constant and of restricted_invertibility_compact: their
+smallest values are isolated or clustered above the continuum's edge,
+and it moves them by rounding of the assembled pencil only (at most 6e-9
+relative).  smallest_pencil_eigs (ARPACK from the base shift, splu)
+keeps, bit for bit, the kernel scan (k = 4 near-null values), compact's
+mode 0 (the near-null unconstrained value and the bordered constrained
+solve) and invertibility's mode 0, whose polished value sits at the
+bottom of the truncated continuum: its eighth digit depends on the start
+vector (ARPACK spreads up to 5.5e-8 over random ones), and moving it
+moves the sweep's trend_slope.
 """
 
 from __future__ import annotations
@@ -444,8 +446,9 @@ def smallest_pencil_eigs(
     elementwise difference of the diagonals, inside the same try as
     ARPACK, so a singular factor reaches the dense fallback as before.
     ARPACK asks for about three B products per solve (ARPACK Users'
-    Guide, mode 3); the DIA product streams the diagonals where the CSC
-    product scatters.  With ascending offsets it adds each row's terms in
+    Guide, mode 3); it gets them as a LinearOperator whose matvec is the
+    DIA product, which streams the diagonals where the CSC product
+    scatters.  With ascending offsets it adds each row's terms in
     ascending column order, starting from 0, as the CSC product does, so
     every product and every eigenvalue is bit for bit what eigsh(A, k,
     M=B, sigma=sigma) and its polish give for the CSC matrices."""
@@ -458,13 +461,16 @@ def smallest_pencil_eigs(
     # offsets descend)
     shifted = sp.dia_matrix(((A.data - sigma * B.data)[::-1], A.offsets[::-1]),
                             shape=A.shape).tocsc()
+    # B's product as the DIA kernel itself: eigsh would wrap B in
+    # aslinearoperator, whose matvec dispatches through matmat and dot
+    M = spla.LinearOperator(B.shape, matvec=B.__matmul__, dtype=float)
 
     if constraint is None:
         try:
             lu = spla.splu(shifted)
             del shifted  # ARPACK needs only the factor
             OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-            vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM", OPinv=OPinv,
+            vals, vecs = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", OPinv=OPinv,
                                     v0=_deterministic_v0(n))
             return _polished(vals, vecs, B, num_form)
         except RuntimeError:
@@ -487,7 +493,7 @@ def smallest_pencil_eigs(
     v0 = _deterministic_v0(n)
     v0 = v0 - q * (q @ v0) / (q @ q)
     try:
-        vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM", OPinv=OPinv,
+        vals, vecs = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", OPinv=OPinv,
                                 v0=v0)
         return _polished(vals, vecs, B, num_form)
     except RuntimeError:
@@ -504,16 +510,28 @@ def smallest_pencil_eigs(
 def _upper_bands(A: sp.dia_matrix, B: sp.dia_matrix):
     """(order, ab_A, ab_B): A and B on common offsets in LAPACK's upper-band
     storage, rows and columns taken in the node order `order` (position a
-    holds node order[a]).  The order is the natural one, or on a circle,
-    whose wrap-around diagonals sit at offsets near +-n, the interleaved
-    0, n-1, 1, n-2, ..., which turns offsets +-2 and the wraps into a band
-    of half-bandwidth 4.  Entry (a, b), b >= a, of the reordered matrix is
-    row kd + a - b of column b."""
+    holds node order[a]).  On an interval the order is the natural one, and
+    offset d >= 0 is row kd - d from column d on, sliced from DIA's row of
+    d.  On a circle, whose wrap-around diagonals sit at offsets near +-n,
+    the order is the interleaved 0, n-1, 1, n-2, ..., which turns offsets
+    +-2 and the wraps into a band of half-bandwidth 4; entry (a, b), b >=
+    a, of the reordered matrix is scattered to row kd + a - b of column
+    b."""
     n = A.shape[0]
-    order = np.arange(n)
-    if A.offsets[-1] > n // 2:
-        order[0::2] = np.arange((n + 1) // 2)
-        order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    if A.offsets[-1] <= n // 2:
+        upper = np.flatnonzero(A.offsets >= 0)
+        kd = int(A.offsets[-1])
+        bands = []
+        for X in (A, B):
+            ab = np.zeros((kd + 1, n))
+            for k in upper:
+                d = A.offsets[k]
+                ab[kd - d, d:] = X.data[k, d:]
+            bands.append(ab)
+        return np.arange(n), *bands
+    order = np.empty(n, dtype=int)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
     pos = np.empty(n, dtype=int)
     pos[order] = np.arange(n)
     # DIA row k holds entry (j - d, j) of offset d = offsets[k] in column j
@@ -555,10 +573,15 @@ def _spectrum_slice(A: sp.dia_matrix, B: sp.dia_matrix):
         raise RuntimeError(f"A - sigma B is not positive definite at sigma = {lo:.3e} "
                            f"(LAPACK dpbtrf info = {info})")
 
+    natural = np.array_equal(order, np.arange(n))
+
     def solver(c):
+        if natural:  # no permutation copies
+            return lambda b: dpbtrs(c, b)[0]
+
         def solve(b):
             x = np.empty(n)
-            x[order] = dpbtrs(c, np.ravel(b)[order])[0]
+            x[order] = dpbtrs(c, b[order])[0]
             return x
         return solve
 
@@ -579,29 +602,69 @@ def _spectrum_slice(A: sp.dia_matrix, B: sp.dia_matrix):
     return lo, hi, solver(c)
 
 
+_LANCZOS_STEPS = 80  # the acceptance suite's pencils take 6-21
+
+
+def _shift_invert_lanczos(solve, B: sp.dia_matrix):
+    """(theta, x): the largest eigenvalue theta of the operator OP b =
+    solve(B b), self-adjoint in the B inner product, and its Ritz vector.
+
+    Lanczos from smallest_pencil_eigs' start vector on a B-orthonormal
+    basis Q, keeping the rows B Q so that a step takes one solve and one B
+    product; each new vector is orthogonalized against all of Q twice
+    (classical Gram-Schmidt; "twice is enough", Parlett).  theta is the
+    largest eigenvalue of the tridiagonal T (np.linalg.eigh), s its
+    eigenvector, and x = Q s; the solve stops at ARPACK's test, beta_j
+    |s_j| <= eps theta.  No convergence within _LANCZOS_STEPS raises."""
+    eps = np.finfo(float).eps
+    n = B.shape[0]
+    Q, BQ = np.empty((24, n)), np.empty((24, n))  # rows double past 24 steps
+    alpha, beta = [], []
+    q = _deterministic_v0(n)
+    Bq = B @ q
+    norm = math.sqrt(float(q @ Bq))
+    Q[0], BQ[0] = q / norm, Bq / norm
+    for j in range(_LANCZOS_STEPS):
+        w = solve(BQ[j])
+        c = BQ[:j + 1] @ w
+        w -= c @ Q[:j + 1]
+        c2 = BQ[:j + 1] @ w
+        w -= c2 @ Q[:j + 1]
+        alpha.append(float(c[j] + c2[j]))
+        Bw = B @ w
+        beta.append(math.sqrt(max(float(w @ Bw), 0.0)))
+        T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+        thetas, S = np.linalg.eigh(T)
+        theta, s = float(thetas[-1]), S[:, -1]
+        if beta[-1] * abs(s[-1]) <= eps * theta:
+            return theta, s @ Q[:j + 1]
+        if j + 2 > len(Q):
+            Q, BQ = (np.concatenate([X, np.empty_like(X)]) for X in (Q, BQ))
+        Q[j + 1], BQ[j + 1] = w / beta[-1], Bw / beta[-1]
+    raise RuntimeError(f"shift-invert Lanczos did not converge in {_LANCZOS_STEPS} steps")
+
+
 def _certified_smallest(A: sp.dia_matrix, B: sp.dia_matrix, num_form=None) -> float:
     """The smallest eigenvalue of the SPD pencil A v = lam B v (DIA on
     common ascending offsets), polished by num_form as in
     smallest_pencil_eigs.
 
-    Shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980) at the
-    certified shift lo of _spectrum_slice, with lo's banded factor as the
-    operator and smallest_pencil_eigs' start vector: ARPACK's convergence
-    test settles clustered values, which plain inverse iteration does
+    Shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980;
+    _shift_invert_lanczos) at the certified shift lo of _spectrum_slice,
+    with lo's banded factor as the operator: the largest eigenvalue theta
+    of (A - lo B)^-1 B gives lam = lo + 1/theta.  Its convergence test,
+    ARPACK's, settles clustered values, which plain inverse iteration does
     not.  The eigenvalue must lie in [lo, hi] up to 1e-6 relative, the
     backward error of Cholesky on the assembled form, or the solve
     raises."""
     lo, hi, solve = _spectrum_slice(A, B)
-    n = A.shape[0]
-    OPinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
-    vals, vecs = spla.eigsh(A, k=1, M=B, sigma=lo, which="LM", OPinv=OPinv,
-                            v0=_deterministic_v0(n))
-    lam = float(vals[0])
+    theta, x = _shift_invert_lanczos(solve, B)
+    lam = lo + 1.0 / theta
     fuzz = 1e-6 * abs(hi)
     if not lo - fuzz <= lam <= hi + fuzz:
         raise RuntimeError(f"eigenvalue {lam:.17g} outside its certified bracket "
                            f"[{lo:.17g}, {hi:.17g}]")
-    return float(_polished(vals, vecs, B, num_form)[0])
+    return float(_polished([lam], x[:, None], B, num_form)[0])
 
 
 def _sigma_from(vals: np.ndarray) -> np.ndarray:

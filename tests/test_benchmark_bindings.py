@@ -10,10 +10,12 @@ and then each per-field callable of the glued geometry it returns.  A
 kernel scan calls the wrapped ``near_null_threshold`` once per weight, all
 on one exact-cone mesh built through the wrapped ``build_grid``, and per
 pencil factors A - sigma B through the wrapped ``spla.splu`` once before
-the wrapped ``spla.eigsh``.  A glued embedding or GNS sweep builds one
-bump family per t through the wrapped ``bump_family`` and takes its norms
-from the family norm engine, which the tracer does not wrap: its norm
-spans count only single-function norms.
+the wrapped ``spla.eigsh``.  The Poincare constant solves every mode with
+the certified-shift engine, which calls neither the wrapped ``spla.eigsh``
+nor the wrapped ``scipy.linalg.eigh``.  A glued embedding or GNS sweep
+builds one bump family per t through the wrapped ``bump_family`` and
+takes its norms from the family norm engine, which the tracer does not
+wrap: its norm spans count only single-function norms.
 
 The acceptance workload compares every emitted cell with the reference
 recorded in ``perfbench/reference.json``.  Invertibility, compact
@@ -120,6 +122,24 @@ def test_kernel_scan_factors_each_pencil_once_outside_arpack():
     assert tracer.calls["spectral_laplace.splu"] == tracer.calls["spectral_laplace.arpack"] \
         == pencils
     assert tracer.counts["spectral_laplace.pencil.nnz"] == nnz
+
+
+def test_poincare_constant_makes_no_arpack_or_dense_solve():
+    tracing = load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    model = cm.dumbbell_family().at(1e-2)
+    patches = tracing.instrument(tracer)
+    try:
+        tracer.enabled = True
+        rep = sl.poincare_constant(model, beta=-0.5, e_max=6.0, n_per_region=60)
+        tracer.enabled = False
+    finally:
+        tracing.restore(patches)
+    assert len(rep.per_mode) >= 2
+    assert tracer.calls["spectral_laplace.mode_operator"] == len(rep.per_mode)
+    assert tracer.calls["spectral_laplace.arpack"] == 0
+    assert tracer.calls["spectral_laplace.dense_fallback"] == 0
+    assert tracer.calls["spectral_laplace.eigs"] == 0
 
 
 def test_glued_norm_sweeps_trace_their_bump_families():

@@ -1,8 +1,8 @@
 """Exactness oracles for the pencil solves and the band fills.
 
 smallest_pencil_eigs takes A and B as DIA matrices on common offsets,
-gives splu the CSC matrix of A - sigma B and gives ARPACK B as a DIA
-matrix; the radial operator, the reduction R, the pencils and the
+gives splu the CSC matrix of A - sigma B and gives ARPACK the DIA product
+of B; the radial operator, the reduction R, the pencils and the
 reduced forms are bands, filled diagonal by diagonal; densities and form
 products multiply by bands row by row, densities on the window's stencil
 rows only.  The scipy versions they replace are kept here as reference
@@ -13,13 +13,16 @@ Grids: an interval with two AC ends (dumbbell), a circle (spindle: its
 stencils wrap) and an interval with a cap (hyperboloid).
 
 The certified-shift engine (_upper_bands, _spectrum_slice,
-_certified_smallest) changes the arithmetic, so it is held to dense
-scipy.linalg.eigh on these grids at a stated relative tolerance, to its
-own bracket, and to the ARPACK solve from the base shift on a clustered
-mode."""
+_shift_invert_lanczos, _certified_smallest) changes the arithmetic, so it
+is held to dense scipy.linalg.eigh on these grids at a stated relative
+tolerance, to its own bracket, and to the ARPACK solve from the base
+shift on a clustered mode; it calls neither ARPACK nor scipy.linalg.eigh.
+Its interval bands are sliced and kept bitwise equal to the general
+scatter, kept here as the reference."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
@@ -39,6 +42,7 @@ from conifold_lab.spectral_laplace import (
     _gradient_forms,
     _polished,
     _reduction_matrix,
+    _shift_invert_lanczos,
     _spectrum_slice,
     _upper_bands,
     assemble_mode_operator,
@@ -261,23 +265,29 @@ def test_eigenvalues_equal_eigsh_with_its_own_operator(grid):
 
 
 def test_every_solve_factors_once_before_arpack(grid, monkeypatch):
-    calls = []
+    calls, products = [], []
 
     def splu(M, *args, **kwargs):
         calls.append(("splu", M.format, M.has_sorted_indices))
         return spla.splu(M, *args, **kwargs)
 
     def eigsh(A, *args, M=None, OPinv=None, **kwargs):
-        calls.append(("eigsh", M.format, OPinv is not None))
+        calls.append(("eigsh", OPinv is not None))
+        products.append(M)
         return spla.eigsh(A, *args, M=M, OPinv=OPinv, **kwargs)
 
     monkeypatch.setattr(sl, "spla", type("spla", (), {
         "splu": staticmethod(splu), "eigsh": staticmethod(eigsh),
         "LinearOperator": spla.LinearOperator}))
-    for _label, _A, _B, q, nf, A_dia, B_dia in solves(grid):
+    for label, _A, _B, q, nf, A_dia, B_dia in solves(grid):
         calls.clear()
+        products.clear()
         smallest_pencil_eigs(A_dia, B_dia, k=1, constraint=q, num_form=nf)
-        assert calls == [("splu", "csc", True), ("eigsh", "dia", True)]
+        assert calls == [("splu", "csc", True), ("eigsh", True)]
+        # ARPACK's B product is the DIA product, byte for byte
+        M, = products
+        for x in vectors(B_dia.shape[0]):
+            assert M.matvec(x).tobytes() == (B_dia @ x).tobytes(), label
 
 
 def test_singular_factor_reaches_the_dense_fallback(monkeypatch):
@@ -385,6 +395,50 @@ def test_engine_refuses_a_pencil_indefinite_at_the_base_shift():
         _certified_smallest(A, B)
 
 
+def ref_upper_bands(A, B):
+    """The general scatter of _upper_bands, through every (offset,
+    column) pair inside the matrix, in the node order it picks."""
+    n = A.shape[0]
+    order = np.arange(n)
+    if A.offsets[-1] > n // 2:
+        order[0::2] = np.arange((n + 1) // 2)
+        order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    pos = np.empty(n, dtype=int)
+    pos[order] = np.arange(n)
+    d, cols = A.offsets[:, None], np.arange(n)
+    k, j = np.nonzero((cols >= d) & (cols < n + d))
+    a, b = pos[j - A.offsets[k]], pos[j]
+    upper = b >= a
+    k, j, a, b = k[upper], j[upper], a[upper], b[upper]
+    kd = int(np.max(b - a))
+    bands = []
+    for X in (A, B):
+        ab = np.zeros((kd + 1, n))
+        ab[kd + a - b, b] = X.data[k, j]
+        bands.append(ab)
+    return order, *bands
+
+
+def test_band_storage_is_the_general_scatter(grid):
+    """Interval bands are written by slicing, circle bands by the
+    scatter; both are the scatter's arrays exactly, for the pencils and
+    Poincare's reduced forms."""
+    for label, A, B, _nf in engine_solves(grid):
+        for got, want in zip(_upper_bands(A, B), ref_upper_bands(A, B)):
+            assert got.dtype == want.dtype and got.shape == want.shape, label
+            assert np.array_equal(got, want), label
+
+
+def test_engine_calls_neither_arpack_nor_dense_eigh(grid, monkeypatch):
+    def refused(*_args, **_kwargs):
+        raise AssertionError("the engine must not call this")
+
+    monkeypatch.setattr(sl.spla, "eigsh", refused)
+    monkeypatch.setattr(scipy.linalg, "eigh", refused)
+    for label, A, B, nf in engine_solves(grid):
+        assert _certified_smallest(A, B, num_form=nf) > 0.0, label
+
+
 def test_clustered_mode_matches_arpack():
     """The dumbbell at t = 0.1 and n_per_region 2000, mode e = 12: its
     smallest values crowd the bottom of the truncated continuum, so a
@@ -398,6 +452,37 @@ def test_clustered_mode_matches_arpack():
     assert lams[1] < 1.02 * lams[0]  # a cluster: the next value within 2 %
     want = np.sqrt(smallest_pencil_eigs(A, B, num_form=nf)[0])
     assert np.sqrt(_certified_smallest(A, B, num_form=nf)) == pytest.approx(want, rel=1e-9)
+
+
+def test_lanczos_finds_a_known_spectrum():
+    """A diagonal pencil A = 2 diag(lam), B = 2 I at shift 0 whose values
+    1, 1.2, 1.22, ... crowd the smallest one: the Lanczos needs about 40
+    steps, more than the rows it starts with, and returns lam_1 = 1 to
+    rounding with the first unit vector as its Ritz vector."""
+    n = 400
+    lam = 1.0 + np.r_[0.0, 0.2 * (1.0 + np.arange(n - 1) / 10.0)]
+    B = sp.dia_matrix((np.full((1, n), 2.0), [0]), shape=(n, n))
+    steps = []
+
+    def solve(b):
+        steps.append(1)
+        return b / (2.0 * lam)
+
+    theta, x = _shift_invert_lanczos(solve, B)
+    assert 24 < len(steps) < sl._LANCZOS_STEPS
+    assert 1.0 / theta == pytest.approx(1.0, rel=1e-14)
+    assert np.abs(x[1:]).max() <= 1e-12 * abs(x[0])
+
+
+def test_lanczos_raises_past_its_step_budget(monkeypatch):
+    """The clustered e = 12 pencil of the dumbbell needs more than 5
+    Lanczos steps at its certified shift; with a budget of 5 the solve
+    raises and names the budget."""
+    grid = build_grid(dumbbell_family().at(1e-1).geometry, n_per_region=2000)
+    pen = laplacian_pencil(grid, 12.0, _form_parts(grid, -0.5))
+    monkeypatch.setattr(sl, "_LANCZOS_STEPS", 5)
+    with pytest.raises(RuntimeError, match="did not converge in 5 steps"):
+        _certified_smallest(pen.A_dia, pen.B_dia, num_form=pen.numerator)
 
 
 # ---------------------------------------------------------------------------
