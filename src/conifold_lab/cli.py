@@ -13,7 +13,8 @@ import sys
 
 import click
 
-from .experiments import REGION_ATLAS_COLUMNS, csv_text, region_atlas_rows, run_config_file
+from .experiments import (REGION_ATLAS_COLUMNS, _check_formats, csv_text, region_atlas_rows,
+                          run_config_file)
 from .link_spectra import link_from_string
 from .weight_calculus import exceptional_weights
 
@@ -33,6 +34,10 @@ def main():
 def run_cmd(config, formats, out_dir, seed):
     """Run the experiments in CONFIG and write result tables."""
     fmts = tuple(f.strip() for f in formats.split(",") if f.strip())
+    try:
+        _check_formats(fmts)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--emit'") from exc
     code, results = run_config_file(config, formats=fmts, out_dir=out_dir, seed=seed)
     for res in results:
         status = "pass" if res.passed else "FAIL"

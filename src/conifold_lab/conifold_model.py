@@ -1330,7 +1330,7 @@ def _unit_s2() -> Link:
     return make_link("sphere", dim=2)
 
 
-def preset_model(name: str, beta: float = -0.5, m: int = 3) -> ConifoldModel:
+def preset_model(name: str, beta: float = -0.5) -> ConifoldModel:
     """Canonical base models over the unit 2-sphere link (m = 3).
 
     exact_cone_cs_ac    exact cone, CS end (eps = 2, marked) + AC end (R = 2)
@@ -1339,28 +1339,26 @@ def preset_model(name: str, beta: float = -0.5, m: int = 3) -> ConifoldModel:
     sine_spindle        f = sin r on (0, pi), two CS ends (eps = 1, marked)
     """
     link = _unit_s2()
-    if m != 3:
-        raise ValueError("presets are defined over the 2-sphere link (m = 3)")
     if name == "exact_cone_cs_ac":
-        return ConifoldModel(m, (Component(
+        return ConifoldModel(3, (Component(
             link=link, warp=warp_preset("exact_cone"),
             left=EndSpec("CS", link, nu=1.0, beta=beta, boundary=2.0, marked=True),
             right=EndSpec("AC", link, nu=-1.0, beta=beta, boundary=2.0),
         ),), label="exact_cone_cs_ac")
     if name == "hyperboloid_capped":
-        return ConifoldModel(m, (Component(
+        return ConifoldModel(3, (Component(
             link=link, warp=warp_preset("hyperboloid", 1.0),
             left=Cap(),
             right=EndSpec("AC", link, nu=-2.0, beta=beta, boundary=1.0),
         ),), label="hyperboloid_capped")
     if name == "rxs2":
-        return ConifoldModel(m, (Component(
+        return ConifoldModel(3, (Component(
             link=link, warp=warp_preset("hyperboloid", 1.0),
             left=EndSpec("AC", link, nu=-2.0, beta=beta, boundary=1.0),
             right=EndSpec("AC", link, nu=-2.0, beta=beta, boundary=1.0, marked=True),
         ),), label="rxs2")
     if name == "sine_spindle":
-        return ConifoldModel(m, (Component(
+        return ConifoldModel(3, (Component(
             link=link, warp=warp_preset("sine_spindle"),
             left=EndSpec("CS", link, nu=2.0, beta=beta, boundary=1.3, marked=True),
             right=EndSpec("CS", link, nu=2.0, beta=beta, boundary=1.3, marked=True),

@@ -490,6 +490,16 @@ def csv_text(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FORMATS = ("csv", "json", "plotdata")
+
+
+def _check_formats(formats) -> None:
+    unknown = [f for f in formats if f not in _FORMATS]
+    if unknown:
+        raise ValueError(f"unknown emit format(s) {', '.join(map(repr, unknown))}; "
+                         f"expected some of {', '.join(_FORMATS)}")
+
+
 def emit(result: SweepResult, formats=("csv", "json"), out_dir=".") -> list[Path]:
     """Write the result in the requested formats.
 
@@ -497,7 +507,10 @@ def emit(result: SweepResult, formats=("csv", "json"), out_dir=".") -> list[Path
     json:     {experiment, seed, summary, columns, rows, config}.
     plotdata: one two-column whitespace file per metric column, suitable
               for any plotting tool.
+
+    Any other format raises ValueError before anything is written.
     """
+    _check_formats(formats)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -540,7 +553,9 @@ def run_config_file(path, formats=("csv", "json"), out_dir=".",
     """Run every experiment in a JSON config file (a single config object
     or a list under 'experiments'), with every seed replaced by ``seed``
     when it is given.  Returns (exit_code, results); the exit code is 0
-    iff every configured tolerance passes."""
+    iff every configured tolerance passes.  Unknown formats raise
+    ValueError before the first experiment runs."""
+    _check_formats(formats)
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     entries = raw["experiments"] if isinstance(raw, dict) and "experiments" in raw else [raw]

@@ -62,7 +62,9 @@ mode 0 (the near-null unconstrained value and the bordered constrained
 solve) and invertibility's mode 0, whose polished value sits at the
 bottom of the truncated continuum: its eighth digit depends on the start
 vector (ARPACK spreads up to 5.5e-8 over random ones), and moving it
-moves the sweep's trend_slope.
+moves the sweep's trend_slope.  Neither engine has a fallback: a failed
+factorization or solve raises its own error (SuperLU's, ARPACK's or the
+engine's), which an experiment passes on as ExperimentError.__cause__.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ from .link_spectra import Link
 from .weighted_calc import (ModeFunction, RadialGrid, _band_rows, _csr, _dia, _loglog_slope,
                             _product, _restricted, _sandwich, _scaled, _sum, _transpose,
                             build_grid)
-from .weight_calculus import distance_to_exceptional, gamma_roots
+from .weight_calculus import DEFAULT_TOL, distance_to_exceptional, gamma_roots
 
 __all__ = [
     "ClosureRule",
@@ -443,8 +445,9 @@ def smallest_pencil_eigs(
     LaplacePencil's A_dia and B_dia, or _dia of reduced forms); any other
     input is refused.  The shift-invert operator is built here as eigsh's
     mode 3 builds it: splu of the sorted CSC matrix A - sigma B, one
-    elementwise difference of the diagonals, inside the same try as
-    ARPACK, so a singular factor reaches the dense fallback as before.
+    elementwise difference of the diagonals.  There is no fallback: a
+    singular factor raises SuperLU's RuntimeError and a failed solve
+    ARPACK's own error (ArpackNoConvergence, ArpackError), unchanged.
     ARPACK asks for about three B products per solve (ARPACK Users'
     Guide, mode 3); it gets them as a LinearOperator whose matvec is the
     DIA product, which streams the diagonals where the CSC product
@@ -466,20 +469,12 @@ def smallest_pencil_eigs(
     M = spla.LinearOperator(B.shape, matvec=B.__matmul__, dtype=float)
 
     if constraint is None:
-        try:
-            lu = spla.splu(shifted)
-            del shifted  # ARPACK needs only the factor
-            OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-            vals, vecs = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", OPinv=OPinv,
-                                    v0=_deterministic_v0(n))
-            return _polished(vals, vecs, B, num_form)
-        except RuntimeError:
-            if n <= 4000:
-                from scipy.linalg import eigh
-                vals, vecs = eigh(A.toarray(), B.toarray(),
-                                  subset_by_index=[0, k - 1])
-                return _polished(vals, vecs, B, num_form)
-            raise
+        lu = spla.splu(shifted)
+        del shifted  # ARPACK needs only the factor
+        OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        vals, vecs = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", OPinv=OPinv,
+                                v0=_deterministic_v0(n))
+        return _polished(vals, vecs, B, num_form)
 
     q = np.asarray(constraint, dtype=float)
     K = sp.bmat([[shifted, q[:, None]], [q[None, :], None]], format="csc")
@@ -492,19 +487,8 @@ def smallest_pencil_eigs(
     OPinv = spla.LinearOperator((n, n), matvec=op_inv, dtype=float)
     v0 = _deterministic_v0(n)
     v0 = v0 - q * (q @ v0) / (q @ q)
-    try:
-        vals, vecs = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", OPinv=OPinv,
-                                v0=v0)
-        return _polished(vals, vecs, B, num_form)
-    except RuntimeError:
-        if n > 4000:
-            raise
-        from scipy.linalg import eigh, null_space
-        Z = null_space(q[None, :])
-        Ad = Z.T @ (A @ Z)
-        Bd = Z.T @ (B @ Z)
-        vals, vecs = eigh(Ad, Bd, subset_by_index=[0, k - 1])
-        return _polished(vals, Z @ vecs, B, num_form)
+    vals, vecs = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
+    return _polished(vals, vecs, B, num_form)
 
 
 def _upper_bands(A: sp.dia_matrix, B: sp.dia_matrix):
@@ -613,13 +597,14 @@ def _shift_invert_lanczos(solve, B: sp.dia_matrix):
     basis Q, keeping the rows B Q so that a step takes one solve and one B
     product; each new vector is orthogonalized against all of Q twice
     (classical Gram-Schmidt; "twice is enough", Parlett).  theta is the
-    largest eigenvalue of the tridiagonal T (np.linalg.eigh), s its
-    eigenvector, and x = Q s; the solve stops at ARPACK's test, beta_j
-    |s_j| <= eps theta.  No convergence within _LANCZOS_STEPS raises."""
+    largest eigenvalue of the tridiagonal T (np.linalg.eigh of its leading
+    block, T being filled in place), s its eigenvector, and x = Q s; the
+    solve stops at ARPACK's test, beta_j |s_j| <= eps theta.  No
+    convergence within _LANCZOS_STEPS raises."""
     eps = np.finfo(float).eps
     n = B.shape[0]
     Q, BQ = np.empty((24, n)), np.empty((24, n))  # rows double past 24 steps
-    alpha, beta = [], []
+    T = np.zeros((_LANCZOS_STEPS + 1, _LANCZOS_STEPS + 1))  # a spare row for the last beta
     q = _deterministic_v0(n)
     Bq = B @ q
     norm = math.sqrt(float(q @ Bq))
@@ -630,17 +615,17 @@ def _shift_invert_lanczos(solve, B: sp.dia_matrix):
         w -= c @ Q[:j + 1]
         c2 = BQ[:j + 1] @ w
         w -= c2 @ Q[:j + 1]
-        alpha.append(float(c[j] + c2[j]))
+        T[j, j] = c[j] + c2[j]
         Bw = B @ w
-        beta.append(math.sqrt(max(float(w @ Bw), 0.0)))
-        T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
-        thetas, S = np.linalg.eigh(T)
+        beta = math.sqrt(max(float(w @ Bw), 0.0))
+        thetas, S = np.linalg.eigh(T[:j + 1, :j + 1])
         theta, s = float(thetas[-1]), S[:, -1]
-        if beta[-1] * abs(s[-1]) <= eps * theta:
+        if beta * abs(s[-1]) <= eps * theta:
             return theta, s @ Q[:j + 1]
+        T[j, j + 1] = T[j + 1, j] = beta
         if j + 2 > len(Q):
             Q, BQ = (np.concatenate([X, np.empty_like(X)]) for X in (Q, BQ))
-        Q[j + 1], BQ[j + 1] = w / beta[-1], Bw / beta[-1]
+        Q[j + 1], BQ[j + 1] = w / beta, Bw / beta
     raise RuntimeError(f"shift-invert Lanczos did not converge in {_LANCZOS_STEPS} steps")
 
 
@@ -845,14 +830,13 @@ def _check_matches_marked(geo: RadialGeometry, beta: float):
             )
 
 
-def _check_nonexceptional(geo: RadialGeometry, beta: float, tol: float = 1e-9,
-                          warn_below: float = 1e-3):
+def _check_nonexceptional(geo: RadialGeometry, beta: float):
     d = distance_to_exceptional(beta, geo.link, geo.m)
-    if d <= tol:
+    if d <= DEFAULT_TOL:
         raise WeightConditionError(
             f"weight {beta} is exceptional for the link spectrum (distance {d:.2e})"
         )
-    if d < warn_below:
+    if d < 1e-3:
         warnings.warn(
             f"weight {beta} is within {d:.2e} of an exceptional weight; "
             "the pencil will be badly conditioned", stacklevel=3)
@@ -930,7 +914,6 @@ def restricted_invertibility_compact(
     t,
     e_max: float = 40.0,
     n_per_region: int = 400,
-    core: tuple[float, float] | None = None,
 ) -> CompactInvertibilityReport:
     """Uniform invertibility on compact glued manifolds, transverse to
     constants: the rotation-invariant mode is minimized over
@@ -949,8 +932,7 @@ def restricted_invertibility_compact(
     _check_matches_marked(m_geo, float(beta))
     _check_nonexceptional(m_geo, beta)
     grid = build_grid(m_geo, n_per_region=n_per_region)
-    if core is None:
-        core = _host_core_interval(m_geo)
+    core = _host_core_interval(m_geo)
     eta_vals = np.asarray(m_geo.eta(grid.nodes), dtype=float)
     in_core = (grid.nodes >= core[0]) & (grid.nodes <= core[1])
     vol = grid.quad * grid.f ** (m_geo.m - 1) * grid.volume_factor
@@ -1078,7 +1060,6 @@ def weight_crossing_kernel(
     slack: float = 0.2,
     n_per_region: int = 800,
     r_max: float = 1e3,
-    grid: RadialGrid | None = None,
 ) -> WeightCrossingReport:
     """Kernel candidate generated by crossing the exceptional rate gamma:
     extend sigma = r^gamma (mode e) by an interior cutoff, solve
@@ -1114,8 +1095,7 @@ def weight_crossing_kernel(
             f"surjectivity below gamma={gamma} is not certified; "
             "the crossing construction does not apply")
 
-    if grid is None:
-        grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
+    grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
     ac = ac_ends[0]
     nu = ac.nu if ac.nu is not None else -1.0
 
@@ -1181,7 +1161,6 @@ def kernel_dimension_scan(
     beta_list,
     e_max: float = 12.0,
     n_per_region: int = 400,
-    r_max: float = 1e3,
     grid: RadialGrid | None = None,
 ) -> list[KernelScanRow]:
     """Detected kernel dimension of Delta: W_{2,beta} -> W_{0,beta-2} per
@@ -1196,7 +1175,7 @@ def kernel_dimension_scan(
         if b.kind != "ac":
             raise ValueError("kernel scan expects AC (or capped) models")
     if grid is None:
-        grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
+        grid = build_grid(geo, n_per_region=n_per_region)
     npd = _grid_nodes_per_decade(grid)
     betas = [float(beta) for beta in beta_list]
     for beta in betas:

@@ -13,8 +13,8 @@ classifies (injective / surjective / index / kernel) facts per weight
 region for compact, AC, CS and CS/AC geometries, and provides the
 Sobolev conjugate-exponent bookkeeping p', p*, p*_l.
 
-All comparisons against exceptional values use an explicit tolerance
-(default 1e-9): link spectra may be irrational, and solvers need a
+All comparisons against exceptional values use one explicit tolerance,
+DEFAULT_TOL = 1e-9: link spectra may be irrational, and solvers need a
 consistent "distance to exceptional" notion for conditioning warnings.
 """
 
@@ -128,18 +128,19 @@ def exceptional_weights(
     return out
 
 
-def distance_to_exceptional(beta: float, link: Link, m: int, span: float = 1.0) -> float:
-    """Distance from beta to the nearest exceptional weight of the end."""
-    exc = exceptional_weights(link, m, (beta - span, beta + span))
+def distance_to_exceptional(beta: float, link: Link, m: int) -> float:
+    """Distance from beta to the nearest exceptional weight of the end,
+    capped at 1."""
+    exc = exceptional_weights(link, m, (beta - 1.0, beta + 1.0))
     if not exc:
-        return span
+        return 1.0
     return min(abs(beta - w.gamma) for w in exc)
 
 
-def _crossed_multiplicity(link: Link, m: int, g1: float, g2: float, tol: float,
+def _crossed_multiplicity(link: Link, m: int, g1: float, g2: float,
                           check_endpoints: bool = True) -> int:
     """Sum of multiplicities of exceptional weights strictly between g1 and g2."""
-    lo, hi = min(g1, g2), max(g1, g2)
+    lo, hi, tol = min(g1, g2), max(g1, g2), DEFAULT_TOL
     total = 0
     for w in exceptional_weights(link, m, (lo - 1.0, hi + 1.0)):
         if check_endpoints and (abs(w.gamma - g1) <= tol or abs(w.gamma - g2) <= tol):
@@ -157,7 +158,6 @@ def index_change(
     w2: WeightVector,
     ends: list[EndDescriptor],
     m: int,
-    tol: float = DEFAULT_TOL,
 ) -> int:
     """Index difference i(w2) - i(w1) of the Laplacian between weighted
     spaces, for ordered weight pairs.
@@ -174,23 +174,23 @@ def index_change(
     total = 0
     for i, (b1, b2, end) in enumerate(zip(w1, w2, ends)):
         if end.kind == "CS":
-            if b1 < b2 - tol:
+            if b1 < b2 - DEFAULT_TOL:
                 raise WeightOrderingError(
                     f"CS end {i}: require mu1 >= mu2, got {b1} < {b2}"
                 )
         elif end.kind == "AC":
-            if b1 > b2 + tol:
+            if b1 > b2 + DEFAULT_TOL:
                 raise WeightOrderingError(
                     f"AC end {i}: require lambda1 <= lambda2, got {b1} > {b2}"
                 )
         else:
             raise ValueError(f"unknown end kind {end.kind!r}")
-        total += _crossed_multiplicity(end.link, m, b1, b2, tol)
+        total += _crossed_multiplicity(end.link, m, b1, b2)
     return total
 
 
 def _signed_index_from_anchor(
-    beta: tuple[float, ...], ends: list[EndDescriptor], m: int, tol: float
+    beta: tuple[float, ...], ends: list[EndDescriptor], m: int
 ) -> int:
     """Index at beta relative to the isomorphism region A, as a per-end
     signed sum of crossed multiplicities (the index-change formula applied
@@ -198,7 +198,7 @@ def _signed_index_from_anchor(
     anchor = (2.0 - m) / 2.0  # never exceptional: e = -(2-m)^2/4 < 0 has no root
     total = 0
     for b, end in zip(beta, ends):
-        crossed = _crossed_multiplicity(end.link, m, anchor, b, tol)
+        crossed = _crossed_multiplicity(end.link, m, anchor, b)
         if end.kind == "AC":
             total += crossed if b > anchor else -crossed
         else:  # CS: spaces grow as the weight decreases
@@ -220,12 +220,12 @@ class RegionFacts:
     kernel_dim: int | None = None
 
 
-def _require_nonexceptional(beta, ends, m, tol):
+def _require_nonexceptional(beta, ends, m):
     for i, (b, end) in enumerate(zip(beta, ends)):
         d = distance_to_exceptional(b, end.link, m)
-        if d <= tol:
+        if d <= DEFAULT_TOL:
             raise ExceptionalWeightError(
-                f"weight {b} on end {i} is within {tol} of an exceptional weight"
+                f"weight {b} on end {i} is within {DEFAULT_TOL} of an exceptional weight"
             )
 
 
@@ -234,7 +234,6 @@ def classify_weight_region(
     ends: list[EndDescriptor],
     weights: WeightVector | None,
     m: int,
-    tol: float = DEFAULT_TOL,
 ) -> RegionFacts:
     """Region classification of the Laplacian between weighted spaces.
 
@@ -266,8 +265,8 @@ def classify_weight_region(
     beta = tuple(weights)
     if len(beta) != len(ends):
         raise ValueError("need one weight per end")
-    _require_nonexceptional(beta, ends, m, tol)
-    index = _signed_index_from_anchor(beta, ends, m, tol)
+    _require_nonexceptional(beta, ends, m)
+    index = _signed_index_from_anchor(beta, ends, m)
     lo = 2.0 - m
 
     if kind == "AC":
@@ -305,7 +304,7 @@ def classify_weight_region(
                 below = [i for i, b in enumerate(beta) if b < lo]
                 if len(below) == 1 and all(lo < b < 0 for i, b in enumerate(beta) if i not in below):
                     i = below[0]
-                    crossed = _crossed_multiplicity(ends[i].link, m, beta[i], lo, tol,
+                    crossed = _crossed_multiplicity(ends[i].link, m, beta[i], lo,
                                                     check_endpoints=False)
                     if crossed == 0:  # only the 2-m line itself was crossed
                         kernel = 1

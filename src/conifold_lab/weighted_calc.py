@@ -839,16 +839,14 @@ def _tail_slope(r: np.ndarray, y: np.ndarray) -> float:
     return _loglog_slope(r[good], y[good])
 
 
-def weighted_sobolev_norm_report(
-    u: ModeFunction, spec: WeightSpec, weight_fn=None
-) -> NormReport:
+def weighted_sobolev_norm_report(u: ModeFunction, spec: WeightSpec) -> NormReport:
     """Norm plus an analytic estimate of the truncated AC tails: on exact
     cone tails the integrand of the norm is a power of r, so the slope of
     the log-integrand extrapolates the tail exactly."""
     g = u.grid
     m = g.geometry.m
     beta = _beta_values(g, spec.beta)
-    w = _weight_values(g, beta, weight_fn)
+    w = _weight_values(g, beta)
     dens = densities(u, spec.k)
     dens_sum_p = np.zeros(g.n)
     for j, dj in enumerate(dens):

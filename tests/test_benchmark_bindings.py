@@ -22,11 +22,20 @@ recorded in ``perfbench/reference.json``.  Invertibility, compact
 invertibility and Poincare (labels 02.-04.) emit only cells that do not
 depend on the input seed, so one run at the workload's settings checks
 them for every seed, here, at the reference's own tolerance.
+
+The kernel scan's rows (thresholds and near-null sigmas) are the
+outputs most sensitive to a change of bits.  For three input seeds the
+kernel-scan workload runs one pass and its values are compared with the
+reference, again at the reference's tolerance.  The n = 4000 scans report
+wrong dimensions on every seed (a known defect of the normal-equation
+pencil); they are compared like the rest and neither asserted nor hidden.
 """
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from conifold_lab import conifold_model as cm
 from conifold_lab import experiments as ex
@@ -186,3 +195,13 @@ def test_eigensolve_experiments_keep_the_acceptance_reference(tmp_path):
     drifted = [k for k in want if not workloads.same(values[k], want[k], reference["rtol"],
                                                     reference["atol"])]
     assert drifted == []
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+def test_kernel_scan_keeps_the_reference(tmp_path, seed):
+    inputs, workloads = load_perfbench("inputs"), load_perfbench("workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    spec = inputs.make_inputs("kernel_scan", seed)
+    outcomes = workloads.run_pass(spec, workloads.setup(spec), tmp_path)
+    _ops, values = workloads.check(spec, outcomes, tmp_path)
+    assert workloads.compare(values, reference, spec) == []

@@ -46,6 +46,17 @@ def test_run_subcommand_exit_codes(tmp_path):
     assert "failing experiments: eta_bounds" in result.output
 
 
+def test_run_refuses_unknown_emit_formats(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "eta_bounds"}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--emit", "csv,jsn",
+                                       "--out", str(out)])
+    assert result.exit_code == 2
+    assert "unknown emit format(s) 'jsn'; expected some of csv, json, plotdata" in result.output
+    assert not out.exists()
+
+
 def test_run_seed_override(tmp_path):
     runner = CliRunner()
     path = tmp_path / "cfg.json"

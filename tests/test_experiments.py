@@ -7,6 +7,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from conifold_lab import experiments
+from conifold_lab import spectral_laplace as sl
 from conifold_lab.experiments import (
     ExperimentConfig,
     ExperimentError,
@@ -77,6 +78,22 @@ def test_run_tags_errors_and_keeps_the_original(monkeypatch):
     with pytest.raises(ExperimentError, match=message) as info:
         run(ExperimentConfig(experiment="eta_bounds"))
     assert info.value.experiment == "eta_bounds"
+    assert info.value.__cause__ is original
+
+
+def test_arpack_failure_reaches_the_caller_of_an_experiment(monkeypatch):
+    # the spindle's pencils are small enough for a dense solve; none may stand
+    # in for ARPACK, and ARPACK's own error is the cause
+    original = ArpackNoConvergence("no convergence", [], [])
+
+    def eigsh(*args, **kwargs):
+        raise original
+
+    monkeypatch.setattr(sl.spla, "eigsh", eigsh)
+    cfg = ExperimentConfig(experiment="compact_invertibility", model="spindle",
+                           n_per_region=200, t_list=(0.1, 0.01), e_max=2.0)
+    with pytest.raises(ExperimentError) as info:
+        run(cfg)
     assert info.value.__cause__ is original
 
 
@@ -225,3 +242,23 @@ def test_region_atlas_matches_classifier():
 def test_region_atlas_passes_consistency():
     res = run(ExperimentConfig(experiment="region_atlas", kind="CSAC", grid_step=0.5))
     assert res.passed
+
+
+def test_emit_refuses_unknown_formats(tmp_path):
+    res = experiments.SweepResult("eta_bounds", ("t",), ({"t": 0.1},), {}, True, 0, {})
+    out = tmp_path / "out"
+    for formats in (("jsn",), ("csv", "jsn", "txt")):
+        with pytest.raises(ValueError, match=r"'jsn'.*expected some of csv, json, plotdata"):
+            emit(res, formats=formats, out_dir=out)
+    assert not out.exists()
+
+
+def test_run_config_file_checks_formats_before_running(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "eta_bounds"}))
+    ran = []
+    monkeypatch.setattr(experiments, "run", ran.append)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="'jsn'"):
+        run_config_file(path, formats=("csv", "jsn"), out_dir=out)
+    assert ran == [] and not out.exists()

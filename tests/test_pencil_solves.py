@@ -290,18 +290,6 @@ def test_every_solve_factors_once_before_arpack(grid, monkeypatch):
             assert M.matvec(x).tobytes() == (B_dia @ x).tobytes(), label
 
 
-def test_singular_factor_reaches_the_dense_fallback(monkeypatch):
-    grid = build_grid(GEOMETRIES["hyperboloid_capped"](), n_per_region=60)
-    pen = laplacian_pencil(grid, 2.0, _form_parts(grid, -0.5))
-    want = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1)
-
-    def singular(_M):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(sl.spla, "splu", singular)
-    assert smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1) == pytest.approx(want, rel=1e-8)
-
-
 # ---------------------------------------------------------------------------
 # the certified-shift engine
 

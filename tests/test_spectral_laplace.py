@@ -275,9 +275,9 @@ def test_pencil_solver_constraint_interlaces():
 
 
 def _raising(exc):
-    def eigsh(*args, **kwargs):
+    def raising(*args, **kwargs):
         raise exc
-    return eigsh
+    return raising
 
 
 def _solver_cases():
@@ -298,25 +298,21 @@ def test_pencil_solver_lets_programming_errors_through(monkeypatch):
             smallest_pencil_eigs(A, B, k=1, constraint=q, num_form=nf)
 
 
-def test_pencil_solver_falls_back_to_dense_when_arpack_fails(monkeypatch):
-    for A, B, q, nf in _solver_cases():
-        want = smallest_pencil_eigs(A, B, k=1, constraint=q, num_form=nf)[0]
-        with monkeypatch.context() as mp:
-            mp.setattr(sl.spla, "eigsh", _raising(
-                ArpackNoConvergence("no convergence", np.empty(0), np.empty((A.shape[0], 0)))))
-            got = smallest_pencil_eigs(A, B, k=1, constraint=q, num_form=nf)[0]
-        assert got == pytest.approx(want, rel=1e-10)
-
-
-def test_pencil_solver_reraises_arpack_failure_on_large_pencils(monkeypatch):
+@pytest.mark.parametrize("solver", ["eigsh", "splu"])
+def test_pencil_solver_reraises_solver_failures(monkeypatch, solver):
+    # there is no dense fallback: ARPACK's or SuperLU's own error reaches
+    # the caller, on small pencils and on large ones, with and without a
+    # constraint
     n = 4001
     A = sp.diags(np.arange(1.0, n + 1), format="dia")
     B = sp.identity(n, format="dia")
-    err = ArpackNoConvergence("no convergence", np.empty(0), np.empty((n, 0)))
-    monkeypatch.setattr(sl.spla, "eigsh", _raising(err))
-    for q in (None, np.ones(n)):
-        with pytest.raises(ArpackNoConvergence) as info:
-            smallest_pencil_eigs(A, B, k=1, constraint=q)
+    cases = [*_solver_cases(), (A, B, None, None), (A, B, np.ones(n), None)]
+    err = (ArpackNoConvergence("no convergence", np.empty(0), np.empty((n, 0)))
+           if solver == "eigsh" else RuntimeError("Factor is exactly singular"))
+    monkeypatch.setattr(sl.spla, solver, _raising(err))
+    for A, B, q, nf in cases:
+        with pytest.raises(type(err)) as info:
+            smallest_pencil_eigs(A, B, k=1, constraint=q, num_form=nf)
         assert info.value is err
 
 
