@@ -316,6 +316,18 @@ def test_pencil_solver_reraises_solver_failures(monkeypatch, solver):
         assert info.value is err
 
 
+def test_pencil_solver_reraises_arpack_failure_on_large_pencils(monkeypatch):
+    n = 4001
+    A = sp.diags(np.arange(1.0, n + 1), format="dia")
+    B = sp.identity(n, format="dia")
+    err = ArpackNoConvergence("no convergence", np.empty(0), np.empty((n, 0)))
+    monkeypatch.setattr(sl.spla, "eigsh", _raising(err))
+    for q in (None, np.ones(n)):
+        with pytest.raises(ArpackNoConvergence) as info:
+            smallest_pencil_eigs(A, B, k=1, constraint=q)
+        assert info.value is err
+
+
 def test_torus_link_irrational_rates_annihilated():
     # cone over the square flat torus: the nonzero rates are irrational,
     # exercising the Robin extrapolation away from integer powers
