@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
 import click
 
@@ -48,20 +49,30 @@ def run_cmd(config, formats, out_dir, seed):
     sys.exit(code)
 
 
+def _interval(_ctx, _param, value):
+    """The option value 'lo:hi' as two floats (None stays None)."""
+    if value is None:
+        return None
+    try:
+        lo, hi = (float(x) for x in value.split(":"))
+    except ValueError:
+        raise click.BadParameter(f"expected lo:hi, got {value!r}") from None
+    return lo, hi
+
+
 @main.command("weights")
 @click.option("--link", "link_spec", default="sphere:2", show_default=True,
               help="link spec, e.g. sphere:2, sphere:3:0.5, torus:1,2")
 @click.option("--m", "m", type=int, default=3, show_default=True,
               help="cone dimension (link dimension + 1)")
 @click.option("--range", "gamma_range", default="-4:3", show_default=True,
-              help="open gamma interval lo:hi")
+              callback=_interval, help="open gamma interval lo:hi")
 def weights_cmd(link_spec, m, gamma_range):
     """Exceptional weights of the Laplacian on the cone over LINK."""
-    lo, hi = (float(x) for x in gamma_range.split(":"))
     link = link_from_string(link_spec)
     rows = [
         {"gamma": w.gamma, "mult": w.mult, "eigenvalue": w.source_eigenvalue}
-        for w in exceptional_weights(link, m, (lo, hi))
+        for w in exceptional_weights(link, m, gamma_range)
     ]
     click.echo(json.dumps(rows, indent=1))
 
@@ -73,20 +84,24 @@ def weights_cmd(link_spec, m, gamma_range):
 @click.option("--link", "link_spec", default="sphere:2", show_default=True)
 @click.option("--grid", "step", type=float, default=0.25, show_default=True,
               help="weight grid step")
-@click.option("--range", "weight_range", default=None,
+@click.option("--range", "weight_range", default=None, callback=_interval,
               help="weight interval lo:hi (default: (2-m)-1.5 to 1.5)")
-@click.option("--out", "out_path", default="-", help="CSV path or - for stdout")
+@click.option("--out", "out_path", default="-",
+              help="CSV path (parent directories are created) or - for stdout")
 def regions_cmd(kind, m, link_spec, step, weight_range, out_path):
     """Classification grid (injective/surjective/index/kernel) per weight cell."""
-    lo = hi = None
-    if weight_range:
-        lo, hi = (float(x) for x in weight_range.split(":"))
-    text = csv_text(REGION_ATLAS_COLUMNS, region_atlas_rows(kind, m, link_spec, step, lo, hi))
+    lo, hi = weight_range or (None, None)
+    try:
+        rows = region_atlas_rows(kind, m, link_spec, step, lo, hi)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    text = csv_text(REGION_ATLAS_COLUMNS, rows)
     if out_path == "-":
         click.echo(text, nl=False)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        out = Path(out_path)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":

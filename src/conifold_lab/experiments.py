@@ -344,10 +344,15 @@ REGION_ATLAS_COLUMNS = ("beta1", "beta2", "exceptional", "injective",
 def region_atlas_rows(kind: str, m: int, link_spec: str, step: float,
                       lo: float | None = None, hi: float | None = None):
     """Classification grid replicating the qualitative content of the
-    harmonic-function region figures: one row per weight cell."""
+    harmonic-function region figures: one row per weight cell.  A step
+    that is not positive, or an interval with lo >= hi, raises ValueError."""
     link = link_from_string(link_spec)
     lo = lo if lo is not None else (2.0 - m) - 1.5
     hi = hi if hi is not None else 1.5
+    if not step > 0:
+        raise ValueError(f"weight grid step must be positive, got {step:g}")
+    if not lo < hi:
+        raise ValueError(f"weight interval lo:hi needs lo < hi, got {lo:g}:{hi:g}")
     vals = np.arange(lo, hi + step / 2, step)
     if kind == "AC":
         ends = [wcalc.EndDescriptor("AC", link), wcalc.EndDescriptor("AC", link)]

@@ -56,7 +56,14 @@ reorthogonalization twice per step, stopped by ARPACK's test beta_j |s_j|
 invertibility_constant and of restricted_invertibility_compact: their
 smallest values are isolated or clustered above the continuum's edge,
 and it moves them by rounding of the assembled pencil only (at most 6e-9
-relative).  smallest_pencil_eigs (ARPACK from the base shift, splu)
+relative).  The same factorization, once and at a given shift s,
+rules modes out of a constant (_spectrum_above): compact's minimum and
+Poincare's maximum solve only the modes that can set them, and a mode
+whose A - s B factors at s = (1 + _EXCLUSION_MARGIN) times the running
+extremum (in lam) is reported as a certified bound in the report's
+`bounded`, unsolved.  The mode that sets a constant is always solved,
+so the constants are those of solving every mode.
+smallest_pencil_eigs (ARPACK from the base shift, splu)
 keeps, bit for bit, the kernel scan (k = 4 near-null values), compact's
 mode 0 (the near-null unconstrained value and the bordered constrained
 solve) and invertibility's mode 0, whose polished value sits at the
@@ -77,6 +84,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .conifold_model import (
     ConifoldModel,
@@ -546,8 +554,6 @@ def _spectrum_slice(A: sp.dia_matrix, B: sp.dia_matrix):
     LAPACK's info.  The Rayleigh quotient of three inverse iterations
     with that factor is the first hi; bisection on Cholesky success then
     moves lo up and hi down."""
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
-
     _check_dia_pair(A, B)
     n = A.shape[0]
     order, ab_A, ab_B = _upper_bands(A, B)
@@ -587,6 +593,20 @@ def _spectrum_slice(A: sp.dia_matrix, B: sp.dia_matrix):
 
 
 _LANCZOS_STEPS = 80  # the acceptance suite's pencils take 6-21
+# relative margin of the exclusion test above a constant's running extremum:
+# far above the ~1e-6 backward error of Cholesky on the assembled form, so a
+# mode within 0.1 % of the extremum is solved, never ruled out
+_EXCLUSION_MARGIN = 1e-3
+
+
+def _spectrum_above(A: sp.dia_matrix, B: sp.dia_matrix, s: float) -> bool:
+    """Whether every eigenvalue of the SPD pencil A v = lam B v (DIA on
+    common ascending offsets) lies above s: the banded Cholesky
+    factorization of A - s B on the bands of _upper_bands succeeds
+    (Sylvester inertia)."""
+    _check_dia_pair(A, B)
+    _order, ab_A, ab_B = _upper_bands(A, B)
+    return dpbtrf(ab_A - s * ab_B)[1] == 0
 
 
 def _shift_invert_lanczos(solve, B: sp.dia_matrix):
@@ -889,10 +909,16 @@ def invertibility_constant(
 
 @dataclass(frozen=True)
 class CompactInvertibilityReport:
+    """per_mode holds (e, sigma) of the solved modes, mode 0's sigma
+    constrained; bounded holds (e, bound) of the modes ruled out, bound a
+    certified lower bound on that mode's sigma above sigma_constrained.
+    Every mode up to e_max is in exactly one of the two."""
+
     constant: float
     sigma_constrained: float
     sigma_mode0_unconstrained: float
     per_mode: tuple[tuple[float, float], ...]
+    bounded: tuple[tuple[float, float], ...]
     beta: float
     core: tuple[float, float]
     grid_size: int
@@ -922,7 +948,13 @@ def restricted_invertibility_compact(
                                        core region K of the host,
 
     while the higher modes are unconstrained.  Also reports the
-    unconstrained mode-0 minimum (a near-zero sanity value: constants)."""
+    unconstrained mode-0 minimum (a near-zero sanity value: constants).
+
+    A mode e > 0 is solved only if it can lower the running minimum
+    sigma_*: one banded Cholesky of its pencil at s = (1 +
+    _EXCLUSION_MARGIN) sigma_*^2 (_spectrum_above) that succeeds puts its
+    sigma above sqrt(s), and the mode goes to `bounded` unsolved.  The
+    mode that sets the constant is always solved."""
     m_geo = family.at(t).geometry
     if not m_geo.circle and _residual_ends(m_geo):
         raise WeightConditionError("model is not compact; use invertibility_constant")
@@ -939,9 +971,8 @@ def restricted_invertibility_compact(
     q = eta_vals * vol * in_core
 
     parts = _form_parts(grid, beta)
-    per_mode = []
+    per_mode, bounded = [], []
     sigma0_unc = None
-    sigma0_con = None
     for e, _mult in m_geo.link.eigenvalues_below(e_max):
         pen = laplacian_pencil(grid, e, parts)
         nf = pen.numerator
@@ -951,17 +982,22 @@ def restricted_invertibility_compact(
             sigma0_unc = float(_sigma_from(lam_u)[0])
             lam_c = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, constraint=q_red,
                                          num_form=nf)
-            sigma0_con = float(_sigma_from(lam_c)[0])
-            per_mode.append((0.0, sigma0_con))
-        else:
-            lam = _certified_smallest(pen.A_dia, pen.B_dia, num_form=nf)
-            per_mode.append((float(e), float(_sigma_from(lam))))
+            per_mode.append((0.0, float(_sigma_from(lam_c)[0])))
+            continue
+        if per_mode:
+            shift = (1.0 + _EXCLUSION_MARGIN) * min(s for _, s in per_mode) ** 2
+            if _spectrum_above(pen.A_dia, pen.B_dia, shift):
+                bounded.append((float(e), math.sqrt(shift)))
+                continue
+        lam = _certified_smallest(pen.A_dia, pen.B_dia, num_form=nf)
+        per_mode.append((float(e), float(_sigma_from(lam))))
     sigma_min = min(s for _, s in per_mode)
     return CompactInvertibilityReport(
         constant=1.0 / sigma_min,
         sigma_constrained=sigma_min,
         sigma_mode0_unconstrained=sigma0_unc,
         per_mode=tuple(per_mode),
+        bounded=tuple(bounded),
         beta=float(beta),
         core=core,
         grid_size=grid.n,
@@ -985,8 +1021,14 @@ def _gradient_forms(grid: RadialGrid, beta: float):
 
 @dataclass(frozen=True)
 class PoincareReport:
+    """per_mode holds (e, ratio) of the solved modes; bounded holds (e,
+    bound) of the modes ruled out, bound a certified upper bound on that
+    mode's ratio below constant.  Every mode up to e_max is in exactly
+    one of the two."""
+
     constant: float
     per_mode: tuple[tuple[float, float], ...]
+    bounded: tuple[tuple[float, float], ...]
     beta: float
     grid_size: int
 
@@ -1005,7 +1047,13 @@ def poincare_constant(
     integrating |u'|^2 + (e/f^2) u^2 with weight rho^{2-2beta} rho^{-m}.
 
     Requires weights that keep constants out of the space: every residual
-    AC end with beta < 0 or CS end with beta > 0."""
+    AC end with beta < 0 or CS end with beta > 0.
+
+    After the first mode, a mode is solved only if it can raise the
+    running maximum C_*: one banded Cholesky of its pencil at s = (1 +
+    _EXCLUSION_MARGIN) / C_*^2 (_spectrum_above) that succeeds puts its
+    ratio below 1/sqrt(s), and the mode goes to `bounded` unsolved.  The
+    mode that sets the constant is always solved."""
     geo = _resolve_geometry(model)
     ends = _residual_ends(geo)
     if not ends:
@@ -1025,16 +1073,21 @@ def poincare_constant(
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
     parts = _form_parts(grid, beta)
     gradient_bands = _gradient_forms(grid, beta)
-    per_mode = []
+    per_mode, bounded = [], []
     for e, _mult in geo.link.eigenvalues_below(e_max):
         op = assemble_mode_operator(grid, e, beta=beta)
         M1 = op.reduce(weighted_form(grid, 1, e, parts))
         G_red, M1 = _dia(op.reduce(gradient_bands(e)), M1)
+        if per_mode:
+            shift = (1.0 + _EXCLUSION_MARGIN) / max(c for _, c in per_mode) ** 2
+            if _spectrum_above(G_red, M1, shift):
+                bounded.append((float(e), 1.0 / math.sqrt(shift)))
+                continue
         lam0 = max(_certified_smallest(G_red, M1), 1e-300)
         per_mode.append((float(e), 1.0 / math.sqrt(lam0)))
     constant = max(c for _, c in per_mode)
     return PoincareReport(constant=constant, per_mode=tuple(per_mode),
-                          beta=float(beta), grid_size=grid.n)
+                          bounded=tuple(bounded), beta=float(beta), grid_size=grid.n)
 
 
 # ---------------------------------------------------------------------------

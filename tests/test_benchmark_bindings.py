@@ -144,8 +144,9 @@ def test_poincare_constant_makes_no_arpack_or_dense_solve():
         tracer.enabled = False
     finally:
         tracing.restore(patches)
-    assert len(rep.per_mode) >= 2
-    assert tracer.calls["spectral_laplace.mode_operator"] == len(rep.per_mode)
+    modes = len(rep.per_mode) + len(rep.bounded)  # solved and ruled out
+    assert modes >= 2
+    assert tracer.calls["spectral_laplace.mode_operator"] == modes
     assert tracer.calls["spectral_laplace.arpack"] == 0
     assert tracer.calls["spectral_laplace.dense_fallback"] == 0
     assert tracer.calls["spectral_laplace.eigs"] == 0

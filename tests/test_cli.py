@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from conifold_lab.cli import main
@@ -28,6 +29,35 @@ def test_regions_subcommand(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "beta1,beta2,exceptional,injective,surjective,index,kernel_dim"
     assert len(lines) > 10
+
+
+def test_regions_out_creates_missing_directories(tmp_path):
+    out = tmp_path / "missing" / "dir" / "atlas.csv"
+    result = CliRunner().invoke(main, ["regions", "--kind", "AC", "--grid", "0.5",
+                                       "--out", str(out)])
+    assert result.exit_code == 0
+    plain = CliRunner().invoke(main, ["regions", "--kind", "AC", "--grid", "0.5"])
+    assert out.read_text(encoding="utf-8") == plain.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--grid", "0"], "weight grid step must be positive, got 0"),
+    (["--grid", "-0.5"], "weight grid step must be positive, got -0.5"),
+    (["--range", "2:1"], "weight interval lo:hi needs lo < hi, got 2:1"),
+    (["--range", "1"], "Invalid value for '--range': expected lo:hi, got '1'"),
+], ids=["grid-zero", "grid-negative", "range-reversed", "range-one-number"])
+def test_regions_refuses_bad_grid_and_range(tmp_path, args, message):
+    out = tmp_path / "atlas.csv"
+    result = CliRunner().invoke(main, ["regions", *args, "--out", str(out)])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert not out.exists()
+
+
+def test_weights_refuses_a_malformed_range():
+    result = CliRunner().invoke(main, ["weights", "--range", "-4"])
+    assert result.exit_code == 2
+    assert "expected lo:hi, got '-4'" in result.output
 
 
 def test_run_subcommand_exit_codes(tmp_path):

@@ -239,6 +239,13 @@ def test_region_atlas_matches_classifier():
     assert all(r["exceptional"] == 1 for r in exc)
 
 
+@pytest.mark.parametrize("step, lo, hi", [(0.0, None, None), (-0.5, None, None),
+                                           (0.5, 2.0, 1.0), (0.5, 1.0, 1.0)])
+def test_region_atlas_refuses_empty_grids(step, lo, hi):
+    with pytest.raises(ValueError, match="step must be positive|needs lo < hi"):
+        region_atlas_rows("AC", 3, "sphere:2", step, lo, hi)
+
+
 def test_region_atlas_passes_consistency():
     res = run(ExperimentConfig(experiment="region_atlas", kind="CSAC", grid_step=0.5))
     assert res.passed

@@ -18,7 +18,11 @@ is held to dense scipy.linalg.eigh on these grids at a stated relative
 tolerance, to its own bracket, and to the ARPACK solve from the base
 shift on a clustered mode; it calls neither ARPACK nor scipy.linalg.eigh.
 Its interval bands are sliced and kept bitwise equal to the general
-scatter, kept here as the reference."""
+scatter, kept here as the reference.
+
+The exclusion test (_spectrum_above: one factorization of A - s B) is
+held to pencils with known eigenvalues, and the two constants that use
+it (compact and Poincare) to the extremum of solving every mode."""
 
 import numpy as np
 import pytest
@@ -43,10 +47,13 @@ from conifold_lab.spectral_laplace import (
     _polished,
     _reduction_matrix,
     _shift_invert_lanczos,
+    _spectrum_above,
     _spectrum_slice,
     _upper_bands,
     assemble_mode_operator,
     laplacian_pencil,
+    poincare_constant,
+    restricted_invertibility_compact,
     smallest_pencil_eigs,
     weighted_form,
 )
@@ -471,6 +478,127 @@ def test_lanczos_raises_past_its_step_budget(monkeypatch):
     monkeypatch.setattr(sl, "_LANCZOS_STEPS", 5)
     with pytest.raises(RuntimeError, match="did not converge in 5 steps"):
         _certified_smallest(pen.A_dia, pen.B_dia, num_form=pen.numerator)
+
+
+# ---------------------------------------------------------------------------
+# ruling modes out of a constant by one factorization
+
+
+def known_pencil(kind):
+    """(A, B, lam_1) on common DIA offsets.  interval: A = 2 diag(lam),
+    B = 2 I, lam = 1, 1 + 1/n, ...  circle: the cycle Laplacian plus I
+    (offsets +-1 and the wraps +-(n - 1)) against B = I, with eigenvalues
+    3 - 2 cos(2 pi k / n), the smallest 1 on the constants."""
+    n = 101
+    if kind == "interval":
+        lam = 1.0 + np.arange(n) / n
+        return (sp.dia_matrix((2.0 * lam[None, :], [0]), shape=(n, n)),
+                sp.dia_matrix((np.full((1, n), 2.0), [0]), shape=(n, n)), 1.0)
+    offsets = [-(n - 1), -1, 0, 1, n - 1]
+    A = sp.dia_matrix((np.array([[-1.0], [-1.0], [3.0], [-1.0], [-1.0]]) * np.ones(n),
+                       offsets), shape=(n, n))
+    B = sp.dia_matrix((np.array([[0.0], [0.0], [1.0], [0.0], [0.0]]) * np.ones(n),
+                       offsets), shape=(n, n))
+    return A, B, 1.0
+
+
+@pytest.mark.parametrize("kind", ["interval", "circle"])
+def test_exclusion_test_splits_at_the_smallest_eigenvalue(kind):
+    A, B, lam = known_pencil(kind)
+    assert lam == pytest.approx(eigh(A.toarray(), B.toarray(), eigvals_only=True)[0],
+                                rel=1e-14)
+    order = _upper_bands(A, B)[0]
+    assert np.array_equal(order, np.arange(A.shape[0])) == (kind == "interval")
+    assert _spectrum_above(A, B, lam * (1.0 - 1e-9))
+    assert not _spectrum_above(A, B, lam * (1.0 + 1e-9))
+    with pytest.raises(ValueError, match="common ascending offsets"):
+        _spectrum_above(A.tocsr(), B, 0.0)
+
+
+EXCLUSION_TS = (1e-1, 1e-4)
+EXCLUSION_N = 150
+
+
+def compact_reports(t):
+    fam = spindle_family()
+    return fam, restricted_invertibility_compact(fam, beta=-0.5, t=t, e_max=E_MAX,
+                                                 n_per_region=EXCLUSION_N)
+
+
+def poincare_reports(t):
+    geo = dumbbell_family().at(t)
+    return geo, poincare_constant(geo, beta=-0.5, e_max=E_MAX, n_per_region=EXCLUSION_N)
+
+
+def assert_split(rep, modes_all):
+    """Every mode is in exactly one of per_mode and bounded."""
+    solved, ruled_out = [e for e, _ in rep.per_mode], [e for e, _ in rep.bounded]
+    assert sorted(solved + ruled_out) == modes_all
+    assert not set(solved) & set(ruled_out)
+
+
+@pytest.mark.parametrize("t", EXCLUSION_TS)
+def test_compact_constant_is_the_min_over_every_mode_solved(t):
+    """The spindle's compact constant equals 1 / min sigma with every mode
+    e > 0 solved by _certified_smallest (mode 0 is the report's own
+    constrained solve); each bound lies below its mode's solved sigma, and
+    no mode's pencil passes the test at the margin above its own value."""
+    fam, rep = compact_reports(t)
+    grid = build_grid(fam.at(t).geometry, n_per_region=EXCLUSION_N)
+    parts = _form_parts(grid, -0.5)
+    sigma = {0.0: rep.per_mode[0][1]}
+    for e in modes(grid)[1:]:
+        pen = laplacian_pencil(grid, e, parts)
+        lam = _certified_smallest(pen.A_dia, pen.B_dia, num_form=pen.numerator)
+        sigma[e] = float(np.sqrt(max(lam, 0.0)))
+        assert not _spectrum_above(pen.A_dia, pen.B_dia, (1.0 + sl._EXCLUSION_MARGIN) * lam)
+    assert rep.per_mode[0][0] == 0.0
+    assert_split(rep, modes(grid))
+    assert rep.bounded  # mode 0 sets the constant at these t
+    assert rep.constant == 1.0 / min(sigma.values())
+    for e, s in rep.per_mode:
+        assert s == sigma[e], e
+    for e, bound in rep.bounded:
+        assert rep.sigma_constrained < bound < sigma[e], e
+
+
+@pytest.mark.parametrize("t", EXCLUSION_TS)
+def test_poincare_constant_is_the_max_over_every_mode_solved(t):
+    """The dumbbell's Poincare constant equals the max ratio with every
+    mode solved by _certified_smallest; each bound lies above its mode's
+    solved ratio, and no mode's pencil passes the test at the margin
+    above its own value."""
+    geo, rep = poincare_reports(t)
+    grid = build_grid(geo.geometry, n_per_region=EXCLUSION_N, r_max=1e3)
+    parts, gradient = _form_parts(grid, -0.5), _gradient_forms(grid, -0.5)
+    ratio = {}
+    for e in modes(grid):
+        op = assemble_mode_operator(grid, e, beta=-0.5)
+        G, M1 = _dia(op.reduce(gradient(e)), op.reduce(weighted_form(grid, 1, e, parts)))
+        lam = _certified_smallest(G, M1)
+        ratio[e] = 1.0 / np.sqrt(max(lam, 1e-300))
+        assert not _spectrum_above(G, M1, (1.0 + sl._EXCLUSION_MARGIN) * lam)
+    assert_split(rep, modes(grid))
+    assert rep.bounded
+    assert rep.constant == max(ratio.values())
+    for e, c in rep.per_mode:
+        assert c == ratio[e], e
+    for e, bound in rep.bounded:
+        assert ratio[e] < bound < rep.constant, e
+
+
+@pytest.mark.parametrize("reports", [compact_reports, poincare_reports])
+def test_a_failed_exclusion_test_solves_the_mode(reports, monkeypatch):
+    """With every exclusion test failing, every mode is solved and the
+    constant is the same."""
+    _, rep = reports(1e-1)
+    monkeypatch.setattr(sl, "_spectrum_above", lambda A, B, s: False)
+    _, solved = reports(1e-1)
+    assert rep.bounded and not solved.bounded
+    assert [e for e, _ in solved.per_mode] == sorted(
+        [e for e, _ in rep.per_mode + rep.bounded])
+    assert solved.constant == rep.constant
+    assert set(rep.per_mode) <= set(solved.per_mode)
 
 
 # ---------------------------------------------------------------------------
