@@ -44,8 +44,7 @@ values stay bitwise.  A_dia and B_dia (and Poincare's reduced forms) are
 DIA on common ascending offsets, for ARPACK's products and the polish.
 LaplacePencil.A and B are their CSC matrices, built on first use for
 code that counts stored entries (perfbench sums their nnz).  splu
-factors the CSC matrix scipy converts A - sigma B to from DIA, the
-bordered sp.bmat matrix of a constrained solve and, in
+factors the CSC matrix scipy converts A - sigma B to from DIA and, in
 ModeOperator.solve, Pi as CSC.
 
 Two eigen engines share those bands.  _certified_smallest (banded
@@ -56,22 +55,24 @@ reorthogonalization twice per step, stopped by ARPACK's test beta_j |s_j|
 invertibility_constant and of restricted_invertibility_compact: their
 smallest values are isolated or clustered above the continuum's edge,
 and it moves them by rounding of the assembled pencil only (at most 6e-9
-relative).  The same factorization, once and at a given shift s,
-rules modes out of a constant (_spectrum_above): compact's minimum and
-Poincare's maximum solve only the modes that can set them, and a mode
-whose A - s B factors at s = (1 + _EXCLUSION_MARGIN) times the running
-extremum (in lam) is reported as a certified bound in the report's
-`bounded`, unsolved.  The mode that sets a constant is always solved,
-so the constants are those of solving every mode.
-smallest_pencil_eigs (ARPACK from the base shift, splu)
+relative).  Compact's constrained mode 0 (_constrained_smallest) runs
+the same Lanczos on one banded factor at a shift far below the pencil's
+floor, projected onto the constraint's complement.  The factorization,
+once and at a given shift s, also rules modes out of a constant
+(_spectrum_above): compact's minimum and Poincare's maximum solve only
+the modes that can set them, and a mode whose A - s B factors at s = (1
++ _EXCLUSION_MARGIN) times the running extremum (in lam) is reported as
+a certified bound in the report's `bounded`, unsolved.  The mode that
+sets a constant is always solved, so the constants are those of solving
+every mode.  smallest_pencil_eigs (ARPACK from the base shift, splu)
 keeps, bit for bit, the kernel scan (k = 4 near-null values), compact's
-mode 0 (the near-null unconstrained value and the bordered constrained
-solve) and invertibility's mode 0, whose polished value sits at the
-bottom of the truncated continuum: its eighth digit depends on the start
-vector (ARPACK spreads up to 5.5e-8 over random ones), and moving it
-moves the sweep's trend_slope.  Neither engine has a fallback: a failed
-factorization or solve raises its own error (SuperLU's, ARPACK's or the
-engine's), which an experiment passes on as ExperimentError.__cause__.
+unconstrained near-null mode-0 value and invertibility's mode 0, whose
+polished value sits at the bottom of the truncated continuum: its eighth
+digit depends on the start vector (ARPACK spreads up to 5.5e-8 over
+random ones), and moving it moves the sweep's trend_slope.  Neither
+engine has a fallback: a failed factorization or solve raises its own
+error (SuperLU's, ARPACK's or the engine's), which an experiment passes
+on as ExperimentError.__cause__.
 """
 
 from __future__ import annotations
@@ -436,12 +437,11 @@ def smallest_pencil_eigs(
     A: sp.dia_matrix,
     B: sp.dia_matrix,
     k: int = 1,
-    constraint: np.ndarray | None = None,
     num_form=None,
 ) -> np.ndarray:
-    """The k smallest eigenvalues of the SPD pencil A v = lam B v,
-    optionally restricted to {v : constraint . v = 0} via a bordered
-    shift-inverted solve.  Deterministic (fixed start vector).
+    """The k smallest eigenvalues of the SPD pencil A v = lam B v by
+    shift-inverted ARPACK from the base shift.  Deterministic (fixed
+    start vector).
 
     num_form(v) -> v^T A v, when supplied, re-evaluates the Rayleigh
     quotients of the converged vectors in a cancellation-free factored
@@ -467,35 +467,17 @@ def smallest_pencil_eigs(
     n = A.shape[0]
     k = min(k, n - 2)
     sigma = _base_shift(A, B)
-    # eigsh's mode 3 operator: the sorted CSC matrix of A - sigma B without
-    # stored zeros (DIA's tocsc walks each column's rows ascending when the
-    # offsets descend)
-    shifted = sp.dia_matrix(((A.data - sigma * B.data)[::-1], A.offsets[::-1]),
-                            shape=A.shape).tocsc()
+    # eigsh's mode 3 operator: splu of the sorted CSC matrix of A - sigma B
+    # without stored zeros (DIA's tocsc walks each column's rows ascending
+    # when the offsets descend); ARPACK needs only the factor
+    lu = spla.splu(sp.dia_matrix(((A.data - sigma * B.data)[::-1], A.offsets[::-1]),
+                                 shape=A.shape).tocsc())
+    OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     # B's product as the DIA kernel itself: eigsh would wrap B in
     # aslinearoperator, whose matvec dispatches through matmat and dot
     M = spla.LinearOperator(B.shape, matvec=B.__matmul__, dtype=float)
-
-    if constraint is None:
-        lu = spla.splu(shifted)
-        del shifted  # ARPACK needs only the factor
-        OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-        vals, vecs = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", OPinv=OPinv,
-                                v0=_deterministic_v0(n))
-        return _polished(vals, vecs, B, num_form)
-
-    q = np.asarray(constraint, dtype=float)
-    K = sp.bmat([[shifted, q[:, None]], [q[None, :], None]], format="csc")
-    lu = spla.splu(K)
-
-    def op_inv(b):
-        rhs = np.concatenate([b, [0.0]])
-        return lu.solve(rhs)[:-1]
-
-    OPinv = spla.LinearOperator((n, n), matvec=op_inv, dtype=float)
-    v0 = _deterministic_v0(n)
-    v0 = v0 - q * (q @ v0) / (q @ q)
-    vals, vecs = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
+    vals, vecs = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", OPinv=OPinv,
+                            v0=_deterministic_v0(n))
     return _polished(vals, vecs, B, num_form)
 
 
@@ -541,6 +523,29 @@ def _upper_bands(A: sp.dia_matrix, B: sp.dia_matrix):
     return order, *bands
 
 
+def _factor(ab_A: np.ndarray, ab_B: np.ndarray, sigma: float) -> np.ndarray:
+    """dpbtrf's factor of A - sigma B on the bands of _upper_bands, or, if
+    A - sigma B is not positive definite, a RuntimeError with its info."""
+    c, info = dpbtrf(ab_A - sigma * ab_B)
+    if info != 0:
+        raise RuntimeError(f"A - sigma B is not positive definite at sigma = {sigma:.3e} "
+                           f"(LAPACK dpbtrf info = {info})")
+    return c
+
+
+def _band_solver(order: np.ndarray, c: np.ndarray):
+    """b -> S^-1 b in the caller's node order, c being dpbtrf's factor of S
+    on the bands of _upper_bands, in its node order `order`."""
+    if np.array_equal(order, np.arange(order.size)):  # no permutation copies
+        return lambda b: dpbtrs(c, b)[0]
+
+    def solve(b):
+        x = np.empty(order.size)
+        x[order] = dpbtrs(c, b[order])[0]
+        return x
+    return solve
+
+
 def _spectrum_slice(A: sp.dia_matrix, B: sp.dia_matrix):
     """(lo, hi, solve) with lo < lam_1 <= hi for the SPD pencil A v =
     lam B v (DIA on common ascending offsets) and hi - lo <= 0.02 hi;
@@ -555,27 +560,10 @@ def _spectrum_slice(A: sp.dia_matrix, B: sp.dia_matrix):
     with that factor is the first hi; bisection on Cholesky success then
     moves lo up and hi down."""
     _check_dia_pair(A, B)
-    n = A.shape[0]
     order, ab_A, ab_B = _upper_bands(A, B)
     lo = _base_shift(A, B)
-    c, info = dpbtrf(ab_A - lo * ab_B)
-    if info != 0:
-        raise RuntimeError(f"A - sigma B is not positive definite at sigma = {lo:.3e} "
-                           f"(LAPACK dpbtrf info = {info})")
-
-    natural = np.array_equal(order, np.arange(n))
-
-    def solver(c):
-        if natural:  # no permutation copies
-            return lambda b: dpbtrs(c, b)[0]
-
-        def solve(b):
-            x = np.empty(n)
-            x[order] = dpbtrs(c, b[order])[0]
-            return x
-        return solve
-
-    solve, x = solver(c), _deterministic_v0(n)
+    c = _factor(ab_A, ab_B, lo)
+    solve, x = _band_solver(order, c), _deterministic_v0(A.shape[0])
     for _ in range(3):
         x = solve(B @ x)
         x /= np.linalg.norm(x)
@@ -589,7 +577,7 @@ def _spectrum_slice(A: sp.dia_matrix, B: sp.dia_matrix):
             lo, c = mid, c_mid
         else:
             hi = mid
-    return lo, hi, solver(c)
+    return lo, hi, _band_solver(order, c)
 
 
 _LANCZOS_STEPS = 80  # the acceptance suite's pencils take 6-21
@@ -609,26 +597,25 @@ def _spectrum_above(A: sp.dia_matrix, B: sp.dia_matrix, s: float) -> bool:
     return dpbtrf(ab_A - s * ab_B)[1] == 0
 
 
-def _shift_invert_lanczos(solve, B: sp.dia_matrix):
+def _shift_invert_lanczos(solve, B: sp.dia_matrix, start: np.ndarray):
     """(theta, x): the largest eigenvalue theta of the operator OP b =
     solve(B b), self-adjoint in the B inner product, and its Ritz vector.
 
-    Lanczos from smallest_pencil_eigs' start vector on a B-orthonormal
-    basis Q, keeping the rows B Q so that a step takes one solve and one B
-    product; each new vector is orthogonalized against all of Q twice
-    (classical Gram-Schmidt; "twice is enough", Parlett).  theta is the
-    largest eigenvalue of the tridiagonal T (np.linalg.eigh of its leading
-    block, T being filled in place), s its eigenvector, and x = Q s; the
-    solve stops at ARPACK's test, beta_j |s_j| <= eps theta.  No
-    convergence within _LANCZOS_STEPS raises."""
+    Lanczos from the vector start on a B-orthonormal basis Q, keeping the
+    rows B Q so that a step takes one solve and one B product; each new
+    vector is orthogonalized against all of Q twice (classical
+    Gram-Schmidt; "twice is enough", Parlett).  theta is the largest
+    eigenvalue of the tridiagonal T (np.linalg.eigh of its leading block,
+    T being filled in place), s its eigenvector, and x = Q s; the solve
+    stops at ARPACK's test, beta_j |s_j| <= eps theta.  No convergence
+    within _LANCZOS_STEPS raises."""
     eps = np.finfo(float).eps
     n = B.shape[0]
     Q, BQ = np.empty((24, n)), np.empty((24, n))  # rows double past 24 steps
     T = np.zeros((_LANCZOS_STEPS + 1, _LANCZOS_STEPS + 1))  # a spare row for the last beta
-    q = _deterministic_v0(n)
-    Bq = B @ q
-    norm = math.sqrt(float(q @ Bq))
-    Q[0], BQ[0] = q / norm, Bq / norm
+    Bq = B @ start
+    norm = math.sqrt(float(start @ Bq))
+    Q[0], BQ[0] = start / norm, Bq / norm
     for j in range(_LANCZOS_STEPS):
         w = solve(BQ[j])
         c = BQ[:j + 1] @ w
@@ -663,13 +650,48 @@ def _certified_smallest(A: sp.dia_matrix, B: sp.dia_matrix, num_form=None) -> fl
     backward error of Cholesky on the assembled form, or the solve
     raises."""
     lo, hi, solve = _spectrum_slice(A, B)
-    theta, x = _shift_invert_lanczos(solve, B)
+    theta, x = _shift_invert_lanczos(solve, B, _deterministic_v0(A.shape[0]))
     lam = lo + 1.0 / theta
     fuzz = 1e-6 * abs(hi)
     if not lo - fuzz <= lam <= hi + fuzz:
         raise RuntimeError(f"eigenvalue {lam:.17g} outside its certified bracket "
                            f"[{lo:.17g}, {hi:.17g}]")
     return float(_polished([lam], x[:, None], B, num_form)[0])
+
+
+# the constrained solve's shift in units of the base shift: far below the
+# mode-0 pencil's rounding floor (about -2e-6 in lam), which the base shift is not
+_CONSTRAINED_SHIFT = 1e5
+
+
+def _constrained_smallest(A: sp.dia_matrix, B: sp.dia_matrix, q: np.ndarray,
+                          num_form) -> float:
+    """The smallest eigenvalue of the SPD pencil A v = lam B v (DIA on
+    common ascending offsets) on {v : q . v = 0} (Golub, SIAM Rev. 15,
+    1973), polished by num_form as in smallest_pencil_eigs.  With S = A -
+    sigma B factored once at sigma = _CONSTRAINED_SHIFT times the base
+    shift and z = S^-1 q, the solve b -> S^-1 b - z (q . S^-1 b) / (q . z)
+    maps into q's complement; _shift_invert_lanczos on it, from the start
+    vector projected there, gives theta and lam = sigma + 1/theta.  A
+    Ritz vector x with |q . x| > 1e-12 |q| |x| raises."""
+    _check_dia_pair(A, B)
+    order, ab_A, ab_B = _upper_bands(A, B)
+    sigma = _CONSTRAINED_SHIFT * _base_shift(A, B)
+    solve = _band_solver(order, _factor(ab_A, ab_B, sigma))
+    z = solve(q)
+    qz = float(q @ z)
+
+    def projected(b):
+        y = solve(b)
+        return y - z * (float(q @ y) / qz)
+
+    v0 = _deterministic_v0(A.shape[0])
+    theta, x = _shift_invert_lanczos(projected, B, v0 - q * (q @ v0) / (q @ q))
+    off = abs(float(q @ x)) / (np.linalg.norm(q) * np.linalg.norm(x))
+    if off > 1e-12:
+        raise RuntimeError(f"constrained Ritz vector leaves the constraint: "
+                           f"|q.x| / (|q| |x|) = {off:.2e}")
+    return float(_polished([sigma + 1.0 / theta], x[:, None], B, num_form)[0])
 
 
 def _sigma_from(vals: np.ndarray) -> np.ndarray:
@@ -950,11 +972,13 @@ def restricted_invertibility_compact(
     while the higher modes are unconstrained.  Also reports the
     unconstrained mode-0 minimum (a near-zero sanity value: constants).
 
-    A mode e > 0 is solved only if it can lower the running minimum
-    sigma_*: one banded Cholesky of its pencil at s = (1 +
-    _EXCLUSION_MARGIN) sigma_*^2 (_spectrum_above) that succeeds puts its
-    sigma above sqrt(s), and the mode goes to `bounded` unsolved.  The
-    mode that sets the constant is always solved."""
+    Mode 0's constrained value comes from _constrained_smallest, its
+    unconstrained one from smallest_pencil_eigs.  A mode e > 0 is solved
+    only if it can lower the running minimum sigma_*: one banded Cholesky
+    of its pencil at s = (1 + _EXCLUSION_MARGIN) sigma_*^2
+    (_spectrum_above) that succeeds puts its sigma above sqrt(s), and the
+    mode goes to `bounded` unsolved.  The mode that sets the constant is
+    always solved."""
     m_geo = family.at(t).geometry
     if not m_geo.circle and _residual_ends(m_geo):
         raise WeightConditionError("model is not compact; use invertibility_constant")
@@ -980,9 +1004,8 @@ def restricted_invertibility_compact(
             q_red = _band_rows(_transpose(pen.op.reduction), q)[pen.op.interior]
             lam_u = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=nf)
             sigma0_unc = float(_sigma_from(lam_u)[0])
-            lam_c = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, constraint=q_red,
-                                         num_form=nf)
-            per_mode.append((0.0, float(_sigma_from(lam_c)[0])))
+            lam_c = _constrained_smallest(pen.A_dia, pen.B_dia, q_red, nf)
+            per_mode.append((0.0, float(_sigma_from(lam_c))))
             continue
         if per_mode:
             shift = (1.0 + _EXCLUSION_MARGIN) * min(s for _, s in per_mode) ** 2

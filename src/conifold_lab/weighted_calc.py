@@ -346,16 +346,22 @@ def _log_segment_nodes(seg: PlanSegment, hz: float, r_max: float,
 
     Soft endpoints (truncations resolved from r_max / r_min_factor) are
     snapped outward so the span is an exact multiple of hz: stencils then
-    stay uniform in log r across region interfaces at hard endpoints."""
+    stay uniform in log r across region interfaces at hard endpoints.  A
+    soft endpoint that does not lie beyond the anchored one is refused."""
     r_lo, r_hi = seg.r_lo, seg.r_hi
     if r_lo is None and r_hi is None:
         raise ValueError("log segments need at least one anchored endpoint")
     if r_lo is None:
         target = math.log(r_hi / (r_hi * r_min_factor))
+        if not target > 0:
+            raise ValueError(f"r_min_factor {r_min_factor} cuts a CS end at or above "
+                             f"its radius {r_hi}")
         steps = max(min_nodes - 1, math.ceil(target / hz))
         r_lo = r_hi * math.exp(-steps * hz)
     elif r_hi is None:
         target = math.log(r_max / r_lo)
+        if not target > 0:
+            raise ValueError(f"r_max {r_max} cuts an AC end at or below its radius {r_lo}")
         steps = max(min_nodes - 1, math.ceil(target / hz))
         r_hi = r_lo * math.exp(steps * hz)
     else:
@@ -1114,9 +1120,13 @@ def bump_family(
     made.  The attempts still needed are evaluated together on their
     windows (in blocks, _blocks), so one round when none is skipped."""
     g = grid.geometry
+    if n_members < 0:
+        raise ValueError(f"n_members must be >= 0, got {n_members}")
     if modes is None:
         e1 = g.link.eigenvalues_below(4.0 * g.m)[1][0]
         modes = (0.0, e1)
+    elif len(modes) == 0:
+        raise ValueError("modes must hold at least one link eigenvalue, got none")
     rng = np.random.default_rng(seed)
     centers = np.array(_candidate_centers(grid))
     if not centers.size:

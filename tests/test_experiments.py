@@ -97,6 +97,18 @@ def test_arpack_failure_reaches_the_caller_of_an_experiment(monkeypatch):
     assert info.value.__cause__ is original
 
 
+def test_r_max_inside_an_ac_end_fails_the_experiment():
+    # the dumbbell's right AC end starts at r = 2; before the grid refused
+    # r_max 0.5 it meshed past 2 and the sweep passed
+    cfg = ExperimentConfig.from_dict({"experiment": "invertibility_uniformity",
+                                      "r_max": 0.5, "n_per_region": 100, "e_max": 2.0})
+    with pytest.raises(ExperimentError) as info:
+        run(cfg)
+    cause = info.value.__cause__
+    assert isinstance(cause, ValueError)
+    assert "r_max 0.5" in str(cause) and "radius 2.0" in str(cause)
+
+
 @pytest.mark.parametrize("experiment", [
     "embedding_uniformity", "invertibility_uniformity", "poincare_uniformity",
     "gns_uniformity", "neck_convergence",

@@ -20,6 +20,12 @@ shift on a clustered mode; it calls neither ARPACK nor scipy.linalg.eigh.
 Its interval bands are sliced and kept bitwise equal to the general
 scatter, kept here as the reference.
 
+The constrained mode-0 solve of the compact constant
+(_constrained_smallest: one factorization, projected Lanczos) is held to
+dense scipy.linalg.eigh on the complement of the constraint at a stated
+relative tolerance, to interlacing with the unconstrained pencil, and to
+its two refusals.
+
 The exclusion test (_spectrum_above: one factorization of A - s B) is
 held to pencils with known eigenvalues, and the two constants that use
 it (compact and Poincare) to the extremum of solving every mode."""
@@ -38,6 +44,7 @@ from conifold_lab.spectral_laplace import (
     ClosureRule,
     _base_shift,
     _certified_smallest,
+    _constrained_smallest,
     _default_closures,
     _csr,
     _deterministic_v0,
@@ -79,31 +86,17 @@ def ref_radial_operator(grid):
             + sp.diags(-(m - 1.0) * rho2 * grid.fp / grid.f) @ d1)
 
 
-def ref_smallest_pencil_eigs(A, B, k=1, constraint=None, num_form=None):
-    """eigsh's own mode 3 (it factors A - sigma B itself), or the
-    bordered solve on (A - sigma B).tocsc(), plus the polish."""
+def ref_smallest_pencil_eigs(A, B, k=1, num_form=None):
+    """eigsh's own mode 3 (it factors A - sigma B itself), plus the
+    polish."""
     n = A.shape[0]
     k = min(k, n - 2)
     scale = max((A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)), 1e-300)
     sigma = -1e-8 * scale
-
-    def polish(vals, vecs):
-        if num_form is None:
-            return np.sort(vals)
-        return np.sort([num_form(v) / max(float(v @ (B @ v)), 1e-300) for v in vecs.T])
-
-    if constraint is None:
-        vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM",
-                                v0=_deterministic_v0(n))
-        return polish(vals, vecs)
-    q = np.asarray(constraint, dtype=float)
-    K = sp.bmat([[(A - sigma * B).tocsc(), q[:, None]], [q[None, :], None]], format="csc")
-    lu = spla.splu(K)
-    OPinv = spla.LinearOperator((n, n), matvec=lambda b: lu.solve(np.r_[b, 0.0])[:-1])
-    v0 = _deterministic_v0(n)
-    v0 = v0 - q * (q @ v0) / (q @ q)
-    vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
-    return polish(vals, vecs)
+    vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, which="LM", v0=_deterministic_v0(n))
+    if num_form is None:
+        return np.sort(vals)
+    return np.sort([num_form(v) / max(float(v @ (B @ v)), 1e-300) for v in vecs.T])
 
 
 # ---------------------------------------------------------------------------
@@ -127,29 +120,19 @@ def modes(grid):
     return [e for e, _ in grid.geometry.link.eigenvalues_below(E_MAX)]
 
 
-def core_functional(grid):
-    """The transversality functional of the compact solve, on the nodes."""
-    return np.asarray(grid.quad * grid.f**2)
-
-
 def solves(grid):
-    """(label, A, B, constraint, num_form, pencil-side A and B): the
-    pencils unconstrained (k = 1 and the kernel scan's k = 4) and, at
-    e = 0, bordered; and Poincare's pencil, whose forms come as bands
-    from ModeOperator.reduce."""
+    """(label, A, B, num_form, pencil-side A and B): the pencils (k = 1
+    and the kernel scan's k = 4) and Poincare's pencil, whose forms come
+    as bands from ModeOperator.reduce."""
     out = []
     for e in modes(grid)[:3]:
         for kernel_scan in (False, True):
             pen = laplacian_pencil(grid, e, _form_parts(grid, -0.5), kernel_scan=kernel_scan)
-            out.append((f"pencil e={e}", pen.A, pen.B, None, pen.numerator,
-                        pen.A_dia, pen.B_dia))
-        if e == 0.0:
-            q = _csr(pen.op.reduction)[:, pen.op.interior].T @ core_functional(grid)
-            out.append(("bordered", pen.A, pen.B, q, pen.numerator, pen.A_dia, pen.B_dia))
+            out.append((f"pencil e={e}", pen.A, pen.B, pen.numerator, pen.A_dia, pen.B_dia))
     op = assemble_mode_operator(grid, 2.0, beta=-0.5)
     G, M1 = _dia(op.reduce(_gradient_forms(grid, -0.5)(2.0)),
                  op.reduce(weighted_form(grid, 1, 2.0, _form_parts(grid, -0.5))))
-    out.append(("poincare", G.tocsc(), M1.tocsc(), None, None, G, M1))
+    out.append(("poincare", G.tocsc(), M1.tocsc(), None, G, M1))
     return out
 
 
@@ -226,7 +209,7 @@ def _assert_same_entries(got, want):
 
 
 def test_dia_products_are_the_csc_products_byte_for_byte(grid):
-    for label, A, B, _q, _nf, A_dia, B_dia in solves(grid):
+    for label, A, B, _nf, A_dia, B_dia in solves(grid):
         assert np.all(np.diff(B_dia.offsets) > 0), label
         assert np.array_equal(A_dia.offsets, B_dia.offsets), label
         for X, X_dia in ((A, A_dia), (B, B_dia)):
@@ -249,7 +232,7 @@ def test_shifted_operator_is_what_splu_gets_from_eigsh(grid, monkeypatch):
     factored = []
     splu = spla.splu
     monkeypatch.setattr(sl.spla, "splu", lambda M: factored.append(M) or splu(M))
-    for label, A, B, _q, _nf, A_dia, B_dia in solves(grid):
+    for label, A, B, _nf, A_dia, B_dia in solves(grid):
         sigma = -1e-8 * A.diagonal().sum() / B.diagonal().sum()
         want = (A - sigma * B).tocsc()
         want.sum_duplicates()  # splu's first step: sorted, canonical
@@ -264,10 +247,10 @@ def test_shifted_operator_is_what_splu_gets_from_eigsh(grid, monkeypatch):
 
 
 def test_eigenvalues_equal_eigsh_with_its_own_operator(grid):
-    for label, A, B, q, nf, A_dia, B_dia in solves(grid):
-        for k in ((1, 4) if q is None else (1,)):
-            want = ref_smallest_pencil_eigs(A, B, k=k, constraint=q, num_form=nf)
-            got = smallest_pencil_eigs(A_dia, B_dia, k=k, constraint=q, num_form=nf)
+    for label, A, B, nf, A_dia, B_dia in solves(grid):
+        for k in (1, 4):
+            want = ref_smallest_pencil_eigs(A, B, k=k, num_form=nf)
+            got = smallest_pencil_eigs(A_dia, B_dia, k=k, num_form=nf)
             assert got.tobytes() == np.asarray(want).tobytes(), (label, k)
 
 
@@ -286,10 +269,10 @@ def test_every_solve_factors_once_before_arpack(grid, monkeypatch):
     monkeypatch.setattr(sl, "spla", type("spla", (), {
         "splu": staticmethod(splu), "eigsh": staticmethod(eigsh),
         "LinearOperator": spla.LinearOperator}))
-    for label, _A, _B, q, nf, A_dia, B_dia in solves(grid):
+    for label, _A, _B, nf, A_dia, B_dia in solves(grid):
         calls.clear()
         products.clear()
-        smallest_pencil_eigs(A_dia, B_dia, k=1, constraint=q, num_form=nf)
+        smallest_pencil_eigs(A_dia, B_dia, k=1, num_form=nf)
         assert calls == [("splu", "csc", True), ("eigsh", True)]
         # ARPACK's B product is the DIA product, byte for byte
         M, = products
@@ -463,7 +446,7 @@ def test_lanczos_finds_a_known_spectrum():
         steps.append(1)
         return b / (2.0 * lam)
 
-    theta, x = _shift_invert_lanczos(solve, B)
+    theta, x = _shift_invert_lanczos(solve, B, _deterministic_v0(n))
     assert 24 < len(steps) < sl._LANCZOS_STEPS
     assert 1.0 / theta == pytest.approx(1.0, rel=1e-14)
     assert np.abs(x[1:]).max() <= 1e-12 * abs(x[0])
@@ -478,6 +461,124 @@ def test_lanczos_raises_past_its_step_budget(monkeypatch):
     monkeypatch.setattr(sl, "_LANCZOS_STEPS", 5)
     with pytest.raises(RuntimeError, match="did not converge in 5 steps"):
         _certified_smallest(pen.A_dia, pen.B_dia, num_form=pen.numerator)
+
+
+# ---------------------------------------------------------------------------
+# the constrained mode-0 solve of the compact constant
+
+# in lambda, after the polish: the projected Lanczos against LAPACK's dense
+# solver on the complement of q (measured: at most 3.6e-9 on these grids,
+# the polish's own reproducibility at t = 0.1)
+CONSTRAINED_RTOL = 2e-8
+CONSTRAINED_TS = (1e-1, 1e-4)
+
+
+def compact_mode0(t, n_per_region=400):
+    """(pencil, q): the spindle's mode-0 pencil at t with the reduced
+    transversality functional of restricted_invertibility_compact, eta
+    times the volume on the host's core, zero elsewhere."""
+    geo = spindle_family().at(t).geometry
+    grid = build_grid(geo, n_per_region=n_per_region)
+    lo, hi = sl._host_core_interval(geo)
+    in_core = (grid.nodes >= lo) & (grid.nodes <= hi)
+    q = (np.asarray(geo.eta(grid.nodes)) * grid.quad * grid.f ** (geo.m - 1)
+         * grid.volume_factor * in_core)
+    pen = laplacian_pencil(grid, 0.0, _form_parts(grid, -0.5))
+    return pen, (_csr(pen.op.reduction)[:, pen.op.interior].T @ q)
+
+
+def complement_basis(q):
+    """An orthonormal basis Z of q's complement that mixes only the nodes
+    where q is nonzero (the host core): unit vectors elsewhere, so that
+    Z^T A Z adds no terms across the scales of the graded mesh (a basis
+    mixing every node, as null_space gives, moves the dense value by up to
+    1e-3)."""
+    n = q.size
+    support = np.flatnonzero(q)
+    rest = np.setdiff1d(np.arange(n), support)
+    Z = np.zeros((n, n - 1))
+    Z[rest, np.arange(rest.size)] = 1.0
+    Z[np.ix_(support, np.arange(rest.size, n - 1))] = scipy.linalg.null_space(
+        q[support][None, :])
+    return Z
+
+
+@pytest.mark.parametrize("t", CONSTRAINED_TS)
+def test_constrained_solve_matches_dense_eigh(t, monkeypatch):
+    """The polished constrained value is the polished smallest eigenvalue
+    of (Z^T A Z, Z^T B Z), found without ARPACK or SuperLU, and it is the
+    compact report's mode 0."""
+    pen, q = compact_mode0(t)
+    A, B = pen.A_dia, pen.B_dia
+    assert A.shape[0] <= 1500
+    Z = complement_basis(q)
+    assert np.abs(Z.T @ Z - np.eye(Z.shape[1])).max() <= 1e-13
+    assert np.abs(q @ Z).max() <= 1e-13 * np.linalg.norm(q)
+    vals, Y = eigh(Z.T @ A.toarray() @ Z, Z.T @ B.toarray() @ Z, subset_by_index=[0, 0])
+    want = _polished(vals, Z @ Y, B, pen.numerator)[0]
+
+    def refused(*_args, **_kwargs):
+        raise AssertionError("the constrained solve must not call this")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sl.spla, "eigsh", refused)
+        patched.setattr(sl.spla, "splu", refused)
+        got = _constrained_smallest(A, B, q, pen.numerator)
+    assert got == pytest.approx(want, rel=CONSTRAINED_RTOL)
+    rep = restricted_invertibility_compact(spindle_family(), beta=-0.5, t=t, e_max=2.0,
+                                           n_per_region=400)
+    assert rep.per_mode[0] == (0.0, float(np.sqrt(got)))
+
+
+@pytest.mark.parametrize("t", CONSTRAINED_TS)
+def test_constrained_value_interlaces(t):
+    """A rank-one constraint puts the smallest value between the first two
+    of the unconstrained pencil (Cauchy interlacing), all unpolished; here
+    lam_1 is the pencil's rounding floor and lam_c lies 1-13 % under
+    lam_2."""
+    pen, q = compact_mode0(t)
+    A, B = pen.A_dia, pen.B_dia
+    lam_1, lam_2 = eigh(A.toarray(), B.toarray(), eigvals_only=True, subset_by_index=[0, 1])
+    lam_c = _constrained_smallest(A, B, q, None)
+    assert lam_1 < lam_c < lam_2
+    assert abs(lam_1) < 1e-4 * lam_c
+
+
+def test_constrained_solve_raises_off_the_constraint(monkeypatch):
+    """A Ritz vector is accepted up to |q.x| = 1e-12 |q| |x| and refused
+    beyond it."""
+    pen, q = compact_mode0(1e-1, n_per_region=100)
+    lanczos = sl._shift_invert_lanczos
+
+    def tilted(off):
+        def run(solve, B, start):
+            theta, x = lanczos(solve, B, start)
+            return theta, x + off * np.linalg.norm(x) / np.linalg.norm(q) * q
+        return run
+
+    monkeypatch.setattr(sl, "_shift_invert_lanczos", tilted(1e-13))
+    assert _constrained_smallest(pen.A_dia, pen.B_dia, q, pen.numerator) > 0.0
+    monkeypatch.setattr(sl, "_shift_invert_lanczos", tilted(1e-11))
+    with pytest.raises(RuntimeError, match="leaves the constraint"):
+        _constrained_smallest(pen.A_dia, pen.B_dia, q, pen.numerator)
+
+
+def test_constrained_solve_refuses_a_pencil_indefinite_at_its_shift():
+    """A - sigma B shifted down by twice the constrained value is
+    indefinite at the solve's shift: the solve raises with LAPACK's
+    info."""
+    pen, q = compact_mode0(1e-1, n_per_region=100)
+    B = pen.B_dia
+    lam_c = _constrained_smallest(pen.A_dia, B, q, None)
+    A = sp.dia_matrix((pen.A_dia.data - 2.0 * lam_c * B.data, pen.A_dia.offsets),
+                      shape=B.shape)
+    _order, ab_A, ab_B = _upper_bands(A, B)
+    sigma = sl._CONSTRAINED_SHIFT * _base_shift(A, B)
+    assert sigma < 0.0
+    info = dpbtrf(ab_A - sigma * ab_B)[1]
+    assert info > 0
+    with pytest.raises(RuntimeError, match=rf"not positive definite .*dpbtrf info = {info}\)"):
+        _constrained_smallest(A, B, q, None)
 
 
 # ---------------------------------------------------------------------------

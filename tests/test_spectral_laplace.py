@@ -17,7 +17,6 @@ from conifold_lab.conifold_model import (
 from conifold_lab.link_spectra import make_link
 from conifold_lab.spectral_laplace import (
     WeightConditionError,
-    _csr,
     _form_parts,
     assemble_mode_operator,
     invertibility_constant,
@@ -261,19 +260,6 @@ def test_poincare_finite_on_dumbbell():
     assert 0.0 < rep.constant < 100.0
 
 
-def test_pencil_solver_constraint_interlaces():
-    # the constrained smallest eigenvalue exceeds the unconstrained one
-    fam = spindle_family()
-    grid = build_grid(fam.at(1e-2).geometry, n_per_region=200)
-    pen = laplacian_pencil(grid, 0.0, _form_parts(grid, -0.5))
-    lam_u = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1)[0]
-    q = np.asarray(grid.quad * grid.f**2)
-    q_red = _csr(pen.op.reduction)[:, pen.op.interior].T @ q
-    lam_c = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, constraint=q_red)[0]
-    assert lam_c >= lam_u - 1e-14
-    assert lam_c > 100.0 * max(lam_u, 1e-18)
-
-
 def _raising(exc):
     def raising(*args, **kwargs):
         raise exc
@@ -281,38 +267,36 @@ def _raising(exc):
 
 
 def _solver_cases():
-    """(A, B, constraint, num_form): an unconstrained and a bordered solve."""
+    """(A, B, num_form): a hyperboloid pencil and the spindle's mode 0."""
     grid = build_grid(preset_model("hyperboloid_capped").geometry(0), n_per_region=200)
     pen = laplacian_pencil(grid, 2.0, _form_parts(grid, -0.5))
-    yield pen.A_dia, pen.B_dia, None, pen.numerator
+    yield pen.A_dia, pen.B_dia, pen.numerator
     grid = build_grid(spindle_family().at(1e-2).geometry, n_per_region=200)
     pen = laplacian_pencil(grid, 0.0, _form_parts(grid, -0.5))
-    q = _csr(pen.op.reduction)[:, pen.op.interior].T @ np.asarray(grid.quad * grid.f**2)
-    yield pen.A_dia, pen.B_dia, q, pen.numerator
+    yield pen.A_dia, pen.B_dia, pen.numerator
 
 
 def test_pencil_solver_lets_programming_errors_through(monkeypatch):
     monkeypatch.setattr(sl.spla, "eigsh", _raising(ValueError("bad argument")))
-    for A, B, q, nf in _solver_cases():
+    for A, B, nf in _solver_cases():
         with pytest.raises(ValueError, match="bad argument"):
-            smallest_pencil_eigs(A, B, k=1, constraint=q, num_form=nf)
+            smallest_pencil_eigs(A, B, k=1, num_form=nf)
 
 
 @pytest.mark.parametrize("solver", ["eigsh", "splu"])
 def test_pencil_solver_reraises_solver_failures(monkeypatch, solver):
     # there is no dense fallback: ARPACK's or SuperLU's own error reaches
-    # the caller, on small pencils and on large ones, with and without a
-    # constraint
+    # the caller, on small pencils and on large ones
     n = 4001
     A = sp.diags(np.arange(1.0, n + 1), format="dia")
     B = sp.identity(n, format="dia")
-    cases = [*_solver_cases(), (A, B, None, None), (A, B, np.ones(n), None)]
+    cases = [*_solver_cases(), (A, B, None)]
     err = (ArpackNoConvergence("no convergence", np.empty(0), np.empty((n, 0)))
            if solver == "eigsh" else RuntimeError("Factor is exactly singular"))
     monkeypatch.setattr(sl.spla, solver, _raising(err))
-    for A, B, q, nf in cases:
+    for A, B, nf in cases:
         with pytest.raises(type(err)) as info:
-            smallest_pencil_eigs(A, B, k=1, constraint=q, num_form=nf)
+            smallest_pencil_eigs(A, B, k=1, num_form=nf)
         assert info.value is err
 
 
@@ -322,10 +306,9 @@ def test_pencil_solver_reraises_arpack_failure_on_large_pencils(monkeypatch):
     B = sp.identity(n, format="dia")
     err = ArpackNoConvergence("no convergence", np.empty(0), np.empty((n, 0)))
     monkeypatch.setattr(sl.spla, "eigsh", _raising(err))
-    for q in (None, np.ones(n)):
-        with pytest.raises(ArpackNoConvergence) as info:
-            smallest_pencil_eigs(A, B, k=1, constraint=q)
-        assert info.value is err
+    with pytest.raises(ArpackNoConvergence) as info:
+        smallest_pencil_eigs(A, B, k=1)
+    assert info.value is err
 
 
 def test_torus_link_irrational_rates_annihilated():

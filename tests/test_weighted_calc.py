@@ -323,6 +323,32 @@ def test_bump_family_spans_regions():
     assert any(abs(c) < 0.1 for c in centers)  # neck reached
 
 
+@pytest.mark.parametrize("kwargs,name", [({"modes": ()}, "modes"),
+                                         ({"n_members": -1}, "n_members")])
+def test_bump_family_refuses_empty_modes_and_negative_counts(cone_grid, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        bump_family(cone_grid, **kwargs)
+
+
+@pytest.mark.parametrize("r_max,anchor", [(0.5, "2.0"), (2.0, "2.0"), (0.1, "0.1")])
+def test_build_grid_refuses_r_max_inside_an_ac_end(r_max, anchor):
+    """The dumbbell at t = 0.1 anchors its AC ends at r = 0.1 (left) and
+    r = 2 (right): an r_max at or below either radius is refused, naming
+    both."""
+    geo = dumbbell_family().at(0.1).geometry
+    with pytest.raises(ValueError, match=rf"r_max {r_max} .*AC end.* radius {anchor}$"):
+        build_grid(geo, n_per_region=100, r_max=r_max)
+
+
+@pytest.mark.parametrize("factor", [1.0, 3.0])
+def test_build_grid_refuses_r_min_factor_inside_a_cs_end(factor):
+    """The exact cone anchors its CS end at r = 2: an r_min_factor of 1 or
+    more puts the truncation at or above it and is refused."""
+    geo = preset_model("exact_cone_cs_ac").geometry(0)
+    with pytest.raises(ValueError, match=rf"r_min_factor {factor} .*CS end.* radius 2.0$"):
+        build_grid(geo, n_per_region=100, r_min_factor=factor)
+
+
 def test_gradient_norm_matches_k1_difference(cone_grid):
     u = ModeFunction.single(cone_grid, 2.0, window(cone_grid.rho))
     g = gradient_norm(u, p=2.0, beta=-0.5)
