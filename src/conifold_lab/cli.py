@@ -39,7 +39,10 @@ def run_cmd(config, formats, out_dir, seed):
         _check_formats(fmts)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="'--emit'") from exc
-    code, results = run_config_file(config, formats=fmts, out_dir=out_dir, seed=seed)
+    try:
+        code, results = run_config_file(config, formats=fmts, out_dir=out_dir, seed=seed)
+    except ValueError as exc:  # raised before any experiment runs
+        raise click.UsageError(str(exc)) from exc
     for res in results:
         status = "pass" if res.passed else "FAIL"
         click.echo(f"[{status}] {res.experiment}: {res.summary}")

@@ -558,17 +558,20 @@ def run_config_file(path, formats=("csv", "json"), out_dir=".",
     """Run every experiment in a JSON config file (a single config object
     or a list under 'experiments'), with every seed replaced by ``seed``
     when it is given.  Returns (exit_code, results); the exit code is 0
-    iff every configured tolerance passes.  Unknown formats raise
-    ValueError before the first experiment runs."""
+    iff every configured tolerance passes.  Every config is built before
+    the first experiment runs, and unknown formats, an empty experiment
+    list and a config that refuses its values raise ValueError then."""
     _check_formats(formats)
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     entries = raw["experiments"] if isinstance(raw, dict) and "experiments" in raw else [raw]
+    if not entries:
+        raise ValueError(f"{path} lists no experiments")
+    configs = [ExperimentConfig.from_dict(entry if seed is None else {**entry, "seed": seed})
+               for entry in entries]
     results = []
-    for entry in entries:
-        if seed is not None:
-            entry = {**entry, "seed": seed}
-        res = run(ExperimentConfig.from_dict(entry))
+    for config in configs:
+        res = run(config)
         emit(res, formats=formats, out_dir=out_dir)
         results.append(res)
     return (0 if all(r.passed for r in results) else 1), results

@@ -25,27 +25,26 @@ resulting banded pencils; kernel dimensions are counts of near-null
 singular values against a grid-calibrated threshold.
 
 Matrices are bands, one array per diagonal (weighted_calc defines the
-format), from the grid's stencils d1, d2 and radial operator up: P, the
-reduction R, the forms, Pi = P[interior] R, the pencil's A and B and
-Poincare's reduced forms.  Products are filled by one band product that
-adds each entry's terms over the inner index ascending, starting from 0,
-and drops all-zero diagonals.  That is the order of scipy's csr_matmat
-on the expressions the bands replace, so every matrix is bit for bit
-what those expressions give.  A band times a vector (P u, R u, R^T q, a
-form's norm) is _band_rows, which adds each row's terms over the offsets
-ascending, starting from 0, as the DIA product and the product of the
-sorted CSR or CSC matrix do.
+format), from the grid's stencils d1, d2 and radial operator up to the
+eigen solves: P, the reduction R, the forms, Pi = P[interior] R, the
+pencil's A and B and Poincare's reduced forms.  Products are filled by
+one band product that adds each entry's terms over the inner index
+ascending, starting from 0, and drops all-zero diagonals.  That is the
+order of scipy's csr_matmat on the expressions the bands replace, so
+every matrix is bit for bit what those expressions give.  A band times a
+vector (P u, R u, R^T q, B x, a form's norm) is _band_rows, which adds
+each row's terms over the offsets ascending, starting from 0, as the DIA
+product and the product of the sorted CSR or CSC matrix do.  The polish
+numerator and residual_sigma add Pi v over the offsets descending, the
+order of the CSR matrix scipy's csr_matmat leaves for Pi, so near-null
+values stay bitwise.
 
 A band becomes a scipy matrix only at the call that needs one, and only
-these remain.  LaplacePencil.Pi is CSR with each row's entries in
-descending column order, as scipy's csr_matmat leaves them, so the
-polish numerator and residual_sigma add Pi v in that order and near-null
-values stay bitwise.  A_dia and B_dia (and Poincare's reduced forms) are
-DIA on common ascending offsets, for ARPACK's products and the polish.
-LaplacePencil.A and B are their CSC matrices, built on first use for
-code that counts stored entries (perfbench sums their nnz).  splu
-factors the CSC matrix scipy converts A - sigma B to from DIA and, in
-ModeOperator.solve, Pi as CSC.
+these remain: smallest_pencil_eigs builds A and B as DIA on common
+ascending offsets, for ARPACK's B products, and the CSC matrix of A -
+sigma B that splu factors; ModeOperator.solve factors Pi as CSC; and
+LaplacePencil.A and B are CSC, built on first use for code that counts
+stored entries (perfbench sums their nnz).
 
 Two eigen engines share those bands.  _certified_smallest (banded
 Cholesky in LAPACK's upper-band storage, a shift certified by Sylvester
@@ -340,38 +339,37 @@ def weighted_form(grid: RadialGrid, k: int, e: float, parts: _FormParts) -> dict
 class LaplacePencil:
     """Factored pencil of Delta: W_{2,beta} -> W_{0,beta-2} for one mode.
 
-    A = Pi^T diag(w_img) Pi is the assembled normal form; sigma
-    evaluations should use the factored numerator sum w_img (Pi v)^2
-    (the assembled A loses near-null information to cancellation).
-    A_dia and B_dia are A and B as DIA matrices on common offsets, the
-    form smallest_pencil_eigs takes; A and B, built on first use, are
-    their sorted CSC matrices without exact zeros.  Pi is the CSR matrix
-    the scipy expression in laplacian_pencil's docstring leaves, each
-    row's entries in descending column order, so Pi v, and with it the
-    numerator, adds them in scipy's order."""
+    Pi, A_bands and B_bands are bands.  A = Pi^T diag(w_img) Pi is the
+    assembled normal form; sigma evaluations should use the factored
+    numerator sum w_img (Pi v)^2 (the assembled A loses near-null
+    information to cancellation), which adds each row of Pi v over the
+    offsets descending: the order of the CSR matrix the scipy expression
+    in laplacian_pencil's docstring leaves, so the numerator is bit for
+    bit scipy's.  A and B, built on first use, are the sorted CSC
+    matrices of A_bands and B_bands without exact zeros."""
 
     op: ModeOperator
-    Pi: sp.csr_matrix
+    Pi: dict = field(repr=False)
     w_img: np.ndarray
-    A_dia: sp.dia_matrix = field(repr=False)
-    B_dia: sp.dia_matrix = field(repr=False)
+    A_bands: dict = field(repr=False)
+    B_bands: dict = field(repr=False)
 
     @cached_property
     def A(self) -> sp.csc_matrix:
-        return self.A_dia.tocsc()
+        return _csr(self.A_bands).tocsc()
 
     @cached_property
     def B(self) -> sp.csc_matrix:
-        return self.B_dia.tocsc()
+        return _csr(self.B_bands).tocsc()
 
     def numerator(self, v_interior: np.ndarray) -> float:
         """v^T A v in the factored form sum w_img (Pi v)^2."""
-        r = self.Pi @ v_interior
+        r = _band_rows(self.Pi, v_interior, descending=True)
         return float(np.sum(self.w_img * r * r))
 
     def residual_sigma(self, v_interior: np.ndarray) -> float:
         num = self.numerator(v_interior)
-        den = float(v_interior @ (self.B_dia @ v_interior))
+        den = float(v_interior @ _band_rows(self.B_bands, v_interior))
         return math.sqrt(max(num, 0.0) / max(den, 1e-300))
 
 
@@ -392,11 +390,8 @@ def laplacian_pencil(grid: RadialGrid, e: float, parts: _FormParts,
     op = assemble_mode_operator(grid, e, beta=parts.beta, kernel_scan=kernel_scan)
     w_img = parts.w_img[op.interior]
     pi = op.pi()
-    A = _sandwich(pi, w_img)
-    B = op.reduce(weighted_form(grid, 2, e, parts))
-    A_dia, B_dia = _dia(A, B)
-    return LaplacePencil(op=op, Pi=_csr(pi, descending=True), w_img=w_img,
-                         A_dia=A_dia, B_dia=B_dia)
+    return LaplacePencil(op=op, Pi=pi, w_img=w_img, A_bands=_sandwich(pi, w_img),
+                         B_bands=op.reduce(weighted_form(grid, 2, e, parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,37 +403,21 @@ def _deterministic_v0(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _check_dia_pair(A, B):
-    if not (all(sp.issparse(X) and X.format == "dia" for X in (A, B))
-            and np.array_equal(A.offsets, B.offsets) and np.all(np.diff(A.offsets) > 0)):
-        raise ValueError("A and B must be DIA matrices on common ascending offsets")
-
-
-def _base_shift(A: sp.dia_matrix, B: sp.dia_matrix) -> float:
+def _base_shift(A: dict, B: dict) -> float:
     """-1e-8 tr A / tr B: a shift just below the spectrum of the SPD pencil."""
-    scale = max((A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)), 1e-300)
+    scale = max((A[0].sum() / max(B[0].sum(), 1e-300)), 1e-300)
     return -1e-8 * scale
 
 
-def _polished(vals, vecs, B, num_form) -> np.ndarray:
+def _polished(vals, vecs, B: dict, num_form) -> np.ndarray:
     """The eigenvalues sorted, or, with num_form, the Rayleigh quotients
     num_form(v) / v^T B v of the vectors sorted."""
     if num_form is None:
         return np.sort(vals)
-    out = []
-    for i in range(vecs.shape[1]):
-        v = vecs[:, i]
-        den = float(v @ (B @ v))
-        out.append(num_form(v) / max(den, 1e-300))
-    return np.sort(out)
+    return np.sort([num_form(v) / max(float(v @ _band_rows(B, v)), 1e-300) for v in vecs.T])
 
 
-def smallest_pencil_eigs(
-    A: sp.dia_matrix,
-    B: sp.dia_matrix,
-    k: int = 1,
-    num_form=None,
-) -> np.ndarray:
+def smallest_pencil_eigs(A: dict, B: dict, k: int = 1, num_form=None) -> np.ndarray:
     """The k smallest eigenvalues of the SPD pencil A v = lam B v by
     shift-inverted ARPACK from the base shift.  Deterministic (fixed
     start vector).
@@ -449,58 +428,58 @@ def smallest_pencil_eigs(
     roundoff times its entry magnitudes, so near-null detection needs
     this polish.
 
-    A and B are DIA matrices on common offsets, ascending (a
-    LaplacePencil's A_dia and B_dia, or _dia of reduced forms); any other
-    input is refused.  The shift-invert operator is built here as eigsh's
-    mode 3 builds it: splu of the sorted CSC matrix A - sigma B, one
-    elementwise difference of the diagonals.  There is no fallback: a
-    singular factor raises SuperLU's RuntimeError and a failed solve
-    ARPACK's own error (ArpackNoConvergence, ArpackError), unchanged.
-    ARPACK asks for about three B products per solve (ARPACK Users'
-    Guide, mode 3); it gets them as a LinearOperator whose matvec is the
-    DIA product, which streams the diagonals where the CSC product
-    scatters.  With ascending offsets it adds each row's terms in
-    ascending column order, starting from 0, as the CSC product does, so
-    every product and every eigenvalue is bit for bit what eigsh(A, k,
-    M=B, sigma=sigma) and its polish give for the CSC matrices."""
-    _check_dia_pair(A, B)
-    n = A.shape[0]
+    A and B are bands.  The shift-invert operator is built here as
+    eigsh's mode 3 builds it: splu of the sorted CSC matrix A - sigma B,
+    one elementwise difference of the diagonals of A and B as DIA
+    matrices on common ascending offsets, the only DIA matrices the
+    package builds.  There is no fallback: a singular factor raises
+    SuperLU's RuntimeError and a failed solve ARPACK's own error
+    (ArpackNoConvergence, ArpackError), unchanged.  ARPACK asks for about
+    three B products per solve (ARPACK Users' Guide, mode 3); it gets them
+    as a LinearOperator whose matvec is the DIA product, which streams the
+    diagonals where the CSC product scatters.  With ascending offsets it
+    adds each row's terms in ascending column order, starting from 0, as
+    the CSC product and _band_rows do, so every product and every
+    eigenvalue is bit for bit what eigsh(A, k, M=B, sigma=sigma) and its
+    polish give for the CSC matrices."""
+    n = A[0].size
     k = min(k, n - 2)
     sigma = _base_shift(A, B)
+    A_dia, B_dia = _dia(A, B)
     # eigsh's mode 3 operator: splu of the sorted CSC matrix of A - sigma B
     # without stored zeros (DIA's tocsc walks each column's rows ascending
     # when the offsets descend); ARPACK needs only the factor
-    lu = spla.splu(sp.dia_matrix(((A.data - sigma * B.data)[::-1], A.offsets[::-1]),
-                                 shape=A.shape).tocsc())
+    lu = spla.splu(sp.dia_matrix(((A_dia.data - sigma * B_dia.data)[::-1],
+                                  A_dia.offsets[::-1]), shape=(n, n)).tocsc())
     OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     # B's product as the DIA kernel itself: eigsh would wrap B in
     # aslinearoperator, whose matvec dispatches through matmat and dot
-    M = spla.LinearOperator(B.shape, matvec=B.__matmul__, dtype=float)
-    vals, vecs = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", OPinv=OPinv,
+    M = spla.LinearOperator((n, n), matvec=B_dia.__matmul__, dtype=float)
+    vals, vecs = spla.eigsh(A_dia, k=k, M=M, sigma=sigma, which="LM", OPinv=OPinv,
                             v0=_deterministic_v0(n))
     return _polished(vals, vecs, B, num_form)
 
 
-def _upper_bands(A: sp.dia_matrix, B: sp.dia_matrix):
-    """(order, ab_A, ab_B): A and B on common offsets in LAPACK's upper-band
+def _upper_bands(A: dict, B: dict):
+    """(order, ab_A, ab_B): the bands A and B in LAPACK's upper-band
     storage, rows and columns taken in the node order `order` (position a
     holds node order[a]).  On an interval the order is the natural one, and
-    offset d >= 0 is row kd - d from column d on, sliced from DIA's row of
+    offset d >= 0 is row kd - d from column d on, sliced from the band of
     d.  On a circle, whose wrap-around diagonals sit at offsets near +-n,
     the order is the interleaved 0, n-1, 1, n-2, ..., which turns offsets
     +-2 and the wraps into a band of half-bandwidth 4; entry (a, b), b >=
     a, of the reordered matrix is scattered to row kd + a - b of column
     b."""
-    n = A.shape[0]
-    if A.offsets[-1] <= n // 2:
-        upper = np.flatnonzero(A.offsets >= 0)
-        kd = int(A.offsets[-1])
+    n = A[0].size
+    offsets = sorted(set(A) | set(B))
+    if offsets[-1] <= n // 2:
+        kd = offsets[-1]
         bands = []
         for X in (A, B):
             ab = np.zeros((kd + 1, n))
-            for k in upper:
-                d = A.offsets[k]
-                ab[kd - d, d:] = X.data[k, d:]
+            for d in offsets:
+                if d >= 0 and d in X:
+                    ab[kd - d, d:] = X[d][:n - d]
             bands.append(ab)
         return np.arange(n), *bands
     order = np.empty(n, dtype=int)
@@ -508,17 +487,17 @@ def _upper_bands(A: sp.dia_matrix, B: sp.dia_matrix):
     order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
     pos = np.empty(n, dtype=int)
     pos[order] = np.arange(n)
-    # DIA row k holds entry (j - d, j) of offset d = offsets[k] in column j
-    d, cols = A.offsets[:, None], np.arange(n)
-    k, j = np.nonzero((cols >= d) & (cols < n + d))
-    a, b = pos[j - A.offsets[k]], pos[j]
+    # entry (i, i + d) of offset d, for every row i inside the matrix
+    entries = [(d, np.arange(max(0, -d), min(n, n - d))) for d in offsets]
+    a = np.concatenate([pos[i] for _d, i in entries])
+    b = np.concatenate([pos[i + d] for d, i in entries])
     upper = b >= a
-    k, j, a, b = k[upper], j[upper], a[upper], b[upper]
     kd = int(np.max(b - a))
     bands = []
     for X in (A, B):
+        values = np.concatenate([X[d][i] if d in X else np.zeros(i.size) for d, i in entries])
         ab = np.zeros((kd + 1, n))
-        ab[kd + a - b, b] = X.data[k, j]
+        ab[kd + a[upper] - b[upper], b[upper]] = values[upper]
         bands.append(ab)
     return order, *bands
 
@@ -546,9 +525,9 @@ def _band_solver(order: np.ndarray, c: np.ndarray):
     return solve
 
 
-def _spectrum_slice(A: sp.dia_matrix, B: sp.dia_matrix):
+def _spectrum_slice(A: dict, B: dict):
     """(lo, hi, solve) with lo < lam_1 <= hi for the SPD pencil A v =
-    lam B v (DIA on common ascending offsets) and hi - lo <= 0.02 hi;
+    lam B v (bands) and hi - lo <= 0.02 hi;
     solve(b) is (A - lo B)^-1 b.
 
     Spectrum slicing by Sylvester inertia (Parlett, The Symmetric
@@ -559,15 +538,14 @@ def _spectrum_slice(A: sp.dia_matrix, B: sp.dia_matrix):
     LAPACK's info.  The Rayleigh quotient of three inverse iterations
     with that factor is the first hi; bisection on Cholesky success then
     moves lo up and hi down."""
-    _check_dia_pair(A, B)
     order, ab_A, ab_B = _upper_bands(A, B)
     lo = _base_shift(A, B)
     c = _factor(ab_A, ab_B, lo)
-    solve, x = _band_solver(order, c), _deterministic_v0(A.shape[0])
+    solve, x = _band_solver(order, c), _deterministic_v0(order.size)
     for _ in range(3):
-        x = solve(B @ x)
+        x = solve(_band_rows(B, x))
         x /= np.linalg.norm(x)
-    hi = float(x @ (A @ x)) / float(x @ (B @ x))
+    hi = float(x @ _band_rows(A, x)) / float(x @ _band_rows(B, x))
     for _ in range(64):  # each step halves [lo, hi]; bounded for a singular pencil
         if hi - lo <= 0.02 * hi:
             break
@@ -587,17 +565,15 @@ _LANCZOS_STEPS = 80  # the acceptance suite's pencils take 6-21
 _EXCLUSION_MARGIN = 1e-3
 
 
-def _spectrum_above(A: sp.dia_matrix, B: sp.dia_matrix, s: float) -> bool:
-    """Whether every eigenvalue of the SPD pencil A v = lam B v (DIA on
-    common ascending offsets) lies above s: the banded Cholesky
-    factorization of A - s B on the bands of _upper_bands succeeds
-    (Sylvester inertia)."""
-    _check_dia_pair(A, B)
+def _spectrum_above(A: dict, B: dict, s: float) -> bool:
+    """Whether every eigenvalue of the SPD pencil A v = lam B v (bands)
+    lies above s: the banded Cholesky factorization of A - s B on the
+    bands of _upper_bands succeeds (Sylvester inertia)."""
     _order, ab_A, ab_B = _upper_bands(A, B)
     return dpbtrf(ab_A - s * ab_B)[1] == 0
 
 
-def _shift_invert_lanczos(solve, B: sp.dia_matrix, start: np.ndarray):
+def _shift_invert_lanczos(solve, B: dict, start: np.ndarray):
     """(theta, x): the largest eigenvalue theta of the operator OP b =
     solve(B b), self-adjoint in the B inner product, and its Ritz vector.
 
@@ -610,10 +586,10 @@ def _shift_invert_lanczos(solve, B: sp.dia_matrix, start: np.ndarray):
     stops at ARPACK's test, beta_j |s_j| <= eps theta.  No convergence
     within _LANCZOS_STEPS raises."""
     eps = np.finfo(float).eps
-    n = B.shape[0]
+    n = start.size
     Q, BQ = np.empty((24, n)), np.empty((24, n))  # rows double past 24 steps
     T = np.zeros((_LANCZOS_STEPS + 1, _LANCZOS_STEPS + 1))  # a spare row for the last beta
-    Bq = B @ start
+    Bq = _band_rows(B, start)
     norm = math.sqrt(float(start @ Bq))
     Q[0], BQ[0] = start / norm, Bq / norm
     for j in range(_LANCZOS_STEPS):
@@ -623,7 +599,7 @@ def _shift_invert_lanczos(solve, B: sp.dia_matrix, start: np.ndarray):
         c2 = BQ[:j + 1] @ w
         w -= c2 @ Q[:j + 1]
         T[j, j] = c[j] + c2[j]
-        Bw = B @ w
+        Bw = _band_rows(B, w)
         beta = math.sqrt(max(float(w @ Bw), 0.0))
         thetas, S = np.linalg.eigh(T[:j + 1, :j + 1])
         theta, s = float(thetas[-1]), S[:, -1]
@@ -636,10 +612,9 @@ def _shift_invert_lanczos(solve, B: sp.dia_matrix, start: np.ndarray):
     raise RuntimeError(f"shift-invert Lanczos did not converge in {_LANCZOS_STEPS} steps")
 
 
-def _certified_smallest(A: sp.dia_matrix, B: sp.dia_matrix, num_form=None) -> float:
-    """The smallest eigenvalue of the SPD pencil A v = lam B v (DIA on
-    common ascending offsets), polished by num_form as in
-    smallest_pencil_eigs.
+def _certified_smallest(A: dict, B: dict, num_form=None) -> float:
+    """The smallest eigenvalue of the SPD pencil A v = lam B v (bands),
+    polished by num_form as in smallest_pencil_eigs.
 
     Shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980;
     _shift_invert_lanczos) at the certified shift lo of _spectrum_slice,
@@ -650,7 +625,7 @@ def _certified_smallest(A: sp.dia_matrix, B: sp.dia_matrix, num_form=None) -> fl
     backward error of Cholesky on the assembled form, or the solve
     raises."""
     lo, hi, solve = _spectrum_slice(A, B)
-    theta, x = _shift_invert_lanczos(solve, B, _deterministic_v0(A.shape[0]))
+    theta, x = _shift_invert_lanczos(solve, B, _deterministic_v0(A[0].size))
     lam = lo + 1.0 / theta
     fuzz = 1e-6 * abs(hi)
     if not lo - fuzz <= lam <= hi + fuzz:
@@ -664,17 +639,15 @@ def _certified_smallest(A: sp.dia_matrix, B: sp.dia_matrix, num_form=None) -> fl
 _CONSTRAINED_SHIFT = 1e5
 
 
-def _constrained_smallest(A: sp.dia_matrix, B: sp.dia_matrix, q: np.ndarray,
-                          num_form) -> float:
-    """The smallest eigenvalue of the SPD pencil A v = lam B v (DIA on
-    common ascending offsets) on {v : q . v = 0} (Golub, SIAM Rev. 15,
-    1973), polished by num_form as in smallest_pencil_eigs.  With S = A -
-    sigma B factored once at sigma = _CONSTRAINED_SHIFT times the base
-    shift and z = S^-1 q, the solve b -> S^-1 b - z (q . S^-1 b) / (q . z)
-    maps into q's complement; _shift_invert_lanczos on it, from the start
-    vector projected there, gives theta and lam = sigma + 1/theta.  A
-    Ritz vector x with |q . x| > 1e-12 |q| |x| raises."""
-    _check_dia_pair(A, B)
+def _constrained_smallest(A: dict, B: dict, q: np.ndarray, num_form) -> float:
+    """The smallest eigenvalue of the SPD pencil A v = lam B v (bands) on
+    {v : q . v = 0} (Golub, SIAM Rev. 15, 1973), polished by num_form as
+    in smallest_pencil_eigs.  With S = A - sigma B factored once at sigma
+    = _CONSTRAINED_SHIFT times the base shift and z = S^-1 q, the solve b
+    -> S^-1 b - z (q . S^-1 b) / (q . z) maps into q's complement;
+    _shift_invert_lanczos on it, from the start vector projected there,
+    gives theta and lam = sigma + 1/theta.  A Ritz vector x with |q . x| >
+    1e-12 |q| |x| raises."""
     order, ab_A, ab_B = _upper_bands(A, B)
     sigma = _CONSTRAINED_SHIFT * _base_shift(A, B)
     solve = _band_solver(order, _factor(ab_A, ab_B, sigma))
@@ -685,7 +658,7 @@ def _constrained_smallest(A: sp.dia_matrix, B: sp.dia_matrix, q: np.ndarray,
         y = solve(b)
         return y - z * (float(q @ y) / qz)
 
-    v0 = _deterministic_v0(A.shape[0])
+    v0 = _deterministic_v0(q.size)
     theta, x = _shift_invert_lanczos(projected, B, v0 - q * (q @ v0) / (q @ q))
     off = abs(float(q @ x)) / (np.linalg.norm(q) * np.linalg.norm(x))
     if off > 1e-12:
@@ -872,6 +845,12 @@ def _check_matches_marked(geo: RadialGeometry, beta: float):
             )
 
 
+def _check_e_max(e_max: float):
+    """Refuse a mode cutoff that admits no link eigenvalue (all are >= 0)."""
+    if not e_max >= 0:
+        raise ValueError(f"e_max must be >= 0, got {e_max}")
+
+
 def _check_nonexceptional(geo: RadialGeometry, beta: float):
     d = distance_to_exceptional(beta, geo.link, geo.m)
     if d <= DEFAULT_TOL:
@@ -909,6 +888,7 @@ def invertibility_constant(
     spaces: sigma_min = min over modes e <= e_max of the smallest
     generalized singular value of Delta as a map W^2_{2,beta} ->
     W^2_{0,beta-2}.  Weight preconditions are enforced, not assumed."""
+    _check_e_max(e_max)
     geo = _resolve_geometry(model)
     _check_lemma_weights(geo, float(beta))
     _check_nonexceptional(geo, beta)
@@ -919,9 +899,9 @@ def invertibility_constant(
     for e, _mult in geo.link.eigenvalues_below(e_max):
         pen = laplacian_pencil(grid, e, parts)
         if e == 0.0:  # at the continuum's edge: see the module docstring
-            lam = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=pen.numerator)[0]
+            lam = smallest_pencil_eigs(pen.A_bands, pen.B_bands, k=1, num_form=pen.numerator)[0]
         else:
-            lam = _certified_smallest(pen.A_dia, pen.B_dia, num_form=pen.numerator)
+            lam = _certified_smallest(pen.A_bands, pen.B_bands, num_form=pen.numerator)
         per_mode.append((float(e), float(_sigma_from(lam))))
     sigma_min = min(s for _, s in per_mode)
     return InvertibilityReport(constant=1.0 / sigma_min, sigma_min=sigma_min,
@@ -979,6 +959,7 @@ def restricted_invertibility_compact(
     (_spectrum_above) that succeeds puts its sigma above sqrt(s), and the
     mode goes to `bounded` unsolved.  The mode that sets the constant is
     always solved."""
+    _check_e_max(e_max)
     m_geo = family.at(t).geometry
     if not m_geo.circle and _residual_ends(m_geo):
         raise WeightConditionError("model is not compact; use invertibility_constant")
@@ -1002,17 +983,17 @@ def restricted_invertibility_compact(
         nf = pen.numerator
         if e == 0.0:
             q_red = _band_rows(_transpose(pen.op.reduction), q)[pen.op.interior]
-            lam_u = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=nf)
+            lam_u = smallest_pencil_eigs(pen.A_bands, pen.B_bands, k=1, num_form=nf)
             sigma0_unc = float(_sigma_from(lam_u)[0])
-            lam_c = _constrained_smallest(pen.A_dia, pen.B_dia, q_red, nf)
+            lam_c = _constrained_smallest(pen.A_bands, pen.B_bands, q_red, nf)
             per_mode.append((0.0, float(_sigma_from(lam_c))))
             continue
         if per_mode:
             shift = (1.0 + _EXCLUSION_MARGIN) * min(s for _, s in per_mode) ** 2
-            if _spectrum_above(pen.A_dia, pen.B_dia, shift):
+            if _spectrum_above(pen.A_bands, pen.B_bands, shift):
                 bounded.append((float(e), math.sqrt(shift)))
                 continue
-        lam = _certified_smallest(pen.A_dia, pen.B_dia, num_form=nf)
+        lam = _certified_smallest(pen.A_bands, pen.B_bands, num_form=nf)
         per_mode.append((float(e), float(_sigma_from(lam))))
     sigma_min = min(s for _, s in per_mode)
     return CompactInvertibilityReport(
@@ -1077,6 +1058,7 @@ def poincare_constant(
     _EXCLUSION_MARGIN) / C_*^2 (_spectrum_above) that succeeds puts its
     ratio below 1/sqrt(s), and the mode goes to `bounded` unsolved.  The
     mode that sets the constant is always solved."""
+    _check_e_max(e_max)
     geo = _resolve_geometry(model)
     ends = _residual_ends(geo)
     if not ends:
@@ -1100,7 +1082,7 @@ def poincare_constant(
     for e, _mult in geo.link.eigenvalues_below(e_max):
         op = assemble_mode_operator(grid, e, beta=beta)
         M1 = op.reduce(weighted_form(grid, 1, e, parts))
-        G_red, M1 = _dia(op.reduce(gradient_bands(e)), M1)
+        G_red = op.reduce(gradient_bands(e))
         if per_mode:
             shift = (1.0 + _EXCLUSION_MARGIN) / max(c for _, c in per_mode) ** 2
             if _spectrum_above(G_red, M1, shift):
@@ -1246,6 +1228,7 @@ def kernel_dimension_scan(
     branch whenever the weight does, so kernel elements with cone-rate
     gamma_plus < beta are representable.  Values clustering around the
     threshold are flagged as ambiguous."""
+    _check_e_max(e_max)
     geo = _resolve_geometry(model)
     for b in _residual_ends(geo):
         if b.kind != "ac":
@@ -1269,7 +1252,7 @@ def kernel_dimension_scan(
         for e, mult in geo.link.eigenvalues_below(e_max):
             pen = laplacian_pencil(grid, e, parts, kernel_scan=True)
             k = min(4, pen.op.n_interior - 2)
-            sig = _sigma_from(smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=k,
+            sig = _sigma_from(smallest_pencil_eigs(pen.A_bands, pen.B_bands, k=k,
                                                    num_form=pen.numerator))
             hits = int(np.count_nonzero(sig < thr))
             if np.any((sig >= thr / 3.0) & (sig <= 3.0 * thr)):

@@ -136,11 +136,10 @@ def _sum(*terms: dict) -> dict:
     return out
 
 
-def _csr(X: dict, descending: bool = False) -> sp.csr_matrix:
+def _csr(X: dict) -> sp.csr_matrix:
     """The CSR matrix of a band without its zeros, each row's entries in
-    ascending column order, or descending (the order scipy's csr_matmat
-    leaves Pi's rows in, which Pi's matvec adds them in)."""
-    offsets = sorted(X, reverse=descending)
+    ascending column order."""
+    offsets = sorted(X)
     data = np.stack([X[d] for d in offsets], axis=1)
     n = data.shape[0]
     keep = data != 0
@@ -152,7 +151,8 @@ def _csr(X: dict, descending: bool = False) -> sp.csr_matrix:
 
 def _dia(*bands: dict) -> list[sp.dia_matrix]:
     """The bands as DIA matrices on their common offsets, ascending
-    (data[k, j] = M[j - offsets[k], j], scipy's layout)."""
+    (data[k, j] = M[j - offsets[k], j], scipy's layout), for ARPACK and
+    SuperLU."""
     offsets = sorted(set().union(*bands))
     n = len(next(iter(bands[0].values())))
     out = []
@@ -165,13 +165,14 @@ def _dia(*bands: dict) -> list[sp.dia_matrix]:
     return out
 
 
-def _band_rows(X: dict, v: np.ndarray) -> np.ndarray:
+def _band_rows(X: dict, v: np.ndarray, descending: bool = False) -> np.ndarray:
     """X @ v, each row's terms added over the offsets ascending, starting
     from 0: the order of X's DIA product on ascending offsets, so bit for
-    bit its rows."""
+    bit its rows.  descending adds them over the offsets descending, the
+    order of the CSR product when scipy's csr_matmat built the matrix."""
     n = v.size
     out = np.zeros(n)
-    for d in sorted(X):
+    for d in sorted(X, reverse=descending):
         a, b = max(0, -d), min(n, n - d)
         if a < b:
             out[a:b] += X[d][a:b] * v[a + d:b + d]
@@ -346,8 +347,11 @@ def _log_segment_nodes(seg: PlanSegment, hz: float, r_max: float,
 
     Soft endpoints (truncations resolved from r_max / r_min_factor) are
     snapped outward so the span is an exact multiple of hz: stencils then
-    stay uniform in log r across region interfaces at hard endpoints.  A
-    soft endpoint that does not lie beyond the anchored one is refused."""
+    stay uniform in log r across region interfaces at hard endpoints.
+    Where that takes fewer than min_nodes - 1 steps, the soft endpoint is
+    the truncation itself, reached in min_nodes - 1 equal log steps, so it
+    never lies a full step hz or more beyond the truncation.  A soft
+    endpoint that does not lie beyond the anchored one is refused."""
     r_lo, r_hi = seg.r_lo, seg.r_hi
     if r_lo is None and r_hi is None:
         raise ValueError("log segments need at least one anchored endpoint")
@@ -356,20 +360,19 @@ def _log_segment_nodes(seg: PlanSegment, hz: float, r_max: float,
         if not target > 0:
             raise ValueError(f"r_min_factor {r_min_factor} cuts a CS end at or above "
                              f"its radius {r_hi}")
-        steps = max(min_nodes - 1, math.ceil(target / hz))
-        r_lo = r_hi * math.exp(-steps * hz)
+        steps = math.ceil(target / hz)
+        r_lo = r_hi * (math.exp(-steps * hz) if steps >= min_nodes - 1 else r_min_factor)
     elif r_hi is None:
         target = math.log(r_max / r_lo)
         if not target > 0:
             raise ValueError(f"r_max {r_max} cuts an AC end at or below its radius {r_lo}")
-        steps = max(min_nodes - 1, math.ceil(target / hz))
-        r_hi = r_lo * math.exp(steps * hz)
+        steps = math.ceil(target / hz)
+        r_hi = r_lo * math.exp(steps * hz) if steps >= min_nodes - 1 else r_max
     else:
-        span = math.log(r_hi / r_lo)
-        steps = max(min_nodes - 1, int(round(span / hz)))
+        steps = int(round(math.log(r_hi / r_lo) / hz))
     if not 0 < r_lo < r_hi:
         raise ValueError(f"bad log segment radii [{r_lo}, {r_hi}]")
-    r = np.geomspace(r_lo, r_hi, steps + 1)
+    r = np.geomspace(r_lo, r_hi, max(min_nodes - 1, steps) + 1)
     return seg.x0 + seg.sign * r
 
 

@@ -87,6 +87,16 @@ def test_run_refuses_unknown_emit_formats(tmp_path):
     assert not out.exists()
 
 
+def test_run_refuses_an_empty_experiment_list(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": []}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "lists no experiments" in result.output
+    assert not out.exists()
+
+
 def test_run_seed_override(tmp_path):
     runner = CliRunner()
     path = tmp_path / "cfg.json"

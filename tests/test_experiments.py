@@ -281,3 +281,19 @@ def test_run_config_file_checks_formats_before_running(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="'jsn'"):
         run_config_file(path, formats=("csv", "jsn"), out_dir=out)
     assert ran == [] and not out.exists()
+
+
+def test_run_config_file_refuses_bad_lists_before_running(tmp_path, monkeypatch):
+    """An empty experiment list, or an invalid config anywhere in the
+    list, raises before the first experiment runs."""
+    ran = []
+    monkeypatch.setattr(experiments, "run", ran.append)
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps({"experiments": []}))
+    with pytest.raises(ValueError, match="lists no experiments"):
+        run_config_file(path, out_dir=out)
+    path.write_text(json.dumps({"experiments": [
+        {"experiment": "eta_bounds"}, {"experiment": "eta_bounds", "t_list": [0.01, 0.1]}]}))
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        run_config_file(path, out_dir=out)
+    assert ran == [] and not out.exists()

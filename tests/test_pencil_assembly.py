@@ -51,7 +51,7 @@ from conifold_lab.spectral_laplace import (
     weighted_form,
 )
 from conifold_lab.weight_calculus import gamma_roots
-from conifold_lab.weighted_calc import build_grid
+from conifold_lab.weighted_calc import _band_rows, build_grid
 from stencil_refs import assert_same_csr, ref_derivatives, ref_reduction_matrix
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def ref_kernel_dimension_scan(geo, grid, beta_list, e_max):
                 return float(np.sum(w_img * r * r))
 
             k = min(4, A.shape[0] - 2)
-            sig = _sigma_from(smallest_pencil_eigs(*dia_pair(A, B), k=k, num_form=num_form))
+            sig = _sigma_from(smallest_pencil_eigs(*band_pair(A, B), k=k, num_form=num_form))
             hits = int(np.count_nonzero(sig < thr))
             if np.any((sig >= thr / 3.0) & (sig <= 3.0 * thr)):
                 ambiguous = True
@@ -203,7 +203,7 @@ def grid(request):
 
 def dia_pair(A, B):
     """Sparse A and B as DIA matrices on their common diagonals, offsets
-    ascending: the input smallest_pencil_eigs takes."""
+    ascending: the matrices smallest_pencil_eigs builds from bands."""
     n = A.shape[0]
     offsets = np.union1d(A.todia().offsets, B.todia().offsets)
     pair = []
@@ -212,6 +212,20 @@ def dia_pair(A, B):
         for row, k in zip(data, offsets):
             row[max(k, 0):n + min(k, 0)] = X.diagonal(k)
         pair.append(sp.dia_matrix((data, offsets), shape=(n, n)))
+    return pair
+
+
+def band_pair(A, B):
+    """Sparse A and B as bands on their common diagonals: the input
+    smallest_pencil_eigs takes."""
+    n = A.shape[0]
+    offsets = np.union1d(A.todia().offsets, B.todia().offsets)
+    pair = []
+    for X in (A, B):
+        bands = {int(k): np.zeros(n) for k in offsets}
+        for k, x in bands.items():
+            x[max(-k, 0):n - max(k, 0)] = X.diagonal(k)
+        pair.append(bands)
     return pair
 
 
@@ -296,7 +310,7 @@ def test_pencils_match_reference(grid, kernel_scan):
             assert_same_csr(pen.A.sorted_indices(), A.sorted_indices())
             assert_same_csr(pen.B.sorted_indices(), B.sorted_indices())
             assert pen.A.nnz + pen.B.nnz == A.nnz + B.nnz
-            assert_same_csr(pen.Pi, Pi)
+            assert_same_csr(_csr(pen.Pi), Pi.sorted_indices())
             assert pen.w_img.dtype == w_img.dtype
             assert np.array_equal(pen.w_img, w_img)
 
@@ -317,6 +331,32 @@ def test_factored_numerator_matches_reference(grid, kernel_scan):
                 assert pen.numerator(v) == num
                 den = float(v @ (B @ v))
                 assert pen.residual_sigma(v) == math.sqrt(max(num, 0.0) / max(den, 1e-300))
+
+
+def test_numerator_and_residual_are_the_scipy_products_byte_for_byte(grid):
+    """The polish's products are the reference pipeline's, byte for byte:
+    Pi v, added over Pi's offsets descending, is the product of the CSR
+    Pi that scipy's csr_matmat leaves (each row's columns descending), and
+    v^T B v takes the product of B as the DIA matrix smallest_pencil_eigs
+    gives ARPACK; so pen.numerator and pen.residual_sigma are the values
+    those products give."""
+    rng = np.random.default_rng(5)
+    parts = _form_parts(grid, 0.5)
+    for kernel_scan in (False, True):
+        for e in modes(grid):
+            _P, A, B, Pi, w_img = ref_laplacian_pencil(grid, e, 0.5, kernel_scan)
+            assert all(np.all(np.diff(Pi.indices[a:b]) < 0)
+                       for a, b in zip(Pi.indptr[:-1], Pi.indptr[1:]))
+            _A_dia, B_dia = dia_pair(A, B)
+            pen = laplacian_pencil(grid, e, parts, kernel_scan)
+            for v in (rng.standard_normal(Pi.shape[1]), np.linspace(-1.0, 2.0, Pi.shape[1])):
+                r, Bv = Pi @ v, B_dia @ v
+                assert _band_rows(pen.Pi, v, descending=True).tobytes() == r.tobytes()
+                assert _band_rows(pen.B_bands, v).tobytes() == Bv.tobytes()
+                num = float(np.sum(w_img * r * r))
+                assert pen.numerator(v) == num
+                assert pen.residual_sigma(v) == math.sqrt(max(num, 0.0)
+                                                          / max(float(v @ Bv), 1e-300))
 
 
 @pytest.mark.parametrize("beta_list", [(0.5, 1.5, 0.5), (2.5, -0.5, 2.5)])

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import conifold_lab.spectral_laplace as sl
@@ -270,10 +269,10 @@ def _solver_cases():
     """(A, B, num_form): a hyperboloid pencil and the spindle's mode 0."""
     grid = build_grid(preset_model("hyperboloid_capped").geometry(0), n_per_region=200)
     pen = laplacian_pencil(grid, 2.0, _form_parts(grid, -0.5))
-    yield pen.A_dia, pen.B_dia, pen.numerator
+    yield pen.A_bands, pen.B_bands, pen.numerator
     grid = build_grid(spindle_family().at(1e-2).geometry, n_per_region=200)
     pen = laplacian_pencil(grid, 0.0, _form_parts(grid, -0.5))
-    yield pen.A_dia, pen.B_dia, pen.numerator
+    yield pen.A_bands, pen.B_bands, pen.numerator
 
 
 def test_pencil_solver_lets_programming_errors_through(monkeypatch):
@@ -288,8 +287,7 @@ def test_pencil_solver_reraises_solver_failures(monkeypatch, solver):
     # there is no dense fallback: ARPACK's or SuperLU's own error reaches
     # the caller, on small pencils and on large ones
     n = 4001
-    A = sp.diags(np.arange(1.0, n + 1), format="dia")
-    B = sp.identity(n, format="dia")
+    A, B = {0: np.arange(1.0, n + 1)}, {0: np.ones(n)}
     cases = [*_solver_cases(), (A, B, None)]
     err = (ArpackNoConvergence("no convergence", np.empty(0), np.empty((n, 0)))
            if solver == "eigsh" else RuntimeError("Factor is exactly singular"))
@@ -302,13 +300,33 @@ def test_pencil_solver_reraises_solver_failures(monkeypatch, solver):
 
 def test_pencil_solver_reraises_arpack_failure_on_large_pencils(monkeypatch):
     n = 4001
-    A = sp.diags(np.arange(1.0, n + 1), format="dia")
-    B = sp.identity(n, format="dia")
+    A, B = {0: np.arange(1.0, n + 1)}, {0: np.ones(n)}
     err = ArpackNoConvergence("no convergence", np.empty(0), np.empty((n, 0)))
     monkeypatch.setattr(sl.spla, "eigsh", _raising(err))
     with pytest.raises(ArpackNoConvergence) as info:
         smallest_pencil_eigs(A, B, k=1)
     assert info.value is err
+
+
+NEGATIVE_E_MAX = {
+    "invertibility": lambda: invertibility_constant(
+        dumbbell_family().at(1e-2), beta=-0.5, e_max=-1.0),
+    "poincare": lambda: poincare_constant(dumbbell_family().at(1e-2), beta=-0.5, e_max=-1.0),
+    "compact": lambda: restricted_invertibility_compact(
+        spindle_family(), beta=-0.5, t=1e-2, e_max=-1.0),
+    "kernel_scan": lambda: kernel_dimension_scan(
+        preset_model("hyperboloid_capped"), [0.5], e_max=-1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_E_MAX))
+def test_negative_e_max_is_refused_before_any_grid(case, monkeypatch):
+    """A cutoff below every link eigenvalue is refused by name, before a
+    grid is built (it used to fail inside min() with an empty sequence,
+    or scan no mode and report dimension 0)."""
+    monkeypatch.setattr(sl, "build_grid", _raising(AssertionError("grid built")))
+    with pytest.raises(ValueError, match=r"e_max must be >= 0, got -1\.0"):
+        NEGATIVE_E_MAX[case]()
 
 
 def test_torus_link_irrational_rates_annihilated():
@@ -426,7 +444,7 @@ def test_invertibility_sigma_matches_mellin_symbol_oracle():
     tolerances = {0.0: 0.08, 2.0: 0.02, 6.0: 0.01}
     for e, tol in tolerances.items():
         pen = laplacian_pencil(grid, e, _form_parts(grid, beta))
-        lam = smallest_pencil_eigs(pen.A_dia, pen.B_dia, k=1, num_form=pen.numerator)
+        lam = smallest_pencil_eigs(pen.A_bands, pen.B_bands, k=1, num_form=pen.numerator)
         disc = float(np.sqrt(max(lam[0], 0.0)))
         ana = symbol_sigma(e)
         assert abs(disc - ana) / ana < tol, (e, disc, ana)

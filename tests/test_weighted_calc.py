@@ -19,6 +19,7 @@ from conifold_lab.conifold_model import (
     warp_preset,
 )
 from conifold_lab.link_spectra import make_link
+from conifold_lab.spectral_laplace import invertibility_constant
 from conifold_lab.weighted_calc import (
     ModeFunction,
     RadialGrid,
@@ -146,6 +147,50 @@ def test_grid_refinement_stability():
         u = ModeFunction.single(grid, 2.0, window(grid.rho))
         vals.append(weighted_sobolev_norm(u, WeightSpec(p=2.0, k=2, beta=-0.5)))
     assert abs(vals[1] - vals[0]) / vals[1] < 0.01
+
+
+def _dumbbell(t):
+    return lambda: dumbbell_family().at(t).geometry
+
+
+SOFT_END_CASES = {
+    "dumbbell_t0.1_n10": (_dumbbell(1e-1), 10),
+    "dumbbell_t0.1_n5": (_dumbbell(1e-1), 5),
+    "dumbbell_t1e-4_n24": (_dumbbell(1e-4), 24),
+    "cone_n10": (lambda: preset_model("exact_cone_cs_ac").geometry(0), 10),
+    "dumbbell_t0.1_n250": (_dumbbell(1e-1), 250),
+    "cone_n250": (lambda: preset_model("exact_cone_cs_ac").geometry(0), 250),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOFT_END_CASES))
+def test_soft_ends_stop_within_a_step_of_the_truncation(case):
+    """Each AC end reaches r_max = 1e3 and each CS end chart_r times
+    r_min_factor = 1e-3, and passes it by less than its own last log step,
+    also where min_region_nodes binds (n_per_region 5-24; the dumbbell's
+    AC ends once reached 2.7e6 at 10 and 3.7e12 at 5)."""
+    geometry, n_per_region = SOFT_END_CASES[case]
+    geo = geometry()
+    grid = build_grid(geo, n_per_region=n_per_region, r_max=1e3)
+    for b in (geo.left, geo.right):
+        r = b.sign * (grid.nodes - b.x0)
+        r = np.sort(r[r > 0])
+        if b.kind == "ac":
+            beyond, step = math.log(r[-1] / 1e3), math.log(r[-1] / r[-2])
+        else:
+            beyond, step = math.log(b.chart_r * 1e-3 / r[0]), math.log(r[1] / r[0])
+        assert -1e-12 <= beyond < step, (b.kind, beyond, step)
+
+
+def test_grid_stops_growing_once_min_region_nodes_binds():
+    """At n_per_region 5 and 10 every region of the dumbbell at t = 0.1
+    takes min_region_nodes nodes: the grids, and the invertibility
+    constant on them, are the same (at 5 the constant was 1.1e10)."""
+    geo = dumbbell_family().at(1e-1)
+    grids = [build_grid(geo.geometry, n_per_region=n) for n in (5, 10)]
+    assert np.array_equal(grids[0].nodes, grids[1].nodes)
+    reps = [invertibility_constant(geo, beta=-0.5, e_max=6.0, n_per_region=n) for n in (5, 10)]
+    assert reps[0].constant == reps[1].constant < 10.0
 
 
 def test_ck_norm_constant_is_one():
