@@ -108,6 +108,7 @@ class ExperimentConfig:
         for name, bad, want in (("t_list", not ts, "non-empty"),
                                 ("n_per_region", self.n_per_region < 1, ">= 1"),
                                 ("family_size", self.family_size < 1, ">= 1"),
+                                ("seed", self.seed < 0, ">= 0"),
                                 ("e_max", self.e_max < 0, ">= 0"),
                                 ("grid_step", self.grid_step <= 0, "> 0"),
                                 ("gamma_cases", not self.gamma_cases, "non-empty")):
@@ -125,6 +126,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        names = [f.name for f in fields(ExperimentConfig)]
+        unknown = sorted(set(d) - set(names))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; expected names from {names}")
         # __post_init__ turns JSON lists into the tuple fields
         return ExperimentConfig(**d)
 
@@ -436,10 +441,7 @@ def _run_norm_identities(cfg: ExperimentConfig) -> SweepResult:
                      "beta": "per-end" if spec.beta is None else spec.beta,
                      "defect": defect, "pass": int(good)})
     pairs = wc.random_bump_pairs(grid, 100, seed=cfg.seed)
-    violations = 0
-    for u, v in pairs:
-        rep = wc.holder_check(u, v, p=cfg.p, beta1=cfg.beta, beta2=0.25)
-        violations += int(rep.violated)
+    violations = sum(rep.violated for rep in wc._holder_sweep(pairs, cfg.p, cfg.beta, 0.25))
     rows.append({"case": "holder_sweep", "t": 0.0, "k": 0, "beta": cfg.beta,
                  "defect": float(violations), "pass": int(violations == 0)})
     ok = ok and violations == 0

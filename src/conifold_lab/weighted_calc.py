@@ -499,6 +499,28 @@ def rescaled_geometry(geo: RadialGeometry, t: float) -> RadialGeometry:
 # mode functions
 
 
+def _scan(values: np.ndarray, lo: int, hi: int) -> tuple[tuple[int, int], ...]:
+    """The support of values (see ModeProfile), read from values[lo:hi],
+    which must hold every nonzero value; non-finite values there are
+    refused."""
+    part = values[lo:hi]
+    if not np.all(np.isfinite(part)):
+        raise ValueError("mode profiles must be finite-valued")
+    nz = part != 0
+    flips = (np.flatnonzero(nz[1:] != nz[:-1]) + 1 + lo).tolist()  # where runs start
+    if not nz.size or not (nz[0] or flips):
+        return ()
+    first = lo if nz[0] else flips.pop(0)
+    last = hi if nz[-1] else flips.pop()
+    if not flips:
+        return ((first, last),)
+    # what is left alternates: a run of zeros [flips[i], flips[i + 1]) for
+    # every even i
+    gaps = [b - a for a, b in zip(flips[::2], flips[1::2])]
+    k = 2 * gaps.index(max(gaps))
+    return ((first, flips[k]), (flips[k + 1], last))
+
+
 @dataclass(frozen=True)
 class ModeProfile:
     """One angular mode: eigenvalue and nodal radial profile.
@@ -509,7 +531,16 @@ class ModeProfile:
     one; () for a zero profile.  A bump across a circle's seam is nonzero
     near both ends of the node range, so its support is its two arcs
     ((0, b), (c, n)), not the whole grid.  It is recorded once, when the
-    profile is built, so norms can work on the nodes where u lives."""
+    profile is built, so norms can work on the nodes where u lives.
+
+    The constructor scans the whole profile for it (and refuses
+    non-finite values).  The package's own builders hand over the support
+    they already know instead (_built): bump_family and random_bump_pairs
+    from their bumps' window values, mode_product from a scan of the
+    first factor's support span, push_to by copying it.  Their finiteness
+    check then covers only those nodes, which is enough because the rest
+    of the profile is exact zeros (a zero block's row, or a zero factor
+    times a finite one)."""
 
     e: float
     values: np.ndarray
@@ -517,23 +548,19 @@ class ModeProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("mode profiles must be finite-valued")
-        nz = self.values.ravel() != 0
-        flips = (np.flatnonzero(nz[1:] != nz[:-1]) + 1).tolist()  # where runs start
-        support = ()
-        if nz.size and (nz[0] or flips):
-            lo = 0 if nz[0] else flips.pop(0)
-            hi = nz.size if nz[-1] else flips.pop()
-            # what is left alternates: a run of zeros [flips[i], flips[i + 1])
-            # for every even i
-            if flips:
-                gaps = [b - a for a, b in zip(flips[::2], flips[1::2])]
-                k = 2 * gaps.index(max(gaps))
-                support = ((lo, flips[k]), (flips[k + 1], hi))
-            else:
-                support = ((lo, hi),)
-        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "support", _scan(self.values.ravel(), 0, self.values.size))
+
+    @classmethod
+    def _built(cls, e: float, values: np.ndarray, support) -> "ModeProfile":
+        """A profile from a builder that knows its support and has checked
+        its values finite where they can be nonzero (float values, taken
+        as they are); support None scans them as the constructor does."""
+        if support is None:
+            return cls(e, values)
+        mp = object.__new__(cls)
+        for name, v in (("e", e), ("values", values), ("support", support)):
+            object.__setattr__(mp, name, v)
+        return mp
 
 
 @dataclass(frozen=True)
@@ -559,7 +586,8 @@ class ModeFunction:
     def push_to(self, grid: RadialGrid) -> "ModeFunction":
         """Reinterpret the nodal values on a structurally identical grid
         (used for rescaling checks with mapped nodes)."""
-        return ModeFunction(grid, tuple(ModeProfile(m.e, m.values.copy()) for m in self.modes))
+        return ModeFunction(grid, tuple(ModeProfile._built(m.e, m.values.copy(), m.support)
+                                        for m in self.modes))
 
 
 def mode_product(u: ModeFunction, v: ModeFunction) -> ModeFunction:
@@ -574,8 +602,12 @@ def mode_product(u: ModeFunction, v: ModeFunction) -> ModeFunction:
             "products of mode functions need a rotation-invariant factor; "
             "general eigenfunction products are not spectrum-computable"
         )
-    u0 = u.modes[0].values
-    return ModeFunction(v.grid, tuple(ModeProfile(m.e, u0 * m.values) for m in v.modes))
+    u0 = u.modes[0]
+    # u0 v vanishes outside u0's support span, as v is finite there
+    lo, hi = (u0.support[0][0], u0.support[-1][1]) if u0.support else (0, 0)
+    products = [(m.e, u0.values * m.values) for m in v.modes]
+    return ModeFunction(v.grid, tuple(ModeProfile._built(e, uv, _scan(uv, lo, hi))
+                                      for e, uv in products))
 
 
 # ---------------------------------------------------------------------------
@@ -957,22 +989,35 @@ class HolderReport:
     violated: bool
 
 
+def _holder_sweep(pairs, p: float, beta1: float, beta2: float) -> list[HolderReport]:
+    """holder_check of every pair (u, v), all on one grid, in three
+    norm-engine calls: L^1 at b1 + b2 of the products uv, L^p at b1 of the
+    u and L^p' at b2 of the v.  Each member's sum is its own bincount and
+    each root is taken alone (_family_norms), so every report is bit for
+    bit the one of its pair alone."""
+    if p <= 1:
+        raise ValueError("Hoelder check needs p > 1")
+    if not pairs:
+        return []
+    us, vs = (list(f) for f in zip(*pairs))
+    ce = conjugate_exponents(p, us[0].grid.geometry.m)
+    products = [mode_product(u, v) for u, v in pairs]
+    lhs = _family_norms(products, [(1.0, (0,))], beta1 + beta2)[0].tolist()
+    nu = _family_norms(us, [(p, (0,))], beta1)[0].tolist()
+    nv = _family_norms(vs, [(ce.p_prime, (0,))], beta2)[0].tolist()
+    return [HolderReport(lhs=a, rhs=b * c, violated=a > b * c * (1.0 + 1e-10))
+            for a, b, c in zip(lhs, nu, nv)]
+
+
 def holder_check(
     u: ModeFunction, v: ModeFunction, p: float, beta1: float, beta2: float
 ) -> HolderReport:
     """Weighted Hoelder inequality ||uv||_{L^1_{b1+b2}} <=
     ||u||_{L^p_{b1}} ||v||_{L^p'_{b2}}, checked on the quadrature sums
     (an exact finite-sum inequality, violation beyond 1e-10 impossible
-    up to roundoff)."""
-    if p <= 1:
-        raise ValueError("Hoelder check needs p > 1")
-    ce = conjugate_exponents(p, u.grid.geometry.m)
-    uv = mode_product(u, v)
-    lhs = weighted_sobolev_norm(uv, WeightSpec(p=1.0, k=0, beta=beta1 + beta2))
-    nu = weighted_sobolev_norm(u, WeightSpec(p=p, k=0, beta=beta1))
-    nv = weighted_sobolev_norm(v, WeightSpec(p=ce.p_prime, k=0, beta=beta2))
-    rhs = nu * nv
-    return HolderReport(lhs=lhs, rhs=rhs, violated=lhs > rhs * (1.0 + 1e-10))
+    up to roundoff).  The one-pair case of the batched sweep that
+    norm_identities runs over its random pairs (_holder_sweep)."""
+    return _holder_sweep([(u, v)], p, beta1, beta2)[0]
 
 
 @dataclass(frozen=True)
@@ -1073,6 +1118,52 @@ def _bump_values(grid: RadialGrid, centers: np.ndarray, halfwidths: np.ndarray,
     return bump, node, vals
 
 
+# Bytes per zero block of profile rows.  numpy asks for huge pages for
+# arrays from 4 MiB, and one write into such a block then makes a whole
+# 2 MiB page resident, where a row should fault in only its window.
+_ZERO_BLOCK_BYTES = 1 << 21
+
+
+def _zero_rows(count: int, n: int) -> list[np.ndarray]:
+    """count zero rows of length n, views of zero blocks of at most
+    _ZERO_BLOCK_BYTES (one row alone when it is longer): only the pages
+    written to are faulted in."""
+    per = max(1, _ZERO_BLOCK_BYTES // (8 * n))
+    return [row for a in range(0, count, per) for row in np.zeros((min(per, count - a), n))]
+
+
+def _bump_passes(grid: RadialGrid, centers: np.ndarray, halfwidths: np.ndarray):
+    """_bump_values of the bumps on their windows, one pass per block of
+    consecutive bumps (_blocks): (a, b, bump, node, value) for the block
+    of bumps a..b-1."""
+    bump, lo, hi = _bump_windows(grid, centers, halfwidths)
+    first = np.searchsorted(bump, np.arange(centers.size + 1))  # each bump's windows
+    for a, b in _blocks(np.bincount(bump, hi - lo, centers.size).astype(int)):
+        w = slice(first[a], first[b])
+        yield (a, b, *_bump_values(grid, centers, halfwidths, bump[w], lo[w], hi[w]))
+
+
+def _bump_supports(bump: np.ndarray, node: np.ndarray, vals: np.ndarray, a: int, b: int):
+    """(nonzero count, support) of each bump a..b-1 from its window rows
+    (bump, node, vals) of _bump_values, whose nodes ascend per bump: the
+    support is ((first, last + 1),) when every node from its first to its
+    last nonzero node is nonzero, () when it has none, and None (scan the
+    profile) otherwise, as for a bump across a circle's seam.  The window
+    values are checked finite here; the rest of each profile is zero."""
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("mode profiles must be finite-valued")
+    nz = np.flatnonzero(vals)
+    cuts = np.searchsorted(bump[nz], np.arange(a, b + 1))  # each bump's nonzeros
+    count = np.diff(cuts).tolist()
+    if not nz.size:
+        return [(0, ())] * (b - a)
+    nodes = node[nz]
+    first = nodes[np.minimum(cuts[:-1], nz.size - 1)].tolist()
+    last = nodes[np.maximum(cuts[1:] - 1, 0)].tolist()
+    return [(c, () if not c else ((lo, hi + 1),) if hi + 1 - lo == c else None)
+            for c, lo, hi in zip(count, first, last)]
+
+
 def bump_profile(grid: RadialGrid, center: float, halfwidth: float) -> np.ndarray:
     """C^2 compactly supported bump (1-s^2)^3 around `center` in x,
     evaluated only on the node windows around its support."""
@@ -1121,7 +1212,8 @@ def bump_family(
     jitter draws, made at once; an attempt whose bump has fewer than 5
     nonzero nodes is skipped, and at most 20 n_members attempts are
     made.  The attempts still needed are evaluated together on their
-    windows (in blocks, _blocks), so one round when none is skipped."""
+    windows (in blocks, _bump_passes), so one round when none is
+    skipped; the members' profiles are zero rows (_zero_rows)."""
     g = grid.geometry
     if n_members < 0:
         raise ValueError(f"n_members must be >= 0, got {n_members}")
@@ -1141,25 +1233,21 @@ def bump_family(
     which = np.arange(attempts) % centers.size
     halfwidths = width_factor * rho_c[which] * wiggle
     out = []
-    # the members' profiles are the rows of one zero block: the memory of
-    # an array per member, allocated (and page-faulted) once
-    profiles = np.zeros((n_members, grid.n))
+    profiles = _zero_rows(n_members, grid.n)
     start = 0
     while len(out) < n_members and start < attempts:
         stop = min(start + n_members - len(out), attempts)
         c, h = centers[which[start:stop]], halfwidths[start:stop]
-        bump, lo, hi = _bump_windows(grid, c, h)
-        first = np.searchsorted(bump, np.arange(stop - start + 1))  # each attempt's windows
-        for a, b in _blocks(np.bincount(bump, hi - lo, stop - start).astype(int)):
-            w = slice(first[a], first[b])
-            bump_w, node, vals = _bump_values(grid, c, h, bump[w], lo[w], hi[w])
-            rows = np.searchsorted(bump_w, np.arange(a, b + 1))
-            for i, j in zip(rows[:-1], rows[1:]):
-                if np.count_nonzero(vals[i:j]) < 5:
+        for a, b, bump, node, vals in _bump_passes(grid, c, h):
+            rows = np.searchsorted(bump, np.arange(a, b + 1))
+            supports = _bump_supports(bump, node, vals, a, b)
+            for i, j, (count, support) in zip(rows[:-1], rows[1:], supports):
+                if count < 5:
                     continue
                 prof = profiles[len(out)]
                 prof[node[i:j]] = vals[i:j]
-                out.append(ModeFunction.single(grid, modes[len(out) % len(modes)], prof))
+                e = float(modes[len(out) % len(modes)])
+                out.append(ModeFunction(grid, (ModeProfile._built(e, prof, support),)))
         start = stop
     if len(out) < n_members:
         raise ValueError("could not place the requested number of bumps")
@@ -1170,20 +1258,35 @@ def random_bump_pairs(
     grid: RadialGrid, n_pairs: int, seed: int = 0
 ) -> list[tuple[ModeFunction, ModeFunction]]:
     """Seeded pairs for Hoelder / algebra sweeps: the first factor is
-    always rotation-invariant so products stay computable."""
+    always rotation-invariant so products stay computable.
+
+    Each pair draws its two centres, two amplitudes, two widths and the
+    second factor's mode, in that order; the 2 n_pairs bumps are then
+    evaluated together on their windows (in blocks, _bump_passes), into
+    zero rows (_zero_rows), with the supports read from the window values
+    (_bump_supports)."""
     g = grid.geometry
     e1 = g.link.eigenvalues_below(4.0 * g.m)[1][0]
     rng = np.random.default_rng(seed)
-    centers = _candidate_centers(grid, per_region=6)
-    rho_c = np.asarray(g.rho(np.array(centers)), dtype=float)
-    pairs = []
+    centers = np.array(_candidate_centers(grid, per_region=6))
+    rho_c = np.asarray(g.rho(centers), dtype=float)
+    which, amps, widths, modes = [], [], [], []  # u, v of each pair
     for _ in range(n_pairs):
         cu, cv = rng.choice(len(centers), size=2)
-        amp_u, amp_v = rng.uniform(0.2, 5.0, size=2)
-        wu = 0.6 * float(rho_c[cu]) * rng.uniform(0.5, 1.2)
-        wv = 0.6 * float(rho_c[cv]) * rng.uniform(0.5, 1.2)
-        u = ModeFunction.single(grid, 0.0, amp_u * bump_profile(grid, centers[cu], wu))
-        ev = 0.0 if rng.random() < 0.5 else e1
-        v = ModeFunction.single(grid, ev, amp_v * bump_profile(grid, centers[cv], wv))
-        pairs.append((u, v))
-    return pairs
+        which += [cu, cv]
+        amps += rng.uniform(0.2, 5.0, size=2).tolist()
+        widths += [0.6 * float(rho_c[cu]) * rng.uniform(0.5, 1.2),
+                   0.6 * float(rho_c[cv]) * rng.uniform(0.5, 1.2)]
+        modes += [0.0, 0.0 if rng.random() < 0.5 else float(e1)]
+    c, h, amps = centers[np.array(which, dtype=int)], np.array(widths), np.array(amps)
+    profiles = _zero_rows(2 * n_pairs, grid.n)
+    supports = []
+    for a, b, bump, node, vals in _bump_passes(grid, c, h):
+        vals = amps[bump] * vals
+        rows = np.searchsorted(bump, np.arange(a, b + 1))
+        for k, i, j in zip(range(a, b), rows[:-1], rows[1:]):
+            profiles[k][node[i:j]] = vals[i:j]
+        supports += _bump_supports(bump, node, vals, a, b)
+    funcs = [ModeFunction(grid, (ModeProfile._built(e, prof, support),))
+             for e, prof, (_, support) in zip(modes, profiles, supports)]
+    return list(zip(funcs[::2], funcs[1::2]))

@@ -29,6 +29,8 @@ kernel-scan workload runs one pass and its values are compared with the
 reference, again at the reference's tolerance.  The n = 4000 scans report
 wrong dimensions on every seed (a known defect of the normal-equation
 pencil); they are compared like the rest and neither asserted nor hidden.
+The glued-norm workload's sweeps and norm identities are compared the
+same way for three input seeds.
 """
 
 import importlib.util
@@ -203,6 +205,16 @@ def test_kernel_scan_keeps_the_reference(tmp_path, seed):
     inputs, workloads = load_perfbench("inputs"), load_perfbench("workloads")
     reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
     spec = inputs.make_inputs("kernel_scan", seed)
+    outcomes = workloads.run_pass(spec, workloads.setup(spec), tmp_path)
+    _ops, values = workloads.check(spec, outcomes, tmp_path)
+    assert workloads.compare(values, reference, spec) == []
+
+
+@pytest.mark.parametrize("seed", [0, 5, 21])
+def test_glued_norms_keeps_the_reference(tmp_path, seed):
+    inputs, workloads = load_perfbench("inputs"), load_perfbench("workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    spec = inputs.make_inputs("glued_norms", seed)
     outcomes = workloads.run_pass(spec, workloads.setup(spec), tmp_path)
     _ops, values = workloads.check(spec, outcomes, tmp_path)
     assert workloads.compare(values, reference, spec) == []

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, seed override."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -94,6 +95,26 @@ def test_run_refuses_an_empty_experiment_list(tmp_path):
     result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
     assert result.exit_code == 2
     assert "lists no experiments" in result.output
+    assert not out.exists()
+
+
+def test_run_refuses_unknown_config_keys(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "eta_bounds", "tua": 0.9}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "unknown config keys ['tua']; expected names from ['experiment'," in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_run_refuses_a_negative_seed(tmp_path):
+    suite = Path(__file__).resolve().parents[1] / "configs" / "quick_suite.json"
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(suite), "--seed", "-1", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "seed must be >= 0, got -1" in result.output
     assert not out.exists()
 
 

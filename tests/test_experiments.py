@@ -51,7 +51,7 @@ def test_unknown_tolerance_names_are_refused():
 
 @pytest.mark.parametrize("name, value", [
     ("n_per_region", 0), ("family_size", 0), ("e_max", -1.0), ("grid_step", 0.0),
-    ("grid_step", -0.25), ("gamma_cases", []), ("t_list", []),
+    ("grid_step", -0.25), ("gamma_cases", []), ("t_list", []), ("seed", -1),
 ])
 def test_out_of_range_fields_are_refused(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -60,9 +60,12 @@ def test_out_of_range_fields_are_refused(name, value):
 
 def test_unknown_config_keys_are_refused():
     # "k" was a field once; no experiment read it
-    with pytest.raises(TypeError, match="'k'"):
+    with pytest.raises(ValueError, match=r"^unknown config keys \['k'\]; expected names from "
+                                         r"\['experiment', 'model', .*'tolerances'\]$"):
         ExperimentConfig.from_dict({"experiment": "eta_bounds", "k": 7})
     assert "k" not in ExperimentConfig(experiment="eta_bounds").to_dict()
+    with pytest.raises(ValueError, match=r"keys \['tua', 'zz'\]"):
+        ExperimentConfig.from_dict({"experiment": "eta_bounds", "zz": 1, "tua": 0.9})
 
 
 def test_run_tags_errors_and_keeps_the_original(monkeypatch):

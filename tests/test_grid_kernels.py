@@ -14,8 +14,10 @@ import pytest
 from conifold_lab.conifold_model import dumbbell_family, preset_model, spindle_family
 from conifold_lab.spectral_laplace import _csr, _default_closures, assemble_mode_operator
 from conifold_lab.weighted_calc import (
+    _ZERO_BLOCK_BYTES,
     ModeFunction,
     _candidate_centers,
+    _zero_rows,
     build_grid,
     bump_family,
     bump_profile,
@@ -176,6 +178,19 @@ def test_random_bump_pairs_match_loop(grid):
     want = ref_random_bump_pairs(grid, 12, seed=3)
     assert_same_members([u for u, _ in got], [u for u, _ in want])
     assert_same_members([v for _, v in got], [v for _, v in want])
+
+
+@pytest.mark.parametrize("count, n", [(0, 10), (5, 7), (200, 4002), (3, 300_000)])
+def test_zero_rows_come_in_blocks_below_the_huge_page_size(count, n):
+    """Profile rows are views of zero blocks small enough that numpy does
+    not ask for huge pages (it does from 4 MiB), one row per block when a
+    row alone is larger than a block."""
+    rows = _zero_rows(count, n)
+    assert len(rows) == count
+    assert all(r.shape == (n,) and r.dtype == float and not r.any() for r in rows)
+    blocks = {id(r.base): r.base for r in rows}.values()
+    assert all(b.nbytes <= max(_ZERO_BLOCK_BYTES, 8 * n) < 1 << 22 for b in blocks)
+    assert sum(b.shape[0] for b in blocks) == count
 
 
 def test_bump_vanishes_at_unit_distance(grid):

@@ -19,6 +19,7 @@ from conifold_lab.weighted_calc import (
     ModeProfile,
     WeightSpec,
     _family_norms,
+    _holder_sweep,
     _support_window,
     build_grid,
     bump_family,
@@ -26,7 +27,9 @@ from conifold_lab.weighted_calc import (
     densities,
     gradient_norm,
     embedding_constant_estimate,
+    holder_check,
     mode_product,
+    random_bump_pairs,
     weighted_sobolev_norm,
 )
 from stencil_refs import ref_derivatives
@@ -271,6 +274,97 @@ def test_seam_straddling_bump_gets_two_arcs():
     assert _support_window(ModeFunction.single(grid, 0.0, v)) == [(0, 2), (8, 22), (n - 5, n)]
     v[1] = 1.0  # the widened ranges meet across the seam
     assert _support_window(ModeFunction.single(grid, 0.0, v)) == [(0, 22), (n - 5, n)]
+
+
+# ---------------------------------------------------------------------------
+# supports handed over by the builders, and the batched Hoelder sweep
+
+
+def assert_scanned_supports(funcs):
+    """Every mode's support is the one the constructor's full scan
+    finds; returns the number of two-arc supports."""
+    two = 0
+    for u in funcs:
+        for mp in u.modes:
+            assert mp.support == ModeProfile(mp.e, mp.values).support
+            two += len(mp.support) == 2
+    return two
+
+
+def test_builder_supports_are_the_full_scan(grid):
+    fam = [u for seed in (0, 4, 9) for u in bump_family(grid, n_members=32, seed=seed)]
+    pairs = random_bump_pairs(grid, 60, seed=5)
+    us, vs = [u for u, _ in pairs], [v for _, v in pairs]
+    products = [mode_product(u, v) for u, v in pairs]
+    products += [mode_product(fam[i], fam[i + 2]) for i in range(0, 30, 2)]  # mode-0 first factors
+    pushed = [u.push_to(grid.mapped(1e-2)) for u in fam[:12] + us[:12]]
+    two_arcs = [assert_scanned_supports(f) for f in (fam, us + vs, products, pushed)]
+    if grid.geometry.circle:  # members across the seam keep their two arcs
+        assert min(two_arcs) > 0
+    else:
+        assert max(two_arcs) == 0
+    for u, w in zip(fam[:12] + us[:12], pushed):
+        assert w.modes[0].support == u.modes[0].support
+        assert np.array_equal(w.modes[0].values, u.modes[0].values)
+        assert w.modes[0].values is not u.modes[0].values
+
+
+def test_mode_product_scans_the_first_factor_span(grid):
+    n = grid.n
+    u, v = np.zeros(n), np.zeros(n)
+    u[10:40], v[30:n - 5] = 2.0, 3.0
+    uv = mode_product(ModeFunction.single(grid, 0.0, u), ModeFunction.single(grid, 1.5, v))
+    assert uv.modes[0].support == ((30, 40),) == ModeProfile(0.0, u * v).support
+    u[n - 3:], v[n - 5:] = 1.0, 3.0  # a span with a zero gap: the scan splits around it
+    uv = mode_product(ModeFunction.single(grid, 0.0, u), ModeFunction.single(grid, 1.5, v))
+    assert uv.modes[0].support == ((30, 40), (n - 3, n)) == ModeProfile(0.0, u * v).support
+    u[12] = 1e200  # the span is checked for finiteness
+    v[12] = 1e200
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        mode_product(ModeFunction.single(grid, 0.0, u), ModeFunction.single(grid, 1.5, v))
+    zero = ModeFunction.single(grid, 0.0, np.zeros(n))
+    assert mode_product(zero, ModeFunction.single(grid, 1.5, v)).modes[0].support == ()
+
+
+def one_pair_reports(pairs, p, beta1, beta2):
+    """The three single-function norms per pair, as holder_check used to
+    take them."""
+    out = []
+    for u, v in pairs:
+        p_prime = p / (p - 1.0)
+        lhs = weighted_sobolev_norm(mode_product(u, v), WeightSpec(p=1.0, k=0, beta=beta1 + beta2))
+        nu = weighted_sobolev_norm(u, WeightSpec(p=p, k=0, beta=beta1))
+        nv = weighted_sobolev_norm(v, WeightSpec(p=p_prime, k=0, beta=beta2))
+        out.append((lhs, nu * nv))
+    return out
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 6.0])
+def test_holder_sweep_is_the_one_pair_norms(grid, p):
+    pairs = random_bump_pairs(grid, 40, seed=2)
+    zero = ModeFunction.single(grid, 0.0, np.zeros(grid.n))
+    pairs += [(zero, pairs[0][1]), (pairs[1][0], zero)]
+    reports = _holder_sweep(pairs, p, -0.5, 0.25)
+    want = one_pair_reports(pairs, p, -0.5, 0.25)
+    assert [(r.lhs, r.rhs) for r in reports] == want
+    assert reports[-2].lhs == reports[-2].rhs == reports[-1].lhs == reports[-1].rhs == 0.0
+    assert not any(r.violated for r in reports)
+    assert [holder_check(u, v, p, -0.5, 0.25) for u, v in pairs[:5]] == reports[:5]
+
+
+def test_holder_sweep_edges(grid):
+    assert _holder_sweep([], 2.0, 0.0, 0.0) == [] == random_bump_pairs(grid, 0)
+    pairs = random_bump_pairs(grid, 2, seed=1)
+    for p in (1.0, 0.5):
+        with pytest.raises(ValueError, match="needs p > 1"):
+            _holder_sweep(pairs, p, 0.0, 0.0)
+        with pytest.raises(ValueError, match="needs p > 1"):
+            _holder_sweep([], p, 0.0, 0.0)
+        with pytest.raises(ValueError, match="needs p > 1"):
+            holder_check(*pairs[0], p, 0.0, 0.0)
+    other = random_bump_pairs(build_grid(GEOMETRIES["dumbbell_t1e-3"](), n_per_region=100), 1)
+    with pytest.raises(ValueError, match="one grid"):
+        _holder_sweep(pairs + other, 2.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
