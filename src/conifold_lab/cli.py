@@ -16,7 +16,7 @@ import click
 
 from .experiments import (REGION_ATLAS_COLUMNS, _check_formats, csv_text, region_atlas_rows,
                           run_config_file)
-from .link_spectra import link_from_string
+from .link_spectra import cone_link
 from .weight_calculus import exceptional_weights
 
 
@@ -72,11 +72,12 @@ def _interval(_ctx, _param, value):
               callback=_interval, help="open gamma interval lo:hi")
 def weights_cmd(link_spec, m, gamma_range):
     """Exceptional weights of the Laplacian on the cone over LINK."""
-    link = link_from_string(link_spec)
-    rows = [
-        {"gamma": w.gamma, "mult": w.mult, "eigenvalue": w.source_eigenvalue}
-        for w in exceptional_weights(link, m, gamma_range)
-    ]
+    try:
+        weights = exceptional_weights(cone_link(link_spec, m), m, gamma_range)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    rows = [{"gamma": w.gamma, "mult": w.mult, "eigenvalue": w.source_eigenvalue}
+            for w in weights]
     click.echo(json.dumps(rows, indent=1))
 
 

@@ -1,21 +1,34 @@
-"""Batch experiment harness: t-sweeps for each uniform-estimate proxy,
-CSV/JSON/plot-data emission, and pass/fail summaries against declared
-tolerances.
+"""Batch experiment harness: one table of experiments, one runner per
+entry, CSV/JSON/plot-data emission, and pass/fail summaries against
+declared tolerances.
 
-Each experiment runs one metric over a decreasing t-list (or a fixed
-case list), writes per-t rows, and summarizes with the max/min ratio and
-a log-log trend slope.  Tolerances live in the config with documented
-defaults (uniformity ratio <= 2, identity checks <= 1e-10, slope fits
-within 10/15 percent); the theory guarantees existence of uniform
-constants, not their values, so thresholds are explicit and
-overridable.  Reruns with equal config and seed produce byte-identical
-output files.
+Each experiment is one entry of ``_TABLE``: its emitted columns (or the
+keys of its first row), the model that a config's ``"model": "dumbbell"``
+stands for, and its runner.  The dumbbell is the field's default, so it
+stands for each experiment's own default model: the dumbbell, except the
+spindle for ``compact_invertibility`` (the dumbbell is non-compact) and
+``hyperboloid_capped`` for ``weight_crossing``.  A runner takes the
+config and returns ``(rows, summary)``: the rows as dicts, and a summary
+dict whose last key is ``"pass"``.  ``run`` is the one place that applies
+the default model, wraps any error in ``ExperimentError`` and builds the
+``SweepResult``, with the config echoed as given.  The five t-sweeps share
+one runner, built by ``_sweep`` from a row function and a gate: one
+constant per t, summarized by the max/min ratio and a log-log trend slope.
+
+Tolerances live in the config with documented defaults (uniformity ratio
+<= 2, identity checks <= 1e-10, slope fits within 10/15 percent); the
+theory guarantees existence of uniform constants, not their values, so
+thresholds are explicit and overridable.  Every config field is checked
+against its declared type before anything runs: a JSON list stands for a
+tuple, an int field takes no float and no field takes a bool.  Reruns
+with equal config and seed produce byte-identical output files.
 """
 
-from __future__ import annotations
-
+import inspect
 import json
 import math
+import numbers
+import typing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -25,7 +38,7 @@ from . import conifold_model as cm
 from . import spectral_laplace as sl
 from . import weight_calculus as wcalc
 from . import weighted_calc as wc
-from .link_spectra import link_from_string, make_link
+from .link_spectra import cone_link, make_link
 
 __all__ = [
     "EXPERIMENTS",
@@ -38,22 +51,8 @@ __all__ = [
     "run_config_file",
     "region_atlas_rows",
     "REGION_ATLAS_COLUMNS",
-    "SWEEPS",
     "csv_text",
 ]
-
-EXPERIMENTS = (
-    "embedding_uniformity",
-    "invertibility_uniformity",
-    "compact_invertibility",
-    "poincare_uniformity",
-    "gns_uniformity",
-    "neck_convergence",
-    "eta_bounds",
-    "weight_crossing",
-    "region_atlas",
-    "norm_identities",
-)
 
 DEFAULT_TOLERANCES = {
     "uniformity_ratio": 2.0,
@@ -66,6 +65,24 @@ DEFAULT_TOLERANCES = {
 }
 
 _DEFAULT_T = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
+def _conforms(value, tp) -> bool:
+    """Whether value has the declared field type tp.  A list stands for a
+    tuple, an int for a float, and a bool for neither."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_conforms(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items())
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(tp, tp))
 
 
 @dataclass(frozen=True)
@@ -89,10 +106,15 @@ class ExperimentConfig:
     kind: str = "AC"
     m: int = 3
     link: str = "sphere:2"
-    gamma_cases: tuple = ((0.0, 0.0), (1.0, 2.0))
-    tolerances: dict = field(default_factory=dict)
+    gamma_cases: tuple[tuple[float, float], ...] = ((0.0, 0.0), (1.0, 2.0))
+    tolerances: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _conforms(value, f.type):
+                raise ValueError(f"{f.name} must be {inspect.formatannotation(f.type)}, "
+                                 f"got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
@@ -114,12 +136,12 @@ class ExperimentConfig:
                                 ("gamma_cases", not self.gamma_cases, "non-empty")):
             if bad:
                 raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
-        unknown = sorted(set(self.tolerances or {}) - set(DEFAULT_TOLERANCES))
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"unknown tolerances {unknown}; "
                              f"expected names from {sorted(DEFAULT_TOLERANCES)}")
         tol = dict(DEFAULT_TOLERANCES)
-        tol.update(self.tolerances or {})
+        tol.update(self.tolerances)
         if any(v <= 0 for v in tol.values()):
             raise ValueError("tolerances must be positive")
         object.__setattr__(self, "tolerances", tol)
@@ -130,6 +152,8 @@ class ExperimentConfig:
         unknown = sorted(set(d) - set(names))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; expected names from {names}")
+        if "experiment" not in d:
+            raise ValueError(f"config has no 'experiment'; expected one of {EXPERIMENTS}")
         # __post_init__ turns JSON lists into the tuple fields
         return ExperimentConfig(**d)
 
@@ -156,10 +180,9 @@ def _fit_slope(xs, ys):
 
 
 def _family(cfg: ExperimentConfig):
-    if cfg.model == "dumbbell":
-        return cm.dumbbell_family(beta=cfg.beta, tau=cfg.tau, a=cfg.a, b=cfg.b)
-    if cfg.model == "spindle":
-        return cm.spindle_family(beta=cfg.beta, tau=cfg.tau, a=cfg.a, b=cfg.b)
+    preset = {"dumbbell": cm.dumbbell_family, "spindle": cm.spindle_family}.get(cfg.model)
+    if preset is not None:
+        return preset(beta=cfg.beta, tau=cfg.tau, a=cfg.a, b=cfg.b)
     path = Path(cfg.model)
     if path.suffix == ".json" and path.exists():
         return cm.load_family(path)
@@ -242,60 +265,44 @@ def _constants_gate(cfg, rows, slope):
     return {"constants_detected": detected}, detected
 
 
-# experiment -> (model that replaces the generic "dumbbell" default,
-#   row(cfg, fam, t) -> dict with a "constant",
-#   gate(cfg, rows, slope) -> (extra summary keys, ok), or None)
-SWEEPS = {
-    "embedding_uniformity": ("dumbbell", _embedding_row, _slope_gate),
-    "invertibility_uniformity": ("dumbbell", _invertibility_row, None),
-    # the generic default benchmark is non-compact
-    "compact_invertibility": ("spindle", _compact_row, _constants_gate),
-    "poincare_uniformity": ("dumbbell", _poincare_row, None),
-    "gns_uniformity": ("dumbbell", _gns_row, None),
-}
+def _sweep(row, gate):
+    """The t-sweep runner of row(cfg, fam, t) -> dict with a "constant" and
+    gate(cfg, rows, slope) -> (extra summary keys, ok), or None."""
 
+    def runner(cfg: ExperimentConfig):
+        if len(cfg.t_list) < 2:
+            raise ValueError(f"a t-sweep needs at least two t values, got {cfg.t_list}")
+        fam = _family(cfg)
+        rows = [row(cfg, fam, t) for t in cfg.t_list]
+        consts = [r["constant"] for r in rows]
+        vmax, vmin = max(consts), min(consts)
+        ratio = vmax / vmin if vmin > 0 else math.inf
+        slope = _fit_slope(cfg.t_list, consts)
+        extra, ok = gate(cfg, rows, slope) if gate else ({}, True)
+        passed = ratio <= cfg.tolerances["uniformity_ratio"] and ok
+        return rows, {"max": vmax, "min": vmin, "max_over_min": ratio,
+                      "trend_slope": slope, **extra, "pass": passed}
 
-def _run_sweep(config: ExperimentConfig) -> SweepResult:
-    if len(config.t_list) < 2:
-        raise ValueError(f"a t-sweep needs at least two t values, got {config.t_list}")
-    default_model, row, gate = SWEEPS[config.experiment]
-    cfg = replace(config, model=default_model) if config.model == "dumbbell" else config
-    fam = _family(cfg)
-    rows = [row(cfg, fam, t) for t in cfg.t_list]
-    consts = [r["constant"] for r in rows]
-    vmax, vmin = max(consts), min(consts)
-    ratio = vmax / vmin if vmin > 0 else math.inf
-    slope = _fit_slope(cfg.t_list, consts)
-    extra, ok = gate(cfg, rows, slope) if gate else ({}, True)
-    passed = ratio <= cfg.tolerances["uniformity_ratio"] and ok
-    summary = {"max": vmax, "min": vmin, "max_over_min": ratio,
-               "trend_slope": slope, **extra, "pass": passed}
-    return SweepResult(config.experiment, tuple(rows[0].keys()), tuple(rows),
-                       summary, passed, config.seed, config.to_dict())
+    return runner
 
 
 # --- other experiments -------------------------------------------------------
 
 
-def _run_neck(cfg: ExperimentConfig) -> SweepResult:
+def _neck(cfg: ExperimentConfig):
     fam = _family(cfg)
     rows = []
     for t in cfg.t_list:
         for entry in cm.neck_convergence_check(fam, t):
             rows.append({"t": t, "pair": entry["pair"], "j": entry["j"],
                          "sup": entry["sup"]})
-    decreasing = True
-    pairs = sorted({(r["pair"], r["j"]) for r in rows})
-    for pair, j in pairs:
-        seq = [r["sup"] for r in rows if r["pair"] == pair and r["j"] == j]
-        if any(b >= a for a, b in zip(seq, seq[1:])):
-            decreasing = False
-    summary = {"strictly_decreasing": decreasing, "pass": decreasing}
-    return SweepResult("neck_convergence", ("t", "pair", "j", "sup"),
-                       tuple(rows), summary, decreasing, cfg.seed, cfg.to_dict())
+    seqs = [[r["sup"] for r in rows if (r["pair"], r["j"]) == key]
+            for key in {(r["pair"], r["j"]) for r in rows}]
+    decreasing = not any(b >= a for seq in seqs for a, b in zip(seq, seq[1:]))
+    return rows, {"strictly_decreasing": decreasing, "pass": decreasing}
 
 
-def _run_eta(cfg: ExperimentConfig) -> SweepResult:
+def _eta(cfg: ExperimentConfig):
     tol = cfg.tolerances
     rows = []
     for t in cfg.t_list:
@@ -311,35 +318,25 @@ def _run_eta(cfg: ExperimentConfig) -> SweepResult:
     exp2 = _fit_slope(x, [r["max_r2_eta2"] for r in rows])
     passed = (abs(exp1 - 1.0) <= tol["eta_exponent_first"]
               and abs(exp2 - 1.0) <= tol["eta_exponent_second"])
-    summary = {"exponent_first": exp1, "exponent_second": exp2, "pass": passed}
-    return SweepResult("eta_bounds", ("t", "max_r_eta1", "max_r2_eta2", "inv_log_t"),
-                       tuple(rows), summary, passed, cfg.seed, cfg.to_dict())
+    return rows, {"exponent_first": exp1, "exponent_second": exp2, "pass": passed}
 
 
-def _run_crossing(cfg: ExperimentConfig) -> SweepResult:
-    model = _base_model(cfg if cfg.model != "dumbbell"
-                        else replace(cfg, model="hyperboloid_capped"))
-    tol = cfg.tolerances
+def _crossing(cfg: ExperimentConfig):
+    model = _base_model(cfg)
     rows = []
-    ok = True
     for gamma, e in cfg.gamma_cases:
         rep = sl.weight_crossing_kernel(model, gamma=float(gamma), e=float(e),
-                                        slack=tol["crossing_slack"],
+                                        slack=cfg.tolerances["crossing_slack"],
                                         n_per_region=cfg.n_per_region, r_max=cfg.r_max)
         slope_ok = rep.tail_slope is None or rep.tail_slope <= rep.slope_bound
         resid_ok = rep.residual_sigma < rep.threshold
-        ok = ok and slope_ok and resid_ok
         rows.append({"gamma": gamma, "e": e,
                      "tail_slope": rep.tail_slope if rep.tail_slope is not None else "floor",
                      "slope_bound": rep.slope_bound,
                      "residual_sigma": rep.residual_sigma,
                      "threshold": rep.threshold,
                      "pass": slope_ok and resid_ok})
-    summary = {"pass": ok}
-    return SweepResult("weight_crossing",
-                       ("gamma", "e", "tail_slope", "slope_bound",
-                        "residual_sigma", "threshold", "pass"),
-                       tuple(rows), summary, ok, cfg.seed, cfg.to_dict())
+    return rows, {"pass": all(r["pass"] for r in rows)}
 
 
 REGION_ATLAS_COLUMNS = ("beta1", "beta2", "exceptional", "injective",
@@ -349,9 +346,10 @@ REGION_ATLAS_COLUMNS = ("beta1", "beta2", "exceptional", "injective",
 def region_atlas_rows(kind: str, m: int, link_spec: str, step: float,
                       lo: float | None = None, hi: float | None = None):
     """Classification grid replicating the qualitative content of the
-    harmonic-function region figures: one row per weight cell.  A step
-    that is not positive, or an interval with lo >= hi, raises ValueError."""
-    link = link_from_string(link_spec)
+    harmonic-function region figures: one row per weight cell.  A link
+    whose dimension is not m - 1, a step that is not positive, or an
+    interval with lo >= hi raises ValueError."""
+    link = cone_link(link_spec, m)
     lo = lo if lo is not None else (2.0 - m) - 1.5
     hi = hi if hi is not None else 1.5
     if not step > 0:
@@ -359,14 +357,10 @@ def region_atlas_rows(kind: str, m: int, link_spec: str, step: float,
     if not lo < hi:
         raise ValueError(f"weight interval lo:hi needs lo < hi, got {lo:g}:{hi:g}")
     vals = np.arange(lo, hi + step / 2, step)
-    if kind == "AC":
-        ends = [wcalc.EndDescriptor("AC", link), wcalc.EndDescriptor("AC", link)]
-    elif kind == "CS":
-        ends = [wcalc.EndDescriptor("CS", link), wcalc.EndDescriptor("CS", link)]
-    elif kind == "CSAC":
-        ends = [wcalc.EndDescriptor("CS", link), wcalc.EndDescriptor("AC", link)]
-    else:
+    end_kinds = {"AC": ("AC", "AC"), "CS": ("CS", "CS"), "CSAC": ("CS", "AC")}
+    if kind not in end_kinds:
         raise ValueError(f"unknown region kind {kind!r}")
+    ends = [wcalc.EndDescriptor(k, link) for k in end_kinds[kind]]
 
     def show(v):
         return "" if v is None else (int(v) if isinstance(v, (bool, int)) else v)
@@ -377,34 +371,24 @@ def region_atlas_rows(kind: str, m: int, link_spec: str, step: float,
             try:
                 facts = wcalc.classify_weight_region(
                     kind, ends, wcalc.WeightVector((float(b1), float(b2))), m)
+                cells = (0, facts.injective, facts.surjective, facts.index, facts.kernel_dim)
             except wcalc.ExceptionalWeightError:
-                rows.append({"beta1": float(b1), "beta2": float(b2),
-                             "exceptional": 1, "injective": "", "surjective": "",
-                             "index": "", "kernel_dim": ""})
-                continue
-            rows.append({"beta1": float(b1), "beta2": float(b2), "exceptional": 0,
-                         "injective": show(facts.injective),
-                         "surjective": show(facts.surjective),
-                         "index": show(facts.index),
-                         "kernel_dim": show(facts.kernel_dim)})
+                cells = (1, None, None, None, None)
+            rows.append(dict(zip(REGION_ATLAS_COLUMNS,
+                                 (float(b1), float(b2), *map(show, cells)))))
     return rows
 
 
-def _run_region_atlas(cfg: ExperimentConfig) -> SweepResult:
+def _region_atlas(cfg: ExperimentConfig):
     rows = region_atlas_rows(cfg.kind, cfg.m, cfg.link, cfg.grid_step)
     # consistency: where surjectivity and index are both known, kernel = index
-    ok = True
-    for r in rows:
-        if r["exceptional"]:
-            continue
-        if r["surjective"] == 1 and r["index"] != "" and r["kernel_dim"] != "":
-            ok = ok and (r["kernel_dim"] == r["index"] or r["injective"] == 1)
-    summary = {"cells": len(rows), "consistent": ok, "pass": ok}
-    return SweepResult("region_atlas", REGION_ATLAS_COLUMNS,
-                       tuple(rows), summary, ok, cfg.seed, cfg.to_dict())
+    ok = all(r["kernel_dim"] == r["index"] or r["injective"] == 1 for r in rows
+             if not r["exceptional"] and r["surjective"] == 1
+             and r["index"] != "" and r["kernel_dim"] != "")
+    return rows, {"cells": len(rows), "consistent": ok, "pass": ok}
 
 
-def _run_norm_identities(cfg: ExperimentConfig) -> SweepResult:
+def _norm_identities(cfg: ExperimentConfig):
     tol = cfg.tolerances
     rows = []
     cone = cm.preset_model("exact_cone_cs_ac", beta=cfg.beta)
@@ -432,33 +416,36 @@ def _run_norm_identities(cfg: ExperimentConfig) -> SweepResult:
         t = float(10.0 ** (-rng.uniform(0.5, 1.5)))
         cases.append((f"variable_{i}", u,
                       wc.WeightSpec(p=2.0, k=1, beta=None, beta_prime=cfg.beta), t))
-    ok = True
     for name, u, spec, t in cases:
         defect = wc.rescaling_invariance_check(u, spec, t)
-        good = defect <= tol["identity_defect"]
-        ok = ok and good
         rows.append({"case": name, "t": t, "k": spec.k,
                      "beta": "per-end" if spec.beta is None else spec.beta,
-                     "defect": defect, "pass": int(good)})
+                     "defect": defect, "pass": int(defect <= tol["identity_defect"])})
     pairs = wc.random_bump_pairs(grid, 100, seed=cfg.seed)
     violations = sum(rep.violated for rep in wc._holder_sweep(pairs, cfg.p, cfg.beta, 0.25))
     rows.append({"case": "holder_sweep", "t": 0.0, "k": 0, "beta": cfg.beta,
                  "defect": float(violations), "pass": int(violations == 0)})
-    ok = ok and violations == 0
-    summary = {"holder_violations": violations, "pass": ok}
-    return SweepResult("norm_identities",
-                       ("case", "t", "k", "beta", "defect", "pass"),
-                       tuple(rows), summary, ok, cfg.seed, cfg.to_dict())
+    return rows, {"holder_violations": violations, "pass": all(r["pass"] for r in rows)}
 
 
-_RUNNERS = {
-    **dict.fromkeys(SWEEPS, _run_sweep),
-    "neck_convergence": _run_neck,
-    "eta_bounds": _run_eta,
-    "weight_crossing": _run_crossing,
-    "region_atlas": _run_region_atlas,
-    "norm_identities": _run_norm_identities,
+# experiment -> (emitted columns, or None for the first row's keys in order,
+#   the model a config's "dumbbell" stands for, runner(cfg) -> (rows, summary))
+_TABLE = {
+    "embedding_uniformity": (None, "dumbbell", _sweep(_embedding_row, _slope_gate)),
+    "invertibility_uniformity": (None, "dumbbell", _sweep(_invertibility_row, None)),
+    "compact_invertibility": (None, "spindle", _sweep(_compact_row, _constants_gate)),
+    "poincare_uniformity": (None, "dumbbell", _sweep(_poincare_row, None)),
+    "gns_uniformity": (None, "dumbbell", _sweep(_gns_row, None)),
+    "neck_convergence": (("t", "pair", "j", "sup"), "dumbbell", _neck),
+    "eta_bounds": (("t", "max_r_eta1", "max_r2_eta2", "inv_log_t"), "dumbbell", _eta),
+    "weight_crossing": (("gamma", "e", "tail_slope", "slope_bound", "residual_sigma",
+                         "threshold", "pass"), "hyperboloid_capped", _crossing),
+    "region_atlas": (REGION_ATLAS_COLUMNS, "dumbbell", _region_atlas),
+    "norm_identities": (("case", "t", "k", "beta", "defect", "pass"), "dumbbell",
+                        _norm_identities),
 }
+
+EXPERIMENTS = tuple(_TABLE)
 
 
 class ExperimentError(RuntimeError):
@@ -470,12 +457,16 @@ class ExperimentError(RuntimeError):
 
 
 def run(config: ExperimentConfig) -> SweepResult:
-    """Dispatch one experiment; deterministic given the config and seed.
-
-    Any error raised by the experiment is re-raised as an ExperimentError
-    naming the experiment, chained to the original."""
+    """Run one experiment through its table entry, with a config's
+    "dumbbell" standing for the entry's default model; deterministic given
+    the config and seed.  Any error raised by the experiment is re-raised
+    as an ExperimentError naming the experiment, chained to the original."""
+    columns, model, runner = _TABLE[config.experiment]
     try:
-        return _RUNNERS[config.experiment](config)
+        rows, summary = runner(replace(config, model=model)
+                               if config.model == "dumbbell" else config)
+        return SweepResult(config.experiment, columns or tuple(rows[0]), tuple(rows),
+                           summary, summary["pass"], config.seed, config.to_dict())
     except Exception as exc:
         raise ExperimentError(config.experiment, exc) from exc
 
@@ -561,12 +552,16 @@ def run_config_file(path, formats=("csv", "json"), out_dir=".",
     or a list under 'experiments'), with every seed replaced by ``seed``
     when it is given.  Returns (exit_code, results); the exit code is 0
     iff every configured tolerance passes.  Every config is built before
-    the first experiment runs, and unknown formats, an empty experiment
-    list and a config that refuses its values raise ValueError then."""
+    the first experiment runs, and unknown formats, a file of another
+    shape, an empty experiment list and a config that refuses its values
+    raise ValueError then."""
     _check_formats(formats)
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     entries = raw["experiments"] if isinstance(raw, dict) and "experiments" in raw else [raw]
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise ValueError(f"{path} must hold a config object or "
+                         f'{{"experiments": [config objects]}}, got {raw!r}')
     if not entries:
         raise ValueError(f"{path} lists no experiments")
     configs = [ExperimentConfig.from_dict(entry if seed is None else {**entry, "seed": seed})

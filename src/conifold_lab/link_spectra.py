@@ -27,6 +27,7 @@ __all__ = [
     "SpectrumRangeError",
     "make_link",
     "link_from_string",
+    "cone_link",
     "eigenvalues_below",
     "sphere_eigenvalue",
     "sphere_multiplicity",
@@ -217,6 +218,16 @@ def link_from_string(spec: str) -> Link:
     if head == "custom":
         return make_link("custom", path=rest)
     raise ValueError(f"cannot parse link spec {spec!r}")
+
+
+def cone_link(spec: str, m: int) -> Link:
+    """The link parsed from spec; ValueError unless it has dimension m - 1,
+    as the link of a cone of dimension m does."""
+    link = link_from_string(spec)
+    if link.dim != m - 1:
+        raise ValueError(f"link {spec!r} has dimension {link.dim}, but the link of a "
+                         f"cone of dimension m = {m} has dimension m-1 = {m - 1}")
+    return link
 
 
 def eigenvalues_below(link: Link, lam: float) -> list[tuple[float, int]]:

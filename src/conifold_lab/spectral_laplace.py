@@ -91,6 +91,7 @@ from .conifold_model import (
     GluedFamily,
     GluedModel,
     RadialGeometry,
+    _smoothstep_c2,
 )
 from .link_spectra import Link
 from .weighted_calc import (ModeFunction, RadialGrid, _band_rows, _csr, _dia, _loglog_slope,
@@ -1162,9 +1163,7 @@ def weight_crossing_kernel(
     if has_cap:
         # interior cutoff: vanish near the cap, pure r^gamma beyond 2R
         R_chart = ac.chart_r
-        s = np.clip(np.log(np.maximum(r, 1e-300) / R_chart) / math.log(2.0), 0.0, 1.0)
-        chi = np.where(r <= R_chart, 0.0, np.where(r >= 2 * R_chart, 1.0,
-                       s**3 * (10 - 15 * s + 6 * s * s)))
+        chi = _smoothstep_c2(np.log(np.maximum(r, 1e-300) / R_chart) / math.log(2.0))
         sigma_ext = chi * np.maximum(r, 1e-300) ** gamma
         sigma_ext[r <= 0] = 0.0
     else:

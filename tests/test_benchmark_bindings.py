@@ -55,6 +55,12 @@ def load_perfbench(name):
     return module
 
 
+def test_tracer_lists_every_experiment_in_order():
+    # the tracer's experiments.run_s.<name> metrics come from its own copy
+    # of the names; an added or renamed experiment must not drop out of them
+    assert load_perfbench("tracing").EXPERIMENTS == ex.EXPERIMENTS
+
+
 def test_tracer_instruments_and_restores():
     tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()

@@ -46,7 +46,10 @@ def test_regions_out_creates_missing_directories(tmp_path):
     (["--grid", "-0.5"], "weight grid step must be positive, got -0.5"),
     (["--range", "2:1"], "weight interval lo:hi needs lo < hi, got 2:1"),
     (["--range", "1"], "Invalid value for '--range': expected lo:hi, got '1'"),
-], ids=["grid-zero", "grid-negative", "range-reversed", "range-one-number"])
+    (["--link", "sphere:3", "--m", "3", "--grid", "1"],
+     "link 'sphere:3' has dimension 3, but the link of a cone of dimension m = 3 "
+     "has dimension m-1 = 2"),
+], ids=["grid-zero", "grid-negative", "range-reversed", "range-one-number", "link-dimension"])
 def test_regions_refuses_bad_grid_and_range(tmp_path, args, message):
     out = tmp_path / "atlas.csv"
     result = CliRunner().invoke(main, ["regions", *args, "--out", str(out)])
@@ -59,6 +62,22 @@ def test_weights_refuses_a_malformed_range():
     result = CliRunner().invoke(main, ["weights", "--range", "-4"])
     assert result.exit_code == 2
     assert "expected lo:hi, got '-4'" in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--m", "2"], "link 'sphere:2' has dimension 2, but the link of a cone of dimension "
+                   "m = 2 has dimension m-1 = 1"),
+    (["--link", "bogus"], "cannot parse link spec 'bogus'"),
+    (["--link", "sphere:1"], "sphere link dimension 1 < 2"),
+    (["--range", "1:1"], "gamma range must be a bounded interval, got (1.0, 1.0)"),
+    (["--link", "sphere:3", "--m", "3"], "link 'sphere:3' has dimension 3, but the link of "
+                                         "a cone of dimension m = 3 has dimension m-1 = 2"),
+], ids=["m-2", "link-bogus", "link-sphere-1", "range-empty", "link-dimension"])
+def test_weights_refuses_bad_links_and_ranges(args, message):
+    result = CliRunner().invoke(main, ["weights", *args])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "Traceback" not in result.output
 
 
 def test_run_subcommand_exit_codes(tmp_path):
@@ -106,6 +125,16 @@ def test_run_refuses_unknown_config_keys(tmp_path):
     assert result.exit_code == 2
     assert "unknown config keys ['tua']; expected names from ['experiment'," in result.output
     assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_run_refuses_a_boolean_seed(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "eta_bounds", "seed": True}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "seed must be int, got True" in result.output
     assert not out.exists()
 
 

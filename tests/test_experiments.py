@@ -76,7 +76,8 @@ def test_run_tags_errors_and_keeps_the_original(monkeypatch):
     def failing(cfg):
         raise original
 
-    monkeypatch.setitem(experiments._RUNNERS, "eta_bounds", failing)
+    columns, model, _runner = experiments._TABLE["eta_bounds"]
+    monkeypatch.setitem(experiments._TABLE, "eta_bounds", (columns, model, failing))
     message = r"^\[eta_bounds\] ArpackNoConvergence: ARPACK error -1: x$"
     with pytest.raises(ExperimentError, match=message) as info:
         run(ExperimentConfig(experiment="eta_bounds"))
@@ -124,6 +125,8 @@ def test_dumbbell_experiments_run_and_pass(experiment):
     assert ts == sorted(ts, reverse=True)  # rows ordered by t descending
 
 
+SWEEPS = ("embedding_uniformity", "invertibility_uniformity", "compact_invertibility",
+          "poincare_uniformity", "gns_uniformity")
 SUMMARY_KEYS = ["max", "min", "max_over_min", "trend_slope", "pass"]
 
 
@@ -140,6 +143,17 @@ SUMMARY_KEYS = ["max", "min", "max_over_min", "trend_slope", "pass"]
     ("poincare_uniformity",
      ("model", "t", "beta", "constant", "grid_size"), SUMMARY_KEYS),
     ("gns_uniformity", ("t", "constant", "p_star", "grid_size"), SUMMARY_KEYS),
+    ("neck_convergence", ("t", "pair", "j", "sup"), ["strictly_decreasing", "pass"]),
+    ("eta_bounds", ("t", "max_r_eta1", "max_r2_eta2", "inv_log_t"),
+     ["exponent_first", "exponent_second", "pass"]),
+    ("weight_crossing",
+     ("gamma", "e", "tail_slope", "slope_bound", "residual_sigma", "threshold", "pass"),
+     ["pass"]),
+    ("region_atlas",
+     ("beta1", "beta2", "exceptional", "injective", "surjective", "index", "kernel_dim"),
+     ["cells", "consistent", "pass"]),
+    ("norm_identities", ("case", "t", "k", "beta", "defect", "pass"),
+     ["holder_violations", "pass"]),
 ])
 def test_sweep_columns_and_summary_keys_are_pinned(experiment, columns, summary_keys):
     # emitted tables and the printed summaries are read by downstream tools
@@ -155,7 +169,16 @@ def test_compact_default_model_is_the_spindle():
     assert {r["model"] for r in res.rows} == {"spindle"}
 
 
-@pytest.mark.parametrize("experiment", sorted(experiments.SWEEPS))
+def test_crossing_default_model_is_the_capped_hyperboloid():
+    plain = run(small("weight_crossing", n_per_region=300))
+    capped = run(small("weight_crossing", model="hyperboloid_capped", n_per_region=300))
+    assert plain.config["model"] == "dumbbell"  # the config is echoed as given
+    assert plain.columns == capped.columns
+    assert plain.rows == capped.rows
+    assert plain.summary == capped.summary
+
+
+@pytest.mark.parametrize("experiment", SWEEPS)
 def test_sweeps_need_two_t_values(experiment):
     with pytest.raises(ExperimentError, match="at least two t values") as info:
         run(small(experiment, t_list=(1e-1,)))
@@ -261,6 +284,15 @@ def test_region_atlas_refuses_empty_grids(step, lo, hi):
         region_atlas_rows("AC", 3, "sphere:2", step, lo, hi)
 
 
+def test_region_atlas_refuses_a_link_of_the_wrong_dimension():
+    with pytest.raises(ExperimentError) as info:
+        run(ExperimentConfig(experiment="region_atlas", link="sphere:3", m=3))
+    cause = info.value.__cause__
+    assert isinstance(cause, ValueError)
+    assert str(cause) == ("link 'sphere:3' has dimension 3, but the link of a cone of "
+                          "dimension m = 3 has dimension m-1 = 2")
+
+
 def test_region_atlas_passes_consistency():
     res = run(ExperimentConfig(experiment="region_atlas", kind="CSAC", grid_step=0.5))
     assert res.passed
@@ -300,3 +332,52 @@ def test_run_config_file_refuses_bad_lists_before_running(tmp_path, monkeypatch)
     with pytest.raises(ValueError, match="strictly decreasing"):
         run_config_file(path, out_dir=out)
     assert ran == [] and not out.exists()
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({}, r"^config has no 'experiment'; expected one of \('embedding_uniformity',"),
+    ([1, 2], r'must hold a config object or \{"experiments": \[config objects\]\}, '
+             r"got \[1, 2\]$"),
+    ("x", r"must hold a config object .*, got 'x'$"),
+    ({"experiments": {}}, r"must hold a config object .*, got \{'experiments': \{\}\}$"),
+    ({"experiments": [3]}, r"must hold a config object .*, got \{'experiments': \[3\]\}$"),
+    ({"experiment": "eta_bounds", "t_list": 0.1},
+     r"^t_list must be tuple\[float, \.\.\.\], got 0.1$"),
+    ({"experiment": "eta_bounds", "t_list": ["0.1"]}, r"^t_list must be"),
+    ({"experiment": "eta_bounds", "tolerances": {"uniformity_ratio": "x"}},
+     r"^tolerances must be dict\[str, float\], got \{'uniformity_ratio': 'x'\}$"),
+    ({"experiment": "eta_bounds", "tolerances": {"uniformity_ratio": True}}, r"^tolerances must"),
+    ({"experiment": "norm_identities", "seed": 1.5}, r"^seed must be int, got 1.5$"),
+    ({"experiment": "eta_bounds", "seed": True}, r"^seed must be int, got True$"),
+    ({"experiment": "embedding_uniformity", "family_size": 2.5},
+     r"^family_size must be int, got 2.5$"),
+    ({"experiment": "invertibility_uniformity", "n_per_region": 150.5},
+     r"^n_per_region must be int, got 150.5$"),
+    ({"experiment": "region_atlas", "m": 3.0}, r"^m must be int, got 3.0$"),
+    ({"experiment": "eta_bounds", "p": "2"}, r"^p must be float, got '2'$"),
+    ({"experiment": "eta_bounds", "tau": False}, r"^tau must be float, got False$"),
+    ({"experiment": "weight_crossing", "gamma_cases": [[1.0, 2.0, 3.0]]},
+     r"^gamma_cases must be tuple\[tuple\[float, float\], \.\.\.\], got \[\[1.0, 2.0, 3.0\]\]$"),
+    ({"experiment": "region_atlas", "link": 2}, r"^link must be str, got 2$"),
+], ids=["no-experiment", "top-level-list", "top-level-string", "experiments-object",
+        "experiments-of-numbers", "t_list-number", "t_list-strings", "tolerance-string",
+        "tolerance-bool", "seed-float", "seed-bool", "family_size-float",
+        "n_per_region-float", "m-float", "p-string", "tau-bool", "gamma_cases-triple",
+        "link-number"])
+def test_malformed_configs_are_refused_before_running(tmp_path, monkeypatch, raw, message):
+    ran = []
+    monkeypatch.setattr(experiments, "run", ran.append)
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=message):
+        run_config_file(path, out_dir=out)
+    assert ran == [] and not out.exists()
+
+
+def test_json_numbers_fill_the_typed_fields():
+    # an int stands for a float and a list for a tuple, and both are echoed as given
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "weight_crossing", "p": 2, "e_max": 6, "t_list": [0.1, 0.01],
+        "gamma_cases": [[1, 2]], "tolerances": {"crossing_slack": 1}})
+    assert cfg.t_list == (0.1, 0.01) and cfg.gamma_cases == ((1.0, 2.0),)
+    assert cfg.to_dict()["p"] == 2 and cfg.tolerances["crossing_slack"] == 1
