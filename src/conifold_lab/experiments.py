@@ -4,7 +4,7 @@ declared tolerances.
 
 Each experiment is one entry of ``_TABLE``: its emitted columns (or the
 keys of its first row), the model that a config's ``"model": "dumbbell"``
-stands for, and its runner.  The dumbbell is the field's default, so it
+stands for (None for the three that read no model), and its runner.  The dumbbell is the field's default, so it
 stands for each experiment's own default model: the dumbbell, except the
 spindle for ``compact_invertibility`` (the dumbbell is non-compact) and
 ``hyperboloid_capped`` for ``weight_crossing``.  A runner takes the
@@ -14,6 +14,16 @@ the default model, wraps any error in ``ExperimentError`` and builds the
 ``SweepResult``, with the config echoed as given.  The five t-sweeps share
 one runner, built by ``_sweep`` from a row function and a gate: one
 constant per t, summarized by the max/min ratio and a log-log trend slope.
+A sweep carries the previous t's values: each row gets the report the
+row returned at the previous t, and the invertibility and Poincare rows
+start their certified eigen solves from its per-mode values (the emitted
+values move by the solves' rounding only, at most 1.2e-9 relative on
+the acceptance suite).
+
+A config that ``run_config_file`` reads is checked whole before the first
+experiment runs: its field types (below), and the fields that its
+experiment reads and would refuse only while running (``_check_fields``:
+the model, and the atlas's kind and link).
 
 Tolerances live in the config with documented defaults (uniformity ratio
 <= 2, identity checks <= 1e-10, slope fits within 10/15 percent); the
@@ -179,23 +189,32 @@ def _fit_slope(xs, ys):
                             np.maximum(np.asarray(ys, dtype=float), 1e-300))
 
 
+_FAMILIES = {"dumbbell": cm.dumbbell_family, "spindle": cm.spindle_family}
+_MODELS = ("hyperboloid_capped", "exact_cone_cs_ac", "rxs2", "sine_spindle")
+
+
+def _model_file(name: str, glued: bool) -> Path:
+    """The model file that a model name other than a preset stands for: an
+    existing file, a .json one for a glued family; ValueError otherwise."""
+    path = Path(name)
+    if path.exists() and (path.suffix == ".json" or not glued):
+        return path
+    raise ValueError(f"unknown {'glued benchmark' if glued else 'model'} {name!r}; expected "
+                     f"one of {tuple(_FAMILIES) if glued else _MODELS} or an existing "
+                     f"{'.json ' if glued else ''}file")
+
+
 def _family(cfg: ExperimentConfig):
-    preset = {"dumbbell": cm.dumbbell_family, "spindle": cm.spindle_family}.get(cfg.model)
+    preset = _FAMILIES.get(cfg.model)
     if preset is not None:
         return preset(beta=cfg.beta, tau=cfg.tau, a=cfg.a, b=cfg.b)
-    path = Path(cfg.model)
-    if path.suffix == ".json" and path.exists():
-        return cm.load_family(path)
-    raise ValueError(f"unknown glued benchmark {cfg.model!r}")
+    return cm.load_family(_model_file(cfg.model, glued=True))
 
 
 def _base_model(cfg: ExperimentConfig):
-    if cfg.model in ("hyperboloid_capped", "exact_cone_cs_ac", "rxs2", "sine_spindle"):
+    if cfg.model in _MODELS:
         return cm.preset_model(cfg.model, beta=cfg.beta)
-    path = Path(cfg.model)
-    if path.exists():
-        return cm.load_model(path)
-    raise ValueError(f"unknown model {cfg.model!r}")
+    return cm.load_model(_model_file(cfg.model, glued=False))
 
 
 # --- t-sweeps ----------------------------------------------------------------
@@ -209,48 +228,51 @@ def _grid_and_bumps(cfg: ExperimentConfig, fam, t):
     return grid, wc.bump_family(grid, n_members=cfg.family_size, seed=cfg.seed)
 
 
-def _embedding_row(cfg, fam, t):
+def _embedding_row(cfg, fam, t, _previous=None):
     grid, bumps = _grid_and_bumps(cfg, fam, t)
     rep = wc.embedding_constant_estimate(bumps, p=cfg.p, beta=cfg.beta)
     return {"t": t, "constant": rep.constant, "p_star": rep.p_star,
-            "family_size": len(bumps), "grid_size": grid.n}
+            "family_size": len(bumps), "grid_size": grid.n}, None
 
 
-def _invertibility_row(cfg, fam, t):
+def _invertibility_row(cfg, fam, t, previous=None):
     rep = sl.invertibility_constant(fam.at(t), beta=cfg.beta, e_max=cfg.e_max,
-                                    n_per_region=cfg.n_per_region, r_max=cfg.r_max)
+                                    n_per_region=cfg.n_per_region, r_max=cfg.r_max,
+                                    previous=previous)
     row = {"model": cfg.model, "t": t, "beta": cfg.beta,
            "constant": rep.constant, "sigma_min": rep.sigma_min,
            "grid_size": rep.grid_size}
     for e, s in rep.per_mode:
         row[f"sigma_e{e:g}"] = s
-    return row
+    return row, rep
 
 
-def _compact_row(cfg, fam, t):
+def _compact_row(cfg, fam, t, _previous=None):
     rep = sl.restricted_invertibility_compact(
         fam, beta=cfg.beta, t=t, e_max=cfg.e_max, n_per_region=cfg.n_per_region)
     return {"model": cfg.model, "t": t, "beta": cfg.beta, "constant": rep.constant,
             "sigma_constrained": rep.sigma_constrained,
             "sigma_mode0_unconstrained": rep.sigma_mode0_unconstrained,
-            "grid_size": rep.grid_size}
+            "grid_size": rep.grid_size}, None
 
 
-def _poincare_row(cfg, fam, t):
+def _poincare_row(cfg, fam, t, previous=None):
     rep = sl.poincare_constant(fam.at(t), beta=cfg.beta, e_max=cfg.e_max,
-                               n_per_region=cfg.n_per_region, r_max=cfg.r_max)
+                               n_per_region=cfg.n_per_region, r_max=cfg.r_max,
+                               previous=previous)
     return {"model": cfg.model, "t": t, "beta": cfg.beta,
-            "constant": rep.constant, "grid_size": rep.grid_size}
+            "constant": rep.constant, "grid_size": rep.grid_size}, rep
 
 
-def _gns_row(cfg, fam, t):
+def _gns_row(cfg, fam, t, _previous=None):
     ce = wcalc.conjugate_exponents(cfg.p, fam.L.m)
     if ce.p_star is None:
         raise ValueError(f"p = {cfg.p} >= m: no L^p* target")
     grid, bumps = _grid_and_bumps(cfg, fam, t)
     # ||u||_{L^p*_beta} / ||du||_{L^p_{beta-1}} over the family, in one pass
     ratios = wc.norm_ratios(bumps, cfg.beta, (ce.p_star, (0,)), (cfg.p, (1,)))
-    return {"t": t, "constant": float(ratios.max()), "p_star": ce.p_star, "grid_size": grid.n}
+    return {"t": t, "constant": float(ratios.max()), "p_star": ce.p_star,
+            "grid_size": grid.n}, None
 
 
 def _slope_gate(cfg, rows, slope):
@@ -266,14 +288,20 @@ def _constants_gate(cfg, rows, slope):
 
 
 def _sweep(row, gate):
-    """The t-sweep runner of row(cfg, fam, t) -> dict with a "constant" and
-    gate(cfg, rows, slope) -> (extra summary keys, ok), or None."""
+    """The t-sweep runner of row(cfg, fam, t, previous) -> (dict with a
+    "constant", report) and gate(cfg, rows, slope) -> (extra summary keys,
+    ok), or None.  previous is the report the row returned at the previous
+    t (None at the first): the eigen rows start their solves from its
+    per-mode values."""
 
     def runner(cfg: ExperimentConfig):
         if len(cfg.t_list) < 2:
             raise ValueError(f"a t-sweep needs at least two t values, got {cfg.t_list}")
         fam = _family(cfg)
-        rows = [row(cfg, fam, t) for t in cfg.t_list]
+        rows, previous = [], None
+        for t in cfg.t_list:
+            r, previous = row(cfg, fam, t, previous)
+            rows.append(r)
         consts = [r["constant"] for r in rows]
         vmax, vmin = max(consts), min(consts)
         ratio = vmax / vmin if vmin > 0 else math.inf
@@ -343,13 +371,25 @@ REGION_ATLAS_COLUMNS = ("beta1", "beta2", "exceptional", "injective",
                         "surjective", "index", "kernel_dim")
 
 
+_REGION_ENDS = {"AC": ("AC", "AC"), "CS": ("CS", "CS"), "CSAC": ("CS", "AC")}
+
+
+def _region_link(kind: str, m: int, link_spec: str):
+    """The link of a region atlas of this kind; ValueError for a kind
+    other than AC, CS and CSAC or a link of dimension other than m - 1."""
+    if kind not in _REGION_ENDS:
+        raise ValueError(f"unknown region kind {kind!r}; expected one of {tuple(_REGION_ENDS)}")
+    return cone_link(link_spec, m)
+
+
 def region_atlas_rows(kind: str, m: int, link_spec: str, step: float,
                       lo: float | None = None, hi: float | None = None):
     """Classification grid replicating the qualitative content of the
     harmonic-function region figures: one row per weight cell.  A link
     whose dimension is not m - 1, a step that is not positive, or an
-    interval with lo >= hi raises ValueError."""
-    link = cone_link(link_spec, m)
+    interval with lo >= hi raises ValueError, as does a kind other than
+    AC, CS and CSAC."""
+    link = _region_link(kind, m, link_spec)
     lo = lo if lo is not None else (2.0 - m) - 1.5
     hi = hi if hi is not None else 1.5
     if not step > 0:
@@ -357,10 +397,7 @@ def region_atlas_rows(kind: str, m: int, link_spec: str, step: float,
     if not lo < hi:
         raise ValueError(f"weight interval lo:hi needs lo < hi, got {lo:g}:{hi:g}")
     vals = np.arange(lo, hi + step / 2, step)
-    end_kinds = {"AC": ("AC", "AC"), "CS": ("CS", "CS"), "CSAC": ("CS", "AC")}
-    if kind not in end_kinds:
-        raise ValueError(f"unknown region kind {kind!r}")
-    ends = [wcalc.EndDescriptor(k, link) for k in end_kinds[kind]]
+    ends = [wcalc.EndDescriptor(k, link) for k in _REGION_ENDS[kind]]
 
     def show(v):
         return "" if v is None else (int(v) if isinstance(v, (bool, int)) else v)
@@ -429,7 +466,8 @@ def _norm_identities(cfg: ExperimentConfig):
 
 
 # experiment -> (emitted columns, or None for the first row's keys in order,
-#   the model a config's "dumbbell" stands for, runner(cfg) -> (rows, summary))
+#   the model a config's "dumbbell" stands for, or None where no model is read,
+#   runner(cfg) -> (rows, summary))
 _TABLE = {
     "embedding_uniformity": (None, "dumbbell", _sweep(_embedding_row, _slope_gate)),
     "invertibility_uniformity": (None, "dumbbell", _sweep(_invertibility_row, None)),
@@ -437,15 +475,30 @@ _TABLE = {
     "poincare_uniformity": (None, "dumbbell", _sweep(_poincare_row, None)),
     "gns_uniformity": (None, "dumbbell", _sweep(_gns_row, None)),
     "neck_convergence": (("t", "pair", "j", "sup"), "dumbbell", _neck),
-    "eta_bounds": (("t", "max_r_eta1", "max_r2_eta2", "inv_log_t"), "dumbbell", _eta),
+    "eta_bounds": (("t", "max_r_eta1", "max_r2_eta2", "inv_log_t"), None, _eta),
     "weight_crossing": (("gamma", "e", "tail_slope", "slope_bound", "residual_sigma",
                          "threshold", "pass"), "hyperboloid_capped", _crossing),
-    "region_atlas": (REGION_ATLAS_COLUMNS, "dumbbell", _region_atlas),
-    "norm_identities": (("case", "t", "k", "beta", "defect", "pass"), "dumbbell",
-                        _norm_identities),
+    "region_atlas": (REGION_ATLAS_COLUMNS, None, _region_atlas),
+    "norm_identities": (("case", "t", "k", "beta", "defect", "pass"), None, _norm_identities),
 }
 
 EXPERIMENTS = tuple(_TABLE)
+
+
+def _check_fields(config: ExperimentConfig) -> None:
+    """ValueError for a field that config's experiment reads and would
+    refuse only while it runs: a model its runner cannot resolve (a
+    preset name, or an existing file), and region_atlas's kind and link
+    (_region_link).  r_max is checked against an AC end where the grid is
+    built, inside the run."""
+    _columns, default, _runner = _TABLE[config.experiment]
+    model = default if config.model == "dumbbell" else config.model
+    if default in _FAMILIES and model not in _FAMILIES:
+        _model_file(model, glued=True)
+    if default in _MODELS and model not in _MODELS:
+        _model_file(model, glued=False)
+    if config.experiment == "region_atlas":
+        _region_link(config.kind, config.m, config.link)
 
 
 class ExperimentError(RuntimeError):
@@ -464,7 +517,7 @@ def run(config: ExperimentConfig) -> SweepResult:
     columns, model, runner = _TABLE[config.experiment]
     try:
         rows, summary = runner(replace(config, model=model)
-                               if config.model == "dumbbell" else config)
+                               if model and config.model == "dumbbell" else config)
         return SweepResult(config.experiment, columns or tuple(rows[0]), tuple(rows),
                            summary, summary["pass"], config.seed, config.to_dict())
     except Exception as exc:
@@ -551,10 +604,10 @@ def run_config_file(path, formats=("csv", "json"), out_dir=".",
     """Run every experiment in a JSON config file (a single config object
     or a list under 'experiments'), with every seed replaced by ``seed``
     when it is given.  Returns (exit_code, results); the exit code is 0
-    iff every configured tolerance passes.  Every config is built before
-    the first experiment runs, and unknown formats, a file of another
-    shape, an empty experiment list and a config that refuses its values
-    raise ValueError then."""
+    iff every configured tolerance passes.  Every config is built and
+    checked (_check_fields) before the first experiment runs, and unknown
+    formats, a file of another shape, an empty experiment list and a
+    config that refuses its values raise ValueError then."""
     _check_formats(formats)
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -566,6 +619,8 @@ def run_config_file(path, formats=("csv", "json"), out_dir=".",
         raise ValueError(f"{path} lists no experiments")
     configs = [ExperimentConfig.from_dict(entry if seed is None else {**entry, "seed": seed})
                for entry in entries]
+    for config in configs:
+        _check_fields(config)
     results = []
     for config in configs:
         res = run(config)

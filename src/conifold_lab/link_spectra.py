@@ -160,7 +160,8 @@ def make_link(kind: str, **kwargs) -> Link:
     make_link('custom', path='spectrum.csv')
 
     Link dimension must be >= 2: the cone dimension m = dim + 1 is
-    assumed >= 3 throughout.
+    assumed >= 3 throughout.  A custom spectrum file that cannot be read
+    raises ValueError naming the path, chained to the OSError.
     """
     if kind == "sphere":
         d = int(kwargs["dim"])
@@ -192,7 +193,11 @@ def make_link(kind: str, **kwargs) -> Link:
         )
     if kind == "custom":
         path = Path(kwargs["path"])
-        entries = _parse_spectrum_csv(path)
+        try:
+            entries = _parse_spectrum_csv(path)
+        except OSError as exc:
+            raise ValueError(f"cannot read the custom link spectrum {str(path)!r}: "
+                             f"{exc.strerror or exc}") from exc
         dim = int(kwargs.get("dim", 2))
         if dim < 2:
             raise ValueError(f"custom link dimension {dim} < 2: cone dimension must be >= 3")

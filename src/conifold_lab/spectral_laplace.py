@@ -54,7 +54,14 @@ reorthogonalization twice per step, stopped by ARPACK's test beta_j |s_j|
 invertibility_constant and of restricted_invertibility_compact: their
 smallest values are isolated or clustered above the continuum's edge,
 and it moves them by rounding of the assembled pencil only (at most 6e-9
-relative).  Compact's constrained mode 0 (_constrained_smallest) runs
+relative).  Its bracket starts cold at the base shift, or warm from an
+estimate near of lam_1 (_spectrum_slice): invertibility_constant and
+poincare_constant take it per mode from the report of the previous t of
+a sweep.  Warm, the first factorization sits 1 % below near, inverse
+iteration on it settles a Rayleigh quotient, one probe 1e-4 below that
+quotient gives the Lanczos shift, and bisection on the bracket known by
+then is the fallback; a failed first factorization falls back to the
+cold start.  Compact's constrained mode 0 (_constrained_smallest) runs
 the same Lanczos on one banded factor at a shift far below the pencil's
 floor, projected onto the constraint's complement.  The factorization,
 once and at a given shift s, also rules modes out of a constant
@@ -526,27 +533,70 @@ def _band_solver(order: np.ndarray, c: np.ndarray):
     return solve
 
 
-def _spectrum_slice(A: dict, B: dict):
-    """(lo, hi, solve) with lo < lam_1 <= hi for the SPD pencil A v =
-    lam B v (bands) and hi - lo <= 0.02 hi;
-    solve(b) is (A - lo B)^-1 b.
+# the warm start of _spectrum_slice: its two probes and its settling test,
+# relative to lam_1, and the cap on its inverse iterations
+_NEAR_PROBE = 1e-2
+_SETTLED = 1e-7
+_SETTLE_STEPS = 30
+_FINAL_PROBE = 1e-4
+
+
+def _spectrum_slice(A: dict, B: dict, near: float | None = None):
+    """(lo, hi, solve, start) with lo < lam_1 <= hi for the SPD pencil A
+    v = lam B v (bands) and hi - lo <= 0.02 hi; solve(b) is (A - lo B)^-1
+    b, and start is the vector the Lanczos starts from.
 
     Spectrum slicing by Sylvester inertia (Parlett, The Symmetric
     Eigenvalue Problem): the banded Cholesky factorization (LAPACK
     dpbtrf) of A - sigma B on the bands of _upper_bands succeeds iff
-    sigma lies below the spectrum.  At the base shift of
-    smallest_pencil_eigs it must succeed, or the pencil is refused with
+    sigma lies below the spectrum, so every lo is a factorization that
+    succeeded, and every hi a failed one or a Rayleigh quotient.
+
+    Cold (near None), the factorization at the base shift of
+    smallest_pencil_eigs must succeed, or the pencil is refused with
     LAPACK's info.  The Rayleigh quotient of three inverse iterations
-    with that factor is the first hi; bisection on Cholesky success then
-    moves lo up and hi down."""
+    with that factor is the first hi, bisection on Cholesky success then
+    moves lo up and hi down, and start is _deterministic_v0.
+
+    Warm, near is an estimate of lam_1, such as the same mode's value at
+    the previous t of a sweep.  The first factorization is at (1 -
+    _NEAR_PROBE) near.  If it succeeds, that shift is lo, and inverse
+    iteration on its factor from _deterministic_v0 runs until the
+    Rayleigh quotient hi moves less than _SETTLED hi in a step (at most
+    _SETTLE_STEPS steps).  One more factorization, at (1 - _FINAL_PROBE)
+    hi, then becomes lo with its factor or, failing, hi; the bisection
+    closes whatever bracket is left, and start is the iteration's last
+    vector (a power of the operator applied to _deterministic_v0, so its
+    Krylov spaces lie in those of the cold start).  If the first
+    factorization fails, its shift is hi, and the cold start follows."""
     order, ab_A, ab_B = _upper_bands(A, B)
-    lo = _base_shift(A, B)
-    c = _factor(ab_A, ab_B, lo)
+    hi, warm = math.inf, False
+    if near is not None:
+        lo = (1.0 - _NEAR_PROBE) * near
+        c, info = dpbtrf(ab_A - lo * ab_B)
+        warm = info == 0
+        if not warm:
+            hi = lo
+    if not warm:
+        lo = _base_shift(A, B)
+        c = _factor(ab_A, ab_B, lo)
     solve, x = _band_solver(order, c), _deterministic_v0(order.size)
-    for _ in range(3):
-        x = solve(_band_rows(B, x))
+    Bx, rq = _band_rows(B, x), math.inf
+    for _ in range(_SETTLE_STEPS if warm else 3):
+        x = solve(Bx)
         x /= np.linalg.norm(x)
-    hi = float(x @ _band_rows(A, x)) / float(x @ _band_rows(B, x))
+        Bx = _band_rows(B, x)
+        previous, rq = rq, float(x @ _band_rows(A, x)) / float(x @ Bx)
+        if warm and abs(previous - rq) <= _SETTLED * rq:
+            break
+    hi = min(hi, rq)
+    if warm:
+        s = (1.0 - _FINAL_PROBE) * hi
+        c_s, info = dpbtrf(ab_A - s * ab_B)
+        if info == 0:
+            lo, c = s, c_s
+        else:
+            hi = s
     for _ in range(64):  # each step halves [lo, hi]; bounded for a singular pencil
         if hi - lo <= 0.02 * hi:
             break
@@ -556,7 +606,7 @@ def _spectrum_slice(A: dict, B: dict):
             lo, c = mid, c_mid
         else:
             hi = mid
-    return lo, hi, _band_solver(order, c)
+    return lo, hi, _band_solver(order, c), x if warm else _deterministic_v0(order.size)
 
 
 _LANCZOS_STEPS = 80  # the acceptance suite's pencils take 6-21
@@ -613,9 +663,10 @@ def _shift_invert_lanczos(solve, B: dict, start: np.ndarray):
     raise RuntimeError(f"shift-invert Lanczos did not converge in {_LANCZOS_STEPS} steps")
 
 
-def _certified_smallest(A: dict, B: dict, num_form=None) -> float:
+def _certified_smallest(A: dict, B: dict, num_form=None, near: float | None = None) -> float:
     """The smallest eigenvalue of the SPD pencil A v = lam B v (bands),
-    polished by num_form as in smallest_pencil_eigs.
+    polished by num_form as in smallest_pencil_eigs; near, an estimate
+    of it, only picks where _spectrum_slice starts.
 
     Shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980;
     _shift_invert_lanczos) at the certified shift lo of _spectrum_slice,
@@ -625,8 +676,8 @@ def _certified_smallest(A: dict, B: dict, num_form=None) -> float:
     not.  The eigenvalue must lie in [lo, hi] up to 1e-6 relative, the
     backward error of Cholesky on the assembled form, or the solve
     raises."""
-    lo, hi, solve = _spectrum_slice(A, B)
-    theta, x = _shift_invert_lanczos(solve, B, _deterministic_v0(A[0].size))
+    lo, hi, solve, start = _spectrum_slice(A, B, near)
+    theta, x = _shift_invert_lanczos(solve, B, start)
     lam = lo + 1.0 / theta
     fuzz = 1e-6 * abs(hi)
     if not lo - fuzz <= lam <= hi + fuzz:
@@ -884,11 +935,17 @@ def invertibility_constant(
     n_per_region: int = 400,
     r_max: float = 1e3,
     grid: RadialGrid | None = None,
+    previous: InvertibilityReport | None = None,
 ) -> InvertibilityReport:
     """1 / sigma_min of the Laplacian between the k=2 and k=0 weighted
     spaces: sigma_min = min over modes e <= e_max of the smallest
     generalized singular value of Delta as a map W^2_{2,beta} ->
-    W^2_{0,beta-2}.  Weight preconditions are enforced, not assumed."""
+    W^2_{0,beta-2}.  Weight preconditions are enforced, not assumed.
+
+    previous, the report at the neighbouring t of a sweep, hands each
+    mode e > 0 it solved to _certified_smallest as the estimate near =
+    sigma^2: it moves where the certified solve starts, not what it
+    certifies."""
     _check_e_max(e_max)
     geo = _resolve_geometry(model)
     _check_lemma_weights(geo, float(beta))
@@ -896,13 +953,15 @@ def invertibility_constant(
     if grid is None:
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
     parts = _form_parts(grid, beta)
+    near = {e: s * s for e, s in previous.per_mode} if previous else {}
     per_mode = []
     for e, _mult in geo.link.eigenvalues_below(e_max):
         pen = laplacian_pencil(grid, e, parts)
         if e == 0.0:  # at the continuum's edge: see the module docstring
             lam = smallest_pencil_eigs(pen.A_bands, pen.B_bands, k=1, num_form=pen.numerator)[0]
         else:
-            lam = _certified_smallest(pen.A_bands, pen.B_bands, num_form=pen.numerator)
+            lam = _certified_smallest(pen.A_bands, pen.B_bands, num_form=pen.numerator,
+                                      near=near.get(e))
         per_mode.append((float(e), float(_sigma_from(lam))))
     sigma_min = min(s for _, s in per_mode)
     return InvertibilityReport(constant=1.0 / sigma_min, sigma_min=sigma_min,
@@ -1045,6 +1104,7 @@ def poincare_constant(
     n_per_region: int = 400,
     r_max: float = 1e3,
     grid: RadialGrid | None = None,
+    previous: PoincareReport | None = None,
 ) -> PoincareReport:
     """Largest ratio ||u||_{W_{1,beta}} / ||du||_{L_{beta-1}} over the
     discrete mode spaces, computed per mode as the extreme generalized
@@ -1058,7 +1118,11 @@ def poincare_constant(
     running maximum C_*: one banded Cholesky of its pencil at s = (1 +
     _EXCLUSION_MARGIN) / C_*^2 (_spectrum_above) that succeeds puts its
     ratio below 1/sqrt(s), and the mode goes to `bounded` unsolved.  The
-    mode that sets the constant is always solved."""
+    mode that sets the constant is always solved.
+
+    previous, the report at the neighbouring t of a sweep, hands each
+    mode it solved to _certified_smallest as the estimate near =
+    1/ratio^2, as in invertibility_constant."""
     _check_e_max(e_max)
     geo = _resolve_geometry(model)
     ends = _residual_ends(geo)
@@ -1079,6 +1143,7 @@ def poincare_constant(
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
     parts = _form_parts(grid, beta)
     gradient_bands = _gradient_forms(grid, beta)
+    near = {e: c**-2 for e, c in previous.per_mode} if previous else {}
     per_mode, bounded = [], []
     for e, _mult in geo.link.eigenvalues_below(e_max):
         op = assemble_mode_operator(grid, e, beta=beta)
@@ -1089,7 +1154,7 @@ def poincare_constant(
             if _spectrum_above(G_red, M1, shift):
                 bounded.append((float(e), 1.0 / math.sqrt(shift)))
                 continue
-        lam0 = max(_certified_smallest(G_red, M1), 1e-300)
+        lam0 = max(_certified_smallest(G_red, M1, near=near.get(e)), 1e-300)
         per_mode.append((float(e), 1.0 / math.sqrt(lam0)))
     constant = max(c for _, c in per_mode)
     return PoincareReport(constant=constant, per_mode=tuple(per_mode),

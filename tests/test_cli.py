@@ -80,6 +80,39 @@ def test_weights_refuses_bad_links_and_ranges(args, message):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("command", ["weights", "regions"])
+def test_a_missing_custom_link_file_is_a_usage_error(tmp_path, command):
+    missing = tmp_path / "missing.csv"
+    result = CliRunner().invoke(main, [command, "--link", f"custom:{missing}"])
+    assert result.exit_code == 2
+    assert f"cannot read the custom link spectrum {str(missing)!r}" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"experiment": "region_atlas", "link": "sphere:3"},
+     "link 'sphere:3' has dimension 3, but the link of a cone of dimension m = 3"),
+    ({"experiment": "region_atlas", "kind": "ACAC"}, "unknown region kind 'ACAC'"),
+    ({"experiment": "region_atlas", "link": "custom:missing.csv"},
+     "cannot read the custom link spectrum 'missing.csv'"),
+    ({"experiment": "invertibility_uniformity", "model": "nosuch"},
+     "unknown glued benchmark 'nosuch'"),
+    ({"experiment": "neck_convergence", "model": "hyperboloid_capped"},
+     "unknown glued benchmark 'hyperboloid_capped'"),
+    ({"experiment": "weight_crossing", "model": "spindle"}, "unknown model 'spindle'"),
+], ids=["atlas-link-dimension", "atlas-kind", "atlas-missing-link", "sweep-model",
+        "neck-model", "crossing-model"])
+def test_run_refuses_unusable_fields_before_writing(tmp_path, bad, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": [{"experiment": "eta_bounds"}, bad]}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 def test_run_subcommand_exit_codes(tmp_path):
     runner = CliRunner()
     cfg = {"experiment": "eta_bounds", "tau": 0.95, "a": 0.9, "b": 0.05,

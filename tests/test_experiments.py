@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from conifold_lab import conifold_model as cm
 from conifold_lab import experiments
 from conifold_lab import spectral_laplace as sl
 from conifold_lab.experiments import (
@@ -201,6 +202,58 @@ def test_family_json_matches_dumbbell_preset(experiment):
     assert from_json.passed == preset.passed
 
 
+CARRYING_ROWS = {"invertibility_uniformity": experiments._invertibility_row,
+                 "poincare_uniformity": experiments._poincare_row}
+
+
+@pytest.mark.parametrize("experiment", sorted(CARRYING_ROWS))
+def test_hinted_sweeps_match_cold_calls_per_t(experiment, monkeypatch, tmp_path):
+    """A sweep hands each t the previous t's report, whose per-mode values
+    start the certified solves; its rows agree with cold per-t calls to
+    1e-8 relative, with fewer factorizations, and a rerun of the same
+    config emits the same bytes."""
+    factorizations = []
+    dpbtrf = sl.dpbtrf
+    monkeypatch.setattr(sl, "dpbtrf", lambda *a: factorizations.append(1) or dpbtrf(*a))
+    cfg = small(experiment, t_list=(1e-1, 1e-2, 1e-3, 1e-4), e_max=12.0)
+    res = run(cfg)
+    warm = len(factorizations)
+    factorizations.clear()
+    fam = experiments._family(cfg)
+    for t, row in zip(cfg.t_list, res.rows):
+        cold, _rep = CARRYING_ROWS[experiment](cfg, fam, t)
+        assert list(row) == list(cold)
+        for key, value in cold.items():
+            assert row[key] == (pytest.approx(value, rel=1e-8)
+                                if isinstance(value, float) else value), (t, key)
+    assert warm < len(factorizations)
+    first = {f.name: f.read_bytes()
+             for f in emit(res, formats=("csv", "json", "plotdata"), out_dir=tmp_path / "a")}
+    second = {f.name: f.read_bytes()
+              for f in emit(run(cfg), formats=("csv", "json", "plotdata"),
+                            out_dir=tmp_path / "b")}
+    assert first == second
+
+
+def test_arpack_solves_only_the_pinned_paths(monkeypatch):
+    """ARPACK keeps one solve per pencil of a kernel scan, invertibility's
+    mode 0 once per t and compact's unconstrained mode 0 once per t."""
+    calls = []
+    eigsh = sl.spla.eigsh
+    monkeypatch.setattr(sl.spla, "eigsh", lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
+    ts = (1e-1, 1e-2, 1e-3)
+    for experiment, model in (("invertibility_uniformity", "dumbbell"),
+                              ("compact_invertibility", "spindle"),
+                              ("poincare_uniformity", "dumbbell")):
+        calls.clear()
+        run(small(experiment, model=model, t_list=ts))
+        assert len(calls) == (0 if experiment == "poincare_uniformity" else len(ts)), experiment
+    calls.clear()
+    model = cm.preset_model("hyperboloid_capped")
+    rows = sl.kernel_dimension_scan(model, [0.5, 1.5], e_max=6.0, n_per_region=100)
+    assert len(calls) == sum(len(row.per_mode) for row in rows) == 2 * 3
+
+
 def test_compact_experiment_runs():
     res = run(small("compact_invertibility", model="spindle"))
     assert res.passed, res.summary
@@ -291,6 +344,32 @@ def test_region_atlas_refuses_a_link_of_the_wrong_dimension():
     assert isinstance(cause, ValueError)
     assert str(cause) == ("link 'sphere:3' has dimension 3, but the link of a cone of "
                           "dimension m = 3 has dimension m-1 = 2")
+
+
+def test_fields_an_experiment_does_not_read_are_not_checked(tmp_path):
+    # eta_bounds reads neither the model nor the link or kind of an atlas
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "eta_bounds", "model": "nosuch",
+                                "link": "sphere:3", "kind": "ACAC", "tau": 0.95, "a": 0.9,
+                                "b": 0.05, "t_list": [1e-8, 1e-10, 1e-12, 1e-14]}))
+    code, (res,) = run_config_file(path, out_dir=tmp_path / "out")
+    assert code == 0 and res.passed
+
+
+@pytest.mark.parametrize("experiment, model, ok", [
+    ("neck_convergence", FAMILY_JSON, True),
+    ("invertibility_uniformity", FAMILY_JSON.with_suffix(".csv"), False),
+    ("weight_crossing", FAMILY_JSON, True),
+    ("weight_crossing", FAMILY_JSON.with_name("nosuch.json"), False),
+], ids=["family-file", "family-not-json", "model-file", "model-missing"])
+def test_model_files_are_checked_as_their_runner_reads_them(experiment, model, ok):
+    # a glued family is an existing .json file, a base model any existing file
+    config = ExperimentConfig(experiment=experiment, model=str(model))
+    if ok:
+        experiments._check_fields(config)
+    else:
+        with pytest.raises(ValueError, match=f"unknown (glued benchmark|model) '{model}'"):
+            experiments._check_fields(config)
 
 
 def test_region_atlas_passes_consistency():

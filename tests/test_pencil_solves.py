@@ -18,7 +18,10 @@ is held to dense scipy.linalg.eigh on these grids at a stated relative
 tolerance, to its own bracket, and to the ARPACK solve from the base
 shift on a clustered mode; it calls neither ARPACK nor scipy.linalg.eigh.
 Its interval bands are sliced and kept bitwise equal to the general
-scatter, kept here as the reference.
+scatter, kept here as the reference.  A warm start from an estimate of
+the smallest value (near) is held to the cold solve and to dense eigh,
+also for estimates far above and below it, and to at most three
+factorizations between neighbouring t of a smooth sweep.
 
 The constrained mode-0 solve of the compact constant
 (_constrained_smallest: one factorization, projected Lanczos) is held to
@@ -372,7 +375,7 @@ def test_spectrum_slice_brackets_the_smallest_eigenvalue(grid):
     backward-stable solve of (A - lo B) x = b in the caller's node order."""
     for label, A, B, _nf in engine_solves(grid):
         lam = eigh(dense(A), dense(B), eigvals_only=True, subset_by_index=[0, 0])[0]
-        lo, hi, solve = _spectrum_slice(A, B)
+        lo, hi, solve, _start = _spectrum_slice(A, B)
         assert lo < lam <= hi, label
         assert hi - lo <= 0.02 * hi, label
         M = _csr(shifted(A, B, lo))
@@ -483,6 +486,65 @@ def test_lanczos_raises_past_its_step_budget(monkeypatch):
     monkeypatch.setattr(sl, "_LANCZOS_STEPS", 5)
     with pytest.raises(RuntimeError, match="did not converge in 5 steps"):
         _certified_smallest(pen.A_bands, pen.B_bands, num_form=pen.numerator)
+
+
+# ---------------------------------------------------------------------------
+# warm starts: the certified solve from an estimate of lam_1
+
+
+def dense_smallest(A, B, nf):
+    """(lam_1, lam_1 polished by nf) of the pencil by dense eigh."""
+    vals, vecs = eigh(dense(A), dense(B), subset_by_index=[0, 0])
+    return vals[0], _polished(vals, vecs, B, nf)[0]
+
+
+def test_hinted_solve_matches_the_cold_one_and_dense_eigh(grid):
+    """Hints 0.3 % below and above lam_1, as from the previous t of a
+    sweep, give the cold solve's value and dense eigh's to DENSE_RTOL."""
+    for label, A, B, nf in engine_solves(grid):
+        lam, want = dense_smallest(A, B, nf)
+        cold = _certified_smallest(A, B, num_form=nf)
+        for near in (0.997 * lam, 1.003 * lam):
+            warm = _certified_smallest(A, B, num_form=nf, near=near)
+            assert warm == pytest.approx(cold, rel=DENSE_RTOL), label
+            assert warm == pytest.approx(want, rel=DENSE_RTOL), label
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+def test_a_poor_hint_still_gives_the_certified_value(grid, factor):
+    """A hint twice lam_1 fails its first factorization and one half of
+    lam_1 starts far below it; either way the slice brackets lam_1 within
+    2 % and the solve returns dense eigh's value."""
+    for label, A, B, nf in engine_solves(grid):
+        lam, want = dense_smallest(A, B, nf)
+        lo, hi, _solve, _start = _spectrum_slice(A, B, near=factor * lam)
+        assert lo < lam <= hi, label
+        assert hi - lo <= 0.02 * hi, label
+        got = _certified_smallest(A, B, num_form=nf, near=factor * lam)
+        assert got == pytest.approx(want, rel=DENSE_RTOL), label
+
+
+def test_a_warm_solve_on_a_smooth_sweep_factors_at_most_three_times(monkeypatch):
+    """Each mode e > 0 of the dumbbell at t = 1e-3, hinted with its value
+    at t = 1e-2, costs at most three banded Cholesky factorizations (the
+    cold solve takes about eight) and gives the cold value."""
+    factorizations = []
+    monkeypatch.setattr(sl, "dpbtrf", lambda *a: factorizations.append(1) or dpbtrf(*a))
+    grids = [build_grid(dumbbell_family().at(t).geometry, n_per_region=200)
+             for t in (1e-2, 1e-3)]
+    assert max(g.n for g in grids) <= 1500
+    pencils = [{e: laplacian_pencil(g, e, _form_parts(g, -0.5)) for e in modes(g)[1:]}
+               for g in grids]
+    for e, pen in pencils[1].items():
+        near = _certified_smallest(pencils[0][e].A_bands, pencils[0][e].B_bands,
+                                   num_form=pencils[0][e].numerator)
+        args = pen.A_bands, pen.B_bands, pen.numerator
+        factorizations.clear()
+        warm = _certified_smallest(*args, near=near)
+        assert 1 <= len(factorizations) <= 3, e
+        factorizations.clear()
+        assert warm == pytest.approx(_certified_smallest(*args), rel=DENSE_RTOL), e
+        assert len(factorizations) > 3, e
 
 
 # ---------------------------------------------------------------------------
