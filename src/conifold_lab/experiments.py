@@ -488,15 +488,16 @@ EXPERIMENTS = tuple(_TABLE)
 def _check_fields(config: ExperimentConfig) -> None:
     """ValueError for a field that config's experiment reads and would
     refuse only while it runs: a model its runner cannot resolve (a
-    preset name, or an existing file), and region_atlas's kind and link
-    (_region_link).  r_max is checked against an AC end where the grid is
-    built, inside the run."""
+    preset name, or an existing file; a base model file is loaded and
+    must hold a single component, as _base_model and the solvers read
+    it), and region_atlas's kind and link (_region_link).  r_max is
+    checked against an AC end where the grid is built, inside the run."""
     _columns, default, _runner = _TABLE[config.experiment]
     model = default if config.model == "dumbbell" else config.model
     if default in _FAMILIES and model not in _FAMILIES:
         _model_file(model, glued=True)
     if default in _MODELS and model not in _MODELS:
-        _model_file(model, glued=False)
+        sl._resolve_geometry(_base_model(config))
     if config.experiment == "region_atlas":
         _region_link(config.kind, config.m, config.link)
 

@@ -39,10 +39,16 @@ numerator and residual_sigma add Pi v over the offsets descending, the
 order of the CSR matrix scipy's csr_matmat leaves for Pi, so near-null
 values stay bitwise.
 
-A band becomes a scipy matrix only at the call that needs one, and only
-these remain: smallest_pencil_eigs builds A and B as DIA on common
-ascending offsets, for ARPACK's B products, and the CSC matrix of A -
-sigma B that splu factors; ModeOperator.solve factors Pi as CSC; and
+Apart from the spline warp profile, this is the one module that uses
+scipy, and it imports scipy at the first solve, not at load time: sp and
+spla are handles that import scipy.sparse and scipy.sparse.linalg at
+their first attribute lookup, and dpbtrf and dpbtrs call LAPACK through
+a third one.  So the package and its norm-only experiments run without
+loading scipy.  A band becomes
+a scipy matrix (_csr, _dia, defined here) only at the call that needs
+one, and only these remain: smallest_pencil_eigs builds A and B as DIA on
+common ascending offsets, for ARPACK's B products, and the CSC matrix of
+A - sigma B that splu factors; ModeOperator.solve factors Pi as CSC; and
 LaplacePencil.A and B are CSC, built on first use for code that counts
 stored entries (perfbench sums their nnz).
 
@@ -83,15 +89,13 @@ on as ExperimentError.__cause__.
 
 from __future__ import annotations
 
+import importlib
 import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .conifold_model import (
     ConifoldModel,
@@ -101,8 +105,8 @@ from .conifold_model import (
     _smoothstep_c2,
 )
 from .link_spectra import Link
-from .weighted_calc import (ModeFunction, RadialGrid, _band_rows, _csr, _dia, _loglog_slope,
-                            _product, _restricted, _sandwich, _scaled, _sum, _transpose,
+from .weighted_calc import (ModeFunction, RadialGrid, _band_rows, _loglog_slope, _product,
+                            _restricted, _sandwich, _scaled, _shifted, _sum, _transpose,
                             build_grid)
 from .weight_calculus import DEFAULT_TOL, distance_to_exceptional, gamma_roots
 
@@ -128,6 +132,69 @@ __all__ = [
 
 class WeightConditionError(ValueError):
     """A weight violates the structural conditions the estimate needs."""
+
+
+# ---------------------------------------------------------------------------
+# scipy, imported at the first solve
+
+
+class _LazyModule:
+    """The module `name`, imported at the first attribute lookup and kept.
+    An attribute set on the handle overrides the module's for every
+    lookup through the handle."""
+
+    def __init__(self, name: str):
+        self._name = name
+        self._module = None
+
+    def __getattr__(self, attr):
+        if self._module is None:
+            self._module = importlib.import_module(self._name)
+        return getattr(self._module, attr)
+
+
+sp = _LazyModule("scipy.sparse")
+spla = _LazyModule("scipy.sparse.linalg")
+_lapack = _LazyModule("scipy.linalg.lapack")
+
+
+def dpbtrf(ab: np.ndarray):
+    """LAPACK's banded Cholesky factorization: (factor, info)."""
+    return _lapack.dpbtrf(ab)
+
+
+def dpbtrs(c: np.ndarray, b: np.ndarray):
+    """LAPACK's solve with dpbtrf's factor c: (x, info)."""
+    return _lapack.dpbtrs(c, b)
+
+
+def _csr(X: dict) -> sp.csr_matrix:
+    """The CSR matrix of a band without its zeros, each row's entries in
+    ascending column order."""
+    offsets = sorted(X)
+    data = np.stack([X[d] for d in offsets], axis=1)
+    n = data.shape[0]
+    keep = data != 0
+    cols = np.arange(n, dtype=np.int32)[:, None] + np.array(offsets, dtype=np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), dtype=np.int32, out=indptr[1:])
+    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(n, n))
+
+
+def _dia(*bands: dict) -> list[sp.dia_matrix]:
+    """The bands as DIA matrices on their common offsets, ascending
+    (data[k, j] = M[j - offsets[k], j], scipy's layout), for ARPACK and
+    SuperLU."""
+    offsets = sorted(set().union(*bands))
+    n = len(next(iter(bands[0].values())))
+    out = []
+    for X in bands:
+        data = np.zeros((len(offsets), n))
+        for row, d in zip(data, offsets):
+            if d in X:
+                row[:] = _shifted(X[d], d)
+        out.append(sp.dia_matrix((data, offsets), shape=(n, n)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +854,16 @@ def near_null_threshold(
     mesh, when given, is the exact-cone mesh with its harmonics and
     residuals, built once for several weights (it does not depend on
     beta); it is built here when None, and one built for another (link,
-    m, e_max, nodes_per_decade, r_span) is refused."""
+    m, e_max, nodes_per_decade, r_span) is refused.
+
+    The denominator u^T F u (F the k = 2 form) is evaluated in float64 as
+    u @ (F u), a sum that cancels: on the mesh of hyperboloid_capped's n =
+    4000 scan (5 713 nodes, 952 per decade, beta = 2.243462) it differs
+    from a long-double evaluation of the same bands by up to 3.4e-7
+    relative, at the e = 0 harmonics, where sum |terms| / |sum terms|
+    reaches 2.7e3.  The sum of squares sum W (L u)^2 would avoid that,
+    but it moves the thresholds by about 1.6e-7, more than the rtol of
+    1e-7 at which perfbench/reference.json pins them."""
     key = (link, m, e_max, nodes_per_decade, tuple(r_span))
     if mesh is None:
         mesh = _threshold_mesh(link, m, e_max, nodes_per_decade, r_span)

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
-import scipy.sparse as sp
 
 from .conifold_model import FIELDS, PlanSegment, RadialGeometry
 from .weight_calculus import conjugate_exponents
@@ -73,7 +72,8 @@ __all__ = [
 # A band is a square n x n matrix stored by diagonals, {d: a} with
 # a[i] = M[i, i + d]; where i + d falls outside [0, n) the array holds 0.
 # The grid's stencils d1, d2 and radial operator, the reduction R, the
-# forms, Pi and the pencils are bands.
+# forms, Pi and the pencils are bands.  Only spectral_laplace turns a band
+# into a scipy matrix (_csr, _dia), for the solvers that need one.
 
 
 def _nonzero(X: dict) -> dict:
@@ -133,35 +133,6 @@ def _sum(*terms: dict) -> dict:
     for X in terms:
         for d, x in X.items():
             out[d] = out[d] + x if d in out else x
-    return out
-
-
-def _csr(X: dict) -> sp.csr_matrix:
-    """The CSR matrix of a band without its zeros, each row's entries in
-    ascending column order."""
-    offsets = sorted(X)
-    data = np.stack([X[d] for d in offsets], axis=1)
-    n = data.shape[0]
-    keep = data != 0
-    cols = np.arange(n, dtype=np.int32)[:, None] + np.array(offsets, dtype=np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(keep, axis=1), dtype=np.int32, out=indptr[1:])
-    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(n, n))
-
-
-def _dia(*bands: dict) -> list[sp.dia_matrix]:
-    """The bands as DIA matrices on their common offsets, ascending
-    (data[k, j] = M[j - offsets[k], j], scipy's layout), for ARPACK and
-    SuperLU."""
-    offsets = sorted(set().union(*bands))
-    n = len(next(iter(bands[0].values())))
-    out = []
-    for X in bands:
-        data = np.zeros((len(offsets), n))
-        for row, d in zip(data, offsets):
-            if d in X:
-                row[:] = _shifted(X[d], d)
-        out.append(sp.dia_matrix((data, offsets), shape=(n, n)))
     return out
 
 

@@ -35,6 +35,9 @@ same way for three input seeds.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +91,51 @@ def test_tracer_instruments_and_restores():
     for obj, attr, orig in patches:
         assert getattr(obj, attr) is orig
     assert sl.build_grid is wc.build_grid
+
+
+_FRESH_TRACE = """
+import importlib.util, json, sys
+from conifold_lab import conifold_model as cm
+from conifold_lab import spectral_laplace as sl
+from conifold_lab import weighted_calc as wc
+
+fresh = not any(name.split(".")[0] == "scipy" for name in sys.modules)
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+handle = sl.spla
+model = cm.preset_model("hyperboloid_capped")
+grid = wc.build_grid(model.geometry(0), n_per_region=60)
+tracer = tracing.Tracer()
+patches = tracing.instrument(tracer)
+try:
+    tracer.enabled = True
+    traced = sl.kernel_dimension_scan(model, [0.5, 1.5], e_max=2.0, grid=grid)
+    tracer.enabled = False
+finally:
+    tracing.restore(patches)
+untraced = sl.kernel_dimension_scan(model, [0.5, 1.5], e_max=2.0, grid=grid)
+print(json.dumps({"fresh": fresh, "restored": sl.spla is handle,
+                  "splu": tracer.calls["spectral_laplace.splu"],
+                  "arpack": tracer.calls["spectral_laplace.arpack"],
+                  "pencils": tracer.calls["spectral_laplace.pencil"],
+                  "same_rows": untraced == traced}))
+"""
+
+
+def test_tracer_wraps_the_lazy_scipy_handles_in_a_fresh_interpreter():
+    """spectral_laplace imports scipy at the first solve, through handles
+    the tracer replaces; in a process that has not loaded scipy yet, a
+    traced kernel scan still counts one splu and one ARPACK call per
+    pencil, and after restore the handle is back and solves untraced."""
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", _FRESH_TRACE, str(PERFBENCH / "tracing.py")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got["fresh"] and got["restored"]
+    assert got["splu"] == got["arpack"] == got["pencils"] > 0
+    assert got["same_rows"]
 
 
 def test_kernel_scan_builds_one_threshold_mesh():

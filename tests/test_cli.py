@@ -9,6 +9,8 @@ from click.testing import CliRunner
 from conifold_lab.cli import main
 from conifold_lab.experiments import ExperimentConfig, emit, run
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def test_weights_subcommand():
     runner = CliRunner()
@@ -100,8 +102,11 @@ def test_a_missing_custom_link_file_is_a_usage_error(tmp_path, command):
     ({"experiment": "neck_convergence", "model": "hyperboloid_capped"},
      "unknown glued benchmark 'hyperboloid_capped'"),
     ({"experiment": "weight_crossing", "model": "spindle"}, "unknown model 'spindle'"),
+    # a glued family's file loads as a base model of two components
+    ({"experiment": "weight_crossing", "model": str(CONFIGS / "dumbbell_family.json")},
+     "pass a single component"),
 ], ids=["atlas-link-dimension", "atlas-kind", "atlas-missing-link", "sweep-model",
-        "neck-model", "crossing-model"])
+        "neck-model", "crossing-model", "crossing-model-file"])
 def test_run_refuses_unusable_fields_before_writing(tmp_path, bad, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiments": [{"experiment": "eta_bounds"}, bad]}))
@@ -172,7 +177,7 @@ def test_run_refuses_a_boolean_seed(tmp_path):
 
 
 def test_run_refuses_a_negative_seed(tmp_path):
-    suite = Path(__file__).resolve().parents[1] / "configs" / "quick_suite.json"
+    suite = CONFIGS / "quick_suite.json"
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["run", str(suite), "--seed", "-1", "--out", str(out)])
     assert result.exit_code == 2

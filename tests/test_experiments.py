@@ -356,14 +356,24 @@ def test_fields_an_experiment_does_not_read_are_not_checked(tmp_path):
     assert code == 0 and res.passed
 
 
+# the hyperboloid_capped preset as a model file: one component
+CAPPED_MODEL = {"m": 3, "components": [{
+    "link": "sphere:2", "profile": "hyperboloid:1.0", "core_boundary": "cap",
+    "ends": [{"kind": "AC", "nu": -2.0, "beta": -0.5, "boundary": 1.0}]}]}
+
+
 @pytest.mark.parametrize("experiment, model, ok", [
     ("neck_convergence", FAMILY_JSON, True),
     ("invertibility_uniformity", FAMILY_JSON.with_suffix(".csv"), False),
-    ("weight_crossing", FAMILY_JSON, True),
+    ("weight_crossing", CAPPED_MODEL, True),
     ("weight_crossing", FAMILY_JSON.with_name("nosuch.json"), False),
 ], ids=["family-file", "family-not-json", "model-file", "model-missing"])
-def test_model_files_are_checked_as_their_runner_reads_them(experiment, model, ok):
-    # a glued family is an existing .json file, a base model any existing file
+def test_model_files_are_checked_as_their_runner_reads_them(experiment, model, ok, tmp_path):
+    # a glued family is an existing .json file, a base model an existing
+    # file that loads as one component (a family's file does not: test_cli)
+    if isinstance(model, dict):
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        model = tmp_path / "model.json"
     config = ExperimentConfig(experiment=experiment, model=str(model))
     if ok:
         experiments._check_fields(config)
