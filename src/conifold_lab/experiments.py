@@ -4,9 +4,10 @@ declared tolerances.
 
 Each experiment is one entry of ``_TABLE``: its emitted columns (or the
 keys of its first row), the model that a config's ``"model": "dumbbell"``
-stands for (None for the three that read no model), and its runner.  The dumbbell is the field's default, so it
-stands for each experiment's own default model: the dumbbell, except the
-spindle for ``compact_invertibility`` (the dumbbell is non-compact) and
+stands for (None for the three that read no model), and its runner.  The
+dumbbell is the field's default, so it stands for each experiment's own
+default model: the dumbbell, except the spindle for
+``compact_invertibility`` (the dumbbell is non-compact) and
 ``hyperboloid_capped`` for ``weight_crossing``.  A runner takes the
 config and returns ``(rows, summary)``: the rows as dicts, and a summary
 dict whose last key is ``"pass"``.  ``run`` is the one place that applies
@@ -139,6 +140,7 @@ class ExperimentConfig:
                            tuple((float(g), float(e)) for g, e in self.gamma_cases))
         for name, bad, want in (("t_list", not ts, "non-empty"),
                                 ("n_per_region", self.n_per_region < 1, ">= 1"),
+                                ("r_max", self.r_max <= 0, "> 0"),
                                 ("family_size", self.family_size < 1, ">= 1"),
                                 ("seed", self.seed < 0, ">= 0"),
                                 ("e_max", self.e_max < 0, ">= 0"),
@@ -194,10 +196,10 @@ _MODELS = ("hyperboloid_capped", "exact_cone_cs_ac", "rxs2", "sine_spindle")
 
 
 def _model_file(name: str, glued: bool) -> Path:
-    """The model file that a model name other than a preset stands for: an
-    existing file, a .json one for a glued family; ValueError otherwise."""
+    """The model file that a model name other than a preset stands for: a
+    file (not a directory), .json for a glued family; ValueError otherwise."""
     path = Path(name)
-    if path.exists() and (path.suffix == ".json" or not glued):
+    if path.is_file() and (path.suffix == ".json" or not glued):
         return path
     raise ValueError(f"unknown {'glued benchmark' if glued else 'model'} {name!r}; expected "
                      f"one of {tuple(_FAMILIES) if glued else _MODELS} or an existing "
@@ -487,17 +489,22 @@ EXPERIMENTS = tuple(_TABLE)
 
 def _check_fields(config: ExperimentConfig) -> None:
     """ValueError for a field that config's experiment reads and would
-    refuse only while it runs: a model its runner cannot resolve (a
-    preset name, or an existing file; a base model file is loaded and
-    must hold a single component, as _base_model and the solvers read
-    it), and region_atlas's kind and link (_region_link).  r_max is
-    checked against an AC end where the grid is built, inside the run."""
+    refuse only while it runs: a model its runner cannot load (a preset
+    name, or a file that loads as the runner loads it, by _family or by
+    _base_model, a base model of a single component as the solvers read
+    it; the loaders' KeyError and TypeError become a ValueError naming
+    the file), and region_atlas's kind and link (_region_link).  r_max
+    is checked against an AC end where the grid is built, inside the run."""
     _columns, default, _runner = _TABLE[config.experiment]
     model = default if config.model == "dumbbell" else config.model
-    if default in _FAMILIES and model not in _FAMILIES:
-        _model_file(model, glued=True)
-    if default in _MODELS and model not in _MODELS:
-        sl._resolve_geometry(_base_model(config))
+    try:
+        if default in _FAMILIES and model not in _FAMILIES:
+            _family(config)
+        elif default in _MODELS and model not in _MODELS:
+            sl._resolve_geometry(_base_model(config))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"model file {model!r} does not load: "
+                         f"{type(exc).__name__}: {exc}") from exc
     if config.experiment == "region_atlas":
         _region_link(config.kind, config.m, config.link)
 

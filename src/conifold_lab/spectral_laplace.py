@@ -12,10 +12,9 @@ on end regions, where P is the log-coordinate form of the operator of
 the cylindrical substitution r = e^z), close the boundaries by
 
     cap:            even/odd regularity at the smooth center,
-    AC truncation:  Robin u' = (gamma/r) u with gamma the decaying root
-                    for e (matching the cone-tail harmonic exactly), or
-                    the growing root when scanning for kernel elements
-                    that the target weight admits,
+    AC truncation:  Robin u' = (gamma/r) u with gamma the growing root
+                    for e when the weight admits r^gamma (gamma < beta),
+                    else (or with no weight) the decaying root,
     CS truncation:  Robin with the locally bounded root,
 
 and measure everything against the weighted quadratic forms of the
@@ -216,8 +215,8 @@ class ClosureRule:
     slope: float = 0.0
 
 
-def _default_closures(grid: RadialGrid, e: float, beta: float | None,
-                      kernel_scan: bool) -> tuple[ClosureRule | None, ClosureRule | None]:
+def _default_closures(grid: RadialGrid, e: float,
+                      beta: float | None) -> tuple[ClosureRule | None, ClosureRule | None]:
     geo = grid.geometry
     m = geo.m
     gp, gm = gamma_roots(e, m)
@@ -228,7 +227,7 @@ def _default_closures(grid: RadialGrid, e: float, beta: float | None,
         if b.kind == "cap":
             return ClosureRule("cap_even") if e == 0.0 else ClosureRule("zero")
         if b.kind == "ac":
-            if kernel_scan and beta is not None and gp < beta:
+            if beta is not None and gp < beta:
                 return ClosureRule("robin", gp)
             return ClosureRule("robin", gm)
         if b.kind == "cs":
@@ -297,10 +296,6 @@ class ModeOperator:
         P = self.grid.radial_operator
         self.P = {**P, 0: P[0] + self.e * self.grid.rho**2 / self.grid.f**2}
 
-    @property
-    def n_interior(self) -> int:
-        return self.interior.size
-
     def pi(self) -> dict:
         """Pi = P[interior] @ R."""
         return _restricted(_product(self.P, self.reduction), self.interior)
@@ -320,19 +315,15 @@ class ModeOperator:
         return _band_rows(self.reduction, u_full)
 
 
-def assemble_mode_operator(
-    grid: RadialGrid,
-    e: float,
-    beta: float | None = None,
-    kernel_scan: bool = False,
-) -> ModeOperator:
+def assemble_mode_operator(grid: RadialGrid, e: float, beta: float | None = None) -> ModeOperator:
     """Second-order discretization of rho^2 A_e on the grid.
 
     On log-graded end regions the three-point stencils are the uniform
     central differences of the log-coordinate operator (second-order
     consistent on cone harmonics r^gamma); the boundaries close by the
-    rules described in the module docstring."""
-    left, right = _default_closures(grid, e, beta, kernel_scan)
+    rules described in the module docstring, an AC truncation on the
+    growing root exactly when beta admits it."""
+    left, right = _default_closures(grid, e, beta)
     reduction, interior = _reduction_matrix(grid, left, right)
     return ModeOperator(e=float(e), grid=grid, reduction=reduction, interior=interior)
 
@@ -448,21 +439,21 @@ class LaplacePencil:
         return math.sqrt(max(num, 0.0) / max(den, 1e-300))
 
 
-def laplacian_pencil(grid: RadialGrid, e: float, parts: _FormParts,
-                     kernel_scan: bool = False) -> LaplacePencil:
+def laplacian_pencil(grid: RadialGrid, e: float, parts: _FormParts) -> LaplacePencil:
     """Factored realization of Delta between the k=2 and k=0 weighted
     spaces at the weight beta of parts, the grid's _form_parts: Pi
     applies rho^2 Delta at interior nodes on the reduced space, w_img
     carries the weight-(beta-2) mass of Delta u = rho^{-2} P u (the
     rho^2 factors cancel into plain rho^{-2 beta} weights), and B is the
-    reduced k=2 form.
+    reduced k=2 form; the AC truncations close as beta chooses
+    (assemble_mode_operator).
 
     The matrices are band products with the values, bit for bit, of
     Pi = (P[interior] @ R).tocsr(), A = (Pi.T @ diags(w_img) @
     Pi).tocsc() and B = (R.T @ M2 @ R).tocsc(); A is the sandwich of Pi,
     each entry's terms (w_img[k] Pi[k, i]) Pi[k, j] added over k
     ascending, as scipy adds them."""
-    op = assemble_mode_operator(grid, e, beta=parts.beta, kernel_scan=kernel_scan)
+    op = assemble_mode_operator(grid, e, beta=parts.beta)
     w_img = parts.w_img[op.interior]
     pi = op.pi()
     return LaplacePencil(op=op, Pi=pi, w_img=w_img, A_bands=_sandwich(pi, w_img),
@@ -1332,7 +1323,7 @@ def weight_crossing_kernel(
              if w.gamma > gamma + 1e-9]
     gap_up = (min(above) - gamma) if above else 1.0
     beta_res = gamma + min(0.5 * gap_up, 0.25)
-    pen = laplacian_pencil(grid, e, _form_parts(grid, beta_res), kernel_scan=True)
+    pen = laplacian_pencil(grid, e, _form_parts(grid, beta_res))
     residual_sigma = pen.residual_sigma(candidate_vals[pen.op.interior])
     thr = near_null_threshold(geo.link, m, e + 1.0, beta_res,
                               _grid_nodes_per_decade(grid))
@@ -1390,9 +1381,8 @@ def kernel_dimension_scan(
         per_mode = []
         ambiguous = False
         for e, mult in geo.link.eigenvalues_below(e_max):
-            pen = laplacian_pencil(grid, e, parts, kernel_scan=True)
-            k = min(4, pen.op.n_interior - 2)
-            sig = _sigma_from(smallest_pencil_eigs(pen.A_bands, pen.B_bands, k=k,
+            pen = laplacian_pencil(grid, e, parts)
+            sig = _sigma_from(smallest_pencil_eigs(pen.A_bands, pen.B_bands, k=4,
                                                    num_form=pen.numerator))
             hits = int(np.count_nonzero(sig < thr))
             if np.any((sig >= thr / 3.0) & (sig <= 3.0 * thr)):

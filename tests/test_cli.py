@@ -105,8 +105,9 @@ def test_a_missing_custom_link_file_is_a_usage_error(tmp_path, command):
     # a glued family's file loads as a base model of two components
     ({"experiment": "weight_crossing", "model": str(CONFIGS / "dumbbell_family.json")},
      "pass a single component"),
+    ({"experiment": "poincare_uniformity", "r_max": -1.0}, "r_max must be > 0, got -1.0"),
 ], ids=["atlas-link-dimension", "atlas-kind", "atlas-missing-link", "sweep-model",
-        "neck-model", "crossing-model", "crossing-model-file"])
+        "neck-model", "crossing-model", "crossing-model-file", "r_max-negative"])
 def test_run_refuses_unusable_fields_before_writing(tmp_path, bad, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiments": [{"experiment": "eta_bounds"}, bad]}))
@@ -114,6 +115,29 @@ def test_run_refuses_unusable_fields_before_writing(tmp_path, bad, message):
     result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
     assert result.exit_code == 2
     assert message in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, content, message", [
+    ("weight_crossing", {"components": []}, "does not load: KeyError: 'm'"),
+    ("neck_convergence", {"m": 3}, "does not load: KeyError: 'components'"),
+    ("weight_crossing", None, "unknown model"),  # a directory
+], ids=["crossing-not-a-model", "neck-not-a-family", "crossing-directory"])
+def test_run_refuses_model_files_that_do_not_load_before_writing(tmp_path, experiment,
+                                                                 content, message):
+    model = tmp_path / "model.json"
+    if content is None:
+        model.mkdir()
+    else:
+        model.write_text(json.dumps(content))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": [{"experiment": "eta_bounds"},
+                                                {"experiment": experiment, "model": str(model)}]}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert message in result.output and str(model) in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
 

@@ -14,7 +14,9 @@ unsorted CSC order only scipy's product leaves, entry for entry; same
 weights, threshold and factored numerator).  Weights are visited in the
 order b1, b2, b1, so parts kept from another weight would show; the
 forms are also checked on a coarse grid (n_per_region=20), where few
-rows are regular."""
+rows are regular.  The mode operators and pencils are checked at weights
+that close every AC truncation on the decaying root (None, -0.5) and at
+weights that close some of them on the growing root (0.5, 2.5)."""
 
 import gc
 import math
@@ -58,9 +60,9 @@ from stencil_refs import assert_same_csr, ref_derivatives, ref_reduction_matrix
 # reference implementations (everything rebuilt per mode)
 
 
-def ref_mode_operator(grid, e, beta=None, kernel_scan=False):
+def ref_mode_operator(grid, e, beta=None):
     """(P, R, interior)."""
-    closures = _default_closures(grid, e, beta, kernel_scan)
+    closures = _default_closures(grid, e, beta)
     f, fp, rho = grid.f, grid.fp, grid.rho
     m = grid.geometry.m
     coeff2 = sp.diags(-(rho**2))
@@ -112,9 +114,9 @@ def ref_gradient_form(grid, beta, e):
     return G0 + sp.diags(wg * e / g.f**2)
 
 
-def ref_laplacian_pencil(grid, e, beta, kernel_scan=False):
+def ref_laplacian_pencil(grid, e, beta):
     """(P, A, B, Pi, w_img)."""
-    P, R, interior = ref_mode_operator(grid, e, beta=beta, kernel_scan=kernel_scan)
+    P, R, interior = ref_mode_operator(grid, e, beta=beta)
     g = grid
     m = g.geometry.m
     beta_vals = g.beta if beta is None else np.full(g.n, float(beta))
@@ -164,7 +166,7 @@ def ref_kernel_dimension_scan(geo, grid, beta_list, e_max):
         thr = ref_near_null_threshold(geo.link, geo.m, e_max, float(beta), npd)
         total, per_mode, ambiguous = 0, [], False
         for e, mult in geo.link.eigenvalues_below(e_max):
-            P, A, B, Pi, w_img = ref_laplacian_pencil(grid, e, float(beta), kernel_scan=True)
+            P, A, B, Pi, w_img = ref_laplacian_pencil(grid, e, float(beta))
 
             def num_form(v, Pi=Pi, w_img=w_img):
                 r = Pi @ v
@@ -194,6 +196,10 @@ GEOMETRIES = {
 }
 E_MAX = 12.0
 BETAS = (None, 0.5, None)  # b1, b2, b1
+# weights b1, b2, b1 that close no AC truncation on the growing root
+# (False) and some (True): gamma_plus is 0, 1, 2, 3 at e = 0, 2, 6, 12 on
+# the 2-sphere link, so 0.5 admits it at e = 0 and 2.5 up to e = 6
+CLOSING_WEIGHTS = {False: (None, -0.5, None), True: (0.5, 2.5, 0.5)}
 
 
 @pytest.fixture(scope="module", params=sorted(GEOMETRIES))
@@ -240,14 +246,13 @@ def with_coarse(grid):
 
 def test_mode_operator_matches_reference(grid):
     assert modes(grid)[0] == 0.0
-    for beta in BETAS:
-        for kernel_scan in (False, True):
-            for e in modes(grid):
-                op = assemble_mode_operator(grid, e, beta=beta, kernel_scan=kernel_scan)
-                P, R, interior = ref_mode_operator(grid, e, beta, kernel_scan)
-                assert_same_csr(_csr(op.P), P)
-                assert_same_csr(_csr(op.reduction)[:, op.interior], R)
-                assert np.array_equal(op.interior, interior)
+    for beta in CLOSING_WEIGHTS[False] + CLOSING_WEIGHTS[True]:
+        for e in modes(grid):
+            op = assemble_mode_operator(grid, e, beta=beta)
+            P, R, interior = ref_mode_operator(grid, e, beta)
+            assert_same_csr(_csr(op.P), P)
+            assert_same_csr(_csr(op.reduction)[:, op.interior], R)
+            assert np.array_equal(op.interior, interior)
 
 
 def test_weighted_forms_match_reference(grid):
@@ -277,7 +282,7 @@ def test_gradient_form_matches_reference(grid):
                 want = ref_gradient_form(g, beta, e)
                 got = _csr(gradient_bands(e))
                 assert_same_csr(got, want.tocsr())
-                R, _ = ref_reduction_matrix(g, *_default_closures(g, e, beta, False))
+                R, _ = ref_reduction_matrix(g, *_default_closures(g, e, beta))
                 # poincare_constant's reduced form: the same entries
                 # (scipy's unsorted CSC order aside)
                 assert_same_csr((R.T @ got @ R).tocsc().sorted_indices(),
@@ -297,13 +302,13 @@ def test_stencils_are_bands_on_five_offsets(grid):
             assert np.all((x[n - d:] if d >= 0 else x[:-d]) == 0), d
 
 
-@pytest.mark.parametrize("kernel_scan", [False, True])
-def test_pencils_match_reference(grid, kernel_scan):
-    for beta in BETAS:
+@pytest.mark.parametrize("growing", [False, True])
+def test_pencils_match_reference(grid, growing):
+    for beta in CLOSING_WEIGHTS[growing]:
         parts = _form_parts(grid, beta)
         for e in modes(grid):
-            P, A, B, Pi, w_img = ref_laplacian_pencil(grid, e, beta, kernel_scan)
-            pen = laplacian_pencil(grid, e, parts, kernel_scan)
+            P, A, B, Pi, w_img = ref_laplacian_pencil(grid, e, beta)
+            pen = laplacian_pencil(grid, e, parts)
             assert_same_csr(_csr(pen.op.P), P)
             # A and B entry for entry: scipy's product leaves their
             # CSC columns unsorted, in an order no code reads
@@ -315,16 +320,16 @@ def test_pencils_match_reference(grid, kernel_scan):
             assert np.array_equal(pen.w_img, w_img)
 
 
-@pytest.mark.parametrize("kernel_scan", [False, True])
-def test_factored_numerator_matches_reference(grid, kernel_scan):
+@pytest.mark.parametrize("growing", [False, True])
+def test_factored_numerator_matches_reference(grid, growing):
     """The polish numerator and residual_sigma add each row of Pi v in
     Pi's storage order (columns descending), as the scipy expressions do."""
     rng = np.random.default_rng(11)
-    for beta in BETAS:
+    for beta in CLOSING_WEIGHTS[growing]:
         parts = _form_parts(grid, beta)
         for e in modes(grid):
-            _P, _A, B, Pi, w_img = ref_laplacian_pencil(grid, e, beta, kernel_scan)
-            pen = laplacian_pencil(grid, e, parts, kernel_scan)
+            _P, _A, B, Pi, w_img = ref_laplacian_pencil(grid, e, beta)
+            pen = laplacian_pencil(grid, e, parts)
             for v in (rng.standard_normal(Pi.shape[1]), np.linspace(-1.0, 2.0, Pi.shape[1])):
                 r = Pi @ v
                 num = float(np.sum(w_img * r * r))
@@ -341,14 +346,14 @@ def test_numerator_and_residual_are_the_scipy_products_byte_for_byte(grid):
     gives ARPACK; so pen.numerator and pen.residual_sigma are the values
     those products give."""
     rng = np.random.default_rng(5)
-    parts = _form_parts(grid, 0.5)
-    for kernel_scan in (False, True):
+    for beta in (-0.5, 0.5):
+        parts = _form_parts(grid, beta)
         for e in modes(grid):
-            _P, A, B, Pi, w_img = ref_laplacian_pencil(grid, e, 0.5, kernel_scan)
+            _P, A, B, Pi, w_img = ref_laplacian_pencil(grid, e, beta)
             assert all(np.all(np.diff(Pi.indices[a:b]) < 0)
                        for a, b in zip(Pi.indptr[:-1], Pi.indptr[1:]))
             _A_dia, B_dia = dia_pair(A, B)
-            pen = laplacian_pencil(grid, e, parts, kernel_scan)
+            pen = laplacian_pencil(grid, e, parts)
             for v in (rng.standard_normal(Pi.shape[1]), np.linspace(-1.0, 2.0, Pi.shape[1])):
                 r, Bv = Pi @ v, B_dia @ v
                 assert _band_rows(pen.Pi, v, descending=True).tobytes() == r.tobytes()

@@ -33,6 +33,9 @@ The exclusion test (_spectrum_above: one factorization of A - s B) is
 held to pencils with known eigenvalues, and the two constants that use
 it (compact and Poincare) to the extremum of solving every mode."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -129,9 +132,10 @@ def solves(grid):
     bands from ModeOperator.reduce; A and B are the sorted CSC matrices."""
     out = []
     for e in modes(grid)[:3]:
-        for kernel_scan in (False, True):
-            pen = laplacian_pencil(grid, e, _form_parts(grid, -0.5), kernel_scan=kernel_scan)
-            out.append((f"pencil e={e}", pen.A, pen.B, pen.numerator, pen.A_bands, pen.B_bands))
+        for beta in (-0.5, 0.5):  # closed on the decaying, the growing root at e = 0
+            pen = laplacian_pencil(grid, e, _form_parts(grid, beta))
+            out.append((f"pencil e={e} beta={beta}", pen.A, pen.B, pen.numerator,
+                        pen.A_bands, pen.B_bands))
     op = assemble_mode_operator(grid, 2.0, beta=-0.5)
     G = op.reduce(_gradient_forms(grid, -0.5)(2.0))
     M1 = op.reduce(weighted_form(grid, 1, 2.0, _form_parts(grid, -0.5)))
@@ -167,8 +171,7 @@ def test_radial_operator_matches_reference(grid):
 
 
 def test_reduction_matrix_matches_reference(grid):
-    cases = {_default_closures(grid, e, b, ks) for e in modes(grid)
-             for b in (None, 0.5) for ks in (False, True)}
+    cases = {_default_closures(grid, e, b) for e in modes(grid) for b in (None, 0.5, 2.5)}
     if not grid.geometry.circle:
         def rules(end):
             robin = [ClosureRule("robin", -1.5)] if end.kind in ("ac", "cs") else []
@@ -184,6 +187,39 @@ def test_reduction_matrix_matches_reference(grid):
         assert_same_csr(_csr(reduction)[:, interior], R_ref)
 
 
+def kernel_scan_weights():
+    """The weights of the benchmark's kernel_scan workload, every input seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return sorted({w for s in range(inputs.REFERENCE_SEEDS)
+                   for w in inputs.make_inputs("kernel_scan", s)["weights"]})
+
+
+def test_ac_closure_follows_the_weight():
+    """An AC truncation closes on the growing root gamma_+ of the indicial
+    polynomial gamma^2 + (m - 2) gamma - e exactly when the weight admits
+    r^gamma_+ (gamma_+ < beta), else (or with no weight) on the decaying
+    root gamma_-.  The weights: the acceptance suite's -0.5, a grid
+    between the exceptional rates -2 .. 4 and the benchmark's kernel-scan
+    weights, which lie below gamma_+(0) = 0 and above gamma_+(12) = 3."""
+    geo = preset_model("hyperboloid_capped").geometry(0)
+    grid = build_grid(geo, n_per_region=20)
+    assert (geo.left.kind, geo.right.kind) == ("cap", "ac")
+    bench = kernel_scan_weights()
+    assert min(bench) < 0.0 and max(bench) > 3.0
+    betas = [None, -0.5] + [k + j / 10 for k in range(-2, 5) for j in range(1, 10)] + bench
+    for beta in betas:
+        for e in (0.0, 0.5, 2.0, 6.0, 12.0, 20.0, 30.0):
+            gm, gp = sorted(np.roots([1.0, geo.m - 2.0, -e]).real)
+            left, right = _default_closures(grid, e, beta)
+            assert left == ClosureRule("cap_even" if e == 0.0 else "zero")
+            want = gp if beta is not None and gp < beta else gm
+            assert right.kind == "robin"
+            assert right.slope == pytest.approx(want, abs=1e-12), (beta, e)
+
+
 def test_reduced_forms_and_operator_match_scipy(grid, monkeypatch):
     """Poincare's reduced forms and the matrix the operator solve
     factors: the values of the scipy products, entry for entry; the
@@ -195,7 +231,7 @@ def test_reduced_forms_and_operator_match_scipy(grid, monkeypatch):
     rhs = np.linspace(-1.0, 2.0, grid.n)
     for e in modes(grid)[:3]:
         op = assemble_mode_operator(grid, e, beta=-0.5)
-        R, _ = ref_reduction_matrix(grid, *_default_closures(grid, e, -0.5, False))
+        R, _ = ref_reduction_matrix(grid, *_default_closures(grid, e, -0.5))
         for bands in (weighted_form(grid, 1, e, parts), _gradient_forms(grid, -0.5)(e),
                       weighted_form(grid, 2, e, parts)):
             form = _csr(bands)
