@@ -390,7 +390,8 @@ class RadialGeometry:
     plan: tuple[PlanSegment, ...]
     junctions: tuple[JunctionInfo, ...] = ()
     label: str = ""
-    eta: object | None = None  # glued models: the neck cutoff eta_t(x)
+    # glued models: the neck cutoff eta_t(x), a field like the six above
+    eta: object | None = None
     # optional x -> (f, fp, fpp, rho, beta, wextra) in one pass, equal to
     # the six callables; grids use it when present
     fields: object | None = None
@@ -398,6 +399,15 @@ class RadialGeometry:
 
 # the names of the node fields of a RadialGeometry, in `fields` order
 FIELDS = ("f", "fp", "fpp", "rho", "beta", "wextra")
+
+
+def _end_segments(*bounds: BoundaryInfo) -> list[PlanSegment]:
+    """The log plan segment of each truncated boundary, in order: an AC
+    end runs out from its chart radius, a CS end in to it."""
+    return [PlanSegment("log", x0=b.x0, sign=b.sign,
+                        r_lo=b.chart_r if b.kind == "ac" else None,
+                        r_hi=b.chart_r if b.kind == "cs" else None)
+            for b in bounds if b.kind in ("ac", "cs")]
 
 
 def _const_like(value):
@@ -424,27 +434,21 @@ def _base_geometry(model: ConifoldModel, ci: int) -> RadialGeometry:
     betas = {w: (comp.side(w).beta if isinstance(comp.side(w), EndSpec) else None)
              for w in ("left", "right")}
     if betas["left"] is None and betas["right"] is None:
-        beta_fn = _const_like(0.0)
+        beta_of = _const_like(0.0)
     elif betas["left"] is None or betas["right"] is None or betas["left"] == betas["right"]:
         b = betas["left"] if betas["left"] is not None else betas["right"]
-        beta_fn = _const_like(b)
+        beta_of = _const_like(b)
     else:
         lo_edge = binfo["left"].x0 + binfo["left"].sign * binfo["left"].chart_r
         hi_edge = binfo["right"].x0 + binfo["right"].sign * binfo["right"].chart_r
         mid = 0.5 * (lo_edge + hi_edge)
         bl, br = betas["left"], betas["right"]
 
-        def beta_fn(x, _mid=mid, _bl=bl, _br=br):
+        def beta_of(x, _mid=mid, _bl=bl, _br=br):
             x = np.asarray(x, dtype=float)
             return np.where(x <= _mid, _bl, _br)
 
-    plan = []
-    for w in ("left", "right"):
-        b = binfo[w]
-        if b.kind == "cs":
-            plan.append(PlanSegment("log", x0=b.x0, sign=b.sign, r_lo=None, r_hi=b.chart_r))
-        elif b.kind == "ac":
-            plan.append(PlanSegment("log", x0=b.x0, sign=b.sign, r_lo=b.chart_r, r_hi=None))
+    plan = _end_segments(binfo["left"], binfo["right"])
     core_lo = binfo["left"].x0 if binfo["left"].kind == "cap" else (
         binfo["left"].x0 + binfo["left"].sign * binfo["left"].chart_r)
     core_hi = binfo["right"].x0 if binfo["right"].kind == "cap" else (
@@ -458,7 +462,7 @@ def _base_geometry(model: ConifoldModel, ci: int) -> RadialGeometry:
         link=comp.link,
         f=warp.f, fp=warp.fp, fpp=warp.fpp,
         rho=rho,
-        beta=beta_fn,
+        beta=beta_of,
         wextra=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         circle=False,
         period=None,
@@ -751,9 +755,10 @@ def parametric_connect_sum(
 ) -> GluedModel:
     """Build one glued model of the connect-sum family at parameter(s) t.
 
-    Requires the marked-pair ordering t*Rhat < t^tau < 2 t^tau < eps on
-    every pair, and equal t entries within each connected component of
-    the partner.
+    Requires the marked-pair ordering t*Rhat < t^tau < 2 t^tau < eps and
+    t^b <= eps on every pair (so the cutoff eta_t reaches 1 inside the
+    neck), and equal t entries within each connected component of the
+    partner.
     """
     if family is None:
         a = a if a is not None else 0.75 * tau
@@ -774,11 +779,11 @@ def parametric_connect_sum(
     for (ci, wi, cj, wj), ti in zip(pairs, tv):
         eps = L.components[ci].side(wi).boundary
         Rhat = L_hat.components[cj].side(wj).boundary
-        if not (0.0 < ti < 1.0 and ti * Rhat < ti**tau and 2.0 * ti**tau < eps):
+        if not (0.0 < ti < 1.0 and ti * Rhat < ti**tau and 2.0 * ti**tau < eps
+                and ti**family.b <= eps):
             raise GluingError(
-                f"pair (host component {ci}, partner component {cj}): need "
-                f"t*Rhat < t^tau < 2 t^tau < eps, got t={ti}, Rhat={Rhat}, eps={eps}"
-            )
+                f"pair (host component {ci}, partner component {cj}): need t*Rhat < t^tau < "
+                f"2 t^tau < eps and t^b <= eps, got t={ti}, Rhat={Rhat}, eps={eps}, b={family.b}")
 
     # ----- walk the gluing graph -------------------------------------------
     edges = {}
@@ -884,15 +889,7 @@ def _zone_lookup(zones, circle, period):
     (lo, hi, tag, index), necks listed first, whose test holds.  The test
     is lo - fuzz <= x <= hi + fuzz, fuzz 1e-12 max(1, |edge|), and on a
     circle (every zone finite) mod(x - lo, period) <= (hi - lo) + 1e-12
-    max(1, |hi|, |lo|).
-
-    The zones tile the strip in order, so the tests change only at the
-    zones' edges, up to the fuzz (and on a circle the rounding of the
-    wrapped distance): one searchsorted over the edges finds a point's
-    piece, whose first zone is taken once, at the piece's midpoint (on a
-    circle, edges and points are taken modulo the period).  The points
-    within 1e-9 of an edge (relative to the strip's size), where the
-    fuzz and rounding decide, take every zone's test instead."""
+    max(1, |hi|, |lo|).  Every point takes every zone's test."""
 
     def holds(z, x):
         lo, hi = zones[z][:2]
@@ -903,28 +900,10 @@ def _zone_lookup(zones, circle, period):
             sel = sel & (x <= hi + 1e-12 * max(1.0, abs(hi)))
         return sel
 
-    def first_zone(x):
-        res = np.full(x.size, -1)
-        for z in range(len(zones)):
-            res = np.where((res < 0) & holds(z, x), z, res)
-        return res
-
-    ends = [e for lo, hi, _, _ in zones for e in (lo, hi) if math.isfinite(e)]
-    # far wider than the fuzz and the rounding of the wrapped distance
-    tol = 1e-9 * max([1.0, period or 0.0] + [abs(e) for e in ends])
-    edges = np.unique(np.mod(ends, period) if circle else ends)
-    # on a circle the pieces before the first edge and after the last are
-    # one, across the period's seam
-    outer = ([0.5 * (edges[0] + period + edges[-1])] * 2 if circle
-             else [edges[0] - 1.0, edges[-1] + 1.0])
-    first = first_zone(np.concatenate([outer[:1], 0.5 * (edges[1:] + edges[:-1]), outer[1:]]))
-
     def lookup(xw):
-        key = np.mod(xw, period) if circle else xw
-        res = first[np.searchsorted(edges, key)]
-        near = np.searchsorted(edges, key - tol) != np.searchsorted(edges, key + tol, "right")
-        if near.any():
-            res[near] = first_zone(xw[near])
+        res = np.full(xw.size, -1)
+        for z in range(len(zones)):
+            res = np.where((res < 0) & holds(z, xw), z, res)
         if np.any(res < 0):
             raise ValueError("point outside the glued domain")
         return res
@@ -940,7 +919,10 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
     chart r in [t Rhat, eps] of junction j and joins pieces j and j + 1
     (piece 0 again when the strip closes into a circle); each piece owns
     its body between its neck edges, out to +-inf on a free end.  Every
-    point is looked up once in this tiling.
+    point is looked up once in this tiling, and every field, FIELDS and
+    the cutoff eta_t, is evaluated per zone.  eta_t is junction j's cutoff
+    on neck j (it reaches 1 there, as t^b <= eps), 1 on host bodies and 0
+    on partner bodies.
     """
     m = L.m
     tau = family.tau
@@ -996,7 +978,6 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
         ends = [math.copysign(math.inf, side * p.direction) if free else x
                 for (x, free), side in zip(body_edges[p_i], (-1.0, 1.0))]
         zones.append((min(ends), max(ends), "host" if p.source == "L" else "partner", p_i))
-    is_partner = np.array([tag == "partner" for _, _, tag, _ in zones])
 
     zone_membership = _zone_lookup(zones, circle, period)
 
@@ -1057,7 +1038,8 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
     def piece_fields(p_i, xw, names):
         """The named fields of piece p_i at the wrapped points xw: its warp,
         and its rho, beta and wextra, where shrunk partners carry the
-        reference-weight correction t^(beta_hat - beta_ref)."""
+        reference-weight correction t^(beta_hat - beta_ref); eta is 1 on a
+        host and 0 on a partner."""
         piece, base = pieces[p_i], bases[p_i]
         xs = piece.to_src(xw, period)
         scale = abs(piece.direction)
@@ -1068,16 +1050,20 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
             bhat = np.asarray(base.beta(xs), dtype=float)
             vals["beta"] = bhat
             vals["wextra"] = scale ** (bhat - ref_beta[p_i]) if piece.source == "H" else 1.0
+        vals["eta"] = 1.0 if piece.source == "L" else 0.0
         return vals
 
     def neck_fields(j, xw, names):
         """The named fields on neck j at the wrapped points xw: the junction
-        chart gives rho, beta and wextra on all of [t Rhat, eps]; the warp
-        is the partner's for r < t^tau, the blend up to 2 t^tau and the
-        host's beyond."""
+        chart gives rho, beta, wextra and the cutoff eta_t on all of
+        [t Rhat, eps]; the warp is the partner's for r < t^tau, the blend
+        up to 2 t^tau and the host's beyond."""
         J = junctions[j]
         r = rdist(J, xw)
         vals = {"rho": r, "beta": J.beta, "wextra": 1.0}
+        if "eta" in names:
+            eta = cutoff_eta(J.t, family.a, family.b)
+            vals["eta"] = np.where(r <= J.t**eta.a, 0.0, np.where(r >= J.t**eta.b, 1.0, eta(r)))
         warp = [a for a in ("f", "fp", "fpp") if a in names]
         if warp:
             # the strip's pieces j and j + 1, the partner being the one from L_hat
@@ -1096,7 +1082,7 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
         return vals
 
     def evaluate(xw, names):
-        """The named fields (a subset of FIELDS) at the wrapped points xw:
+        """The named fields (of FIELDS and "eta") at the wrapped points xw:
         {name: array}.  One zone lookup per point; each zone present is
         evaluated on its points at once."""
         z = zone_membership(xw)
@@ -1118,29 +1104,6 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
             return vals if len(names) > 1 else vals[0]
         return ev
 
-    def eta_fn(x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xw = wrap(np.atleast_1d(x))
-        vals = np.ones_like(xw)
-        for J in junctions:
-            eta = cutoff_eta(J.t, family.a, family.b)
-            r = rdist(J, xw)
-            contrib = np.ones_like(xw)
-            pos = r > 0
-            rp = np.maximum(r[pos], 1e-300)
-            contrib[pos] = np.where(
-                rp <= J.t**family.a, 0.0,
-                np.where(rp >= J.t**family.b, 1.0, eta(rp)),
-            )
-            # points with r <= 0 sit behind the junction; the partner-body
-            # zeroing below covers the ones that matter
-            contrib[~pos] = 1.0
-            vals = np.minimum(vals, contrib)
-        # partner bodies are cut off entirely
-        vals[is_partner[zone_membership(xw)]] = 0.0
-        return vals[0] if scalar else vals
-
     # --- boundaries and gridding plan ---------------------------------------
     left = right = None
     plan: list[PlanSegment] = []
@@ -1159,13 +1122,7 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
 
         left = boundary_of(pieces[0], "left")
         right = boundary_of(pieces[-1], "right")
-        for b_ in (left, right):
-            if b_.kind == "ac":
-                plan.append(PlanSegment("log", x0=b_.x0, sign=b_.sign,
-                                        r_lo=b_.chart_r, r_hi=None))
-            elif b_.kind == "cs":
-                plan.append(PlanSegment("log", x0=b_.x0, sign=b_.sign,
-                                        r_lo=None, r_hi=b_.chart_r))
+        plan = _end_segments(left, right)
 
     for J in junctions:
         plan.append(PlanSegment("log", x0=J.center, sign=J.direction,
@@ -1190,7 +1147,7 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
         plan=tuple(plan),
         junctions=tuple(junctions),
         label=family.label or "glued",
-        eta=eta_fn,
+        eta=evaluator(("eta",)),
         fields=evaluator(FIELDS),
     )
 

@@ -24,7 +24,7 @@ the acceptance suite).
 A config that ``run_config_file`` reads is checked whole before the first
 experiment runs: its field types (below), and the fields that its
 experiment reads and would refuse only while running (``_check_fields``:
-the model, and the atlas's kind and link).
+the model, a glued family at each t, and the atlas's kind and link).
 
 Tolerances live in the config with documented defaults (uniformity ratio
 <= 2, identity checks <= 1e-10, slope fits within 10/15 percent); the
@@ -493,13 +493,17 @@ def _check_fields(config: ExperimentConfig) -> None:
     name, or a file that loads as the runner loads it, by _family or by
     _base_model, a base model of a single component as the solvers read
     it; the loaders' KeyError and TypeError become a ValueError naming
-    the file), and region_atlas's kind and link (_region_link).  r_max
-    is checked against an AC end where the grid is built, inside the run."""
+    the file), a glued family, built as run builds it, that does not glue
+    at a t of t_list (GluingError), and region_atlas's kind and link
+    (_region_link).  r_max is checked against an AC end where the grid is
+    built, inside the run."""
     _columns, default, _runner = _TABLE[config.experiment]
     model = default if config.model == "dumbbell" else config.model
     try:
-        if default in _FAMILIES and model not in _FAMILIES:
-            _family(config)
+        if default in _FAMILIES:
+            fam = _family(replace(config, model=model))
+            for t in config.t_list:
+                fam.at(t)
         elif default in _MODELS and model not in _MODELS:
             sl._resolve_geometry(_base_model(config))
     except (KeyError, TypeError) as exc:

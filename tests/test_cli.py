@@ -106,8 +106,15 @@ def test_a_missing_custom_link_file_is_a_usage_error(tmp_path, command):
     ({"experiment": "weight_crossing", "model": str(CONFIGS / "dumbbell_family.json")},
      "pass a single component"),
     ({"experiment": "poincare_uniformity", "r_max": -1.0}, "r_max must be > 0, got -1.0"),
+    # glued families that do not glue at a t of the sweep
+    ({"experiment": "embedding_uniformity", "tau": 1.5}, "tau must lie in (0, 1)"),
+    ({"experiment": "compact_invertibility", "t_list": [0.5, 0.1]},  # 2 * 0.5^0.5 > 1.3
+     "need t*Rhat < t^tau < 2 t^tau < eps"),
+    ({"experiment": "neck_convergence", "model": "spindle", "t_list": [0.9, 0.1]},
+     "need t*Rhat < t^tau < 2 t^tau < eps"),
 ], ids=["atlas-link-dimension", "atlas-kind", "atlas-missing-link", "sweep-model",
-        "neck-model", "crossing-model", "crossing-model-file", "r_max-negative"])
+        "neck-model", "crossing-model", "crossing-model-file", "r_max-negative",
+        "sweep-tau", "compact-t", "neck-t"])
 def test_run_refuses_unusable_fields_before_writing(tmp_path, bad, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiments": [{"experiment": "eta_bounds"}, bad]}))

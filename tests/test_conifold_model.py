@@ -72,6 +72,13 @@ def test_parametric_connect_sum_rejects_large_t():
     with pytest.raises(GluingError, match="t\\*Rhat < t\\^tau"):
         fam.at(0.1)
     assert fam.at(0.01).geometry.junctions[0].eps == 0.5
+    # eta_t must reach 1 inside the neck: t^b = 0.01^0.1 = 0.631 > eps is
+    # refused although t*Rhat < t^tau < 2 t^tau < eps holds
+    with pytest.raises(GluingError, match="t\\^b <= eps"):
+        GluedFamily(cone, partner, tau=0.9, a=0.5, b=0.1).at(0.01)
+    assert 0.0625**0.25 == 0.5  # t^b = eps exactly still glues
+    geo = GluedFamily(cone, partner, tau=0.9, a=0.5, b=0.25).at(0.0625).geometry
+    assert geo.eta(geo.junctions[0].center + geo.junctions[0].direction * 0.5) == 1.0
 
 
 def test_glued_family_requires_ordered_cutoffs():

@@ -5,9 +5,11 @@ classifying the points on its own, the f^2-blend recomputed per field,
 base geometries rebuilt per call) is kept here as the reference; the
 grid arrays taken from the one-pass `fields` evaluator, and the public
 per-field callables, must reproduce it bit for bit.  The zone lookup
-(one searchsorted over the strip's edges) must give the zone indices of
-the reference's loop over every zone, at grid nodes, between them and
-at and around every zone edge."""
+must give the zone indices of the reference's loop over every zone, at
+grid nodes, between them and at and around every zone edge.  The neck
+cutoff eta_t, evaluated per zone like the six fields, must equal the
+minimum over every junction's cutoff with partner bodies zeroed, the
+formula it had while it had its own evaluator."""
 
 import math
 
@@ -22,6 +24,7 @@ from conifold_lab.conifold_model import (
     _smoothstep_c2,
     _smoothstep_c2_d1,
     _smoothstep_c2_d2,
+    cutoff_eta,
     dumbbell_family,
     spindle_family,
 )
@@ -235,6 +238,55 @@ def ref_glued_fields(L, L_hat, family, pieces, junctions, junction_sides,
     }
 
 
+def ref_eta(family, pieces, junctions, circle, period, x_origin):
+    """eta_t as the minimum over every junction of its cutoff (1 behind
+    the junction, r <= 0), then 0 on every partner body."""
+    zones = []
+    for j, J in enumerate(junctions):
+        e1 = J.center + J.direction * (J.t * J.Rhat)
+        e2 = J.center + J.direction * J.eps
+        zones.append((min(e1, e2), max(e1, e2), "neck", j))
+    for p_i, p in enumerate(pieces):
+        comp = (family.L if p.source == "L" else family.L_hat).components[p.comp_index]
+        ends = []
+        for which, side in (("left", -1.0), ("right", 1.0)):
+            s = comp.side(which)
+            if isinstance(s, EndSpec) and not s.marked:
+                ends.append(math.copysign(math.inf, side * p.direction))
+            else:
+                edge = comp.tip(which) + (comp.r_sign(which) * s.boundary
+                                          if isinstance(s, EndSpec) else 0.0)
+                ends.append(float(p.from_src(edge)))
+        zones.append((min(ends), max(ends), "host" if p.source == "L" else "partner", p_i))
+    is_partner = np.array([tag == "partner" for _, _, tag, _ in zones])
+
+    def eta(x):
+        x = np.asarray(x, dtype=float)
+        scalar = x.ndim == 0
+        xw = np.atleast_1d(x)
+        if circle:
+            xw = x_origin + np.mod(xw - x_origin, period)
+        vals = np.ones_like(xw)
+        for J in junctions:
+            cut = cutoff_eta(J.t, family.a, family.b)
+            d = xw - J.center
+            if circle:
+                d = np.mod(d + 0.5 * period, period) - 0.5 * period
+            r = J.direction * d
+            contrib = np.ones_like(xw)
+            pos = r > 0
+            rp = np.maximum(r[pos], 1e-300)
+            contrib[pos] = np.where(rp <= J.t**family.a, 0.0,
+                                    np.where(rp >= J.t**family.b, 1.0, cut(rp)))
+            vals = np.minimum(vals, contrib)
+        zone = ref_zone_membership(zones, circle, period, xw)
+        assert np.all(zone >= 0)
+        vals[is_partner[zone]] = 0.0
+        return vals[0] if scalar else vals
+
+    return eta
+
+
 def glued_with_reference(monkeypatch, family, t):
     """The glued model at t and the reference fields built from the same
     pieces and junctions.  Each junction's (host piece, partner piece)
@@ -372,3 +424,38 @@ def test_zone_lookup_matches_the_loop_over_zones(monkeypatch, case):
     if not inside.all():
         with pytest.raises(ValueError, match="outside the glued domain"):
             lookup(x[~inside])
+
+
+ETA_CASES = {**CASES, "spindle_t1e-2_tau0.95": (
+    lambda: spindle_family(tau=0.95, a=0.9, b=0.05), 1e-2)}
+
+
+@pytest.mark.parametrize("case", sorted(ETA_CASES))
+def test_eta_matches_the_minimum_over_junctions(monkeypatch, case):
+    make_family, t = ETA_CASES[case]
+    args = []
+    build = cm._glued_geometry
+    monkeypatch.setattr(cm, "_glued_geometry", lambda *a: args.append(a) or build(*a))
+    family = make_family()
+    geo = family.at(t).geometry
+    _, _, fam, pieces, junctions, circle, period, x_origin = args[-1]
+    ref = ref_eta(fam, pieces, junctions, circle, period, x_origin)
+    grid = build_grid(geo, n_per_region=400)
+    special = []  # neck edges, t^a, t^b, t^tau and 2 t^tau on every neck
+    for J in junctions:
+        radii = np.array([J.t * J.Rhat, J.eps, J.t**family.a, J.t**family.b,
+                          J.t**family.tau, 2.0 * J.t**family.tau])
+        special += [J.center + J.direction * radii, [J.center]]
+    special = np.concatenate(special)
+    points = [grid.nodes, 0.5 * (grid.nodes[1:] + grid.nodes[:-1]), special,
+              np.random.default_rng(0).uniform(grid.nodes[0], grid.nodes[-1], 4000)]
+    for toward in (np.inf, -np.inf):
+        points.append(np.nextafter(special, toward))
+    points += [special + 1e-12, special - 1e-12]
+    x = np.concatenate(points)
+    if circle:
+        x = np.concatenate([x, x + period, x - period])
+    assert_bitwise(geo.eta(x), ref(x), "eta")
+    for x0 in (float(special[0]), float(special[-1]), float(grid.nodes[len(grid.nodes) // 3])):
+        got, want = geo.eta(x0), ref(x0)
+        assert type(got) is type(want) is np.float64 and np.array_equal(got, want)
