@@ -14,7 +14,9 @@ Every other cell (text, booleans, nulls), the file sets, the CSV
 columns, the JSON keys in their emitted order and the row counts must
 agree exactly; the exit status is 1 if any of them differs, 0
 otherwise.  There is no tolerance: the numbers are reported, and
-judging them is left to the reader.
+judging them is left to the reader.  An argument that is not an
+existing directory exits 2, and two directories that hold no files
+exit 1: neither is a comparison of emitted output.
 """
 
 import csv
@@ -124,8 +126,15 @@ def main(argv):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     a, b = (Path(p) for p in argv)
+    for p in (a, b):
+        if not p.is_dir():
+            print(f"not an existing directory: {p}", file=sys.stderr)
+            return 2
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    if not files_a and not files_b:
+        print(f"no files in {a} or {b}: nothing was compared")
+        return 1
     failed = False
     for rel in sorted(files_a ^ files_b):
         print(f"only in {a if rel in files_a else b}: {rel}")

@@ -15,6 +15,9 @@ C^2 log-radial blend of the two squared warps in between.  Radius
 function, weight exponent and weight function follow the same piecewise
 pattern, with the reference-weight correction t^(betahat - betahat_ref)
 on the shrunk side when the partner carries variable weights.
+
+An unglued component is the same strip with one host piece placed as it
+is and no neck, so one builder and one field evaluator serve every model.
 """
 
 from __future__ import annotations
@@ -311,7 +314,7 @@ class ConifoldModel:
 
 
 # ---------------------------------------------------------------------------
-# runtime radial geometry (shared by base models and glued models)
+# runtime radial geometry (one builder, _glued_geometry, for base and glued models)
 
 
 @dataclass(frozen=True)
@@ -392,8 +395,9 @@ class RadialGeometry:
     label: str = ""
     # glued models: the neck cutoff eta_t(x), a field like the six above
     eta: object | None = None
-    # optional x -> (f, fp, fpp, rho, beta, wextra) in one pass, equal to
-    # the six callables; grids use it when present
+    # x -> (f, fp, fpp, rho, beta, wextra) in one pass, equal to the six
+    # callables; every model geometry has it, only rescaled_geometry does
+    # without, and grids use it when present
     fields: object | None = None
 
 
@@ -401,76 +405,22 @@ class RadialGeometry:
 FIELDS = ("f", "fp", "fpp", "rho", "beta", "wextra")
 
 
-def _end_segments(*bounds: BoundaryInfo) -> list[PlanSegment]:
-    """The log plan segment of each truncated boundary, in order: an AC
-    end runs out from its chart radius, a CS end in to it."""
-    return [PlanSegment("log", x0=b.x0, sign=b.sign,
-                        r_lo=b.chart_r if b.kind == "ac" else None,
-                        r_hi=b.chart_r if b.kind == "cs" else None)
-            for b in bounds if b.kind in ("ac", "cs")]
+def _source_fields(comp: Component):
+    """(rho, beta) of a component in its own chart: its radius function,
+    and its weight exponent, each end's beta on its half, split mid-core."""
+    betas = [s.beta if isinstance(s, EndSpec) else None for s in (comp.left, comp.right)]
+    known = [b for b in betas if b is not None]
+    if len(set(known)) < 2:
+        b = known[0] if known else 0.0
+        return comp.default_rho(), lambda x: np.full_like(np.asarray(x, dtype=float), b)
+    lo_edge, hi_edge = (comp.tip(w) + comp.r_sign(w) * comp.side(w).boundary
+                        for w in ("left", "right"))
+    mid, (bl, br) = 0.5 * (lo_edge + hi_edge), betas
 
+    def beta_of(x):
+        return np.where(np.asarray(x, dtype=float) <= mid, bl, br)
 
-def _const_like(value):
-    return lambda x: np.full_like(np.asarray(x, dtype=float), value)
-
-
-def _base_geometry(model: ConifoldModel, ci: int) -> RadialGeometry:
-    comp = model.components[ci]
-    warp = comp.warp
-    rho = comp.default_rho()
-
-    binfo = {}
-    for w in ("left", "right"):
-        s = comp.side(w)
-        if isinstance(s, Cap):
-            binfo[w] = BoundaryInfo("cap", comp.tip(w), comp.r_sign(w))
-        else:
-            binfo[w] = BoundaryInfo(
-                s.kind.lower(), comp.tip(w), comp.r_sign(w), chart_r=s.boundary,
-                beta=s.beta, nu=s.nu,
-            )
-
-    # weight exponent: each end's beta on its half, split mid-core
-    betas = {w: (comp.side(w).beta if isinstance(comp.side(w), EndSpec) else None)
-             for w in ("left", "right")}
-    if betas["left"] is None and betas["right"] is None:
-        beta_of = _const_like(0.0)
-    elif betas["left"] is None or betas["right"] is None or betas["left"] == betas["right"]:
-        b = betas["left"] if betas["left"] is not None else betas["right"]
-        beta_of = _const_like(b)
-    else:
-        lo_edge = binfo["left"].x0 + binfo["left"].sign * binfo["left"].chart_r
-        hi_edge = binfo["right"].x0 + binfo["right"].sign * binfo["right"].chart_r
-        mid = 0.5 * (lo_edge + hi_edge)
-        bl, br = betas["left"], betas["right"]
-
-        def beta_of(x, _mid=mid, _bl=bl, _br=br):
-            x = np.asarray(x, dtype=float)
-            return np.where(x <= _mid, _bl, _br)
-
-    plan = _end_segments(binfo["left"], binfo["right"])
-    core_lo = binfo["left"].x0 if binfo["left"].kind == "cap" else (
-        binfo["left"].x0 + binfo["left"].sign * binfo["left"].chart_r)
-    core_hi = binfo["right"].x0 if binfo["right"].kind == "cap" else (
-        binfo["right"].x0 + binfo["right"].sign * binfo["right"].chart_r)
-    core_lo, core_hi = min(core_lo, core_hi), max(core_lo, core_hi)
-    if core_hi > core_lo:
-        plan.append(PlanSegment("lin", x_a=core_lo, x_b=core_hi, weight=0.5))
-
-    return RadialGeometry(
-        m=model.m,
-        link=comp.link,
-        f=warp.f, fp=warp.fp, fpp=warp.fpp,
-        rho=rho,
-        beta=beta_of,
-        wextra=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        circle=False,
-        period=None,
-        left=binfo["left"],
-        right=binfo["right"],
-        plan=tuple(plan),
-        label=comp.label or model.label or f"component{ci}",
-    )
+    return comp.default_rho(), beta_of
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +862,8 @@ def _zone_lookup(zones, circle, period):
 
 
 def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origin):
-    """The radial geometry of the glued strip.
+    """The radial geometry of the glued strip, and of an unglued component
+    as the strip of one host piece with no neck (family None, L_hat None).
 
     Along the glued axis the walk's pieces and necks alternate as one
     ordered strip: piece 0, neck 0, piece 1, neck 1, ...  Neck j is the
@@ -922,24 +873,13 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
     point is looked up once in this tiling, and every field, FIELDS and
     the cutoff eta_t, is evaluated per zone.  eta_t is junction j's cutoff
     on neck j (it reaches 1 there, as t^b <= eps), 1 on host bodies and 0
-    on partner bodies.
+    on partner bodies; an unglued component has no eta_t (None).
     """
-    m = L.m
-    tau = family.tau
-
     def comp_of(piece: _Piece) -> Component:
         return (L if piece.source == "L" else L_hat).components[piece.comp_index]
 
-    def src_model(piece: _Piece) -> ConifoldModel:
-        return L if piece.source == "L" else L_hat
-
-    link = comp_of(pieces[0]).link
-
     def wrap(x):
-        x = np.asarray(x, dtype=float)
-        if not circle:
-            return x
-        return x_origin + np.mod(x - x_origin, period)
+        return x_origin + np.mod(x - x_origin, period) if circle else x
 
     def rdist(J: JunctionInfo, xw):
         """Signed neck radius of xw relative to junction J (wrap-aware)."""
@@ -949,10 +889,12 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
         return J.direction * d
 
     # ---- each piece's body edges, left then right source side -------------
-    # r = boundary on every end (on marked ends the edge of the neck zone:
+    # r = boundary on every end (on glued ends the edge of the neck zone:
     # r = Rhat for partners, r = eps for hosts), the center on caps; the
-    # flag marks a free (unmarked) end, where the piece formula applies out
-    # to infinity
+    # flag marks a free end, one that no neck takes, where the piece
+    # formula applies out to infinity
+    pairs = [family.pairs[J.pair] for J in junctions]
+    taken = {("L", ci, wi) for ci, wi, _, _ in pairs} | {("H", cj, wj) for _, _, cj, wj in pairs}
     body_edges = []
     for p in pieces:
         comp = comp_of(p)
@@ -963,7 +905,8 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
                 src_edge = comp.tip(which) + comp.r_sign(which) * s.boundary
             else:
                 src_edge = comp.tip(which)
-            edges.append((float(p.from_src(src_edge)), isinstance(s, EndSpec) and not s.marked))
+            free = isinstance(s, EndSpec) and (p.source, p.comp_index, which) not in taken
+            edges.append((float(p.from_src(src_edge)), free))
         body_edges.append(edges)
 
     # ---- exact zone tiling: necks first, then piece bodies ----------------
@@ -1000,7 +943,7 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
         host = L.components[ci]
         t = J.t
         r = rdist(J, xw)
-        r1 = t**tau
+        r1 = t**J.tau
 
         tip_h = host.tip(wi)
         sgn_h = host.r_sign(wi)
@@ -1029,9 +972,9 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
                 "fp": Q_p / (2 * F) * J.direction,
                 "fpp": (Q_pp / (2 * F) - Q_p**2 / (4 * F**3)) * J.direction**2}
 
-    # each piece's source geometry (radius and weight functions) and, for
+    # each piece's radius and weight functions in its own chart and, for
     # partners, the reference weight of its marked end
-    bases = [_base_geometry(src_model(p), p.comp_index) for p in pieces]
+    sources = [_source_fields(comp_of(p)) for p in pieces]
     ref_beta = [next(s.beta for _, s in comp_of(p).ends() if s.marked) if p.source == "H"
                 else None for p in pieces]
 
@@ -1040,14 +983,14 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
         and its rho, beta and wextra, where shrunk partners carry the
         reference-weight correction t^(beta_hat - beta_ref); eta is 1 on a
         host and 0 on a partner."""
-        piece, base = pieces[p_i], bases[p_i]
+        piece, (rho, beta) = pieces[p_i], sources[p_i]
         xs = piece.to_src(xw, period)
         scale = abs(piece.direction)
         vals = {a: piece_warp(piece, xs, a) for a in ("f", "fp", "fpp") if a in names}
         if "rho" in names:
-            vals["rho"] = scale * np.asarray(base.rho(xs), dtype=float)
+            vals["rho"] = scale * np.asarray(rho(xs), dtype=float)
         if "beta" in names or "wextra" in names:
-            bhat = np.asarray(base.beta(xs), dtype=float)
+            bhat = np.asarray(beta(xs), dtype=float)
             vals["beta"] = bhat
             vals["wextra"] = scale ** (bhat - ref_beta[p_i]) if piece.source == "H" else 1.0
         vals["eta"] = 1.0 if piece.source == "L" else 0.0
@@ -1069,7 +1012,7 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
             # the strip's pieces j and j + 1, the partner being the one from L_hat
             ahead = (j + 1) % len(pieces)
             partner, host = (j, ahead) if pieces[j].source == "H" else (ahead, j)
-            r1 = J.t**tau
+            r1 = J.t**J.tau
             for a in warp:
                 vals[a] = np.empty_like(xw)
             for sel, p_i in ((r < r1, partner), ((r >= r1) & (r <= 2.0 * r1), None),
@@ -1122,7 +1065,12 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
 
         left = boundary_of(pieces[0], "left")
         right = boundary_of(pieces[-1], "right")
-        plan = _end_segments(left, right)
+        # the log segment of each truncated end: an AC end runs out from
+        # its chart radius, a CS end in to it
+        plan = [PlanSegment("log", x0=b.x0, sign=b.sign,
+                            r_lo=b.chart_r if b.kind == "ac" else None,
+                            r_hi=b.chart_r if b.kind == "cs" else None)
+                for b in (left, right) if b.kind != "cap"]
 
     for J in junctions:
         plan.append(PlanSegment("log", x0=J.center, sign=J.direction,
@@ -1133,9 +1081,10 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
             plan.append(PlanSegment("lin", x_a=g1, x_b=g2,
                                     weight=0.25 if p.source == "H" else 0.5))
 
+    comp = comp_of(pieces[0])
     return RadialGeometry(
-        m=m,
-        link=link,
+        m=L.m,
+        link=comp.link,
         f=evaluator(("f",)), fp=evaluator(("fp",)), fpp=evaluator(("fpp",)),
         rho=evaluator(("rho",)),
         beta=evaluator(("beta",)),
@@ -1146,10 +1095,19 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
         right=right,
         plan=tuple(plan),
         junctions=tuple(junctions),
-        label=family.label or "glued",
-        eta=evaluator(("eta",)),
+        label=(family.label or "glued") if family else (
+            comp.label or L.label or f"component{pieces[0].comp_index}"),
+        eta=evaluator(("eta",)) if family else None,
         fields=evaluator(FIELDS),
     )
+
+
+def _base_geometry(model: ConifoldModel, ci: int) -> RadialGeometry:
+    """Component ci of an unglued model: the strip of one host piece placed
+    as it is (offset 0, direction 1), with no neck."""
+    comp = model.components[ci]
+    piece = _Piece("L", ci, 0.0, 1.0, comp.x_lo(), comp.x_hi())
+    return _glued_geometry(model, None, None, [piece], [], False, None, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -266,10 +266,16 @@ def _poincare_row(cfg, fam, t, previous=None):
             "constant": rep.constant, "grid_size": rep.grid_size}, rep
 
 
-def _gns_row(cfg, fam, t, _previous=None):
-    ce = wcalc.conjugate_exponents(cfg.p, fam.L.m)
+def _sobolev_exponents(p, m):
+    """The conjugate exponents of p in dimension m, which must have a p*."""
+    ce = wcalc.conjugate_exponents(p, m)
     if ce.p_star is None:
-        raise ValueError(f"p = {cfg.p} >= m: no L^p* target")
+        raise ValueError(f"p = {p} >= m: no L^p* target")
+    return ce
+
+
+def _gns_row(cfg, fam, t, _previous=None):
+    ce = _sobolev_exponents(cfg.p, fam.L.m)
     grid, bumps = _grid_and_bumps(cfg, fam, t)
     # ||u||_{L^p*_beta} / ||du||_{L^p_{beta-1}} over the family, in one pass
     ratios = wc.norm_ratios(bumps, cfg.beta, (ce.p_star, (0,)), (cfg.p, (1,)))
@@ -297,8 +303,7 @@ def _sweep(row, gate):
     per-mode values."""
 
     def runner(cfg: ExperimentConfig):
-        if len(cfg.t_list) < 2:
-            raise ValueError(f"a t-sweep needs at least two t values, got {cfg.t_list}")
+        _check_t_sweep(cfg.t_list)
         fam = _family(cfg)
         rows, previous = [], None
         for t in cfg.t_list:
@@ -313,7 +318,13 @@ def _sweep(row, gate):
         return rows, {"max": vmax, "min": vmin, "max_over_min": ratio,
                       "trend_slope": slope, **extra, "pass": passed}
 
+    runner.t_sweep = True
     return runner
+
+
+def _check_t_sweep(t_list):
+    if len(t_list) < 2:
+        raise ValueError(f"a t-sweep needs at least two t values, got {t_list}")
 
 
 # --- other experiments -------------------------------------------------------
@@ -489,28 +500,39 @@ EXPERIMENTS = tuple(_TABLE)
 
 def _check_fields(config: ExperimentConfig) -> None:
     """ValueError for a field that config's experiment reads and would
-    refuse only while it runs: a model its runner cannot load (a preset
-    name, or a file that loads as the runner loads it, by _family or by
-    _base_model, a base model of a single component as the solvers read
-    it; the loaders' KeyError and TypeError become a ValueError naming
-    the file), a glued family, built as run builds it, that does not glue
-    at a t of t_list (GluingError), and region_atlas's kind and link
-    (_region_link).  r_max is checked against an AC end where the grid is
-    built, inside the run."""
-    _columns, default, _runner = _TABLE[config.experiment]
-    model = default if config.model == "dumbbell" else config.model
+    refuse only while it runs, from the check the run makes: a model its
+    runner cannot load (a preset name, or a file loaded as the runner
+    loads it, a base model of one component as the solvers read it; the
+    loaders' KeyError and TypeError become a ValueError naming the file),
+    a glued family that does not glue at a t of t_list, region_atlas's
+    kind and link, a t-sweep of one t, the exponent p, eta_bounds's cutoff
+    at each t and the compact-case weight.  r_max is checked against an
+    AC end where the grid is built, inside the run."""
+    _columns, default, runner = _TABLE[config.experiment]
+    model, exp = (default if config.model == "dumbbell" else config.model), config.experiment
+    if getattr(runner, "t_sweep", False):
+        _check_t_sweep(config.t_list)
     try:
         if default in _FAMILIES:
             fam = _family(replace(config, model=model))
             for t in config.t_list:
-                fam.at(t)
+                geo = fam.at(t).geometry
+                if exp == "compact_invertibility":
+                    sl._check_compact_weight(geo, config.beta)
+            if exp in ("embedding_uniformity", "gns_uniformity"):
+                _sobolev_exponents(config.p, fam.L.m)
         elif default in _MODELS and model not in _MODELS:
             sl._resolve_geometry(_base_model(config))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model file {model!r} does not load: "
                          f"{type(exc).__name__}: {exc}") from exc
-    if config.experiment == "region_atlas":
+    if exp == "region_atlas":
         _region_link(config.kind, config.m, config.link)
+    if exp == "norm_identities":
+        wc._holder_sweep([], config.p, config.beta, 0.25)  # no pairs: checks p alone
+    if exp == "eta_bounds":
+        for t in config.t_list:
+            cm.cutoff_eta(t, config.a, config.b)
 
 
 class ExperimentError(RuntimeError):

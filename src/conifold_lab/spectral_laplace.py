@@ -964,6 +964,15 @@ def _check_matches_marked(geo: RadialGeometry, beta: float):
             )
 
 
+def _check_compact_weight(geo: RadialGeometry, beta: float):
+    """The compact-case conditions: geo closes up, and beta lies in (2-m, 0)."""
+    if not geo.circle and _residual_ends(geo):
+        raise WeightConditionError("model is not compact; use invertibility_constant")
+    if not (2 - geo.m < beta < 0):
+        raise WeightConditionError(
+            f"compact-case weight must be constant in (2-m, 0), got {beta}")
+
+
 def _check_e_max(e_max: float):
     """Refuse a mode cutoff that admits no link eigenvalue (all are >= 0)."""
     if not e_max >= 0:
@@ -1088,11 +1097,7 @@ def restricted_invertibility_compact(
     always solved."""
     _check_e_max(e_max)
     m_geo = family.at(t).geometry
-    if not m_geo.circle and _residual_ends(m_geo):
-        raise WeightConditionError("model is not compact; use invertibility_constant")
-    if not (2 - m_geo.m < beta < 0):
-        raise WeightConditionError(
-            f"compact-case weight must be constant in (2-m, 0), got {beta}")
+    _check_compact_weight(m_geo, beta)
     _check_matches_marked(m_geo, float(beta))
     _check_nonexceptional(m_geo, beta)
     grid = build_grid(m_geo, n_per_region=n_per_region)

@@ -112,9 +112,19 @@ def test_a_missing_custom_link_file_is_a_usage_error(tmp_path, command):
      "need t*Rhat < t^tau < 2 t^tau < eps"),
     ({"experiment": "neck_convergence", "model": "spindle", "t_list": [0.9, 0.1]},
      "need t*Rhat < t^tau < 2 t^tau < eps"),
+    # exponents, cutoffs, weights and sweeps that the runners refuse
+    ({"experiment": "gns_uniformity", "p": 3.0}, "p = 3.0 >= m: no L^p* target"),
+    ({"experiment": "embedding_uniformity", "p": 0.5}, "p must be >= 1"),
+    ({"experiment": "norm_identities", "p": 1.0}, "Hoelder check needs p > 1"),
+    ({"experiment": "eta_bounds", "a": 0.1, "b": 0.2}, "need 0 < b < a < 1"),
+    ({"experiment": "compact_invertibility", "beta": 0.5},
+     "compact-case weight must be constant in (2-m, 0), got 0.5"),
+    ({"experiment": "embedding_uniformity", "t_list": [0.1]},
+     "a t-sweep needs at least two t values"),
 ], ids=["atlas-link-dimension", "atlas-kind", "atlas-missing-link", "sweep-model",
         "neck-model", "crossing-model", "crossing-model-file", "r_max-negative",
-        "sweep-tau", "compact-t", "neck-t"])
+        "sweep-tau", "compact-t", "neck-t", "gns-p", "embedding-p", "holder-p",
+        "eta-cutoff", "compact-beta", "sweep-one-t"])
 def test_run_refuses_unusable_fields_before_writing(tmp_path, bad, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiments": [{"experiment": "eta_bounds"}, bad]}))

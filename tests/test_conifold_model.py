@@ -1,20 +1,26 @@
 """Model construction, compatibility, gluing, cutoff and rescaling."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conifold_lab.conifold_model import (
+    FIELDS,
+    BoundaryInfo,
     Cap,
     Component,
     ConifoldModel,
     EndSpec,
     GluedFamily,
     GluingError,
+    PlanSegment,
+    RadialGeometry,
     check_compatible,
     cutoff_eta,
     dumbbell_family,
+    load_model,
     model_from_config,
     neck_convergence_check,
     parametric_connect_sum,
@@ -23,7 +29,7 @@ from conifold_lab.conifold_model import (
     warp_preset,
 )
 from conifold_lab.link_spectra import make_link
-from conifold_lab.weighted_calc import rescaled_geometry
+from conifold_lab.weighted_calc import build_grid, rescaled_geometry
 
 S2 = make_link("sphere", dim=2)
 
@@ -339,3 +345,132 @@ def test_chain_gluing_two_partners_caps_both_ends():
     # far from the necks the host warp is untouched
     mid = xs[np.argmin(np.abs(xs - math.pi / 2))]
     assert float(geo.f(mid)) == pytest.approx(math.sin(mid), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# a base model is the strip of one host piece: the reference is the
+# separate base-geometry builder it replaced
+
+
+def ref_base_geometry(model, ci):
+    """Component ci's geometry assembled on its own: boundaries, a beta
+    split mid-core, a plan of end segments and a core of weight 0.5, the
+    warp's own callables."""
+    comp = model.components[ci]
+    warp = comp.warp
+
+    def const_like(value):
+        return lambda x: np.full_like(np.asarray(x, dtype=float), value)
+
+    binfo = {}
+    for w in ("left", "right"):
+        s = comp.side(w)
+        if isinstance(s, Cap):
+            binfo[w] = BoundaryInfo("cap", comp.tip(w), comp.r_sign(w))
+        else:
+            binfo[w] = BoundaryInfo(s.kind.lower(), comp.tip(w), comp.r_sign(w),
+                                    chart_r=s.boundary, beta=s.beta, nu=s.nu)
+    betas = {w: (comp.side(w).beta if isinstance(comp.side(w), EndSpec) else None)
+             for w in ("left", "right")}
+    if betas["left"] is None and betas["right"] is None:
+        beta_of = const_like(0.0)
+    elif betas["left"] is None or betas["right"] is None or betas["left"] == betas["right"]:
+        beta_of = const_like(betas["left"] if betas["left"] is not None else betas["right"])
+    else:
+        lo_edge = binfo["left"].x0 + binfo["left"].sign * binfo["left"].chart_r
+        hi_edge = binfo["right"].x0 + binfo["right"].sign * binfo["right"].chart_r
+        mid = 0.5 * (lo_edge + hi_edge)
+
+        def beta_of(x):
+            return np.where(np.asarray(x, dtype=float) <= mid, betas["left"], betas["right"])
+
+    plan = [PlanSegment("log", x0=b.x0, sign=b.sign,
+                        r_lo=b.chart_r if b.kind == "ac" else None,
+                        r_hi=b.chart_r if b.kind == "cs" else None)
+            for b in (binfo["left"], binfo["right"]) if b.kind in ("ac", "cs")]
+    core = sorted(b.x0 if b.kind == "cap" else b.x0 + b.sign * b.chart_r
+                  for b in (binfo["left"], binfo["right"]))
+    if core[1] > core[0]:
+        plan.append(PlanSegment("lin", x_a=core[0], x_b=core[1], weight=0.5))
+    return RadialGeometry(
+        m=model.m, link=comp.link, f=warp.f, fp=warp.fp, fpp=warp.fpp,
+        rho=comp.default_rho(), beta=beta_of,
+        wextra=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        circle=False, period=None, left=binfo["left"], right=binfo["right"],
+        plan=tuple(plan), label=comp.label or model.label or f"component{ci}")
+
+
+def two_weight_models():
+    """Components whose two ends carry different weights (beta split
+    mid-core): a CS/AC cone and an unmarked spindle."""
+    cone = ConifoldModel(3, (Component(
+        link=S2, warp=warp_preset("exact_cone"),
+        left=EndSpec("CS", S2, nu=1.0, beta=-0.5, boundary=2.0),
+        right=EndSpec("AC", S2, nu=-1.0, beta=0.5, boundary=2.0)),))
+    spindle = ConifoldModel(3, (Component(
+        link=S2, warp=warp_preset("sine_spindle"),
+        left=EndSpec("CS", S2, nu=2.0, beta=-0.5, boundary=1.3),
+        right=EndSpec("CS", S2, nu=2.0, beta=-0.2, boundary=1.3),
+        length=math.pi, label="split_spindle"),), label="ignored")
+    return {"cs_ac_two_weights": (cone, 0), "spindle_two_weights": (spindle, 0)}
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BASE_CASES = {
+    **{f"{name}_beta{beta:g}": ((lambda n=name, b=beta: preset_model(n, beta=b)), 0)
+       for name in ("exact_cone_cs_ac", "hyperboloid_capped", "rxs2", "sine_spindle")
+       for beta in (-0.5, 0.3)},
+    **{name: ((lambda m=model: m), ci) for name, (model, ci) in two_weight_models().items()},
+    **{f"dumbbell_file_component{ci}": ((lambda: load_model(CONFIGS / "dumbbell_family.json")), ci)
+       for ci in (0, 1)},
+}
+
+
+def _bits(v):
+    v = np.asarray(v)
+    assert v.dtype == np.float64
+    return v.view(np.uint64)
+
+
+@pytest.mark.parametrize("case", sorted(BASE_CASES))
+def test_base_geometry_is_the_one_piece_strip(case):
+    make_model, ci = BASE_CASES[case]
+    model = make_model()
+    geo, ref = model.geometry(ci), ref_base_geometry(model, ci)
+    assert (geo.left, geo.right, geo.plan, geo.label) == (ref.left, ref.right, ref.plan, ref.label)
+    assert repr(geo.plan) == repr(ref.plan)
+    assert geo.eta is None and not geo.circle and geo.junctions == ()
+    grid, ref_grid = build_grid(geo, n_per_region=400), build_grid(ref, n_per_region=400)
+    assert np.array_equal(_bits(grid.nodes), _bits(ref_grid.nodes))
+    for a in FIELDS:
+        assert np.array_equal(_bits(getattr(grid, a)), _bits(getattr(ref_grid, a))), a
+    # nodes, midpoints, chart edges, caps and the beta split, each +-1 ulp
+    comp = model.components[ci]
+    edges = [comp.tip(w) + (comp.r_sign(w) * s.boundary if isinstance(s, EndSpec) else 0.0)
+             for w, s in (("left", comp.left), ("right", comp.right))]
+    x = np.concatenate([grid.nodes, 0.5 * (grid.nodes[1:] + grid.nodes[:-1]),
+                        edges, [0.5 * sum(edges)]])
+    if isinstance(comp.left, Cap):  # a point past a cap centre is refused
+        x = x[x >= edges[0]]
+    x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+    if isinstance(comp.left, Cap):
+        x = x[x >= edges[0] - 1e-12]
+    want = [np.asarray(getattr(ref, a)(x), dtype=float) for a in FIELDS]
+    for a, w, together in zip(FIELDS, want, geo.fields(x)):
+        assert np.array_equal(_bits(getattr(geo, a)(x)), _bits(w)), a
+        assert np.array_equal(_bits(together), _bits(w)), a
+    for x0 in (float(x[0]), float(x[len(x) // 2]), edges[0], 0.5 * sum(edges)):
+        for a in FIELDS:
+            got = getattr(geo, a)(x0)
+            assert type(got) is np.float64, a
+            assert _bits(got) == _bits(np.asarray(getattr(ref, a)(x0), dtype=float)), a
+
+
+def test_base_geometry_refuses_points_past_a_cap_centre():
+    geo = preset_model("hyperboloid_capped").geometry(0)
+    assert geo.f(0.0) == 1.0
+    for field in FIELDS:
+        with pytest.raises(ValueError, match="point outside the glued domain"):
+            getattr(geo, field)(-0.5)
+    with pytest.raises(ValueError, match="point outside the glued domain"):
+        geo.fields(np.array([0.5, -0.5]))

@@ -42,6 +42,22 @@ def run_diff(a, b):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
+def test_diff_emitted_refuses_missing_and_empty_directories(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    missing = run_diff(a, b)
+    assert missing.returncode == 2 and str(a) in missing.stderr
+    assert "all files" not in missing.stdout
+    a.mkdir()
+    assert run_diff(a, b).returncode == 2 and str(b) in run_diff(a, b).stderr
+    (tmp_path / "file.csv").write_text("x\n")
+    not_dir = run_diff(a, tmp_path / "file.csv")
+    assert not_dir.returncode == 2 and "file.csv" in not_dir.stderr
+    b.mkdir()
+    empty = run_diff(a, b)
+    assert empty.returncode == 1 and "nothing was compared" in empty.stdout
+    assert "all files" not in empty.stdout
+
+
 def test_diff_emitted_reports_cells_of_two_quick_suite_emits(tmp_path):
     from conifold_lab.experiments import run_config_file
 
