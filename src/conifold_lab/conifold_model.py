@@ -1027,10 +1027,10 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
     def evaluate(xw, names):
         """The named fields (of FIELDS and "eta") at the wrapped points xw:
         {name: array}.  One zone lookup per point; each zone present is
-        evaluated on its points at once."""
+        evaluated on its points at once, in ascending zone order."""
         z = zone_membership(xw)
         out = {a: np.empty_like(xw) for a in names}
-        for z_i in np.unique(z):
+        for z_i in np.flatnonzero(np.bincount(z, minlength=len(zones))):
             _, _, tag, ref = zones[z_i]
             sel = z == z_i
             vals = (neck_fields if tag == "neck" else piece_fields)(ref, xw[sel], names)

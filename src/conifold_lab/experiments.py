@@ -506,8 +506,9 @@ def _check_fields(config: ExperimentConfig) -> None:
     loaders' KeyError and TypeError become a ValueError naming the file),
     a glued family that does not glue at a t of t_list, region_atlas's
     kind and link, a t-sweep of one t, the exponent p, eta_bounds's cutoff
-    at each t and the compact-case weight.  r_max is checked against an
-    AC end where the grid is built, inside the run."""
+    at each t, the weight at each t (the compact case's, the invertibility
+    lemma's and Poincare's conditions) and weight_crossing's rates.  r_max
+    is checked against an AC end where the grid is built, inside the run."""
     _columns, default, runner = _TABLE[config.experiment]
     model, exp = (default if config.model == "dumbbell" else config.model), config.experiment
     if getattr(runner, "t_sweep", False):
@@ -519,10 +520,17 @@ def _check_fields(config: ExperimentConfig) -> None:
                 geo = fam.at(t).geometry
                 if exp == "compact_invertibility":
                     sl._check_compact_weight(geo, config.beta)
+                elif exp == "invertibility_uniformity":
+                    sl._check_lemma_weights(geo, float(config.beta))
+                elif exp == "poincare_uniformity":
+                    sl._check_poincare_weights(geo, float(config.beta))
             if exp in ("embedding_uniformity", "gns_uniformity"):
                 _sobolev_exponents(config.p, fam.L.m)
-        elif default in _MODELS and model not in _MODELS:
-            sl._resolve_geometry(_base_model(config))
+        elif default in _MODELS:
+            geo = sl._resolve_geometry(_base_model(replace(config, model=model)))
+            if exp == "weight_crossing":
+                for gamma, e in config.gamma_cases:
+                    sl._check_exceptional_rate(gamma, e, geo.m)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model file {model!r} does not load: "
                          f"{type(exc).__name__}: {exc}") from exc

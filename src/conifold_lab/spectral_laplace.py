@@ -26,11 +26,20 @@ singular values against a grid-calibrated threshold.
 Matrices are bands, one array per diagonal (weighted_calc defines the
 format), from the grid's stencils d1, d2 and radial operator up to the
 eigen solves: P, the reduction R, the forms, Pi = P[interior] R, the
-pencil's A and B and Poincare's reduced forms.  Products are filled by
-one band product that adds each entry's terms over the inner index
-ascending, starting from 0, and drops all-zero diagonals.  That is the
-order of scipy's csr_matmat on the expressions the bands replace, so
-every matrix is bit for bit what those expressions give.  A band times a
+pencil's A and B and Poincare's reduced forms.  Every entry of a product
+adds its terms over the inner index ascending, starting from 0, and
+all-zero diagonals are dropped.  That is the order of scipy's csr_matmat
+on the expressions the bands replace, so every matrix is bit for bit
+what those expressions give.  The products are built from what is known
+of their factors: a stencil holds entries off its diagonals -1, 0, 1 only
+in its end rows, and R is the identity on interior nodes plus closure
+entries in rows 0 and n - 1.  So a stencil sandwich is the band product
+of the three full diagonals, and Pi and a reduced form R^T M R are P's
+and M's interior entries + 0.0 (the sum of their one term), except at a
+corner block of entries between nodes within 2 of an end.  Those are
+summed again over every term, in the same k-ascending order from 0.0
+(weighted_calc's corner blocks); a zero term added or skipped changes no
+bit, since such a sum never becomes -0.0.  A band times a
 vector (P u, R u, R^T q, B x, a form's norm) is _band_rows, which adds
 each row's terms over the offsets ascending, starting from 0, as the DIA
 product and the product of the sorted CSR or CSC matrix do.  The polish
@@ -104,9 +113,9 @@ from .conifold_model import (
     _smoothstep_c2,
 )
 from .link_spectra import Link
-from .weighted_calc import (ModeFunction, RadialGrid, _band_rows, _loglog_slope, _product,
-                            _restricted, _sandwich, _scaled, _shifted, _sum, _transpose,
-                            build_grid)
+from .weighted_calc import (ModeFunction, RadialGrid, _band_rows, _columns, _ends, _inner,
+                            _loglog_slope, _nonzero, _put, _row_product, _rows, _sandwich,
+                            _scaled, _shifted, _sum, _transpose, build_grid)
 from .weight_calculus import DEFAULT_TOL, distance_to_exceptional, gamma_roots
 
 __all__ = [
@@ -283,8 +292,9 @@ class ModeOperator:
     as scipy sums them.  Residuals and solves use its interior rows
     composed with the reduction R, the n x n band reduction that
     _reduction_matrix builds (R's column c is its column c + interior[0]).
-    Pi = P[interior] R and the reduced forms are band products restricted
-    to the interior."""
+    Pi = P[interior] R and the reduced forms R^T M R are bands on the
+    interior: P's and M's interior entries + 0.0, with the entries near a
+    closed end summed over every term (_closed)."""
 
     e: float
     grid: RadialGrid
@@ -297,15 +307,45 @@ class ModeOperator:
         self.P = {**P, 0: P[0] + self.e * self.grid.rho**2 / self.grid.f**2}
 
     def pi(self) -> dict:
-        """Pi = P[interior] @ R."""
-        return _restricted(_product(self.P, self.reduction), self.interior)
+        """Pi = P[interior] @ R, entry (i, j) the sum over k ascending of
+        P[i, k] R[k, j], as scipy adds it: P's entry + 0.0 away from the
+        closure columns, ((0.0 + P[i, 0] R[0, j]) + P[i, j]) + P[i, n - 1]
+        R[n - 1, j] at them (_closed).  An interval's interior rows of P
+        hold nothing off the diagonals -1, 0, 1."""
+        P = self.P
+        if self.interior.size < self.grid.n:
+            P = {d: P[d] for d in (-1, 0, 1)}
+        return self._closed(P, lambda near, R_rows: _row_product(_rows(self.P, near), R_rows,
+                                                                 near))
 
     def reduce(self, M: dict) -> dict:
         """R^T M R for the form M as (M^T R)^T R: entry (i, j) adds
         (M^T R)[k, i] R[k, j] over k ascending, the terms and order in
-        which scipy's R.T @ M @ R adds it."""
-        R = self.reduction
-        return _restricted(_product(_transpose(_product(_transpose(M), R)), R), self.interior)
+        which scipy's R.T @ M @ R adds it.  That is M's entry + 0.0 away
+        from the closure columns; at them (_closed) (M^T R)[l, i] is (0.0
+        + M[0, l] R[0, i]) + M[i, l] for a left closure column i and (0.0
+        + M[i, l]) + M[n - 1, l] R[n - 1, i] for a right one, and the
+        second product adds its terms in the same order."""
+        def corner(near, R_rows):
+            ends = list(R_rows)
+            MtR = _row_product(_columns(_rows(M, ends)), R_rows, ends)
+            return _row_product(_columns(MtR), R_rows, near)
+        return self._closed(M, corner)
+
+    def _closed(self, X: dict, corner) -> dict:
+        """X's interior rows and columns, each entry + 0.0, as a band on
+        the interior.  Where R has closure entries (rows 0 and n - 1,
+        columns within 2 of the end), the entries between the interior
+        nodes within 2 of an end are corner(near, rows of R within 2 of an
+        end), the rows of the product summed over every k they reach."""
+        R, n = self.reduction, self.grid.n
+        lo, hi = int(self.interior[0]), int(self.interior[-1]) + 1
+        out = _inner(X, lo, hi)
+        if len(R) > 1:
+            ends = _ends(n, 3)
+            near = [i for i in ends if lo <= i < hi]
+            _put(out, corner(near, _rows(R, ends)), hi - lo, lo)
+        return _nonzero(out)
 
     def solve(self, rhs_full_rows: np.ndarray) -> np.ndarray:
         """Solve P u = rhs on the reduced space; returns full nodal values."""
@@ -354,6 +394,12 @@ class _FormParts:
 
 
 def _form_parts(grid: RadialGrid, beta: float | None) -> _FormParts:
+    """The e-independent pieces at the weight beta (None: the grid's own
+    weight).  The sandwiches M01, M2 and M3 run the band product over the
+    stencils' diagonals -1, 0, 1 and sum the entries near each end, which
+    the one-sided end rows reach, again over every k in ascending order
+    from 0.0 (weighted_calc._sandwich), so they are bit for bit the
+    products over every diagonal."""
     g = grid
     m = g.geometry.m
     beta_vals = g.beta if beta is None else np.full(g.n, float(beta))
@@ -395,10 +441,24 @@ def weighted_form(grid: RadialGrid, k: int, e: float, parts: _FormParts) -> dict
         hess_c = max(e * e - kappa * e, 0.0)
         c1 = hess_c * W2 / g.f**4
         c2 = -e * g.fp * W2 / g.f**3
-        c2_d1 = _scaled(c2, parts.D1)
+        D1 = parts.D1
+        c2_d1 = _scaled(c2, {d: D1[d] for d in (-1, 0, 1)})
         terms += [parts.M2, _sandwich(parts.Bop, mix), {0: c1}, parts.M3,
                   c2_d1, _transpose(c2_d1)]
-    return _sum(*terms)
+    out = _sum(*terms)
+    if k >= 2:
+        # diag(c2) D1 off the diagonals -1, 0, 1: one entry per end row
+        # (row 0 on offsets > 0, row n - 1 on offsets < 0), added after
+        # every other term at its slot, then its transpose's, as in the
+        # sum; M01 and M2 hold those offsets, so the sum has them
+        corners = [(d, 0 if d > 0 else g.n - 1) for d in D1 if abs(d) > 1]
+        for d in {d for d, _ in corners} | {-d for d, _ in corners}:
+            out[d] = out[d].copy()
+        for d, i in corners:
+            out[d][i] += c2[i] * D1[d][i]
+        for d, i in corners:
+            out[-d][i + d] += c2[i] * D1[d][i]
+    return out
 
 
 @dataclass
@@ -964,6 +1024,34 @@ def _check_matches_marked(geo: RadialGeometry, beta: float):
             )
 
 
+def _check_poincare_weights(geo: RadialGeometry, beta: float):
+    """The weight conditions of poincare_constant, which keep constants
+    out of the space: residual ends, each AC end with beta < 0 and each CS
+    end with beta > 0, necks marked below 0, and beta their marked-end
+    weight."""
+    ends = _residual_ends(geo)
+    if not ends:
+        raise WeightConditionError("compact model: constants cannot be excluded")
+    for b in ends:
+        ok = (b.kind == "ac" and beta < 0) or (b.kind == "cs" and beta > 0)
+        if not ok:
+            raise WeightConditionError(
+                f"{b.kind.upper()} end weight {beta} admits constants; "
+                "the gradient cannot control the norm")
+    for J in geo.junctions:
+        if not J.beta < 0:
+            raise WeightConditionError(
+                f"marked-end weight {J.beta} must be < 0 on glued necks")
+    _check_matches_marked(geo, beta)
+
+
+def _check_exceptional_rate(gamma: float, e: float, m: int):
+    """Refuse a rate gamma that is not a cone-harmonic rate of mode e."""
+    gp, gm = gamma_roots(e, m)
+    if not (abs(gamma - gp) < 1e-9 or abs(gamma - gm) < 1e-9):
+        raise ValueError(f"{gamma} is not an exceptional rate for eigenvalue {e}")
+
+
 def _check_compact_weight(geo: RadialGeometry, beta: float):
     """The compact-case conditions: geo closes up, and beta lies in (2-m, 0)."""
     if not geo.circle and _residual_ends(geo):
@@ -1197,20 +1285,7 @@ def poincare_constant(
     1/ratio^2, as in invertibility_constant."""
     _check_e_max(e_max)
     geo = _resolve_geometry(model)
-    ends = _residual_ends(geo)
-    if not ends:
-        raise WeightConditionError("compact model: constants cannot be excluded")
-    for b in ends:
-        ok = (b.kind == "ac" and beta < 0) or (b.kind == "cs" and beta > 0)
-        if not ok:
-            raise WeightConditionError(
-                f"{b.kind.upper()} end weight {beta} admits constants; "
-                "the gradient cannot control the norm")
-    for J in geo.junctions:
-        if not J.beta < 0:
-            raise WeightConditionError(
-                f"marked-end weight {J.beta} must be < 0 on glued necks")
-    _check_matches_marked(geo, float(beta))
+    _check_poincare_weights(geo, float(beta))
     if grid is None:
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
     parts = _form_parts(grid, beta)
@@ -1268,9 +1343,7 @@ def weight_crossing_kernel(
     gamma (crossing constructions need the cokernel already gone)."""
     geo = _resolve_geometry(model)
     m = geo.m
-    gp, gm = gamma_roots(e, m)
-    if not (abs(gamma - gp) < 1e-9 or abs(gamma - gm) < 1e-9):
-        raise ValueError(f"{gamma} is not an exceptional rate for eigenvalue {e}")
+    _check_exceptional_rate(gamma, e, m)
     ends = _residual_ends(geo)
     ac_ends = [b for b in ends if b.kind == "ac"]
     if len(ac_ends) != 1:

@@ -78,13 +78,15 @@ __all__ = [
 
 def _nonzero(X: dict) -> dict:
     """X without its all-zero diagonals, offsets ascending."""
-    return {d: X[d] for d in sorted(X) if X[d].any()}
+    # a nonzero middle entry spares the scan of a full diagonal
+    return {d: x for d, x in sorted(X.items()) if x[x.size // 2] or x.any()}
 
 
 def _product(X: dict, Y: dict) -> dict:
     """X @ Y, each entry's terms X[i, k] Y[k, j] added over k ascending,
     starting from 0: the order of scipy's csr_matmat when X's rows are
-    stored in ascending column order."""
+    stored in ascending column order.  Every diagonal the product reaches
+    is kept, all-zero ones too."""
     n = len(next(iter(X.values())))
     out = {}
     for p in sorted(X):  # k = i + p
@@ -95,7 +97,91 @@ def _product(X: dict, Y: dict) -> dict:
                 if d not in out:
                     out[d] = np.zeros(n)
                 out[d][lo:hi] += X[p][lo:hi] * y[lo + p:hi + p]
-    return _nonzero(out)
+    return out
+
+
+# Corner blocks.  A stencil (d1, d2, the radial operator, Pi on a circle)
+# holds full diagonals -1, 0, 1; its other diagonals hold one entry each,
+# in row 0 or row n - 1 (an interval's one-sided end rows at +-2, a
+# circle's wrap entries at +-(n - 1)).  R is the identity on interior
+# nodes plus closure entries in rows 0 and n - 1.  So a product of them is
+# the product of the full diagonals, or a copy of entries, except between
+# nodes near an end; those entries are summed again from the rows near the
+# ends, as Python floats (the same doubles and rounding), over every k
+# ascending from 0.0.  A zero term added or skipped changes no bit: a sum
+# from +0.0 never becomes -0.0.  Ends this close share one block.
+
+
+def _ends(n: int, c: int) -> list:
+    """The nodes within c - 1 of either end of 0 .. n - 1, ascending."""
+    return list(range(n)) if 2 * c >= n else [*range(c), *range(n - c, n)]
+
+
+def _rows(X: dict, nodes: list) -> dict:
+    """{i: {j: X[i, j]}} for the rows i in nodes, j ascending, over X's
+    nonzero entries (a zero term changes no sum)."""
+    at = np.array(nodes)
+    rows = {i: {} for i in nodes}
+    for d in sorted(X):
+        for i, v in zip(nodes, X[d][at].tolist()):
+            if v:
+                rows[i][i + d] = v
+    return rows
+
+
+def _columns(rows: dict, w: dict | None = None) -> dict:
+    """The rows of the transpose of rows (from _rows), i ascending in each,
+    entry (i, j) times w[i] when w is given: (diag(w) X)^T."""
+    cols = {}
+    for i in sorted(rows):
+        for j, v in rows[i].items():
+            cols.setdefault(j, {})[i] = v if w is None else w[i] * v
+    return cols
+
+
+def _row_product(X: dict, Y: dict, rows: list) -> dict:
+    """The rows i in rows of X @ Y, for X and Y held by rows as _rows
+    holds them, each entry's terms X[i, k] Y[k, j] added over k
+    ascending, starting from 0.0.  An entry is complete when Y holds
+    every row k its terms reach."""
+    out = {}
+    for i in rows:
+        acc = out[i] = {}
+        for k, x in X.get(i, {}).items():
+            for j, y in Y.get(k, {}).items():
+                acc[j] = acc.get(j, 0.0) + x * y
+    return out
+
+
+def _put(out: dict, S: dict, m: int, lo: int = 0):
+    """Write the entries S[i][j] between the rows i of S into the band
+    out of size m whose row 0 is node lo.  A zero entry off out's
+    diagonals is left out, as _nonzero would drop the diagonal it makes."""
+    for i, row in S.items():
+        for j, v in row.items():
+            if j in S:
+                d = j - i
+                if d not in out:
+                    if not v:
+                        continue
+                    out[d] = np.zeros(m)
+                out[d][i - lo] = v
+
+
+def _inner(X: dict, lo: int, hi: int) -> dict:
+    """The band of the rows and columns lo .. hi - 1 of X, each entry
+    X[i, j] + 0.0, and 0 in the slots of columns outside lo .. hi - 1:
+    P[interior] R and R^T M R away from the closure columns."""
+    m = hi - lo
+    out = {}
+    for d, x in X.items():
+        y = x[lo:hi] + 0.0
+        if d > 0:
+            y[max(m - d, 0):] = 0.0
+        elif d < 0:
+            y[:min(-d, m)] = 0.0
+        out[d] = y
+    return out
 
 
 def _shifted(x: np.ndarray, d: int) -> np.ndarray:
@@ -120,9 +206,21 @@ def _scaled(w: np.ndarray, X: dict) -> dict:
 
 
 def _sandwich(L: dict, w: np.ndarray) -> dict:
-    """L^T diag(w) L, entry (i, j) the sum over k ascending of
-    (w[k] L[k, i]) L[k, j], as scipy adds L.T @ diags(w) @ L."""
-    return _product(_transpose(_scaled(w, L)), L)
+    """L^T diag(w) L for a stencil-shaped band L, entry (i, j) the sum over
+    k ascending of (w[k] L[k, i]) L[k, j], as scipy adds L.T @ diags(w) @
+    L.  The band product runs over L's diagonals -1, 0, 1; the entries
+    between nodes within 2 of an end, the only ones L's end rows reach, are
+    summed again from the rows within 3 of an end, which hold every k they
+    take."""
+    n = w.size
+    full = {d: x for d, x in L.items() if -1 <= d <= 1}
+    out = _product(_transpose(_scaled(w, full)), full)
+    if len(full) < len(L):
+        rows = _ends(n, 4)
+        ends = _rows(L, rows)
+        WLt = _columns(ends, dict(zip(rows, w[rows].tolist())))
+        _put(out, _row_product(WLt, ends, _ends(n, 3)), n)
+    return _nonzero(out)
 
 
 def _sum(*terms: dict) -> dict:
@@ -148,12 +246,6 @@ def _band_rows(X: dict, v: np.ndarray, descending: bool = False) -> np.ndarray:
         if a < b:
             out[a:b] += X[d][a:b] * v[a + d:b + d]
     return out
-
-
-def _restricted(X: dict, interior: np.ndarray) -> dict:
-    """The band of the interior rows and columns of X (a run of nodes)."""
-    lo, hi = int(interior[0]), int(interior[-1]) + 1
-    return _nonzero({d: x[lo:hi] for d, x in X.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -121,10 +121,18 @@ def test_a_missing_custom_link_file_is_a_usage_error(tmp_path, command):
      "compact-case weight must be constant in (2-m, 0), got 0.5"),
     ({"experiment": "embedding_uniformity", "t_list": [0.1]},
      "a t-sweep needs at least two t values"),
+    ({"experiment": "invertibility_uniformity", "beta": 0.5},
+     "AC end weight 0.5 must be < 0 for injectivity"),
+    ({"experiment": "poincare_uniformity", "beta": 0.5}, "AC end weight 0.5 admits constants"),
+    ({"experiment": "poincare_uniformity", "model": "spindle"},
+     "compact model: constants cannot be excluded"),
+    ({"experiment": "weight_crossing", "gamma_cases": [[0.0, 0.0], [0.0, 0.5]]},
+     "0.0 is not an exceptional rate for eigenvalue 0.5"),
 ], ids=["atlas-link-dimension", "atlas-kind", "atlas-missing-link", "sweep-model",
         "neck-model", "crossing-model", "crossing-model-file", "r_max-negative",
         "sweep-tau", "compact-t", "neck-t", "gns-p", "embedding-p", "holder-p",
-        "eta-cutoff", "compact-beta", "sweep-one-t"])
+        "eta-cutoff", "compact-beta", "sweep-one-t", "invertibility-beta",
+        "poincare-beta", "poincare-compact", "crossing-gamma"])
 def test_run_refuses_unusable_fields_before_writing(tmp_path, bad, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiments": [{"experiment": "eta_bounds"}, bad]}))

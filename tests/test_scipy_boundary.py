@@ -2,7 +2,8 @@
 
 ``spectral_laplace`` reaches scipy through handles that import it at
 first use.  The norm-only experiments (here embedding and the region
-atlas) and the ``weights`` command never load it.  ``import
+atlas) and the ``weights`` command never load it, nor ``numpy.ma``,
+which a call such as ``np.unique`` loads partway through a run.  ``import
 conifold_lab`` and the CLI import every module of the package, so a
 module-level scipy import anywhere fails here.  Test collection has
 imported scipy in this process, so the checks run in a fresh
@@ -20,30 +21,31 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PROGRAM = """
 import json, sys
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+def lazy_modules():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] == "scipy" or name == "numpy.ma")
 
 loaded = {}
 import conifold_lab
-loaded["import"] = scipy_modules()
+loaded["import"] = lazy_modules()
 
 from conifold_lab.experiments import ExperimentConfig, run
 for experiment in ("embedding_uniformity", "region_atlas"):
     run(ExperimentConfig.from_dict({"experiment": experiment, "t_list": [0.1, 0.01],
                                     "n_per_region": 60, "family_size": 4}))
-loaded["norm_runs"] = scipy_modules()
+loaded["norm_runs"] = lazy_modules()
 
 from click.testing import CliRunner
 from conifold_lab.cli import main
 result = CliRunner().invoke(main, ["weights"])
 assert result.exit_code == 0, result.output
-loaded["weights"] = scipy_modules()
+loaded["weights"] = lazy_modules()
 
 from conifold_lab import conifold_model as cm
 from conifold_lab import spectral_laplace as sl
 sl.invertibility_constant(cm.dumbbell_family().at(0.1), beta=-0.5, e_max=2.0,
                           n_per_region=60)
-loaded["solve"] = scipy_modules()
+loaded["solve"] = lazy_modules()
 print(json.dumps(loaded))
 """
 
