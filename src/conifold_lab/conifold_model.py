@@ -375,7 +375,7 @@ class RadialGeometry:
     Provides pointwise f, f', f'', the radius function rho, the weight
     exponent beta and any extra weight factor (the reference-weight
     correction on shrunk components); plus boundary/junction metadata
-    and a gridding plan.
+    and a gridding plan.  f'' is a callable only: grids store the FIELDS.
     """
 
     m: int
@@ -395,14 +395,33 @@ class RadialGeometry:
     label: str = ""
     # glued models: the neck cutoff eta_t(x), a field like the six above
     eta: object | None = None
-    # x -> (f, fp, fpp, rho, beta, wextra) in one pass, equal to the six
-    # callables; every model geometry has it, only rescaled_geometry does
-    # without, and grids use it when present
+    # x -> the FIELDS in one pass, equal to their callables; every
+    # geometry the package builds has it, and grids use it when present
     fields: object | None = None
 
 
-# the names of the node fields of a RadialGeometry, in `fields` order
-FIELDS = ("f", "fp", "fpp", "rho", "beta", "wextra")
+# the node fields of a RadialGeometry that grids store, in `fields` order
+FIELDS = ("f", "fp", "rho", "beta", "wextra")
+
+
+# below this many points np.mod's one pass costs less than _fold's six
+_FOLD_MIN_SIZE = 1024
+
+
+def _fold(x, period):
+    """np.mod(x, period) for a period > 0, bit for bit and in its dtype,
+    without its division.  On [-period, 2 period) one period is added
+    below 0 (rounded as np.mod rounds it) or taken off from period up
+    (exact for floats by Sterbenz's lemma, and for ints), and the + 0
+    before turns -0.0 into +0.0 as np.mod does.  Outside that range, on
+    NaN and on fewer than _FOLD_MIN_SIZE points it is np.mod."""
+    x = np.asarray(x)
+    if x.size < _FOLD_MIN_SIZE or not (x.min() >= -period and x.max() < 2 * period):
+        return np.mod(x, period)
+    out = x + period * 0
+    np.add(out, period, out=out, where=x < 0)
+    np.subtract(out, period, out=out, where=x >= period)
+    return out
 
 
 def _source_fields(comp: Component):
@@ -533,19 +552,21 @@ def _smoothstep_c2_d2(s):
     return 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
-def _squared_warp(F, Fp, Fpp):
-    """(Q, Q', Q'') of Q = F^2, from F and its first two derivatives."""
-    return F**2, 2 * F * Fp, 2 * (Fp**2 + F * Fpp)
+def _squared_warp(F, Fp, Fpp=None):
+    """(Q, Q') of Q = F^2 from F and F', and Q'' too when F'' is given."""
+    Q = (F**2, 2 * F * Fp)
+    return Q if Fpp is None else (*Q, 2 * (Fp**2 + F * Fpp))
 
 
-def _rescaled_partner_warp(part: Component, which: str, r, t):
-    """(F, F', F'') in the neck radius r of the partner warp shrunk by t,
-    F(r) = t fhat(r/t), on the partner's marked AC end `which`."""
+def _rescaled_partner_warp(part: Component, which: str, r, t, second: bool = True):
+    """(F, F') in the neck radius r of the partner warp shrunk by t,
+    F(r) = t fhat(r/t), on the partner's marked AC end `which`, and F''
+    too when second."""
     sgn = part.r_sign(which)
     xp = sgn * (r / t)
-    return (t * np.asarray(part.warp.f(xp), dtype=float),
-            sgn * np.asarray(part.warp.fp(xp), dtype=float),
-            np.asarray(part.warp.fpp(xp), dtype=float) / t)
+    F = (t * np.asarray(part.warp.f(xp), dtype=float),
+         sgn * np.asarray(part.warp.fp(xp), dtype=float))
+    return (*F, np.asarray(part.warp.fpp(xp), dtype=float) / t) if second else F
 
 
 # ---------------------------------------------------------------------------
@@ -619,21 +640,14 @@ class _Piece:
         if period is None:
             return (x - self.offset) / self.direction
         # pick the periodic branch landing inside (or nearest to) the
-        # source domain
-        cands = [((x + n * period) - self.offset) / self.direction for n in (-1, 0, 1)]
+        # source domain: of x - period, x and x + period, the first one
+        # nearest its centre
+        shifts = np.array([-1.0, 0.0, 1.0]) * period
+        cands = (np.add.outer(shifts, x) - self.offset) / self.direction
         lo, hi = self.x_src_lo, self.x_src_hi
-        if math.isfinite(lo) and math.isfinite(hi):
-            center = 0.5 * (lo + hi)
-        else:
-            center = 0.0
-        best = cands[0]
-        best_d = np.abs(cands[0] - center)
-        for c in cands[1:]:
-            d = np.abs(c - center)
-            take = d < best_d
-            best = np.where(take, c, best)
-            best_d = np.where(take, d, best_d)
-        return best
+        center = 0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi) else 0.0
+        nearest = np.argmin(np.abs(cands - center), axis=0)
+        return np.choose(nearest, cands)
 
     def from_src(self, x_src):
         return self.offset + self.direction * np.asarray(x_src, dtype=float)
@@ -844,7 +858,7 @@ def _zone_lookup(zones, circle, period):
     def holds(z, x):
         lo, hi = zones[z][:2]
         if circle and math.isfinite(lo) and math.isfinite(hi):
-            return np.mod(x - lo, period) <= (hi - lo) + 1e-12 * max(1.0, abs(hi), abs(lo))
+            return _fold(x - lo, period) <= (hi - lo) + 1e-12 * max(1.0, abs(hi), abs(lo))
         sel = (x >= lo - 1e-12 * max(1.0, abs(lo))) if math.isfinite(lo) else np.ones(x.size, bool)
         if math.isfinite(hi):
             sel = sel & (x <= hi + 1e-12 * max(1.0, abs(hi)))
@@ -852,13 +866,39 @@ def _zone_lookup(zones, circle, period):
 
     def lookup(xw):
         res = np.full(xw.size, -1)
-        for z in range(len(zones)):
-            res = np.where((res < 0) & holds(z, xw), z, res)
-        if np.any(res < 0):
+        for z in reversed(range(len(zones))):  # so that the first zone to hold wins
+            res[holds(z, xw)] = z
+        if (res < 0).any():
             raise ValueError("point outside the glued domain")
         return res
 
     return lookup
+
+
+def _spans(labels: np.ndarray) -> dict:
+    """{label: [(start, stop), ...]}: the runs of equal labels, in order."""
+    cuts = [0, *((labels[1:] != labels[:-1]).nonzero()[0] + 1).tolist(), labels.size]
+    out = {}
+    for a, b in zip(cuts, cuts[1:]):
+        if b > a:
+            out.setdefault(int(labels[a]), []).append((a, b))
+    return out
+
+
+def _gather(x: np.ndarray, spans: list) -> np.ndarray:
+    """The slices spans of x, one after another (a view for one span)."""
+    return x[slice(*spans[0])] if len(spans) == 1 else np.concatenate([x[a:b] for a, b in spans])
+
+
+def _scatter(out: dict, vals: dict, spans: list) -> None:
+    """out[name][a:b] for the spans of _gather, in turn, from vals[name]
+    (a scalar fills every span)."""
+    o = 0
+    for a, b in spans:
+        for name, arr in out.items():
+            v = vals[name]
+            arr[a:b] = v[o:o + b - a] if isinstance(v, np.ndarray) else v
+        o += b - a
 
 
 def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origin):
@@ -870,22 +910,22 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
     chart r in [t Rhat, eps] of junction j and joins pieces j and j + 1
     (piece 0 again when the strip closes into a circle); each piece owns
     its body between its neck edges, out to +-inf on a free end.  Every
-    point is looked up once in this tiling, and every field, FIELDS and
-    the cutoff eta_t, is evaluated per zone.  eta_t is junction j's cutoff
-    on neck j (it reaches 1 there, as t^b <= eps), 1 on host bodies and 0
-    on partner bodies; an unglued component has no eta_t (None).
+    point is looked up once in this tiling, and every field, the FIELDS,
+    f'' and the cutoff eta_t, is evaluated per zone.  eta_t is junction
+    j's cutoff on neck j (it reaches 1 there, as t^b <= eps), 1 on host
+    bodies and 0 on partner bodies; an unglued component has no eta_t.
     """
     def comp_of(piece: _Piece) -> Component:
         return (L if piece.source == "L" else L_hat).components[piece.comp_index]
 
     def wrap(x):
-        return x_origin + np.mod(x - x_origin, period) if circle else x
+        return x_origin + _fold(x - x_origin, period) if circle else x
 
     def rdist(J: JunctionInfo, xw):
         """Signed neck radius of xw relative to junction J (wrap-aware)."""
         d = xw - J.center
         if circle:
-            d = np.mod(d + 0.5 * period, period) - 0.5 * period
+            d = _fold(d + 0.5 * period, period) - 0.5 * period
         return J.direction * d
 
     # ---- each piece's body edges, left then right source side -------------
@@ -935,42 +975,43 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
             return scale * np.asarray(comp.warp.fp(xs), dtype=float) / d
         return scale * np.asarray(comp.warp.fpp(xs), dtype=float) / d**2
 
-    def blend(J: JunctionInfo, xw):
-        """(f_t, f_t', f_t'') on the interpolation band: f_t^2 is the
-        chi-blend of the squared rescaled-partner and host warps, chi a
-        fixed C^2 bump in log r (1 at t^tau, 0 at 2 t^tau)."""
+    def blend(J: JunctionInfo, r, names):
+        """(f_t, f_t', and f_t'' when named) at the neck radii r of the
+        interpolation band: f_t^2 is the chi-blend of the squared
+        rescaled-partner and host warps, chi a fixed C^2 bump in log r (1
+        at t^tau, 0 at 2 t^tau)."""
         ci, wi, cj, wj = family.pairs[J.pair]
         host = L.components[ci]
         t = J.t
-        r = rdist(J, xw)
         r1 = t**J.tau
+        second = "fpp" in names
 
         tip_h = host.tip(wi)
         sgn_h = host.r_sign(wi)
         xh = tip_h + sgn_h * r
-        Qh, Qh_p, Qh_pp = _squared_warp(
+        Qh = _squared_warp(
             np.asarray(host.warp.f(xh), dtype=float),
             sgn_h * np.asarray(host.warp.fp(xh), dtype=float),
-            np.asarray(host.warp.fpp(xh), dtype=float))
-        Qp, Qp_p, Qp_pp = _squared_warp(*_rescaled_partner_warp(L_hat.components[cj], wj, r, t))
+            np.asarray(host.warp.fpp(xh), dtype=float) if second else None)
+        Qp = _squared_warp(*_rescaled_partner_warp(L_hat.components[cj], wj, r, t, second))
 
         ln2 = math.log(2.0)
         s = np.log(r / r1) / ln2
         ds = 1.0 / (r * ln2)
-        d2s = -1.0 / (r * r * ln2)
         chi = 1.0 - _smoothstep_c2(s)
         chi_p = -_smoothstep_c2_d1(s) * ds
-        chi_pp = -(_smoothstep_c2_d2(s) * ds * ds + _smoothstep_c2_d1(s) * d2s)
 
-        Q = chi * Qp + (1 - chi) * Qh
-        Q_p = chi_p * (Qp - Qh) + chi * Qp_p + (1 - chi) * Qh_p
-        Q_pp = (chi_pp * (Qp - Qh) + 2 * chi_p * (Qp_p - Qh_p)
-                + chi * Qp_pp + (1 - chi) * Qh_pp)
-
+        Q = chi * Qp[0] + (1 - chi) * Qh[0]
+        Q_p = chi_p * (Qp[0] - Qh[0]) + chi * Qp[1] + (1 - chi) * Qh[1]
         F = np.sqrt(Q)
-        return {"f": F,
-                "fp": Q_p / (2 * F) * J.direction,
-                "fpp": (Q_pp / (2 * F) - Q_p**2 / (4 * F**3)) * J.direction**2}
+        vals = {"f": F, "fp": Q_p / (2 * F) * J.direction}
+        if second:
+            d2s = -1.0 / (r * r * ln2)
+            chi_pp = -(_smoothstep_c2_d2(s) * ds * ds + _smoothstep_c2_d1(s) * d2s)
+            Q_pp = (chi_pp * (Qp[0] - Qh[0]) + 2 * chi_p * (Qp[1] - Qh[1])
+                    + chi * Qp[2] + (1 - chi) * Qh[2])
+            vals["fpp"] = (Q_pp / (2 * F) - Q_p**2 / (4 * F**3)) * J.direction**2
+        return vals
 
     # each piece's radius and weight functions in its own chart and, for
     # partners, the reference weight of its marked end
@@ -1013,29 +1054,37 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
             ahead = (j + 1) % len(pieces)
             partner, host = (j, ahead) if pieces[j].source == "H" else (ahead, j)
             r1 = J.t**J.tau
-            for a in warp:
-                vals[a] = np.empty_like(xw)
-            for sel, p_i in ((r < r1, partner), ((r >= r1) & (r <= 2.0 * r1), None),
-                             (r > 2.0 * r1, host)):
-                if not np.any(sel):
-                    continue
-                part = blend(J, xw[sel]) if p_i is None else piece_fields(p_i, xw[sel], warp)
-                for a in warp:
-                    vals[a][sel] = part[a]
+            out = {a: np.empty_like(xw) for a in warp}
+            # 0: r < t^tau, the partner's; 1: the blend; 2: r > 2 t^tau, the host's
+            band = (r >= r1).view(np.int8) + (r > 2.0 * r1).view(np.int8)
+            for k, spans in _spans(band).items():
+                part = (blend(J, _gather(r, spans), warp) if k == 1
+                        else piece_fields((partner, None, host)[k], _gather(xw, spans), warp))
+                _scatter(out, part, spans)
+            vals.update(out)
         return vals
 
     def evaluate(xw, names):
-        """The named fields (of FIELDS and "eta") at the wrapped points xw:
-        {name: array}.  One zone lookup per point; each zone present is
-        evaluated on its points at once, in ascending zone order."""
-        z = zone_membership(xw)
+        """The named fields (of FIELDS, "fpp" and "eta") at the wrapped
+        points xw: {name: array}.  One zone lookup per point; each zone
+        present is evaluated at once on its points, taken as slices: one
+        for a zone of ascending points, two where it crosses a circle's
+        seam.  Points whose zones form more runs are sorted first (and
+        their values put back after)."""
+        z, order = zone_membership(xw), None
+        spans = _spans(z)
+        if any(len(runs) > 2 for runs in spans.values()):
+            order = np.argsort(xw, kind="stable")
+            xw, spans = xw[order], _spans(z[order])
         out = {a: np.empty_like(xw) for a in names}
-        for z_i in np.flatnonzero(np.bincount(z, minlength=len(zones))):
+        for z_i, runs in spans.items():
             _, _, tag, ref = zones[z_i]
-            sel = z == z_i
-            vals = (neck_fields if tag == "neck" else piece_fields)(ref, xw[sel], names)
-            for a in names:
-                out[a][sel] = vals[a]
+            _scatter(out, (neck_fields if tag == "neck" else piece_fields)(
+                ref, _gather(xw, runs), names), runs)
+        if order is not None:
+            for name, v in out.items():
+                out[name] = np.empty_like(v)
+                out[name][order] = v
         return out
 
     def evaluator(names):

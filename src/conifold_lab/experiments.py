@@ -507,7 +507,8 @@ def _check_fields(config: ExperimentConfig) -> None:
     a glued family that does not glue at a t of t_list, region_atlas's
     kind and link, a t-sweep of one t, the exponent p, eta_bounds's cutoff
     at each t, the weight at each t (the compact case's, the invertibility
-    lemma's and Poincare's conditions) and weight_crossing's rates.  r_max
+    lemma's and Poincare's conditions) and weight_crossing's rates (each
+    exceptional, with surjectivity certified just below it).  r_max
     is checked against an AC end where the grid is built, inside the run."""
     _columns, default, runner = _TABLE[config.experiment]
     model, exp = (default if config.model == "dumbbell" else config.model), config.experiment
@@ -531,6 +532,7 @@ def _check_fields(config: ExperimentConfig) -> None:
             if exp == "weight_crossing":
                 for gamma, e in config.gamma_cases:
                     sl._check_exceptional_rate(gamma, e, geo.m)
+                    sl._check_crossing_surjective(geo, gamma)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model file {model!r} does not load: "
                          f"{type(exc).__name__}: {exc}") from exc
@@ -648,7 +650,8 @@ def run_config_file(path, formats=("csv", "json"), out_dir=".",
     when it is given.  Returns (exit_code, results); the exit code is 0
     iff every configured tolerance passes.  Every config is built and
     checked (_check_fields) before the first experiment runs, and unknown
-    formats, a file of another shape, an empty experiment list and a
+    formats, a file of another shape, an empty experiment list, two
+    entries of one experiment (they would write the same files) and a
     config that refuses its values raise ValueError then."""
     _check_formats(formats)
     with open(path, "r", encoding="utf-8") as fh:
@@ -661,8 +664,15 @@ def run_config_file(path, formats=("csv", "json"), out_dir=".",
         raise ValueError(f"{path} lists no experiments")
     configs = [ExperimentConfig.from_dict(entry if seed is None else {**entry, "seed": seed})
                for entry in entries]
-    for config in configs:
+    first = {}
+    for i, config in enumerate(configs):
         _check_fields(config)
+        j = first.setdefault(config.experiment, i)
+        if j != i:
+            exp = config.experiment
+            raise ValueError(f"entries {j} and {i} of {path} both run {exp} (models "
+                             f"{configs[j].model!r} and {config.model!r}); the second "
+                             f"would overwrite the first's {exp}.* files")
     results = []
     for config in configs:
         res = run(config)

@@ -252,7 +252,9 @@ def _reduction_matrix(grid: RadialGrid, left: ClosureRule | None,
     column c + interior[0]), plus the interior node indices.  R is the
     identity on interior nodes; each closed end adds to its boundary row
     zero (zero), one (robin) or two (cap_even) entries, at offsets +-1
-    and +-2."""
+    and +-2.  A closure that would reach a node that is not interior (on
+    a grid of fewer than 3 nodes for robin, 4 for cap_even) raises
+    ValueError."""
     n = grid.n
     R = {0: np.ones(n)}
     if grid.geometry.circle:
@@ -274,6 +276,11 @@ def _reduction_matrix(grid: RadialGrid, left: ClosureRule | None,
             entries = {}
         else:
             raise ValueError(rule.kind)
+        reach = max(map(abs, entries), default=0)
+        if reach > n - 2:
+            raise ValueError(f"the {rule.kind} closure at node {i} reaches node "
+                             f"{i + reach * inward}, which is not interior: it needs a grid "
+                             f"of at least {reach + 2} nodes, got {n}")
         for d, v in entries.items():
             R.setdefault(d, np.zeros(n))[i] = v
     return dict(sorted(R.items())), np.arange(1, n - 1)
@@ -1052,6 +1059,26 @@ def _check_exceptional_rate(gamma: float, e: float, m: int):
         raise ValueError(f"{gamma} is not an exceptional rate for eigenvalue {e}")
 
 
+def _check_crossing_surjective(geo: RadialGeometry, gamma: float):
+    """Refuse a crossing of gamma unless the classifier certifies
+    surjectivity just below it (the construction needs the cokernel
+    already gone): at gamma less half the gap to the next rate below, at
+    most 0.05."""
+    # call-time import: picks up perfbench's tracing patches, a top-level one would not
+    from .weight_calculus import (EndDescriptor, WeightVector,
+                                  classify_weight_region, exceptional_weights)
+    m = geo.m
+    below = [w.gamma for w in exceptional_weights(geo.link, m, (gamma - 10.0, gamma))
+             if w.gamma < gamma - 1e-9]
+    gap = gamma - max(below) if below else 1.0
+    facts = classify_weight_region("AC", [EndDescriptor("AC", geo.link)],
+                                   WeightVector((gamma - min(0.5 * gap, 0.05),)), m)
+    if facts.surjective is not True:
+        raise WeightConditionError(
+            f"surjectivity below gamma={gamma} is not certified; "
+            "the crossing construction does not apply")
+
+
 def _check_compact_weight(geo: RadialGeometry, beta: float):
     """The compact-case conditions: geo closes up, and beta lies in (2-m, 0)."""
     if not geo.circle and _residual_ends(geo):
@@ -1349,20 +1376,10 @@ def weight_crossing_kernel(
     if len(ac_ends) != 1:
         raise ValueError("weight-crossing construction expects exactly one AC end "
                          "(plus a cap or a CS end)")
+    _check_crossing_surjective(geo, gamma)
 
     # call-time import: picks up perfbench's tracing patches, a top-level one would not
-    from .weight_calculus import (EndDescriptor, WeightVector,
-                                  classify_weight_region, exceptional_weights)
-    below = [w.gamma for w in exceptional_weights(geo.link, m, (gamma - 10.0, gamma))
-             if w.gamma < gamma - 1e-9]
-    gap = gamma - max(below) if below else 1.0
-    beta_check = gamma - min(0.5 * gap, 0.05)
-    facts = classify_weight_region("AC", [EndDescriptor("AC", geo.link)],
-                                   WeightVector((beta_check,)), m)
-    if facts.surjective is not True:
-        raise WeightConditionError(
-            f"surjectivity below gamma={gamma} is not certified; "
-            "the crossing construction does not apply")
+    from .weight_calculus import exceptional_weights
 
     grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
     ac = ac_ends[0]

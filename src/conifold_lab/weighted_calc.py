@@ -35,7 +35,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .conifold_model import FIELDS, PlanSegment, RadialGeometry
+from .conifold_model import FIELDS, PlanSegment, RadialGeometry, _fold
 from .weight_calculus import conjugate_exponents
 
 __all__ = [
@@ -258,10 +258,10 @@ class RadialGrid:
 
     nodes: strictly increasing positions (a fundamental domain for
     circles); quad: weights with int F dx ~ sum quad * F(nodes).
-    Geometry samples (f, f', f'', rho, beta, wextra) are cached at the
-    nodes, taken in one pass from the geometry's `fields` evaluator when
-    it has one (glued geometries classify each node once), else from its
-    six callables.  The derivative stencils d1, d2, the norm volume and
+    Geometry samples (the FIELDS f, f', rho, beta, wextra) are cached at
+    the nodes, taken in one pass from the geometry's `fields` evaluator
+    when it has one (glued geometries classify each node once), else from
+    its five callables.  The derivative stencils d1, d2, the norm volume and
     the e-free part of the mode operator are built lazily, once per grid,
     from these arrays, so the arrays must not be mutated after
     construction (build a new grid instead); only the geometry, nodes and
@@ -276,7 +276,6 @@ class RadialGrid:
     quad: np.ndarray
     f: np.ndarray = field(init=False, repr=False)
     fp: np.ndarray = field(init=False, repr=False)
-    fpp: np.ndarray = field(init=False, repr=False)
     rho: np.ndarray = field(init=False, repr=False)
     beta: np.ndarray = field(init=False, repr=False)
     wextra: np.ndarray = field(init=False, repr=False)
@@ -495,8 +494,7 @@ def build_grid(
     x = np.concatenate(xs)
     w = np.concatenate(ws)
     if geometry.circle:
-        per = geometry.period
-        x = np.mod(x, per)
+        x = _fold(x, geometry.period)
     order = np.argsort(x, kind="stable")
     x, w = x[order], w[order]
     # merge duplicated region endpoints
@@ -519,10 +517,21 @@ def build_grid(
 
 def rescaled_geometry(geo: RadialGeometry, t: float) -> RadialGeometry:
     """Geometry of (L, t^2 g): warp t f(x/t), radius t rho(x/t), weight
-    data transported; boundaries, junctions and plan scaled by t."""
+    data transported; boundaries, junctions and plan scaled by t.  Each
+    field, and `fields` in one pass, is geo's at x / t under one rule."""
     if not t > 0:
         raise ValueError("rescaling parameter must be positive")
-    f, fp, fpp, rho, beta, wextra = geo.f, geo.fp, geo.fpp, geo.rho, geo.beta, geo.wextra
+    rules = {"f": lambda v: t * v, "fpp": lambda v: v / t, "rho": lambda v: t * v}
+
+    def rule(name):
+        return rules.get(name, lambda v: v)
+
+    def field(name):
+        fn, scale = getattr(geo, name), rule(name)
+        return lambda x: scale(np.asarray(fn(np.asarray(x) / t)))
+
+    def fields(x):
+        return tuple(rule(a)(np.asarray(v)) for a, v in zip(FIELDS, geo.fields(np.asarray(x) / t)))
 
     def scale_boundary(b):
         if b is None:
@@ -541,12 +550,7 @@ def rescaled_geometry(geo: RadialGeometry, t: float) -> RadialGeometry:
     return RadialGeometry(
         m=geo.m,
         link=geo.link,
-        f=lambda x: t * np.asarray(f(np.asarray(x) / t)),
-        fp=lambda x: np.asarray(fp(np.asarray(x) / t)),
-        fpp=lambda x: np.asarray(fpp(np.asarray(x) / t)) / t,
-        rho=lambda x: t * np.asarray(rho(np.asarray(x) / t)),
-        beta=lambda x: np.asarray(beta(np.asarray(x) / t)),
-        wextra=lambda x: np.asarray(wextra(np.asarray(x) / t)),
+        **{a: field(a) for a in ("f", "fp", "fpp", "rho", "beta", "wextra")},
         circle=geo.circle,
         period=None if geo.period is None else t * geo.period,
         left=scale_boundary(geo.left),
@@ -554,7 +558,8 @@ def rescaled_geometry(geo: RadialGeometry, t: float) -> RadialGeometry:
         plan=tuple(scale_seg(s) for s in geo.plan),
         junctions=geo.junctions,
         label=f"{geo.label} scaled by {t!r}",
-        eta=None if geo.eta is None else (lambda x: np.asarray(geo.eta(np.asarray(x) / t))),
+        eta=None if geo.eta is None else field("eta"),
+        fields=None if geo.fields is None else fields,
     )
 
 
@@ -752,11 +757,14 @@ def _blocks(rows) -> list[tuple[int, int]]:
     return out
 
 
-def _aranges(spans: list) -> np.ndarray:
-    """The integers of the half-open spans (a, b), concatenated."""
+def _aranges(spans) -> np.ndarray:
+    """The integers of the half-open spans (a, b), concatenated: one
+    arange over all of them, each span's part shifted to its start."""
     if len(spans) == 1:
         return np.arange(*spans[0])
-    return np.concatenate([np.arange(0)] + [np.arange(a, b) for a, b in spans])
+    a, b = np.asarray(spans, dtype=int).reshape(-1, 2).T
+    size = np.maximum(b - a, 0)
+    return np.arange(size.sum()) + np.repeat(a - (np.cumsum(size) - size), size)
 
 
 def _densities_on(grid: RadialGrid, modes: list, windows: list, k: int):
@@ -783,7 +791,7 @@ def _densities_on(grid: RadialGrid, modes: list, windows: list, k: int):
     pos = slice(None)
     if reach:
         circle = grid.geometry.circle
-        tnode = np.mod(tnode, n) if circle else np.minimum(np.maximum(tnode, 0), n - 1)
+        tnode = _fold(tnode, n) if circle else np.minimum(np.maximum(tnode, 0), n - 1)
         pos = _aranges([(s + reach, s + reach + b - a) for s, (a, b) in zip(starts, ranges)])
     slots = tnode.size
     bounds = [starts[i] for i in accumulate([len(win) for win in windows], initial=0)]
@@ -867,7 +875,9 @@ def _family_norms(family: list[ModeFunction], norms, beta: float | None = None,
     the rows, which adds them in node order, so it does not depend on the
     rest of the family.  The nodes outside a window contribute exact
     zeros, so each value equals the full-grid sum up to the order of
-    summation.  weight_fn overrides w = wextra * rho^(-beta)."""
+    summation.  The weights w rho^j are taken once per node, on the nodes
+    from the first window's start to the last one's end, and gathered
+    per block.  weight_fn overrides w = wextra * rho^(-beta)."""
     if not family:
         raise ValueError("empty test family")
     grid = family[0].grid
@@ -875,15 +885,20 @@ def _family_norms(family: list[ModeFunction], norms, beta: float | None = None,
         raise ValueError("family members must share one grid")
     k = max(j for _, js in norms for j in js)
     windows = [_support_window(u) for u in family]
+    ends = [x for win in windows for r in win for x in r]
+    span = slice(min(ends, default=0), max(ends, default=0))
+    w = _weight_values(grid, _beta_values(grid, beta, span), weight_fn, span)
+    # rho**0 is 1.0, so w itself has the same bits
+    wj = {j: w * grid.rho[span]**j if j else w for j in {j for _, js in norms for j in js}}
     sums = np.zeros((len(norms), len(family)))
     for a, b in _blocks([sum(hi - lo for lo, hi in win) for win in windows]):
         dens, node, member = _densities_on(grid, [u.modes for u in family[a:b]], windows[a:b], k)
-        w = _weight_values(grid, _beta_values(grid, beta, node), weight_fn, node)
-        rho, volume = grid.rho[node], grid.volume[node]
+        at = (slice(node.start - span.start, node.stop - span.start) if isinstance(node, slice)
+              else node - span.start)
+        weights, volume = {j: x[at] for j, x in wj.items()}, grid.volume[node]
         for i, (p, js) in enumerate(norms):
             for j in js:
-                wj = w * rho**j if j else w  # rho**0 is 1.0, so the same bits
-                sums[i, a:b] += np.bincount(member, (wj * dens[j]) ** p * volume, b - a)
+                sums[i, a:b] += np.bincount(member, (weights[j] * dens[j]) ** p * volume, b - a)
     # the roots one value at a time: numpy's power picks its kernel by the
     # array's shape, so a member's norm would depend on its family's size
     return np.array([[s ** (1.0 / p) for s in row] for row, (p, _) in zip(sums.tolist(), norms)])
@@ -1152,7 +1167,7 @@ def _bump_windows(grid: RadialGrid, centers: np.ndarray, halfwidths: np.ndarray)
                 x.searchsorted(centers + reach + pad, "right"))
     per = grid.geometry.period
     pad = 1e-12 * (np.abs(centers) + abs(x[0]) + reach + per)
-    c = x[0] + np.mod(centers - x[0], per)  # the centres' images in the node range
+    c = x[0] + _fold(centers - x[0], per)  # the centres' images in the node range
     shifted = c[:, None] + np.array([-per, 0.0, per])
     lo = x.searchsorted(shifted - reach[:, None] - pad[:, None], "left")
     hi = x.searchsorted(shifted + reach[:, None] + pad[:, None], "right")
@@ -1167,12 +1182,12 @@ def _bump_values(grid: RadialGrid, centers: np.ndarray, halfwidths: np.ndarray,
     """The C^2 bumps (1-s^2)^3 of the given centres and halfwidths in x on
     their node windows (bump, lo, hi) from _bump_windows, in one pass:
     (bump, node, value) per window node, bump by bump."""
-    node = _aranges(list(zip(lo.tolist(), hi.tolist())))
+    node = _aranges(np.column_stack((lo, hi)))
     bump = np.repeat(bump, hi - lo)
     x, center, hw = grid.nodes[node], centers[bump], halfwidths[bump]
     if grid.geometry.circle:
         per = grid.geometry.period
-        s = (np.mod(x - center + per / 2, per) - per / 2) / hw
+        s = (_fold(x - center + per / 2, per) - per / 2) / hw
     else:
         s = (x - center) / hw
     inside = np.abs(s) < 1.0

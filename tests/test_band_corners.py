@@ -263,3 +263,23 @@ def test_signed_zeros_of_the_factors_do_not_reach_the_products(grid):
     for L in (grid.d1, grid.d2):
         L = signed_zeros(L)
         assert_same_band(_sandwich(L, parts.W1), ref_sandwich(L, parts.W1))
+
+
+def test_a_closure_that_reaches_past_the_interior_is_refused():
+    """On the 3-node capped grid the cap_even closure's second entry would
+    sit at node 2, the AC boundary node: refused, naming the node count
+    it needs.  A zero closure (e > 0) reaches no node, and the 5-node
+    smallest capped grid above assembles."""
+    geo = GEOMETRIES["hyperboloid_capped"]()
+    short = build_grid(geo, n_per_region=1, min_region_nodes=1)
+    assert short.n == 3
+    with pytest.raises(ValueError, match="the cap_even closure at node 0 reaches node 2, "
+                                         "which is not interior: it needs a grid of at "
+                                         "least 4 nodes, got 3"):
+        assemble_mode_operator(short, 0.0)
+    assert assemble_mode_operator(short, 2.0).interior.tolist() == [1]
+    smallest = build_grid(geo, **SMALLEST_CAPPED)
+    assert smallest.n == 5
+    op = assemble_mode_operator(smallest, 0.0)
+    assert_same_band(op.pi(), ref_pi(op))
+    laplacian_pencil(smallest, 0.0, _form_parts(smallest, -0.5))

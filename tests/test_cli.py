@@ -144,6 +144,38 @@ def test_run_refuses_unusable_fields_before_writing(tmp_path, bad, message):
     assert not out.exists()
 
 
+def test_run_refuses_a_suite_that_repeats_an_experiment(tmp_path):
+    """Two entries of one experiment would write the same files, the second
+    over the first: refused before anything runs, naming both entries."""
+    sweep = {"experiment": "gns_uniformity", "t_list": [0.1, 0.01], "n_per_region": 120,
+             "family_size": 8}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": [{**sweep, "model": "dumbbell"},
+                                                {**sweep, "model": "spindle"}]}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert ("entries 0 and 1 of" in result.output
+            and "both run gns_uniformity (models 'dumbbell' and 'spindle')" in result.output)
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_run_refuses_an_uncertified_crossing_before_writing(tmp_path):
+    """A crossing rate whose surjectivity below it the classifier does not
+    certify is refused before the experiments ahead of it write anything."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": [
+        {"experiment": "region_atlas", "grid_step": 1.0},
+        {"experiment": "weight_crossing", "gamma_cases": [[-2.0, 2.0]], "n_per_region": 60}]}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "surjectivity below gamma=-2.0 is not certified" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment, content, message", [
     ("weight_crossing", {"components": []}, "does not load: KeyError: 'm'"),
     ("neck_convergence", {"m": 3}, "does not load: KeyError: 'components'"),

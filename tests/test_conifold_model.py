@@ -459,8 +459,9 @@ def test_base_geometry_is_the_one_piece_strip(case):
     for a, w, together in zip(FIELDS, want, geo.fields(x)):
         assert np.array_equal(_bits(getattr(geo, a)(x)), _bits(w)), a
         assert np.array_equal(_bits(together), _bits(w)), a
+    assert np.array_equal(_bits(geo.fpp(x)), _bits(np.asarray(ref.fpp(x), dtype=float)))
     for x0 in (float(x[0]), float(x[len(x) // 2]), edges[0], 0.5 * sum(edges)):
-        for a in FIELDS:
+        for a in (*FIELDS, "fpp"):
             got = getattr(geo, a)(x0)
             assert type(got) is np.float64, a
             assert _bits(got) == _bits(np.asarray(getattr(ref, a)(x0), dtype=float)), a
@@ -469,7 +470,7 @@ def test_base_geometry_is_the_one_piece_strip(case):
 def test_base_geometry_refuses_points_past_a_cap_centre():
     geo = preset_model("hyperboloid_capped").geometry(0)
     assert geo.f(0.0) == 1.0
-    for field in FIELDS:
+    for field in (*FIELDS, "fpp"):
         with pytest.raises(ValueError, match="point outside the glued domain"):
             getattr(geo, field)(-0.5)
     with pytest.raises(ValueError, match="point outside the glued domain"):

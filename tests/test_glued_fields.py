@@ -1,15 +1,18 @@
 """Exactness oracle for the one-pass glued-geometry field evaluator.
 
 The per-field glued evaluation (each of f, f', f'', rho, beta and wextra
-classifying the points on its own, the f^2-blend recomputed per field,
-base geometries rebuilt per call) is kept here as the reference; the
-grid arrays taken from the one-pass `fields` evaluator, and the public
-per-field callables, must reproduce it bit for bit.  The zone lookup
-must give the zone indices of the reference's loop over every zone, at
-grid nodes, between them and at and around every zone edge.  The neck
-cutoff eta_t, evaluated per zone like the six fields, must equal the
-minimum over every junction's cutoff with partner bodies zeroed, the
-formula it had while it had its own evaluator."""
+classifying the points on its own with per-point masks, the f^2-blend
+recomputed per field, np.mod for every wrap, the three periodic source
+branches compared one at a time, base geometries rebuilt per call) is
+kept here as the reference; the grid arrays taken from the one-pass
+`fields` evaluator, the rescaled geometries' one-pass `fields`, and the
+public per-field callables, must reproduce it bit for bit, on sorted,
+shuffled and seam-crossing points.  The zone lookup must give the zone
+indices of the reference's loop over every zone, at grid nodes, between
+them and at and around every zone edge.  The neck cutoff eta_t,
+evaluated per zone like the other fields, must equal the minimum over
+every junction's cutoff with partner bodies zeroed, the formula it had
+while it had its own evaluator.  The periodic fold equals np.mod."""
 
 import math
 
@@ -18,9 +21,11 @@ import pytest
 
 from conifold_lab import conifold_model as cm
 from conifold_lab.conifold_model import (
+    _FOLD_MIN_SIZE,
     FIELDS,
     EndSpec,
     _base_geometry,
+    _fold,
     _smoothstep_c2,
     _smoothstep_c2_d1,
     _smoothstep_c2_d2,
@@ -28,10 +33,30 @@ from conifold_lab.conifold_model import (
     dumbbell_family,
     spindle_family,
 )
-from conifold_lab.weighted_calc import build_grid
+from conifold_lab.weighted_calc import build_grid, rescaled_geometry
+
+# the per-field callables: the grid FIELDS and f''
+CALLABLES = (*FIELDS, "fpp")
 
 # ---------------------------------------------------------------------------
 # reference: the per-field glued evaluation
+
+
+def ref_to_src(piece, x, period):
+    """The piece's source coordinate of x: on a circle, of the three
+    periodic branches the first one nearest the source domain's centre."""
+    x = np.asarray(x, dtype=float)
+    if period is None:
+        return (x - piece.offset) / piece.direction
+    cands = [((x + n * period) - piece.offset) / piece.direction for n in (-1, 0, 1)]
+    lo, hi = piece.x_src_lo, piece.x_src_hi
+    center = 0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi) else 0.0
+    best, best_d = cands[0], np.abs(cands[0] - center)
+    for c in cands[1:]:
+        d = np.abs(c - center)
+        take = d < best_d
+        best, best_d = np.where(take, c, best), np.where(take, d, best_d)
+    return best
 
 
 def ref_zone_membership(zones, circle, period, xw):
@@ -135,7 +160,7 @@ def ref_glued_fields(L, L_hat, family, pieces, junctions, junction_sides,
 
     def piece_warp(piece, xw, attr):
         comp = comp_of(piece)
-        xs = piece.to_src(xw, period)
+        xs = ref_to_src(piece, xw, period)
         scale = abs(piece.direction)
         d = piece.direction
         if attr == "f":
@@ -219,11 +244,11 @@ def ref_glued_fields(L, L_hat, family, pieces, junctions, junction_sides,
 
     def src_rho(piece, xw):
         rho = comp_of(piece).default_rho()
-        return abs(piece.direction) * np.asarray(rho(piece.to_src(xw, period)), dtype=float)
+        return abs(piece.direction) * np.asarray(rho(ref_to_src(piece, xw, period)), dtype=float)
 
     def src_beta(piece, xw):
         geo = _base_geometry(src_model(piece), piece.comp_index)
-        return np.asarray(geo.beta(piece.to_src(xw, period)), dtype=float)
+        return np.asarray(geo.beta(ref_to_src(piece, xw, period)), dtype=float)
 
     def partner_wextra(piece, xs):
         ref = next(s.beta for _, s in comp_of(piece).ends() if s.marked)
@@ -344,23 +369,43 @@ def test_grid_fields_match_per_field_evaluation(monkeypatch, case):
     geo, ref = glued_with_reference(monkeypatch, make_family(), t)
     assert geo.fields is not None
     grid = build_grid(geo, n_per_region=400)
+    assert FIELDS == ("f", "fp", "rho", "beta", "wextra") and not hasattr(grid, "fpp")
     for name in FIELDS:
         assert_bitwise(getattr(grid, name), ref[name](grid.nodes), name)
 
 
+def rescaled_reference(ref, s):
+    """The reference fields of the geometry rescaled by s, at x."""
+    rule = {"f": lambda v: s * v, "fpp": lambda v: v / s, "rho": lambda v: s * v}
+    return {name: (lambda x, name=name: rule.get(name, lambda v: v)(
+        np.asarray(ref[name](np.asarray(x) / s)))) for name in CALLABLES}
+
+
 @pytest.mark.parametrize("case", ["dumbbell_t1e-4", "spindle_t1e-2"])
 def test_mapped_grid_fields_match_per_field_evaluation(monkeypatch, case):
+    """The mapped grid takes its arrays from the rescaled geometry's
+    one-pass fields, equal to the rescaled reference bit for bit; so are
+    the one-pass fields and the per-field callables, f'' included, at
+    shuffled off-node points."""
     make_family, t = CASES[case]
     geo, ref = glued_with_reference(monkeypatch, make_family(), t)
     grid = build_grid(geo, n_per_region=400)
     s = 0.37
     mapped = grid.mapped(s)
-    assert mapped.geometry.fields is None  # the six rescaled callables
-    x = np.asarray(mapped.nodes) / s
-    want = {"f": s * ref["f"](x), "fp": ref["fp"](x), "fpp": ref["fpp"](x) / s,
-            "rho": s * ref["rho"](x), "beta": ref["beta"](x), "wextra": ref["wextra"](x)}
+    assert mapped.geometry.fields is not None
+    want = rescaled_reference(ref, s)
     for name in FIELDS:
-        assert_bitwise(getattr(mapped, name), want[name], name)
+        assert_bitwise(getattr(mapped, name), want[name](mapped.nodes), name)
+    x = np.concatenate([mapped.nodes[::5], 0.5 * (mapped.nodes[1:] + mapped.nodes[:-1])[::3]])
+    x = x[np.random.default_rng(1).permutation(x.size)]
+    for name, v in zip(FIELDS, mapped.geometry.fields(x)):
+        assert_bitwise(v, want[name](x), name)
+    for name in CALLABLES:
+        assert_bitwise(getattr(mapped.geometry, name)(x), want[name](x), name)
+    x0 = float(x[7])
+    for name, v in zip(FIELDS, mapped.geometry.fields(x0)):
+        assert np.shape(v) == () and type(v) is type(want[name](x0)), name
+        assert np.array_equal(v, want[name](x0)), name
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -372,7 +417,7 @@ def test_per_field_callables_match_reference(monkeypatch, case):
     x = np.concatenate([grid.nodes[::7], 0.5 * (grid.nodes[1:] + grid.nodes[:-1])[::11]])
     if geo.circle:
         x = np.concatenate([x, x[:20] + geo.period, x[:20] - geo.period])
-    for name in FIELDS:
+    for name in CALLABLES:
         assert_bitwise(getattr(geo, name)(x), ref[name](x), name)
         for x0 in (float(x[0]), float(x[len(x) // 2]), float(x[-1])):
             got, want = getattr(geo, name)(x0), ref[name](x0)
@@ -459,3 +504,89 @@ def test_eta_matches_the_minimum_over_junctions(monkeypatch, case):
     for x0 in (float(special[0]), float(special[-1]), float(grid.nodes[len(grid.nodes) // 3])):
         got, want = geo.eta(x0), ref(x0)
         assert type(got) is type(want) is np.float64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_zone_slices_match_per_point_masks(monkeypatch, case):
+    """Each zone's points are evaluated as slices of the sorted points:
+    sorted input (no sort), the same points shuffled (sorted first, put
+    back after), points across every neck's band edges and, on a circle,
+    points across the seam give the per-point-mask reference bit for
+    bit, one-pass and per field."""
+    make_family, t = CASES[case]
+    args = []
+    build = cm._glued_geometry
+    monkeypatch.setattr(cm, "_glued_geometry", lambda *a: args.append(a) or build(*a))
+    geo, ref = glued_with_reference(monkeypatch, make_family(), t)
+    _, _, fam, pieces, junctions, circle, period, x_origin = args[-1]
+    ref = {**ref, "eta": ref_eta(fam, pieces, junctions, circle, period, x_origin)}
+    grid = build_grid(geo, n_per_region=300)
+    ordered = np.sort(np.concatenate([grid.nodes, 0.5 * (grid.nodes[1:] + grid.nodes[:-1])]))
+    rng = np.random.default_rng(2)
+    crossing = []
+    for J in junctions:
+        for r in (J.t * J.Rhat, J.t**fam.tau, 2.0 * J.t**fam.tau, J.eps):
+            crossing.append(J.center + J.direction * np.linspace(0.95 * r, 1.05 * r, 41))
+    inputs = {"sorted": ordered, "shuffled": ordered[rng.permutation(ordered.size)],
+              "crossing": np.concatenate(crossing)}
+    if circle:
+        inputs["seam"] = np.concatenate([ordered[-40:] - period, ordered[:40]])
+        inputs["seam_shifted"] = np.concatenate([ordered[-40:], ordered[:40] + period])
+    for label, x in inputs.items():
+        for name, v in zip(FIELDS, geo.fields(x)):
+            assert_bitwise(v, ref[name](x), f"{label}: {name}")
+        for name in (*CALLABLES, "eta"):
+            assert_bitwise(getattr(geo, name)(x), ref[name](x), f"{label}: {name}")
+
+
+def fold_cases(period, dtype):
+    """Points at and next to the fold's edges, and the same padded with
+    points of [-period, 2 period) to the size where the fold does its own
+    arithmetic."""
+    if np.issubdtype(dtype, np.integer):
+        edges = np.arange(-period, 2 * period, dtype=dtype)
+    else:
+        p = dtype(period)
+        edges = np.array([0.0, -0.0, p, -p, np.nextafter(2 * p, 0), np.nextafter(p, 0),
+                          np.nextafter(p, 2 * p), np.nextafter(-p, 0), np.nextafter(0, -1),
+                          -1e-300, 0.5 * p, -0.5 * p, 1.5 * p], dtype=dtype)
+    rng = np.random.default_rng(3)
+    fill = rng.uniform(-period, 2 * period, _FOLD_MIN_SIZE).astype(dtype)
+    return {"edges": edges, "padded": np.concatenate([edges, fill]),
+            "padded_reversed": np.concatenate([fill, edges])[::-1]}
+
+
+def assert_same_as_mod(x, period):
+    with np.errstate(invalid="ignore"):
+        got, want = _fold(x, period), np.mod(x, period)
+    assert type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(np.atleast_1d(got).view(np.uint8), np.atleast_1d(want).view(np.uint8))
+
+
+@pytest.mark.parametrize("period, dtype", [(math.pi, np.float64), (2.5, np.float64),
+                                           (7.3e-5, np.float64), (1.5, np.float32),
+                                           (7, np.int64), (5500, np.int64)])
+def test_fold_equals_np_mod(period, dtype):
+    """Bit for bit and in np.mod's dtype: +-0.0 (-0.0 becomes +0.0),
+    +-period, 2 period less one ulp, the floats next to 0 and period, on
+    the fold's own path and on np.mod's below its minimum size."""
+    for x in fold_cases(period, dtype).values():
+        assert_same_as_mod(x, period)
+    assert _FOLD_MIN_SIZE > 1
+
+
+@pytest.mark.parametrize("extra", [[np.nan], [2 * math.pi], [-math.pi - 1e-9], [1e6], [np.inf],
+                                   [-np.inf]])
+def test_fold_falls_back_to_np_mod(extra):
+    """Outside [-period, 2 period), and on NaN, the whole call is np.mod's."""
+    x = np.concatenate([fold_cases(math.pi, np.float64)["padded"], extra])
+    assert_same_as_mod(x, math.pi)
+    assert_same_as_mod(x[::-1], math.pi)
+
+
+def test_fold_empty_and_mixed_dtypes():
+    for x, period in ((np.array([]), 2.0), (np.array([], dtype=np.int64), 3),
+                      (np.array([], dtype=np.int64), 2.5),
+                      (np.arange(-3, _FOLD_MIN_SIZE, dtype=np.int64), 2.5),
+                      (np.asarray(-0.0), 1.0), (np.asarray(5), 3)):
+        assert_same_as_mod(x, period)

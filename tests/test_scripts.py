@@ -1,10 +1,13 @@
 """Smoke tests of the study scripts, run as a user would run them."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -107,3 +110,62 @@ def test_diff_emitted_reports_cells_of_two_quick_suite_emits(tmp_path):
     (b / "eta_bounds.csv").write_text("\n".join((a / "eta_bounds.csv").read_text().splitlines()[:-1]) + "\n")
     missing_row = run_diff(a, b)
     assert missing_row.returncode == 1 and "MISMATCH rows" in missing_row.stdout
+
+
+def load_bench_pairs():
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_run(pass_s, setup_s, correct=True, failed=0):
+    """run.py's output for one run: an env line, summaries, the result."""
+    result = {"correct": correct, "attempted": 128, "failed": failed, "metrics": {
+        "setup_s": {"value": setup_s, "unit": "s"},
+        "pass_s": {"value": pass_s, "unit": "s"},
+        "peak_rss_mb": {"value": 74.25, "unit": "MB"}}}
+    return "\n".join([
+        'env {"git_sha": "unknown", "nproc": 2}',
+        "glued_norms seed=4 input_seed=4 passes=8 traced_passes=0",
+        "failed_frac 0.0 ratio (0/128) result_drift 0 count",
+        json.dumps(result)]) + "\n"
+
+
+def test_bench_pairs_summary_on_canned_runs():
+    bp = load_bench_pairs()
+    parent = [0.24, 0.25, 0.23, 0.26, 0.22]
+    change = [0.20, 0.21, 0.24, 0.22, 0.19]
+    pairs = [(10 + i, bp.parse_result(canned_run(p, 0.2)),
+              bp.parse_result(canned_run(c, 0.19 if i % 2 else 0.21, correct=i != 4)))
+             for i, (p, c) in enumerate(zip(parent, change))]
+    lines = bp.summarize(pairs, {"pass_s": "lower"})
+    assert lines[0].split() == ["metric", "side", "min", "q1", "median", "q3", "max"]
+    table = {tuple(line.split()[:2]): [float(v) for v in line.split()[2:]]
+             for line in lines[1:] if not line.split()[0].endswith(":")
+             and line.split()[1] in ("parent", "change")}
+    # quartiles as statistics.quantiles(n=4) gives them
+    assert table[("pass_s", "parent")] == pytest.approx([0.22, 0.225, 0.24, 0.255, 0.26])
+    assert table[("pass_s", "change")] == pytest.approx([0.19, 0.195, 0.21, 0.23, 0.24])
+    verdict = next(line for line in lines if line.startswith("pass_s:"))
+    assert verdict == ("pass_s: change better in 4 of 5 pairs; median 0.2400 -> 0.2100 "
+                       "(-12.5 %); median gap 0.0300 against the parent's Q3 - Q1 0.0300")
+    setup = next(line for line in lines if line.startswith("setup_s:"))
+    assert setup.startswith("setup_s: change better in 2 of 5 pairs")  # 0.19 < 0.2 < 0.21
+    assert "peak_rss_mb: change better in 0 of 5 pairs" in lines[-6]  # ties are no win
+    assert lines[-1] == ("seed 14: parent setup_s 0.2000 pass_s 0.2200 peak_rss_mb 74.2500 "
+                         "correct true failed 0/128 | change setup_s 0.2100 pass_s 0.1900 "
+                         "peak_rss_mb 74.2500 correct false failed 0/128")
+
+
+def test_bench_pairs_refuses_bad_arguments(tmp_path):
+    bp = load_bench_pairs()
+    with pytest.raises(ValueError, match="printed nothing"):
+        bp.parse_result("")
+    with pytest.raises(ValueError, match="no metrics"):
+        bp.parse_result('{"correct": true}\n')
+    assert bp.main([str(tmp_path), str(ROOT), "--workload", "glued_norms", "--pairs", "3",
+                    "--seed0", "0"]) == 2
+    assert bp.main([str(ROOT), str(ROOT), "--workload", "glued_norms", "--pairs", "1",
+                    "--seed0", "0"]) == 2

@@ -82,6 +82,29 @@ def ref_weighted_sobolev_norm(u, spec, weight_fn=None):
     return total ** (1.0 / spec.p)
 
 
+def ref_family_norms_rows(family, norms, beta=None, weight_fn=None):
+    """The norm engine with its weights taken per row: w = wextra
+    rho^(-beta) (or weight_fn's) and w rho^j at each block's rows."""
+    grid = family[0].grid
+    k = max(j for _, js in norms for j in js)
+    windows = [_support_window(u) for u in family]
+    sums = np.zeros((len(norms), len(family)))
+    for a, b in wc._blocks([sum(hi - lo for lo, hi in win) for win in windows]):
+        dens, node, member = wc._densities_on(grid, [u.modes for u in family[a:b]],
+                                              windows[a:b], k)
+        rho, volume = grid.rho[node], grid.volume[node]
+        if weight_fn is not None:
+            w = np.asarray(weight_fn(grid.nodes), dtype=float)[node]
+        else:
+            w = grid.wextra[node] * rho ** (-(grid.beta[node] if beta is None
+                                               else np.full(rho.size, float(beta))))
+        for i, (p, js) in enumerate(norms):
+            for j in js:
+                wj = w * rho**j if j else w
+                sums[i, a:b] += np.bincount(member, (wj * dens[j]) ** p * volume, b - a)
+    return np.array([[s ** (1.0 / p) for s in row] for row, (p, _) in zip(sums.tolist(), norms)])
+
+
 def ref_gradient_norm(u, p, beta=None):
     g = u.grid
     w = g.wextra * g.rho ** (1.0 - ref_beta(g, beta))
@@ -240,6 +263,25 @@ def test_family_engine_weight_fn_path(grid):
         for u, value in zip(funcs, row):
             assert_close(float(value), ref_weighted_sobolev_norm(
                 u, WeightSpec(p=2.0, k=k, beta=None), weight_fn=weight_fn))
+
+
+@pytest.mark.parametrize("beta", [None, 0.3, "weight_fn"])
+def test_family_engine_node_weights_match_row_weights(grid, beta):
+    """Weights taken once on the nodes and gathered per block give the
+    per-row weights' norms bit for bit, over several blocks."""
+    funcs = functions_on(grid) + bump_family(grid, n_members=32, seed=6)
+    funcs += [ModeFunction.single(grid, 0.0, grid.rho ** (0.1 * i)) for i in range(6)]
+    assert len(wc._blocks([sum(hi - lo for lo, hi in _support_window(u)) for u in funcs])) > 1
+    weight_fn = None
+    if beta == "weight_fn":
+        beta = None
+
+        def weight_fn(x):
+            return 1e-3 ** (grid.beta + 0.5) * grid.rho ** (-grid.beta) * grid.wextra
+
+    norms = [(6.0, (0,)), (2.0, (0, 1)), (2.0, (1,)), (3.0, range(3)), (1.0, (2,))]
+    got = _family_norms(funcs, norms, beta, weight_fn)
+    assert np.array_equal(got, ref_family_norms_rows(funcs, norms, beta, weight_fn))
 
 
 @pytest.mark.parametrize("p", [2.0, 6.0])
