@@ -438,12 +438,23 @@ def _region_atlas(cfg: ExperimentConfig):
     return rows, {"cells": len(rows), "consistent": ok, "pass": ok}
 
 
+def _identity_geometries(cfg: ExperimentConfig):
+    """norm_identities' exact cone, and a cone of variable per-end weights
+    (they need the constant reference-weight correction)."""
+    link = make_link("sphere", dim=2)
+    var = cm.ConifoldModel(3, (cm.Component(
+        link=link, warp=cm.warp_preset("exact_cone"),
+        left=cm.EndSpec("CS", link, nu=1.0, beta=cfg.beta, boundary=2.0),
+        right=cm.EndSpec("AC", link, nu=-1.0, beta=cfg.beta + 1.0, boundary=2.0),
+    ),))
+    return cm.preset_model("exact_cone_cs_ac", beta=cfg.beta).geometry(0), var.geometry(0)
+
+
 def _norm_identities(cfg: ExperimentConfig):
     tol = cfg.tolerances
     rows = []
-    cone = cm.preset_model("exact_cone_cs_ac", beta=cfg.beta)
-    grid = wc.build_grid(cone.geometry(0), n_per_region=cfg.n_per_region,
-                         r_max=cfg.r_max)
+    cone, var = _identity_geometries(cfg)
+    grid = wc.build_grid(cone, n_per_region=cfg.n_per_region, r_max=cfg.r_max)
     rng = np.random.default_rng(cfg.seed)
     bumps = wc.bump_family(grid, n_members=4, seed=cfg.seed)
     cases = []
@@ -452,15 +463,7 @@ def _norm_identities(cfg: ExperimentConfig):
         cases.append((f"scaled_{i}", u, wc.WeightSpec(p=2.0, k=min(i, 2) % 3, beta=0.0), t))
         cases.append((f"weighted_{i}", u,
                       wc.WeightSpec(p=2.0, k=(i + 1) % 3, beta=cfg.beta), t))
-    # variable per-end weights need the constant reference-weight correction
-    link = make_link("sphere", dim=2)
-    var = cm.ConifoldModel(3, (cm.Component(
-        link=link, warp=cm.warp_preset("exact_cone"),
-        left=cm.EndSpec("CS", link, nu=1.0, beta=cfg.beta, boundary=2.0),
-        right=cm.EndSpec("AC", link, nu=-1.0, beta=cfg.beta + 1.0, boundary=2.0),
-    ),))
-    vgrid = wc.build_grid(var.geometry(0), n_per_region=cfg.n_per_region,
-                          r_max=cfg.r_max)
+    vgrid = wc.build_grid(var, n_per_region=cfg.n_per_region, r_max=cfg.r_max)
     vbumps = wc.bump_family(vgrid, n_members=2, modes=(0.0,), seed=cfg.seed + 1)
     for i, u in enumerate(vbumps):
         t = float(10.0 ** (-rng.uniform(0.5, 1.5)))
@@ -508,8 +511,8 @@ def _check_fields(config: ExperimentConfig) -> None:
     kind and link, a t-sweep of one t, the exponent p, eta_bounds's cutoff
     at each t, the weight at each t (the compact case's, the invertibility
     lemma's and Poincare's conditions) and weight_crossing's rates (each
-    exceptional, with surjectivity certified just below it).  r_max
-    is checked against an AC end where the grid is built, inside the run."""
+    exceptional, with surjectivity certified just below it), and r_max
+    against every AC end that an experiment meshing with it truncates."""
     _columns, default, runner = _TABLE[config.experiment]
     model, exp = (default if config.model == "dumbbell" else config.model), config.experiment
     if getattr(runner, "t_sweep", False):
@@ -525,11 +528,14 @@ def _check_fields(config: ExperimentConfig) -> None:
                     sl._check_lemma_weights(geo, float(config.beta))
                 elif exp == "poincare_uniformity":
                     sl._check_poincare_weights(geo, float(config.beta))
+                if getattr(runner, "t_sweep", False):  # compact's checked geo has no AC end
+                    wc._check_r_max(geo, config.r_max)
             if exp in ("embedding_uniformity", "gns_uniformity"):
                 _sobolev_exponents(config.p, fam.L.m)
         elif default in _MODELS:
             geo = sl._resolve_geometry(_base_model(replace(config, model=model)))
             if exp == "weight_crossing":
+                wc._check_r_max(geo, config.r_max)
                 for gamma, e in config.gamma_cases:
                     sl._check_exceptional_rate(gamma, e, geo.m)
                     sl._check_crossing_surjective(geo, gamma)
@@ -540,6 +546,8 @@ def _check_fields(config: ExperimentConfig) -> None:
         _region_link(config.kind, config.m, config.link)
     if exp == "norm_identities":
         wc._holder_sweep([], config.p, config.beta, 0.25)  # no pairs: checks p alone
+        for geo in _identity_geometries(config):
+            wc._check_r_max(geo, config.r_max)
     if exp == "eta_bounds":
         for t in config.t_list:
             cm.cutoff_eta(t, config.a, config.b)

@@ -60,39 +60,32 @@ A - sigma B that splu factors; ModeOperator.solve factors Pi as CSC; and
 LaplacePencil.A and B are CSC, built on first use for code that counts
 stored entries (perfbench sums their nnz).
 
-Two eigen engines share those bands.  _certified_smallest (banded
-Cholesky in LAPACK's upper-band storage, a shift certified by Sylvester
-inertia, then shift-invert Lanczos on that shift's factor, with full
-reorthogonalization twice per step, stopped by ARPACK's test beta_j |s_j|
-<= eps theta) takes Poincare's modes and the modes e > 0 of
-invertibility_constant and of restricted_invertibility_compact: their
-smallest values are isolated or clustered above the continuum's edge,
-and it moves them by rounding of the assembled pencil only (at most 6e-9
-relative).  Its bracket starts cold at the base shift, or warm from an
-estimate near of lam_1 (_spectrum_slice): invertibility_constant and
-poincare_constant take it per mode from the report of the previous t of
-a sweep.  Warm, the first factorization sits 1 % below near, inverse
-iteration on it settles a Rayleigh quotient, one probe 1e-4 below that
-quotient gives the Lanczos shift, and bisection on the bracket known by
-then is the fallback; a failed first factorization falls back to the
-cold start.  Compact's constrained mode 0 (_constrained_smallest) runs
-the same Lanczos on one banded factor at a shift far below the pencil's
-floor, projected onto the constraint's complement.  The factorization,
-once and at a given shift s, also rules modes out of a constant
-(_spectrum_above): compact's minimum and Poincare's maximum solve only
-the modes that can set them, and a mode whose A - s B factors at s = (1
-+ _EXCLUSION_MARGIN) times the running extremum (in lam) is reported as
-a certified bound in the report's `bounded`, unsolved.  The mode that
-sets a constant is always solved, so the constants are those of solving
-every mode.  smallest_pencil_eigs (ARPACK from the base shift, splu)
-keeps, bit for bit, the kernel scan (k = 4 near-null values), compact's
-unconstrained near-null mode-0 value and invertibility's mode 0, whose
-polished value sits at the bottom of the truncated continuum: its eighth
-digit depends on the start vector (ARPACK spreads up to 5.5e-8 over
-random ones), and moving it moves the sweep's trend_slope.  Neither
-engine has a fallback: a failed factorization or solve raises its own
-error (SuperLU's, ARPACK's or the engine's), which an experiment passes
-on as ExperimentError.__cause__.
+Two eigen engines share those bands.  _certified_smallest (a shift
+certified by banded Cholesky and Sylvester inertia, then shift-invert
+Lanczos on its factor) moves what it solves by rounding of the
+assembled pencil only (at most 6e-9 relative), starting cold or warm
+from an estimate near (_spectrum_slice); _constrained_smallest runs the
+same Lanczos on a constraint's complement.  smallest_pencil_eigs (ARPACK
+from the base shift, splu) keeps, bit for bit, the kernel scan (k = 4
+near-null values) and two mode-0 values below.  Neither engine has a
+fallback: a failed factorization or solve raises its own error
+(SuperLU's, ARPACK's or the engine's), which an experiment passes on as
+ExperimentError.__cause__.
+
+The three constants that are extrema over link modes are one
+_mode_sweep each.  Per mode it builds the constant's pencil and runs the
+constant's mode-0 solver on e = 0 if it has one; else, if the constant
+excludes, the exclusion test at s = (1 + _EXCLUSION_MARGIN) times the
+running minimum of lam (_spectrum_above: A - s B factors iff the
+spectrum lies above s), a mode that passes going to `bounded` unsolved;
+else _certified_smallest, warm from the mode's value at the previous t
+if the constant passes one.  The mode of the least lam is always solved.
+invertibility_constant runs ARPACK on mode 0 (its eighth digit follows
+the start vector, up to 5.5e-8 over random ones, and moves the sweep's
+trend_slope) and excludes nothing, emitting each mode's sigma;
+restricted_invertibility_compact runs ARPACK for mode 0's unconstrained
+near-null value, then _constrained_smallest, and excludes from cold
+starts; poincare_constant has no mode-0 solver and excludes.
 """
 
 from __future__ import annotations
@@ -1110,6 +1103,37 @@ def _check_nonexceptional(geo: RadialGeometry, beta: float):
 # invertibility / Poincare constants
 
 
+def _mode_sweep(link: Link, e_max: float, pencil, near: dict, solve0=None, exclude=False):
+    """(per_mode, bounded) as the module docstring describes: (e, lam) of
+    each mode e <= e_max solved, and (e, s) of each mode ruled out, its
+    spectrum lying above s.  pencil(e) -> (A, B, num_form), bands and a
+    polish or None; solve0(A, B, num_form) -> lam of mode 0."""
+    per_mode, bounded = [], []
+    for e, _mult in link.eigenvalues_below(e_max):
+        A, B, num_form = pencil(e)
+        shift = (1.0 + _EXCLUSION_MARGIN) * min((v for _, v in per_mode), default=math.inf)
+        if e == 0.0 and solve0 is not None:
+            lam = solve0(A, B, num_form)
+        elif exclude and per_mode and _spectrum_above(A, B, shift):
+            bounded.append((float(e), shift))
+            continue
+        else:
+            lam = _certified_smallest(A, B, num_form=num_form, near=near.get(e))
+        per_mode.append((float(e), float(lam)))
+    return per_mode, bounded
+
+
+def _laplacian_pencils(grid: RadialGrid, beta: float):
+    """e -> (A, B, num_form) of laplacian_pencil at the weight beta."""
+    parts = _form_parts(grid, beta)
+
+    def pencil(e: float):
+        pen = laplacian_pencil(grid, e, parts)
+        return pen.A_bands, pen.B_bands, pen.numerator
+
+    return pencil
+
+
 @dataclass(frozen=True)
 class InvertibilityReport:
     constant: float
@@ -1133,31 +1157,22 @@ def invertibility_constant(
     generalized singular value of Delta as a map W^2_{2,beta} ->
     W^2_{0,beta-2}.  Weight preconditions are enforced, not assumed.
 
-    previous, the report at the neighbouring t of a sweep, hands each
-    mode e > 0 it solved to _certified_smallest as the estimate near =
-    sigma^2: it moves where the certified solve starts, not what it
-    certifies."""
+    A _mode_sweep (module docstring).  previous, the report at the
+    neighbouring t of a sweep, gives each mode e > 0 the estimate near =
+    sigma^2: it moves where the certified solve starts, not its result."""
     _check_e_max(e_max)
     geo = _resolve_geometry(model)
     _check_lemma_weights(geo, float(beta))
     _check_nonexceptional(geo, beta)
     if grid is None:
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
-    parts = _form_parts(grid, beta)
-    near = {e: s * s for e, s in previous.per_mode} if previous else {}
-    per_mode = []
-    for e, _mult in geo.link.eigenvalues_below(e_max):
-        pen = laplacian_pencil(grid, e, parts)
-        if e == 0.0:  # at the continuum's edge: see the module docstring
-            lam = smallest_pencil_eigs(pen.A_bands, pen.B_bands, k=1, num_form=pen.numerator)[0]
-        else:
-            lam = _certified_smallest(pen.A_bands, pen.B_bands, num_form=pen.numerator,
-                                      near=near.get(e))
-        per_mode.append((float(e), float(_sigma_from(lam))))
+    lams, _ = _mode_sweep(geo.link, e_max, _laplacian_pencils(grid, beta),
+                          {e: s * s for e, s in previous.per_mode} if previous else {},
+                          lambda A, B, nf: smallest_pencil_eigs(A, B, k=1, num_form=nf)[0])
+    per_mode = tuple((e, float(_sigma_from(lam))) for e, lam in lams)
     sigma_min = min(s for _, s in per_mode)
     return InvertibilityReport(constant=1.0 / sigma_min, sigma_min=sigma_min,
-                               per_mode=tuple(per_mode), beta=float(beta),
-                               grid_size=grid.n)
+                               per_mode=per_mode, beta=float(beta), grid_size=grid.n)
 
 
 @dataclass(frozen=True)
@@ -1203,13 +1218,8 @@ def restricted_invertibility_compact(
     while the higher modes are unconstrained.  Also reports the
     unconstrained mode-0 minimum (a near-zero sanity value: constants).
 
-    Mode 0's constrained value comes from _constrained_smallest, its
-    unconstrained one from smallest_pencil_eigs.  A mode e > 0 is solved
-    only if it can lower the running minimum sigma_*: one banded Cholesky
-    of its pencil at s = (1 + _EXCLUSION_MARGIN) sigma_*^2
-    (_spectrum_above) that succeeds puts its sigma above sqrt(s), and the
-    mode goes to `bounded` unsolved.  The mode that sets the constant is
-    always solved."""
+    A _mode_sweep (module docstring); a mode ruled out has sigma >
+    sqrt(s)."""
     _check_e_max(e_max)
     m_geo = family.at(t).geometry
     _check_compact_weight(m_geo, beta)
@@ -1221,38 +1231,23 @@ def restricted_invertibility_compact(
     in_core = (grid.nodes >= core[0]) & (grid.nodes <= core[1])
     vol = grid.quad * grid.f ** (m_geo.m - 1) * grid.volume_factor
     q = eta_vals * vol * in_core
+    reduction, interior = _reduction_matrix(grid, *_default_closures(grid, 0.0, beta))
+    q_red = _band_rows(_transpose(reduction), q)[interior]  # on mode 0's reduced space
+    mode0 = {}
 
-    parts = _form_parts(grid, beta)
-    per_mode, bounded = [], []
-    sigma0_unc = None
-    for e, _mult in m_geo.link.eigenvalues_below(e_max):
-        pen = laplacian_pencil(grid, e, parts)
-        nf = pen.numerator
-        if e == 0.0:
-            q_red = _band_rows(_transpose(pen.op.reduction), q)[pen.op.interior]
-            lam_u = smallest_pencil_eigs(pen.A_bands, pen.B_bands, k=1, num_form=nf)
-            sigma0_unc = float(_sigma_from(lam_u)[0])
-            lam_c = _constrained_smallest(pen.A_bands, pen.B_bands, q_red, nf)
-            per_mode.append((0.0, float(_sigma_from(lam_c))))
-            continue
-        if per_mode:
-            shift = (1.0 + _EXCLUSION_MARGIN) * min(s for _, s in per_mode) ** 2
-            if _spectrum_above(pen.A_bands, pen.B_bands, shift):
-                bounded.append((float(e), math.sqrt(shift)))
-                continue
-        lam = _certified_smallest(pen.A_bands, pen.B_bands, num_form=nf)
-        per_mode.append((float(e), float(_sigma_from(lam))))
+    def constrained(A, B, num_form):
+        lam_u = smallest_pencil_eigs(A, B, k=1, num_form=num_form)
+        mode0["sigma"] = float(_sigma_from(lam_u)[0])
+        return _constrained_smallest(A, B, q_red, num_form)
+
+    lams, bounded = _mode_sweep(m_geo.link, e_max, _laplacian_pencils(grid, beta), {},
+                                constrained, exclude=True)
+    per_mode = tuple((e, float(_sigma_from(lam))) for e, lam in lams)
     sigma_min = min(s for _, s in per_mode)
     return CompactInvertibilityReport(
-        constant=1.0 / sigma_min,
-        sigma_constrained=sigma_min,
-        sigma_mode0_unconstrained=sigma0_unc,
-        per_mode=tuple(per_mode),
-        bounded=tuple(bounded),
-        beta=float(beta),
-        core=core,
-        grid_size=grid.n,
-    )
+        constant=1.0 / sigma_min, sigma_constrained=sigma_min,
+        sigma_mode0_unconstrained=mode0["sigma"], per_mode=per_mode, beta=float(beta),
+        bounded=tuple((e, math.sqrt(s)) for e, s in bounded), core=core, grid_size=grid.n)
 
 
 def _gradient_forms(grid: RadialGrid, beta: float):
@@ -1301,14 +1296,8 @@ def poincare_constant(
     Requires weights that keep constants out of the space: every residual
     AC end with beta < 0 or CS end with beta > 0.
 
-    After the first mode, a mode is solved only if it can raise the
-    running maximum C_*: one banded Cholesky of its pencil at s = (1 +
-    _EXCLUSION_MARGIN) / C_*^2 (_spectrum_above) that succeeds puts its
-    ratio below 1/sqrt(s), and the mode goes to `bounded` unsolved.  The
-    mode that sets the constant is always solved.
-
-    previous, the report at the neighbouring t of a sweep, hands each
-    mode it solved to _certified_smallest as the estimate near =
+    A _mode_sweep (module docstring) of ratio 1/sqrt(lam); a mode ruled
+    out has ratio < 1/sqrt(s).  previous gives each mode it solved near =
     1/ratio^2, as in invertibility_constant."""
     _check_e_max(e_max)
     geo = _resolve_geometry(model)
@@ -1317,22 +1306,19 @@ def poincare_constant(
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
     parts = _form_parts(grid, beta)
     gradient_bands = _gradient_forms(grid, beta)
-    near = {e: c**-2 for e, c in previous.per_mode} if previous else {}
-    per_mode, bounded = [], []
-    for e, _mult in geo.link.eigenvalues_below(e_max):
+
+    def pencil(e):
         op = assemble_mode_operator(grid, e, beta=beta)
         M1 = op.reduce(weighted_form(grid, 1, e, parts))
-        G_red = op.reduce(gradient_bands(e))
-        if per_mode:
-            shift = (1.0 + _EXCLUSION_MARGIN) / max(c for _, c in per_mode) ** 2
-            if _spectrum_above(G_red, M1, shift):
-                bounded.append((float(e), 1.0 / math.sqrt(shift)))
-                continue
-        lam0 = max(_certified_smallest(G_red, M1, near=near.get(e)), 1e-300)
-        per_mode.append((float(e), 1.0 / math.sqrt(lam0)))
-    constant = max(c for _, c in per_mode)
-    return PoincareReport(constant=constant, per_mode=tuple(per_mode),
-                          bounded=tuple(bounded), beta=float(beta), grid_size=grid.n)
+        return op.reduce(gradient_bands(e)), M1, None
+
+    lams, bounded = _mode_sweep(geo.link, e_max, pencil,
+                                {e: c**-2 for e, c in previous.per_mode} if previous else {},
+                                exclude=True)
+    per_mode = tuple((e, 1.0 / math.sqrt(max(lam, 1e-300))) for e, lam in lams)
+    return PoincareReport(constant=max(c for _, c in per_mode), per_mode=per_mode,
+                          bounded=tuple((e, 1.0 / math.sqrt(s)) for e, s in bounded),
+                          beta=float(beta), grid_size=grid.n)
 
 
 # ---------------------------------------------------------------------------

@@ -412,8 +412,8 @@ def _log_segment_nodes(seg: PlanSegment, hz: float, r_max: float,
     stay uniform in log r across region interfaces at hard endpoints.
     Where that takes fewer than min_nodes - 1 steps, the soft endpoint is
     the truncation itself, reached in min_nodes - 1 equal log steps, so it
-    never lies a full step hz or more beyond the truncation.  A soft
-    endpoint that does not lie beyond the anchored one is refused."""
+    never lies a full step hz or more beyond the truncation.  A CS
+    truncation at or above its anchor is refused (AC: _check_r_max)."""
     r_lo, r_hi = seg.r_lo, seg.r_hi
     if r_lo is None and r_hi is None:
         raise ValueError("log segments need at least one anchored endpoint")
@@ -425,10 +425,7 @@ def _log_segment_nodes(seg: PlanSegment, hz: float, r_max: float,
         steps = math.ceil(target / hz)
         r_lo = r_hi * (math.exp(-steps * hz) if steps >= min_nodes - 1 else r_min_factor)
     elif r_hi is None:
-        target = math.log(r_max / r_lo)
-        if not target > 0:
-            raise ValueError(f"r_max {r_max} cuts an AC end at or below its radius {r_lo}")
-        steps = math.ceil(target / hz)
+        steps = math.ceil(math.log(r_max / r_lo) / hz)
         r_hi = r_lo * math.exp(steps * hz) if steps >= min_nodes - 1 else r_max
     else:
         steps = int(round(math.log(r_hi / r_lo) / hz))
@@ -436,6 +433,13 @@ def _log_segment_nodes(seg: PlanSegment, hz: float, r_max: float,
         raise ValueError(f"bad log segment radii [{r_lo}, {r_hi}]")
     r = np.geomspace(r_lo, r_hi, max(min_nodes - 1, steps) + 1)
     return seg.x0 + seg.sign * r
+
+
+def _check_r_max(geometry: RadialGeometry, r_max: float) -> None:
+    """ValueError if r_max cuts an AC end of geometry at or below its radius."""
+    for seg in geometry.plan:
+        if seg.kind == "log" and seg.r_hi is None and not math.log(r_max / seg.r_lo) > 0:
+            raise ValueError(f"r_max {r_max} cuts an AC end at or below its radius {seg.r_lo}")
 
 
 def _segment_quadrature(seg: PlanSegment, nodes_x: np.ndarray):
@@ -470,6 +474,7 @@ def build_grid(
     All log regions share one log-spacing (the budget is split in
     proportion to the decade spans), so stencils stay second-order across
     region interfaces of end charts."""
+    _check_r_max(geometry, r_max)
     log_segs = [s for s in geometry.plan if s.kind == "log"]
     spans = []
     for s in log_segs:
@@ -528,10 +533,10 @@ def rescaled_geometry(geo: RadialGeometry, t: float) -> RadialGeometry:
 
     def field(name):
         fn, scale = getattr(geo, name), rule(name)
-        return lambda x: scale(np.asarray(fn(np.asarray(x) / t)))
+        return lambda x: scale(fn(np.asarray(x) / t))
 
     def fields(x):
-        return tuple(rule(a)(np.asarray(v)) for a, v in zip(FIELDS, geo.fields(np.asarray(x) / t)))
+        return tuple(rule(a)(v) for a, v in zip(FIELDS, geo.fields(np.asarray(x) / t)))
 
     def scale_boundary(b):
         if b is None:

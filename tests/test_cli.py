@@ -144,6 +144,24 @@ def test_run_refuses_unusable_fields_before_writing(tmp_path, bad, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment", [
+    "embedding_uniformity", "gns_uniformity", "invertibility_uniformity", "poincare_uniformity",
+    "weight_crossing", "norm_identities"])
+def test_run_refuses_an_r_max_inside_an_ac_end_before_writing(tmp_path, experiment):
+    """Every experiment that meshes with r_max meets an AC end of radius 1
+    or more; r_max 0.5 cuts it and is refused before the atlas ahead of it
+    writes anything."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": [{"experiment": "region_atlas"},
+                                                {"experiment": experiment, "r_max": 0.5}]}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "r_max 0.5 cuts an AC end at or below its radius" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 def test_run_refuses_a_suite_that_repeats_an_experiment(tmp_path):
     """Two entries of one experiment would write the same files, the second
     over the first: refused before anything runs, naming both entries."""

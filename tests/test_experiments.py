@@ -254,6 +254,66 @@ def test_arpack_solves_only_the_pinned_paths(monkeypatch):
     assert len(calls) == sum(len(row.per_mode) for row in rows) == 2 * 3
 
 
+def test_each_constant_solves_each_mode_on_its_pinned_path(monkeypatch):
+    """On a 3-t sweep, the solver calls of each eigen constant, as
+    (solver, e, near) in order, e being the mode last assembled:
+    invertibility runs ARPACK on mode 0 and the certified solve on every e
+    > 0, warm from the previous t's sigma^2; compact runs ARPACK, then the
+    constrained solve on mode 0, and per e > 0 the exclusion test, then a
+    cold certified solve of the modes it does not rule out; Poincare runs
+    the certified solve on mode 0 and, per e > 0, the exclusion test, then
+    the certified solve of the modes it does not rule out, each warm from
+    the previous t's 1/ratio^2 where that t solved the mode."""
+    calls, assembled, reports = [], [], []
+    assemble = sl.assemble_mode_operator
+    monkeypatch.setattr(sl, "assemble_mode_operator",
+                        lambda grid, e, beta=None: assembled.append(float(e))
+                        or assemble(grid, e, beta=beta))
+    for name in ("smallest_pencil_eigs", "_constrained_smallest", "_spectrum_above",
+                 "_certified_smallest"):
+        def spy(*a, _fn=getattr(sl, name), _name=name, **kw):
+            calls.append((_name, assembled[-1], kw.get("near")))
+            return _fn(*a, **kw)
+        monkeypatch.setattr(sl, name, spy)
+    for name in ("invertibility_constant", "restricted_invertibility_compact",
+                 "poincare_constant"):
+        def keep(*a, _fn=getattr(sl, name), **kw):
+            reports.append(_fn(*a, **kw))
+            return reports[-1]
+        monkeypatch.setattr(sl, name, keep)
+    ts, modes = (1e-1, 1e-2, 1e-3), [0.0, 2.0, 6.0]
+    for experiment, model in (("invertibility_uniformity", "dumbbell"),
+                              ("compact_invertibility", "spindle"),
+                              ("poincare_uniformity", "dumbbell")):
+        calls.clear()
+        reports.clear()
+        run(small(experiment, model=model, t_list=ts))
+        want, previous = [], {}
+        for rep in reports:
+            solved, bounded = dict(rep.per_mode), dict(getattr(rep, "bounded", ()))
+            assert sorted([*solved, *bounded]) == modes, experiment
+            for e in modes:
+                if experiment == "invertibility_uniformity":
+                    s = previous.get(e)
+                    want.append(("smallest_pencil_eigs", e, None) if e == 0.0 else
+                                ("_certified_smallest", e, None if s is None else s * s))
+                    continue
+                if experiment == "compact_invertibility" and e == 0.0:
+                    want += [("smallest_pencil_eigs", e, None), ("_constrained_smallest", e, None)]
+                    continue
+                if e > 0.0:
+                    want.append(("_spectrum_above", e, None))
+                if e in solved:
+                    c = previous.get(e) if experiment == "poincare_uniformity" else None
+                    want.append(("_certified_smallest", e, None if c is None else c**-2))
+            previous = solved
+        assert calls == want, experiment
+        if experiment != "invertibility_uniformity":
+            assert any(rep.bounded for rep in reports), experiment
+        if experiment != "compact_invertibility":
+            assert any(near is not None for _name, _e, near in calls), experiment
+
+
 def test_compact_experiment_runs():
     res = run(small("compact_invertibility", model="spindle"))
     assert res.passed, res.summary

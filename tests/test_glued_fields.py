@@ -386,7 +386,8 @@ def test_mapped_grid_fields_match_per_field_evaluation(monkeypatch, case):
     """The mapped grid takes its arrays from the rescaled geometry's
     one-pass fields, equal to the rescaled reference bit for bit; so are
     the one-pass fields and the per-field callables, f'' included, at
-    shuffled off-node points."""
+    shuffled off-node points.  At a scalar point each is an np.float64, as
+    every base and glued geometry returns, eta included."""
     make_family, t = CASES[case]
     geo, ref = glued_with_reference(monkeypatch, make_family(), t)
     grid = build_grid(geo, n_per_region=400)
@@ -403,9 +404,13 @@ def test_mapped_grid_fields_match_per_field_evaluation(monkeypatch, case):
     for name in CALLABLES:
         assert_bitwise(getattr(mapped.geometry, name)(x), want[name](x), name)
     x0 = float(x[7])
-    for name, v in zip(FIELDS, mapped.geometry.fields(x0)):
-        assert np.shape(v) == () and type(v) is type(want[name](x0)), name
-        assert np.array_equal(v, want[name](x0)), name
+    scalars = [*zip(FIELDS, mapped.geometry.fields(x0)),
+               *((name, getattr(mapped.geometry, name)(x0)) for name in (*CALLABLES, "eta"))]
+    for name, v in scalars:
+        assert type(v) is np.float64, name
+    for name, v in scalars[:-1]:
+        assert v == want[name](x0), name
+    assert scalars[-1][1] == geo.eta(x0 / s)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -31,7 +31,9 @@ its two refusals.
 
 The exclusion test (_spectrum_above: one factorization of A - s B) is
 held to pencils with known eigenvalues, and the two constants that use
-it (compact and Poincare) to the extremum of solving every mode."""
+it (compact and Poincare) to the extremum of solving every mode.  Their
+one mode sweep (_mode_sweep) is held, on diagonal pencils, to testing
+each mode against the running minimum as a later mode lowers it."""
 
 import importlib.util
 from pathlib import Path
@@ -46,6 +48,7 @@ from scipy.linalg.lapack import dpbtrf
 
 from conifold_lab import spectral_laplace as sl
 from conifold_lab.conifold_model import dumbbell_family, preset_model, spindle_family
+from conifold_lab.link_spectra import make_link
 from conifold_lab.spectral_laplace import (
     ClosureRule,
     _base_shift,
@@ -800,6 +803,36 @@ def test_poincare_constant_is_the_max_over_every_mode_solved(t):
         assert c == ratio[e], e
     for e, bound in rep.bounded:
         assert ratio[e] < bound < rep.constant, e
+
+
+@pytest.mark.parametrize("solve0", [None, lambda A, B, num_form: float(A[0][0])])
+def test_the_sweep_tests_each_mode_against_the_running_minimum(monkeypatch, solve0):
+    """Diagonal pencils on the sphere's modes 0, 2, 6, 12 with smallest
+    eigenvalues 4, 1, 2, 0.5: mode 2 lowers the running minimum, so mode
+    6 (below the old minimum, above the new one) is tested against the
+    new one and ruled out, and mode 12 is solved.  Mode 0 goes to solve0
+    when there is one; each certified solve starts from near.get(e)."""
+    link = make_link("sphere", dim=2)
+    least = {0.0: 4.0, 2.0: 1.0, 6.0: 2.0, 12.0: 0.5}
+    near = {2.0: 0.99, 6.0: 2.0, 12.0: 0.51}
+    n = 12
+    shifts, starts = [], []
+    above, certified = sl._spectrum_above, sl._certified_smallest
+    monkeypatch.setattr(sl, "_spectrum_above",
+                        lambda A, B, s: shifts.append(s) or above(A, B, s))
+    monkeypatch.setattr(sl, "_certified_smallest",
+                        lambda A, B, num_form=None, near=None: starts.append(near)
+                        or certified(A, B, num_form=num_form, near=near))
+    per_mode, bounded = sl._mode_sweep(
+        link, 12.0, lambda e: ({0: least[e] * (1.0 + np.arange(n))}, {0: np.ones(n)}, None),
+        near, solve0, exclude=True)
+    margin = 1.0 + sl._EXCLUSION_MARGIN
+    assert shifts == pytest.approx([4.0 * margin, margin, margin], rel=1e-12)
+    assert [e for e, _ in per_mode] == [0.0, 2.0, 12.0]
+    for e, lam in per_mode:
+        assert lam == pytest.approx(least[e], rel=1e-12), e
+    assert [e for e, _ in bounded] == [6.0] and bounded[0][1] == shifts[1]
+    assert starts == ([None] if solve0 is None else []) + [0.99, 0.51]
 
 
 @pytest.mark.parametrize("reports", [compact_reports, poincare_reports])
