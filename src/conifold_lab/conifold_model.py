@@ -1260,27 +1260,24 @@ def load_model(path) -> ConifoldModel:
 def family_from_config(cfg: dict) -> "GluedFamily":
     """Build a glued family from one combined config: components carrying
     marked CS ends form the host, components carrying marked AC ends form
-    the partner; tau, a and b complete the family data."""
+    the partner; tau, a and b complete the family data.  Each component
+    is built once."""
     m = int(cfg["m"])
     host_comps, partner_comps = [], []
-    for c in cfg["components"]:
-        model = model_from_config({"m": m, "components": [c]})
-        comp = model.components[0]
+    for comp in model_from_config({"m": m, "components": cfg["components"]}).components:
         kinds = {s.kind for _, s in comp.ends() if s.marked}
         if kinds == {"CS"}:
-            host_comps.append(c)
+            host_comps.append(comp)
         elif kinds == {"AC"}:
-            partner_comps.append(c)
+            partner_comps.append(comp)
         else:
             raise ValueError(
                 "each component must carry marked ends of exactly one kind "
                 "(CS for the host, AC for the partner)")
     if not host_comps or not partner_comps:
         raise ValueError("need both a CS-marked host and an AC-marked partner")
-    L = model_from_config({"m": m, "components": host_comps,
-                           "label": cfg.get("label", "") + ":host"})
-    L_hat = model_from_config({"m": m, "components": partner_comps,
-                               "label": cfg.get("label", "") + ":partner"})
+    L = ConifoldModel(m, tuple(host_comps), label=cfg.get("label", "") + ":host")
+    L_hat = ConifoldModel(m, tuple(partner_comps), label=cfg.get("label", "") + ":partner")
     return GluedFamily(L, L_hat, tau=float(cfg["tau"]), a=float(cfg["a"]),
                        b=float(cfg["b"]), label=cfg.get("label", ""))
 

@@ -1,30 +1,30 @@
-"""Batch experiment harness: one table of experiments, one runner per
-entry, CSV/JSON/plot-data emission, and pass/fail summaries against
-declared tolerances.
+"""Batch experiment harness: one table of two-stage experiments,
+CSV/JSON/plot-data emission, and pass/fail summaries against declared
+tolerances.
 
 Each experiment is one entry of ``_TABLE``: its emitted columns (or the
 keys of its first row), the model that a config's ``"model": "dumbbell"``
-stands for (None for the three that read no model), and its runner.  The
+stands for (None for the three that read no model), and its prepare.  The
 dumbbell is the field's default, so it stands for each experiment's own
 default model: the dumbbell, except the spindle for
 ``compact_invertibility`` (the dumbbell is non-compact) and
-``hyperboloid_capped`` for ``weight_crossing``.  A runner takes the
-config and returns ``(rows, summary)``: the rows as dicts, and a summary
-dict whose last key is ``"pass"``.  ``run`` is the one place that applies
-the default model, wraps any error in ``ExperimentError`` and builds the
-``SweepResult``, with the config echoed as given.  The five t-sweeps share
-one runner, built by ``_sweep`` from a row function and a gate: one
-constant per t, summarized by the max/min ratio and a log-log trend slope.
-A sweep carries the previous t's values: each row gets the report the
-row returned at the previous t, and the invertibility and Poincare rows
+``hyperboloid_capped`` for ``weight_crossing``.  ``prepare(cfg)`` loads
+the model or family, glues it at every t and makes every check that can
+refuse the config, by calling the checks of the code that runs later; it
+returns ``work()``, which runs the numerics on exactly those objects and
+returns ``(rows, summary)``: the rows as dicts, and a summary dict whose
+last key is ``"pass"``.  ``_prepare`` applies the default model and
+builds the ``SweepResult``, with the config echoed as given; ``run``
+runs both stages and wraps any error in ``ExperimentError``;
+``run_config_file`` prepares every entry before it runs any, so a config
+it refuses writes nothing.  The five t-sweeps share one prepare, built by
+``_sweep`` from a row, a gate and a check: one constant per t,
+summarized by the max/min ratio and a log-log trend slope.  A sweep
+carries the previous t's values: each row gets the report the row
+returned at the previous t, and the invertibility and Poincare rows
 start their certified eigen solves from its per-mode values (the emitted
 values move by the solves' rounding only, at most 1.2e-9 relative on
 the acceptance suite).
-
-A config that ``run_config_file`` reads is checked whole before the first
-experiment runs: its field types (below), and the fields that its
-experiment reads and would refuse only while running (``_check_fields``:
-the model, a glued family at each t, and the atlas's kind and link).
 
 Tolerances live in the config with documented defaults (uniformity ratio
 <= 2, identity checks <= 1e-10, slope fits within 10/15 percent); the
@@ -40,6 +40,7 @@ import json
 import math
 import numbers
 import typing
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -195,28 +196,28 @@ _FAMILIES = {"dumbbell": cm.dumbbell_family, "spindle": cm.spindle_family}
 _MODELS = ("hyperboloid_capped", "exact_cone_cs_ac", "rxs2", "sine_spindle")
 
 
-def _model_file(name: str, glued: bool) -> Path:
-    """The model file that a model name other than a preset stands for: a
-    file (not a directory), .json for a glued family; ValueError otherwise."""
+def _load(name: str, glued: bool):
+    """The glued family (glued) or base model in the file that a model
+    name other than a preset stands for: a file (not a directory), .json
+    for a glued family.  ValueError otherwise, and naming the file for
+    its loader's KeyError or TypeError."""
     path = Path(name)
-    if path.is_file() and (path.suffix == ".json" or not glued):
-        return path
-    raise ValueError(f"unknown {'glued benchmark' if glued else 'model'} {name!r}; expected "
-                     f"one of {tuple(_FAMILIES) if glued else _MODELS} or an existing "
-                     f"{'.json ' if glued else ''}file")
+    if not (path.is_file() and (path.suffix == ".json" or not glued)):
+        raise ValueError(f"unknown {'glued benchmark' if glued else 'model'} {name!r}; expected "
+                         f"one of {tuple(_FAMILIES) if glued else _MODELS} or an existing "
+                         f"{'.json ' if glued else ''}file")
+    try:
+        return (cm.load_family if glued else cm.load_model)(path)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"model file {name!r} does not load: "
+                         f"{type(exc).__name__}: {exc}") from exc
 
 
 def _family(cfg: ExperimentConfig):
     preset = _FAMILIES.get(cfg.model)
     if preset is not None:
         return preset(beta=cfg.beta, tau=cfg.tau, a=cfg.a, b=cfg.b)
-    return cm.load_family(_model_file(cfg.model, glued=True))
-
-
-def _base_model(cfg: ExperimentConfig):
-    if cfg.model in _MODELS:
-        return cm.preset_model(cfg.model, beta=cfg.beta)
-    return cm.load_model(_model_file(cfg.model, glued=False))
+    return _load(cfg.model, glued=True)
 
 
 # --- t-sweeps ----------------------------------------------------------------
@@ -224,24 +225,23 @@ def _base_model(cfg: ExperimentConfig):
 # within the uniformity ratio and its own gate (if any) holds.
 
 
-def _grid_and_bumps(cfg: ExperimentConfig, fam, t):
-    grid = wc.build_grid(fam.at(t).geometry, n_per_region=cfg.n_per_region,
-                         r_max=cfg.r_max)
+def _grid_and_bumps(cfg: ExperimentConfig, glued):
+    grid = wc.build_grid(glued.geometry, n_per_region=cfg.n_per_region, r_max=cfg.r_max)
     return grid, wc.bump_family(grid, n_members=cfg.family_size, seed=cfg.seed)
 
 
-def _embedding_row(cfg, fam, t, _previous=None):
-    grid, bumps = _grid_and_bumps(cfg, fam, t)
+def _embedding_row(cfg, glued, _previous=None):
+    grid, bumps = _grid_and_bumps(cfg, glued)
     rep = wc.embedding_constant_estimate(bumps, p=cfg.p, beta=cfg.beta)
-    return {"t": t, "constant": rep.constant, "p_star": rep.p_star,
+    return {"t": glued.t[0], "constant": rep.constant, "p_star": rep.p_star,
             "family_size": len(bumps), "grid_size": grid.n}, None
 
 
-def _invertibility_row(cfg, fam, t, previous=None):
-    rep = sl.invertibility_constant(fam.at(t), beta=cfg.beta, e_max=cfg.e_max,
+def _invertibility_row(cfg, glued, previous=None):
+    rep = sl.invertibility_constant(glued, beta=cfg.beta, e_max=cfg.e_max,
                                     n_per_region=cfg.n_per_region, r_max=cfg.r_max,
                                     previous=previous)
-    row = {"model": cfg.model, "t": t, "beta": cfg.beta,
+    row = {"model": cfg.model, "t": glued.t[0], "beta": cfg.beta,
            "constant": rep.constant, "sigma_min": rep.sigma_min,
            "grid_size": rep.grid_size}
     for e, s in rep.per_mode:
@@ -249,38 +249,53 @@ def _invertibility_row(cfg, fam, t, previous=None):
     return row, rep
 
 
-def _compact_row(cfg, fam, t, _previous=None):
+def _compact_row(cfg, glued, _previous=None):
     rep = sl.restricted_invertibility_compact(
-        fam, beta=cfg.beta, t=t, e_max=cfg.e_max, n_per_region=cfg.n_per_region)
-    return {"model": cfg.model, "t": t, "beta": cfg.beta, "constant": rep.constant,
+        glued, beta=cfg.beta, e_max=cfg.e_max, n_per_region=cfg.n_per_region)
+    return {"model": cfg.model, "t": glued.t[0], "beta": cfg.beta, "constant": rep.constant,
             "sigma_constrained": rep.sigma_constrained,
             "sigma_mode0_unconstrained": rep.sigma_mode0_unconstrained,
             "grid_size": rep.grid_size}, None
 
 
-def _poincare_row(cfg, fam, t, previous=None):
-    rep = sl.poincare_constant(fam.at(t), beta=cfg.beta, e_max=cfg.e_max,
+def _poincare_row(cfg, glued, previous=None):
+    rep = sl.poincare_constant(glued, beta=cfg.beta, e_max=cfg.e_max,
                                n_per_region=cfg.n_per_region, r_max=cfg.r_max,
                                previous=previous)
-    return {"model": cfg.model, "t": t, "beta": cfg.beta,
+    return {"model": cfg.model, "t": glued.t[0], "beta": cfg.beta,
             "constant": rep.constant, "grid_size": rep.grid_size}, rep
 
 
-def _sobolev_exponents(p, m):
-    """The conjugate exponents of p in dimension m, which must have a p*."""
-    ce = wcalc.conjugate_exponents(p, m)
-    if ce.p_star is None:
-        raise ValueError(f"p = {p} >= m: no L^p* target")
-    return ce
-
-
-def _gns_row(cfg, fam, t, _previous=None):
-    ce = _sobolev_exponents(cfg.p, fam.L.m)
-    grid, bumps = _grid_and_bumps(cfg, fam, t)
+def _gns_row(cfg, glued, _previous=None):
+    ce = wcalc.conjugate_exponents(cfg.p, glued.m)
+    grid, bumps = _grid_and_bumps(cfg, glued)
     # ||u||_{L^p*_beta} / ||du||_{L^p_{beta-1}} over the family, in one pass
     ratios = wc.norm_ratios(bumps, cfg.beta, (ce.p_star, (0,)), (cfg.p, (1,)))
-    return {"t": t, "constant": float(ratios.max()), "p_star": ce.p_star,
+    return {"t": glued.t[0], "constant": float(ratios.max()), "p_star": ce.p_star,
             "grid_size": grid.n}, None
+
+
+def _bump_check(cfg, geo):
+    """A bump sweep's refusals at one t: p needs a p*, and the bump family
+    reads the link's least nonzero eigenvalue."""
+    if wcalc.conjugate_exponents(cfg.p, geo.m).p_star is None:
+        raise ValueError(f"p = {cfg.p} >= m: no L^p* target")
+    wc._first_nonzero_mode(geo)
+
+
+def _eigen_check(checks):
+    """An eigen sweep's refusals at one t: its solver's weight checks
+    (spectral_laplace's tuple), silent here as the solver repeats them and
+    warns then, and the link's spectrum up to e_max, the modes it solves."""
+
+    def check(cfg, geo):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for weights in checks:
+                weights(geo, float(cfg.beta))
+        geo.link.eigenvalues_below(cfg.e_max)
+
+    return check
 
 
 def _slope_gate(cfg, rows, slope):
@@ -295,89 +310,103 @@ def _constants_gate(cfg, rows, slope):
     return {"constants_detected": detected}, detected
 
 
-def _sweep(row, gate):
-    """The t-sweep runner of row(cfg, fam, t, previous) -> (dict with a
-    "constant", report) and gate(cfg, rows, slope) -> (extra summary keys,
-    ok), or None.  previous is the report the row returned at the previous
-    t (None at the first): the eigen rows start their solves from its
-    per-mode values."""
+def _sweep(row, gate, check):
+    """The t-sweep of row(cfg, glued, previous) -> (dict with a "constant",
+    report), gate(cfg, rows, slope) -> (extra summary keys, ok) or None,
+    and check(cfg, geometry), the row's refusals at one t.  previous is
+    the report the row returned at the previous t (None at the first):
+    the eigen rows start their solves from its per-mode values."""
 
-    def runner(cfg: ExperimentConfig):
-        _check_t_sweep(cfg.t_list)
+    def prepare(cfg: ExperimentConfig):
+        if len(cfg.t_list) < 2:
+            raise ValueError(f"a t-sweep needs at least two t values, got {cfg.t_list}")
         fam = _family(cfg)
-        rows, previous = [], None
-        for t in cfg.t_list:
-            r, previous = row(cfg, fam, t, previous)
-            rows.append(r)
-        consts = [r["constant"] for r in rows]
-        vmax, vmin = max(consts), min(consts)
-        ratio = vmax / vmin if vmin > 0 else math.inf
-        slope = _fit_slope(cfg.t_list, consts)
-        extra, ok = gate(cfg, rows, slope) if gate else ({}, True)
-        passed = ratio <= cfg.tolerances["uniformity_ratio"] and ok
-        return rows, {"max": vmax, "min": vmin, "max_over_min": ratio,
-                      "trend_slope": slope, **extra, "pass": passed}
+        glued = [fam.at(t) for t in cfg.t_list]
+        for g in glued:
+            wc._check_r_max(g.geometry, cfg.r_max)  # a compact geometry has no AC end
+            check(cfg, g.geometry)
 
-    runner.t_sweep = True
-    return runner
+        def work():
+            rows, previous = [], None
+            for g in glued:
+                r, previous = row(cfg, g, previous)
+                rows.append(r)
+            consts = [r["constant"] for r in rows]
+            vmax, vmin = max(consts), min(consts)
+            ratio = vmax / vmin if vmin > 0 else math.inf
+            slope = _fit_slope(cfg.t_list, consts)
+            extra, ok = gate(cfg, rows, slope) if gate else ({}, True)
+            passed = ratio <= cfg.tolerances["uniformity_ratio"] and ok
+            return rows, {"max": vmax, "min": vmin, "max_over_min": ratio,
+                          "trend_slope": slope, **extra, "pass": passed}
 
+        return work
 
-def _check_t_sweep(t_list):
-    if len(t_list) < 2:
-        raise ValueError(f"a t-sweep needs at least two t values, got {t_list}")
+    return prepare
 
 
 # --- other experiments -------------------------------------------------------
 
 
 def _neck(cfg: ExperimentConfig):
+    # the rows are diagnostics of the gluing itself, made as prepare glues each t
     fam = _family(cfg)
-    rows = []
-    for t in cfg.t_list:
-        for entry in cm.neck_convergence_check(fam, t):
-            rows.append({"t": t, "pair": entry["pair"], "j": entry["j"],
-                         "sup": entry["sup"]})
+    rows = [{"t": t, "pair": entry["pair"], "j": entry["j"], "sup": entry["sup"]}
+            for t in cfg.t_list for entry in cm.neck_convergence_check(fam, t)]
     seqs = [[r["sup"] for r in rows if (r["pair"], r["j"]) == key]
             for key in {(r["pair"], r["j"]) for r in rows}]
     decreasing = not any(b >= a for seq in seqs for a, b in zip(seq, seq[1:]))
-    return rows, {"strictly_decreasing": decreasing, "pass": decreasing}
+    return lambda: (rows, {"strictly_decreasing": decreasing, "pass": decreasing})
 
 
 def _eta(cfg: ExperimentConfig):
-    tol = cfg.tolerances
-    rows = []
-    for t in cfg.t_list:
-        eta = cm.cutoff_eta(t, cfg.a, cfg.b)
-        s = np.linspace(cfg.b, cfg.a, 4001)
-        r = t**s
-        m1 = float(np.max(np.abs(r * eta.deriv(r, 1))))
-        m2 = float(np.max(np.abs(r * r * eta.deriv(r, 2))))
-        rows.append({"t": t, "max_r_eta1": m1, "max_r2_eta2": m2,
-                     "inv_log_t": 1.0 / abs(math.log(t))})
-    x = [r["inv_log_t"] for r in rows]
-    exp1 = _fit_slope(x, [r["max_r_eta1"] for r in rows])
-    exp2 = _fit_slope(x, [r["max_r2_eta2"] for r in rows])
-    passed = (abs(exp1 - 1.0) <= tol["eta_exponent_first"]
-              and abs(exp2 - 1.0) <= tol["eta_exponent_second"])
-    return rows, {"exponent_first": exp1, "exponent_second": exp2, "pass": passed}
+    etas = [(t, cm.cutoff_eta(t, cfg.a, cfg.b)) for t in cfg.t_list]
+
+    def work():
+        tol = cfg.tolerances
+        rows = []
+        for t, eta in etas:
+            s = np.linspace(cfg.b, cfg.a, 4001)
+            r = t**s
+            m1 = float(np.max(np.abs(r * eta.deriv(r, 1))))
+            m2 = float(np.max(np.abs(r * r * eta.deriv(r, 2))))
+            rows.append({"t": t, "max_r_eta1": m1, "max_r2_eta2": m2,
+                         "inv_log_t": 1.0 / abs(math.log(t))})
+        x = [r["inv_log_t"] for r in rows]
+        exp1 = _fit_slope(x, [r["max_r_eta1"] for r in rows])
+        exp2 = _fit_slope(x, [r["max_r2_eta2"] for r in rows])
+        passed = (abs(exp1 - 1.0) <= tol["eta_exponent_first"]
+                  and abs(exp2 - 1.0) <= tol["eta_exponent_second"])
+        return rows, {"exponent_first": exp1, "exponent_second": exp2, "pass": passed}
+
+    return work
 
 
 def _crossing(cfg: ExperimentConfig):
-    model = _base_model(cfg)
-    rows = []
+    # a base model of one component: _resolve_geometry refuses more
+    geo = sl._resolve_geometry(cm.preset_model(cfg.model, beta=cfg.beta)
+                               if cfg.model in _MODELS else _load(cfg.model, glued=False))
+    wc._check_r_max(geo, cfg.r_max)
     for gamma, e in cfg.gamma_cases:
-        rep = sl.weight_crossing_kernel(model, gamma=float(gamma), e=float(e),
-                                        slack=cfg.tolerances["crossing_slack"],
-                                        n_per_region=cfg.n_per_region, r_max=cfg.r_max)
-        slope_ok = rep.tail_slope is None or rep.tail_slope <= rep.slope_bound
-        resid_ok = rep.residual_sigma < rep.threshold
-        rows.append({"gamma": gamma, "e": e,
-                     "tail_slope": rep.tail_slope if rep.tail_slope is not None else "floor",
-                     "slope_bound": rep.slope_bound,
-                     "residual_sigma": rep.residual_sigma,
-                     "threshold": rep.threshold,
-                     "pass": slope_ok and resid_ok})
-    return rows, {"pass": all(r["pass"] for r in rows)}
+        sl._crossing_setup(geo, gamma, e)
+
+    def work():
+        rows = []
+        for gamma, e in cfg.gamma_cases:
+            rep = sl.weight_crossing_kernel(geo, gamma=float(gamma), e=float(e),
+                                            slack=cfg.tolerances["crossing_slack"],
+                                            n_per_region=cfg.n_per_region, r_max=cfg.r_max)
+            slope_ok = rep.tail_slope is None or rep.tail_slope <= rep.slope_bound
+            resid_ok = rep.residual_sigma < rep.threshold
+            rows.append({"gamma": gamma, "e": e,
+                         "tail_slope": rep.tail_slope if rep.tail_slope is not None else "floor",
+                         "slope_bound": rep.slope_bound,
+                         "residual_sigma": rep.residual_sigma,
+                         "threshold": rep.threshold,
+                         "pass": slope_ok and resid_ok})
+        return rows, {"pass": all(r["pass"] for r in rows)}
+
+    return work
 
 
 REGION_ATLAS_COLUMNS = ("beta1", "beta2", "exceptional", "injective",
@@ -387,14 +416,6 @@ REGION_ATLAS_COLUMNS = ("beta1", "beta2", "exceptional", "injective",
 _REGION_ENDS = {"AC": ("AC", "AC"), "CS": ("CS", "CS"), "CSAC": ("CS", "AC")}
 
 
-def _region_link(kind: str, m: int, link_spec: str):
-    """The link of a region atlas of this kind; ValueError for a kind
-    other than AC, CS and CSAC or a link of dimension other than m - 1."""
-    if kind not in _REGION_ENDS:
-        raise ValueError(f"unknown region kind {kind!r}; expected one of {tuple(_REGION_ENDS)}")
-    return cone_link(link_spec, m)
-
-
 def region_atlas_rows(kind: str, m: int, link_spec: str, step: float,
                       lo: float | None = None, hi: float | None = None):
     """Classification grid replicating the qualitative content of the
@@ -402,7 +423,9 @@ def region_atlas_rows(kind: str, m: int, link_spec: str, step: float,
     whose dimension is not m - 1, a step that is not positive, or an
     interval with lo >= hi raises ValueError, as does a kind other than
     AC, CS and CSAC."""
-    link = _region_link(kind, m, link_spec)
+    if kind not in _REGION_ENDS:
+        raise ValueError(f"unknown region kind {kind!r}; expected one of {tuple(_REGION_ENDS)}")
+    link = cone_link(link_spec, m)
     lo = lo if lo is not None else (2.0 - m) - 1.5
     hi = hi if hi is not None else 1.5
     if not step > 0:
@@ -430,66 +453,71 @@ def region_atlas_rows(kind: str, m: int, link_spec: str, step: float,
 
 
 def _region_atlas(cfg: ExperimentConfig):
+    # each cell's classification reads the link's spectrum: prepare classifies them all
     rows = region_atlas_rows(cfg.kind, cfg.m, cfg.link, cfg.grid_step)
     # consistency: where surjectivity and index are both known, kernel = index
     ok = all(r["kernel_dim"] == r["index"] or r["injective"] == 1 for r in rows
              if not r["exceptional"] and r["surjective"] == 1
              and r["index"] != "" and r["kernel_dim"] != "")
-    return rows, {"cells": len(rows), "consistent": ok, "pass": ok}
+    return lambda: (rows, {"cells": len(rows), "consistent": ok, "pass": ok})
 
 
-def _identity_geometries(cfg: ExperimentConfig):
-    """norm_identities' exact cone, and a cone of variable per-end weights
-    (they need the constant reference-weight correction)."""
+def _norm_identities(cfg: ExperimentConfig):
+    wc._holder_sweep([], cfg.p, cfg.beta, 0.25)  # no pairs: checks p alone
+    # the exact cone, and a cone of variable per-end weights (they need the
+    # constant reference-weight correction); build_grid checks r_max
     link = make_link("sphere", dim=2)
     var = cm.ConifoldModel(3, (cm.Component(
         link=link, warp=cm.warp_preset("exact_cone"),
         left=cm.EndSpec("CS", link, nu=1.0, beta=cfg.beta, boundary=2.0),
         right=cm.EndSpec("AC", link, nu=-1.0, beta=cfg.beta + 1.0, boundary=2.0),
     ),))
-    return cm.preset_model("exact_cone_cs_ac", beta=cfg.beta).geometry(0), var.geometry(0)
+    grid, vgrid = (wc.build_grid(geo, n_per_region=cfg.n_per_region, r_max=cfg.r_max)
+                   for geo in (cm.preset_model("exact_cone_cs_ac", beta=cfg.beta).geometry(0),
+                               var.geometry(0)))
 
+    def work():
+        tol = cfg.tolerances
+        rows = []
+        rng = np.random.default_rng(cfg.seed)
+        bumps = wc.bump_family(grid, n_members=4, seed=cfg.seed)
+        cases = []
+        for i, u in enumerate(bumps):
+            t = float(10.0 ** (-rng.uniform(0.3, 2.0)))
+            cases.append((f"scaled_{i}", u, wc.WeightSpec(p=2.0, k=min(i, 2) % 3, beta=0.0), t))
+            cases.append((f"weighted_{i}", u,
+                          wc.WeightSpec(p=2.0, k=(i + 1) % 3, beta=cfg.beta), t))
+        vbumps = wc.bump_family(vgrid, n_members=2, modes=(0.0,), seed=cfg.seed + 1)
+        for i, u in enumerate(vbumps):
+            t = float(10.0 ** (-rng.uniform(0.5, 1.5)))
+            cases.append((f"variable_{i}", u,
+                          wc.WeightSpec(p=2.0, k=1, beta=None, beta_prime=cfg.beta), t))
+        for name, u, spec, t in cases:
+            defect = wc.rescaling_invariance_check(u, spec, t)
+            rows.append({"case": name, "t": t, "k": spec.k,
+                         "beta": "per-end" if spec.beta is None else spec.beta,
+                         "defect": defect, "pass": int(defect <= tol["identity_defect"])})
+        pairs = wc.random_bump_pairs(grid, 100, seed=cfg.seed)
+        violations = sum(rep.violated for rep in wc._holder_sweep(pairs, cfg.p, cfg.beta, 0.25))
+        rows.append({"case": "holder_sweep", "t": 0.0, "k": 0, "beta": cfg.beta,
+                     "defect": float(violations), "pass": int(violations == 0)})
+        return rows, {"holder_violations": violations, "pass": all(r["pass"] for r in rows)}
 
-def _norm_identities(cfg: ExperimentConfig):
-    tol = cfg.tolerances
-    rows = []
-    cone, var = _identity_geometries(cfg)
-    grid = wc.build_grid(cone, n_per_region=cfg.n_per_region, r_max=cfg.r_max)
-    rng = np.random.default_rng(cfg.seed)
-    bumps = wc.bump_family(grid, n_members=4, seed=cfg.seed)
-    cases = []
-    for i, u in enumerate(bumps):
-        t = float(10.0 ** (-rng.uniform(0.3, 2.0)))
-        cases.append((f"scaled_{i}", u, wc.WeightSpec(p=2.0, k=min(i, 2) % 3, beta=0.0), t))
-        cases.append((f"weighted_{i}", u,
-                      wc.WeightSpec(p=2.0, k=(i + 1) % 3, beta=cfg.beta), t))
-    vgrid = wc.build_grid(var, n_per_region=cfg.n_per_region, r_max=cfg.r_max)
-    vbumps = wc.bump_family(vgrid, n_members=2, modes=(0.0,), seed=cfg.seed + 1)
-    for i, u in enumerate(vbumps):
-        t = float(10.0 ** (-rng.uniform(0.5, 1.5)))
-        cases.append((f"variable_{i}", u,
-                      wc.WeightSpec(p=2.0, k=1, beta=None, beta_prime=cfg.beta), t))
-    for name, u, spec, t in cases:
-        defect = wc.rescaling_invariance_check(u, spec, t)
-        rows.append({"case": name, "t": t, "k": spec.k,
-                     "beta": "per-end" if spec.beta is None else spec.beta,
-                     "defect": defect, "pass": int(defect <= tol["identity_defect"])})
-    pairs = wc.random_bump_pairs(grid, 100, seed=cfg.seed)
-    violations = sum(rep.violated for rep in wc._holder_sweep(pairs, cfg.p, cfg.beta, 0.25))
-    rows.append({"case": "holder_sweep", "t": 0.0, "k": 0, "beta": cfg.beta,
-                 "defect": float(violations), "pass": int(violations == 0)})
-    return rows, {"holder_violations": violations, "pass": all(r["pass"] for r in rows)}
+    return work
 
 
 # experiment -> (emitted columns, or None for the first row's keys in order,
 #   the model a config's "dumbbell" stands for, or None where no model is read,
-#   runner(cfg) -> (rows, summary))
+#   prepare(cfg) -> work, work() -> (rows, summary))
 _TABLE = {
-    "embedding_uniformity": (None, "dumbbell", _sweep(_embedding_row, _slope_gate)),
-    "invertibility_uniformity": (None, "dumbbell", _sweep(_invertibility_row, None)),
-    "compact_invertibility": (None, "spindle", _sweep(_compact_row, _constants_gate)),
-    "poincare_uniformity": (None, "dumbbell", _sweep(_poincare_row, None)),
-    "gns_uniformity": (None, "dumbbell", _sweep(_gns_row, None)),
+    "embedding_uniformity": (None, "dumbbell", _sweep(_embedding_row, _slope_gate, _bump_check)),
+    "invertibility_uniformity": (None, "dumbbell", _sweep(
+        _invertibility_row, None, _eigen_check(sl._INVERTIBILITY_CHECKS))),
+    "compact_invertibility": (None, "spindle", _sweep(
+        _compact_row, _constants_gate, _eigen_check(sl._COMPACT_CHECKS))),
+    "poincare_uniformity": (None, "dumbbell", _sweep(
+        _poincare_row, None, _eigen_check(sl._POINCARE_CHECKS))),
+    "gns_uniformity": (None, "dumbbell", _sweep(_gns_row, None, _bump_check)),
     "neck_convergence": (("t", "pair", "j", "sup"), "dumbbell", _neck),
     "eta_bounds": (("t", "max_r_eta1", "max_r2_eta2", "inv_log_t"), None, _eta),
     "weight_crossing": (("gamma", "e", "tail_slope", "slope_bound", "residual_sigma",
@@ -501,58 +529,6 @@ _TABLE = {
 EXPERIMENTS = tuple(_TABLE)
 
 
-def _check_fields(config: ExperimentConfig) -> None:
-    """ValueError for a field that config's experiment reads and would
-    refuse only while it runs, from the check the run makes: a model its
-    runner cannot load (a preset name, or a file loaded as the runner
-    loads it, a base model of one component as the solvers read it; the
-    loaders' KeyError and TypeError become a ValueError naming the file),
-    a glued family that does not glue at a t of t_list, region_atlas's
-    kind and link, a t-sweep of one t, the exponent p, eta_bounds's cutoff
-    at each t, the weight at each t (the compact case's, the invertibility
-    lemma's and Poincare's conditions) and weight_crossing's rates (each
-    exceptional, with surjectivity certified just below it), and r_max
-    against every AC end that an experiment meshing with it truncates."""
-    _columns, default, runner = _TABLE[config.experiment]
-    model, exp = (default if config.model == "dumbbell" else config.model), config.experiment
-    if getattr(runner, "t_sweep", False):
-        _check_t_sweep(config.t_list)
-    try:
-        if default in _FAMILIES:
-            fam = _family(replace(config, model=model))
-            for t in config.t_list:
-                geo = fam.at(t).geometry
-                if exp == "compact_invertibility":
-                    sl._check_compact_weight(geo, config.beta)
-                elif exp == "invertibility_uniformity":
-                    sl._check_lemma_weights(geo, float(config.beta))
-                elif exp == "poincare_uniformity":
-                    sl._check_poincare_weights(geo, float(config.beta))
-                if getattr(runner, "t_sweep", False):  # compact's checked geo has no AC end
-                    wc._check_r_max(geo, config.r_max)
-            if exp in ("embedding_uniformity", "gns_uniformity"):
-                _sobolev_exponents(config.p, fam.L.m)
-        elif default in _MODELS:
-            geo = sl._resolve_geometry(_base_model(replace(config, model=model)))
-            if exp == "weight_crossing":
-                wc._check_r_max(geo, config.r_max)
-                for gamma, e in config.gamma_cases:
-                    sl._check_exceptional_rate(gamma, e, geo.m)
-                    sl._check_crossing_surjective(geo, gamma)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"model file {model!r} does not load: "
-                         f"{type(exc).__name__}: {exc}") from exc
-    if exp == "region_atlas":
-        _region_link(config.kind, config.m, config.link)
-    if exp == "norm_identities":
-        wc._holder_sweep([], config.p, config.beta, 0.25)  # no pairs: checks p alone
-        for geo in _identity_geometries(config):
-            wc._check_r_max(geo, config.r_max)
-    if exp == "eta_bounds":
-        for t in config.t_list:
-            cm.cutoff_eta(t, config.a, config.b)
-
-
 class ExperimentError(RuntimeError):
     """An experiment failed; the original error is the ``__cause__``."""
 
@@ -561,17 +537,27 @@ class ExperimentError(RuntimeError):
         self.experiment = experiment
 
 
-def run(config: ExperimentConfig) -> SweepResult:
-    """Run one experiment through its table entry, with a config's
-    "dumbbell" standing for the entry's default model; deterministic given
-    the config and seed.  Any error raised by the experiment is re-raised
-    as an ExperimentError naming the experiment, chained to the original."""
-    columns, model, runner = _TABLE[config.experiment]
-    try:
-        rows, summary = runner(replace(config, model=model)
-                               if model and config.model == "dumbbell" else config)
+def _prepare(config: ExperimentConfig):
+    """Stage one of config's experiment, which raises every refusal of the
+    config (module docstring); returns stage two, a thunk of the result."""
+    columns, model, prepare = _TABLE[config.experiment]
+    work = prepare(replace(config, model=model)
+                   if model and config.model == "dumbbell" else config)
+
+    def result() -> SweepResult:
+        rows, summary = work()
         return SweepResult(config.experiment, columns or tuple(rows[0]), tuple(rows),
                            summary, summary["pass"], config.seed, config.to_dict())
+
+    return result
+
+
+def run(config: ExperimentConfig) -> SweepResult:
+    """Run one experiment, both stages (_prepare); deterministic given the
+    config and seed.  Any error raised by the experiment is re-raised as
+    an ExperimentError naming the experiment, chained to the original."""
+    try:
+        return _prepare(config)()
     except Exception as exc:
         raise ExperimentError(config.experiment, exc) from exc
 
@@ -657,10 +643,11 @@ def run_config_file(path, formats=("csv", "json"), out_dir=".",
     or a list under 'experiments'), with every seed replaced by ``seed``
     when it is given.  Returns (exit_code, results); the exit code is 0
     iff every configured tolerance passes.  Every config is built and
-    checked (_check_fields) before the first experiment runs, and unknown
+    prepared (_prepare) before the first experiment runs, and unknown
     formats, a file of another shape, an empty experiment list, two
     entries of one experiment (they would write the same files) and a
-    config that refuses its values raise ValueError then."""
+    config that refuses its values raise ValueError then; later errors
+    are an ExperimentError, as from run."""
     _check_formats(formats)
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -672,9 +659,9 @@ def run_config_file(path, formats=("csv", "json"), out_dir=".",
         raise ValueError(f"{path} lists no experiments")
     configs = [ExperimentConfig.from_dict(entry if seed is None else {**entry, "seed": seed})
                for entry in entries]
-    first = {}
+    first, staged = {}, []
     for i, config in enumerate(configs):
-        _check_fields(config)
+        staged.append(_prepare(config))
         j = first.setdefault(config.experiment, i)
         if j != i:
             exp = config.experiment
@@ -682,8 +669,11 @@ def run_config_file(path, formats=("csv", "json"), out_dir=".",
                              f"{configs[j].model!r} and {config.model!r}); the second "
                              f"would overwrite the first's {exp}.* files")
     results = []
-    for config in configs:
-        res = run(config)
+    for config, result in zip(configs, staged):
+        try:
+            res = result()
+        except Exception as exc:
+            raise ExperimentError(config.experiment, exc) from exc
         emit(res, formats=formats, out_dir=out_dir)
         results.append(res)
     return (0 if all(r.passed for r in results) else 1), results

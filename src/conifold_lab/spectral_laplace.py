@@ -100,7 +100,6 @@ import numpy as np
 
 from .conifold_model import (
     ConifoldModel,
-    GluedFamily,
     GluedModel,
     RadialGeometry,
     _smoothstep_c2,
@@ -1045,11 +1044,16 @@ def _check_poincare_weights(geo: RadialGeometry, beta: float):
     _check_matches_marked(geo, beta)
 
 
-def _check_exceptional_rate(gamma: float, e: float, m: int):
-    """Refuse a rate gamma that is not a cone-harmonic rate of mode e."""
+def _check_exceptional_rate(gamma: float, e: float, link: Link, m: int):
+    """Refuse a rate gamma that is not a cone-harmonic rate of mode e, or
+    a mode e that is not an eigenvalue of link within DEFAULT_TOL (its
+    rates are then no exceptional weights of the end)."""
     gp, gm = gamma_roots(e, m)
     if not (abs(gamma - gp) < 1e-9 or abs(gamma - gm) < 1e-9):
         raise ValueError(f"{gamma} is not an exceptional rate for eigenvalue {e}")
+    if not any(abs(e - ev) <= DEFAULT_TOL for ev, _ in link.eigenvalues_below(e + DEFAULT_TOL)):
+        raise ValueError(f"{e} is not an eigenvalue of the link {link.spec_string()}, so "
+                         f"{gamma} is not an exceptional weight of its end")
 
 
 def _check_crossing_surjective(geo: RadialGeometry, gamma: float):
@@ -1070,6 +1074,26 @@ def _check_crossing_surjective(geo: RadialGeometry, gamma: float):
         raise WeightConditionError(
             f"surjectivity below gamma={gamma} is not certified; "
             "the crossing construction does not apply")
+
+
+def _crossing_setup(geo: RadialGeometry, gamma: float, e: float):
+    """(the AC end, the weight of the residual) of weight_crossing_kernel's
+    crossing of the rate gamma in mode e, after each of its refusals:
+    gamma a rate of the link eigenvalue e, exactly one AC end, and
+    surjectivity certified just below gamma.  The residual's weight is
+    gamma plus half the gap to the next rate above, at most 0.25."""
+    # call-time import: picks up perfbench's tracing patches, a top-level one would not
+    from .weight_calculus import exceptional_weights
+    _check_exceptional_rate(gamma, e, geo.link, geo.m)
+    ac_ends = [b for b in _residual_ends(geo) if b.kind == "ac"]
+    if len(ac_ends) != 1:
+        raise ValueError("weight-crossing construction expects exactly one AC end "
+                         "(plus a cap or a CS end)")
+    _check_crossing_surjective(geo, gamma)
+    above = [w.gamma for w in exceptional_weights(geo.link, geo.m, (gamma, gamma + 10.0))
+             if w.gamma > gamma + 1e-9]
+    gap_up = (min(above) - gamma) if above else 1.0
+    return ac_ends[0], gamma + min(0.5 * gap_up, 0.25)
 
 
 def _check_compact_weight(geo: RadialGeometry, beta: float):
@@ -1097,6 +1121,13 @@ def _check_nonexceptional(geo: RadialGeometry, beta: float):
         warnings.warn(
             f"weight {beta} is within {d:.2e} of an exceptional weight; "
             "the pencil will be badly conditioned", stacklevel=3)
+
+
+# the weight refusals of each constant, check(geo, beta) each, in the
+# order its solver makes them (the experiments harness makes them too)
+_INVERTIBILITY_CHECKS = (_check_lemma_weights, _check_nonexceptional)
+_COMPACT_CHECKS = (_check_compact_weight, _check_matches_marked, _check_nonexceptional)
+_POINCARE_CHECKS = (_check_poincare_weights,)
 
 
 # ---------------------------------------------------------------------------
@@ -1162,8 +1193,8 @@ def invertibility_constant(
     sigma^2: it moves where the certified solve starts, not its result."""
     _check_e_max(e_max)
     geo = _resolve_geometry(model)
-    _check_lemma_weights(geo, float(beta))
-    _check_nonexceptional(geo, beta)
+    for check in _INVERTIBILITY_CHECKS:
+        check(geo, float(beta))
     if grid is None:
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
     lams, _ = _mode_sweep(geo.link, e_max, _laplacian_pencils(grid, beta),
@@ -1203,9 +1234,8 @@ def _host_core_interval(geo: RadialGeometry) -> tuple[float, float]:
 
 
 def restricted_invertibility_compact(
-    family: GluedFamily,
+    model,
     beta: float,
-    t,
     e_max: float = 40.0,
     n_per_region: int = 400,
 ) -> CompactInvertibilityReport:
@@ -1218,13 +1248,14 @@ def restricted_invertibility_compact(
     while the higher modes are unconstrained.  Also reports the
     unconstrained mode-0 minimum (a near-zero sanity value: constants).
 
+    model is one glued model of a compact family (family.at(t)), or its
+    geometry, as invertibility_constant and poincare_constant take theirs.
     A _mode_sweep (module docstring); a mode ruled out has sigma >
     sqrt(s)."""
     _check_e_max(e_max)
-    m_geo = family.at(t).geometry
-    _check_compact_weight(m_geo, beta)
-    _check_matches_marked(m_geo, float(beta))
-    _check_nonexceptional(m_geo, beta)
+    m_geo = _resolve_geometry(model)
+    for check in _COMPACT_CHECKS:
+        check(m_geo, float(beta))
     grid = build_grid(m_geo, n_per_region=n_per_region)
     core = _host_core_interval(m_geo)
     eta_vals = np.asarray(m_geo.eta(grid.nodes), dtype=float)
@@ -1301,7 +1332,8 @@ def poincare_constant(
     1/ratio^2, as in invertibility_constant."""
     _check_e_max(e_max)
     geo = _resolve_geometry(model)
-    _check_poincare_weights(geo, float(beta))
+    for check in _POINCARE_CHECKS:
+        check(geo, float(beta))
     if grid is None:
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
     parts = _form_parts(grid, beta)
@@ -1352,23 +1384,14 @@ def weight_crossing_kernel(
     slope (expected <= gamma + nu + slack) and the pencil residual of the
     candidate against the calibrated near-null threshold.
 
-    Refused unless the classifier certifies surjectivity just below
-    gamma (crossing constructions need the cokernel already gone)."""
+    Refused (_crossing_setup) unless e is a link eigenvalue with the
+    rate gamma, the model has exactly one AC end, and the classifier
+    certifies surjectivity just below gamma (crossing constructions need
+    the cokernel already gone)."""
     geo = _resolve_geometry(model)
     m = geo.m
-    _check_exceptional_rate(gamma, e, m)
-    ends = _residual_ends(geo)
-    ac_ends = [b for b in ends if b.kind == "ac"]
-    if len(ac_ends) != 1:
-        raise ValueError("weight-crossing construction expects exactly one AC end "
-                         "(plus a cap or a CS end)")
-    _check_crossing_surjective(geo, gamma)
-
-    # call-time import: picks up perfbench's tracing patches, a top-level one would not
-    from .weight_calculus import exceptional_weights
-
+    ac, beta_res = _crossing_setup(geo, gamma, e)
     grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
-    ac = ac_ends[0]
     nu = ac.nu if ac.nu is not None else -1.0
 
     r = ac.sign * (grid.nodes - ac.x0)
@@ -1400,10 +1423,6 @@ def weight_crossing_kernel(
         slope = _loglog_slope(r[tail], np.maximum(np.abs(u_corr[tail]), 1e-300))
 
     # pencil residual of the candidate at a weight that admits it
-    above = [w.gamma for w in exceptional_weights(geo.link, m, (gamma, gamma + 10.0))
-             if w.gamma > gamma + 1e-9]
-    gap_up = (min(above) - gamma) if above else 1.0
-    beta_res = gamma + min(0.5 * gap_up, 0.25)
     pen = laplacian_pencil(grid, e, _form_parts(grid, beta_res))
     residual_sigma = pen.residual_sigma(candidate_vals[pen.op.interior])
     thr = near_null_threshold(geo.link, m, e + 1.0, beta_res,

@@ -1277,6 +1277,18 @@ def _candidate_centers(grid: RadialGrid, per_region: int = 4) -> list[float]:
     return centers
 
 
+def _first_nonzero_mode(geometry: RadialGeometry) -> float:
+    """The least nonzero link eigenvalue, from the spectrum up to 4m: the
+    second mode of a default bump family and of random_bump_pairs;
+    ValueError if there is none up to 4m."""
+    link, m = geometry.link, geometry.m
+    modes = link.eigenvalues_below(4.0 * m)
+    if len(modes) < 2:
+        raise ValueError(f"link {link.spec_string()} has no nonzero eigenvalue up to 4m = "
+                         f"{4 * m}, the range of a bump family's second mode")
+    return modes[1][0]
+
+
 def bump_family(
     grid: RadialGrid,
     n_members: int = 32,
@@ -1301,8 +1313,7 @@ def bump_family(
     if n_members < 0:
         raise ValueError(f"n_members must be >= 0, got {n_members}")
     if modes is None:
-        e1 = g.link.eigenvalues_below(4.0 * g.m)[1][0]
-        modes = (0.0, e1)
+        modes = (0.0, _first_nonzero_mode(g))
     elif len(modes) == 0:
         raise ValueError("modes must hold at least one link eigenvalue, got none")
     rng = np.random.default_rng(seed)
@@ -1349,7 +1360,7 @@ def random_bump_pairs(
     zero rows (_zero_rows), with the supports read from the window values
     (_bump_supports)."""
     g = grid.geometry
-    e1 = g.link.eigenvalues_below(4.0 * g.m)[1][0]
+    e1 = _first_nonzero_mode(g)
     rng = np.random.default_rng(seed)
     centers = np.array(_candidate_centers(grid, per_region=6))
     rho_c = np.asarray(g.rho(centers), dtype=float)

@@ -128,11 +128,19 @@ def test_a_missing_custom_link_file_is_a_usage_error(tmp_path, command):
      "compact model: constants cannot be excluded"),
     ({"experiment": "weight_crossing", "gamma_cases": [[0.0, 0.0], [0.0, 0.5]]},
      "0.0 is not an exceptional rate for eigenvalue 0.5"),
+    # (sqrt 5 - 1) / 2 is a rate of e = 1, which is no eigenvalue of the unit S^2
+    ({"experiment": "weight_crossing", "gamma_cases": [[0.6180339887498949, 1.0]],
+      "n_per_region": 200},
+     "1.0 is not an eigenvalue of the link sphere:2:1.0, so 0.6180339887498949 is not an "
+     "exceptional weight of its end"),
+    ({"experiment": "weight_crossing", "model": "rxs2"},
+     "weight-crossing construction expects exactly one AC end"),
 ], ids=["atlas-link-dimension", "atlas-kind", "atlas-missing-link", "sweep-model",
         "neck-model", "crossing-model", "crossing-model-file", "r_max-negative",
         "sweep-tau", "compact-t", "neck-t", "gns-p", "embedding-p", "holder-p",
         "eta-cutoff", "compact-beta", "sweep-one-t", "invertibility-beta",
-        "poincare-beta", "poincare-compact", "crossing-gamma"])
+        "poincare-beta", "poincare-compact", "crossing-gamma", "crossing-e-off-spectrum",
+        "crossing-two-ac-ends"])
 def test_run_refuses_unusable_fields_before_writing(tmp_path, bad, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiments": [{"experiment": "eta_bounds"}, bad]}))
@@ -158,6 +166,75 @@ def test_run_refuses_an_r_max_inside_an_ac_end_before_writing(tmp_path, experime
     result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
     assert result.exit_code == 2
     assert "r_max 0.5 cuts an AC end at or below its radius" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def custom_dumbbell(tmp_path, rows):
+    """The dumbbell family's file over a custom link of these spectrum rows;
+    returns (family file, link spec)."""
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text("".join(f"{e},{mult}\n" for e, mult in rows))
+    family = json.loads((CONFIGS / "dumbbell_family.json").read_text())
+    for component in family["components"]:
+        component["link"] = f"custom:{spectrum}"
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    return str(path), f"custom:{spectrum}"
+
+
+@pytest.mark.parametrize("entry, requested", [
+    ({"experiment": "invertibility_uniformity", "e_max": 12.0}, "12.0"),  # its mode sweep
+    ({"experiment": "embedding_uniformity"}, "12.0"),  # the bump family's mode, 4m
+    ({"experiment": "region_atlas"}, "8.75"),  # its weight range's rates
+], ids=["invertibility", "embedding", "atlas"])
+def test_run_refuses_a_custom_spectrum_shorter_than_it_reads_before_writing(
+        tmp_path, entry, requested):
+    family, link = custom_dumbbell(tmp_path, [(0, 1), (2, 3), (6, 5)])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": [{"experiment": "eta_bounds"},
+                                                {**entry, "model": family, "link": link}]}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"custom spectrum covers eigenvalues up to 6.0, requested {requested}" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_run_refuses_a_link_without_a_second_bump_mode_before_writing(tmp_path):
+    family, _link = custom_dumbbell(tmp_path, [(0, 1), (20, 3)])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": [
+        {"experiment": "eta_bounds"}, {"experiment": "gns_uniformity", "model": family}]}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "has no nonzero eigenvalue up to 4m = 12" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_run_refuses_a_compact_weight_off_the_family_files_marked_weight(tmp_path):
+    """A family file fixes the marked-end weight that a preset family
+    takes from the config's beta; the compact constant refuses another
+    beta before anything is written."""
+    ends = [{"kind": kind, "nu": nu, "beta": -0.5, "boundary": boundary, "marked": True}
+            for kind, nu, boundary in (("CS", 2.0, 1.3), ("AC", -2.0, 1.0)) for _ in "lr"]
+    spindle = {"m": 3, "tau": 0.5, "a": 0.4, "b": 0.2, "components": [
+        {"link": "sphere:2", "profile": "sine_spindle", "length": 3.141592653589793,
+         "ends": ends[:2]},
+        {"link": "sphere:2", "profile": "hyperboloid:1.0", "ends": ends[2:]}]}
+    model = tmp_path / "spindle.json"
+    model.write_text(json.dumps(spindle))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": [
+        {"experiment": "eta_bounds"},
+        {"experiment": "compact_invertibility", "model": str(model), "beta": -0.7}]}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "requested weight -0.7 differs from the marked-end weight -0.5" in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
 

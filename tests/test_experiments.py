@@ -8,6 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from conifold_lab import conifold_model as cm
 from conifold_lab import experiments
+from conifold_lab import link_spectra
 from conifold_lab import spectral_laplace as sl
 from conifold_lab.experiments import (
     ExperimentConfig,
@@ -21,6 +22,7 @@ from conifold_lab.link_spectra import make_link
 from conifold_lab.weight_calculus import EndDescriptor, WeightVector, classify_weight_region
 
 FAMILY_JSON = Path(__file__).resolve().parents[1] / "configs" / "dumbbell_family.json"
+ACCEPTANCE = FAMILY_JSON.with_name("acceptance_suite.json")
 
 
 def small(experiment, **kw):
@@ -71,19 +73,20 @@ def test_unknown_config_keys_are_refused():
 
 def test_run_tags_errors_and_keeps_the_original(monkeypatch):
     # ArpackNoConvergence takes three constructor arguments, so it cannot
-    # be rebuilt from a message alone
+    # be rebuilt from a message alone; an error of either stage is tagged
     original = ArpackNoConvergence("x", [], [])
 
-    def failing(cfg):
+    def fail(*_args):
         raise original
 
-    columns, model, _runner = experiments._TABLE["eta_bounds"]
-    monkeypatch.setitem(experiments._TABLE, "eta_bounds", (columns, model, failing))
-    message = r"^\[eta_bounds\] ArpackNoConvergence: ARPACK error -1: x$"
-    with pytest.raises(ExperimentError, match=message) as info:
-        run(ExperimentConfig(experiment="eta_bounds"))
-    assert info.value.experiment == "eta_bounds"
-    assert info.value.__cause__ is original
+    columns, model, _prepare = experiments._TABLE["eta_bounds"]
+    for prepare in (fail, lambda cfg: fail):
+        monkeypatch.setitem(experiments._TABLE, "eta_bounds", (columns, model, prepare))
+        message = r"^\[eta_bounds\] ArpackNoConvergence: ARPACK error -1: x$"
+        with pytest.raises(ExperimentError, match=message) as info:
+            run(ExperimentConfig(experiment="eta_bounds"))
+        assert info.value.experiment == "eta_bounds"
+        assert info.value.__cause__ is original
 
 
 def test_arpack_failure_reaches_the_caller_of_an_experiment(monkeypatch):
@@ -221,7 +224,7 @@ def test_hinted_sweeps_match_cold_calls_per_t(experiment, monkeypatch, tmp_path)
     factorizations.clear()
     fam = experiments._family(cfg)
     for t, row in zip(cfg.t_list, res.rows):
-        cold, _rep = CARRYING_ROWS[experiment](cfg, fam, t)
+        cold, _rep = CARRYING_ROWS[experiment](cfg, fam.at(t))
         assert list(row) == list(cold)
         for key, value in cold.items():
             assert row[key] == (pytest.approx(value, rel=1e-8)
@@ -406,6 +409,71 @@ def test_region_atlas_refuses_a_link_of_the_wrong_dimension():
                           "dimension m = 3 has dimension m-1 = 2")
 
 
+def spy(monkeypatch, owner, name):
+    """A list that records the arguments of each call to owner.name."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(a) or fn(*a, **kw))
+    return calls
+
+
+def test_each_t_is_glued_once(monkeypatch, tmp_path):
+    """The acceptance suite's sweeps and neck rows glue each (experiment, t)
+    once, through run_config_file (which prepares every entry before it
+    runs any) as through run: 24 gluings."""
+    glued = spy(monkeypatch, cm, "parametric_connect_sum")
+    configs = [ExperimentConfig.from_dict(d)
+               for d in json.loads(ACCEPTANCE.read_text())["experiments"]]
+    pairs = sum(len(c.t_list) for c in configs
+                if experiments._TABLE[c.experiment][1] in experiments._FAMILIES)
+    assert pairs == 24
+    run_config_file(ACCEPTANCE, out_dir=tmp_path)
+    assert len(glued) == pairs
+    glued.clear()
+    for config in configs:
+        run(config)
+    assert len(glued) == pairs
+
+
+def test_prepare_reads_each_link_as_far_as_the_run_will(monkeypatch):
+    """Each acceptance experiment that reads a link from its config asks
+    its spectrum in prepare for at least the range that work asks, so a
+    custom spectrum too short for the run is refused before anything
+    runs (norm_identities' cones are over the unit S^2 alone)."""
+    asked = spy(monkeypatch, link_spectra.Link, "eigenvalues_below")
+    for entry in json.loads(ACCEPTANCE.read_text())["experiments"]:
+        if entry["experiment"] == "norm_identities":
+            continue
+        asked.clear()
+        result = experiments._prepare(ExperimentConfig.from_dict(entry))
+        prepared = max((lam for _link, lam in asked), default=0.0)
+        asked.clear()
+        result()
+        assert max((lam for _link, lam in asked), default=0.0) <= prepared, entry
+
+
+def test_a_custom_link_file_is_read_once_per_component(monkeypatch, tmp_path):
+    """A glued family's file builds each component once, so its custom
+    spectrum file is read once per component, by load_family and by a
+    suite run, which prepares the family once."""
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text("0,1\n2,3\n6,5\n")
+    family = json.loads(FAMILY_JSON.read_text())
+    for component in family["components"]:
+        component["link"] = f"custom:{spectrum}"
+    model = tmp_path / "family.json"
+    model.write_text(json.dumps(family))
+    reads = spy(monkeypatch, link_spectra, "_parse_spectrum_csv")
+    fam = cm.load_family(model)
+    assert len(reads) == 2
+    assert fam.L.components[0].link == fam.L_hat.components[0].link
+    reads.clear()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "neck_convergence", "model": str(model)}))
+    code, (res,) = run_config_file(path, out_dir=tmp_path / "out")
+    assert len(reads) == 2
+    assert code == 0 and res.rows == run(ExperimentConfig(experiment="neck_convergence")).rows
+
+
 def test_fields_an_experiment_does_not_read_are_not_checked(tmp_path):
     # eta_bounds reads neither the model nor the link or kind of an atlas
     path = tmp_path / "cfg.json"
@@ -436,10 +504,10 @@ def test_model_files_are_checked_as_their_runner_reads_them(experiment, model, o
         model = tmp_path / "model.json"
     config = ExperimentConfig(experiment=experiment, model=str(model))
     if ok:
-        experiments._check_fields(config)
+        experiments._prepare(config)
     else:
         with pytest.raises(ValueError, match=f"unknown (glued benchmark|model) '{model}'"):
-            experiments._check_fields(config)
+            experiments._prepare(config)
 
 
 def test_region_atlas_passes_consistency():

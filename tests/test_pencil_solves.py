@@ -648,7 +648,7 @@ def test_constrained_solve_matches_dense_eigh(t, monkeypatch):
         patched.setattr(sl.spla, "splu", refused)
         got = _constrained_smallest(A, B, q, pen.numerator)
     assert got == pytest.approx(want, rel=CONSTRAINED_RTOL)
-    rep = restricted_invertibility_compact(spindle_family(), beta=-0.5, t=t, e_max=2.0,
+    rep = restricted_invertibility_compact(spindle_family().at(t), beta=-0.5, e_max=2.0,
                                            n_per_region=400)
     assert rep.per_mode[0] == (0.0, float(np.sqrt(got)))
 
@@ -737,9 +737,9 @@ EXCLUSION_N = 150
 
 
 def compact_reports(t):
-    fam = spindle_family()
-    return fam, restricted_invertibility_compact(fam, beta=-0.5, t=t, e_max=E_MAX,
-                                                 n_per_region=EXCLUSION_N)
+    glued = spindle_family().at(t)
+    return glued, restricted_invertibility_compact(glued, beta=-0.5, e_max=E_MAX,
+                                                   n_per_region=EXCLUSION_N)
 
 
 def poincare_reports(t):
@@ -760,8 +760,8 @@ def test_compact_constant_is_the_min_over_every_mode_solved(t):
     e > 0 solved by _certified_smallest (mode 0 is the report's own
     constrained solve); each bound lies below its mode's solved sigma, and
     no mode's pencil passes the test at the margin above its own value."""
-    fam, rep = compact_reports(t)
-    grid = build_grid(fam.at(t).geometry, n_per_region=EXCLUSION_N)
+    glued, rep = compact_reports(t)
+    grid = build_grid(glued.geometry, n_per_region=EXCLUSION_N)
     parts = _form_parts(grid, -0.5)
     sigma = {0.0: rep.per_mode[0][1]}
     for e in modes(grid)[1:]:

@@ -231,16 +231,34 @@ def test_weight_crossing_refused_without_surjectivity():
         weight_crossing_kernel(hyp, gamma=-1.0, e=0.0, n_per_region=200)
 
 
+def test_weight_crossing_refuses_a_mode_off_the_link_spectrum():
+    # (sqrt 5 - 1) / 2 is a rate of e = 1, but the unit S^2 has eigenvalues
+    # 0, 2, 6, ...: the rate is no exceptional weight of the end
+    hyp = preset_model("hyperboloid_capped")
+    gamma = gamma_roots(1.0, 3)[0]
+    with pytest.raises(ValueError, match=r"^1.0 is not an eigenvalue of the link sphere:2"):
+        weight_crossing_kernel(hyp, gamma=gamma, e=1.0, n_per_region=200)
+    # within DEFAULT_TOL of an eigenvalue is on it
+    rep = weight_crossing_kernel(hyp, gamma=gamma_roots(2.0 + 1e-10, 3)[0], e=2.0 + 1e-10,
+                                 n_per_region=200)
+    assert rep.e == 2.0 + 1e-10
+
+
+def test_weight_crossing_refuses_a_model_without_one_ac_end():
+    with pytest.raises(ValueError, match="expects exactly one AC end"):
+        weight_crossing_kernel(preset_model("rxs2"), gamma=1.0, e=2.0, n_per_region=200)
+
+
 def test_restricted_compact_rejects_noncompact():
     fam = dumbbell_family()
     with pytest.raises(WeightConditionError, match="not compact"):
-        restricted_invertibility_compact(fam, beta=-0.5, t=1e-2, e_max=2.0,
+        restricted_invertibility_compact(fam.at(1e-2), beta=-0.5, e_max=2.0,
                                          n_per_region=100)
 
 
 def test_restricted_compact_detects_constants():
     fam = spindle_family()
-    rep = restricted_invertibility_compact(fam, beta=-0.5, t=1e-2, e_max=6.0,
+    rep = restricted_invertibility_compact(fam.at(1e-2), beta=-0.5, e_max=6.0,
                                            n_per_region=250)
     assert rep.sigma_mode0_unconstrained < 1e-2 * rep.sigma_constrained
     assert rep.sigma_constrained > 0.05
@@ -313,7 +331,7 @@ NEGATIVE_E_MAX = {
         dumbbell_family().at(1e-2), beta=-0.5, e_max=-1.0),
     "poincare": lambda: poincare_constant(dumbbell_family().at(1e-2), beta=-0.5, e_max=-1.0),
     "compact": lambda: restricted_invertibility_compact(
-        spindle_family(), beta=-0.5, t=1e-2, e_max=-1.0),
+        spindle_family().at(1e-2), beta=-0.5, e_max=-1.0),
     "kernel_scan": lambda: kernel_dimension_scan(
         preset_model("hyperboloid_capped"), [0.5], e_max=-1.0),
 }
@@ -375,7 +393,7 @@ def test_chain_glued_compact_interval_transverse_solve():
     partner = ConifoldModel(3, (capped("h1"), capped("h2")), label="two_caps")
     from conifold_lab.conifold_model import GluedFamily
     fam = GluedFamily(L, partner, tau=0.5, a=0.4, b=0.2)
-    rep = restricted_invertibility_compact(fam, beta=-0.5, t=1e-2, e_max=6.0,
+    rep = restricted_invertibility_compact(fam.at(1e-2), beta=-0.5, e_max=6.0,
                                            n_per_region=250)
     assert rep.sigma_mode0_unconstrained < 1e-2 * rep.sigma_constrained
     assert rep.sigma_constrained > 0.05
@@ -393,7 +411,7 @@ def test_glued_solvers_refuse_mismatched_weight():
         invertibility_constant(fam.at(1e-2), beta=-0.7, e_max=2.0, n_per_region=100)
     sp = spindle_family(beta=-0.5)
     with pytest.raises(WeightConditionError, match="marked-end weight"):
-        restricted_invertibility_compact(sp, beta=-0.7, t=1e-2, e_max=2.0,
+        restricted_invertibility_compact(sp.at(1e-2), beta=-0.7, e_max=2.0,
                                          n_per_region=100)
 
 

@@ -432,4 +432,4 @@ def test_gns_row_names_the_zero_member(monkeypatch):
 
     monkeypatch.setattr(wc, "bump_family", with_zero)
     with pytest.raises(ValueError, match="member 1 has a zero"):
-        ex._gns_row(cfg, fam, 0.1)
+        ex._gns_row(cfg, fam.at(0.1))
