@@ -56,6 +56,7 @@ __all__ = [
     "load_model",
     "family_from_config",
     "load_family",
+    "exact_cone_model",
     "preset_model",
     "dumbbell_family",
     "spindle_family",
@@ -1291,6 +1292,18 @@ def _unit_s2() -> Link:
     return make_link("sphere", dim=2)
 
 
+def exact_cone_model(link: Link, m: int, beta_cs: float, beta_ac: float, boundary: float,
+                     marked: bool = False, label: str = "") -> ConifoldModel:
+    """The exact cone f = r over link: a CS end (nu = 1, weight beta_cs,
+    marked for gluing when marked) and an AC end (nu = -1, weight
+    beta_ac), both ends' charts meeting at the radius boundary."""
+    return ConifoldModel(m, (Component(
+        link=link, warp=warp_preset("exact_cone"),
+        left=EndSpec("CS", link, nu=1.0, beta=beta_cs, boundary=boundary, marked=marked),
+        right=EndSpec("AC", link, nu=-1.0, beta=beta_ac, boundary=boundary),
+    ),), label=label)
+
+
 def preset_model(name: str, beta: float = -0.5) -> ConifoldModel:
     """Canonical base models over the unit 2-sphere link (m = 3).
 
@@ -1301,11 +1314,7 @@ def preset_model(name: str, beta: float = -0.5) -> ConifoldModel:
     """
     link = _unit_s2()
     if name == "exact_cone_cs_ac":
-        return ConifoldModel(3, (Component(
-            link=link, warp=warp_preset("exact_cone"),
-            left=EndSpec("CS", link, nu=1.0, beta=beta, boundary=2.0, marked=True),
-            right=EndSpec("AC", link, nu=-1.0, beta=beta, boundary=2.0),
-        ),), label="exact_cone_cs_ac")
+        return exact_cone_model(link, 3, beta, beta, 2.0, marked=True, label=name)
     if name == "hyperboloid_capped":
         return ConifoldModel(3, (Component(
             link=link, warp=warp_preset("hyperboloid", 1.0),

@@ -31,7 +31,8 @@ Tolerances live in the config with documented defaults (uniformity ratio
 theory guarantees existence of uniform constants, not their values, so
 thresholds are explicit and overridable.  Every config field is checked
 against its declared type before anything runs: a JSON list stands for a
-tuple, an int field takes no float and no field takes a bool.  Reruns
+tuple, an int field takes no float and no field takes a bool, and every
+number, tuple entries and tolerances included, must be finite.  Reruns
 with equal config and seed produce byte-identical output files.
 """
 
@@ -97,6 +98,15 @@ def _conforms(value, tp) -> bool:
     return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(tp, tp))
 
 
+def _non_finite(value):
+    """The first number in value, a tuple's entries or a dict's values
+    included, that is not finite (JSON reads NaN and Infinity), or None."""
+    if isinstance(value, (list, tuple, dict)):
+        items = value.values() if isinstance(value, dict) else value
+        return next((x for x in map(_non_finite, items) if x is not None), None)
+    return value if isinstance(value, numbers.Real) and not math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment run: which metric, on which model, over which sweep."""
@@ -127,6 +137,9 @@ class ExperimentConfig:
             if not _conforms(value, f.type):
                 raise ValueError(f"{f.name} must be {inspect.formatannotation(f.type)}, "
                                  f"got {value!r}")
+            bad = _non_finite(value)
+            if bad is not None:
+                raise ValueError(f"{f.name} must be finite, got {bad}")
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
@@ -466,12 +479,7 @@ def _norm_identities(cfg: ExperimentConfig):
     wc._holder_sweep([], cfg.p, cfg.beta, 0.25)  # no pairs: checks p alone
     # the exact cone, and a cone of variable per-end weights (they need the
     # constant reference-weight correction); build_grid checks r_max
-    link = make_link("sphere", dim=2)
-    var = cm.ConifoldModel(3, (cm.Component(
-        link=link, warp=cm.warp_preset("exact_cone"),
-        left=cm.EndSpec("CS", link, nu=1.0, beta=cfg.beta, boundary=2.0),
-        right=cm.EndSpec("AC", link, nu=-1.0, beta=cfg.beta + 1.0, boundary=2.0),
-    ),))
+    var = cm.exact_cone_model(make_link("sphere", dim=2), 3, cfg.beta, cfg.beta + 1.0, 2.0)
     grid, vgrid = (wc.build_grid(geo, n_per_region=cfg.n_per_region, r_max=cfg.r_max)
                    for geo in (cm.preset_model("exact_cone_cs_ac", beta=cfg.beta).geometry(0),
                                var.geometry(0)))

@@ -18,34 +18,36 @@ the cylindrical substitution r = e^z), close the boundaries by
     CS truncation:  Robin with the locally bounded root,
 
 and measure everything against the weighted quadratic forms of the
-k = 0, 1, 2 weighted Sobolev norms.  Invertibility and Poincare
-constants are smallest/largest generalized singular values of the
-resulting banded pencils; kernel dimensions are counts of near-null
-singular values against a grid-calibrated threshold.
+k = 0, 1, 2 weighted Sobolev norms.  Invertibility constants are
+inverse smallest generalized singular values of the resulting banded
+pencils; the Poincare constant is sqrt(1 + 1/nu), nu the smallest
+eigenvalue of the k = 1 form's gradient block against its L^2 mass;
+kernel dimensions are counts of near-null singular values against a
+grid-calibrated threshold.
 
 Matrices are bands, one array per diagonal (weighted_calc defines the
 format), from the grid's stencils d1, d2 and radial operator up to the
 eigen solves: P, the reduction R, the forms, Pi = P[interior] R, the
-pencil's A and B and Poincare's reduced forms.  Every entry of a product
-adds its terms over the inner index ascending, starting from 0, and
-all-zero diagonals are dropped.  That is the order of scipy's csr_matmat
-on the expressions the bands replace, so every matrix is bit for bit
-what those expressions give.  The products are built from what is known
-of their factors: a stencil holds entries off its diagonals -1, 0, 1 only
-in its end rows, and R is the identity on interior nodes plus closure
-entries in rows 0 and n - 1.  So a stencil sandwich is the band product
-of the three full diagonals, and Pi and a reduced form R^T M R are P's
-and M's interior entries + 0.0 (the sum of their one term), except at a
-corner block of entries between nodes within 2 of an end.  Those are
-summed again over every term, in the same k-ascending order from 0.0
-(weighted_calc's corner blocks); a zero term added or skipped changes no
-bit, since such a sum never becomes -0.0.  A band times a
-vector (P u, R u, R^T q, B x, a form's norm) is _band_rows, which adds
-each row's terms over the offsets ascending, starting from 0, as the DIA
-product and the product of the sorted CSR or CSC matrix do.  The polish
-numerator and residual_sigma add Pi v over the offsets descending, the
-order of the CSR matrix scipy's csr_matmat leaves for Pi, so near-null
-values stay bitwise.
+pencil's A and B and Poincare's reduced gradient block and mass.  Every
+entry of a product adds its terms over the inner index ascending,
+starting from 0, and all-zero diagonals are dropped.  That is the order
+of scipy's csr_matmat on the expressions the bands replace, so every
+matrix is bit for bit what those expressions give.  The products are
+built from what is known of their factors: a stencil holds entries off
+its diagonals -1, 0, 1 only in its end rows, and R is the identity on
+interior nodes plus closure entries in rows 0 and n - 1.  So a stencil
+sandwich is the band product of the three full diagonals, and Pi and a
+reduced form R^T M R are P's and M's interior entries + 0.0 (the sum of
+their one term), except at a corner block of entries between nodes
+within 2 of an end.  Those are summed again over every term, in the same
+k-ascending order from 0.0 (weighted_calc's corner blocks); a zero term
+added or skipped changes no bit, since such a sum never becomes -0.0.  A
+band times a vector (P u, R u, R^T q, B x, a form's norm) is _band_rows,
+which adds each row's terms over the offsets ascending, starting from 0,
+as the DIA product and the product of the sorted CSR or CSC matrix do.
+The polish numerator and residual_sigma add Pi v over the offsets
+descending, the order of the CSR matrix scipy's csr_matmat leaves for
+Pi, so near-null values stay bitwise.
 
 Apart from the spline warp profile, this is the one module that uses
 scipy, and it imports scipy at the first solve, not at load time: sp and
@@ -103,6 +105,7 @@ from .conifold_model import (
     GluedModel,
     RadialGeometry,
     _smoothstep_c2,
+    exact_cone_model,
 )
 from .link_spectra import Link
 from .weighted_calc import (ModeFunction, RadialGrid, _band_rows, _columns, _ends, _inner,
@@ -377,7 +380,9 @@ class _FormParts:
     image weight on one grid at one weight, built once before a loop over
     modes.  The matrix pieces are bands; weighted_form adds the
     e-dependent terms to them in the order of the scipy expressions they
-    replace, so every form is bitwise what those expressions give.
+    replace, so every form is bitwise what those expressions give.  The
+    k = 1 form is a gradient block, S1 + diag(W1 e / f^2), plus the L^2
+    mass diag(W0); poincare_constant solves the one against the other.
     Holds arrays only, never the grid."""
 
     beta: float | None
@@ -386,7 +391,8 @@ class _FormParts:
     W2: np.ndarray
     w_img: np.ndarray  # image weight of the pencil at every node
     D1: dict  # the grid's d1
-    M01: dict  # diag(W0) + D1^T diag(W1) D1
+    S1: dict  # D1^T diag(W1) D1
+    M01: dict  # S1 + diag(W0)
     M2: dict  # D2^T diag(W2) D2
     M3: dict  # D1^T diag(c3) D1 of the angular block
     Bop: dict  # D1 - diag(f'/f) of the mixed block
@@ -410,9 +416,10 @@ def _form_parts(grid: RadialGrid, beta: float | None) -> _FormParts:
     W2 = (w * g.rho**2) ** 2 * base
     c3 = (m - 1.0) * g.fp**2 * W2 / g.f**2
     w_img = w**2 * g.quad * g.f ** (m - 1) * g.volume_factor * g.rho ** (-float(m))
+    S1 = _sandwich(D1, W1)
     return _FormParts(
         beta=beta, W0=W0, W1=W1, W2=W2, w_img=w_img, D1=D1,
-        M01=_sum(_sandwich(D1, W1), {0: W0}), M2=_sandwich(D2, W2), M3=_sandwich(D1, c3),
+        S1=S1, M01=_sum(S1, {0: W0}), M2=_sandwich(D2, W2), M3=_sandwich(D1, c3),
         Bop={**D1, 0: D1[0] - g.fp / g.f},
     )
 
@@ -862,17 +869,10 @@ class _ThresholdMesh:
 
 def _threshold_mesh(link: Link, m: int, e_max: float, nodes_per_decade: float,
                     r_span: tuple[float, float]) -> _ThresholdMesh:
-    from .conifold_model import Component, EndSpec, warp_preset
-
     r_lo, r_hi = r_span
     # the end weights only label the geometry: the forms take the weight
     # as a constant, and the nodes and the operator do not depend on it
-    comp = Component(
-        link=link, warp=warp_preset("exact_cone"),
-        left=EndSpec("CS", link, nu=1.0, beta=0.0, boundary=math.sqrt(r_lo * r_hi)),
-        right=EndSpec("AC", link, nu=-1.0, beta=0.0, boundary=math.sqrt(r_lo * r_hi)),
-    )
-    model = ConifoldModel(m, (comp,))
+    model = exact_cone_model(link, m, 0.0, 0.0, math.sqrt(r_lo * r_hi))
     decades = math.log10(r_hi / r_lo)
     n = max(64, int(nodes_per_decade * decades / 2))
     grid = build_grid(model.geometry(0), n_per_region=n,
@@ -1056,42 +1056,32 @@ def _check_exceptional_rate(gamma: float, e: float, link: Link, m: int):
                          f"{gamma} is not an exceptional weight of its end")
 
 
-def _check_crossing_surjective(geo: RadialGeometry, gamma: float):
-    """Refuse a crossing of gamma unless the classifier certifies
-    surjectivity just below it (the construction needs the cokernel
-    already gone): at gamma less half the gap to the next rate below, at
-    most 0.05."""
-    # call-time import: picks up perfbench's tracing patches, a top-level one would not
-    from .weight_calculus import (EndDescriptor, WeightVector,
-                                  classify_weight_region, exceptional_weights)
-    m = geo.m
-    below = [w.gamma for w in exceptional_weights(geo.link, m, (gamma - 10.0, gamma))
-             if w.gamma < gamma - 1e-9]
-    gap = gamma - max(below) if below else 1.0
-    facts = classify_weight_region("AC", [EndDescriptor("AC", geo.link)],
-                                   WeightVector((gamma - min(0.5 * gap, 0.05),)), m)
-    if facts.surjective is not True:
-        raise WeightConditionError(
-            f"surjectivity below gamma={gamma} is not certified; "
-            "the crossing construction does not apply")
-
-
 def _crossing_setup(geo: RadialGeometry, gamma: float, e: float):
     """(the AC end, the weight of the residual) of weight_crossing_kernel's
     crossing of the rate gamma in mode e, after each of its refusals:
     gamma a rate of the link eigenvalue e, exactly one AC end, and
-    surjectivity certified just below gamma.  The residual's weight is
+    surjectivity certified by the classifier just below gamma (the
+    construction needs the cokernel already gone), at gamma less half the
+    gap to the next rate below, at most 0.05.  The residual's weight is
     gamma plus half the gap to the next rate above, at most 0.25."""
     # call-time import: picks up perfbench's tracing patches, a top-level one would not
-    from .weight_calculus import exceptional_weights
+    from .weight_calculus import (EndDescriptor, WeightVector,
+                                  classify_weight_region, exceptional_weights)
     _check_exceptional_rate(gamma, e, geo.link, geo.m)
     ac_ends = [b for b in _residual_ends(geo) if b.kind == "ac"]
     if len(ac_ends) != 1:
         raise ValueError("weight-crossing construction expects exactly one AC end "
                          "(plus a cap or a CS end)")
-    _check_crossing_surjective(geo, gamma)
-    above = [w.gamma for w in exceptional_weights(geo.link, geo.m, (gamma, gamma + 10.0))
-             if w.gamma > gamma + 1e-9]
+    rates = [w.gamma for w in exceptional_weights(geo.link, geo.m, (gamma - 10.0, gamma + 10.0))]
+    below = [g for g in rates if g < gamma - 1e-9]
+    above = [g for g in rates if g > gamma + 1e-9]
+    gap = gamma - max(below) if below else 1.0
+    facts = classify_weight_region("AC", [EndDescriptor("AC", geo.link)],
+                                   WeightVector((gamma - min(0.5 * gap, 0.05),)), geo.m)
+    if facts.surjective is not True:
+        raise WeightConditionError(
+            f"surjectivity below gamma={gamma} is not certified; "
+            "the crossing construction does not apply")
     gap_up = (min(above) - gamma) if above else 1.0
     return ac_ends[0], gamma + min(0.5 * gap_up, 0.25)
 
@@ -1281,19 +1271,17 @@ def restricted_invertibility_compact(
         bounded=tuple((e, math.sqrt(s)) for e, s in bounded), core=core, grid_size=grid.n)
 
 
-def _gradient_forms(grid: RadialGrid, beta: float):
-    """e -> the bands of the weighted gradient form D1^T diag(wg) D1 +
-    diag(wg e / f^2) of poincare_constant, wg = (wextra rho^{1-beta})^2
-    rho^{-m} times the volume element; the e-free product is built once."""
-    m = grid.geometry.m
-    wg = (grid.wextra * grid.rho ** (1 - beta)) ** 2 * grid.quad \
-        * grid.f ** (m - 1) * grid.volume_factor * grid.rho ** (-float(m))
-    G0 = _sandwich(grid.d1, wg)
+def _poincare_pencils(grid: RadialGrid, beta: float):
+    """e -> (A, B, None) of poincare_constant at the weight beta: the
+    reduced gradient block and L^2 mass of the k = 1 form."""
+    parts = _form_parts(grid, beta)
 
-    def bands(e: float) -> dict:
-        return _sum(G0, {0: wg * e / grid.f**2})
+    def pencil(e: float):
+        op = assemble_mode_operator(grid, e, beta=beta)
+        gradient = _sum(parts.S1, {0: parts.W1 * e / grid.f**2})
+        return op.reduce(gradient), op.reduce({0: parts.W0}), None
 
-    return bands
+    return pencil
 
 
 @dataclass(frozen=True)
@@ -1320,36 +1308,29 @@ def poincare_constant(
     previous: PoincareReport | None = None,
 ) -> PoincareReport:
     """Largest ratio ||u||_{W_{1,beta}} / ||du||_{L_{beta-1}} over the
-    discrete mode spaces, computed per mode as the extreme generalized
-    eigenvalue of (k=1 form) against the weighted gradient form
-    integrating |u'|^2 + (e/f^2) u^2 with weight rho^{2-2beta} rho^{-m}.
+    discrete mode spaces.  The k = 1 form is the gradient block G_e (S1
+    + diag(W1 e / f^2): |u'|^2 + (e/f^2) u^2 with weight rho^{2-2beta}
+    rho^{-m}) plus the L^2 mass diag(W0), so a mode's ratio is sqrt(1 +
+    1/nu), nu the smallest eigenvalue of its pencil (_poincare_pencils).
 
     Requires weights that keep constants out of the space: every residual
     AC end with beta < 0 or CS end with beta > 0.
 
-    A _mode_sweep (module docstring) of ratio 1/sqrt(lam); a mode ruled
-    out has ratio < 1/sqrt(s).  previous gives each mode it solved near =
-    1/ratio^2, as in invertibility_constant."""
+    A _mode_sweep (module docstring) of nu; a mode ruled out has ratio <
+    sqrt(1 + 1/s).  previous gives each mode it solved near = 1/(ratio^2
+    - 1), as in invertibility_constant."""
     _check_e_max(e_max)
     geo = _resolve_geometry(model)
     for check in _POINCARE_CHECKS:
         check(geo, float(beta))
     if grid is None:
         grid = build_grid(geo, n_per_region=n_per_region, r_max=r_max)
-    parts = _form_parts(grid, beta)
-    gradient_bands = _gradient_forms(grid, beta)
-
-    def pencil(e):
-        op = assemble_mode_operator(grid, e, beta=beta)
-        M1 = op.reduce(weighted_form(grid, 1, e, parts))
-        return op.reduce(gradient_bands(e)), M1, None
-
-    lams, bounded = _mode_sweep(geo.link, e_max, pencil,
-                                {e: c**-2 for e, c in previous.per_mode} if previous else {},
-                                exclude=True)
-    per_mode = tuple((e, 1.0 / math.sqrt(max(lam, 1e-300))) for e, lam in lams)
+    nus, bounded = _mode_sweep(geo.link, e_max, _poincare_pencils(grid, beta),
+                               {e: 1.0 / (c * c - 1.0) for e, c in previous.per_mode}
+                               if previous else {}, exclude=True)
+    per_mode = tuple((e, math.sqrt(1.0 + 1.0 / max(nu, 1e-300))) for e, nu in nus)
     return PoincareReport(constant=max(c for _, c in per_mode), per_mode=per_mode,
-                          bounded=tuple((e, 1.0 / math.sqrt(s)) for e, s in bounded),
+                          bounded=tuple((e, math.sqrt(1.0 + 1.0 / s)) for e, s in bounded),
                           beta=float(beta), grid_size=grid.n)
 
 

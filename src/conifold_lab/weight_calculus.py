@@ -139,15 +139,19 @@ def distance_to_exceptional(beta: float, link: Link, m: int) -> float:
 
 def _crossed_multiplicity(link: Link, m: int, g1: float, g2: float,
                           check_endpoints: bool = True) -> int:
-    """Sum of multiplicities of exceptional weights strictly between g1 and g2."""
+    """Sum of multiplicities of exceptional weights strictly between g1 and
+    g2.  With check_endpoints, an end g1 or g2 within DEFAULT_TOL of an
+    exceptional rate raises ExceptionalWeightError: the rates read here
+    span (g - 1, g + 1) around either end, so this is the test of
+    distance_to_exceptional, and classify_weight_region relies on it."""
     lo, hi, tol = min(g1, g2), max(g1, g2), DEFAULT_TOL
     total = 0
     for w in exceptional_weights(link, m, (lo - 1.0, hi + 1.0)):
-        if check_endpoints and (abs(w.gamma - g1) <= tol or abs(w.gamma - g2) <= tol):
-            raise ExceptionalWeightError(
-                f"weight {w.gamma} is exceptional (eigenvalue {w.source_eigenvalue}); "
-                "index change is undefined at exceptional endpoints"
-            )
+        for g in (g1, g2):
+            if check_endpoints and abs(w.gamma - g) <= tol:
+                raise ExceptionalWeightError(
+                    f"weight {g} is within {tol} of the exceptional rate {w.gamma} "
+                    f"(eigenvalue {w.source_eigenvalue}); the index is undefined there")
         if lo + tol < w.gamma < hi - tol:
             total += w.mult
     return total
@@ -220,15 +224,6 @@ class RegionFacts:
     kernel_dim: int | None = None
 
 
-def _require_nonexceptional(beta, ends, m):
-    for i, (b, end) in enumerate(zip(beta, ends)):
-        d = distance_to_exceptional(b, end.link, m)
-        if d <= DEFAULT_TOL:
-            raise ExceptionalWeightError(
-                f"weight {b} on end {i} is within {DEFAULT_TOL} of an exceptional weight"
-            )
-
-
 def classify_weight_region(
     kind: str,
     ends: list[EndDescriptor],
@@ -239,7 +234,9 @@ def classify_weight_region(
 
     kind: 'compact' | 'AC' | 'CS' | 'CSAC'.  For 'compact' the end list
     and weights are ignored.  Only the prose-level quadrant facts are
-    encoded; anything finer is reported as unknown (None).
+    encoded; anything finer is reported as unknown (None).  A weight
+    within DEFAULT_TOL of an exceptional rate raises
+    ExceptionalWeightError (from the index's _crossed_multiplicity).
 
     AC: injective when every weight < 0; surjective when every weight
     > 2-m; isomorphism with index zero in between (region A); in the
@@ -265,7 +262,6 @@ def classify_weight_region(
     beta = tuple(weights)
     if len(beta) != len(ends):
         raise ValueError("need one weight per end")
-    _require_nonexceptional(beta, ends, m)
     index = _signed_index_from_anchor(beta, ends, m)
     lo = 2.0 - m
 

@@ -21,7 +21,7 @@ from conifold_lab.conifold_model import dumbbell_family, preset_model, spindle_f
 from conifold_lab.spectral_laplace import (
     _default_closures,
     _form_parts,
-    _gradient_forms,
+    _poincare_pencils,
     assemble_mode_operator,
     laplacian_pencil,
     weighted_form,
@@ -104,8 +104,9 @@ def ref_form_parts(g, beta):
     W1 = (w * g.rho) ** 2 * base
     W2 = (w * g.rho**2) ** 2 * base
     c3 = (m - 1.0) * g.fp**2 * W2 / g.f**2
-    return {"W0": W0, "W1": W1, "W2": W2, "D1": D1,
-            "M01": ref_sum(ref_sandwich(D1, W1), {0: W0}), "M2": ref_sandwich(D2, W2),
+    S1 = ref_sandwich(D1, W1)
+    return {"W0": W0, "W1": W1, "W2": W2, "D1": D1, "S1": S1,
+            "M01": ref_sum(S1, {0: W0}), "M2": ref_sandwich(D2, W2),
             "M3": ref_sandwich(D1, c3), "Bop": {**D1, 0: D1[0] - g.fp / g.f}}
 
 
@@ -124,11 +125,8 @@ def ref_weighted_form(g, k, e, parts):
     return ref_sum(*terms)
 
 
-def ref_gradient_form(g, beta, e):
-    m = g.geometry.m
-    wg = (g.wextra * g.rho ** (1 - beta)) ** 2 * g.quad \
-        * g.f ** (m - 1) * g.volume_factor * g.rho ** (-float(m))
-    return ref_sum(ref_sandwich(g.d1, wg), {0: wg * e / g.f**2})
+def ref_gradient_block(g, e, parts):
+    return ref_sum(parts["S1"], {0: parts["W1"] * e / g.f**2})
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +178,7 @@ def assert_same_band(got, want):
 def test_form_parts_are_the_full_products(grid):
     for beta in BETAS:
         parts, ref = _form_parts(grid, beta), ref_form_parts(grid, beta)
-        for name in ("M01", "M2", "M3", "Bop"):
+        for name in ("S1", "M01", "M2", "M3", "Bop"):
             assert_same_band(getattr(parts, name), ref[name])
 
 
@@ -188,7 +186,7 @@ def test_forms_and_reductions_are_the_full_products(grid):
     closures = set()
     for beta in BETAS:
         parts, ref = _form_parts(grid, beta), ref_form_parts(grid, beta)
-        gradient = _gradient_forms(grid, -0.5 if beta is None else beta)
+        poincare = _poincare_pencils(grid, beta)
         for e in MODES:
             op = assemble_mode_operator(grid, e, beta=beta)
             closures.update((c.kind, c.slope) for c in _default_closures(grid, e, beta) if c)
@@ -198,9 +196,9 @@ def test_forms_and_reductions_are_the_full_products(grid):
                 assert_same_band(form, ref_weighted_form(grid, k, e, ref))
                 if k:
                     assert_same_band(op.reduce(form), ref_reduce(op, form))
-            G = gradient(e)
-            assert_same_band(G, ref_gradient_form(grid, -0.5 if beta is None else beta, e))
-            assert_same_band(op.reduce(G), ref_reduce(op, G))
+            G, M, _ = poincare(e)
+            assert_same_band(G, ref_reduce(op, ref_gradient_block(grid, e, ref)))
+            assert_same_band(M, ref_reduce(op, {0: ref["W0"]}))
             pen = laplacian_pencil(grid, e, parts)
             assert_same_band(pen.A_bands, ref_sandwich(ref_pi(op), pen.w_img))
     kinds = {kind for kind, _ in closures}

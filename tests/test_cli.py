@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, seed override."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -135,12 +136,18 @@ def test_a_missing_custom_link_file_is_a_usage_error(tmp_path, command):
      "exceptional weight of its end"),
     ({"experiment": "weight_crossing", "model": "rxs2"},
      "weight-crossing construction expects exactly one AC end"),
+    # non-finite numbers, which JSON reads as NaN, Infinity and -Infinity
+    ({"experiment": "embedding_uniformity", "r_max": math.inf}, "r_max must be finite, got inf"),
+    ({"experiment": "gns_uniformity", "beta": -math.inf}, "beta must be finite, got -inf"),
+    ({"experiment": "norm_identities", "beta": math.nan}, "beta must be finite, got nan"),
+    ({"experiment": "invertibility_uniformity", "tolerances": {"uniformity_ratio": math.nan}},
+     "tolerances must be finite, got nan"),
 ], ids=["atlas-link-dimension", "atlas-kind", "atlas-missing-link", "sweep-model",
         "neck-model", "crossing-model", "crossing-model-file", "r_max-negative",
         "sweep-tau", "compact-t", "neck-t", "gns-p", "embedding-p", "holder-p",
         "eta-cutoff", "compact-beta", "sweep-one-t", "invertibility-beta",
         "poincare-beta", "poincare-compact", "crossing-gamma", "crossing-e-off-spectrum",
-        "crossing-two-ac-ends"])
+        "crossing-two-ac-ends", "r_max-inf", "beta-minus-inf", "beta-nan", "tolerance-nan"])
 def test_run_refuses_unusable_fields_before_writing(tmp_path, bad, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiments": [{"experiment": "eta_bounds"}, bad]}))

@@ -266,7 +266,7 @@ def test_each_constant_solves_each_mode_on_its_pinned_path(monkeypatch):
     cold certified solve of the modes it does not rule out; Poincare runs
     the certified solve on mode 0 and, per e > 0, the exclusion test, then
     the certified solve of the modes it does not rule out, each warm from
-    the previous t's 1/ratio^2 where that t solved the mode."""
+    the previous t's 1/(ratio^2 - 1) where that t solved the mode."""
     calls, assembled, reports = [], [], []
     assemble = sl.assemble_mode_operator
     monkeypatch.setattr(sl, "assemble_mode_operator",
@@ -308,7 +308,8 @@ def test_each_constant_solves_each_mode_on_its_pinned_path(monkeypatch):
                     want.append(("_spectrum_above", e, None))
                 if e in solved:
                     c = previous.get(e) if experiment == "poincare_uniformity" else None
-                    want.append(("_certified_smallest", e, None if c is None else c**-2))
+                    want.append(("_certified_smallest", e,
+                                  None if c is None else 1.0 / (c * c - 1.0)))
             previous = solved
         assert calls == want, experiment
         if experiment != "invertibility_uniformity":
@@ -414,6 +415,21 @@ def spy(monkeypatch, owner, name):
     calls, fn = [], getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(a) or fn(*a, **kw))
     return calls
+
+
+def test_a_poincare_sweep_builds_no_k1_form(monkeypatch):
+    """The acceptance Poincare sweep solves each mode's gradient block
+    against the L^2 mass, both from the form parts of its t: it builds no
+    weighted form (the k = 1 form is their sum) and three sandwiches per
+    t, those of _form_parts."""
+    forms = spy(monkeypatch, sl, "weighted_form")
+    sandwiches = spy(monkeypatch, sl, "_sandwich")
+    config, = [ExperimentConfig.from_dict(d) for d in json.loads(ACCEPTANCE.read_text())
+               ["experiments"] if d["experiment"] == "poincare_uniformity"]
+    assert run(config).passed
+    assert forms == []
+    assert len(sandwiches) == 3 * len(config.t_list) == 12
+    assert not hasattr(sl, "_gradient_forms")
 
 
 def test_each_t_is_glued_once(monkeypatch, tmp_path):

@@ -2,16 +2,16 @@
 
 The mode operator, the weighted forms, the pencil and the near-null
 threshold build their e-independent parts once per grid (or once per
-grid and weight) and add only the e-dependent terms per mode.  The forms,
-Poincare's gradient form, Pi, A and B are bands (one array per diagonal)
-filled by one band product that adds each entry's terms over the inner
-index ascending, starting from 0, as scipy's csr_matmat does.  The
-per-mode scipy versions that rebuild everything are kept here as
-reference implementations, taking the stencils and R from the loop
-references in stencil_refs; the package versions must reproduce them bit
-for bit (same CSR data, indices and index pointers; A and B, whose
-unsorted CSC order only scipy's product leaves, entry for entry; same
-weights, threshold and factored numerator).  Weights are visited in the
+grid and weight) and add only the e-dependent terms per mode.  The
+forms, Poincare's gradient block and mass, Pi, A and B are bands (one
+array per diagonal) filled by one band product that adds each entry's
+terms over the inner index ascending, starting from 0, as scipy's
+csr_matmat does.  The per-mode scipy versions that rebuild everything
+are kept here as reference implementations, taking the stencils and R
+from the loop references in stencil_refs; the package versions must
+reproduce them bit for bit (same CSR data, indices and index pointers;
+A and B, whose unsorted CSC order only scipy's product leaves, entry for
+entry; same weights, threshold and factored numerator).  Weights are visited in the
 order b1, b2, b1, so parts kept from another weight would show; the
 forms are also checked on a coarse grid (n_per_region=20), where few
 rows are regular.  The mode operators and pencils are checked at weights
@@ -42,8 +42,8 @@ from conifold_lab.spectral_laplace import (
     _default_closures,
     _csr,
     _form_parts,
-    _gradient_forms,
     _grid_nodes_per_decade,
+    _poincare_pencils,
     _sigma_from,
     assemble_mode_operator,
     kernel_dimension_scan,
@@ -103,15 +103,14 @@ def ref_weighted_form(grid, k, beta, e):
     return M.tocsr()
 
 
-def ref_gradient_form(grid, beta, e):
-    """The weighted gradient form of poincare_constant."""
+def ref_poincare_forms(grid, beta, e):
+    """(gradient block, L^2 mass) of the k = 1 form, the forms that
+    poincare_constant solves against each other."""
     g = grid
-    m = g.geometry.m
-    wg = (g.wextra * g.rho ** (1 - beta)) ** 2 * g.quad \
-        * g.f ** (m - 1) * g.volume_factor * g.rho ** (-float(m))
+    w = g.wextra * g.rho ** (-np.full(g.n, float(beta)))  # as ref_weighted_form
+    W1 = (w * g.rho) ** 2 * g.volume
     d1, _ = ref_derivatives(g)
-    G0 = d1.T @ sp.diags(wg) @ d1
-    return G0 + sp.diags(wg * e / g.f**2)
+    return d1.T @ sp.diags(W1) @ d1 + sp.diags(W1 * e / g.f**2), sp.diags(w**2 * g.volume)
 
 
 def ref_laplacian_pencil(grid, e, beta):
@@ -275,18 +274,16 @@ def test_weighted_forms_match_reference(grid):
 
 
 def test_gradient_form_matches_reference(grid):
+    """poincare_constant's pencil: the reduced gradient block and mass of
+    the k = 1 form, entry for entry what scipy's R^T G R and R^T M R give
+    (their unsorted CSC order aside)."""
     for g in with_coarse(grid):
         for beta in (-0.5, 0.5):
-            gradient_bands = _gradient_forms(g, beta)
+            pencil = _poincare_pencils(g, beta)
             for e in modes(g) + [0.5, 30.0]:
-                want = ref_gradient_form(g, beta, e)
-                got = _csr(gradient_bands(e))
-                assert_same_csr(got, want.tocsr())
                 R, _ = ref_reduction_matrix(g, *_default_closures(g, e, beta))
-                # poincare_constant's reduced form: the same entries
-                # (scipy's unsorted CSC order aside)
-                assert_same_csr((R.T @ got @ R).tocsc().sorted_indices(),
-                                (R.T @ want @ R).tocsc().sorted_indices())
+                for got, want in zip(pencil(e), ref_poincare_forms(g, beta, e)):
+                    assert_same_csr(_csr(got), (R.T @ want @ R).tocsr().sorted_indices())
 
 
 def test_stencils_are_bands_on_five_offsets(grid):

@@ -33,7 +33,10 @@ The exclusion test (_spectrum_above: one factorization of A - s B) is
 held to pencils with known eigenvalues, and the two constants that use
 it (compact and Poincare) to the extremum of solving every mode.  Their
 one mode sweep (_mode_sweep) is held, on diagonal pencils, to testing
-each mode against the running minimum as a later mode lowers it."""
+each mode against the running minimum as a later mode lowers it.
+Poincare's pencil (the k = 1 form's gradient block against its L^2
+mass) is held to the norms of sampled profiles and, in its ratio, to the
+pencil (gradient form, k = 1 form) it replaced, solved densely."""
 
 import importlib.util
 from pathlib import Path
@@ -59,7 +62,7 @@ from conifold_lab.spectral_laplace import (
     _deterministic_v0,
     _dia,
     _form_parts,
-    _gradient_forms,
+    _poincare_pencils,
     _polished,
     _reduction_matrix,
     _shift_invert_lanczos,
@@ -76,10 +79,13 @@ from conifold_lab.spectral_laplace import (
 from conifold_lab.weighted_calc import (
     ModeFunction,
     ModeProfile,
+    WeightSpec,
     _band_rows,
     _support_window,
     build_grid,
     densities,
+    gradient_norm,
+    weighted_sobolev_norm,
 )
 from stencil_refs import assert_same_csr, ref_derivatives, ref_reduction_matrix
 
@@ -139,10 +145,8 @@ def solves(grid):
             pen = laplacian_pencil(grid, e, _form_parts(grid, beta))
             out.append((f"pencil e={e} beta={beta}", pen.A, pen.B, pen.numerator,
                         pen.A_bands, pen.B_bands))
-    op = assemble_mode_operator(grid, 2.0, beta=-0.5)
-    G = op.reduce(_gradient_forms(grid, -0.5)(2.0))
-    M1 = op.reduce(weighted_form(grid, 1, 2.0, _form_parts(grid, -0.5)))
-    out.append(("poincare", _csr(G).tocsc(), _csr(M1).tocsc(), None, G, M1))
+    G, M, _ = _poincare_pencils(grid, -0.5)(2.0)
+    out.append(("poincare", _csr(G).tocsc(), _csr(M).tocsc(), None, G, M))
     return out
 
 
@@ -224,9 +228,10 @@ def test_ac_closure_follows_the_weight():
 
 
 def test_reduced_forms_and_operator_match_scipy(grid, monkeypatch):
-    """Poincare's reduced forms and the matrix the operator solve
-    factors: the values of the scipy products, entry for entry; the
-    solve's nodal values are R applied to the interior solution."""
+    """The reduced forms (k = 0, 1, 2 and Poincare's S1) and the matrix
+    the operator solve factors: the values of the scipy products, entry
+    for entry; the solve's nodal values are R applied to the interior
+    solution."""
     factored = []
     splu = spla.splu
     monkeypatch.setattr(sl.spla, "splu", lambda M: factored.append(M) or splu(M))
@@ -235,8 +240,8 @@ def test_reduced_forms_and_operator_match_scipy(grid, monkeypatch):
     for e in modes(grid)[:3]:
         op = assemble_mode_operator(grid, e, beta=-0.5)
         R, _ = ref_reduction_matrix(grid, *_default_closures(grid, e, -0.5))
-        for bands in (weighted_form(grid, 1, e, parts), _gradient_forms(grid, -0.5)(e),
-                      weighted_form(grid, 2, e, parts)):
+        for bands in (weighted_form(grid, 0, e, parts), parts.S1,
+                      weighted_form(grid, 1, e, parts), weighted_form(grid, 2, e, parts)):
             form = _csr(bands)
             _assert_same_entries(_csr(op.reduce(bands)).tocsc(), (R.T @ form @ R).tocsc())
         want = (_csr(op.P)[op.interior] @ R).tocsc()
@@ -357,17 +362,14 @@ def engine_solves(grid):
     """(label, A, B, num_form) as the engine's callers hand them over: the
     pencils of the modes e > 0 with their polish and, where constants are
     excluded (not on the circle), Poincare's forms at every mode."""
-    parts = _form_parts(grid, -0.5)
-    gradient = _gradient_forms(grid, -0.5)
+    parts, poincare = _form_parts(grid, -0.5), _poincare_pencils(grid, -0.5)
     out = []
     for e in modes(grid):
         if e > 0:
             pen = laplacian_pencil(grid, e, parts)
             out.append((f"pencil e={e}", pen.A_bands, pen.B_bands, pen.numerator))
         if not grid.geometry.circle:
-            op = assemble_mode_operator(grid, e, beta=-0.5)
-            G, M1 = op.reduce(gradient(e)), op.reduce(weighted_form(grid, 1, e, parts))
-            out.append((f"poincare e={e}", G, M1, None))
+            out.append((f"poincare e={e}", *poincare(e)))
     return out
 
 
@@ -788,14 +790,13 @@ def test_poincare_constant_is_the_max_over_every_mode_solved(t):
     above its own value."""
     geo, rep = poincare_reports(t)
     grid = build_grid(geo.geometry, n_per_region=EXCLUSION_N, r_max=1e3)
-    parts, gradient = _form_parts(grid, -0.5), _gradient_forms(grid, -0.5)
+    poincare = _poincare_pencils(grid, -0.5)
     ratio = {}
     for e in modes(grid):
-        op = assemble_mode_operator(grid, e, beta=-0.5)
-        G, M1 = op.reduce(gradient(e)), op.reduce(weighted_form(grid, 1, e, parts))
-        lam = _certified_smallest(G, M1)
-        ratio[e] = 1.0 / np.sqrt(max(lam, 1e-300))
-        assert not _spectrum_above(G, M1, (1.0 + sl._EXCLUSION_MARGIN) * lam)
+        G, M, _ = poincare(e)
+        nu = _certified_smallest(G, M)
+        ratio[e] = np.sqrt(1.0 + 1.0 / nu)
+        assert not _spectrum_above(G, M, (1.0 + sl._EXCLUSION_MARGIN) * nu)
     assert_split(rep, modes(grid))
     assert rep.bounded
     assert rep.constant == max(ratio.values())
@@ -803,6 +804,53 @@ def test_poincare_constant_is_the_max_over_every_mode_solved(t):
         assert c == ratio[e], e
     for e, bound in rep.bounded:
         assert ratio[e] < bound < rep.constant, e
+
+
+def test_poincare_forms_are_the_norms_of_the_profiles(grid):
+    """Per mode, Poincare's numerator and mass forms give, at a sampled
+    reduced vector v, gradient_norm(u)**2 and the squared k = 0
+    weighted_sobolev_norm of its profile u = R v."""
+    assert grid.n <= 1500
+    rng = np.random.default_rng(3)
+    poincare = _poincare_pencils(grid, -0.5)
+    for e in modes(grid):
+        G, M, _ = poincare(e)
+        op = assemble_mode_operator(grid, e, beta=-0.5)
+        for _ in range(3):
+            v = rng.standard_normal(op.interior.size)
+            full = np.zeros(grid.n)
+            full[op.interior] = v
+            u = ModeFunction.single(grid, e, _band_rows(op.reduction, full))
+            assert v @ _band_rows(G, v) == pytest.approx(gradient_norm(u, 2.0, -0.5) ** 2,
+                                                         rel=1e-12), e
+            mass = weighted_sobolev_norm(u, WeightSpec(p=2.0, k=0, beta=-0.5)) ** 2
+            assert v @ _band_rows(M, v) == pytest.approx(mass, rel=1e-12), e
+
+
+@pytest.mark.parametrize("name", ["dumbbell_t1e-3", "hyperboloid_capped"])
+def test_poincare_ratio_is_the_old_pencils(name):
+    """Per mode, sqrt(1 + 1/nu_1) of Poincare's pencil, solved by the
+    engine, is 1/sqrt(lam_1) of the pencil (gradient form, k = 1 form) it
+    replaced, built densely here with that gradient form's own weight
+    (wextra rho^{1-beta})^2 rho^{-m} times the volume element.  Not on the
+    circle, which keeps the constants (lam_1 = 0 at e = 0)."""
+    g, beta = build_grid(GEOMETRIES[name](), n_per_region=200), -0.5
+    m = g.geometry.m
+    wg = (g.wextra * g.rho ** (1 - beta)) ** 2 * g.quad \
+        * g.f ** (m - 1) * g.volume_factor * g.rho ** (-float(m))
+    w = g.wextra * g.rho ** (-beta)
+    W0, W1 = w**2 * g.volume, (w * g.rho) ** 2 * g.volume
+    D1 = dense(g.d1)
+    poincare = _poincare_pencils(g, beta)
+    for e in modes(g):
+        op = assemble_mode_operator(g, e, beta=beta)
+        R = dense(op.reduction)[:, op.interior]
+        gradient = D1.T @ np.diag(wg) @ D1 + np.diag(wg * e / g.f**2)
+        form1 = np.diag(W0) + D1.T @ np.diag(W1) @ D1 + np.diag(W1 * e / g.f**2)
+        lam = eigh(R.T @ gradient @ R, R.T @ form1 @ R, subset_by_index=[0, 0],
+                   eigvals_only=True)[0]
+        nu = _certified_smallest(*poincare(e)[:2])
+        assert np.sqrt(1.0 + 1.0 / nu) == pytest.approx(1.0 / np.sqrt(lam), rel=1e-10), e
 
 
 @pytest.mark.parametrize("solve0", [None, lambda A, B, num_form: float(A[0][0])])

@@ -1,12 +1,13 @@
 """Exceptional-weight arithmetic, index changes, region classification."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conifold_lab.link_spectra import make_link
+from conifold_lab.link_spectra import Link, make_link
 from conifold_lab.weight_calculus import (
     EndDescriptor,
     ExceptionalWeightError,
@@ -151,6 +152,24 @@ def test_classify_csac():
 def test_classify_rejects_exceptional():
     with pytest.raises(ExceptionalWeightError):
         classify_weight_region("AC", [EndDescriptor("AC", S2)], WeightVector((0.0,)), 3)
+
+
+def test_a_cell_reads_the_link_once_per_end(monkeypatch):
+    """A two-end AC cell reads the link's spectrum once per end, for its
+    index; an exceptional weight is refused by the same read, with the
+    weight and the rate named."""
+    reads = []
+    below = Link.eigenvalues_below
+    monkeypatch.setattr(Link, "eigenvalues_below",
+                        lambda self, *a, **kw: reads.append(a) or below(self, *a, **kw))
+    ends = [EndDescriptor("AC", S2)] * 2
+    facts = classify_weight_region("AC", ends, WeightVector((-0.5, 1.5)), 3)
+    assert facts.index == 4 and len(reads) == 2
+    reads.clear()
+    with pytest.raises(ExceptionalWeightError, match=re.escape(
+            "weight 1.0 is within 1e-09 of the exceptional rate 1.0 (eigenvalue 2.0)")):
+        classify_weight_region("AC", ends, WeightVector((-0.5, 1.0)), 3)
+    assert len(reads) == 2
 
 
 def test_conjugate_exponents_examples():
