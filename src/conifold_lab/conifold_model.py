@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,7 @@ class GluingError(ValueError):
 # warp profiles
 
 
-@dataclass(frozen=True)
-class WarpProfile:
+class WarpProfile(NamedTuple):
     """Radial warp f with two derivatives, as vectorized callables."""
 
     name: str
@@ -144,8 +144,7 @@ def _parse_profile(spec) -> WarpProfile:
 # model data types
 
 
-@dataclass(frozen=True)
-class Cap:
+class Cap(NamedTuple):
     """Smooth center closing a component (f > 0 there).  Solvers impose
     regularity: zero slope for the rotation-invariant mode, zero value
     for the others."""
@@ -318,8 +317,7 @@ class ConifoldModel:
 # runtime radial geometry (one builder, _glued_geometry, for base and glued models)
 
 
-@dataclass(frozen=True)
-class BoundaryInfo:
+class BoundaryInfo(NamedTuple):
     """A residual boundary of the radial domain.
 
     kind 'cap': smooth center at x0.
@@ -335,8 +333,7 @@ class BoundaryInfo:
     nu: float | None = None
 
 
-@dataclass(frozen=True)
-class JunctionInfo:
+class JunctionInfo(NamedTuple):
     """One glued marked pair: neck chart r = direction * (x - center),
     valid for r in [t*Rhat, eps]."""
 
@@ -350,8 +347,7 @@ class JunctionInfo:
     beta: float
 
 
-@dataclass(frozen=True)
-class PlanSegment:
+class PlanSegment(NamedTuple):
     """Gridding recipe for one radial region.
 
     kind 'log': nodes uniform in log r with r = sign*(x - x0); r_lo/r_hi
@@ -369,7 +365,7 @@ class PlanSegment:
     weight: float = 1.0  # relative share of nodes
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RadialGeometry:
     """Radial warped-product geometry in final coordinates.
 
@@ -447,15 +443,13 @@ def _source_fields(comp: Component):
 # compatibility
 
 
-@dataclass(frozen=True)
-class CompatCheck:
+class CompatCheck(NamedTuple):
     code: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(NamedTuple):
     passed: bool
     checks: tuple[CompatCheck, ...]
     pairs: tuple = ()
@@ -574,8 +568,7 @@ def _rescaled_partner_warp(part: Component, which: str, r, t, second: bool = Tru
 # cutoff eta_t
 
 
-@dataclass(frozen=True)
-class EtaCutoff:
+class EtaCutoff(NamedTuple):
     """The log-radial neck cutoff eta_t(r) = eta(log r / log t).
 
     eta is a smooth decreasing profile with eta = 1 on (-inf, b] and
@@ -621,8 +614,7 @@ def cutoff_eta(t: float, a: float, b: float) -> EtaCutoff:
 # parametric connect sum
 
 
-@dataclass(frozen=True)
-class _Piece:
+class _Piece(NamedTuple):
     """One source component placed on the glued axis.
 
     glued_x = offset + direction * x_src, |direction| = scale (1 for host
@@ -654,8 +646,7 @@ class _Piece:
         return self.offset + self.direction * np.asarray(x_src, dtype=float)
 
 
-@dataclass(frozen=True)
-class GluedModel:
+class GluedModel(NamedTuple):
     """One member of a parametric connect-sum family."""
 
     family: "GluedFamily"

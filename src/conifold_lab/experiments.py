@@ -189,8 +189,7 @@ class ExperimentConfig:
                 "gamma_cases": [list(c) for c in self.gamma_cases]}
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(typing.NamedTuple):
     experiment: str
     columns: tuple[str, ...]
     rows: tuple[dict, ...]
@@ -432,7 +431,10 @@ _REGION_ENDS = {"AC": ("AC", "AC"), "CS": ("CS", "CS"), "CSAC": ("CS", "AC")}
 def region_atlas_rows(kind: str, m: int, link_spec: str, step: float,
                       lo: float | None = None, hi: float | None = None):
     """Classification grid replicating the qualitative content of the
-    harmonic-function region figures: one row per weight cell.  A link
+    harmonic-function region figures: one row per weight cell, the
+    classify_weight_region facts at its two weights (or a mark where one
+    is exceptional), summed from each end's terms at each weight, which
+    read the link once per distinct (end, weight).  A link
     whose dimension is not m - 1, a step that is not positive, or an
     interval with lo >= hi raises ValueError, as does a kind other than
     AC, CS and CSAC."""
@@ -445,8 +447,17 @@ def region_atlas_rows(kind: str, m: int, link_spec: str, step: float,
         raise ValueError(f"weight grid step must be positive, got {step:g}")
     if not lo < hi:
         raise ValueError(f"weight interval lo:hi needs lo < hi, got {lo:g}:{hi:g}")
-    vals = np.arange(lo, hi + step / 2, step)
+    vals = [float(b) for b in np.arange(lo, hi + step / 2, step)]
     ends = [wcalc.EndDescriptor(k, link) for k in _REGION_ENDS[kind]]
+
+    def end_terms(end, b):
+        try:
+            return wcalc._end_terms(end, m, b)
+        except wcalc.ExceptionalWeightError:
+            return None
+
+    # one read of the link per distinct (end, weight); None where b is exceptional
+    terms = {key: end_terms(*key) for key in dict.fromkeys((e, b) for e in ends for b in vals)}
 
     def show(v):
         return "" if v is None else (int(v) if isinstance(v, (bool, int)) else v)
@@ -454,19 +465,18 @@ def region_atlas_rows(kind: str, m: int, link_spec: str, step: float,
     rows = []
     for b1 in vals:
         for b2 in vals:
-            try:
-                facts = wcalc.classify_weight_region(
-                    kind, ends, wcalc.WeightVector((float(b1), float(b2))), m)
-                cells = (0, facts.injective, facts.surjective, facts.index, facts.kernel_dim)
-            except wcalc.ExceptionalWeightError:
+            cell = [terms[end, b] for end, b in zip(ends, (b1, b2))]
+            if None in cell:
                 cells = (1, None, None, None, None)
-            rows.append(dict(zip(REGION_ATLAS_COLUMNS,
-                                 (float(b1), float(b2), *map(show, cells)))))
+            else:
+                facts = wcalc._region_facts(kind, ends, (b1, b2), m, cell)
+                cells = (0, facts.injective, facts.surjective, facts.index, facts.kernel_dim)
+            rows.append(dict(zip(REGION_ATLAS_COLUMNS, (b1, b2, *map(show, cells)))))
     return rows
 
 
 def _region_atlas(cfg: ExperimentConfig):
-    # each cell's classification reads the link's spectrum: prepare classifies them all
+    # classifying the cells reads the link's spectrum: prepare classifies them all
     rows = region_atlas_rows(cfg.kind, cfg.m, cfg.link, cfg.grid_step)
     # consistency: where surjectivity and index are both known, kernel = index
     ok = all(r["kernel_dim"] == r["index"] or r["injective"] == 1 for r in rows

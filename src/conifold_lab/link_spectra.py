@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -71,6 +70,8 @@ def _torus_spectrum_below(lengths: tuple[float, ...], lam: float):
     binary rational), so ties are resolved without tolerances and the
     common factor 4 pi^2 is applied once at the end.
     """
+    from fractions import Fraction  # only tori need it: sphere runs never load it
+
     if lam < 0:
         return []
     four_pi_sq = 4.0 * math.pi**2

@@ -97,6 +97,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,8 +205,7 @@ def _dia(*bands: dict) -> list[sp.dia_matrix]:
 # boundary closures
 
 
-@dataclass(frozen=True)
-class ClosureRule:
+class ClosureRule(NamedTuple):
     """How one truncated boundary expresses its node through interior ones.
 
     kind 'cap_even' : smooth-center regularity for the rotation-invariant
@@ -285,7 +285,7 @@ def _reduction_matrix(grid: RadialGrid, left: ClosureRule | None,
 # mode operators
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ModeOperator:
     """Banded realization of P = rho^2 A_e with boundary closures.
 
@@ -300,9 +300,9 @@ class ModeOperator:
 
     e: float
     grid: RadialGrid
-    reduction: dict = field(repr=False)
+    reduction: dict
     interior: np.ndarray
-    P: dict = field(init=False, repr=False)
+    P: dict = field(init=False)
 
     def __post_init__(self):
         P = self.grid.radial_operator
@@ -374,8 +374,7 @@ def assemble_mode_operator(grid: RadialGrid, e: float, beta: float | None = None
 # weighted quadratic forms
 
 
-@dataclass(frozen=True)
-class _FormParts:
+class _FormParts(NamedTuple):
     """The e-independent pieces of the weighted forms and of the pencil's
     image weight on one grid at one weight, built once before a loop over
     modes.  The matrix pieces are bands; weighted_form adds the
@@ -467,7 +466,7 @@ def weighted_form(grid: RadialGrid, k: int, e: float, parts: _FormParts) -> dict
     return out
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class LaplacePencil:
     """Factored pencil of Delta: W_{2,beta} -> W_{0,beta-2} for one mode.
 
@@ -481,10 +480,10 @@ class LaplacePencil:
     matrices of A_bands and B_bands without exact zeros."""
 
     op: ModeOperator
-    Pi: dict = field(repr=False)
+    Pi: dict
     w_img: np.ndarray
-    A_bands: dict = field(repr=False)
-    B_bands: dict = field(repr=False)
+    A_bands: dict
+    B_bands: dict
 
     @cached_property
     def A(self) -> sp.csc_matrix:
@@ -854,8 +853,7 @@ def _sigma_from(vals: np.ndarray) -> np.ndarray:
 _THRESHOLD_SPAN = (1e-3, 1e3)  # radii of the exact-cone calibration mesh
 
 
-@dataclass(frozen=True)
-class _ThresholdMesh:
+class _ThresholdMesh(NamedTuple):
     """The weight-free half of near_null_threshold: the exact-cone grid
     and, per mode e, its interior nodes and, per root gamma, the harmonic
     rho**gamma with its interior residual (P @ rho**gamma)[interior].
@@ -1155,8 +1153,7 @@ def _laplacian_pencils(grid: RadialGrid, beta: float):
     return pencil
 
 
-@dataclass(frozen=True)
-class InvertibilityReport:
+class InvertibilityReport(NamedTuple):
     constant: float
     sigma_min: float
     per_mode: tuple[tuple[float, float], ...]  # (e, sigma)
@@ -1196,8 +1193,7 @@ def invertibility_constant(
                                per_mode=per_mode, beta=float(beta), grid_size=grid.n)
 
 
-@dataclass(frozen=True)
-class CompactInvertibilityReport:
+class CompactInvertibilityReport(NamedTuple):
     """per_mode holds (e, sigma) of the solved modes, mode 0's sigma
     constrained; bounded holds (e, bound) of the modes ruled out, bound a
     certified lower bound on that mode's sigma above sigma_constrained.
@@ -1284,8 +1280,7 @@ def _poincare_pencils(grid: RadialGrid, beta: float):
     return pencil
 
 
-@dataclass(frozen=True)
-class PoincareReport:
+class PoincareReport(NamedTuple):
     """per_mode holds (e, ratio) of the solved modes; bounded holds (e,
     bound) of the modes ruled out, bound a certified upper bound on that
     mode's ratio below constant.  Every mode up to e_max is in exactly
@@ -1338,8 +1333,7 @@ def poincare_constant(
 # weight crossing and kernel scans
 
 
-@dataclass(frozen=True)
-class WeightCrossingReport:
+class WeightCrossingReport(NamedTuple):
     gamma: float
     e: float
     candidate: ModeFunction

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .link_spectra import Link
 
@@ -52,8 +53,7 @@ class ExceptionalWeightError(ValueError):
     """A weight sits on (or within tolerance of) an exceptional value."""
 
 
-@dataclass(frozen=True)
-class ExceptionalWeight:
+class ExceptionalWeight(NamedTuple):
     """One exceptional rate gamma with its multiplicity.
 
     Satisfies gamma^2 + (m-2) gamma = source_eigenvalue; mult equals the
@@ -84,8 +84,7 @@ class WeightVector:
         return iter(self.beta)
 
 
-@dataclass(frozen=True)
-class EndDescriptor:
+class EndDescriptor(NamedTuple):
     """Kind and link of one end, as needed by index/region arithmetic."""
 
     kind: str  # 'CS' | 'AC'
@@ -137,24 +136,28 @@ def distance_to_exceptional(beta: float, link: Link, m: int) -> float:
     return min(abs(beta - w.gamma) for w in exc)
 
 
-def _crossed_multiplicity(link: Link, m: int, g1: float, g2: float,
-                          check_endpoints: bool = True) -> int:
-    """Sum of multiplicities of exceptional weights strictly between g1 and
-    g2.  With check_endpoints, an end g1 or g2 within DEFAULT_TOL of an
-    exceptional rate raises ExceptionalWeightError: the rates read here
-    span (g - 1, g + 1) around either end, so this is the test of
-    distance_to_exceptional, and classify_weight_region relies on it."""
+def _rates(link: Link, m: int, g1: float, g2: float) -> list[ExceptionalWeight]:
+    """The exceptional weights over (lo - 1, hi + 1), lo and hi the lesser
+    and greater of g1 and g2.  An end g1 or g2 within DEFAULT_TOL of one
+    of them raises ExceptionalWeightError: the range spans (g - 1, g + 1)
+    around either end, so this is the test of distance_to_exceptional,
+    and classify_weight_region relies on it."""
     lo, hi, tol = min(g1, g2), max(g1, g2), DEFAULT_TOL
-    total = 0
-    for w in exceptional_weights(link, m, (lo - 1.0, hi + 1.0)):
+    rates = exceptional_weights(link, m, (lo - 1.0, hi + 1.0))
+    for w in rates:
         for g in (g1, g2):
-            if check_endpoints and abs(w.gamma - g) <= tol:
+            if abs(w.gamma - g) <= tol:
                 raise ExceptionalWeightError(
                     f"weight {g} is within {tol} of the exceptional rate {w.gamma} "
                     f"(eigenvalue {w.source_eigenvalue}); the index is undefined there")
-        if lo + tol < w.gamma < hi - tol:
-            total += w.mult
-    return total
+    return rates
+
+
+def _between(rates: list[ExceptionalWeight], g1: float, g2: float) -> int:
+    """Sum of the multiplicities of rates strictly between g1 and g2, by
+    more than DEFAULT_TOL."""
+    lo, hi, tol = min(g1, g2), max(g1, g2), DEFAULT_TOL
+    return sum(w.mult for w in rates if lo + tol < w.gamma < hi - tol)
 
 
 def index_change(
@@ -189,29 +192,28 @@ def index_change(
                 )
         else:
             raise ValueError(f"unknown end kind {end.kind!r}")
-        total += _crossed_multiplicity(end.link, m, b1, b2)
+        total += _between(_rates(end.link, m, b1, b2), b1, b2)
     return total
 
 
-def _signed_index_from_anchor(
-    beta: tuple[float, ...], ends: list[EndDescriptor], m: int
-) -> int:
-    """Index at beta relative to the isomorphism region A, as a per-end
-    signed sum of crossed multiplicities (the index-change formula applied
-    one end at a time, with sign + when the space grows)."""
+def _end_terms(end: EndDescriptor, m: int, b: float) -> tuple[int, int | None]:
+    """One end's share of the region facts at weight b, from one read of
+    its rates: the signed crossed multiplicity from the anchor (2-m)/2 to
+    b (the index-change formula applied to this end alone, with sign +
+    when the space grows), and, for b below 2-m, the multiplicity
+    strictly between b and 2-m, unchecked at either end (None otherwise).
+    A b within DEFAULT_TOL of a rate raises ExceptionalWeightError."""
     anchor = (2.0 - m) / 2.0  # never exceptional: e = -(2-m)^2/4 < 0 has no root
-    total = 0
-    for b, end in zip(beta, ends):
-        crossed = _crossed_multiplicity(end.link, m, anchor, b)
-        if end.kind == "AC":
-            total += crossed if b > anchor else -crossed
-        else:  # CS: spaces grow as the weight decreases
-            total += crossed if b < anchor else -crossed
-    return total
+    rates = _rates(end.link, m, anchor, b)
+    crossed = _between(rates, anchor, b)
+    # AC spaces grow as the weight increases, CS spaces as it decreases
+    grows = b > anchor if end.kind == "AC" else b < anchor
+    # the rates span (b - 1, anchor + 1), which holds (b, 2-m) for b < 2-m
+    below = _between(rates, b, 2.0 - m) if b < 2.0 - m else None
+    return (crossed if grows else -crossed), below
 
 
-@dataclass(frozen=True)
-class RegionFacts:
+class RegionFacts(NamedTuple):
     """Facts about Delta: W^p_{k,beta} -> W^p_{k-2,beta-2} at one weight.
 
     None means the source material does not state the fact for that
@@ -236,7 +238,7 @@ def classify_weight_region(
     and weights are ignored.  Only the prose-level quadrant facts are
     encoded; anything finer is reported as unknown (None).  A weight
     within DEFAULT_TOL of an exceptional rate raises
-    ExceptionalWeightError (from the index's _crossed_multiplicity).
+    ExceptionalWeightError (from the index's _end_terms).
 
     AC: injective when every weight < 0; surjective when every weight
     > 2-m; isomorphism with index zero in between (region A); in the
@@ -262,7 +264,14 @@ def classify_weight_region(
     beta = tuple(weights)
     if len(beta) != len(ends):
         raise ValueError("need one weight per end")
-    index = _signed_index_from_anchor(beta, ends, m)
+    return _region_facts(kind, ends, beta, m, [_end_terms(e, m, b) for b, e in zip(beta, ends)])
+
+
+def _region_facts(kind: str, ends: list[EndDescriptor], beta: tuple[float, ...], m: int,
+                  terms: list[tuple[int, int | None]]) -> RegionFacts:
+    """classify_weight_region at the weights beta of a non-compact kind,
+    given each end's _end_terms at its weight."""
+    index = sum(signed for signed, _ in terms)
     lo = 2.0 - m
 
     if kind == "AC":
@@ -299,10 +308,7 @@ def classify_weight_region(
                 # chambers B/C: exactly one entry pushed one crossing below 2-m
                 below = [i for i, b in enumerate(beta) if b < lo]
                 if len(below) == 1 and all(lo < b < 0 for i, b in enumerate(beta) if i not in below):
-                    i = below[0]
-                    crossed = _crossed_multiplicity(ends[i].link, m, beta[i], lo,
-                                                    check_endpoints=False)
-                    if crossed == 0:  # only the 2-m line itself was crossed
+                    if terms[below[0]][1] == 0:  # only the 2-m line itself was crossed
                         kernel = 1
                         surjective = True
         return RegionFacts(injective=injective, surjective=surjective, index=index, kernel_dim=kernel)
@@ -327,8 +333,7 @@ def classify_weight_region(
     raise ValueError(f"unknown region kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class ConjugateExponents:
+class ConjugateExponents(NamedTuple):
     """Sobolev conjugate exponents of (p, m, l).
 
     p_prime: Hoelder dual p/(p-1), None at p = 1.

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,7 +253,7 @@ def _band_rows(X: dict, v: np.ndarray, descending: bool = False) -> np.ndarray:
 # grids
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RadialGrid:
     """Graded radial mesh with trapezoid quadrature weights.
 
@@ -274,15 +275,15 @@ class RadialGrid:
     geometry: RadialGeometry
     nodes: np.ndarray
     quad: np.ndarray
-    f: np.ndarray = field(init=False, repr=False)
-    fp: np.ndarray = field(init=False, repr=False)
-    rho: np.ndarray = field(init=False, repr=False)
-    beta: np.ndarray = field(init=False, repr=False)
-    wextra: np.ndarray = field(init=False, repr=False)
-    _d1: dict = field(init=False, repr=False, default=None)
-    _d2: dict = field(init=False, repr=False, default=None)
-    _volume: np.ndarray = field(init=False, repr=False, default=None)
-    _radial_operator: dict = field(init=False, repr=False, default=None)
+    f: np.ndarray = field(init=False)
+    fp: np.ndarray = field(init=False)
+    rho: np.ndarray = field(init=False)
+    beta: np.ndarray = field(init=False)
+    wextra: np.ndarray = field(init=False)
+    _d1: dict = field(init=False, default=None)
+    _d2: dict = field(init=False, default=None)
+    _volume: np.ndarray = field(init=False, default=None)
+    _radial_operator: dict = field(init=False, default=None)
 
     def __post_init__(self):
         g = self.geometry
@@ -594,7 +595,7 @@ def _scan(values: np.ndarray, lo: int, hi: int) -> tuple[tuple[int, int], ...]:
     return ((first, flips[k]), (flips[k + 1], last))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ModeProfile:
     """One angular mode: eigenvalue and nodal radial profile.
 
@@ -617,7 +618,7 @@ class ModeProfile:
 
     e: float
     values: np.ndarray
-    support: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    support: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -636,7 +637,7 @@ class ModeProfile:
         return mp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ModeFunction:
     """u = sum_n u_n(r) s_n(theta) on a fixed grid, s_n orthonormal in
     L^2 of the normalized link measure (s_0 = 1)."""
@@ -939,8 +940,7 @@ def gradient_norm(u: ModeFunction, p: float, beta: float | None = None) -> float
     return float(_family_norms([u], [(p, (1,))], beta)[0, 0])
 
 
-@dataclass(frozen=True)
-class NormReport:
+class NormReport(NamedTuple):
     value: float
     tail_estimate: float
     tail_divergent: bool
@@ -998,8 +998,7 @@ def weighted_sobolev_norm_report(u: ModeFunction, spec: WeightSpec) -> NormRepor
                       tail_slopes=tuple(slopes))
 
 
-@dataclass(frozen=True)
-class CkNormReport:
+class CkNormReport(NamedTuple):
     value: float
     divergent: bool
     tail_slopes: tuple[float, ...]
@@ -1065,8 +1064,7 @@ def rescaling_invariance_check(
 # inequality checks
 
 
-@dataclass(frozen=True)
-class HolderReport:
+class HolderReport(NamedTuple):
     lhs: float
     rhs: float
     violated: bool
@@ -1103,8 +1101,7 @@ def holder_check(
     return _holder_sweep([(u, v)], p, beta1, beta2)[0]
 
 
-@dataclass(frozen=True)
-class BanachAlgebraReport:
+class BanachAlgebraReport(NamedTuple):
     lhs: float
     rhs_ratio: float
 
@@ -1127,8 +1124,7 @@ def banach_algebra_check(
     return BanachAlgebraReport(lhs=lhs, rhs_ratio=lhs / (nu * nv))
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     constant: float
     p_star: float
     ratios: tuple[float, ...]

@@ -18,8 +18,9 @@ from conifold_lab.experiments import (
     run,
     run_config_file,
 )
-from conifold_lab.link_spectra import make_link
-from conifold_lab.weight_calculus import EndDescriptor, WeightVector, classify_weight_region
+from conifold_lab.link_spectra import link_from_string, make_link
+from conifold_lab.weight_calculus import (EndDescriptor, ExceptionalWeightError, WeightVector,
+                                          classify_weight_region)
 
 FAMILY_JSON = Path(__file__).resolve().parents[1] / "configs" / "dumbbell_family.json"
 ACCEPTANCE = FAMILY_JSON.with_name("acceptance_suite.json")
@@ -392,6 +393,26 @@ def test_region_atlas_matches_classifier():
     # exceptional rows are marked, not classified
     exc = [r for r in rows if r["beta1"] == -1.0]
     assert all(r["exceptional"] == 1 for r in exc)
+
+
+@pytest.mark.parametrize("kind, m, spec", [("AC", 3, "sphere:2"), ("CS", 3, "sphere:2"),
+                                           ("CSAC", 3, "sphere:2"), ("CS", 3, "torus:1,2"),
+                                           ("CSAC", 4, "sphere:3:0.5")])
+def test_every_atlas_cell_is_the_classifier_at_its_weights(kind, m, spec):
+    link = link_from_string(spec)
+    ends = [EndDescriptor(k, link) for k in {"CSAC": ("CS", "AC")}.get(kind, (kind, kind))]
+    rows = region_atlas_rows(kind, m, spec, 0.25)
+    assert {r["exceptional"] for r in rows} == {0, 1}
+    for r in rows:
+        try:
+            facts = classify_weight_region(kind, ends, WeightVector((r["beta1"], r["beta2"])), m)
+        except ExceptionalWeightError:
+            assert r["exceptional"] == 1
+            continue
+        show = [("" if v is None else int(v)) for v in
+                (facts.injective, facts.surjective, facts.index, facts.kernel_dim)]
+        assert r["exceptional"] == 0
+        assert [r[c] for c in ("injective", "surjective", "index", "kernel_dim")] == show
 
 
 @pytest.mark.parametrize("step, lo, hi", [(0.0, None, None), (-0.5, None, None),

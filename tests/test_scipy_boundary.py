@@ -7,7 +7,9 @@ which a call such as ``np.unique`` loads partway through a run.  ``import
 conifold_lab`` and the CLI import every module of the package, so a
 module-level scipy import anywhere fails here.  Test collection has
 imported scipy in this process, so the checks run in a fresh
-interpreter.
+interpreter.  ``fractions`` (and ``decimal``, which it imports) is read
+by the flat-torus spectrum alone, so it too stays unloaded until a torus
+link's spectrum is read.
 """
 
 import json
@@ -23,7 +25,8 @@ import json, sys
 
 def lazy_modules():
     return sorted(name for name in sys.modules
-                  if name.split(".")[0] == "scipy" or name == "numpy.ma")
+                  if name.split(".")[0] == "scipy"
+                  or name in ("numpy.ma", "fractions", "decimal"))
 
 loaded = {}
 import conifold_lab
@@ -40,6 +43,10 @@ from conifold_lab.cli import main
 result = CliRunner().invoke(main, ["weights"])
 assert result.exit_code == 0, result.output
 loaded["weights"] = lazy_modules()
+
+from conifold_lab.link_spectra import make_link
+make_link("flat_torus", lengths=(1.0, 2.0)).eigenvalues_below(50.0)
+loaded["torus"] = lazy_modules()
 
 from conifold_lab import conifold_model as cm
 from conifold_lab import spectral_laplace as sl
@@ -59,6 +66,7 @@ def test_scipy_loads_at_the_first_eigen_solve():
     assert loaded["import"] == []
     assert loaded["norm_runs"] == []
     assert loaded["weights"] == []
+    assert loaded["torus"] == ["decimal", "fractions"]
     assert "scipy.linalg.lapack" in loaded["solve"]
     assert "scipy.sparse.linalg" in loaded["solve"]
 

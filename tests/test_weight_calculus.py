@@ -11,6 +11,7 @@ from conifold_lab.link_spectra import Link, make_link
 from conifold_lab.weight_calculus import (
     EndDescriptor,
     ExceptionalWeightError,
+    RegionFacts,
     WeightOrderingError,
     WeightVector,
     classify_weight_region,
@@ -127,6 +128,10 @@ def test_classify_cs_quadrants():
     # chamber B: one entry one crossing below 2-m, kernel still R
     b = classify_weight_region("CS", ends, WeightVector((-1.5, -0.5)), 3)
     assert b.kernel_dim == 1 and b.index == 1
+    # past the rate -2 below 2-m the chamber ends: nothing is claimed
+    for beta in ((-2.5, -0.5), (-0.5, -2.25)):
+        far = classify_weight_region("CS", ends, WeightVector(beta), 3)
+        assert far == RegionFacts(injective=None, surjective=None, index=4, kernel_dim=None)
 
 
 def test_classify_cs_single_end_open_question_left_unknown():
@@ -170,6 +175,21 @@ def test_a_cell_reads_the_link_once_per_end(monkeypatch):
             "weight 1.0 is within 1e-09 of the exceptional rate 1.0 (eigenvalue 2.0)")):
         classify_weight_region("AC", ends, WeightVector((-0.5, 1.0)), 3)
     assert len(reads) == 2
+
+
+@pytest.mark.parametrize("kind, reads_wanted", [("AC", 17), ("CS", 17), ("CSAC", 34)])
+def test_an_atlas_reads_the_link_once_per_end_and_weight(monkeypatch, kind, reads_wanted):
+    """The atlas at step 0.25 (17 x 17 cells, as the acceptance suite's)
+    reads the link once per distinct (end, weight): 17 weights, and one
+    distinct end for AC and CS, two for CSAC."""
+    from conifold_lab.experiments import region_atlas_rows
+
+    reads = []
+    below = Link.eigenvalues_below
+    monkeypatch.setattr(Link, "eigenvalues_below",
+                        lambda self, *a, **kw: reads.append(a) or below(self, *a, **kw))
+    rows = region_atlas_rows(kind, 3, "sphere:2", 0.25)
+    assert len(rows) == 17 * 17 and len(reads) == reads_wanted
 
 
 def test_conjugate_exponents_examples():
