@@ -337,6 +337,10 @@ def _sweep(row, gate, check):
         for g in glued:
             wc._check_r_max(g.geometry, cfg.r_max)  # a compact geometry has no AC end
             check(cfg, g.geometry)
+        # nodes that absolute x cannot resolve, on the nodes alone, at the
+        # smallest t, where the necks are thinnest (build_grid refuses them
+        # at any t its row meshes)
+        wc._grid_nodes(glued[-1].geometry, cfg.n_per_region, cfg.r_max)
 
         def work():
             rows, previous = [], None

@@ -461,6 +461,20 @@ def _segment_quadrature(seg: PlanSegment, nodes_x: np.ndarray):
     return w
 
 
+def _check_merges(geometry: RadialGeometry, merged: int) -> None:
+    """ValueError unless the merged nodes are only the endpoints that the
+    plan's regions share: one per interface of regions tiling a line, or
+    a circle.  A further node within 1e-12 |x| of its neighbour is a node
+    that absolute x cannot resolve (log regions near a neck at a small
+    t), and merging it would silently coarsen the grid."""
+    lost = merged - (len(geometry.plan) - (not geometry.circle))
+    if lost > 0:
+        raise ValueError(
+            f"the grid of {geometry.label or 'the geometry'} would lose {lost} nodes: they lie "
+            f"within 1e-12 |x| of a neighbour, which absolute x cannot resolve (ROADMAP "
+            f"item 4 keeps nodes in log coordinates); use a larger t or fewer nodes")
+
+
 def build_grid(
     geometry: RadialGeometry,
     n_per_region: int = 400,
@@ -474,7 +488,17 @@ def build_grid(
 
     All log regions share one log-spacing (the budget is split in
     proportion to the decade spans), so stencils stay second-order across
-    region interfaces of end charts."""
+    region interfaces of end charts.  Regions merge only the endpoints
+    they share; a mesh that would merge more nodes, as near a neck at a
+    small t, is refused (_check_merges)."""
+    return RadialGrid(geometry, *_grid_nodes(geometry, n_per_region, r_max, r_min_factor,
+                                             min_region_nodes))
+
+
+def _grid_nodes(geometry: RadialGeometry, n_per_region: int, r_max: float,
+                r_min_factor: float = 1.0e-3, min_region_nodes: int = 24):
+    """(nodes, quad) of build_grid's mesh, without sampling the geometry:
+    every refusal of build_grid (r_max, _check_merges) but the fields'."""
     _check_r_max(geometry, r_max)
     log_segs = [s for s in geometry.plan if s.kind == "log"]
     spans = []
@@ -511,14 +535,15 @@ def build_grid(
         w[i] += w[i + 1]
         keep[i + 1] = False
     # circle: first and last node may coincide modulo the period
-    if geometry.circle and x.size > 1:
-        if (x[-1] - x[0]) >= geometry.period * (1 - 1e-12):
-            w[0] += w[-1]
-            keep[-1] = False
+    wrap = geometry.circle and x.size > 1 and (x[-1] - x[0]) >= geometry.period * (1 - 1e-12)
+    if wrap:
+        w[0] += w[-1]
+        keep[-1] = False
+    _check_merges(geometry, dup.size + wrap)
     x, w = x[keep], w[keep]
     if np.any(np.diff(x) <= 0):
         raise ValueError("grid nodes are not strictly increasing after merge")
-    return RadialGrid(geometry=geometry, nodes=x, quad=w)
+    return x, w
 
 
 def rescaled_geometry(geo: RadialGeometry, t: float) -> RadialGeometry:

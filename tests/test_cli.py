@@ -278,6 +278,52 @@ def test_run_refuses_an_uncertified_crossing_before_writing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment", ["embedding_uniformity", "compact_invertibility"])
+def test_run_refuses_a_grid_that_would_lose_nodes_before_writing(tmp_path, experiment):
+    """At t = 1e-10 the spindle's grid (n_per_region 400) would merge 50
+    nodes its regions do not share; refused before the atlas writes."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": [
+        {"experiment": "region_atlas"},
+        {"experiment": experiment, "model": "spindle", "t_list": [0.1, 1e-10]}]}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "the grid of spindle would lose 50 nodes" in result.output
+    assert "ROADMAP item 4" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["invertibility_uniformity", "poincare_uniformity"])
+def test_run_refuses_a_host_that_keeps_no_end_excluding_constants_before_writing(
+        tmp_path, experiment):
+    """The sine spindle glued at each CS end to its own hyperboloid line:
+    every residual end is an AC end at -0.5, but the spindle keeps none.
+    Invertibility read max/min 985 (trend_slope -0.998) on it, and
+    Poincare grew 14 -> 201; both are refused before anything is written,
+    naming the host."""
+    line = {"link": "sphere:2", "profile": "hyperboloid:1.0", "ends": [
+        {"kind": "AC", "nu": -2.0, "beta": -0.5, "boundary": 1.0},
+        {"kind": "AC", "nu": -2.0, "beta": -0.5, "boundary": 1.0, "marked": True}]}
+    family = {"m": 3, "tau": 0.5, "a": 0.4, "b": 0.2, "label": "two-lines", "components": [
+        {"link": "sphere:2", "profile": "sine_spindle", "length": math.pi, "ends": [
+            {"kind": "CS", "nu": 2.0, "beta": -0.5, "boundary": 1.3, "marked": True}
+            for _ in "lr"]}, line, line]}
+    model = tmp_path / "two_lines.json"
+    model.write_text(json.dumps(family))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": [
+        {"experiment": "eta_bounds"}, {"experiment": experiment, "model": str(model)}]}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert ("the host component glued at marked pairs [0, 1] keeps no residual end that "
+            "excludes constants at weight -0.5") in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment, content, message", [
     ("weight_crossing", {"components": []}, "does not load: KeyError: 'm'"),
     ("neck_convergence", {"m": 3}, "does not load: KeyError: 'components'"),

@@ -421,3 +421,56 @@ def test_grid_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _mode_objects(built) -> list:
+    """What one mode builds, to be weakly referenced: a LaplacePencil, its
+    operator and band arrays; a ModeOperator; or the band arrays of a
+    sweep pencil (A, B, num_form)."""
+    if isinstance(built, sl.LaplacePencil):
+        return [built, built.op, *built.A_bands.values(), *built.B_bands.values()]
+    if isinstance(built, sl.ModeOperator):
+        return [built]
+    A, B, _num_form = built
+    return [*A.values(), *B.values()]
+
+
+SWEEPS = {
+    "kernel_scan": lambda: kernel_dimension_scan(
+        preset_model("hyperboloid_capped"), [0.5, 1.5], e_max=6.0, n_per_region=60),
+    "invertibility": lambda: sl.invertibility_constant(
+        dumbbell_family().at(1e-1), beta=-0.5, e_max=6.0, n_per_region=60),
+    "compact": lambda: sl.restricted_invertibility_compact(
+        spindle_family().at(1e-1), beta=-0.5, e_max=6.0, n_per_region=60),
+    "poincare": lambda: sl.poincare_constant(
+        dumbbell_family().at(1e-1), beta=-0.5, e_max=6.0, n_per_region=60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_one_mode_is_alive_at_a_time(name, monkeypatch):
+    """Whenever a mode operator, a pencil or a sweep's pencil is built,
+    nothing an earlier mode built is alive, without the cycle collector:
+    each mode's pencil is freed before the next one is assembled."""
+    refs, alive = [], []
+
+    def recording(build):
+        def wrapped(*args, **kwargs):
+            alive.append(sum(r() is not None for r in refs))
+            built = build(*args, **kwargs)
+            refs.extend(weakref.ref(x) for x in _mode_objects(built))
+            return built
+        return wrapped
+
+    sweep = sl._mode_sweep
+    monkeypatch.setattr(sl, "assemble_mode_operator", recording(sl.assemble_mode_operator))
+    monkeypatch.setattr(sl, "laplacian_pencil", recording(sl.laplacian_pencil))
+    monkeypatch.setattr(sl, "_mode_sweep", lambda link, e_max, pencil, *args, **kwargs:
+                        sweep(link, e_max, recording(pencil), *args, **kwargs))
+    gc.disable()
+    try:
+        SWEEPS[name]()
+    finally:
+        gc.enable()
+    assert len(alive) >= 6 and refs
+    assert alive == [0] * len(alive)

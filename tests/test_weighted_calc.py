@@ -16,8 +16,10 @@ from conifold_lab.conifold_model import (
     EndSpec,
     dumbbell_family,
     preset_model,
+    spindle_family,
     warp_preset,
 )
+from conifold_lab import weighted_calc as wc
 from conifold_lab.link_spectra import make_link
 from conifold_lab.spectral_laplace import invertibility_constant
 from conifold_lab.weighted_calc import (
@@ -192,6 +194,33 @@ def test_grid_stops_growing_once_min_region_nodes_binds():
     assert np.array_equal(grids[0].nodes, grids[1].nodes)
     reps = [invertibility_constant(geo, beta=-0.5, e_max=6.0, n_per_region=n) for n in (5, 10)]
     assert reps[0].constant == reps[1].constant < 10.0
+
+
+def test_a_grid_that_absolute_x_cannot_resolve_is_refused():
+    """At t = 1e-10 the spindle's neck nodes lie within 1e-12 |x| of each
+    other: 107 merges where its regions share 4 endpoints (2 198 nodes at
+    t = 0.1 became 2 096).  Refused, with the count."""
+    geo = spindle_family().at(1e-10).geometry
+    with pytest.raises(ValueError, match=r"would lose 103 nodes.*ROADMAP item 4"):
+        build_grid(geo, n_per_region=800)
+
+
+@pytest.mark.parametrize("family, shared", [(dumbbell_family, 3), (spindle_family, 4)])
+@pytest.mark.parametrize("n", [800, 2000])
+def test_grids_down_to_t_1e_8_merge_only_shared_endpoints(monkeypatch, family, shared, n):
+    """The dumbbell (an interval of 4 regions) and the spindle (a circle
+    of 4) merge their 3 and 4 shared region endpoints and nothing else,
+    so the check keeps every node and weight, bit for bit."""
+    geo = family().at(1e-8).geometry
+    checked = build_grid(geo, n_per_region=n)
+    with pytest.raises(ValueError, match="would lose 1 nodes"):
+        wc._check_merges(geo, shared + 1)
+    merged = []
+    monkeypatch.setattr(wc, "_check_merges", lambda geometry, count: merged.append(count))
+    unchecked = build_grid(geo, n_per_region=n)
+    assert merged == [shared]
+    assert checked.nodes.tobytes() == unchecked.nodes.tobytes()
+    assert checked.quad.tobytes() == unchecked.quad.tobytes()
 
 
 def test_ck_norm_constant_is_one():
