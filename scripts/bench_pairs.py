@@ -17,9 +17,18 @@ favour one side.  SECONDS is the `run_seconds` of CHANGE's BENCHMARK.json
 For every end-to-end metric it prints min / Q1 / median / Q3 / max of
 each side (quartiles as statistics.quantiles(values, n=4) gives them),
 the pairs in which the change is better, the gap between the medians and
-the parent's Q3 - Q1; then every run's values with its `correct` flag and
-failed operations.  The exit status is 1 when a run fails, 2 for bad
-arguments.
+the parent's Q3 - Q1, and two verdicts:
+
+* the gain rule: the change is better in at least 9 of 10 pairs (the
+  same share of any number of pairs, rounded up) and its median is
+  better than the parent's by more than the parent's Q3 - Q1;
+* the bound: the change's median is worse than the parent's by at most
+  the metric's `bound` in BENCHMARK.json, a share of the parent's median.
+
+A warning line follows when the change's share of failed operations,
+over all its runs, exceeds the parent's; then every run's values with
+its `correct` flag and failed operations.  The exit status is 1 when a
+run fails, 2 for bad arguments.
 """
 
 from __future__ import annotations
@@ -51,11 +60,13 @@ def _quartiles(values: list) -> tuple:
     return min(values), q1, med, q3, max(values)
 
 
-def summarize(pairs: list, better: dict | None = None) -> list:
+def summarize(pairs: list, better: dict | None = None, bounds: dict | None = None) -> list:
     """The report lines for pairs [(seed, parent result, change result)],
     results as parse_result returns them; better maps a metric to
-    "lower" or "higher" (lower when missing)."""
-    better = better or {}
+    "lower" or "higher" (lower when missing), bounds a metric to its
+    BENCHMARK.json bound (no bound verdict when missing)."""
+    better, bounds = better or {}, bounds or {}
+    need = -(-9 * len(pairs) // 10)  # pairs the change must win: 9 of 10, rounded up
     names = list(pairs[0][1]["metrics"])
     lines = [f"{'metric':<12} {'side':<6} {'min':>10} {'q1':>10} {'median':>10} "
              f"{'q3':>10} {'max':>10}"]
@@ -73,6 +84,23 @@ def summarize(pairs: list, better: dict | None = None) -> list:
         lines.append(f"{name}: change better in {wins} of {len(pairs)} pairs; median "
                      f"{med_p:.4f} -> {med_c:.4f} ({rel}); median gap {abs(med_c - med_p):.4f} "
                      f"against the parent's Q3 - Q1 {spread:.4f}")
+        gain = med_p - med_c if lower else med_c - med_p  # > 0 when the change is better
+        holds = wins >= need and gain > spread
+        lines.append(f"{name}: gain rule {'holds' if holds else 'fails'}: better in {wins} of "
+                     f"{len(pairs)} pairs (needs {need}), median better by {gain:.4f} "
+                     f"(needs more than {spread:.4f})")
+        if name in bounds and med_p:
+            worse = -gain / abs(med_p)
+            inside = worse <= bounds[name]
+            lines.append(f"{name}: {'inside' if inside else 'OUTSIDE'} its bound: change median "
+                         f"{100.0 * abs(worse):.1f} % {'worse' if worse > 0 else 'better'} than "
+                         f"the parent's (bound: {100.0 * bounds[name]:.1f} % worse)")
+    shares = {side: (sum(p[i]["failed"] for p in pairs), sum(p[i]["attempted"] for p in pairs))
+              for side, i in (("parent", 1), ("change", 2))}
+    (fp, ap), (fc, ac) = shares["parent"], shares["change"]
+    if fc * ap > fp * ac:  # fc / ac > fp / ap without dividing by zero
+        lines.append(f"WARNING: the change failed {fc}/{ac} operations, a larger share than "
+                     f"the parent's {fp}/{ap}")
     for seed, parent, change in pairs:
         cells = []
         for side, res in (("parent", parent), ("change", change)):
@@ -113,6 +141,7 @@ def main(argv=None) -> int:
     bench = json.loads(bench_file.read_text(encoding="utf-8")) if bench_file.is_file() else {}
     seconds = bench.get("run_seconds", DEFAULT_SECONDS)
     better = {m["name"]: m.get("better", "lower") for m in bench.get("end_to_end", [])}
+    bounds = {m["name"]: m["bound"] for m in bench.get("end_to_end", []) if "bound" in m}
     pairs = []
     try:
         for seed in range(args.seed0, args.seed0 + args.pairs):
@@ -125,7 +154,7 @@ def main(argv=None) -> int:
     except (RuntimeError, ValueError) as exc:
         print(f"bench_pairs.py: {exc}", file=sys.stderr)
         return 1
-    print("\n".join(summarize(pairs, better)))
+    print("\n".join(summarize(pairs, better, bounds)))
     return 0
 
 

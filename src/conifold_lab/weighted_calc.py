@@ -767,27 +767,6 @@ def _support_window(u: ModeFunction) -> list[tuple[int, int]]:
     return out
 
 
-# Rows (or window nodes) per vectorised pass.  Larger passes are slower,
-# not faster: the allocator hands their temporaries (from about 50 kB
-# each) back to the system between numpy operations, and every page is
-# faulted in again on the next one.
-_BLOCK_ROWS = 4096
-
-
-def _blocks(rows) -> list[tuple[int, int]]:
-    """Consecutive runs [a, b) of items whose rows add up to at most
-    _BLOCK_ROWS (an item alone when it has more)."""
-    out = []
-    for i, r in enumerate(rows):
-        if out and total + r <= _BLOCK_ROWS:
-            out[-1] = (out[-1][0], i + 1)
-            total += r
-        else:
-            out.append((i, i + 1))
-            total = r
-    return out
-
-
 def _aranges(spans) -> np.ndarray:
     """The integers of the half-open spans (a, b), concatenated: one
     arange over all of them, each span's part shifted to its start."""
@@ -809,11 +788,11 @@ def _densities_on(grid: RadialGrid, modes: list, windows: list, k: int):
     neighbours on either side (across the seam on a circle; clamped on an
     interval, where the end rows' stencils hold 0 for them; none for
     k = 0), and the band products run over the whole table by slices,
-    after one gather of coefficients per band offset.  A circle's wrap
-    offsets +-(n - 1) read the neighbour across the seam, one slot away.
-    Each row's terms are added over the offsets ascending, from 0, so
-    every density is bit for bit the one of the full-grid band product;
-    the values the halo slots get are discarded."""
+    each offset's coefficients gathered as its terms are added.  A
+    circle's wrap offsets +-(n - 1) read the neighbour across the seam,
+    one slot away.  Each row's terms are added over the offsets
+    ascending, from 0, so every density is bit for bit the one of the
+    full-grid band product; the values the halo slots get are discarded."""
     n = grid.n
     reach = _STENCIL_REACH if k else 0  # D_0 needs no neighbours
     ranges = [r for win in windows for r in win]
@@ -831,13 +810,13 @@ def _densities_on(grid: RadialGrid, modes: list, windows: list, k: int):
     def shift(d):
         return d - n if d > reach else d + n if d < -reach else d
 
-    stencils = [[(shift(d), X[d][tnode][body]) for d in sorted(X)]
-                for X in (grid.d1, grid.d2)[:k]]
+    inner = tnode[body]
 
-    def band_rows(coeffs, v):
+    def band_rows(X, v):
         out = np.zeros(slots)
-        for s, c in coeffs:
-            out[body] += c * v[reach + s:slots - reach + s]
+        for d in sorted(X):
+            s = shift(d)
+            out[body] += X[d][inner] * v[reach + s:slots - reach + s]
         return out
 
     if k >= 1:
@@ -846,7 +825,7 @@ def _densities_on(grid: RadialGrid, modes: list, windows: list, k: int):
         fp = grid.fp[tnode]
     m = grid.geometry.m
     kappa = grid.geometry.link.einstein_constant or 0.0
-    d0, d1, d2 = (np.zeros(slots) for _ in range(3))
+    acc = [np.zeros(slots) for _ in range(k + 1)]
     # mode slot q holds the q-th mode of every function; a function with
     # fewer modes contributes zeros there, which leave every sum unchanged
     counts = [b - a for a, b in zip(bounds, bounds[1:])]
@@ -860,22 +839,23 @@ def _densities_on(grid: RadialGrid, modes: list, windows: list, k: int):
                 e[i] = ms[q].e
                 hess_c = e[i] * e[i] - kappa * e[i]  # int |Hess s_n|^2 over the link
                 hess[i] = 0.0 if hess_c < 0 else hess_c
-        d0 += v**2
+        acc[0] += v**2
         if k >= 1:
             e = np.repeat(e, counts)
-            dv = band_rows(stencils[0], v)
-            d1 += dv**2 + (e / f**2) * v**2
+            dv = band_rows(grid.d1, v)
+            acc[1] += dv**2 + (e / f**2) * v**2
         if k >= 2:
-            ddv = band_rows(stencils[1], v)
+            ddv = band_rows(grid.d2, v)
             mixed = dv - (fp / f) * v
             angular = (np.repeat(hess, counts) * v**2
                        - 2.0 * e * f * fp * v * dv
                        + (m - 1.0) * (f * fp) ** 2 * dv**2) / f**4
-            d2 += ddv**2 + 2.0 * (e / f**2) * mixed**2 + np.maximum(angular, 0.0)
+            acc[2] += ddv**2 + 2.0 * (e / f**2) * mixed**2 + np.maximum(angular, 0.0)
     member = np.repeat(np.arange(len(windows)), [sum(b - a for a, b in win) for win in windows])
     # one range: its nodes as a slice, so that callers read views, not copies
     node = slice(*ranges[0]) if len(ranges) == 1 else tnode[pos]
-    return [np.sqrt(d[pos]) for d in (d0, d1, d2)[:k + 1]], node, member
+    # each root in place: on the accumulator itself when pos takes every slot
+    return [np.sqrt(x, out=x) for x in (d[pos] for d in acc)], node, member
 
 
 def densities(u: ModeFunction, k: int, window=slice(None)) -> list[np.ndarray]:
@@ -900,15 +880,15 @@ def _family_norms(family: list[ModeFunction], norms, beta: float | None = None,
     (w rho^j D_j)^p vol)^(1/p), as an array (len(norms), len(family)).
 
     (p, range(k + 1)) is the W^p_{k,beta} norm, (p, (1,)) the gradient
-    norm.  The densities of all members come from passes over their
-    support windows (_densities_on), one per block of consecutive members
-    (_blocks); each member's sum of one (j, p) is one np.bincount over
-    the rows, which adds them in node order, so it does not depend on the
-    rest of the family.  The nodes outside a window contribute exact
-    zeros, so each value equals the full-grid sum up to the order of
-    summation.  The weights w rho^j are taken once per node, on the nodes
-    from the first window's start to the last one's end, and gathered
-    per block.  weight_fn overrides w = wextra * rho^(-beta)."""
+    norm.  The densities of all members come from one pass over their
+    support windows (_densities_on); each member's sum of one (j, p) is
+    one np.bincount over the rows, which adds them in node order, so it
+    does not depend on the rest of the family.  The nodes outside a
+    window contribute exact zeros, so each value equals the full-grid sum
+    up to the order of summation.  The weights w rho^j are taken once per
+    node, on the nodes from the first window's start to the last one's
+    end, and gathered onto the rows.  weight_fn overrides
+    w = wextra * rho^(-beta)."""
     if not family:
         raise ValueError("empty test family")
     grid = family[0].grid
@@ -921,15 +901,17 @@ def _family_norms(family: list[ModeFunction], norms, beta: float | None = None,
     w = _weight_values(grid, _beta_values(grid, beta, span), weight_fn, span)
     # rho**0 is 1.0, so w itself has the same bits
     wj = {j: w * grid.rho[span]**j if j else w for j in {j for _, js in norms for j in js}}
+    dens, node, member = _densities_on(grid, [u.modes for u in family], windows, k)
+    at = (slice(node.start - span.start, node.stop - span.start) if isinstance(node, slice)
+          else node - span.start)
+    volume = grid.volume[node]
     sums = np.zeros((len(norms), len(family)))
-    for a, b in _blocks([sum(hi - lo for lo, hi in win) for win in windows]):
-        dens, node, member = _densities_on(grid, [u.modes for u in family[a:b]], windows[a:b], k)
-        at = (slice(node.start - span.start, node.stop - span.start) if isinstance(node, slice)
-              else node - span.start)
-        weights, volume = {j: x[at] for j, x in wj.items()}, grid.volume[node]
-        for i, (p, js) in enumerate(norms):
-            for j in js:
-                sums[i, a:b] += np.bincount(member, (weights[j] * dens[j]) ** p * volume, b - a)
+    for i, (p, js) in enumerate(norms):
+        for j in js:
+            terms = wj[j][at] * dens[j]  # a new table: wj[j][at] may be a view
+            terms **= p
+            terms *= volume
+            sums[i] += np.bincount(member, terms, len(family))
     # the roots one value at a time: numpy's power picks its kernel by the
     # array's shape, so a member's norm would depend on its family's size
     return np.array([[s ** (1.0 / p) for s in row] for row, (p, _) in zip(sums.tolist(), norms)])
@@ -1207,19 +1189,27 @@ def _bump_values(grid: RadialGrid, centers: np.ndarray, halfwidths: np.ndarray,
                  bump: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """The C^2 bumps (1-s^2)^3 of the given centres and halfwidths in x on
     their node windows (bump, lo, hi) from _bump_windows, in one pass:
-    (bump, node, value) per window node, bump by bump."""
+    (rows, node, value), the window nodes and their values bump by bump,
+    bump i's at rows[i]:rows[i + 1]."""
+    size = hi - lo
     node = _aranges(np.column_stack((lo, hi)))
-    bump = np.repeat(bump, hi - lo)
-    x, center, hw = grid.nodes[node], centers[bump], halfwidths[bump]
+    # s = (x - center) / hw, folded on a circle, then the profile: one
+    # table worked in place, each node's value its own, 0 where |s| >= 1
+    s = grid.nodes[node]
+    s -= np.repeat(centers[bump], size)
     if grid.geometry.circle:
         per = grid.geometry.period
-        s = (_fold(x - center + per / 2, per) - per / 2) / hw
-    else:
-        s = (x - center) / hw
+        s += per / 2
+        s = _fold(s, per)
+        s -= per / 2
+    s /= np.repeat(halfwidths[bump], size)
     inside = np.abs(s) < 1.0
-    vals = np.zeros(s.size)
-    vals[inside] = (1.0 - s[inside] ** 2) ** 3
-    return bump, node, vals
+    s **= 2
+    np.subtract(1.0, s, out=s)
+    s **= 3
+    s[~inside] = 0.0
+    starts = np.concatenate(([0], np.cumsum(size)))
+    return starts[np.searchsorted(bump, np.arange(centers.size + 1))], node, s
 
 
 # Bytes per zero block of profile rows.  numpy asks for huge pages for
@@ -1236,20 +1226,9 @@ def _zero_rows(count: int, n: int) -> list[np.ndarray]:
     return [row for a in range(0, count, per) for row in np.zeros((min(per, count - a), n))]
 
 
-def _bump_passes(grid: RadialGrid, centers: np.ndarray, halfwidths: np.ndarray):
-    """_bump_values of the bumps on their windows, one pass per block of
-    consecutive bumps (_blocks): (a, b, bump, node, value) for the block
-    of bumps a..b-1."""
-    bump, lo, hi = _bump_windows(grid, centers, halfwidths)
-    first = np.searchsorted(bump, np.arange(centers.size + 1))  # each bump's windows
-    for a, b in _blocks(np.bincount(bump, hi - lo, centers.size).astype(int)):
-        w = slice(first[a], first[b])
-        yield (a, b, *_bump_values(grid, centers, halfwidths, bump[w], lo[w], hi[w]))
-
-
-def _bump_supports(bump: np.ndarray, node: np.ndarray, vals: np.ndarray, a: int, b: int):
-    """(nonzero count, support) of each bump a..b-1 from its window rows
-    (bump, node, vals) of _bump_values, whose nodes ascend per bump: the
+def _bump_supports(rows: np.ndarray, node: np.ndarray, vals: np.ndarray):
+    """(nonzero count, support) of each bump from its window rows
+    (rows, node, vals) of _bump_values, whose nodes ascend per bump: the
     support is ((first, last + 1),) when every node from its first to its
     last nonzero node is nonzero, () when it has none, and None (scan the
     profile) otherwise, as for a bump across a circle's seam.  The window
@@ -1257,15 +1236,13 @@ def _bump_supports(bump: np.ndarray, node: np.ndarray, vals: np.ndarray, a: int,
     if not np.all(np.isfinite(vals)):
         raise ValueError("mode profiles must be finite-valued")
     nz = np.flatnonzero(vals)
-    cuts = np.searchsorted(bump[nz], np.arange(a, b + 1))  # each bump's nonzeros
-    count = np.diff(cuts).tolist()
     if not nz.size:
-        return [(0, ())] * (b - a)
-    nodes = node[nz]
-    first = nodes[np.minimum(cuts[:-1], nz.size - 1)].tolist()
-    last = nodes[np.maximum(cuts[1:] - 1, 0)].tolist()
+        return [(0, ())] * (rows.size - 1)
+    cuts = np.searchsorted(nz, rows)  # each bump's nonzeros
+    first = node[nz[np.minimum(cuts[:-1], nz.size - 1)]].tolist()
+    last = node[nz[np.maximum(cuts[1:] - 1, 0)]].tolist()
     return [(c, () if not c else ((lo, hi + 1),) if hi + 1 - lo == c else None)
-            for c, lo, hi in zip(count, first, last)]
+            for c, lo, hi in zip(np.diff(cuts).tolist(), first, last)]
 
 
 def bump_profile(grid: RadialGrid, center: float, halfwidth: float) -> np.ndarray:
@@ -1328,7 +1305,7 @@ def bump_family(
     jitter draws, made at once; an attempt whose bump has fewer than 5
     nonzero nodes is skipped, and at most 20 n_members attempts are
     made.  The attempts still needed are evaluated together on their
-    windows (in blocks, _bump_passes), so one round when none is
+    windows, one _bump_values pass per round, so one round when none is
     skipped; the members' profiles are zero rows (_zero_rows)."""
     g = grid.geometry
     if n_members < 0:
@@ -1353,16 +1330,15 @@ def bump_family(
     while len(out) < n_members and start < attempts:
         stop = min(start + n_members - len(out), attempts)
         c, h = centers[which[start:stop]], halfwidths[start:stop]
-        for a, b, bump, node, vals in _bump_passes(grid, c, h):
-            rows = np.searchsorted(bump, np.arange(a, b + 1))
-            supports = _bump_supports(bump, node, vals, a, b)
-            for i, j, (count, support) in zip(rows[:-1], rows[1:], supports):
-                if count < 5:
-                    continue
-                prof = profiles[len(out)]
-                prof[node[i:j]] = vals[i:j]
-                e = float(modes[len(out) % len(modes)])
-                out.append(ModeFunction(grid, (ModeProfile._built(e, prof, support),)))
+        rows, node, vals = _bump_values(grid, c, h, *_bump_windows(grid, c, h))
+        supports = _bump_supports(rows, node, vals)
+        for i, j, (count, support) in zip(rows[:-1], rows[1:], supports):
+            if count < 5:
+                continue
+            prof = profiles[len(out)]
+            prof[node[i:j]] = vals[i:j]
+            e = float(modes[len(out) % len(modes)])
+            out.append(ModeFunction(grid, (ModeProfile._built(e, prof, support),)))
         start = stop
     if len(out) < n_members:
         raise ValueError("could not place the requested number of bumps")
@@ -1377,7 +1353,7 @@ def random_bump_pairs(
 
     Each pair draws its two centres, two amplitudes, two widths and the
     second factor's mode, in that order; the 2 n_pairs bumps are then
-    evaluated together on their windows (in blocks, _bump_passes), into
+    evaluated together on their windows, in one _bump_values pass, into
     zero rows (_zero_rows), with the supports read from the window values
     (_bump_supports)."""
     g = grid.geometry
@@ -1395,13 +1371,11 @@ def random_bump_pairs(
         modes += [0.0, 0.0 if rng.random() < 0.5 else float(e1)]
     c, h, amps = centers[np.array(which, dtype=int)], np.array(widths), np.array(amps)
     profiles = _zero_rows(2 * n_pairs, grid.n)
-    supports = []
-    for a, b, bump, node, vals in _bump_passes(grid, c, h):
-        vals = amps[bump] * vals
-        rows = np.searchsorted(bump, np.arange(a, b + 1))
-        for k, i, j in zip(range(a, b), rows[:-1], rows[1:]):
-            profiles[k][node[i:j]] = vals[i:j]
-        supports += _bump_supports(bump, node, vals, a, b)
+    rows, node, vals = _bump_values(grid, c, h, *_bump_windows(grid, c, h))
+    vals *= np.repeat(amps, np.diff(rows))
+    for prof, i, j in zip(profiles, rows[:-1], rows[1:]):
+        prof[node[i:j]] = vals[i:j]
+    supports = _bump_supports(rows, node, vals)
     funcs = [ModeFunction(grid, (ModeProfile._built(e, prof, support),))
              for e, prof, (_, support) in zip(modes, profiles, supports)]
     return list(zip(funcs[::2], funcs[1::2]))

@@ -153,7 +153,8 @@ def test_bench_pairs_summary_on_canned_runs():
                        "(-12.5 %); median gap 0.0300 against the parent's Q3 - Q1 0.0300")
     setup = next(line for line in lines if line.startswith("setup_s:"))
     assert setup.startswith("setup_s: change better in 2 of 5 pairs")  # 0.19 < 0.2 < 0.21
-    assert "peak_rss_mb: change better in 0 of 5 pairs" in lines[-6]  # ties are no win
+    peak = next(line for line in lines if line.startswith("peak_rss_mb: change better"))
+    assert "in 0 of 5 pairs" in peak  # ties are no win
     assert lines[-1] == ("seed 14: parent setup_s 0.2000 pass_s 0.2200 peak_rss_mb 74.2500 "
                          "correct true failed 0/128 | change setup_s 0.2100 pass_s 0.1900 "
                          "peak_rss_mb 74.2500 correct false failed 0/128")
@@ -169,3 +170,65 @@ def test_bench_pairs_refuses_bad_arguments(tmp_path):
                     "--seed0", "0"]) == 2
     assert bp.main([str(ROOT), str(ROOT), "--workload", "glued_norms", "--pairs", "1",
                     "--seed0", "0"]) == 2
+
+
+def verdicts(lines, name):
+    return [line for line in lines if line.startswith(f"{name}: ")
+            and not line.startswith(f"{name}: change better")]
+
+
+def synthetic_pairs(bp, parent, change, failed=(0, 0)):
+    return [(i, bp.parse_result(canned_run(p, 0.2, failed=failed[0])),
+             bp.parse_result(canned_run(c, 0.2, failed=failed[1])))
+            for i, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_bench_pairs_verdicts_on_synthetic_pairs():
+    bp = load_bench_pairs()
+    parent = [0.21, 0.20, 0.22, 0.21, 0.20, 0.21, 0.22, 0.20, 0.21, 0.21]
+    # better in 9 of 10 pairs, median 0.21 -> 0.18, against a parent Q3 - Q1 of 0.0125
+    change = [0.18, 0.17, 0.19, 0.18, 0.21, 0.18, 0.19, 0.17, 0.18, 0.18]
+    bounds = {"pass_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.1}
+    lines = bp.summarize(synthetic_pairs(bp, parent, change), {"pass_s": "lower"}, bounds)
+    assert verdicts(lines, "pass_s") == [
+        "pass_s: gain rule holds: better in 9 of 10 pairs (needs 9), median better by "
+        "0.0300 (needs more than 0.0125)",
+        "pass_s: inside its bound: change median 14.3 % better than the parent's "
+        "(bound: 25.0 % worse)"]
+    # ties win no pair and gain nothing; no failed share, no warning
+    assert verdicts(lines, "peak_rss_mb")[0].startswith("peak_rss_mb: gain rule fails: better "
+                                                        "in 0 of 10 pairs")
+    assert not any(line.startswith("WARNING") for line in lines)
+
+    # 8 of 10 pairs fail the rule, however large the gap
+    eight = change[:9] + [0.23]
+    lines = bp.summarize(synthetic_pairs(bp, parent, eight), {}, bounds)
+    assert verdicts(lines, "pass_s")[0].startswith("pass_s: gain rule fails: better in 8 of 10")
+    # 10 of 10 with a gap inside the parent's Q3 - Q1 fails too
+    close = [v - 0.001 for v in parent]
+    lines = bp.summarize(synthetic_pairs(bp, parent, close), {}, bounds)
+    assert verdicts(lines, "pass_s")[0] == (
+        "pass_s: gain rule fails: better in 10 of 10 pairs (needs 9), median better by "
+        "0.0010 (needs more than 0.0125)")
+
+    # a higher-is-better metric turns both verdicts; a slower change leaves its bound
+    slower = [1.3 * v for v in parent]
+    lines = bp.summarize(synthetic_pairs(bp, parent, slower), {"pass_s": "higher"}, bounds)
+    assert verdicts(lines, "pass_s")[0].startswith("pass_s: gain rule holds: better in 10 of 10")
+    lines = bp.summarize(synthetic_pairs(bp, parent, slower), {}, bounds)
+    assert verdicts(lines, "pass_s") == [
+        "pass_s: gain rule fails: better in 0 of 10 pairs (needs 9), median better by "
+        "-0.0630 (needs more than 0.0125)",
+        "pass_s: OUTSIDE its bound: change median 30.0 % worse than the parent's "
+        "(bound: 25.0 % worse)"]
+    # no bound given: no bound verdict
+    assert len(verdicts(bp.summarize(synthetic_pairs(bp, parent, slower)), "pass_s")) == 1
+
+    # the failed share: a warning only when the change's exceeds the parent's
+    for failed, warned in (((0, 1), True), ((1, 1), False), ((2, 1), False)):
+        lines = bp.summarize(synthetic_pairs(bp, parent, change, failed), {}, bounds)
+        warnings = [line for line in lines if line.startswith("WARNING")]
+        assert len(warnings) == warned
+    lines = bp.summarize(synthetic_pairs(bp, parent, change, (0, 1)))
+    assert lines[-11] == (  # just before the ten runs
+        "WARNING: the change failed 10/1280 operations, a larger share than the parent's 0/1280")

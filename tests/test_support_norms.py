@@ -84,24 +84,22 @@ def ref_weighted_sobolev_norm(u, spec, weight_fn=None):
 
 def ref_family_norms_rows(family, norms, beta=None, weight_fn=None):
     """The norm engine with its weights taken per row: w = wextra
-    rho^(-beta) (or weight_fn's) and w rho^j at each block's rows."""
+    rho^(-beta) (or weight_fn's) and w rho^j at the pass's rows."""
     grid = family[0].grid
     k = max(j for _, js in norms for j in js)
     windows = [_support_window(u) for u in family]
+    dens, node, member = wc._densities_on(grid, [u.modes for u in family], windows, k)
+    rho, volume = grid.rho[node], grid.volume[node]
+    if weight_fn is not None:
+        w = np.asarray(weight_fn(grid.nodes), dtype=float)[node]
+    else:
+        w = grid.wextra[node] * rho ** (-(grid.beta[node] if beta is None
+                                           else np.full(rho.size, float(beta))))
     sums = np.zeros((len(norms), len(family)))
-    for a, b in wc._blocks([sum(hi - lo for lo, hi in win) for win in windows]):
-        dens, node, member = wc._densities_on(grid, [u.modes for u in family[a:b]],
-                                              windows[a:b], k)
-        rho, volume = grid.rho[node], grid.volume[node]
-        if weight_fn is not None:
-            w = np.asarray(weight_fn(grid.nodes), dtype=float)[node]
-        else:
-            w = grid.wextra[node] * rho ** (-(grid.beta[node] if beta is None
-                                               else np.full(rho.size, float(beta))))
-        for i, (p, js) in enumerate(norms):
-            for j in js:
-                wj = w * rho**j if j else w
-                sums[i, a:b] += np.bincount(member, (wj * dens[j]) ** p * volume, b - a)
+    for i, (p, js) in enumerate(norms):
+        for j in js:
+            wj = w * rho**j if j else w
+            sums[i] += np.bincount(member, (wj * dens[j]) ** p * volume, len(family))
     return np.array([[s ** (1.0 / p) for s in row] for row, (p, _) in zip(sums.tolist(), norms)])
 
 
@@ -265,13 +263,15 @@ def test_family_engine_weight_fn_path(grid):
                 u, WeightSpec(p=2.0, k=k, beta=None), weight_fn=weight_fn))
 
 
+NODE_WEIGHT_NORMS = [(6.0, (0,)), (2.0, (0, 1)), (2.0, (1,)), (3.0, range(3)), (1.0, (2,))]
+
+
 @pytest.mark.parametrize("beta", [None, 0.3, "weight_fn"])
 def test_family_engine_node_weights_match_row_weights(grid, beta):
-    """Weights taken once on the nodes and gathered per block give the
-    per-row weights' norms bit for bit, over several blocks."""
+    """Weights taken once on the nodes and gathered onto the rows give the
+    per-row weights' norms bit for bit."""
     funcs = functions_on(grid) + bump_family(grid, n_members=32, seed=6)
     funcs += [ModeFunction.single(grid, 0.0, grid.rho ** (0.1 * i)) for i in range(6)]
-    assert len(wc._blocks([sum(hi - lo for lo, hi in _support_window(u)) for u in funcs])) > 1
     weight_fn = None
     if beta == "weight_fn":
         beta = None
@@ -279,9 +279,35 @@ def test_family_engine_node_weights_match_row_weights(grid, beta):
         def weight_fn(x):
             return 1e-3 ** (grid.beta + 0.5) * grid.rho ** (-grid.beta) * grid.wextra
 
-    norms = [(6.0, (0,)), (2.0, (0, 1)), (2.0, (1,)), (3.0, range(3)), (1.0, (2,))]
-    got = _family_norms(funcs, norms, beta, weight_fn)
-    assert np.array_equal(got, ref_family_norms_rows(funcs, norms, beta, weight_fn))
+    got = _family_norms(funcs, NODE_WEIGHT_NORMS, beta, weight_fn)
+    assert np.array_equal(got, ref_family_norms_rows(funcs, NODE_WEIGHT_NORMS, beta, weight_fn))
+
+
+def test_norms_that_share_a_weight_read_it_unchanged(grid):
+    """A one-range member's rows are a slice of the span's weights; every
+    norm that reads w rho^j reads the same values."""
+    u = bump_family(grid, n_members=1, seed=2)[0]
+    assert len(_support_window(u)) == 1
+    norms = [(2.0, (0,)), (6.0, (0, 1)), (2.0, (1,)), (3.0, (0, 1, 2)), (1.5, (0,))]
+    got = _family_norms([u], norms, -0.5)
+    assert got[:, 0].tolist() == [_family_norms([u], [norm], -0.5)[0, 0] for norm in norms]
+
+
+@pytest.fixture(scope="module")
+def cone_2000():
+    """norm_identities' exact cone at n_per_region 2000."""
+    geo = preset_model("exact_cone_cs_ac", beta=-0.5).geometry(0)
+    return build_grid(geo, n_per_region=2000, r_max=1e3)
+
+
+def test_family_engine_node_weights_match_row_weights_on_the_hoelder_factors(cone_2000):
+    """The first factors of norm_identities' Hoelder sweep: one pass of
+    35 575 rows, with per-row weights' norms bit for bit."""
+    us = [u for u, _ in random_bump_pairs(cone_2000, 100, seed=3)]
+    assert sum(hi - lo for u in us for lo, hi in _support_window(u)) == 35575
+    for beta in (-0.5, None):
+        got = _family_norms(us, NODE_WEIGHT_NORMS, beta)
+        assert np.array_equal(got, ref_family_norms_rows(us, NODE_WEIGHT_NORMS, beta))
 
 
 @pytest.mark.parametrize("p", [2.0, 6.0])
@@ -433,3 +459,48 @@ def test_gns_row_names_the_zero_member(monkeypatch):
     monkeypatch.setattr(wc, "bump_family", with_zero)
     with pytest.raises(ValueError, match="member 1 has a zero"):
         ex._gns_row(cfg, fam.at(0.1))
+
+
+# ---------------------------------------------------------------------------
+# one pass per family
+
+
+def spy(monkeypatch, name):
+    """Record the arguments of every call of weighted_calc.<name>."""
+    calls, real = [], getattr(wc, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wc, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("experiment", ["embedding_uniformity", "gns_uniformity"])
+def test_a_spindle_sweep_takes_one_pass_per_family(monkeypatch, experiment):
+    """Each t of a 32-bump spindle sweep at n_per_region 2000 builds its
+    family in one _bump_values pass (no attempt is skipped, so one round)
+    and takes its norms in one _densities_on pass, whatever the family's
+    row count (about 14 600 to 35 400 window rows here)."""
+    t_list = [10.0 ** -k for k in range(1, 9)]
+    cfg = ex.ExperimentConfig.from_dict({"experiment": experiment, "model": "spindle",
+                                         "t_list": t_list, "n_per_region": 2000,
+                                         "family_size": 32, "seed": 3})
+    bumps, dens = spy(monkeypatch, "_bump_values"), spy(monkeypatch, "_densities_on")
+    ex.run(cfg)
+    assert [args[1].size for args in bumps] == [32] * len(t_list)
+    assert [len(args[1]) for args in dens] == [32] * len(t_list)
+    assert min(sum(hi - lo for win in args[2] for lo, hi in win) for args in dens) > 10000
+
+
+def test_the_hoelder_sweep_takes_one_pass_per_factor_family(monkeypatch, cone_2000):
+    """norm_identities' 100 pairs at n_per_region 2000: one _bump_values
+    pass for the 200 bumps, one _densities_on pass for each of the three
+    norm-engine calls (products, first and second factors)."""
+    bumps, dens = spy(monkeypatch, "_bump_values"), spy(monkeypatch, "_densities_on")
+    pairs = random_bump_pairs(cone_2000, 100, seed=3)
+    assert [args[1].size for args in bumps] == [200]
+    reports = _holder_sweep(pairs, 6.0, -0.5, 0.25)
+    assert len(reports) == 100 and not any(r.violated for r in reports)
+    assert [(len(args[1]), args[3]) for args in dens] == [(100, 0)] * 3
