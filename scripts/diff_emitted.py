@@ -88,13 +88,14 @@ READERS = {".csv": _csv_cells, ".dat": _dat_cells, ".json": _json_cells}
 
 
 def _difference(a, b):
-    """(absolute, relative) difference of two numbers."""
+    """(absolute, relative) difference of two numbers; inf for both where
+    they differ and a is NaN or +-inf (never NaN, which max() drops)."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0, 0.0
     d = abs(b - a)
     if math.isnan(d):
         d = math.inf
-    return d, (d / abs(a) if a != 0 else math.inf)
+    return d, (d / abs(a) if a != 0 and math.isfinite(a) else math.inf)
 
 
 def compare_file(pa: Path, pb: Path):

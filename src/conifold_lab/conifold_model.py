@@ -73,12 +73,11 @@ class GluingError(ValueError):
 
 
 class WarpProfile(NamedTuple):
-    """Radial warp f with two derivatives, as vectorized callables."""
+    """Radial warp f and its derivative f', as vectorized callables."""
 
     name: str
     f: object
     fp: object
-    fpp: object
 
 
 def warp_preset(name: str, *params) -> WarpProfile:
@@ -94,7 +93,6 @@ def warp_preset(name: str, *params) -> WarpProfile:
             "exact_cone",
             f=lambda x: np.asarray(x, dtype=float) + 0.0,
             fp=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            fpp=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         )
     if name == "hyperboloid":
         c = float(params[0]) if params else 1.0
@@ -102,14 +100,12 @@ def warp_preset(name: str, *params) -> WarpProfile:
             "hyperboloid",
             f=lambda x: np.sqrt(np.asarray(x, dtype=float) ** 2 + c * c),
             fp=lambda x: np.asarray(x, dtype=float) / np.sqrt(np.asarray(x, dtype=float) ** 2 + c * c),
-            fpp=lambda x: c * c / np.sqrt(np.asarray(x, dtype=float) ** 2 + c * c) ** 3,
         )
     if name == "sine_spindle":
         return WarpProfile(
             "sine_spindle",
             f=lambda x: np.sin(np.asarray(x, dtype=float)),
             fp=lambda x: np.cos(np.asarray(x, dtype=float)),
-            fpp=lambda x: -np.sin(np.asarray(x, dtype=float)),
         )
     if name == "perturbed_cone":
         c, nu = float(params[0]), float(params[1])
@@ -117,20 +113,17 @@ def warp_preset(name: str, *params) -> WarpProfile:
             "perturbed_cone",
             f=lambda x: np.asarray(x, dtype=float) * (1.0 + c * np.asarray(x, dtype=float) ** nu),
             fp=lambda x: 1.0 + c * (1.0 + nu) * np.asarray(x, dtype=float) ** nu,
-            fpp=lambda x: c * nu * (1.0 + nu) * np.asarray(x, dtype=float) ** (nu - 1.0),
         )
     if name == "spline":
         from scipy.interpolate import CubicSpline
 
         knots_r, knots_f = params
         cs = CubicSpline(np.asarray(knots_r, dtype=float), np.asarray(knots_f, dtype=float))
-        return WarpProfile("spline", f=cs, fp=cs.derivative(1), fpp=cs.derivative(2))
+        return WarpProfile("spline", f=cs, fp=cs.derivative(1))
     raise ValueError(f"unknown warp preset {name!r}")
 
 
 def _parse_profile(spec) -> WarpProfile:
-    if isinstance(spec, WarpProfile):
-        return spec
     if isinstance(spec, str):
         name, _, rest = spec.partition(":")
         params = tuple(float(x) for x in rest.split(",")) if rest else ()
@@ -192,7 +185,6 @@ class Component:
     left: Cap | EndSpec
     right: Cap | EndSpec
     length: float | None = None
-    rho: object | None = None  # optional explicit radius function of x
     label: str = ""
 
     def __post_init__(self):
@@ -241,8 +233,6 @@ class Component:
     def default_rho(self):
         """Radius function: equal to the local r on every end chart,
         positive elsewhere.  Only pointwise values are ever used."""
-        if self.rho is not None:
-            return self.rho
         sides = [(w, self.side(w)) for w in ("left", "right")]
         cs = [(w, s) for w, s in sides if isinstance(s, EndSpec) and s.kind == "CS"]
         ac = [(w, s) for w, s in sides if isinstance(s, EndSpec) and s.kind == "AC"]
@@ -369,20 +359,23 @@ class PlanSegment(NamedTuple):
 class RadialGeometry:
     """Radial warped-product geometry in final coordinates.
 
-    Provides pointwise f, f', f'', the radius function rho, the weight
+    Provides pointwise f, f', the radius function rho, the weight
     exponent beta and any extra weight factor (the reference-weight
-    correction on shrunk components); plus boundary/junction metadata
-    and a gridding plan.  f'' is a callable only: grids store the FIELDS.
+    correction on shrunk components), each as a callable and the five
+    FIELDS in one pass as `fields`; plus boundary/junction metadata and a
+    gridding plan.
     """
 
     m: int
     link: Link
     f: object
     fp: object
-    fpp: object
     rho: object
     beta: object
     wextra: object
+    # x -> the FIELDS in one pass, equal to their callables; grids take
+    # their node arrays from it
+    fields: object
     circle: bool
     period: float | None
     left: BoundaryInfo | None
@@ -390,11 +383,12 @@ class RadialGeometry:
     plan: tuple[PlanSegment, ...]
     junctions: tuple[JunctionInfo, ...] = ()
     label: str = ""
-    # glued models: the neck cutoff eta_t(x), a field like the six above
+    # glued models: the neck cutoff eta_t(x), a field like the five above
     eta: object | None = None
-    # x -> the FIELDS in one pass, equal to their callables; every
-    # geometry the package builds has it, and grids use it when present
-    fields: object | None = None
+    # no geometry carries f'' (the estimates need f and f' only); the name
+    # stays, always None, for perfbench's tracer, which wraps each named
+    # field callable and skips a None one, as it does a base model's eta
+    fpp = None
 
 
 # the node fields of a RadialGeometry that grids store, in `fields` order
@@ -547,21 +541,18 @@ def _smoothstep_c2_d2(s):
     return 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
-def _squared_warp(F, Fp, Fpp=None):
-    """(Q, Q') of Q = F^2 from F and F', and Q'' too when F'' is given."""
-    Q = (F**2, 2 * F * Fp)
-    return Q if Fpp is None else (*Q, 2 * (Fp**2 + F * Fpp))
+def _squared_warp(F, Fp):
+    """(Q, Q') of Q = F^2 from F and F'."""
+    return F**2, 2 * F * Fp
 
 
-def _rescaled_partner_warp(part: Component, which: str, r, t, second: bool = True):
+def _rescaled_partner_warp(part: Component, which: str, r, t):
     """(F, F') in the neck radius r of the partner warp shrunk by t,
-    F(r) = t fhat(r/t), on the partner's marked AC end `which`, and F''
-    too when second."""
+    F(r) = t fhat(r/t), on the partner's marked AC end `which`."""
     sgn = part.r_sign(which)
     xp = sgn * (r / t)
-    F = (t * np.asarray(part.warp.f(xp), dtype=float),
-         sgn * np.asarray(part.warp.fp(xp), dtype=float))
-    return (*F, np.asarray(part.warp.fpp(xp), dtype=float) / t) if second else F
+    return (t * np.asarray(part.warp.f(xp), dtype=float),
+            sgn * np.asarray(part.warp.fp(xp), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +678,7 @@ class GluedFamily:
         return self._compat.pairs
 
     def at(self, t) -> GluedModel:
-        return parametric_connect_sum(self.L, self.L_hat, t, self.tau,
-                                      a=self.a, b=self.b, family=self)
+        return parametric_connect_sum(self, t)
 
 
 def _as_t_vector(t, n_pairs: int) -> tuple[float, ...]:
@@ -700,27 +690,16 @@ def _as_t_vector(t, n_pairs: int) -> tuple[float, ...]:
     return tv
 
 
-def parametric_connect_sum(
-    L: ConifoldModel,
-    L_hat: ConifoldModel,
-    t,
-    tau: float,
-    a: float | None = None,
-    b: float | None = None,
-    family: GluedFamily | None = None,
-) -> GluedModel:
-    """Build one glued model of the connect-sum family at parameter(s) t.
+def parametric_connect_sum(family: GluedFamily, t) -> GluedModel:
+    """Build one glued model of the connect-sum family at parameter(s) t
+    (GluedFamily.at).
 
     Requires the marked-pair ordering t*Rhat < t^tau < 2 t^tau < eps and
     t^b <= eps on every pair (so the cutoff eta_t reaches 1 inside the
     neck), and equal t entries within each connected component of the
     partner.
     """
-    if family is None:
-        a = a if a is not None else 0.75 * tau
-        b = b if b is not None else 0.25 * tau
-        family = GluedFamily(L, L_hat, tau, a, b)
-    pairs = family.pairs
+    L, L_hat, tau, pairs = family.L, family.L_hat, family.tau, family.pairs
     tv = _as_t_vector(t, len(pairs))
 
     by_comp: dict[int, float] = {}
@@ -902,8 +881,8 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
     chart r in [t Rhat, eps] of junction j and joins pieces j and j + 1
     (piece 0 again when the strip closes into a circle); each piece owns
     its body between its neck edges, out to +-inf on a free end.  Every
-    point is looked up once in this tiling, and every field, the FIELDS,
-    f'' and the cutoff eta_t, is evaluated per zone.  eta_t is junction
+    point is looked up once in this tiling, and every field, the FIELDS
+    and the cutoff eta_t, is evaluated per zone.  eta_t is junction
     j's cutoff on neck j (it reaches 1 there, as t^b <= eps), 1 on host
     bodies and 0 on partner bodies; an unglued component has no eta_t.
     """
@@ -957,35 +936,30 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
     zone_membership = _zone_lookup(zones, circle, period)
 
     def piece_warp(piece: _Piece, xs, attr: str):
-        """One warp field of a placed piece at source coordinates xs."""
+        """f or f' of a placed piece at source coordinates xs."""
         comp = comp_of(piece)
         scale = abs(piece.direction)
-        d = piece.direction
         if attr == "f":
             return scale * np.asarray(comp.warp.f(xs), dtype=float)
-        if attr == "fp":
-            return scale * np.asarray(comp.warp.fp(xs), dtype=float) / d
-        return scale * np.asarray(comp.warp.fpp(xs), dtype=float) / d**2
+        return scale * np.asarray(comp.warp.fp(xs), dtype=float) / piece.direction
 
-    def blend(J: JunctionInfo, r, names):
-        """(f_t, f_t', and f_t'' when named) at the neck radii r of the
-        interpolation band: f_t^2 is the chi-blend of the squared
-        rescaled-partner and host warps, chi a fixed C^2 bump in log r (1
-        at t^tau, 0 at 2 t^tau)."""
+    def blend(J: JunctionInfo, r):
+        """{f: f_t, fp: f_t'} at the neck radii r of the interpolation
+        band: f_t^2 is the chi-blend of the squared rescaled-partner and
+        host warps, chi a fixed C^2 bump in log r (1 at t^tau, 0 at
+        2 t^tau)."""
         ci, wi, cj, wj = family.pairs[J.pair]
         host = L.components[ci]
         t = J.t
         r1 = t**J.tau
-        second = "fpp" in names
 
         tip_h = host.tip(wi)
         sgn_h = host.r_sign(wi)
         xh = tip_h + sgn_h * r
         Qh = _squared_warp(
             np.asarray(host.warp.f(xh), dtype=float),
-            sgn_h * np.asarray(host.warp.fp(xh), dtype=float),
-            np.asarray(host.warp.fpp(xh), dtype=float) if second else None)
-        Qp = _squared_warp(*_rescaled_partner_warp(L_hat.components[cj], wj, r, t, second))
+            sgn_h * np.asarray(host.warp.fp(xh), dtype=float))
+        Qp = _squared_warp(*_rescaled_partner_warp(L_hat.components[cj], wj, r, t))
 
         ln2 = math.log(2.0)
         s = np.log(r / r1) / ln2
@@ -996,14 +970,7 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
         Q = chi * Qp[0] + (1 - chi) * Qh[0]
         Q_p = chi_p * (Qp[0] - Qh[0]) + chi * Qp[1] + (1 - chi) * Qh[1]
         F = np.sqrt(Q)
-        vals = {"f": F, "fp": Q_p / (2 * F) * J.direction}
-        if second:
-            d2s = -1.0 / (r * r * ln2)
-            chi_pp = -(_smoothstep_c2_d2(s) * ds * ds + _smoothstep_c2_d1(s) * d2s)
-            Q_pp = (chi_pp * (Qp[0] - Qh[0]) + 2 * chi_p * (Qp[1] - Qh[1])
-                    + chi * Qp[2] + (1 - chi) * Qh[2])
-            vals["fpp"] = (Q_pp / (2 * F) - Q_p**2 / (4 * F**3)) * J.direction**2
-        return vals
+        return {"f": F, "fp": Q_p / (2 * F) * J.direction}
 
     # each piece's radius and weight functions in its own chart and, for
     # partners, the reference weight of its marked end
@@ -1019,7 +986,7 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
         piece, (rho, beta) = pieces[p_i], sources[p_i]
         xs = piece.to_src(xw, period)
         scale = abs(piece.direction)
-        vals = {a: piece_warp(piece, xs, a) for a in ("f", "fp", "fpp") if a in names}
+        vals = {a: piece_warp(piece, xs, a) for a in ("f", "fp") if a in names}
         if "rho" in names:
             vals["rho"] = scale * np.asarray(rho(xs), dtype=float)
         if "beta" in names or "wextra" in names:
@@ -1040,7 +1007,7 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
         if "eta" in names:
             eta = cutoff_eta(J.t, family.a, family.b)
             vals["eta"] = np.where(r <= J.t**eta.a, 0.0, np.where(r >= J.t**eta.b, 1.0, eta(r)))
-        warp = [a for a in ("f", "fp", "fpp") if a in names]
+        warp = [a for a in ("f", "fp") if a in names]
         if warp:
             # the strip's pieces j and j + 1, the partner being the one from L_hat
             ahead = (j + 1) % len(pieces)
@@ -1050,14 +1017,14 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
             # 0: r < t^tau, the partner's; 1: the blend; 2: r > 2 t^tau, the host's
             band = (r >= r1).view(np.int8) + (r > 2.0 * r1).view(np.int8)
             for k, spans in _spans(band).items():
-                part = (blend(J, _gather(r, spans), warp) if k == 1
+                part = (blend(J, _gather(r, spans)) if k == 1
                         else piece_fields((partner, None, host)[k], _gather(xw, spans), warp))
                 _scatter(out, part, spans)
             vals.update(out)
         return vals
 
     def evaluate(xw, names):
-        """The named fields (of FIELDS, "fpp" and "eta") at the wrapped
+        """The named fields (of FIELDS and "eta") at the wrapped
         points xw: {name: array}.  One zone lookup per point; each zone
         present is evaluated at once on its points, taken as slices: one
         for a zone of ascending points, two where it crosses a circle's
@@ -1126,10 +1093,11 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
     return RadialGeometry(
         m=L.m,
         link=comp.link,
-        f=evaluator(("f",)), fp=evaluator(("fp",)), fpp=evaluator(("fpp",)),
+        f=evaluator(("f",)), fp=evaluator(("fp",)),
         rho=evaluator(("rho",)),
         beta=evaluator(("beta",)),
         wextra=evaluator(("wextra",)),
+        fields=evaluator(FIELDS),
         circle=circle,
         period=period,
         left=left,
@@ -1139,7 +1107,6 @@ def _glued_geometry(L, L_hat, family, pieces, junctions, circle, period, x_origi
         label=(family.label or "glued") if family else (
             comp.label or L.label or f"component{pieces[0].comp_index}"),
         eta=evaluator(("eta",)) if family else None,
-        fields=evaluator(FIELDS),
     )
 
 
@@ -1172,11 +1139,10 @@ def neck_convergence_check(family: GluedFamily, t) -> list[dict]:
         _, _, cj, wj = family.pairs[J.pair]
         r = np.geomspace(J.t * J.Rhat, J.t**family.b, 4001)
         x = J.center + J.direction * r
-        Q, Qp, _ = _squared_warp(
+        Q, Qp = _squared_warp(
             np.asarray(geo.f(x), dtype=float),
-            J.direction * np.asarray(geo.fp(x), dtype=float),
-            np.asarray(geo.fpp(x), dtype=float))
-        P, Pp, _ = _squared_warp(*_rescaled_partner_warp(family.L_hat.components[cj], wj, r, J.t))
+            J.direction * np.asarray(geo.fp(x), dtype=float))
+        P, Pp = _squared_warp(*_rescaled_partner_warp(family.L_hat.components[cj], wj, r, J.t))
         rows.append({"pair": k, "t": float(J.t), "j": 0, "sup": float(np.max(np.abs(Q - P) / P))})
         rows.append({"pair": k, "t": float(J.t), "j": 1,
                      "sup": float(np.max(np.abs(r * (Qp - Pp)) / P))})

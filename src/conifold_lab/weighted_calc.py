@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -261,12 +262,12 @@ class RadialGrid:
     circles); quad: weights with int F dx ~ sum quad * F(nodes).
     Geometry samples (the FIELDS f, f', rho, beta, wextra) are cached at
     the nodes, taken in one pass from the geometry's `fields` evaluator
-    when it has one (glued geometries classify each node once), else from
-    its five callables.  The derivative stencils d1, d2, the norm volume and
-    the e-free part of the mode operator are built lazily, once per grid,
-    from these arrays, so the arrays must not be mutated after
-    construction (build a new grid instead); only the geometry, nodes and
-    quad are constructor arguments.  The stencils are bands:
+    (glued geometries classify each node once).  The derivative stencils
+    d1, d2, the norm volume and the e-free part of the mode operator are
+    cached properties, built once per grid from these arrays, so the
+    arrays must not be mutated after construction (build a new grid
+    instead); only the geometry, nodes and quad are constructor
+    arguments.  The stencils are bands:
     three-point rows on the diagonals -1, 0, 1, plus +-2 for the
     one-sided end rows of an interval or +-(n - 1) for the wrap entries
     of a circle.
@@ -280,16 +281,9 @@ class RadialGrid:
     rho: np.ndarray = field(init=False)
     beta: np.ndarray = field(init=False)
     wextra: np.ndarray = field(init=False)
-    _d1: dict = field(init=False, default=None)
-    _d2: dict = field(init=False, default=None)
-    _volume: np.ndarray = field(init=False, default=None)
-    _radial_operator: dict = field(init=False, default=None)
 
     def __post_init__(self):
-        g = self.geometry
-        x = self.nodes
-        vals = g.fields(x) if g.fields is not None else [getattr(g, a)(x) for a in FIELDS]
-        for a, v in zip(FIELDS, vals):
+        for a, v in zip(FIELDS, self.geometry.fields(self.nodes)):
             setattr(self, a, np.asarray(v, dtype=float))
         if np.any(self.f <= 0):
             raise ValueError("warp must be positive on the grid")
@@ -321,7 +315,7 @@ class RadialGrid:
         hp = np.concatenate([d, [d[-1]]])
         return hm, hp
 
-    def _build_derivatives(self):
+    def _build_derivatives(self) -> tuple[dict, dict]:
         n = self.n
         a, b = self.spacings()  # (h_minus, h_plus)
         # nonuniform 3-point first/second derivative coefficients of row i
@@ -350,42 +344,37 @@ class RadialGrid:
                                                  -(g1 + g2) / (g1 * g2), g1 / (g2 * (g1 + g2)))
             d2[0][-1], d2[-1][-1], d2[-2][-1] = (2.0 / (g1 * (g1 + g2)), -2.0 / (g1 * g2),
                                                  2.0 / (g2 * (g1 + g2)))
-        self._d1, self._d2 = (dict(sorted(D.items())) for D in (d1, d2))
+        return tuple(dict(sorted(D.items())) for D in (d1, d2))
+
+    @cached_property
+    def _derivatives(self) -> tuple[dict, dict]:
+        return self._build_derivatives()
 
     @property
     def d1(self) -> dict:
-        if self._d1 is None:
-            self._build_derivatives()
-        return self._d1
+        return self._derivatives[0]
 
     @property
     def d2(self) -> dict:
-        if self._d2 is None:
-            self._build_derivatives()
-        return self._d2
+        return self._derivatives[1]
 
-    @property
+    @cached_property
     def volume(self) -> np.ndarray:
         """Norm volume per node, quad * f^(m-1) * vol(Sigma) * rho^(-m)."""
-        if self._volume is None:
-            m = self.geometry.m
-            self._volume = (self.quad * self.f ** (m - 1) * self.volume_factor
-                            * self.rho ** (-float(m)))
-        return self._volume
+        m = self.geometry.m
+        return self.quad * self.f ** (m - 1) * self.volume_factor * self.rho ** (-float(m))
 
-    @property
+    @cached_property
     def radial_operator(self) -> dict:
         """The e-free part of the mode operator rho^2 A_e as a band on the
         stencils' diagonals, -(rho^2) d2 - (m-1) rho^2 (f'/f) d1; the mode
         operator adds e rho^2 / f^2 to its diagonal.  Each entry is scipy's
         diags(-rho^2) @ d2 + diags(-(m-1) rho^2 f'/f) @ d1, bit for bit (an
         entry that sums to an exact zero is kept, where scipy drops it)."""
-        if self._radial_operator is None:
-            m = self.geometry.m
-            rho2 = self.rho**2
-            c1 = -(m - 1.0) * rho2 * self.fp / self.f
-            self._radial_operator = {d: -rho2 * self.d2[d] + c1 * x for d, x in self.d1.items()}
-        return self._radial_operator
+        m = self.geometry.m
+        rho2 = self.rho**2
+        c1 = -(m - 1.0) * rho2 * self.fp / self.f
+        return {d: -rho2 * self.d2[d] + c1 * x for d, x in self.d1.items()}
 
     def mapped(self, t: float) -> "RadialGrid":
         """The grid of the rescaled geometry, nodes mapped by x -> t x."""
@@ -552,7 +541,7 @@ def rescaled_geometry(geo: RadialGeometry, t: float) -> RadialGeometry:
     field, and `fields` in one pass, is geo's at x / t under one rule."""
     if not t > 0:
         raise ValueError("rescaling parameter must be positive")
-    rules = {"f": lambda v: t * v, "fpp": lambda v: v / t, "rho": lambda v: t * v}
+    rules = {"f": lambda v: t * v, "rho": lambda v: t * v}
 
     def rule(name):
         return rules.get(name, lambda v: v)
@@ -581,7 +570,8 @@ def rescaled_geometry(geo: RadialGeometry, t: float) -> RadialGeometry:
     return RadialGeometry(
         m=geo.m,
         link=geo.link,
-        **{a: field(a) for a in ("f", "fp", "fpp", "rho", "beta", "wextra")},
+        **{a: field(a) for a in FIELDS},
+        fields=fields,
         circle=geo.circle,
         period=None if geo.period is None else t * geo.period,
         left=scale_boundary(geo.left),
@@ -590,7 +580,6 @@ def rescaled_geometry(geo: RadialGeometry, t: float) -> RadialGeometry:
         junctions=geo.junctions,
         label=f"{geo.label} scaled by {t!r}",
         eta=None if geo.eta is None else field("eta"),
-        fields=None if geo.fields is None else fields,
     )
 
 

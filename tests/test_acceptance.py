@@ -17,9 +17,9 @@ from conifold_lab.conifold_model import (
     Component,
     ConifoldModel,
     EndSpec,
+    GluedFamily,
     dumbbell_family,
     neck_convergence_check,
-    parametric_connect_sum,
     preset_model,
     spindle_family,
     warp_preset,
@@ -200,7 +200,7 @@ def test_criterion_9_neck_convergence():
         left=EndSpec("CS", link, nu=1.0, beta=-0.5, boundary=2.0),
         right=EndSpec("AC", link, nu=-1.0, beta=-0.5, boundary=1.0, marked=True),
     ),))
-    glued = parametric_connect_sum(cone, hat, 0.01, tau=0.5, a=0.4, b=0.2)
+    glued = GluedFamily(cone, hat, tau=0.5, a=0.4, b=0.2).at(0.01)
     zero_rows = neck_convergence_check(glued.family, 0.01)
     exact_zero = all(r["sup"] < 1e-12 for r in zero_rows)
     ok = decreasing and exact_zero

@@ -6,7 +6,8 @@ with timing wrappers and binds the arguments of ``build_grid`` and
 call of each and restoring must work, so that renaming or deleting a name
 the tracer uses fails here and not only in ``run.py --trace 1``.  The
 same holds for the glued geometry: the tracer wraps ``parametric_connect_sum``
-and then each per-field callable of the glued geometry it returns.  A
+and then each per-field callable of the glued geometry it returns, skipping
+the names a geometry leaves ``None`` (``fpp`` always: geometries stop at f').  A
 kernel scan calls the wrapped ``near_null_threshold`` once per weight, all
 on one exact-cone mesh built through the wrapped ``build_grid``, and per
 pencil factors A - sigma B through the wrapped ``spla.splu`` once before
@@ -75,7 +76,8 @@ def test_tracer_instruments_and_restores():
         sl.near_null_threshold(model.components[0].link, 3, 2.0, -0.5, 20.0)
         geo = cm.dumbbell_family().at(1e-2).geometry
         grid = wc.build_grid(geo, n_per_region=60)
-        for attr in tracing._GEOMETRY_FIELDS:
+        traced = [attr for attr in tracing._GEOMETRY_FIELDS if getattr(geo, attr) is not None]
+        for attr in traced:
             getattr(geo, attr)(grid.nodes)
         tracer.enabled = False
     finally:
@@ -83,9 +85,12 @@ def test_tracer_instruments_and_restores():
     assert tracer.calls["weighted_calc.grid"] >= 3
     assert tracer.calls["spectral_laplace.threshold"] == 1
     assert tracer.calls["conifold_model.glue"] == 1
-    # one traced call per wrapped glued field: none of the seven is missing
-    assert tracer.calls["conifold_model.fields"] == len(tracing._GEOMETRY_FIELDS) == 7
-    assert tracer.counts["conifold_model.fields.points"] == 7 * grid.n
+    # every name resolves on the glued geometry; f'' is the one left None
+    assert [attr for attr in tracing._GEOMETRY_FIELDS if attr not in traced] == ["fpp"]
+    assert geo.fpp is None
+    # one traced call per wrapped glued field: none of the six is missing
+    assert tracer.calls["conifold_model.fields"] == len(traced) == 6
+    assert tracer.counts["conifold_model.fields.points"] == 6 * grid.n
     assert set(tracer.metrics()) == {name for name, _unit in tracing.LAYER_METRICS
                                      if name not in tracing.RUN_LEVEL}
     for obj, attr, orig in patches:

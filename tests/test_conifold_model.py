@@ -23,7 +23,6 @@ from conifold_lab.conifold_model import (
     load_model,
     model_from_config,
     neck_convergence_check,
-    parametric_connect_sum,
     preset_model,
     spindle_family,
     warp_preset,
@@ -100,7 +99,7 @@ def test_exact_cone_gluing_is_identity_profile():
         left=EndSpec("CS", S2, nu=1.0, beta=-0.5, boundary=2.0),
         right=EndSpec("AC", S2, nu=-1.0, beta=-0.5, boundary=1.0, marked=True),
     ),))
-    glued = parametric_connect_sum(cone, hat, 0.01, tau=0.5, a=0.4, b=0.2)
+    glued = GluedFamily(cone, hat, tau=0.5, a=0.4, b=0.2).at(0.01)
     xs = np.geomspace(1e-4, 500.0, 200)
     assert np.max(np.abs(glued.geometry.f(xs) - xs)) < 1e-14
     rows = neck_convergence_check(glued.family, 0.01)
@@ -153,16 +152,21 @@ def test_glued_radius_continuous_and_blend_c2():
         vals = geo.rho(np.array([lo, hi]))
         assert abs(vals[1] - vals[0]) < 1e-6 * edge
     # the squared-warp blend is C^2 at both band edges: f and f' match,
-    # and f'' jumps by at most the O(h) of the probe itself
+    # and the one-sided difference quotients of f' (step h = 1e-6 edge),
+    # each f'' on its side up to O(h), differ by at most 1e-4 max(1, |f''|);
+    # they differ by 1.5e-6 and 1.8e-7 here, and a blend that is only C^1
+    # (a cubic smoothstep, chi'' jumping) moves them apart by 0.20 and 0.025
     for edge in (r1, r2):
         eps_ = 1e-8 * edge
         xs = np.array([edge - eps_, edge + eps_])
         f = geo.f(xs)
         fp = geo.fp(xs)
-        fpp = geo.fpp(xs)
         assert abs(f[1] - f[0]) < 1e-6 * f[0]
         assert abs(fp[1] - fp[0]) < 1e-5 * max(1.0, abs(fp[0]))
-        assert abs(fpp[1] - fpp[0]) < 1e-3 * max(1.0, abs(fpp[0]))
+        h = 1e-6 * edge
+        fp = geo.fp(np.array([edge - h, edge, edge + h]))
+        below, above = (fp[1] - fp[0]) / h, (fp[2] - fp[1]) / h
+        assert abs(above - below) < 1e-4 * max(1.0, abs(below))
 
 
 def test_beta_locally_constant_on_necks():
@@ -281,7 +285,7 @@ def test_model_from_config_matches_preset():
     (c0,), (c1,) = model.components, back.components
     assert c0.link == c1.link
     assert (c1.left, c1.right) == (c0.left, c0.right)
-    assert c1.length is None and c1.rho is None
+    assert c1.length is None
     xs = np.geomspace(0.01, 50, 20)
     assert np.array_equal(c0.warp.f(xs), c1.warp.f(xs))
 
@@ -392,12 +396,15 @@ def ref_base_geometry(model, ci):
                   for b in (binfo["left"], binfo["right"]))
     if core[1] > core[0]:
         plan.append(PlanSegment("lin", x_a=core[0], x_b=core[1], weight=0.5))
-    return RadialGeometry(
-        m=model.m, link=comp.link, f=warp.f, fp=warp.fp, fpp=warp.fpp,
+    # its one-pass fields are its per-field callables, one after another
+    ref = RadialGeometry(
+        m=model.m, link=comp.link, f=warp.f, fp=warp.fp,
         rho=comp.default_rho(), beta=beta_of,
         wextra=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        fields=lambda x: tuple(getattr(ref, a)(x) for a in FIELDS),
         circle=False, period=None, left=binfo["left"], right=binfo["right"],
         plan=tuple(plan), label=comp.label or model.label or f"component{ci}")
+    return ref
 
 
 def two_weight_models():
@@ -459,9 +466,9 @@ def test_base_geometry_is_the_one_piece_strip(case):
     for a, w, together in zip(FIELDS, want, geo.fields(x)):
         assert np.array_equal(_bits(getattr(geo, a)(x)), _bits(w)), a
         assert np.array_equal(_bits(together), _bits(w)), a
-    assert np.array_equal(_bits(geo.fpp(x)), _bits(np.asarray(ref.fpp(x), dtype=float)))
+    assert geo.fpp is None
     for x0 in (float(x[0]), float(x[len(x) // 2]), edges[0], 0.5 * sum(edges)):
-        for a in (*FIELDS, "fpp"):
+        for a in FIELDS:
             got = getattr(geo, a)(x0)
             assert type(got) is np.float64, a
             assert _bits(got) == _bits(np.asarray(getattr(ref, a)(x0), dtype=float)), a
@@ -470,7 +477,7 @@ def test_base_geometry_is_the_one_piece_strip(case):
 def test_base_geometry_refuses_points_past_a_cap_centre():
     geo = preset_model("hyperboloid_capped").geometry(0)
     assert geo.f(0.0) == 1.0
-    for field in (*FIELDS, "fpp"):
+    for field in FIELDS:
         with pytest.raises(ValueError, match="point outside the glued domain"):
             getattr(geo, field)(-0.5)
     with pytest.raises(ValueError, match="point outside the glued domain"):

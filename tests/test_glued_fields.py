@@ -1,6 +1,6 @@
 """Exactness oracle for the one-pass glued-geometry field evaluator.
 
-The per-field glued evaluation (each of f, f', f'', rho, beta and wextra
+The per-field glued evaluation (each of f, f', rho, beta and wextra
 classifying the points on its own with per-point masks, the f^2-blend
 recomputed per field, np.mod for every wrap, the three periodic source
 branches compared one at a time, base geometries rebuilt per call) is
@@ -28,15 +28,11 @@ from conifold_lab.conifold_model import (
     _fold,
     _smoothstep_c2,
     _smoothstep_c2_d1,
-    _smoothstep_c2_d2,
     cutoff_eta,
     dumbbell_family,
     spindle_family,
 )
 from conifold_lab.weighted_calc import build_grid, rescaled_geometry
-
-# the per-field callables: the grid FIELDS and f''
-CALLABLES = (*FIELDS, "fpp")
 
 # ---------------------------------------------------------------------------
 # reference: the per-field glued evaluation
@@ -78,7 +74,7 @@ def ref_zone_membership(zones, circle, period, xw):
 
 def ref_glued_fields(L, L_hat, family, pieces, junctions, junction_sides,
                      circle, period, x_origin):
-    """{name: callable} for the six fields, one classification per call;
+    """{name: callable} for the five FIELDS, one classification per call;
     junction_sides[j] is the (host piece, partner piece) of junction j."""
     tau = family.tau
 
@@ -165,9 +161,7 @@ def ref_glued_fields(L, L_hat, family, pieces, junctions, junction_sides,
         d = piece.direction
         if attr == "f":
             return scale * np.asarray(comp.warp.f(xs), dtype=float)
-        if attr == "fp":
-            return scale * np.asarray(comp.warp.fp(xs), dtype=float) / d
-        return scale * np.asarray(comp.warp.fpp(xs), dtype=float) / d**2
+        return scale * np.asarray(comp.warp.fp(xs), dtype=float) / d
 
     def blend(J, xw, attr):
         ci, wi, cj, wj = family.pairs[J.pair]
@@ -180,31 +174,23 @@ def ref_glued_fields(L, L_hat, family, pieces, junctions, junction_sides,
         xh = host.tip(wi) + sgn_h * r
         Fh = np.asarray(host.warp.f(xh), dtype=float)
         Fh_p = sgn_h * np.asarray(host.warp.fp(xh), dtype=float)
-        Fh_pp = np.asarray(host.warp.fpp(xh), dtype=float)
         sgn_p = part.r_sign(wj)
         xp = sgn_p * (r / t)
         Fp = t * np.asarray(part.warp.f(xp), dtype=float)
         Fp_p = sgn_p * np.asarray(part.warp.fp(xp), dtype=float)
-        Fp_pp = np.asarray(part.warp.fpp(xp), dtype=float) / t
-        Qh, Qh_p, Qh_pp = Fh**2, 2 * Fh * Fh_p, 2 * (Fh_p**2 + Fh * Fh_pp)
-        Qp, Qp_p, Qp_pp = Fp**2, 2 * Fp * Fp_p, 2 * (Fp_p**2 + Fp * Fp_pp)
+        Qh, Qh_p = Fh**2, 2 * Fh * Fh_p
+        Qp, Qp_p = Fp**2, 2 * Fp * Fp_p
         ln2 = math.log(2.0)
         s = np.log(r / r1) / ln2
         ds = 1.0 / (r * ln2)
-        d2s = -1.0 / (r * r * ln2)
         chi = 1.0 - _smoothstep_c2(s)
         chi_p = -_smoothstep_c2_d1(s) * ds
-        chi_pp = -(_smoothstep_c2_d2(s) * ds * ds + _smoothstep_c2_d1(s) * d2s)
         Q = chi * Qp + (1 - chi) * Qh
         Q_p = chi_p * (Qp - Qh) + chi * Qp_p + (1 - chi) * Qh_p
-        Q_pp = (chi_pp * (Qp - Qh) + 2 * chi_p * (Qp_p - Qh_p)
-                + chi * Qp_pp + (1 - chi) * Qh_pp)
         F = np.sqrt(Q)
         if attr == "f":
             return F
-        if attr == "fp":
-            return Q_p / (2 * F) * J.direction
-        return (Q_pp / (2 * F) - Q_p**2 / (4 * F**3)) * J.direction**2
+        return Q_p / (2 * F) * J.direction
 
     def make_warp(attr):
         def ev(x):
@@ -255,7 +241,7 @@ def ref_glued_fields(L, L_hat, family, pieces, junctions, junction_sides,
         return abs(piece.direction) ** (src_beta(piece, xs) - ref)
 
     return {
-        "f": make_warp("f"), "fp": make_warp("fp"), "fpp": make_warp("fpp"),
+        "f": make_warp("f"), "fp": make_warp("fp"),
         "rho": make_field(lambda J, xs: rdist(J, xs), src_rho, src_rho),
         "beta": make_field(lambda J, xs: np.full_like(xs, J.beta), src_beta, src_beta),
         "wextra": make_field(lambda J, xs: np.ones_like(xs), partner_wextra,
@@ -370,23 +356,24 @@ def test_grid_fields_match_per_field_evaluation(monkeypatch, case):
     assert geo.fields is not None
     grid = build_grid(geo, n_per_region=400)
     assert FIELDS == ("f", "fp", "rho", "beta", "wextra") and not hasattr(grid, "fpp")
+    assert geo.fpp is None
     for name in FIELDS:
         assert_bitwise(getattr(grid, name), ref[name](grid.nodes), name)
 
 
 def rescaled_reference(ref, s):
     """The reference fields of the geometry rescaled by s, at x."""
-    rule = {"f": lambda v: s * v, "fpp": lambda v: v / s, "rho": lambda v: s * v}
+    rule = {"f": lambda v: s * v, "rho": lambda v: s * v}
     return {name: (lambda x, name=name: rule.get(name, lambda v: v)(
-        np.asarray(ref[name](np.asarray(x) / s)))) for name in CALLABLES}
+        np.asarray(ref[name](np.asarray(x) / s)))) for name in FIELDS}
 
 
 @pytest.mark.parametrize("case", ["dumbbell_t1e-4", "spindle_t1e-2"])
 def test_mapped_grid_fields_match_per_field_evaluation(monkeypatch, case):
     """The mapped grid takes its arrays from the rescaled geometry's
     one-pass fields, equal to the rescaled reference bit for bit; so are
-    the one-pass fields and the per-field callables, f'' included, at
-    shuffled off-node points.  At a scalar point each is an np.float64, as
+    the one-pass fields and the per-field callables, at shuffled off-node
+    points.  At a scalar point each is an np.float64, as
     every base and glued geometry returns, eta included."""
     make_family, t = CASES[case]
     geo, ref = glued_with_reference(monkeypatch, make_family(), t)
@@ -401,11 +388,12 @@ def test_mapped_grid_fields_match_per_field_evaluation(monkeypatch, case):
     x = x[np.random.default_rng(1).permutation(x.size)]
     for name, v in zip(FIELDS, mapped.geometry.fields(x)):
         assert_bitwise(v, want[name](x), name)
-    for name in CALLABLES:
+    for name in FIELDS:
         assert_bitwise(getattr(mapped.geometry, name)(x), want[name](x), name)
+    assert mapped.geometry.fpp is None
     x0 = float(x[7])
     scalars = [*zip(FIELDS, mapped.geometry.fields(x0)),
-               *((name, getattr(mapped.geometry, name)(x0)) for name in (*CALLABLES, "eta"))]
+               *((name, getattr(mapped.geometry, name)(x0)) for name in (*FIELDS, "eta"))]
     for name, v in scalars:
         assert type(v) is np.float64, name
     for name, v in scalars[:-1]:
@@ -422,7 +410,7 @@ def test_per_field_callables_match_reference(monkeypatch, case):
     x = np.concatenate([grid.nodes[::7], 0.5 * (grid.nodes[1:] + grid.nodes[:-1])[::11]])
     if geo.circle:
         x = np.concatenate([x, x[:20] + geo.period, x[:20] - geo.period])
-    for name in CALLABLES:
+    for name in FIELDS:
         assert_bitwise(getattr(geo, name)(x), ref[name](x), name)
         for x0 in (float(x[0]), float(x[len(x) // 2]), float(x[-1])):
             got, want = getattr(geo, name)(x0), ref[name](x0)
@@ -540,7 +528,7 @@ def test_zone_slices_match_per_point_masks(monkeypatch, case):
     for label, x in inputs.items():
         for name, v in zip(FIELDS, geo.fields(x)):
             assert_bitwise(v, ref[name](x), f"{label}: {name}")
-        for name in (*CALLABLES, "eta"):
+        for name in (*FIELDS, "eta"):
             assert_bitwise(getattr(geo, name)(x), ref[name](x), f"{label}: {name}")
 
 

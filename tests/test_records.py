@@ -48,7 +48,7 @@ S2 = make_link("sphere", dim=2)
 
 # one instance of each value record, its fields in order
 SAMPLES = {
-    cm.WarpProfile: dict(name="spline", f=math.sin, fp=math.cos, fpp=None),
+    cm.WarpProfile: dict(name="spline", f=math.sin, fp=math.cos),
     cm.Cap: {},
     cm.BoundaryInfo: dict(kind="ac", x0=0.0, sign=1.0, chart_r=2.0, beta=-0.5, nu=-1.0),
     cm.JunctionInfo: dict(pair=0, center=1.5, direction=-1.0, t=0.01, tau=0.5, eps=0.1,
@@ -97,7 +97,7 @@ SAMPLES = {
 # each repr as the frozen dataclass of the same name printed it
 REPRS = {
     "WarpProfile": "WarpProfile(name='spline', f=<built-in function sin>, "
-                   "fp=<built-in function cos>, fpp=None)",
+                   "fp=<built-in function cos>)",
     "Cap": "Cap()",
     "BoundaryInfo": "BoundaryInfo(kind='ac', x0=0.0, sign=1.0, chart_r=2.0, beta=-0.5, nu=-1.0)",
     "JunctionInfo": "JunctionInfo(pair=0, center=1.5, direction=-1.0, t=0.01, tau=0.5, "

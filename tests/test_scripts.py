@@ -112,6 +112,28 @@ def test_diff_emitted_reports_cells_of_two_quick_suite_emits(tmp_path):
     assert missing_row.returncode == 1 and "MISMATCH rows" in missing_row.stdout
 
 
+def test_diff_emitted_measures_a_changed_non_finite_reference_as_inf(tmp_path):
+    """A reference cell that is NaN or +-inf and a new one that differs
+    give an infinite relative difference, not a NaN that max() would drop
+    (emitted summaries hold inf, as max_over_min when min <= 0)."""
+    spec = importlib.util.spec_from_file_location("diff_emitted",
+                                                  ROOT / "scripts" / "diff_emitted.py")
+    diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(diff)
+    inf, nan = float("inf"), float("nan")
+    for a, b in ((inf, 1.0), (-inf, 1.0), (nan, 1.0), (inf, -inf), (inf, nan), (1.0, inf)):
+        assert diff._difference(a, b) == (inf, inf), (a, b)
+    for a in (inf, -inf, nan):
+        assert diff._difference(a, a) == (0.0, 0.0)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, cell in ((a, "inf"), (b, "2.5")):
+        out.mkdir()
+        (out / "summary.csv").write_text(f"max_over_min,passed\n{cell},True\n")
+    report = run_diff(a, b)
+    assert report.returncode == 0, report.stdout
+    assert "summary.csv: 1 numeric cells, max abs inf, max rel inf" in report.stdout
+
+
 def load_bench_pairs():
     path = ROOT / "scripts" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)

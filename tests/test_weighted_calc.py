@@ -108,11 +108,10 @@ def test_zero_function_zero_norm(cone_grid):
 
 
 def test_standard_lp_recovered_at_unit_scale():
-    # compact piece with rho forced to 1: the weighted norm is the plain
+    # a compact cap/cap piece has rho = 1: the weighted norm is the plain
     # L^p norm of the mode sum
     comp = Component(link=S2, warp=warp_preset("hyperboloid", 1.0),
-                     left=Cap(), right=Cap(), length=2.0,
-                     rho=lambda x: np.ones_like(np.asarray(x, dtype=float)))
+                     left=Cap(), right=Cap(), length=2.0)
     model = ConifoldModel(3, (comp,))
     grid = build_grid(model.geometry(0), n_per_region=400)
     prof = np.sin(math.pi * grid.nodes / 2.0) ** 2
@@ -362,13 +361,28 @@ def test_empty_families_are_refused():
         norm_ratios([], -0.5, (2.0, (0,)), (2.0, (1,)))
 
 
-@pytest.mark.parametrize("name", ["f", "rho", "wextra", "_d1", "_volume", "_radial_operator"])
+@pytest.mark.parametrize("name", ["f", "rho", "wextra", "d1", "volume", "radial_operator"])
 def test_grid_fields_are_not_constructor_arguments(cone_grid, name):
     with pytest.raises(TypeError, match=name):
         RadialGrid(cone_grid.geometry, cone_grid.nodes, cone_grid.quad,
                    **{name: getattr(cone_grid, name)})
     rebuilt = RadialGrid(cone_grid.geometry, cone_grid.nodes, cone_grid.quad)
     assert np.array_equal(rebuilt.f, cone_grid.f)
+    assert getattr(rebuilt, name) is getattr(rebuilt, name)
+
+
+def test_grid_builds_its_stencils_once(monkeypatch, cone_grid):
+    """d1 and d2 come from one cached _build_derivatives call (the method
+    the benchmark's tracer times), and the radial operator reads them."""
+    calls = []
+    build = RadialGrid._build_derivatives
+    monkeypatch.setattr(RadialGrid, "_build_derivatives",
+                        lambda self: calls.append(self) or build(self))
+    grid = RadialGrid(cone_grid.geometry, cone_grid.nodes, cone_grid.quad)
+    assert calls == []
+    d1, d2 = grid.d1, grid.d2
+    assert grid.radial_operator.keys() == d1.keys() == d2.keys()
+    assert grid.d1 is d1 and grid.d2 is d2 and calls == [grid]
 
 
 def test_embedding_rejects_supercritical_p(cone_grid):
